@@ -5,7 +5,7 @@
 use am_bench::timer::{bench, iters_from_env};
 use am_bench::workloads::loop_nest;
 use am_core::{flush, hoist, init, motion, rae};
-use am_dfa::{solve, solve_parallel, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{solve, Confluence, Direction, PointGraph, Problem};
 use am_ir::PatternUniverse;
 use std::hint::black_box;
 
@@ -58,7 +58,7 @@ fn main() {
         });
     }
 
-    // Sequential vs bit-partitioned parallel solving on a wide universe.
+    // The bare fixpoint solver on a wide Table 2 universe.
     println!("== solver ==");
     let wide = loop_nest(6, 10);
     let mut wide_init = wide.clone();
@@ -87,9 +87,4 @@ fn main() {
     bench("sequential", iters, || {
         black_box(solve(pg.succs(), pg.preds(), &problem));
     });
-    for threads in [2usize, 4] {
-        bench(&format!("parallel/{threads}"), iters, || {
-            black_box(solve_parallel(pg.succs(), pg.preds(), &problem, threads));
-        });
-    }
 }

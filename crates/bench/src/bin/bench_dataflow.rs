@@ -7,7 +7,7 @@
 //! cargo run --release -p am-bench --bin bench_dataflow
 //! cargo run --release -p am-bench --bin bench_dataflow -- \
 //!     --small --out target/BENCH_dataflow.json --max-pushes-per-point 64
-//! cargo run --release -p am-bench --bin bench_dataflow -- --xl --workers 8
+//! cargo run --release -p am-bench --bin bench_dataflow -- --xl
 //! ```
 //!
 //! `--max-pushes-per-point` turns the run into a CI gate: the run fails if
@@ -41,7 +41,6 @@ struct Options {
     small: bool,
     xl: bool,
     xl_smoke: bool,
-    workers: usize,
     max_pushes_per_point: Option<f64>,
     max_wall_micros: Option<u128>,
     history: Option<String>,
@@ -58,7 +57,6 @@ options:
   --small                   CI ladder: smallest two sizes per family
   --xl                      also run the XL ladder (10k-100k point graphs)
   --xl-smoke                also run one mid-size XL rung (CI smoke)
-  --workers N               threads for cold fixpoint solves (default 1)
   --max-pushes-per-point X  fail (exit 1) if any workload exceeds this
                             worklist_pushes / points ratio
   --max-wall-micros X       fail (exit 1) if any workload's best wall time
@@ -75,7 +73,6 @@ fn parse_args() -> Result<Options, String> {
         small: false,
         xl: false,
         xl_smoke: false,
-        workers: 1,
         max_pushes_per_point: None,
         max_wall_micros: None,
         history: Some("BENCH_history.jsonl".to_owned()),
@@ -98,14 +95,6 @@ fn parse_args() -> Result<Options, String> {
             "--small" => opts.small = true,
             "--xl" => opts.xl = true,
             "--xl-smoke" => opts.xl_smoke = true,
-            "--workers" => {
-                opts.workers = value(&mut args, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-                if opts.workers == 0 {
-                    return Err("--workers must be at least 1".to_owned());
-                }
-            }
             "--max-pushes-per-point" => {
                 opts.max_pushes_per_point = Some(
                     value(&mut args, "--max-pushes-per-point")?
@@ -181,10 +170,9 @@ fn xl_ladder(smoke: bool) -> Vec<(String, FlowGraph)> {
 
 /// Runs one workload `iters` times, keeping the fastest end-to-end run
 /// (and its per-phase timings; the counters are deterministic).
-fn measure(label: &str, g: &FlowGraph, iters: u32, workers: usize) -> BenchRecord {
+fn measure(label: &str, g: &FlowGraph, iters: u32) -> BenchRecord {
     let config = GlobalConfig {
         keep_snapshots: false,
-        solver_workers: workers,
         ..Default::default()
     };
     // Warmup, then best-of-N: minimum wall time is the least noisy
@@ -280,7 +268,7 @@ fn main() -> ExitCode {
         } else {
             opts.iters
         };
-        let rec = measure(&label, &g, iters, opts.workers);
+        let rec = measure(&label, &g, iters);
         println!(
             "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8.1}",
             rec.label,

@@ -209,9 +209,8 @@ pub fn nest_grid(copies: usize, depth: usize, width: usize) -> FlowGraph {
 /// XL family: one `branches`-way fan — every branch computes the same
 /// `width` patterns (hoistable into the entry, eliminable in the leaves)
 /// plus one pattern unique to its block of 128 leaves (widening the
-/// universe with size). Exercises very wide confluence merges and gives
-/// the point-partitioned solver its best case: the leaves are mutually
-/// independent, so almost the whole graph solves in one parallel wave.
+/// universe with size). Exercises very wide confluence merges, the shape
+/// where the flush's point-level systems dominate.
 pub fn wide_fan(branches: usize, width: usize) -> FlowGraph {
     let branches = branches.max(2);
     let width = width.max(1);
@@ -242,8 +241,7 @@ pub fn wide_fan(branches: usize, width: usize) -> FlowGraph {
 /// sites, each a branch diamond whose two arms carry the body of one of
 /// `procs` distinct procedures (so every `procs`-th site repeats the same
 /// code and the eliminator has cross-site work). Sites are spread over 8
-/// parallel lanes joined at the end, giving the partitioned solver
-/// lane-level parallelism on an otherwise chain-shaped program.
+/// lanes joined at the end.
 pub fn inlined_program(calls: usize, procs: usize) -> FlowGraph {
     const LANES: usize = 8;
     let calls = calls.max(LANES);
@@ -309,16 +307,8 @@ pub struct ComplexityRow {
 
 /// Runs the full pipeline on `g` and records the complexity metrics.
 pub fn measure_complexity(label: &str, g: &FlowGraph) -> ComplexityRow {
-    measure_complexity_workers(label, g, 1)
-}
-
-/// Like [`measure_complexity`], but solving cold fixpoints on `workers`
-/// threads (1 = the serial scheduled solver; the result is bit-identical
-/// either way, only the wall time moves).
-pub fn measure_complexity_workers(label: &str, g: &FlowGraph, workers: usize) -> ComplexityRow {
     let config = GlobalConfig {
         keep_snapshots: false,
-        solver_workers: workers.max(1),
         ..Default::default()
     };
     let start = Instant::now();
@@ -553,25 +543,6 @@ mod tests {
         assert!(g.node_count() >= 64 * 3);
         let row = measure_complexity("inline", &g);
         assert!(row.converged);
-    }
-
-    #[test]
-    fn xl_families_are_worker_count_deterministic() {
-        use am_core::global::{optimize_with, GlobalConfig};
-        for g in [nest_grid(6, 2, 3), wide_fan(48, 3), inlined_program(48, 5)] {
-            let serial = optimize_with(&g, &GlobalConfig::default());
-            let parallel = optimize_with(
-                &g,
-                &GlobalConfig {
-                    solver_workers: 8,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(
-                am_ir::text::to_text(&serial.program),
-                am_ir::text::to_text(&parallel.program)
-            );
-        }
     }
 
     #[test]

@@ -31,13 +31,11 @@
 use std::collections::HashMap;
 
 use am_bitset::BitSet;
-use am_dfa::{
-    solve_partitioned, solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem,
-    Schedule, Solution,
-};
+use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem};
 use am_ir::{Cond, FlowGraph, Instr, Operand, PatternUniverse, Term, Var};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
-use am_trace::Tracer;
+use am_obs::{ProvKind, ProvRecord};
+
+use crate::global::GlobalConfig;
 
 /// Statistics of a [`final_flush`] run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -80,21 +78,19 @@ pub struct FlushAnalysis {
 /// Solves the delayability and usability systems of Table 3 over `g`
 /// (without transforming anything).
 pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
-    analyze_flush_workers(g, 1)
+    let (universe, temps) = participating(g);
+    solve_flush(&PointGraph::build(g), universe, temps)
 }
 
-/// As [`analyze_flush`], solving the two systems on `workers` threads via
-/// the partitioned parallel solver (facts are bit-identical for any worker
-/// count; small graphs fall back to the serial path).
-pub fn analyze_flush_workers(g: &mut FlowGraph, workers: usize) -> FlushAnalysis {
-    let (universe, temps) = participating(g);
+/// Builds the Table 3 local predicates over `pg` and solves delayability
+/// and usability. `temps` must come from [`participating`] on the graph
+/// `pg` was built over.
+fn solve_flush(pg: &PointGraph<'_>, universe: PatternUniverse, temps: Vec<Var>) -> FlushAnalysis {
     let ep = universe.expr_count();
     // Masks must be built after `participating`: `temp_for` may grow the
     // variable pool, and the index covers the whole pool.
-    let masks = PatternMasks::build(&universe, g.pool().len());
+    let masks = PatternMasks::build(&universe, pg.graph().pool().len());
     let temp_index: HashMap<Var, usize> = temps.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-    let snapshot = g.clone();
-    let pg = PointGraph::build(&snapshot);
     let points = pg.len();
     let mut is_inst = vec![BitSet::new(ep); points];
     let mut used = vec![BitSet::new(ep); points];
@@ -127,14 +123,7 @@ pub fn analyze_flush_workers(g: &mut FlowGraph, workers: usize) -> FlushAnalysis
         delay_problem.kill[p].copy_from(&used[p]);
         delay_problem.kill[p].union_with(&blocked[p]);
     }
-    let solve = |problem: &Problem| -> Solution {
-        let (succs, preds, schedule): (_, _, &Schedule) = (pg.succs(), pg.preds(), pg.schedule());
-        if workers > 1 {
-            solve_partitioned(succs, preds, problem, schedule, workers)
-        } else {
-            solve_scheduled(succs, preds, problem, schedule)
-        }
-    };
+    let solve = |problem: &Problem| solve_scheduled(pg.succs(), pg.preds(), problem, pg.schedule());
     let delay = solve(&delay_problem);
     let mut use_problem = Problem::new(Direction::Backward, Confluence::May, points, ep);
     use_problem.gen = used.clone();
@@ -222,32 +211,27 @@ fn reconstruct_use(instr: &Instr, h: Var, eps: Term) -> Option<Instr> {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn final_flush(g: &mut FlowGraph) -> FlushStats {
-    final_flush_traced(g, &Tracer::disabled())
+    final_flush_with(g, &GlobalConfig::default())
 }
 
-/// As [`final_flush`], with tracing: emits one `analysis` counter per
-/// solved system (`delayability`, `usability`) with its fixpoint metrics.
-pub fn final_flush_traced(g: &mut FlowGraph, tracer: &Tracer) -> FlushStats {
-    final_flush_observed(g, tracer, &ProvRecorder::disabled(), 1)
-}
-
-/// As [`final_flush_traced`], with provenance capture: every instance
-/// removal, initialization insertion and reconstruction appends one
-/// [`am_obs::ProvRecord`] to `recorder`. A disabled recorder costs one
-/// branch per potential record. `workers` threads solve the two flush
-/// systems on large graphs (1 = serial).
-pub fn final_flush_observed(
-    g: &mut FlowGraph,
-    tracer: &Tracer,
-    recorder: &ProvRecorder,
-    workers: usize,
-) -> FlushStats {
-    let analysis = analyze_flush_workers(g, workers);
+/// As [`final_flush`], observed through `config`: the tracer receives one
+/// `analysis` counter per solved system (`delayability`, `usability`) with
+/// its fixpoint metrics, and every instance removal, initialization
+/// insertion and reconstruction appends one [`am_obs::ProvRecord`] to the
+/// recorder. A disabled recorder costs one branch per potential record.
+pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
+    let recorder = &config.recorder;
+    let (universe, temps) = participating(g);
+    // One point graph over the unchanged program serves both the analysis
+    // and the rewrite; the rewritten blocks are written back after its
+    // last use.
+    let pg = PointGraph::build(g);
+    let analysis = solve_flush(&pg, universe, temps);
     for (name, sol) in [
         ("delayability", &analysis.delay),
         ("usability", &analysis.usable),
     ] {
-        tracer.counter(
+        config.tracer.counter(
             "analysis",
             name,
             &[
@@ -265,8 +249,6 @@ pub fn final_flush_observed(
         return stats;
     }
 
-    let g_snapshot = g.clone();
-    let pg = PointGraph::build(&g_snapshot);
     let points = pg.len();
     let is_inst = analysis.is_inst;
     let used = analysis.used;
@@ -316,22 +298,23 @@ pub fn final_flush_observed(
         }
     }
 
-    // Rewrite the program.
+    // Rewrite the g.
     let observe_insert = |instr: &Instr, pattern: usize, n: am_ir::NodeId, fact: &str| {
         recorder.record(ProvRecord {
             kind: ProvKind::FlushInsert,
             phase: "flush",
             round: 0,
-            node: g_snapshot.label(n).to_owned(),
+            node: g.label(n).to_owned(),
             index: None,
-            instr: instr.display(g_snapshot.pool()),
+            instr: instr.display(g.pool()),
             new_instr: None,
             pattern: Some(pattern as u32),
             instr_id: None,
             justification: fact.to_owned(),
         });
     };
-    for n in g_snapshot.nodes() {
+    let mut blocks: Vec<(am_ir::NodeId, Vec<Instr>)> = Vec::with_capacity(g.node_count());
+    for n in g.nodes() {
         let mut fresh: Vec<Instr> = Vec::new();
         let first = pg.first_of(n);
         let last = pg.last_of(n);
@@ -384,10 +367,10 @@ pub fn final_flush_observed(
                                     kind: ProvKind::FlushReconstruct,
                                     phase: "flush",
                                     round: 0,
-                                    node: g_snapshot.label(n).to_owned(),
+                                    node: g.label(n).to_owned(),
                                     index: Some((pi - first.index()) as u32),
-                                    instr: rewritten.display(g_snapshot.pool()),
-                                    new_instr: Some(new_instr.display(g_snapshot.pool())),
+                                    instr: rewritten.display(g.pool()),
+                                    new_instr: Some(new_instr.display(g.pool())),
                                     pattern: Some(i as u32),
                                     instr_id: None,
                                     justification:
@@ -434,9 +417,9 @@ pub fn final_flush_observed(
                         kind: ProvKind::FlushRemove,
                         phase: "flush",
                         round: 0,
-                        node: g_snapshot.label(n).to_owned(),
+                        node: g.label(n).to_owned(),
                         index: Some((pi - first.index()) as u32),
-                        instr: instr.display(g_snapshot.pool()),
+                        instr: instr.display(g.pool()),
                         new_instr: None,
                         pattern: is_inst[pi].iter().next().map(|i| i as u32),
                         instr_id: None,
@@ -477,6 +460,9 @@ pub fn final_flush_observed(
                 stats.inserted += 1;
             }
         }
+        blocks.push((n, fresh));
+    }
+    for (n, fresh) in blocks {
         g.block_mut(n).instrs = fresh;
     }
     stats

@@ -9,9 +9,9 @@ use am_ir::FlowGraph;
 use am_obs::ProvRecorder;
 use am_trace::Tracer;
 
-use crate::flush::{final_flush_observed, FlushStats};
+use crate::flush::{final_flush_with, FlushStats};
 use crate::init::{initialize, InitStats};
-use crate::motion::{assignment_motion_observed, default_round_budget, MotionOrder, MotionStats};
+use crate::motion::{assignment_motion_with, MotionOrder, MotionStats};
 
 /// A phase boundary of the global algorithm, as reported to the hook of
 /// [`optimize_hooked`]. Ordered: `Split < Init < MotionRound(1) < … < Flush`.
@@ -39,11 +39,13 @@ impl std::fmt::Display for PhaseId {
     }
 }
 
-/// Configuration of the global algorithm.
+/// Configuration of the global algorithm — the one pass context the phase
+/// entry points ([`assignment_motion_with`], [`final_flush_with`]) take.
 #[derive(Clone, Debug)]
 pub struct GlobalConfig {
     /// Round budget for the assignment motion fixed point; `None` uses the
-    /// paper's quadratic bound.
+    /// paper's quadratic bound
+    /// ([`default_round_budget`](crate::motion::default_round_budget)).
     pub max_motion_rounds: Option<usize>,
     /// Keep copies of the intermediate programs (costs two clones).
     pub keep_snapshots: bool,
@@ -53,12 +55,6 @@ pub struct GlobalConfig {
     /// transformation (`amopt --explain`); disabled (one branch per
     /// potential record) by default.
     pub recorder: ProvRecorder,
-    /// Worker threads for the data-flow solves inside one optimization
-    /// (the point-partitioned parallel solver). The default of 1 keeps
-    /// everything serial — the right choice when many programs are already
-    /// optimized in parallel (the batch pipeline, `amserve`); raise it for
-    /// single very large programs. Results are identical for every value.
-    pub solver_workers: usize,
 }
 
 impl Default for GlobalConfig {
@@ -68,7 +64,6 @@ impl Default for GlobalConfig {
             keep_snapshots: true,
             tracer: Tracer::disabled(),
             recorder: ProvRecorder::disabled(),
-            solver_workers: 1,
         }
     }
 }
@@ -208,28 +203,17 @@ pub fn optimize_hooked(
         );
     }
     let after_init = config.keep_snapshots.then(|| program.clone());
-    let budget = config
-        .max_motion_rounds
-        .unwrap_or_else(|| default_round_budget(&program));
     let span = tracer.span("phase", "motion");
-    let motion = assignment_motion_observed(
+    let motion = assignment_motion_with(
         &mut program,
-        budget,
+        config,
         MotionOrder::RaeFirst,
-        tracer,
-        &config.recorder,
         &mut |round, g| hook(PhaseId::MotionRound(round), g),
-        config.solver_workers,
     );
     timings.motion = span.end();
     let after_motion = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "flush");
-    let flush = final_flush_observed(
-        &mut program,
-        tracer,
-        &config.recorder,
-        config.solver_workers,
-    );
+    let flush = final_flush_with(&mut program, config);
     timings.flush = span.end();
     hook(PhaseId::Flush, &mut program);
     root.arg("rounds", motion.rounds as i64)

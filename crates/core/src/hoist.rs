@@ -34,7 +34,6 @@
 use am_bitset::BitSet;
 use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule};
 use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
-use am_trace::Tracer;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -230,28 +229,8 @@ pub struct HoistOutcome {
 /// [`assignment_motion`](crate::motion::assignment_motion) iterates it
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
-    hoist_assignments_traced(g, &Tracer::disabled())
-}
-
-/// As [`hoist_assignments`], with tracing: wraps the pass in an
-/// `analysis/aht` span and emits a counter with the solver's fixpoint
-/// metrics.
-pub fn hoist_assignments_traced(g: &mut FlowGraph, tracer: &Tracer) -> HoistOutcome {
-    let mut span = tracer.span("analysis", "aht");
     let analysis = analyze_hoisting(g);
-    tracer.counter(
-        "analysis",
-        "aht",
-        &[
-            ("iterations", analysis.iterations as i64),
-            ("worklist_pushes", analysis.worklist_pushes as i64),
-            ("max_worklist_len", analysis.max_worklist_len as i64),
-        ],
-    );
-    let outcome = apply_insertion_step(g, &analysis);
-    span.arg("inserted", outcome.inserted as i64)
-        .arg("removed", outcome.removed as i64);
-    outcome
+    apply_insertion_step_filtered(g, &analysis, |_| true)
 }
 
 /// Applies the insertion/removal step for a previously computed analysis,
@@ -309,10 +288,6 @@ pub(crate) fn apply_insertion_step_filtered(
         g.block_mut(n).instrs = fresh;
     }
     outcome
-}
-
-fn apply_insertion_step(g: &mut FlowGraph, analysis: &HoistAnalysis) -> HoistOutcome {
-    apply_insertion_step_filtered(g, analysis, |_| true)
 }
 
 /// Convenience for tests: the `N-INSERT` patterns of node `n`, displayed.

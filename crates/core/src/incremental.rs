@@ -45,8 +45,8 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use am_bitset::BitSet;
 use am_dfa::{
-    node_adjacency, solve_partitioned, solve_scheduled_reusing, solve_seeded_reusing, Adjacency,
-    Confluence, Direction, PatternMasks, Problem, Schedule, Solution,
+    node_adjacency, solve_scheduled_reusing, solve_seeded_reusing, Adjacency, Confluence,
+    Direction, PatternMasks, Problem, Schedule, Solution,
 };
 use am_ir::intern::{InstrId, InstrInterner};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, PatternUniverse};
@@ -199,10 +199,6 @@ pub(crate) struct MotionContext {
     last_hoist: Option<(u64, bool)>,
     /// `(graph revision, content hash)` memo for [`Self::content_hash`].
     content_memo: Option<(u64, u64)>,
-    /// Worker threads for cold solves. Cold solves over large point sets
-    /// dispatch to the partitioned parallel solver; warm restarts stay
-    /// serial (their dirty sets are tiny by construction).
-    workers: usize,
     rows_reused: u64,
     rows_recomputed: u64,
     hoist_skipped: u64,
@@ -210,9 +206,8 @@ pub(crate) struct MotionContext {
 }
 
 impl MotionContext {
-    /// Builds the context for a motion run over `g`, solving cold systems
-    /// on `workers` threads (1 = fully serial).
-    pub(crate) fn new(g: &FlowGraph, workers: usize) -> Self {
+    /// Builds the context for a motion run over `g`.
+    pub(crate) fn new(g: &FlowGraph) -> Self {
         let universe = PatternUniverse::collect(g);
         let masks = PatternMasks::build(&universe, g.pool().len());
         MotionContext {
@@ -233,7 +228,6 @@ impl MotionContext {
             block_keys: Vec::new(),
             last_hoist: None,
             content_memo: None,
-            workers: workers.max(1),
             rows_reused: 0,
             rows_recomputed: 0,
             hoist_skipped: 0,
@@ -457,12 +451,11 @@ impl MotionContext {
             });
         }
         let ns = self.node_system.as_ref().expect("node system built above");
-        let sol = solve_cold_reusing(
+        let sol = solve_scheduled_reusing(
             &ns.succs,
             &ns.preds,
             &problem,
             &ns.schedule,
-            self.workers,
             self.rae_solution.take(),
         );
         // Recover per-instruction entry facts by streaming each block's
@@ -662,7 +655,7 @@ impl MotionContext {
                     recycled,
                 )
             }
-            None => solve_cold_reusing(succs, preds, &problem, schedule, self.workers, recycled),
+            None => solve_scheduled_reusing(succs, preds, &problem, schedule, recycled),
         };
         tracer.counter(
             "analysis",
@@ -868,27 +861,6 @@ fn occurrence_ranks_in(g: &FlowGraph, universe: &PatternUniverse) -> Option<Vec<
         }
     }
     Some(ranks)
-}
-
-/// Cold-solve dispatch: partitioned parallel when more than one worker is
-/// configured, serial otherwise. The partitioned solver itself falls back
-/// to the serial path below its size threshold, so small graphs pay
-/// nothing; its converged facts are bit-identical to the serial solver's
-/// for any worker count. The serial path recycles detached fact buffers
-/// (the partitioned path allocates per partition and ignores them).
-fn solve_cold_reusing(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    workers: usize,
-    recycled: Option<Solution>,
-) -> Solution {
-    if workers > 1 {
-        solve_partitioned(succs, preds, problem, schedule, workers)
-    } else {
-        solve_scheduled_reusing(succs, preds, problem, schedule, recycled)
-    }
 }
 
 /// Fingerprint of the node-level edges.

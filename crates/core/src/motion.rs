@@ -9,9 +9,8 @@
 //! [`MotionStats::rounds`] counter feeds the complexity study.
 
 use am_ir::FlowGraph;
-use am_obs::ProvRecorder;
-use am_trace::Tracer;
 
+use crate::global::GlobalConfig;
 use crate::incremental::MotionContext;
 
 /// Which procedure runs first within each round. The paper leaves the
@@ -81,29 +80,27 @@ pub fn default_round_budget(g: &FlowGraph) -> usize {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn assignment_motion(g: &mut FlowGraph) -> MotionStats {
-    assignment_motion_bounded(g, default_round_budget(g))
+    assignment_motion_with(
+        g,
+        &GlobalConfig::default(),
+        MotionOrder::RaeFirst,
+        &mut |_, _| {},
+    )
 }
 
-/// Runs the assignment motion phase with an explicit round budget.
+/// Runs the assignment motion phase under `config`, in procedure `order`
+/// (the confluence ablation), calling `hook` at every round boundary.
 ///
-/// Returns with `converged = false` when the budget is exhausted before the
-/// program stabilizes (not observed in practice; the paper proves
-/// termination).
-pub fn assignment_motion_bounded(g: &mut FlowGraph, max_rounds: usize) -> MotionStats {
-    assignment_motion_ordered(g, max_rounds, MotionOrder::RaeFirst)
-}
-
-/// Runs the assignment motion phase with an explicit round budget and
-/// procedure order (the confluence ablation).
-pub fn assignment_motion_ordered(
-    g: &mut FlowGraph,
-    max_rounds: usize,
-    order: MotionOrder,
-) -> MotionStats {
-    assignment_motion_hooked(g, max_rounds, order, &mut |_, _| {})
-}
-
-/// Runs the assignment motion phase, calling `hook` at every round boundary.
+/// The round budget is `config.max_motion_rounds`, or
+/// [`default_round_budget`] when unset; the run returns with
+/// `converged = false` when the budget is exhausted before the program
+/// stabilizes (not observed in practice; the paper proves termination).
+/// Each round runs under a `round` span of `config.tracer` carrying its
+/// eliminated/inserted/removed counts, and the rae/aht passes emit their
+/// own `analysis` counters. Every elimination, hoist insertion and hoist
+/// removal appends one [`am_obs::ProvRecord`] to `config.recorder`, keyed by
+/// node, instruction text, pattern bit and round; a disabled recorder costs
+/// one branch per potential record.
 ///
 /// The hook receives the 1-based round number and the program as it stands
 /// after that round's `rae; aht` (or `aht; rae`) pass, *before* the
@@ -112,54 +109,17 @@ pub fn assignment_motion_ordered(
 /// round and mutating hooks to inject faults at an exact phase boundary.
 /// A mutation made in the round that would otherwise have converged is kept
 /// but not re-stabilized — the budget governs further rounds as usual.
-pub fn assignment_motion_hooked(
+pub fn assignment_motion_with(
     g: &mut FlowGraph,
-    max_rounds: usize,
+    config: &GlobalConfig,
     order: MotionOrder,
     hook: &mut dyn FnMut(usize, &mut FlowGraph),
 ) -> MotionStats {
-    assignment_motion_traced(g, max_rounds, order, &Tracer::disabled(), hook)
-}
-
-/// As [`assignment_motion_hooked`], with tracing: each round runs under a
-/// `round` span carrying its eliminated/inserted/removed counts, and the
-/// rae/aht passes emit their own `analysis` spans and counters.
-pub fn assignment_motion_traced(
-    g: &mut FlowGraph,
-    max_rounds: usize,
-    order: MotionOrder,
-    tracer: &Tracer,
-    hook: &mut dyn FnMut(usize, &mut FlowGraph),
-) -> MotionStats {
-    assignment_motion_observed(
-        g,
-        max_rounds,
-        order,
-        tracer,
-        &ProvRecorder::disabled(),
-        hook,
-        1,
-    )
-}
-
-/// As [`assignment_motion_traced`], with provenance capture: every
-/// elimination, hoist insertion and hoist removal appends one
-/// [`am_obs::ProvRecord`] to `recorder`, keyed by node, instruction text,
-/// pattern bit and round. A disabled recorder costs one branch per
-/// potential record. `workers` threads solve each round's cold data-flow
-/// systems on large graphs (1 = fully serial); the converged facts — and
-/// thus the optimized program — are identical for every worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn assignment_motion_observed(
-    g: &mut FlowGraph,
-    max_rounds: usize,
-    order: MotionOrder,
-    tracer: &Tracer,
-    recorder: &ProvRecorder,
-    hook: &mut dyn FnMut(usize, &mut FlowGraph),
-    workers: usize,
-) -> MotionStats {
-    let mut ctx = MotionContext::new(g, workers);
+    let max_rounds = config
+        .max_motion_rounds
+        .unwrap_or_else(|| default_round_budget(g));
+    let (tracer, recorder) = (&config.tracer, &config.recorder);
+    let mut ctx = MotionContext::new(g);
     let mut stats = MotionStats::default();
     for round in 1..=max_rounds {
         let name = if tracer.enabled() {
@@ -268,19 +228,23 @@ mod tests {
         check_semantics(&orig, &g, &[("a", 2), ("b", 3), ("y", 10)]);
     }
 
+    /// Simplified Fig. 4 core: an elimination in round 1 enables a hoist
+    /// in round 2.
+    const SECOND_ORDER: &str = "start 1\nend 4\n\
+         node 1 { y := c+d }\n\
+         node 2 { branch q > 0 }\n\
+         node 3 { y := c+d; x := y+z; q := q-1 }\n\
+         node 4 { x := y+z; out(x,y,q) }\n\
+         edge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2";
+    const SECOND_ORDER_INPUTS: &[(&str, i64)] = &[("c", 1), ("d", 2), ("z", 3), ("q", 2)];
+
     #[test]
     fn second_order_effect_elimination_enables_hoisting() {
         // Simplified Fig. 4 core: y := c+d in the loop is redundant; its
         // elimination unblocks hoisting of x := y+z out of the loop.
         // As in Fig. 4, the occurrence at node 4 is what justifies moving
         // the loop occurrence above the branch.
-        let src = "start 1\nend 4\n\
-             node 1 { y := c+d }\n\
-             node 2 { branch q > 0 }\n\
-             node 3 { y := c+d; x := y+z; q := q-1 }\n\
-             node 4 { x := y+z; out(x,y,q) }\n\
-             edge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2";
-        let orig = parse(src).unwrap();
+        let orig = parse(SECOND_ORDER).unwrap();
         let mut g = orig.clone();
         g.split_critical_edges();
         let stats = assignment_motion(&mut g);
@@ -308,7 +272,28 @@ mod tests {
             .map(|i| i.display(g.pool()))
             .collect();
         assert_eq!(body1, vec!["y := c+d", "x := y+z"]);
-        check_semantics(&orig, &g, &[("c", 1), ("d", 2), ("z", 3), ("q", 2)]);
+        check_semantics(&orig, &g, SECOND_ORDER_INPUTS);
+    }
+
+    #[test]
+    fn round_budget_stops_motion_early() {
+        // The second-order example needs at least two rounds; a budget of
+        // one stops after the first, unconverged but still sound.
+        let orig = parse(SECOND_ORDER).unwrap();
+        let mut g = orig.clone();
+        g.split_critical_edges();
+        let config = GlobalConfig {
+            max_motion_rounds: Some(1),
+            ..Default::default()
+        };
+        let mut hooked = Vec::new();
+        let stats = assignment_motion_with(&mut g, &config, MotionOrder::RaeFirst, &mut |r, _| {
+            hooked.push(r)
+        });
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(hooked, [1]);
+        assert!(!stats.converged);
+        check_semantics(&orig, &g, SECOND_ORDER_INPUTS);
     }
 
     #[test]

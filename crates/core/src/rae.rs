@@ -22,7 +22,6 @@
 use am_bitset::BitSet;
 use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem, Solution};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, PatternUniverse};
-use am_trace::Tracer;
 
 /// Outcome of one [`eliminate_redundant_assignments`] pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -152,28 +151,9 @@ fn redundant_locs_solved(g: &FlowGraph) -> (Vec<Loc>, Solution) {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
-    eliminate_redundant_assignments_traced(g, &Tracer::disabled())
-}
-
-/// As [`eliminate_redundant_assignments`], with tracing: wraps the pass in
-/// an `analysis/rae` span and emits a counter with the solver's fixpoint
-/// metrics.
-pub fn eliminate_redundant_assignments_traced(g: &mut FlowGraph, tracer: &Tracer) -> RaeOutcome {
-    let mut span = tracer.span("analysis", "rae");
     let (locs, sol) = redundant_locs_solved(g);
     let eliminated = locs.len();
     remove_locs(g, &locs);
-    tracer.counter(
-        "analysis",
-        "rae",
-        &[
-            ("iterations", sol.iterations as i64),
-            ("worklist_pushes", sol.worklist_pushes as i64),
-            ("max_worklist_len", sol.max_worklist_len as i64),
-        ],
-    );
-    span.arg("eliminated", eliminated as i64);
-    drop(span);
     RaeOutcome {
         eliminated,
         iterations: sol.iterations,

@@ -33,15 +33,13 @@
 mod adjacency;
 pub mod classic;
 mod masks;
-mod partition;
 mod points;
 mod solve;
 
 pub use adjacency::Adjacency;
 pub use masks::PatternMasks;
-pub use partition::{solve_partitioned, solve_partitioned_with, PartitionOptions};
 pub use points::{node_adjacency, PointData, PointGraph, PointId};
 pub use solve::{
-    solve, solve_parallel, solve_scheduled, solve_scheduled_reusing, solve_seeded,
-    solve_seeded_reusing, Confluence, Direction, Problem, Schedule, Solution,
+    solve, solve_scheduled, solve_scheduled_reusing, solve_seeded, solve_seeded_reusing,
+    Confluence, Direction, Problem, Schedule, Solution,
 };

@@ -17,8 +17,7 @@ use am_dfa::classic::{
     partially_available_expressions_problem, reaching_copies_problem,
 };
 use am_dfa::{
-    solve, solve_partitioned_with, solve_scheduled, solve_seeded, Adjacency, Confluence, Direction,
-    PartitionOptions, PointGraph, Problem,
+    solve, solve_scheduled, solve_seeded, Adjacency, Confluence, Direction, PointGraph, Problem,
 };
 use am_ir::random::{corpus80, structured, unstructured, StructuredConfig, UnstructuredConfig};
 use am_ir::rng::SplitMix64;
@@ -338,27 +337,6 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
             warm.after, ref_after,
             "{name}/{analysis}: seeded after-facts diverge from naive"
         );
-        // The point-partitioned parallel solver must land on bit-identical
-        // facts for every worker count. Thresholds are forced low so the
-        // partitioned path actually engages on these small graphs instead
-        // of taking its serial fallback.
-        for workers in [1usize, 2, 4, 8] {
-            let opts = PartitionOptions {
-                workers,
-                target_points: 4,
-                min_points: 0,
-            };
-            let part =
-                solve_partitioned_with(pg.succs(), pg.preds(), &problem, pg.schedule(), &opts);
-            assert_eq!(
-                part.before, ref_before,
-                "{name}/{analysis}: partitioned before-facts diverge (workers={workers})"
-            );
-            assert_eq!(
-                part.after, ref_after,
-                "{name}/{analysis}: partitioned after-facts diverge (workers={workers})"
-            );
-        }
     }
 }
 

@@ -49,7 +49,6 @@ pub fn check_provenance(
         keep_snapshots: false,
         tracer: cfg.tracer.clone(),
         recorder: recorder.clone(),
-        ..GlobalConfig::default()
     };
     optimize_hooked(g, &global, &mut |phase, prog| {
         snapshots.push((phase, prog.clone()));

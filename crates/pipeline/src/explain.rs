@@ -34,7 +34,6 @@ pub fn explain_graph(graph: &FlowGraph, max_motion_rounds: Option<usize>) -> Exp
         keep_snapshots: true,
         tracer: Tracer::disabled(),
         recorder: recorder.clone(),
-        ..GlobalConfig::default()
     };
     let result = optimize_with(graph, &config);
     Explanation {

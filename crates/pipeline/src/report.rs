@@ -20,7 +20,7 @@ pub struct PipelineReport {
     /// End-to-end wall time of the whole batch.
     pub wall: Duration,
     /// Cache counters at the end of the batch. Cumulative over the
-    /// pipeline's lifetime — a second batch on the same [`Pipeline`]
+    /// pipeline's lifetime — a second batch on the same [`Pipeline`](crate::Pipeline)
     /// includes the first batch's traffic.
     pub cache: CacheStats,
     /// Cache hits attributable to *this* batch (end minus start).

@@ -145,7 +145,6 @@ pub fn discharge_provenance(
         keep_snapshots: false,
         tracer: cfg.tracer.clone(),
         recorder: recorder.clone(),
-        ..GlobalConfig::default()
     };
     optimize_hooked(g, &global, &mut |phase, prog| {
         snapshots.push((phase, prog.clone()));

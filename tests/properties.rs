@@ -281,18 +281,24 @@ fn division_programs_are_weakly_preserved() {
 fn motion_order_is_confluent_in_costs() {
     // Lemma 3.6 (local confluence) implies both procedure orders reach
     // cost-equivalent fixed points.
-    use am_core::motion::{assignment_motion_ordered, MotionOrder};
+    use am_core::global::GlobalConfig;
+    use am_core::motion::{assignment_motion_with, MotionOrder};
     let mut sampler = SplitMix64::new(0x9A0A);
     for case in 0..CASES {
         let (seed, _, vals, run_seed) = sample_case(&mut sampler);
         let program = arbitrary_program(seed % 800, false);
-        let budget = am_core::motion::default_round_budget(&program) * 2 + 32;
-        let mut rae_first = program.clone();
-        rae_first.split_critical_edges();
-        let s1 = assignment_motion_ordered(&mut rae_first, budget, MotionOrder::RaeFirst);
-        let mut hoist_first = program.clone();
-        hoist_first.split_critical_edges();
-        let s2 = assignment_motion_ordered(&mut hoist_first, budget, MotionOrder::HoistFirst);
+        let config = GlobalConfig {
+            max_motion_rounds: Some(am_core::motion::default_round_budget(&program) * 2 + 32),
+            ..Default::default()
+        };
+        let motion = |order| {
+            let mut g = program.clone();
+            g.split_critical_edges();
+            let stats = assignment_motion_with(&mut g, &config, order, &mut |_, _| {});
+            (g, stats)
+        };
+        let (rae_first, s1) = motion(MotionOrder::RaeFirst);
+        let (hoist_first, s2) = motion(MotionOrder::HoistFirst);
         assert!(s1.converged && s2.converged, "case {case}");
         let cfg = run_cfg(run_seed, &inputs(vals));
         let a = run(&rae_first, &cfg);
