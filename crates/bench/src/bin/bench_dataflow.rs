@@ -20,7 +20,8 @@
 //! three families (sequential loop-nest grids, very wide fans, inlined
 //! program shapes) and prints the fitted nodes-vs-wall exponent per
 //! family, turning the paper's Sec. 4.5 complexity claim into a measured
-//! curve. `--xl-smoke` runs just the mid-size nest rung for CI.
+//! curve. The `flush%` column is each workload's final-flush share of its
+//! best wall time. `--xl-smoke` runs just the mid-size nest rung for CI.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -256,8 +257,17 @@ fn main() -> ExitCode {
     }
     let mut records = Vec::new();
     println!(
-        "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8}",
-        "workload", "nodes", "instrs", "points", "wall(us)", "rounds", "iters", "pushes", "push/pt"
+        "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8} {:>7}",
+        "workload",
+        "nodes",
+        "instrs",
+        "points",
+        "wall(us)",
+        "rounds",
+        "iters",
+        "pushes",
+        "push/pt",
+        "flush%"
     );
     for (label, g) in workloads {
         // XL rungs run fewer timed iterations: a 30k-node rung at
@@ -270,7 +280,7 @@ fn main() -> ExitCode {
         };
         let rec = measure(&label, &g, iters);
         println!(
-            "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8.1}",
+            "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8.1} {:>7.1}",
             rec.label,
             rec.nodes,
             rec.instrs,
@@ -279,7 +289,8 @@ fn main() -> ExitCode {
             rec.rounds,
             rec.iterations,
             rec.worklist_pushes,
-            rec.pushes_per_point()
+            rec.pushes_per_point(),
+            100.0 * rec.flush_micros as f64 / rec.wall_micros.max(1) as f64
         );
         records.push(rec);
     }

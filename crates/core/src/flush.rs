@@ -27,12 +27,29 @@
 //! `h_ε` more than once (e.g. `branch h > h`) keeps its initialization, and
 //! a use position that cannot syntactically hold a non-trivial term (an
 //! operand inside a binary term or an `out`) does too.
-
-use std::collections::HashMap;
+//!
+//! # Solving at block level
+//!
+//! Table 3 is stated per instruction, but both systems are gen/kill
+//! problems, so they are solved over the block graph: each block's
+//! instruction rows are composed into one exact transfer (a block's
+//! interior instructions have a single predecessor, so substituting them
+//! out preserves the fixed point), and the per-instruction facts are
+//! recovered by streaming each block from its solved boundary facts —
+//! delayability forward from the entry, usability backward from the exit
+//! ([`FlushAnalysis::block_facts`]). Latestness needs no further data
+//! flow: inside a block an instruction's successor is the next
+//! instruction, whose `N-DELAYABLE*` is this instruction's
+//! `X-DELAYABLE*`, so `X-LATEST` can only hold at a block's last
+//! instruction, against the solved entry facts of the successor blocks.
+//! The rewrite consumes the same stream one block at a time.
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem};
-use am_ir::{Cond, FlowGraph, Instr, Operand, PatternUniverse, Term, Var};
+use am_dfa::{
+    node_adjacency, solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule,
+    Solution,
+};
+use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
 use am_obs::{ProvKind, ProvRecord};
 
 use crate::global::GlobalConfig;
@@ -46,7 +63,7 @@ pub struct FlushStats {
     pub inserted: usize,
     /// Uses rewritten back to their original term.
     pub reconstructed: usize,
-    /// Data-flow solver iterations (delayability + usability).
+    /// Data-flow solver iterations (delayability + usability, over blocks).
     pub iterations: u64,
     /// Solver worklist pushes (delayability + usability).
     pub worklist_pushes: u64,
@@ -54,101 +71,233 @@ pub struct FlushStats {
     pub max_worklist_len: usize,
 }
 
-/// The solved Table 3 analyses of a program: local predicates plus the
-/// delayability and usability solutions, indexed by instruction-level
-/// points (see [`am_dfa::PointGraph`]) and expression-pattern bits.
+/// The solved Table 3 analyses of a program: the delayability and
+/// usability solutions over blocks, from which
+/// [`block_facts`](Self::block_facts) streams the facts of every single
+/// instruction.
 pub struct FlushAnalysis {
     /// The expression-pattern universe the bit indices refer to.
     pub universe: PatternUniverse,
     /// The temporary `h_ε` of each pattern.
     pub temps: Vec<Var>,
-    /// `IS-INST` per point.
-    pub is_inst: Vec<BitSet>,
-    /// `USED` per point.
-    pub used: Vec<BitSet>,
-    /// `BLOCKED` per point.
-    pub blocked: Vec<BitSet>,
-    /// Delayability solution (`N-DELAYABLE*` = before, `X-DELAYABLE*` =
-    /// after).
-    pub delay: am_dfa::Solution,
-    /// Usability solution (`N-USABLE*` = before, `X-USABLE*` = after).
-    pub usable: am_dfa::Solution,
+    /// Delayability per block: `before[n]` is `N-DELAYABLE*` at the entry
+    /// of block `n`, `after[n]` is `X-DELAYABLE*` at its exit.
+    pub delay: Solution,
+    /// Usability per block: `before[n]` is `N-USABLE*` at the entry of
+    /// block `n`, `after[n]` is `X-USABLE*` at its exit.
+    pub usable: Solution,
+    masks: PatternMasks,
+    /// The pattern bit of each temporary, dense by variable index.
+    temp_bit: Vec<Option<u32>>,
+}
+
+/// The Table 3 predicates at one instruction: its local predicates and
+/// the solved facts at its entry (`N-…`) and exit (`X-…`), as bit sets over
+/// the expression patterns.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InstrFacts {
+    /// `IS-INST`: the instruction is the instance `h_ε := ε`.
+    pub is_inst: BitSet,
+    /// `USED`: the instruction reads `h_ε`.
+    pub used: BitSet,
+    /// `BLOCKED`: the instruction redefines `h_ε` or an operand of `ε`.
+    pub blocked: BitSet,
+    /// `N-DELAYABLE*`.
+    pub n_delay: BitSet,
+    /// `X-DELAYABLE*`.
+    pub x_delay: BitSet,
+    /// `N-USABLE*`.
+    pub n_usable: BitSet,
+    /// `X-USABLE*`.
+    pub x_usable: BitSet,
+}
+
+impl InstrFacts {
+    fn new(patterns: usize) -> Self {
+        let empty = BitSet::new(patterns);
+        InstrFacts {
+            is_inst: empty.clone(),
+            used: empty.clone(),
+            blocked: empty.clone(),
+            n_delay: empty.clone(),
+            x_delay: empty.clone(),
+            n_usable: empty.clone(),
+            x_usable: empty,
+        }
+    }
 }
 
 /// Solves the delayability and usability systems of Table 3 over `g`
-/// (without transforming anything).
+/// (without transforming anything). The temporary of every expression
+/// pattern is created in `g`'s pool if it does not exist yet.
 pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
-    let (universe, temps) = participating(g);
-    solve_flush(&PointGraph::build(g), universe, temps)
-}
-
-/// Builds the Table 3 local predicates over `pg` and solves delayability
-/// and usability. `temps` must come from [`participating`] on the graph
-/// `pg` was built over.
-fn solve_flush(pg: &PointGraph<'_>, universe: PatternUniverse, temps: Vec<Var>) -> FlushAnalysis {
-    let ep = universe.expr_count();
-    // Masks must be built after `participating`: `temp_for` may grow the
-    // variable pool, and the index covers the whole pool.
-    let masks = PatternMasks::build(&universe, pg.graph().pool().len());
-    let temp_index: HashMap<Var, usize> = temps.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-    let points = pg.len();
-    let mut is_inst = vec![BitSet::new(ep); points];
-    let mut used = vec![BitSet::new(ep); points];
-    let mut blocked = vec![BitSet::new(ep); points];
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        let idx = p.index();
-        if let Instr::Assign { lhs, rhs } = instr {
-            if let Some(i) = universe.expr_id(rhs) {
-                if temps[i] == *lhs {
-                    is_inst[idx].insert(i);
-                }
-            }
-        }
-        instr.for_each_use(|u| {
-            if let Some(&i) = temp_index.get(&u) {
-                used[idx].insert(i);
-            }
-        });
-        if let Some(d) = instr.def() {
-            blocked[idx].union_with(masks.expr_mentions(d));
-            if let Some(&i) = temp_index.get(&d) {
-                blocked[idx].insert(i);
-            }
-        }
-    }
-    let mut delay_problem = Problem::new(Direction::Forward, Confluence::Must, points, ep);
-    delay_problem.gen = is_inst.clone();
-    for p in 0..points {
-        delay_problem.kill[p].copy_from(&used[p]);
-        delay_problem.kill[p].union_with(&blocked[p]);
-    }
-    let solve = |problem: &Problem| solve_scheduled(pg.succs(), pg.preds(), problem, pg.schedule());
-    let delay = solve(&delay_problem);
-    let mut use_problem = Problem::new(Direction::Backward, Confluence::May, points, ep);
-    use_problem.gen = used.clone();
-    use_problem.kill = is_inst.clone();
-    let usable = solve(&use_problem);
-    FlushAnalysis {
-        universe,
-        temps,
-        is_inst,
-        used,
-        blocked,
-        delay,
-        usable,
-    }
-}
-
-/// The temporaries participating in the flush: every expression pattern of
-/// the program whose canonical temporary exists in the pool.
-fn participating(g: &mut FlowGraph) -> (PatternUniverse, Vec<Var>) {
     let universe = PatternUniverse::collect(g);
     let temps: Vec<Var> = universe
         .expr_patterns()
         .map(|(_, t)| g.temp_for(t))
         .collect();
-    (universe, temps)
+    // Index after `temp_for`: it may grow the variable pool, and the masks
+    // cover the whole pool.
+    let vars = g.pool().len();
+    let mut temp_bit = vec![None; vars];
+    for (i, h) in temps.iter().enumerate() {
+        temp_bit[h.index()] = Some(i as u32);
+    }
+    let mut analysis = FlushAnalysis {
+        masks: PatternMasks::build(&universe, vars),
+        universe,
+        temps,
+        delay: Solution::default(),
+        usable: Solution::default(),
+        temp_bit,
+    };
+    let ep = analysis.universe.expr_count();
+    let nodes = g.node_count();
+    let mut delay = Problem::new(Direction::Forward, Confluence::Must, nodes, ep);
+    let mut usable = Problem::new(Direction::Backward, Confluence::May, nodes, ep);
+    // Compose each block's rows front to back, from the sparse local
+    // predicates:
+    // * delayability: gen := (gen ∖ (USED_ι ∪ BLOCKED_ι)) ∪ IS-INST_ι,
+    //   kill := kill ∪ USED_ι ∪ BLOCKED_ι;
+    // * usability runs backward, so a use counts unless an earlier
+    //   instance of the block re-initializes the temporary first:
+    //   gen := gen ∪ (USED_ι ∖ kill), kill := kill ∪ IS-INST_ι.
+    for n in g.nodes() {
+        let ni = n.index();
+        let (d_gen, d_kill) = (&mut delay.gen[ni], &mut delay.kill[ni]);
+        let (u_gen, u_kill) = (&mut usable.gen[ni], &mut usable.kill[ni]);
+        for instr in &g.block(n).instrs {
+            if let Some((mentions, own)) = analysis.blocked(instr) {
+                d_gen.difference_with(mentions);
+                d_kill.union_with(mentions);
+                if let Some(i) = own {
+                    d_gen.remove(i);
+                    d_kill.insert(i);
+                }
+            }
+            analysis.for_each_used(instr, |i| {
+                d_gen.remove(i);
+                d_kill.insert(i);
+                if !u_kill.contains(i) {
+                    u_gen.insert(i);
+                }
+            });
+            if let Some(i) = analysis.instance(instr) {
+                d_gen.insert(i);
+                u_kill.insert(i);
+            }
+        }
+    }
+    let (succs, preds) = node_adjacency(g);
+    let schedule = Schedule::build(&succs, &preds);
+    analysis.delay = solve_scheduled(&succs, &preds, &delay, &schedule);
+    analysis.usable = solve_scheduled(&succs, &preds, &usable, &schedule);
+    analysis
+}
+
+impl FlushAnalysis {
+    fn temp_bit(&self, v: Var) -> Option<usize> {
+        self.temp_bit
+            .get(v.index())
+            .copied()
+            .flatten()
+            .map(|i| i as usize)
+    }
+
+    /// `IS-INST`: the pattern whose instance `h_ε := ε` `instr` is.
+    fn instance(&self, instr: &Instr) -> Option<usize> {
+        let Instr::Assign { lhs, rhs } = instr else {
+            return None;
+        };
+        let i = self.universe.expr_id(rhs)?;
+        (self.temps[i] == *lhs).then_some(i)
+    }
+
+    /// `USED`: calls `f` with the pattern of every temporary `instr`
+    /// reads.
+    fn for_each_used(&self, instr: &Instr, mut f: impl FnMut(usize)) {
+        instr.for_each_use(|u| {
+            if let Some(i) = self.temp_bit(u) {
+                f(i);
+            }
+        });
+    }
+
+    /// `BLOCKED`: the patterns mentioning the variable `instr` defines,
+    /// plus that variable's own pattern when it is a temporary.
+    fn blocked(&self, instr: &Instr) -> Option<(&BitSet, Option<usize>)> {
+        let d = instr.def()?;
+        Some((self.masks.expr_mentions(d), self.temp_bit(d)))
+    }
+
+    /// The Table 3 facts of every instruction of block `n`, in order — one
+    /// pass-through entry with empty local predicates for an empty block.
+    /// `g` must be the program the analysis was computed on.
+    pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<InstrFacts> {
+        let mut facts = Vec::new();
+        self.stream(n, &g.block(n).instrs, &mut facts);
+        facts
+    }
+
+    /// Streams the facts of block `n`, holding `instrs`, into the first
+    /// rows of `rows` and returns them: delayability forward from the
+    /// block's solved entry fact, usability backward from its exit fact.
+    /// Rows are reused across calls, so a whole-program pass allocates
+    /// only for its longest block.
+    fn stream<'r>(
+        &self,
+        n: NodeId,
+        instrs: &[Instr],
+        rows: &'r mut Vec<InstrFacts>,
+    ) -> &'r [InstrFacts] {
+        let len = instrs.len().max(1);
+        if rows.len() < len {
+            rows.resize_with(len, || InstrFacts::new(self.universe.expr_count()));
+        }
+        let ni = n.index();
+        for j in 0..len {
+            let (done, rest) = rows.split_at_mut(j);
+            let f = &mut rest[0];
+            f.is_inst.clear();
+            f.used.clear();
+            f.blocked.clear();
+            if let Some(instr) = instrs.get(j) {
+                if let Some(i) = self.instance(instr) {
+                    f.is_inst.insert(i);
+                }
+                self.for_each_used(instr, |i| {
+                    f.used.insert(i);
+                });
+                if let Some((mentions, own)) = self.blocked(instr) {
+                    f.blocked.union_with(mentions);
+                    if let Some(i) = own {
+                        f.blocked.insert(i);
+                    }
+                }
+            }
+            f.n_delay.copy_from(match done.last() {
+                Some(prev) => &prev.x_delay,
+                None => &self.delay.before[ni],
+            });
+            f.x_delay.copy_from(&f.n_delay);
+            f.x_delay.difference_with(&f.used);
+            f.x_delay.difference_with(&f.blocked);
+            f.x_delay.union_with(&f.is_inst);
+        }
+        for j in (0..len).rev() {
+            let (head, tail) = rows.split_at_mut(j + 1);
+            let f = &mut head[j];
+            f.x_usable.copy_from(if j + 1 < len {
+                &tail[0].n_usable
+            } else {
+                &self.usable.after[ni]
+            });
+            f.n_usable.copy_from(&f.x_usable);
+            f.n_usable.difference_with(&f.is_inst);
+            f.n_usable.union_with(&f.used);
+        }
+        &rows[..len]
+    }
 }
 
 /// How many times `instr` reads `h`.
@@ -221,16 +370,9 @@ pub fn final_flush(g: &mut FlowGraph) -> FlushStats {
 /// recorder. A disabled recorder costs one branch per potential record.
 pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
     let recorder = &config.recorder;
-    let (universe, temps) = participating(g);
-    // One point graph over the unchanged program serves both the analysis
-    // and the rewrite; the rewritten blocks are written back after its
-    // last use.
-    let pg = PointGraph::build(g);
-    let analysis = solve_flush(&pg, universe, temps);
-    for (name, sol) in [
-        ("delayability", &analysis.delay),
-        ("usability", &analysis.usable),
-    ] {
+    let analysis = analyze_flush(g);
+    let (delay, usable) = (&analysis.delay, &analysis.usable);
+    for (name, sol) in [("delayability", delay), ("usability", usable)] {
         config.tracer.counter(
             "analysis",
             name,
@@ -241,170 +383,97 @@ pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats 
             ],
         );
     }
-    let universe = analysis.universe;
-    let temps = analysis.temps;
+    let (universe, temps) = (&analysis.universe, &analysis.temps);
     let ep = universe.expr_count();
     let mut stats = FlushStats::default();
     if ep == 0 {
         return stats;
     }
-
-    let points = pg.len();
-    let is_inst = analysis.is_inst;
-    let used = analysis.used;
-    let blocked = analysis.blocked;
-    let delay = analysis.delay;
-    let usable = analysis.usable;
     stats.iterations = delay.iterations + usable.iterations;
     stats.worklist_pushes = delay.worklist_pushes + usable.worklist_pushes;
     stats.max_worklist_len = delay.max_worklist_len.max(usable.max_worklist_len);
 
-    // Latestness and initialization points (no further data flow).
-    let mut insert_before = vec![BitSet::new(ep); points];
-    let mut insert_after = vec![BitSet::new(ep); points];
-    let mut reconstruct = vec![BitSet::new(ep); points];
-    for p in pg.points() {
-        let idx = p.index();
-        for (i, &h_temp) in temps.iter().enumerate() {
-            let n_delay = delay.before[idx].contains(i);
-            let x_delay = delay.after[idx].contains(i);
-            let x_usable = usable.after[idx].contains(i);
-            let n_latest = n_delay && (used[idx].contains(i) || blocked[idx].contains(i));
-            let x_latest = x_delay
-                && pg.succs()[idx]
-                    .iter()
-                    .any(|&q| !delay.before[q as usize].contains(i));
-            if n_latest {
-                let instr = pg.instr(p);
-                let multi_use = instr
-                    .map(|instr| use_count(instr, h_temp) >= 2)
-                    .unwrap_or(false);
+    // Rewrite the program block by block from the streamed facts.
+    let g_ref = &*g;
+    let record =
+        |kind, n, index: Option<usize>, instr: &Instr, new: Option<&Instr>, i, fact: &str| {
+            recorder.record(ProvRecord {
+                kind,
+                phase: "flush",
+                round: 0,
+                node: g_ref.label(n).to_owned(),
+                index: index.map(|j| j as u32),
+                instr: instr.display(g_ref.pool()),
+                new_instr: new.map(|new| new.display(g_ref.pool())),
+                pattern: Some(i as u32),
+                instr_id: None,
+                justification: fact.to_owned(),
+            });
+        };
+    let mut insert = |fresh: &mut Vec<Instr>, n, i: usize, fact: &str| {
+        let init = Instr::Assign {
+            lhs: temps[i],
+            rhs: universe.expr(i),
+        };
+        if recorder.is_enabled() {
+            record(ProvKind::FlushInsert, n, None, &init, None, i, fact);
+        }
+        fresh.push(init);
+        stats.inserted += 1;
+    };
+    let mut rows: Vec<InstrFacts> = Vec::new();
+    let mut latest = BitSet::new(ep);
+    let mut succ_delay = BitSet::new(ep);
+    let mut exit_inits = BitSet::new(ep);
+    let mut n_inits: Vec<usize> = Vec::new();
+    let mut reconstruct: Vec<usize> = Vec::new();
+    let mut blocks: Vec<(NodeId, Vec<Instr>)> = Vec::with_capacity(g_ref.node_count());
+    for n in g_ref.nodes() {
+        let instrs = &g_ref.block(n).instrs;
+        let facts = analysis.stream(n, instrs, &mut rows);
+        let last = facts.last().expect("a block has at least one point");
+        // X-INIT = X-LATEST · X-USABLE* with X-LATEST = X-DELAYABLE* ·
+        // Σ_{succ} ¬N-DELAYABLE*, possible only at the block's last point.
+        exit_inits.clear();
+        if let Some((&first, rest)) = g_ref.succs(n).split_first() {
+            succ_delay.copy_from(&delay.before[first.index()]);
+            for &m in rest {
+                succ_delay.intersect_with(&delay.before[m.index()]);
+            }
+            exit_inits.copy_from(&last.x_delay);
+            exit_inits.difference_with(&succ_delay);
+            exit_inits.intersect_with(&last.x_usable);
+        }
+        let mut fresh: Vec<Instr> = Vec::with_capacity(instrs.len());
+        for (j, (instr, f)) in instrs.iter().zip(facts).enumerate() {
+            // N-LATEST = N-DELAYABLE* · (USED + BLOCKED), split into
+            // initializations before the instruction and reconstructions.
+            latest.copy_from(&f.used);
+            latest.union_with(&f.blocked);
+            latest.intersect_with(&f.n_delay);
+            n_inits.clear();
+            reconstruct.clear();
+            for i in latest.iter() {
+                let h = temps[i];
+                let multi_use = use_count(instr, h) >= 2;
                 // A blockade that *redefines* the temporary (another
                 // instance of the same pattern, in particular) makes the
                 // arriving value dead: never insert for it.
-                let redefines_h = instr.and_then(Instr::def) == Some(h_temp);
-                let is_used = used[idx].contains(i);
+                let redefines_h = instr.def() == Some(h);
+                let is_used = f.used.contains(i);
+                let x_usable = f.x_usable.contains(i);
                 if is_used && !x_usable && !multi_use {
-                    reconstruct[idx].insert(i);
+                    reconstruct.push(i);
                 } else if (is_used && multi_use) || (x_usable && (is_used || !redefines_h)) {
-                    insert_before[idx].insert(i);
+                    n_inits.push(i);
                 }
                 // Remaining cases: the value is dead here (redefined, or
                 // blocked with no use on any continuation) — dropped.
             }
-            if x_latest && x_usable {
-                insert_after[idx].insert(i);
+            for &i in &n_inits {
+                insert(&mut fresh, n, i, "N-INIT = N-LATEST · X-USABLE*");
             }
-        }
-    }
-
-    // Rewrite the g.
-    let observe_insert = |instr: &Instr, pattern: usize, n: am_ir::NodeId, fact: &str| {
-        recorder.record(ProvRecord {
-            kind: ProvKind::FlushInsert,
-            phase: "flush",
-            round: 0,
-            node: g.label(n).to_owned(),
-            index: None,
-            instr: instr.display(g.pool()),
-            new_instr: None,
-            pattern: Some(pattern as u32),
-            instr_id: None,
-            justification: fact.to_owned(),
-        });
-    };
-    let mut blocks: Vec<(am_ir::NodeId, Vec<Instr>)> = Vec::with_capacity(g.node_count());
-    for n in g.nodes() {
-        let mut fresh: Vec<Instr> = Vec::new();
-        let first = pg.first_of(n);
-        let last = pg.last_of(n);
-        for pi in first.index()..=last.index() {
-            let p = am_dfa::PointId(pi as u32);
-            let instr = match pg.instr(p) {
-                Some(instr) => instr,
-                None => {
-                    // Virtual point of an empty block: it can still carry
-                    // edge insertions (X-LATEST on a split edge).
-                    for i in insert_before[pi].iter().chain(insert_after[pi].iter()) {
-                        let init = Instr::Assign {
-                            lhs: temps[i],
-                            rhs: universe.expr(i),
-                        };
-                        if recorder.is_enabled() {
-                            observe_insert(
-                                &init,
-                                i,
-                                n,
-                                "LATEST on the empty (split-edge) block, usable onward",
-                            );
-                        }
-                        fresh.push(init);
-                        stats.inserted += 1;
-                    }
-                    continue;
-                }
-            };
-            // Insertions before this instruction.
-            for i in insert_before[pi].iter() {
-                let init = Instr::Assign {
-                    lhs: temps[i],
-                    rhs: universe.expr(i),
-                };
-                if recorder.is_enabled() {
-                    observe_insert(&init, i, n, "N-INIT = N-LATEST · X-USABLE*");
-                }
-                fresh.push(init);
-                stats.inserted += 1;
-            }
-            // The instruction itself.
-            if is_inst[pi].is_empty() {
-                let mut rewritten = instr.clone();
-                for i in reconstruct[pi].iter() {
-                    match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
-                        Some(new_instr) => {
-                            if recorder.is_enabled() {
-                                recorder.record(ProvRecord {
-                                    kind: ProvKind::FlushReconstruct,
-                                    phase: "flush",
-                                    round: 0,
-                                    node: g.label(n).to_owned(),
-                                    index: Some((pi - first.index()) as u32),
-                                    instr: rewritten.display(g.pool()),
-                                    new_instr: Some(new_instr.display(g.pool())),
-                                    pattern: Some(i as u32),
-                                    instr_id: None,
-                                    justification:
-                                        "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: sole use, \
-                                         original term restored"
-                                            .to_owned(),
-                                });
-                            }
-                            rewritten = new_instr;
-                            stats.reconstructed += 1;
-                        }
-                        None => {
-                            // The use position cannot hold a term (it sits
-                            // inside a binary term): keep the
-                            // initialization instead.
-                            let init = Instr::Assign {
-                                lhs: temps[i],
-                                rhs: universe.expr(i),
-                            };
-                            if recorder.is_enabled() {
-                                observe_insert(
-                                    &init,
-                                    i,
-                                    n,
-                                    "RECONSTRUCT held, but the use position cannot carry a term",
-                                );
-                            }
-                            fresh.push(init);
-                            stats.inserted += 1;
-                        }
-                    }
-                }
-                fresh.push(rewritten);
-            } else {
+            if let Some(own) = f.is_inst.iter().next() {
                 // The instruction is an instance of some pattern and is
                 // removed (re-inserted at its latest points). If it was
                 // also the stop-point of *another* temporary marked for
@@ -413,52 +482,53 @@ pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats 
                 // where it dominates every re-insertion point reached
                 // through this path.
                 if recorder.is_enabled() {
-                    recorder.record(ProvRecord {
-                        kind: ProvKind::FlushRemove,
-                        phase: "flush",
-                        round: 0,
-                        node: g.label(n).to_owned(),
-                        index: Some((pi - first.index()) as u32),
-                        instr: instr.display(g.pool()),
-                        new_instr: None,
-                        pattern: is_inst[pi].iter().next().map(|i| i as u32),
-                        instr_id: None,
-                        justification:
-                            "IS-INST: the instance leaves its motion position for its latest points"
-                                .to_owned(),
-                    });
+                    let fact = "IS-INST: the instance leaves its motion position for its latest \
+                                points";
+                    record(ProvKind::FlushRemove, n, Some(j), instr, None, own, fact);
                 }
                 stats.instances_removed += 1;
-                for i in reconstruct[pi].iter() {
-                    let init = Instr::Assign {
-                        lhs: temps[i],
-                        rhs: universe.expr(i),
-                    };
-                    if recorder.is_enabled() {
-                        observe_insert(
-                            &init,
-                            i,
+                for &i in &reconstruct {
+                    let fact = "reconstruction use travels with a removed instance; \
+                                initialization materialized here";
+                    insert(&mut fresh, n, i, fact);
+                }
+            } else {
+                let mut rewritten = instr.clone();
+                for &i in &reconstruct {
+                    match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
+                        Some(new_instr) => {
+                            if recorder.is_enabled() {
+                                let fact = "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: sole \
+                                            use, original term restored";
+                                let kind = ProvKind::FlushReconstruct;
+                                record(kind, n, Some(j), &rewritten, Some(&new_instr), i, fact);
+                            }
+                            rewritten = new_instr;
+                            stats.reconstructed += 1;
+                        }
+                        // The use position cannot hold a term (it sits
+                        // inside a binary term): keep the initialization
+                        // instead.
+                        None => insert(
+                            &mut fresh,
                             n,
-                            "reconstruction use travels with a removed instance; initialization \
-                             materialized here",
-                        );
+                            i,
+                            "RECONSTRUCT held, but the use position cannot carry a term",
+                        ),
                     }
-                    fresh.push(init);
-                    stats.inserted += 1;
                 }
+                fresh.push(rewritten);
             }
-            // Insertions after this instruction.
-            for i in insert_after[pi].iter() {
-                let init = Instr::Assign {
-                    lhs: temps[i],
-                    rhs: universe.expr(i),
-                };
-                if recorder.is_enabled() {
-                    observe_insert(&init, i, n, "X-INIT = X-LATEST · X-USABLE*");
-                }
-                fresh.push(init);
-                stats.inserted += 1;
-            }
+        }
+        // Insertions at the block exit; an empty block's pass-through
+        // point carries them too (X-LATEST on a split edge).
+        let fact = if instrs.is_empty() {
+            "LATEST on the empty (split-edge) block, usable onward"
+        } else {
+            "X-INIT = X-LATEST · X-USABLE*"
+        };
+        for i in exit_inits.iter() {
+            insert(&mut fresh, n, i, fact);
         }
         blocks.push((n, fresh));
     }

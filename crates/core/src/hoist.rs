@@ -33,7 +33,7 @@
 
 use am_bitset::BitSet;
 use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule};
-use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
+use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse};
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -288,14 +288,6 @@ pub(crate) fn apply_insertion_step_filtered(
         g.block_mut(n).instrs = fresh;
     }
     outcome
-}
-
-/// Convenience for tests: the `N-INSERT` patterns of node `n`, displayed.
-pub fn display_inserts(g: &FlowGraph, analysis: &HoistAnalysis, n: NodeId) -> Vec<String> {
-    analysis.n_insert[n.index()]
-        .iter()
-        .map(|i| analysis.universe.assign(i).display(g.pool()))
-        .collect()
 }
 
 #[cfg(test)]

@@ -43,16 +43,6 @@ pub struct RaeOutcome {
 /// patterns never appear in any set.
 pub fn redundancy(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let masks = PatternMasks::build(universe, pg.graph().pool().len());
-    redundancy_with(pg, universe, &masks)
-}
-
-/// As [`redundancy`], with a prebuilt pattern-mask index (the motion loop
-/// builds the masks once and reuses them across all rounds).
-pub fn redundancy_with(
-    pg: &PointGraph<'_>,
-    universe: &PatternUniverse,
-    masks: &PatternMasks,
-) -> Solution {
     let n = pg.len();
     let mut p = Problem::new(
         Direction::Forward,
@@ -65,7 +55,7 @@ pub fn redundancy_with(
             continue;
         };
         let idx = point.index();
-        let (gen, kill) = redundancy_row(instr, universe, masks);
+        let (gen, kill) = redundancy_row(instr, universe, &masks);
         if let Some(i) = gen {
             p.gen[idx].insert(i);
         }

@@ -232,14 +232,17 @@ fn table3_delayability_and_usability_on_g_assmot() {
     let result = am_core::global::optimize(&g0);
     let mut g = result.after_motion.clone().unwrap();
     let analysis = am_core::flush::analyze_flush(&mut g);
-    let pg = PointGraph::build(&g);
 
-    let find_instr = |needle: &str| -> am_dfa::PointId {
-        pg.points()
-            .find(|&p| {
-                pg.instr(p)
-                    .map(|i| i.display(g.pool()) == needle)
-                    .unwrap_or(false)
+    // The facts at the (unique) instruction displayed as `needle`.
+    let facts_at = |needle: &str| -> am_core::flush::InstrFacts {
+        g.nodes()
+            .find_map(|n| {
+                let index = g
+                    .block(n)
+                    .instrs
+                    .iter()
+                    .position(|i| i.display(g.pool()) == needle)?;
+                Some(analysis.block_facts(&g, n).swap_remove(index))
             })
             .unwrap_or_else(|| panic!("instruction '{needle}' not found"))
     };
@@ -260,30 +263,27 @@ fn table3_delayability_and_usability_on_g_assmot() {
     // h<c+d> := c+d in node 1 delays exactly to its use y := h<c+d>:
     // N-DELAYABLE* holds at the use point, and the use point is latest
     // (USED kills delayability past it).
-    let use_cd = find_instr("y := h<c+d>");
-    assert!(analysis.delay.before[use_cd.index()].contains(cd));
-    assert!(analysis.used[use_cd.index()].contains(cd));
-    assert!(!analysis.delay.after[use_cd.index()].contains(cd));
+    let use_cd = facts_at("y := h<c+d>");
+    assert!(use_cd.n_delay.contains(cd));
+    assert!(use_cd.used.contains(cd));
+    assert!(!use_cd.x_delay.contains(cd));
     // h<c+d> is usable after that use (node 4 reads it): the instance is
     // kept rather than reconstructed.
-    assert!(analysis.usable.after[use_cd.index()].contains(cd));
+    assert!(use_cd.x_usable.contains(cd));
 
     // h<y+z> := y+z delays to x := h<y+z>, where it is NOT usable
     // afterwards — the reconstruction case (x := y+z in Fig. 15).
-    let use_yz = find_instr("x := h<y+z>");
-    assert!(analysis.delay.before[use_yz.index()].contains(yz));
-    assert!(!analysis.usable.after[use_yz.index()].contains(yz));
+    let use_yz = facts_at("x := h<y+z>");
+    assert!(use_yz.n_delay.contains(yz));
+    assert!(!use_yz.x_usable.contains(yz));
 
     // h<x+z> := x+z in node 1 cannot delay into the branch: the hoisted
     // x := h<y+z> kills it (writes x) before node 2.
-    let branch = pg
-        .points()
-        .find(|&p| matches!(pg.instr(p), Some(am_ir::Instr::Branch(_))))
-        .unwrap();
+    let branch = facts_at("branch h<x+z> > h<y+i>");
     assert!(
-        !analysis.delay.before[branch.index()].contains(xz),
+        !branch.n_delay.contains(xz),
         "x+z must not be delayable to the branch"
     );
     // But it IS usable there (the branch reads h<x+z>).
-    assert!(analysis.used[branch.index()].contains(xz));
+    assert!(branch.used.contains(xz));
 }

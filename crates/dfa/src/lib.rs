@@ -3,8 +3,10 @@
 //! All four analyses of *The Power of Assignment Motion* (Tables 1–3) are
 //! gen/kill bit-vector systems; this crate provides the shared machinery:
 //!
-//! * [`PointGraph`] — the instruction-level program-point view used by the
-//!   redundancy (Table 2) and flush (Table 3) analyses;
+//! * [`PointGraph`] — the instruction-level program-point view the paper
+//!   states Tables 2 and 3 in, used by the baselines, the lints and the
+//!   test oracles; [`node_adjacency`] — the block-level view the optimizer
+//!   solves all three tables over;
 //! * [`solve`] — the worklist fixed-point solver, parameterized over
 //!   [`Direction`], [`Confluence`] (∏/Σ) and per-point gen/kill sets;
 //!   must-systems are solved to greatest fixed points, may-systems to least;
@@ -38,7 +40,7 @@ mod solve;
 
 pub use adjacency::Adjacency;
 pub use masks::PatternMasks;
-pub use points::{node_adjacency, PointData, PointGraph, PointId};
+pub use points::{node_adjacency, PointGraph, PointId};
 pub use solve::{
     solve, solve_scheduled, solve_scheduled_reusing, solve_seeded, solve_seeded_reusing,
     Confluence, Direction, Problem, Schedule, Solution,

@@ -24,14 +24,9 @@ impl PointId {
     }
 }
 
-/// The owned structural part of a [`PointGraph`]: point locations,
-/// adjacency and the solver schedule. It depends only on per-block
-/// instruction *counts* and block edges — never on instruction content —
-/// so a caller that fingerprints that structure (the assignment-motion
-/// loop) can detach it with [`PointGraph::into_data`] and re-attach it to
-/// a later revision of the graph with [`PointGraph::attach`], skipping the
-/// whole rebuild.
-pub struct PointData {
+/// The instruction-level point graph of a flow graph.
+pub struct PointGraph<'g> {
+    graph: &'g FlowGraph,
     /// Location of each point; `None` for virtual points of empty blocks.
     locs: Vec<Option<Loc>>,
     node_of: Vec<NodeId>,
@@ -42,48 +37,13 @@ pub struct PointData {
     schedule: Schedule,
 }
 
-impl PointData {
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.locs.len()
-    }
-
-    /// Returns `true` if there are no points (impossible for valid graphs).
-    pub fn is_empty(&self) -> bool {
-        self.locs.is_empty()
-    }
-}
-
-/// The instruction-level point graph of a flow graph.
-pub struct PointGraph<'g> {
-    graph: &'g FlowGraph,
-    data: PointData,
-}
-
 impl<'g> PointGraph<'g> {
     /// Builds the point graph of `g`.
     pub fn build(g: &'g FlowGraph) -> Self {
-        Self::build_reusing(g, None)
-    }
-
-    /// As [`build`](Self::build), recycling the allocations of a detached
-    /// [`PointData`] from an *earlier revision* of the graph. The structure
-    /// is recomputed from scratch — only the buffers (the flat adjacency
-    /// arrays in particular) are reused, which matters when the motion
-    /// loop rebuilds the point graph every round on graphs with 10⁴–10⁵
-    /// points.
-    pub fn build_reusing(g: &'g FlowGraph, recycled: Option<PointData>) -> Self {
-        let (mut locs, mut node_of, mut first_of, mut last_of, mut preds, mut succs) =
-            match recycled {
-                Some(d) => (d.locs, d.node_of, d.first_of, d.last_of, d.preds, d.succs),
-                None => Default::default(),
-            };
-        locs.clear();
-        node_of.clear();
-        first_of.clear();
-        first_of.reserve(g.node_count());
-        last_of.clear();
-        last_of.reserve(g.node_count());
+        let mut locs = Vec::new();
+        let mut node_of = Vec::new();
+        let mut first_of = Vec::with_capacity(g.node_count());
+        let mut last_of = Vec::with_capacity(g.node_count());
         for n in g.nodes() {
             let len = g.block(n).len();
             let first = PointId(locs.len() as u32);
@@ -105,7 +65,7 @@ impl<'g> PointGraph<'g> {
         // chain plus block edges at the block boundary points — so both
         // CSR tables fill by pure append in point order: no per-point
         // allocation, no fill cursors.
-        succs.clear();
+        let mut succs = Adjacency::new();
         succs.reserve(count, count + count / 4);
         for n in g.nodes() {
             let first = first_of[n.index()].index();
@@ -119,7 +79,7 @@ impl<'g> PointGraph<'g> {
                 succs.push_neighbor(first_of[m.index()].0);
             }
         }
-        preds.clear();
+        let mut preds = Adjacency::new();
         preds.reserve(count, succs.edge_count());
         for n in g.nodes() {
             let first = first_of[n.index()].index();
@@ -136,36 +96,14 @@ impl<'g> PointGraph<'g> {
         let schedule = Schedule::build(&succs, &preds);
         PointGraph {
             graph: g,
-            data: PointData {
-                locs,
-                node_of,
-                first_of,
-                last_of,
-                preds,
-                succs,
-                schedule,
-            },
+            locs,
+            node_of,
+            first_of,
+            last_of,
+            preds,
+            succs,
+            schedule,
         }
-    }
-
-    /// Attaches previously built [`PointData`] to `g`. The caller must
-    /// guarantee the point structure is unchanged since the data was built
-    /// — same per-block instruction counts and same block edges (the
-    /// assignment-motion loop fingerprints both). Panics in debug builds
-    /// when the point count disagrees.
-    pub fn attach(g: &'g FlowGraph, data: PointData) -> Self {
-        debug_assert_eq!(
-            data.len(),
-            g.nodes().map(|n| g.block(n).len().max(1)).sum::<usize>(),
-            "stale point data for this flow graph"
-        );
-        PointGraph { graph: g, data }
-    }
-
-    /// Releases the owned structural data (and the borrow of the graph)
-    /// for reuse via [`PointGraph::attach`].
-    pub fn into_data(self) -> PointData {
-        self.data
     }
 
     /// The underlying flow graph.
@@ -175,39 +113,39 @@ impl<'g> PointGraph<'g> {
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.data.locs.len()
+        self.locs.len()
     }
 
     /// Returns `true` if the graph has no points (impossible for valid
     /// graphs, which have at least start and end).
     pub fn is_empty(&self) -> bool {
-        self.data.locs.is_empty()
+        self.locs.is_empty()
     }
 
     /// The instruction at `p`, or `None` for a virtual pass-through point.
     pub fn instr(&self, p: PointId) -> Option<&'g Instr> {
-        let loc = self.data.locs[p.index()]?;
+        let loc = self.locs[p.index()]?;
         Some(&self.graph.block(loc.node).instrs[loc.index])
     }
 
     /// The location of `p`, or `None` for a virtual point.
     pub fn loc(&self, p: PointId) -> Option<Loc> {
-        self.data.locs[p.index()]
+        self.locs[p.index()]
     }
 
     /// The node containing `p`.
     pub fn node(&self, p: PointId) -> NodeId {
-        self.data.node_of[p.index()]
+        self.node_of[p.index()]
     }
 
     /// First point of block `n`.
     pub fn first_of(&self, n: NodeId) -> PointId {
-        self.data.first_of[n.index()]
+        self.first_of[n.index()]
     }
 
     /// Last point of block `n`.
     pub fn last_of(&self, n: NodeId) -> PointId {
-        self.data.last_of[n.index()]
+        self.last_of[n.index()]
     }
 
     /// The entry point of the program: first point of the start node (the
@@ -223,24 +161,24 @@ impl<'g> PointGraph<'g> {
 
     /// Predecessor point adjacency (shared with the solver).
     pub fn preds(&self) -> &Adjacency {
-        &self.data.preds
+        &self.preds
     }
 
     /// Successor point adjacency (shared with the solver).
     pub fn succs(&self) -> &Adjacency {
-        &self.data.succs
+        &self.succs
     }
 
     /// Iterates over all points.
     pub fn points(&self) -> impl Iterator<Item = PointId> {
-        (0..self.data.locs.len() as u32).map(PointId)
+        (0..self.locs.len() as u32).map(PointId)
     }
 
     /// The priority schedule of this point set, computed once at build
     /// time; pass to [`solve_scheduled`](crate::solve_scheduled) to avoid
     /// re-deriving traversal orders per solve.
     pub fn schedule(&self) -> &Schedule {
-        &self.data.schedule
+        &self.schedule
     }
 }
 

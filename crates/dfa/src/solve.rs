@@ -10,8 +10,9 @@
 //!
 //! The solver is granularity-agnostic: callers hand it predecessor and
 //! successor adjacency over any point set — instruction-level points
-//! ([`PointGraph`](crate::PointGraph), Tables 2–3) or whole blocks
-//! (Table 1).
+//! ([`PointGraph`](crate::PointGraph)) or whole blocks
+//! ([`node_adjacency`](crate::node_adjacency), which the optimizer solves
+//! Tables 1–3 over with composed block transfers).
 //!
 //! # Scheduling
 //!
@@ -196,7 +197,7 @@ fn reverse_postorder(adj: &Adjacency, adj_in: &Adjacency) -> Order {
 }
 
 /// The fixed-point solution of a [`Problem`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Solution {
     /// Entry fact of each point (the paper's `N-…`).
     pub before: Vec<BitSet>,

@@ -108,30 +108,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn show_flush(g: &mut FlowGraph) {
     println!("== Table 3 (delayability / usability) — G_AssMot ==");
     let analysis = flush::analyze_flush(g);
-    let snapshot = g.clone();
-    let pg = PointGraph::build(&snapshot);
     println!(
         "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
         "instruction", "pattern", "N-DELAY", "X-DELAY", "N-USABLE", "X-USABLE"
     );
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        for (i, eps) in analysis.universe.expr_patterns() {
-            let interesting = analysis.is_inst[p.index()].contains(i)
-                || analysis.used[p.index()].contains(i)
-                || analysis.blocked[p.index()].contains(i);
-            if !interesting {
-                continue;
+    for n in g.nodes() {
+        let facts = analysis.block_facts(g, n);
+        for (instr, f) in g.block(n).instrs.iter().zip(&facts) {
+            for (i, eps) in analysis.universe.expr_patterns() {
+                let interesting =
+                    f.is_inst.contains(i) || f.used.contains(i) || f.blocked.contains(i);
+                if !interesting {
+                    continue;
+                }
+                println!(
+                    "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
+                    instr.display(g.pool()),
+                    eps.display(g.pool()),
+                    f.n_delay.contains(i),
+                    f.x_delay.contains(i),
+                    f.n_usable.contains(i),
+                    f.x_usable.contains(i),
+                );
             }
-            println!(
-                "{:<24} {:<10} {:>8} {:>8} {:>8} {:>8}",
-                instr.display(snapshot.pool()),
-                eps.display(snapshot.pool()),
-                analysis.delay.before[p.index()].contains(i),
-                analysis.delay.after[p.index()].contains(i),
-                analysis.usable.before[p.index()].contains(i),
-                analysis.usable.after[p.index()].contains(i),
-            );
         }
     }
     println!();
