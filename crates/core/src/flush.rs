@@ -190,8 +190,8 @@ pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
     }
     let (succs, preds) = node_adjacency(g);
     let schedule = Schedule::build(&succs, &preds);
-    analysis.delay = solve_scheduled(&succs, &preds, &delay, &schedule);
-    analysis.usable = solve_scheduled(&succs, &preds, &usable, &schedule);
+    analysis.delay = solve_scheduled(&succs, &preds, &delay, &schedule, None);
+    analysis.usable = solve_scheduled(&succs, &preds, &usable, &schedule, None);
     analysis
 }
 

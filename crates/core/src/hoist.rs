@@ -29,94 +29,122 @@
 //! The transformation inserts an instance of every pattern at its insertion
 //! points and simultaneously removes all hoisting candidates. Patterns
 //! inserted at the same point are mutually independent (Sec. 4.3.2), so they
-//! are emitted in pattern-index order.
+//! are emitted in first-occurrence order.
+//!
+//! The motion loop solves this system through the caches of its round
+//! context, warm-starting it from the previous round where that is safe;
+//! the one-shot entries ([`analyze_hoisting`], [`hoist_assignments`]) run
+//! the same code on a fresh context.
+
+use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule};
+use am_dfa::{Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse};
+use am_obs::{ProvKind, ProvRecord, ProvRecorder};
+
+use crate::incremental::MotionContext;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
     /// The assignment-pattern universe the bit indices refer to.
-    pub universe: PatternUniverse,
+    pub universe: Rc<PatternUniverse>,
     /// `LOC-HOISTABLE` per node.
     pub loc_hoistable: Vec<BitSet>,
     /// `LOC-BLOCKED` per node.
     pub loc_blocked: Vec<BitSet>,
-    /// Greatest solution `N-HOISTABLE*` per node.
-    pub n_hoistable: Vec<BitSet>,
-    /// Greatest solution `X-HOISTABLE*` per node.
-    pub x_hoistable: Vec<BitSet>,
+    /// The greatest solution: `before[n]` is `N-HOISTABLE*` at the entry of
+    /// node `n`, `after[n]` is `X-HOISTABLE*` at its exit.
+    pub hoistable: Solution,
     /// `N-INSERT` per node.
     pub n_insert: Vec<BitSet>,
     /// `X-INSERT` per node.
     pub x_insert: Vec<BitSet>,
     /// Per node, the `(pattern, instruction index)` hoisting candidates.
     pub candidates: Vec<Vec<(usize, usize)>>,
-    /// Solver iterations (for the complexity study).
-    pub iterations: u64,
-    /// Solver worklist pushes.
-    pub worklist_pushes: u64,
-    /// Peak solver worklist length.
-    pub max_worklist_len: usize,
+    /// First-occurrence rank of every pattern in the analyzed program
+    /// (`None` for patterns without occurrences).
+    occ_rank: Vec<Option<u32>>,
 }
 
 /// Computes local predicates and solves the hoistability system of Table 1.
 pub fn analyze_hoisting(g: &FlowGraph) -> HoistAnalysis {
-    let universe = PatternUniverse::collect(g);
-    let masks = PatternMasks::build(&universe, g.pool().len());
-    let ap = universe.assign_count();
-    let nodes = g.node_count();
+    MotionContext::new(g).hoisting(g)
+}
 
-    let mut loc_hoistable = vec![BitSet::new(ap); nodes];
-    let mut loc_blocked = vec![BitSet::new(ap); nodes];
-    let mut candidates: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes];
-
-    for n in g.nodes() {
-        let (hoistable, blocked, cands) = block_locals(&g.block(n).instrs, &universe, &masks);
-        loc_hoistable[n.index()] = hoistable;
-        loc_blocked[n.index()] = blocked;
-        candidates[n.index()] = cands;
-    }
-
-    // Backward must system over whole blocks.
-    let (succs, preds) = am_dfa::node_adjacency(g);
-    let schedule = Schedule::build(&succs, &preds);
-    let mut problem = Problem::new(Direction::Backward, Confluence::Must, nodes, ap);
-    problem.gen = loc_hoistable.clone();
-    problem.kill = loc_blocked.clone();
-    let sol = solve_scheduled(&succs, &preds, &problem, &schedule);
-    let n_hoistable = sol.before;
-    let x_hoistable = sol.after;
-
-    let (n_insert, x_insert) = insertion_points(g, &n_hoistable, &x_hoistable, &loc_blocked, ap);
-
-    HoistAnalysis {
-        universe,
-        loc_hoistable,
-        loc_blocked,
-        n_hoistable,
-        x_hoistable,
-        n_insert,
-        x_insert,
-        candidates,
-        iterations: sol.iterations,
-        worklist_pushes: sol.worklist_pushes,
-        max_worklist_len: sol.max_worklist_len,
+impl MotionContext {
+    /// Solves Table 1 over the blocks of `g`: block locals through the
+    /// locals cache, the backward must system on the shared node system
+    /// (warm-started where safe, [`Self::solve_hoistability`]) and the
+    /// insertion points, reusing the buffers of a spare analysis.
+    pub(crate) fn hoisting(&mut self, g: &FlowGraph) -> HoistAnalysis {
+        self.intern_blocks(g);
+        let occ_rank = self.occurrence_ranks(g);
+        let (nodes, ap) = (g.node_count(), self.universe.assign_count());
+        let mut problem = Problem::new(Direction::Backward, Confluence::Must, 0, ap);
+        let (mut recycled, mut inserts, mut candidates) = Default::default();
+        if let Some(spare) = self.hoist_spare.take() {
+            problem.gen = spare.loc_hoistable;
+            problem.kill = spare.loc_blocked;
+            recycled = Some(spare.hoistable);
+            inserts = (spare.n_insert, spare.x_insert);
+            candidates = spare.candidates;
+        }
+        // Every row is overwritten below.
+        fit_rows(&mut problem.gen, nodes, ap);
+        fit_rows(&mut problem.kill, nodes, ap);
+        candidates.resize_with(nodes, Vec::new);
+        for n in g.nodes() {
+            let ni = n.index();
+            if let Some(locals) = self.hoist_rows.get(&self.block_keys[ni]) {
+                self.rows_reused += 1;
+                problem.gen[ni].copy_from(&locals.hoistable);
+                problem.kill[ni].copy_from(&locals.blocked);
+                candidates[ni].clone_from(&locals.candidates);
+                continue;
+            }
+            let locals = block_locals(&g.block(n).instrs, &self.universe, &self.masks);
+            self.rows_recomputed += 1;
+            problem.gen[ni].copy_from(&locals.hoistable);
+            problem.kill[ni].copy_from(&locals.blocked);
+            candidates[ni].clone_from(&locals.candidates);
+            self.hoist_rows.insert(self.block_keys[ni].clone(), locals);
+        }
+        let hoistable = self.solve_hoistability(g, &problem, recycled);
+        let (n_insert, x_insert) = insertion_points(g, &hoistable, &problem.kill, ap, inserts);
+        HoistAnalysis {
+            universe: Rc::clone(&self.universe),
+            loc_hoistable: problem.gen,
+            loc_blocked: problem.kill,
+            hoistable,
+            n_insert,
+            x_insert,
+            candidates,
+            occ_rank,
+        }
     }
 }
 
-/// The block-level local predicates of Table 1 for one instruction list:
-/// `LOC-HOISTABLE`, `LOC-BLOCKED` and the `(pattern, index)` hoisting
-/// candidates, in one pass with a running blocked mask instead of a
-/// per-pattern rescan. The candidate check precedes the instruction's own
-/// blocking update: the first *unblocked* occurrence of a pattern is its
-/// candidate (Fig. 13), and every occurrence blocks the ones after it.
+/// The Table 1 local predicates of one block.
+pub(crate) struct BlockLocals {
+    /// `LOC-HOISTABLE`.
+    pub(crate) hoistable: BitSet,
+    /// `LOC-BLOCKED`.
+    pub(crate) blocked: BitSet,
+    /// The `(pattern, instruction index)` hoisting candidates.
+    pub(crate) candidates: Vec<(usize, usize)>,
+}
+
+/// The block-level local predicates of Table 1 for one instruction list,
+/// in one pass with a running blocked mask instead of a per-pattern
+/// rescan. The candidate check precedes the instruction's own blocking
+/// update: the first *unblocked* occurrence of a pattern is its candidate
+/// (Fig. 13), and every occurrence blocks the ones after it.
 pub(crate) fn block_locals(
     instrs: &[Instr],
     universe: &PatternUniverse,
     masks: &PatternMasks,
-) -> (BitSet, BitSet, Vec<(usize, usize)>) {
+) -> BlockLocals {
     let ap = universe.assign_count();
     let mut hoistable = BitSet::new(ap);
     let mut blocked = BitSet::new(ap);
@@ -138,38 +166,30 @@ pub(crate) fn block_locals(
             blocked.union_with(masks.assign_lhs(u));
         });
     }
-    (hoistable, blocked, candidates)
+    BlockLocals {
+        hoistable,
+        blocked,
+        candidates,
+    }
 }
 
 /// The insertion points of the greatest solution: `N-INSERT` at the
 /// earliestness frontier (start node, or predecessors where hoisting
 /// stops), `X-INSERT` where the block's own code blocks the pattern.
-pub(crate) fn insertion_points(
+/// Writes into the `recycled` tables. The frontier `Σ ¬X-HOISTABLE*` is
+/// computed as `¬ Π X-HOISTABLE*` (De Morgan), so the whole pass runs with
+/// one scratch set instead of an allocation per predecessor.
+fn insertion_points(
     g: &FlowGraph,
-    n_hoistable: &[BitSet],
-    x_hoistable: &[BitSet],
+    hoistable: &Solution,
     loc_blocked: &[BitSet],
     ap: usize,
+    recycled: (Vec<BitSet>, Vec<BitSet>),
 ) -> (Vec<BitSet>, Vec<BitSet>) {
-    insertion_points_reusing(g, n_hoistable, x_hoistable, loc_blocked, ap, None)
-}
-
-/// As [`insertion_points`], recycling previously returned tables. The
-/// frontier `Σ ¬X-HOISTABLE*` is computed as `¬ Π X-HOISTABLE*`
-/// (De Morgan), so the whole pass runs with one reused scratch set instead
-/// of an allocation per predecessor.
-pub(crate) fn insertion_points_reusing(
-    g: &FlowGraph,
-    n_hoistable: &[BitSet],
-    x_hoistable: &[BitSet],
-    loc_blocked: &[BitSet],
-    ap: usize,
-    recycled: Option<(Vec<BitSet>, Vec<BitSet>)>,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let nodes = g.node_count();
-    let (mut n_insert, mut x_insert) = recycled.unwrap_or_default();
-    fit_rows(&mut n_insert, nodes, ap);
-    fit_rows(&mut x_insert, nodes, ap);
+    let (n_hoistable, x_hoistable) = (&hoistable.before, &hoistable.after);
+    let (mut n_insert, mut x_insert) = recycled;
+    fit_rows(&mut n_insert, g.node_count(), ap);
+    fit_rows(&mut x_insert, g.node_count(), ap);
     let mut inter = BitSet::new(ap);
     for n in g.nodes() {
         let ni = n.index();
@@ -230,62 +250,126 @@ pub struct HoistOutcome {
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
     let analysis = analyze_hoisting(g);
-    apply_insertion_step_filtered(g, &analysis, |_| true)
+    apply_insertion_step(g, &analysis, None, &ProvRecorder::disabled(), 0)
 }
 
-/// Applies the insertion/removal step for a previously computed analysis,
-/// optionally restricted to a subset of patterns (used by the restricted
-/// baseline of Fig. 8/9).
-pub(crate) fn apply_insertion_step_filtered(
+/// Applies the insertion/removal step of `analysis`, computed on `g`,
+/// restricted to pattern `only` when given (the restricted baseline of
+/// Fig. 8/9 and the universe explorer hoist one pattern at a time). Every
+/// insertion and removal is reported to `recorder`.
+///
+/// Same-point insertions are emitted in first-occurrence order and limited
+/// to patterns that still occur — the pattern set and bit order a universe
+/// collected fresh from `g` would produce, even when the analysis ran over
+/// the motion loop's larger entry universe.
+pub(crate) fn apply_insertion_step(
     g: &mut FlowGraph,
     analysis: &HoistAnalysis,
-    keep: impl Fn(usize) -> bool,
+    only: Option<usize>,
+    recorder: &ProvRecorder,
+    round: u32,
 ) -> HoistOutcome {
+    let sol = &analysis.hoistable;
     let mut outcome = HoistOutcome {
-        iterations: analysis.iterations,
-        worklist_pushes: analysis.worklist_pushes,
-        max_worklist_len: analysis.max_worklist_len,
+        iterations: sol.iterations,
+        worklist_pushes: sol.worklist_pushes,
+        max_worklist_len: sol.max_worklist_len,
         ..HoistOutcome::default()
+    };
+    let kept = |i: usize| only.is_none_or(|o| o == i) && analysis.occ_rank[i].is_some();
+    let in_order = |set: &BitSet| {
+        let mut patterns: Vec<usize> = set.iter().filter(|&i| kept(i)).collect();
+        patterns.sort_by_key(|&i| analysis.occ_rank[i]);
+        patterns
     };
     for n in g.nodes().collect::<Vec<_>>() {
         let ni = n.index();
-        let mut fresh: Vec<Instr> = Vec::new();
-        for i in analysis.n_insert[ni].iter().filter(|&i| keep(i)) {
+        let removed_here: Vec<(usize, usize)> = analysis.candidates[ni]
+            .iter()
+            .copied()
+            .filter(|&(pat, _)| only.is_none_or(|o| o == pat))
+            .collect();
+        if analysis.n_insert[ni].is_empty()
+            && analysis.x_insert[ni].is_empty()
+            && removed_here.is_empty()
+        {
+            continue;
+        }
+        let observe =
+            |g: &FlowGraph, kind: ProvKind, index, instr: &Instr, pattern: usize, fact: &str| {
+                recorder.record(ProvRecord {
+                    kind,
+                    phase: "motion",
+                    round,
+                    node: g.label(n).to_owned(),
+                    index,
+                    instr: instr.display(g.pool()),
+                    new_instr: None,
+                    pattern: Some(pattern as u32),
+                    instr_id: None,
+                    justification: fact.to_owned(),
+                });
+            };
+        let instance = |i: usize| {
             let pat = analysis.universe.assign(i);
-            fresh.push(Instr::Assign {
+            Instr::Assign {
                 lhs: pat.lhs,
                 rhs: pat.rhs,
-            });
+            }
+        };
+        let mut fresh: Vec<Instr> = Vec::new();
+        for i in in_order(&analysis.n_insert[ni]) {
+            let instr = instance(i);
+            if recorder.is_enabled() {
+                observe(
+                    g,
+                    ProvKind::HoistInsert,
+                    None,
+                    &instr,
+                    i,
+                    "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
+                );
+            }
+            fresh.push(instr);
             outcome.inserted += 1;
         }
-        let removed_here: Vec<usize> = analysis.candidates[ni]
-            .iter()
-            .filter(|(pat, _)| keep(*pat))
-            .map(|(_, idx)| *idx)
-            .collect();
         for (idx, instr) in g.block(n).instrs.iter().enumerate() {
-            if removed_here.contains(&idx) {
-                outcome.removed += 1;
-            } else {
-                fresh.push(instr.clone());
+            match removed_here.iter().find(|&&(_, r)| r == idx) {
+                Some(&(pattern, _)) => {
+                    if recorder.is_enabled() {
+                        observe(
+                            g,
+                            ProvKind::HoistRemove,
+                            Some(idx as u32),
+                            instr,
+                            pattern,
+                            "first unblocked occurrence in its block, covered by hoisted instances",
+                        );
+                    }
+                    outcome.removed += 1;
+                }
+                None => fresh.push(instr.clone()),
             }
         }
-        for i in analysis.x_insert[ni].iter().filter(|&i| keep(i)) {
-            let pat = analysis.universe.assign(i);
-            fresh.push(Instr::Assign {
-                lhs: pat.lhs,
-                rhs: pat.rhs,
-            });
+        for i in in_order(&analysis.x_insert[ni]) {
+            let instr = instance(i);
+            if recorder.is_enabled() {
+                observe(
+                    g,
+                    ProvKind::HoistInsert,
+                    None,
+                    &instr,
+                    i,
+                    "X-INSERT: hoistable at exit, blocked from entering this block",
+                );
+            }
+            fresh.push(instr);
             outcome.inserted += 1;
         }
-        if *g.block(n)
-            != (am_ir::Block {
-                instrs: fresh.clone(),
-            })
-        {
+        if g.block(n).instrs != fresh {
             outcome.changed = true;
+            g.block_mut(n).instrs = fresh;
         }
-        g.block_mut(n).instrs = fresh;
     }
     outcome
 }
@@ -413,7 +497,7 @@ mod tests {
         let b = g.pool().lookup("b").unwrap();
         let pat = am_ir::AssignPattern::new(x, am_ir::Term::binary(am_ir::BinOp::Add, a, b));
         let i = analysis.universe.assign_id(&pat).unwrap();
-        assert!(analysis.x_hoistable[n1.index()].contains(i));
+        assert!(analysis.hoistable.after[n1.index()].contains(i));
         assert!(analysis.loc_blocked[n1.index()].contains(i));
         // So the insertion point is the exit of node 1 (X-INSERT).
         assert!(analysis.x_insert[n1.index()].contains(i));

@@ -18,10 +18,27 @@
 //! entry; removing them simultaneously is sound because each occurrence's
 //! redundancy is justified by *earlier* occurrences, which the elimination
 //! keeps.
+//!
+//! # Solving at block level
+//!
+//! Table 2 is stated per instruction but solved over blocks: each block's
+//! instruction rows are folded into one exact transfer ([`compose_block`]),
+//! the system runs over the block graph, and the per-instruction entry
+//! facts are recovered by streaming each block from its solved entry fact
+//! ([`stream_block`]). The motion loop runs this code through the row
+//! caches of its round context; the one-shot entries below
+//! ([`analyze_redundancy`], [`redundant_locs`],
+//! [`eliminate_redundant_assignments`]) run the same code on a fresh one.
+
+use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, PointGraph, Problem, Solution};
-use am_ir::{AssignPattern, FlowGraph, Instr, Loc, PatternUniverse};
+use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
+use am_obs::{ProvKind, ProvRecord, ProvRecorder};
+use am_trace::Tracer;
+
+use crate::incremental::MotionContext;
 
 /// Outcome of one [`eliminate_redundant_assignments`] pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -36,33 +53,9 @@ pub struct RaeOutcome {
     pub max_worklist_len: usize,
 }
 
-/// Solves the redundancy analysis of Table 2 over `g`.
-///
-/// The returned solution is indexed by the points of `pg`; bit `i` of a set
-/// refers to assignment pattern `i` of `universe`. Self-referential
-/// patterns never appear in any set.
-pub fn redundancy(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
-    let masks = PatternMasks::build(universe, pg.graph().pool().len());
-    let n = pg.len();
-    let mut p = Problem::new(
-        Direction::Forward,
-        Confluence::Must,
-        n,
-        universe.assign_count(),
-    );
-    for point in pg.points() {
-        let Some(instr) = pg.instr(point) else {
-            continue;
-        };
-        let idx = point.index();
-        let (gen, kill) = redundancy_row(instr, universe, &masks);
-        if let Some(i) = gen {
-            p.gen[idx].insert(i);
-        }
-        p.kill[idx] = kill;
-    }
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
-}
+/// The Table 2 row of one instruction: the pattern bit it generates, if
+/// any, and its kill set.
+pub(crate) type Row = (Option<usize>, BitSet);
 
 /// The Table 2 gen/kill row of a single instruction, built from the mask
 /// index with a constant number of word-level set operations.
@@ -75,7 +68,7 @@ pub(crate) fn redundancy_row(
     instr: &Instr,
     universe: &PatternUniverse,
     masks: &PatternMasks,
-) -> (Option<usize>, BitSet) {
+) -> Row {
     let mut kill = masks.self_referential().clone();
     let mut gen = None;
     if let Instr::Assign { lhs, rhs } = instr {
@@ -91,38 +84,225 @@ pub(crate) fn redundancy_row(
     (gen, kill)
 }
 
-/// The set of instruction locations whose assignment is redundant at entry.
-pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
-    let (locs, sol) = redundant_locs_solved(g);
-    (locs, sol.iterations)
+/// The composed Table 2 transfer of one block ([`compose_block`]) and
+/// whether any of its instructions carries its own pattern bit.
+pub(crate) struct RaeBlockRow {
+    pub(crate) gen: BitSet,
+    pub(crate) kill: BitSet,
+    pub(crate) occurs: bool,
 }
 
-/// As [`redundant_locs`], but returns the full solution so callers can
-/// report worklist metrics too.
-fn redundant_locs_solved(g: &FlowGraph) -> (Vec<Loc>, Solution) {
-    let universe = PatternUniverse::collect(g);
-    let pg = PointGraph::build(g);
-    let sol = redundancy(&pg, &universe);
-    let mut locs = Vec::new();
-    for point in pg.points() {
-        let Some(instr) = pg.instr(point) else {
-            continue;
-        };
-        let Some(loc) = pg.loc(point) else { continue };
-        if let am_ir::Instr::Assign { lhs, rhs } = instr {
-            let pat = am_ir::AssignPattern::new(*lhs, *rhs);
-            if pat.is_self_referential() {
-                continue;
-            }
-            if let Some(i) = universe.assign_id(&pat) {
-                let before: &BitSet = &sol.before[point.index()];
-                if before.contains(i) {
-                    locs.push(loc);
-                }
-            }
+/// Folds the rows of one block into its node-level transfer
+/// `out = gen ∪ (in ∖ kill)`: `gen := (gen ∖ kill_ι) ∪ gen_ι`,
+/// `kill := kill ∪ kill_ι`. The fold is exact for gen/kill systems —
+/// interior points of a block have a single predecessor, so substituting
+/// them out preserves the greatest fixed point. Returns whether any
+/// instruction generates its own bit: a block without an occurrence can
+/// never host an elimination.
+pub(crate) fn compose_block<'r>(
+    rows: impl IntoIterator<Item = &'r Row>,
+    gen: &mut BitSet,
+    kill: &mut BitSet,
+) -> bool {
+    gen.clear();
+    kill.clear();
+    let mut occurs = false;
+    for (own, k) in rows {
+        gen.difference_with(k);
+        kill.union_with(k);
+        if let Some(i) = *own {
+            occurs = true;
+            gen.insert(i);
         }
     }
-    (locs, sol)
+    occurs
+}
+
+/// Streams the entry facts `N-REDUNDANT*` of a block's instructions from
+/// the block's solved entry fact: calls `f(j, own, fact)` for instruction
+/// `j` with its own pattern bit and its entry fact, then applies its row.
+/// `x` is scratch space of the universe's width.
+pub(crate) fn stream_block<'r>(
+    entry: &BitSet,
+    rows: impl IntoIterator<Item = &'r Row>,
+    x: &mut BitSet,
+    mut f: impl FnMut(usize, Option<usize>, &BitSet),
+) {
+    x.copy_from(entry);
+    for (j, (own, kill)) in rows.into_iter().enumerate() {
+        f(j, *own, x);
+        x.difference_with(kill);
+        if let Some(i) = *own {
+            x.insert(i);
+        }
+    }
+}
+
+impl MotionContext {
+    /// Solves Table 2 over the blocks of `g`: composes every block's
+    /// transfer through the block-row cache and solves the forward must
+    /// system on the shared node system, recycling the previous solve's
+    /// buffers. Returns the solution and which blocks hold an occurrence;
+    /// the interned block keys stay in `block_keys` for
+    /// [`Self::stream_redundancy`].
+    pub(crate) fn solve_redundancy(&mut self, g: &FlowGraph) -> (Solution, Vec<bool>) {
+        self.intern_blocks(g);
+        let (nodes, ap) = (g.node_count(), self.universe.assign_count());
+        let mut problem = match self.rae_problem.take() {
+            // Every node's row is overwritten below, so reuse only needs
+            // matching width and count.
+            Some(mut p) if p.universe == ap => {
+                p.gen.resize_with(nodes, || BitSet::new(ap));
+                p.kill.resize_with(nodes, || BitSet::new(ap));
+                p
+            }
+            _ => Problem::new(Direction::Forward, Confluence::Must, nodes, ap),
+        };
+        let mut occurs = vec![false; nodes];
+        for n in g.nodes() {
+            let ni = n.index();
+            if let Some(row) = self.rae_blocks.get(&self.block_keys[ni]) {
+                self.rows_reused += self.block_keys[ni].len() as u64;
+                problem.gen[ni].copy_from(&row.gen);
+                problem.kill[ni].copy_from(&row.kill);
+                occurs[ni] = row.occurs;
+                continue;
+            }
+            for (j, instr) in g.block(n).instrs.iter().enumerate() {
+                self.cache_rae_row(self.block_keys[ni][j], instr);
+            }
+            let rows = self.block_keys[ni].iter().map(|id| {
+                self.rae_rows[id.index()]
+                    .as_ref()
+                    .expect("row cached above")
+            });
+            occurs[ni] = compose_block(rows, &mut problem.gen[ni], &mut problem.kill[ni]);
+            self.rae_blocks.insert(
+                self.block_keys[ni].clone(),
+                RaeBlockRow {
+                    gen: problem.gen[ni].clone(),
+                    kill: problem.kill[ni].clone(),
+                    occurs: occurs[ni],
+                },
+            );
+        }
+        let recycled = self.rae_solution.take();
+        let ns = self.node_system(g);
+        let sol = solve_scheduled(&ns.succs, &ns.preds, &problem, &ns.schedule, recycled);
+        self.rae_problem = Some(problem);
+        (sol, occurs)
+    }
+
+    /// Streams the entry facts of block `n` from its solved entry fact over
+    /// the cached rows of the last [`Self::solve_redundancy`] (see
+    /// [`stream_block`]).
+    fn stream_redundancy(
+        &self,
+        n: NodeId,
+        entry: &BitSet,
+        x: &mut BitSet,
+        f: impl FnMut(usize, Option<usize>, &BitSet),
+    ) {
+        let rows = self.block_keys[n.index()].iter().map(|id| {
+            self.rae_rows[id.index()]
+                .as_ref()
+                .expect("rows of composed blocks exist")
+        });
+        stream_block(entry, rows, x, f);
+    }
+
+    /// The redundant occurrences of `g` — those whose own bit holds at
+    /// their entry (Def. 3.4) — in program order, each reported to
+    /// `recorder`, with the solution they were read from. The facts
+    /// describe the program before any removal: every occurrence's
+    /// redundancy is justified by earlier occurrences that the elimination
+    /// keeps.
+    pub(crate) fn redundant_locs(
+        &mut self,
+        g: &FlowGraph,
+        recorder: &ProvRecorder,
+        round: u32,
+    ) -> (Vec<Loc>, Solution) {
+        let (sol, occurs) = self.solve_redundancy(g);
+        let mut locs = Vec::new();
+        let mut x = BitSet::new(self.universe.assign_count());
+        for n in g.nodes().filter(|n| occurs[n.index()]) {
+            let instrs = &g.block(n).instrs;
+            self.stream_redundancy(n, &sol.before[n.index()], &mut x, |j, own, fact| {
+                let Some(i) = own.filter(|&i| fact.contains(i)) else {
+                    return;
+                };
+                if recorder.is_enabled() {
+                    recorder.record(ProvRecord {
+                        kind: ProvKind::Eliminate,
+                        phase: "motion",
+                        round,
+                        node: g.label(n).to_owned(),
+                        index: Some(j as u32),
+                        instr: instrs[j].display(g.pool()),
+                        new_instr: None,
+                        pattern: Some(i as u32),
+                        instr_id: Some(self.block_keys[n.index()][j].index() as u32),
+                        justification: format!(
+                            "N-REDUNDANT bit {i} holds at entry of this occurrence (forward must solution)"
+                        ),
+                    });
+                }
+                locs.push(Loc { node: n, index: j });
+            });
+        }
+        (locs, sol)
+    }
+}
+
+/// The solved redundancy analysis of Table 2 over a program's blocks, from
+/// which [`block_facts`](Self::block_facts) streams the facts of every
+/// single instruction.
+pub struct RedundancyAnalysis {
+    /// The assignment-pattern universe the bit indices refer to.
+    /// Self-referential patterns never appear in any fact.
+    pub universe: Rc<PatternUniverse>,
+    /// The solution per block: `before[n]` is `N-REDUNDANT*` at the entry
+    /// of block `n`, `after[n]` is `X-REDUNDANT*` at its exit.
+    pub solution: Solution,
+    /// The context the system was solved in; its row caches feed the
+    /// stream.
+    ctx: MotionContext,
+}
+
+impl RedundancyAnalysis {
+    /// `N-REDUNDANT*` at the entry of every instruction of block `n`, in
+    /// order — one pass-through entry for an empty block. `g` must be the
+    /// program the analysis was computed on.
+    pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<BitSet> {
+        let entry = &self.solution.before[n.index()];
+        let mut facts = Vec::with_capacity(g.block(n).instrs.len().max(1));
+        let mut x = BitSet::new(entry.len());
+        self.ctx
+            .stream_redundancy(n, entry, &mut x, |_, _, fact| facts.push(fact.clone()));
+        if facts.is_empty() {
+            facts.push(entry.clone());
+        }
+        facts
+    }
+}
+
+/// Solves the redundancy analysis of Table 2 over `g`.
+pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
+    let mut ctx = MotionContext::new(g);
+    let (solution, _) = ctx.solve_redundancy(g);
+    RedundancyAnalysis {
+        universe: Rc::clone(&ctx.universe),
+        solution,
+        ctx,
+    }
+}
+
+/// The instruction locations of `g` whose assignment is redundant at
+/// entry, with the solver iterations spent.
+pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
+    let (locs, sol) = MotionContext::new(g).redundant_locs(g, &ProvRecorder::disabled(), 0);
+    (locs, sol.iterations)
 }
 
 /// Removes every redundant assignment occurrence from `g` (the Elimination
@@ -141,15 +321,7 @@ fn redundant_locs_solved(g: &FlowGraph) -> (Vec<Loc>, Solution) {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
-    let (locs, sol) = redundant_locs_solved(g);
-    let eliminated = locs.len();
-    remove_locs(g, &locs);
-    RaeOutcome {
-        eliminated,
-        iterations: sol.iterations,
-        worklist_pushes: sol.worklist_pushes,
-        max_worklist_len: sol.max_worklist_len,
-    }
+    MotionContext::new(g).rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
 }
 
 /// Removes the instructions at `locs` from `g`. Locations must refer to the

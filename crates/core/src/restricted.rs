@@ -13,9 +13,10 @@
 //! is accepted only when performing it (followed by redundancy elimination)
 //! *strictly decreases* the pattern's occurrence count.
 
-use am_ir::{FlowGraph, PatternUniverse};
+use am_ir::FlowGraph;
+use am_obs::ProvRecorder;
 
-use crate::hoist::{analyze_hoisting, apply_insertion_step_filtered};
+use crate::hoist::{analyze_hoisting, apply_insertion_step};
 use crate::rae::eliminate_redundant_assignments;
 
 /// Statistics of a [`restricted_assignment_motion`] run.
@@ -54,20 +55,20 @@ fn occurrence_count(g: &FlowGraph, pat: &am_ir::AssignPattern) -> usize {
 pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
     let mut stats = RestrictedStats::default();
     let budget = crate::motion::default_round_budget(g);
+    let recorder = ProvRecorder::disabled();
     for _ in 0..budget {
         stats.rounds += 1;
         stats.eliminated += eliminate_redundant_assignments(g).eliminated;
         let analysis = analyze_hoisting(g);
-        let universe = PatternUniverse::collect(g);
         let mut accepted_one = false;
-        for (i, pat) in universe.assign_patterns() {
+        for (i, pat) in analysis.universe.assign_patterns() {
             let before = occurrence_count(g, &pat);
             if before == 0 {
                 continue;
             }
             // Tentatively hoist only this pattern and clean up.
             let mut tentative = g.clone();
-            let outcome = apply_insertion_step_filtered(&mut tentative, &analysis, |p| p == i);
+            let outcome = apply_insertion_step(&mut tentative, &analysis, Some(i), &recorder, 0);
             if !outcome.changed {
                 continue;
             }

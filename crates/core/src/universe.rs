@@ -23,8 +23,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use am_ir::alpha::canonical_text;
 use am_ir::FlowGraph;
+use am_obs::ProvRecorder;
 
-use crate::hoist::{analyze_hoisting, apply_insertion_step_filtered};
+use crate::hoist::{analyze_hoisting, apply_insertion_step};
 use crate::rae::{redundant_locs, remove_locs};
 
 /// Limits for [`explore`].
@@ -69,9 +70,10 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
     }
     // Per-pattern hoisting steps.
     let analysis = analyze_hoisting(g);
+    let recorder = ProvRecorder::disabled();
     for i in 0..analysis.universe.assign_count() {
         let mut next = g.clone();
-        let outcome = apply_insertion_step_filtered(&mut next, &analysis, |p| p == i);
+        let outcome = apply_insertion_step(&mut next, &analysis, Some(i), &recorder, 0);
         if outcome.changed {
             out.push(next);
         }

@@ -2,9 +2,8 @@
 //! Table 2 predicate values one computes when tracing the paper by hand.
 
 use am_core::{hoist, init, rae};
-use am_dfa::PointGraph;
 use am_ir::text::parse;
-use am_ir::{AssignPattern, BinOp, FlowGraph, NodeId, PatternUniverse, Term};
+use am_ir::{AssignPattern, BinOp, FlowGraph, NodeId, Term};
 
 const RUNNING_EXAMPLE: &str = "
     start 1
@@ -58,7 +57,7 @@ fn table1_hoistability_on_the_raw_running_example() {
     assert!(analysis.loc_blocked[n2.index()].contains(x_yz));
     // x := y+z cannot be hoisted above node 2's entry before the
     // second-order effects kick in.
-    assert!(!analysis.n_hoistable[n2.index()].contains(x_yz));
+    assert!(!analysis.hoistable.before[n2.index()].contains(x_yz));
 }
 
 #[test]
@@ -97,9 +96,8 @@ fn table2_redundancy_on_the_initialized_example() {
     let mut g = parse(RUNNING_EXAMPLE).unwrap();
     g.split_critical_edges();
     init::initialize(&mut g);
-    let u = PatternUniverse::collect(&g);
-    let pg = PointGraph::build(&g);
-    let sol = rae::redundancy(&pg, &u);
+    let analysis = rae::analyze_redundancy(&g);
+    let u = &analysis.universe;
 
     // The pattern h<c+d> := c+d.
     let c = g.pool().lookup("c").unwrap();
@@ -112,12 +110,12 @@ fn table2_redundancy_on_the_initialized_example() {
     // h<c+d> := c+d), the pattern is redundant: both paths into node 2 —
     // from node 1 and around the loop — carry it.
     let n3 = node(&g, "3");
-    let first_of_3 = pg.first_of(n3);
-    assert!(sol.before[first_of_3.index()].contains(p_init));
+    let facts_3 = analysis.block_facts(&g, n3);
+    assert!(facts_3[0].contains(p_init));
 
     // At the entry of node 1's own initialization it is not (boundary).
     let n1 = node(&g, "1");
-    assert!(!sol.before[pg.first_of(n1).index()].contains(p_init));
+    assert!(!analysis.block_facts(&g, n1)[0].contains(p_init));
 
     // The copy y := h<c+d> is NOT yet redundant at node 3: the preceding
     // h<c+d> := c+d (syntactically) redefines its source. Only after that
@@ -125,33 +123,31 @@ fn table2_redundancy_on_the_initialized_example() {
     // elimination-elimination second-order effect (Sec. 4.3).
     let y = g.pool().lookup("y").unwrap();
     let p_copy = u.assign_id(&AssignPattern::new(y, h_cd)).unwrap();
-    let second_of_3 = am_dfa::PointId(first_of_3.index() as u32 + 1);
-    assert!(!sol.before[second_of_3.index()].contains(p_copy));
+    assert!(!facts_3[1].contains(p_copy));
     {
         let mut g2 = g.clone();
         let out = rae::eliminate_redundant_assignments(&mut g2);
         assert!(out.eliminated >= 1);
-        let u2 = PatternUniverse::collect(&g2);
-        let pg2 = PointGraph::build(&g2);
-        let sol2 = rae::redundancy(&pg2, &u2);
-        let p_copy2 = u2.assign_id(&AssignPattern::new(y, h_cd)).unwrap();
+        let analysis2 = rae::analyze_redundancy(&g2);
+        let p_copy2 = analysis2
+            .universe
+            .assign_id(&AssignPattern::new(y, h_cd))
+            .unwrap();
         let n3_2 = node(&g2, "3");
         // y := h<c+d> is now the first instruction of node 3 and redundant.
-        assert!(sol2.before[pg2.first_of(n3_2).index()].contains(p_copy2));
+        assert!(analysis2.block_facts(&g2, n3_2)[0].contains(p_copy2));
     }
 
     // But i := h<i+x> is self-dependent through i+x and never redundant.
     let i_var = g.pool().lookup("i").unwrap();
     let h_ix = g.pool().lookup("h<i+x>").unwrap();
-    let p_i = u.assign_id(&AssignPattern::new(i_var, h_ix)).unwrap();
-    for p in pg.points() {
-        if let Some(instr) = pg.instr(p) {
-            let pattern = AssignPattern::new(i_var, h_ix);
+    let pattern = AssignPattern::new(i_var, h_ix);
+    let p_i = u.assign_id(&pattern).unwrap();
+    for n in g.nodes() {
+        let facts = analysis.block_facts(&g, n);
+        for (instr, fact) in g.block(n).instrs.iter().zip(&facts) {
             if pattern.executed_by(instr) {
-                assert!(
-                    !sol.before[p.index()].contains(p_i),
-                    "i := h<i+x> must not be redundant"
-                );
+                assert!(!fact.contains(p_i), "i := h<i+x> must not be redundant");
             }
         }
     }
@@ -214,7 +210,7 @@ fn insertion_points_respect_the_start_boundary() {
         .assign_id(&pat(&g, "x", BinOp::Add, "a", "b"))
         .unwrap();
     let s = node(&g, "s");
-    assert!(analysis.n_hoistable[s.index()].contains(x_ab));
+    assert!(analysis.hoistable.before[s.index()].contains(x_ab));
     assert!(analysis.n_insert[s.index()].contains(x_ab));
     // And nowhere else.
     for n in g.nodes() {

@@ -76,7 +76,7 @@ pub fn available_expressions_problem(pg: &PointGraph<'_>, universe: &PatternUniv
 /// greatest solution.
 pub fn available_expressions(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = available_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule(), None)
 }
 
 /// The [`anticipated_expressions`] problem.
@@ -89,7 +89,7 @@ pub fn anticipated_expressions_problem(pg: &PointGraph<'_>, universe: &PatternUn
 /// Backward, must, greatest solution.
 pub fn anticipated_expressions(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = anticipated_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule(), None)
 }
 
 /// Partially available expressions: expression `t` is partially available
@@ -106,7 +106,7 @@ pub fn partially_available_expressions(
     universe: &PatternUniverse,
 ) -> Solution {
     let p = partially_available_expressions_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule(), None)
 }
 
 /// The [`partially_available_expressions`] problem. An instruction that
@@ -211,7 +211,7 @@ pub fn strongly_live_variables(pg: &PointGraph<'_>) -> Solution {
 /// end reads `v` before writing it. Backward, may, least solution.
 pub fn live_variables(pg: &PointGraph<'_>) -> Solution {
     let p = live_variables_problem(pg);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule(), None)
 }
 
 /// The [`live_variables`] problem.
@@ -243,7 +243,7 @@ pub fn live_variables_problem(pg: &PointGraph<'_>) -> Problem {
 /// assignment-pattern index).
 pub fn reaching_copies(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Solution {
     let p = reaching_copies_problem(pg, universe);
-    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule())
+    solve_scheduled(pg.succs(), pg.preds(), &p, pg.schedule(), None)
 }
 
 /// The [`reaching_copies`] problem.

@@ -42,6 +42,5 @@ pub use adjacency::Adjacency;
 pub use masks::PatternMasks;
 pub use points::{node_adjacency, PointGraph, PointId};
 pub use solve::{
-    solve, solve_scheduled, solve_scheduled_reusing, solve_seeded, solve_seeded_reusing,
-    Confluence, Direction, Problem, Schedule, Solution,
+    solve, solve_scheduled, solve_seeded, Confluence, Direction, Problem, Schedule, Solution,
 };

@@ -243,7 +243,7 @@ impl Solution {
 pub fn solve(succs: &Adjacency, preds: &Adjacency, problem: &Problem) -> Solution {
     check_lengths(succs, preds, problem);
     let schedule = Schedule::build(succs, preds);
-    solve_scheduled(succs, preds, problem, &schedule)
+    solve_scheduled(succs, preds, problem, &schedule, None)
 }
 
 fn check_lengths(succs: &Adjacency, preds: &Adjacency, problem: &Problem) {
@@ -255,29 +255,20 @@ fn check_lengths(succs: &Adjacency, preds: &Adjacency, problem: &Problem) {
 
 /// Solves `problem` using a precomputed [`Schedule`], seeding every point.
 ///
+/// `recycled` hands in the fact buffers of a [`Solution`] from an earlier
+/// solve to reuse instead of allocating fresh ones. Every fact row is
+/// reinitialized to the problem's start value, so the result does not
+/// depend on it — only the allocations are reused. Rows of the wrong width
+/// (the universe changed) or count (the point set changed) are rebuilt as
+/// needed. This matters to callers that solve once per round over 10⁴–10⁵
+/// points: without recycling, each round allocates and frees two full fact
+/// tables.
+///
 /// # Panics
 ///
 /// Panics under the same conditions as [`solve`], and if the schedule
 /// covers a different number of points.
 pub fn solve_scheduled(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-) -> Solution {
-    solve_scheduled_reusing(succs, preds, problem, schedule, None)
-}
-
-/// As [`solve_scheduled`], recycling the fact buffers of a [`Solution`]
-/// from an earlier solve instead of allocating fresh ones.
-///
-/// Every fact row is reinitialized to the problem's start value, so the
-/// result is identical to [`solve_scheduled`]'s — only the allocations are
-/// reused. Rows of the wrong width (the universe changed) or count (the
-/// point set changed) are rebuilt as needed. This matters to callers that
-/// solve once per round over 10⁴–10⁵ points: without recycling, each round
-/// allocates and frees two full fact tables.
-pub fn solve_scheduled_reusing(
     succs: &Adjacency,
     preds: &Adjacency,
     problem: &Problem,
@@ -336,27 +327,14 @@ fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
 /// disappeared) can converge to a stale inner fixed point; callers must
 /// fall back to a cold solve in that case. The returned metrics count only
 /// the incremental work: `worklist_pushes` starts at `dirty.len()`.
+/// `recycled` lends its fact buffers to the working copy of the warm facts,
+/// as in [`solve_scheduled`].
 ///
 /// # Panics
 ///
 /// Panics under the same conditions as [`solve_scheduled`], and if `warm`
 /// covers a different number of points.
 pub fn solve_seeded(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    warm: &Solution,
-    dirty: &[usize],
-) -> Solution {
-    solve_seeded_reusing(succs, preds, problem, schedule, warm, dirty, None)
-}
-
-/// As [`solve_seeded`], recycling the fact buffers of a detached
-/// [`Solution`] (see [`solve_scheduled_reusing`]) for the working copy of
-/// the warm facts.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_seeded_reusing(
     succs: &Adjacency,
     preds: &Adjacency,
     problem: &Problem,
@@ -701,12 +679,12 @@ mod tests {
         let cold = solve(&succs, &preds, &p);
         // Re-seeding everything over an unchanged problem: one sweep, no
         // changes, identical facts.
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[0, 1, 2, 3]);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[0, 1, 2, 3], None);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert_eq!(warm.iterations, 4);
         // An empty dirty set does no work at all.
-        let idle = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[]);
+        let idle = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[], None);
         assert_eq!(idle.before, cold.before);
         assert_eq!(idle.iterations, 0);
         assert_eq!(idle.worklist_pushes, 0);
@@ -729,7 +707,7 @@ mod tests {
         p.gen[1].remove(2);
         p.kill[1].insert(0);
         let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[1]);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[1], None);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert!(warm.iterations <= cold.iterations);
@@ -746,7 +724,7 @@ mod tests {
         // Raise point 2's row: new gen bit, kill bit dropped.
         p.gen[2].insert(1);
         let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[2]);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[2], None);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
     }

@@ -310,7 +310,7 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
     let every_point: Vec<usize> = (0..pg.len()).collect();
     for (analysis, problem) in classic_problems(&pg, &universe) {
         let (ref_before, ref_after) = reference_solve(&flow, &problem);
-        let scheduled = solve_scheduled(pg.succs(), pg.preds(), &problem, pg.schedule());
+        let scheduled = solve_scheduled(pg.succs(), pg.preds(), &problem, pg.schedule(), None);
         assert_eq!(
             scheduled.before, ref_before,
             "{name}/{analysis}: scheduled before-facts diverge from naive"
@@ -318,6 +318,20 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
         assert_eq!(
             scheduled.after, ref_after,
             "{name}/{analysis}: scheduled after-facts diverge from naive"
+        );
+        // Recycled buffers are reinitialized: a cold solve into the
+        // converged facts of the same problem lands on them again.
+        let recycled = solve_scheduled(
+            pg.succs(),
+            pg.preds(),
+            &problem,
+            pg.schedule(),
+            Some(scheduled.clone()),
+        );
+        assert_eq!(
+            (&recycled.before, &recycled.after, recycled.iterations),
+            (&scheduled.before, &scheduled.after, scheduled.iterations),
+            "{name}/{analysis}: recycled buffers change the solve"
         );
         // Warm restart from the converged facts with every point dirty:
         // one no-op sweep over a solved system, identical fixed point.
@@ -328,6 +342,7 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
             pg.schedule(),
             &scheduled,
             &every_point,
+            Some(recycled),
         );
         assert_eq!(
             warm.before, ref_before,

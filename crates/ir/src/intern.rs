@@ -171,6 +171,7 @@ pub fn term_hash(t: Term) -> u64 {
     }
 }
 
+#[derive(Clone)]
 struct TermNode {
     term: Term,
     hash: u64,
@@ -193,7 +194,7 @@ struct TermNode {
 /// assert_eq!(t1, t2); // structural equality is id equality
 /// assert_eq!(arena.pattern_of(t1).unwrap().index(), 0);
 /// ```
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct TermArena {
     nodes: Vec<TermNode>,
     index: HashMap<Term, TermId, FxMapBuild>,

@@ -85,6 +85,7 @@ impl AssignPattern {
 /// universe over a changed program without renumbering existing patterns —
 /// which is what lets the motion engine refresh in place instead of
 /// rebuilding per round.
+#[derive(Clone)]
 pub struct PatternUniverse {
     assigns: Vec<AssignPattern>,
     assign_index: HashMap<AssignPattern, usize, FxMapBuild>,

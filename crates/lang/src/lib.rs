@@ -48,7 +48,7 @@ pub mod source;
 
 pub use ast::{LExpr, Program, Stmt};
 pub use lower::{compile, lower};
-pub use parse::{parse_program, LangError};
+pub use parse::{parse_program, LangError, MAX_DEPTH};
 pub use print::{expr_to_source, to_source};
 pub use source::{compile_source, SourceError, SourceKind};
 
@@ -208,5 +208,58 @@ mod tests {
         let p = parse_program("x := 1; if (x) { y := 2; } else { skip; } while (x) { x := 0; }")
             .unwrap();
         assert_eq!(p.stmt_count(), 6);
+    }
+
+    /// Each shape used to overflow the stack — in the parser, or in a later
+    /// walk over its AST — and must now be a typed error.
+    fn assert_too_deep(src: &str) {
+        let err = compile(src).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+    }
+
+    #[test]
+    fn deeply_nested_parentheses_are_an_error() {
+        let n = 5000;
+        assert_too_deep(&format!("x := {}a{};", "(".repeat(n), ")".repeat(n)));
+    }
+
+    #[test]
+    fn long_flat_operator_chains_are_an_error() {
+        // A left-deep tree built by a loop, not by recursion.
+        assert_too_deep(&format!("x := a{};", " + a".repeat(20_000)));
+    }
+
+    #[test]
+    fn long_unary_minus_chains_are_an_error() {
+        assert_too_deep(&format!("x := {}a;", "- ".repeat(20_000)));
+    }
+
+    #[test]
+    fn deeply_nested_loops_are_an_error() {
+        let n = 20_000;
+        assert_too_deep(&format!(
+            "{}x := 1;{}",
+            "while (a) { ".repeat(n),
+            " }".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn programs_at_the_depth_limit_compile_and_print() {
+        // Half the budget in loops, the rest in the expression inside.
+        let loops = MAX_DEPTH / 2;
+        let height = MAX_DEPTH - loops;
+        let src = format!(
+            "{}x := a{};{}",
+            "while (a) { ".repeat(loops),
+            " + a".repeat(height),
+            " }".repeat(loops)
+        );
+        let program = parse_program(&src).unwrap();
+        let reparsed = parse_program(&to_source(&program)).unwrap();
+        assert_eq!(reparsed, program);
+        let g = lower(&program);
+        assert_eq!(g.validate(), Ok(()));
+        assert_too_deep(&src.replacen("a;", "a + a;", 1));
     }
 }

@@ -8,6 +8,15 @@ use am_ir::BinOp;
 
 use crate::ast::{LExpr, Program, Stmt};
 
+/// The deepest nesting the parser accepts, counting every block,
+/// parenthesis and operator operand enclosing a point plus the height of
+/// the expression built there. Lowering, printing and dropping the AST each
+/// recurse once per level, so the cap keeps every later walk — not just
+/// the parser — within a 2 MiB thread stack, unoptimized builds included;
+/// deeper input is a [`LangError`], not an abort. Generated and
+/// hand-written programs nest a few levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure with its 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LangError {
@@ -251,6 +260,9 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, LangError> {
 struct Parser {
     tokens: Vec<(Tok, usize)>,
     pos: usize,
+    /// Blocks, parentheses and operator operands enclosing the current
+    /// token.
+    depth: usize,
 }
 
 impl Parser {
@@ -280,6 +292,27 @@ impl Parser {
         }
     }
 
+    /// Fails when a node of expression height `height` built at the
+    /// current depth would nest deeper than [`MAX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<(), LangError> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(self.err(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        self.depth += 1;
+        self.check_depth(0)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     fn expect(&mut self, want: &Tok) -> Result<(), LangError> {
         match self.advance() {
             Some(ref t) if t == want => Ok(()),
@@ -290,13 +323,16 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, LangError> {
         self.expect(&Tok::LBrace)?;
-        let mut body = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            if self.peek().is_none() {
-                return Err(self.err("unterminated block"));
+        let body = self.nested(|p| {
+            let mut body = Vec::new();
+            while p.peek() != Some(&Tok::RBrace) {
+                if p.peek().is_none() {
+                    return Err(p.err("unterminated block"));
+                }
+                body.extend(p.stmt()?);
             }
-            body.extend(self.stmt()?);
-        }
+            Ok(body)
+        })?;
         self.expect(&Tok::RBrace)?;
         Ok(body)
     }
@@ -413,39 +449,50 @@ impl Parser {
     }
 
     fn expr(&mut self, min_level: u8) -> Result<LExpr, LangError> {
-        let mut lhs = self.primary()?;
+        self.expr_height(min_level).map(|(e, _)| e)
+    }
+
+    /// Parses an expression binding at least as tightly as `min_level`,
+    /// with its height (0 for a leaf).
+    fn expr_height(&mut self, min_level: u8) -> Result<(LExpr, usize), LangError> {
+        let (mut lhs, mut height) = self.primary()?;
         while let Some(Tok::Op(op)) = self.peek().copied_op() {
             let level = Self::level(op);
             if level < min_level {
                 break;
             }
             self.advance();
-            let rhs = self.expr(level + 1)?;
+            let (rhs, rhs_height) = self.nested(|p| p.expr_height(level + 1))?;
+            // Left-associative chains deepen the tree without recursing
+            // here, so the height is checked as the tree grows.
+            height = 1 + height.max(rhs_height);
+            self.check_depth(height)?;
             lhs = LExpr::binary(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn primary(&mut self) -> Result<LExpr, LangError> {
+    fn primary(&mut self) -> Result<(LExpr, usize), LangError> {
         match self.advance() {
             Some(Tok::LParen) => {
-                let e = self.expr(0)?;
+                let e = self.nested(|p| p.expr_height(0))?;
                 self.expect(&Tok::RParen)?;
                 Ok(e)
             }
-            Some(Tok::Ident(name)) => Ok(LExpr::Var(name)),
-            Some(Tok::Int(i)) => Ok(LExpr::Const(i)),
+            Some(Tok::Ident(name)) => Ok((LExpr::Var(name), 0)),
+            Some(Tok::Int(i)) => Ok((LExpr::Const(i), 0)),
             Some(Tok::Op(BinOp::Sub)) => match self.peek() {
                 Some(Tok::Int(_)) => {
                     let Some(Tok::Int(i)) = self.advance() else {
                         unreachable!()
                     };
-                    Ok(LExpr::Const(-i))
+                    Ok((LExpr::Const(-i), 0))
                 }
                 // General unary minus: -e is 0 - e.
                 _ => {
-                    let e = self.primary()?;
-                    Ok(LExpr::binary(BinOp::Sub, LExpr::Const(0), e))
+                    let (e, height) = self.nested(Self::primary)?;
+                    self.check_depth(height + 1)?;
+                    Ok((LExpr::binary(BinOp::Sub, LExpr::Const(0), e), height + 1))
                 }
             },
             Some(t) => Err(self.err(format!("expected an expression, found {t}"))),
@@ -472,10 +519,14 @@ impl CopiedOp for Option<&Tok> {
 /// # Errors
 ///
 /// Returns a [`LangError`] with the offending source line on lexical or
-/// syntactic problems.
+/// syntactic problems, and on nesting deeper than [`MAX_DEPTH`].
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut body = Vec::new();
     while p.peek().is_some() {
         body.extend(p.stmt()?);

@@ -8,8 +8,7 @@
 //! ```
 
 use assignment_motion::alg::{flush, hoist, init, motion, rae};
-use assignment_motion::dfa::PointGraph;
-use assignment_motion::ir::{patterns::PatternUniverse, text::parse, FlowGraph};
+use assignment_motion::ir::{text::parse, FlowGraph};
 
 const RUNNING_EXAMPLE: &str = "
     start 1
@@ -45,8 +44,8 @@ fn show_hoisting(g: &FlowGraph, title: &str) {
                 pat.display(g.pool()),
                 analysis.loc_hoistable[n.index()].contains(i),
                 analysis.loc_blocked[n.index()].contains(i),
-                analysis.n_hoistable[n.index()].contains(i),
-                analysis.x_hoistable[n.index()].contains(i),
+                analysis.hoistable.before[n.index()].contains(i),
+                analysis.hoistable.after[n.index()].contains(i),
                 analysis.n_insert[n.index()].contains(i),
                 analysis.x_insert[n.index()].contains(i),
             );
@@ -57,23 +56,24 @@ fn show_hoisting(g: &FlowGraph, title: &str) {
 
 fn show_redundancy(g: &FlowGraph, title: &str) {
     println!("== Table 2 (redundancy) — {title} ==");
-    let universe = PatternUniverse::collect(g);
-    let pg = PointGraph::build(g);
-    let sol = rae::redundancy(&pg, &universe);
-    for p in pg.points() {
-        let Some(instr) = pg.instr(p) else { continue };
-        let redundant: Vec<String> = universe
-            .assign_patterns()
-            .filter(|(i, _)| sol.before[p.index()].contains(*i))
-            .map(|(_, pat)| pat.display(g.pool()))
-            .collect();
-        if !redundant.is_empty() {
-            println!(
-                "before '{}' in node {}: redundant {{{}}}",
-                instr.display(g.pool()),
-                g.label(pg.node(p)),
-                redundant.join(", ")
-            );
+    let analysis = rae::analyze_redundancy(g);
+    for n in g.nodes() {
+        let facts = analysis.block_facts(g, n);
+        for (instr, fact) in g.block(n).instrs.iter().zip(&facts) {
+            let redundant: Vec<String> = analysis
+                .universe
+                .assign_patterns()
+                .filter(|(i, _)| fact.contains(*i))
+                .map(|(_, pat)| pat.display(g.pool()))
+                .collect();
+            if !redundant.is_empty() {
+                println!(
+                    "before '{}' in node {}: redundant {{{}}}",
+                    instr.display(g.pool()),
+                    g.label(n),
+                    redundant.join(", ")
+                );
+            }
         }
     }
     println!();
