@@ -453,6 +453,9 @@ impl FlowGraph {
         }
         let reach_fwd = self.reachable_from(self.start, false);
         let reach_bwd = self.reachable_from(self.end, true);
+        // `seen_from[m]` is the last node found to have `m` as a successor,
+        // so each edge is checked once: O(edges) on any fan-out.
+        let mut seen_from: Vec<Option<NodeId>> = vec![None; self.node_count()];
         for n in self.nodes() {
             if !(reach_fwd[n.index()] && reach_bwd[n.index()]) {
                 return Err(GraphError::Unreachable(n));
@@ -468,12 +471,10 @@ impl FlowGraph {
             if branches == 1 && self.succs(n).len() <= 1 {
                 return Err(GraphError::BranchInStraightNode(n));
             }
-            let mut seen = Vec::new();
             for &m in self.succs(n) {
-                if seen.contains(&m) {
+                if seen_from[m.index()].replace(n) == Some(n) {
                     return Err(GraphError::DuplicateEdge(n, m));
                 }
-                seen.push(m);
             }
         }
         Ok(())
@@ -561,6 +562,56 @@ mod tests {
         let dead = g.add_node("dead");
         g.add_edge(s, dead);
         assert!(matches!(g.validate(), Err(GraphError::Unreachable(n)) if n == dead));
+    }
+
+    /// `s -> b0..b{width-1} -> e`.
+    fn fan(width: usize) -> (FlowGraph, NodeId, Vec<NodeId>) {
+        let mut g = FlowGraph::new();
+        let s = g.add_node("s");
+        let leaves: Vec<NodeId> = (0..width).map(|i| g.add_node(&format!("b{i}"))).collect();
+        let e = g.add_node("e");
+        g.set_start(s);
+        g.set_end(e);
+        for &b in &leaves {
+            g.add_edge(s, b);
+            g.add_edge(b, e);
+        }
+        (g, s, leaves)
+    }
+
+    #[test]
+    fn wide_fans_validate_and_name_a_duplicate_edge() {
+        let (mut g, s, leaves) = fan(10_000);
+        assert_eq!(g.validate(), Ok(()));
+        g.add_edge(s, leaves[6_789]);
+        assert_eq!(
+            g.validate(),
+            Err(GraphError::DuplicateEdge(s, leaves[6_789]))
+        );
+    }
+
+    #[test]
+    fn identical_successor_lists_are_not_duplicates() {
+        // Both arms branch to the same two nodes, in the same order.
+        let mut g = FlowGraph::new();
+        let [s, a, b, x, y, e] = ["s", "a", "b", "x", "y", "e"].map(|l| g.add_node(l));
+        g.set_start(s);
+        g.set_end(e);
+        for (from, to) in [
+            (s, a),
+            (s, b),
+            (a, x),
+            (a, y),
+            (b, x),
+            (b, y),
+            (x, e),
+            (y, e),
+        ] {
+            g.add_edge(from, to);
+        }
+        assert_eq!(g.validate(), Ok(()));
+        g.add_edge(b, x);
+        assert_eq!(g.validate(), Err(GraphError::DuplicateEdge(b, x)));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 use std::fmt;
 
-/// A token of the textual IR language.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Token {
+/// A token of the textual IR language. Identifiers borrow from the source
+/// text, so lexing allocates nothing but the token vector.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Token<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// `:=`
@@ -47,7 +48,7 @@ pub enum Token {
     Ne,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -125,40 +126,6 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Character cursor that tracks the current line and column.
-struct Scan<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    col: usize,
-}
-
-impl Scan<'_> {
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        match c {
-            Some('\n') => {
-                self.line += 1;
-                self.col = 1;
-            }
-            Some(_) => self.col += 1,
-            None => {}
-        }
-        c
-    }
-
-    /// Position of the next (unconsumed) character.
-    fn pos(&self) -> Pos {
-        Pos {
-            line: self.line,
-            col: self.col,
-        }
-    }
-}
-
 /// Tokenizes `src`, returning `(token, position)` pairs; the position is
 /// that of the token's first character.
 ///
@@ -166,189 +133,127 @@ impl Scan<'_> {
 /// separators are collapsed. `#` and `//` start comments running to the end
 /// of the line.
 ///
+/// The scan walks bytes: ASCII, which is all the grammar's punctuation and
+/// almost every identifier, is classified without decoding, and only
+/// non-ASCII characters are decoded (they may be Unicode letters, digits or
+/// whitespace). Columns still count characters.
+///
 /// # Errors
 ///
 /// Returns a [`LexError`] on unknown characters or malformed numbers.
-pub fn lex(src: &str) -> Result<Vec<(Token, Pos)>, LexError> {
-    let mut out: Vec<(Token, Pos)> = Vec::new();
-    let mut s = Scan {
-        chars: src.chars().peekable(),
-        line: 1,
-        col: 1,
-    };
+pub fn lex(src: &str) -> Result<Vec<(Token<'_>, Pos)>, LexError> {
+    let bytes = src.as_bytes();
+    let mut out: Vec<(Token<'_>, Pos)> = Vec::new();
+    let (mut i, mut line, mut col) = (0usize, 1usize, 1usize);
     let mut paren_depth = 0usize;
     let err = |at: Pos, message: String| LexError {
         line: at.line,
         col: at.col,
         message,
     };
-
-    let push_sep = |out: &mut Vec<(Token, Pos)>, at: Pos| {
+    let push_sep = |out: &mut Vec<(Token<'_>, Pos)>, at: Pos| {
         if !matches!(out.last(), Some((Token::Sep, _)) | None) {
             out.push((Token::Sep, at));
         }
     };
 
-    while let Some(c) = s.peek() {
-        let at = s.pos();
-        match c {
-            '\n' => {
-                s.bump();
+    while let Some(&b) = bytes.get(i) {
+        let at = Pos { line, col };
+        let tok = match (b, bytes.get(i + 1)) {
+            (b'\n', _) => {
+                i += 1;
+                line += 1;
+                col = 1;
                 if paren_depth == 0 {
                     push_sep(&mut out, at);
                 }
+                continue;
             }
-            c if c.is_whitespace() => {
-                s.bump();
+            // A comment runs to the newline, which resets the column.
+            (b'#', _) | (b'/', Some(b'/')) => {
+                i += bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(bytes.len() - i);
+                continue;
             }
-            '#' => {
-                while let Some(c) = s.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    s.bump();
-                }
-            }
-            '/' => {
-                s.bump();
-                if s.peek() == Some('/') {
-                    while let Some(c) = s.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        s.bump();
-                    }
-                } else {
-                    out.push((Token::Slash, at));
-                }
-            }
-            ';' => {
-                s.bump();
+            (b';', _) => {
                 push_sep(&mut out, at);
+                i += 1;
+                col += 1;
+                continue;
             }
-            '{' => {
-                s.bump();
-                out.push((Token::LBrace, at));
-            }
-            '}' => {
-                s.bump();
+            (b'}', _) => {
                 // A closing brace also terminates the statement before it.
                 push_sep(&mut out, at);
-                // Replace the separator ordering: Sep then RBrace reads
-                // naturally for the parser.
-                out.push((Token::RBrace, at));
+                Token::RBrace
             }
-            '(' => {
-                s.bump();
+            (b'{', _) => Token::LBrace,
+            (b'(', _) => {
                 paren_depth += 1;
-                out.push((Token::LParen, at));
+                Token::LParen
             }
-            ')' => {
-                s.bump();
+            (b')', _) => {
                 paren_depth = paren_depth.saturating_sub(1);
-                out.push((Token::RParen, at));
+                Token::RParen
             }
-            ',' => {
-                s.bump();
-                out.push((Token::Comma, at));
-            }
-            '+' => {
-                s.bump();
-                out.push((Token::Plus, at));
-            }
-            '*' => {
-                s.bump();
-                out.push((Token::Star, at));
-            }
-            '%' => {
-                s.bump();
-                out.push((Token::Percent, at));
-            }
-            '-' => {
-                s.bump();
-                if s.peek() == Some('>') {
-                    s.bump();
-                    out.push((Token::Arrow, at));
-                } else {
-                    out.push((Token::Minus, at));
+            (b',', _) => Token::Comma,
+            (b'+', _) => Token::Plus,
+            (b'*', _) => Token::Star,
+            (b'%', _) => Token::Percent,
+            (b'/', _) => Token::Slash,
+            (b'-', Some(b'>')) => Token::Arrow,
+            (b'-', _) => Token::Minus,
+            (b'<', Some(b'=')) => Token::Le,
+            (b'<', _) => Token::Lt,
+            (b'>', Some(b'=')) => Token::Ge,
+            (b'>', _) => Token::Gt,
+            (b':', Some(b'=')) => Token::Assign,
+            (b'=', Some(b'=')) => Token::EqEq,
+            (b'!', Some(b'=')) => Token::Ne,
+            (b':', _) => return Err(err(at, "expected ':='".into())),
+            (b'=', _) => return Err(err(at, "expected '=='".into())),
+            (b'!', _) => return Err(err(at, "expected '!='".into())),
+            (b'0'..=b'9', _) => {
+                let start = i;
+                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                    i += 1;
                 }
-            }
-            ':' => {
-                s.bump();
-                if s.peek() == Some('=') {
-                    s.bump();
-                    out.push((Token::Assign, at));
-                } else {
-                    return Err(err(at, "expected ':='".into()));
-                }
-            }
-            '<' => {
-                s.bump();
-                if s.peek() == Some('=') {
-                    s.bump();
-                    out.push((Token::Le, at));
-                } else {
-                    out.push((Token::Lt, at));
-                }
-            }
-            '>' => {
-                s.bump();
-                if s.peek() == Some('=') {
-                    s.bump();
-                    out.push((Token::Ge, at));
-                } else {
-                    out.push((Token::Gt, at));
-                }
-            }
-            '=' => {
-                s.bump();
-                if s.peek() == Some('=') {
-                    s.bump();
-                    out.push((Token::EqEq, at));
-                } else {
-                    return Err(err(at, "expected '=='".into()));
-                }
-            }
-            '!' => {
-                s.bump();
-                if s.peek() == Some('=') {
-                    s.bump();
-                    out.push((Token::Ne, at));
-                } else {
-                    return Err(err(at, "expected '!='".into()));
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                while let Some(c) = s.peek() {
-                    if c.is_ascii_digit() {
-                        text.push(c);
-                        s.bump();
-                    } else {
-                        break;
-                    }
-                }
+                col += i - start;
+                let text = &src[start..i];
                 let value: i64 = text
                     .parse()
                     .map_err(|_| err(at, format!("integer literal '{text}' out of range")))?;
                 out.push((Token::Int(value), at));
+                continue;
             }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut text = String::new();
-                while let Some(c) = s.peek() {
-                    if c.is_alphanumeric() || c == '_' || c == '\'' {
-                        text.push(c);
-                        s.bump();
-                    } else {
-                        break;
-                    }
+            _ => {
+                let c = if b.is_ascii() {
+                    char::from(b)
+                } else {
+                    src[i..].chars().next().expect("i is on a char boundary")
+                };
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    col += 1;
+                } else if c.is_alphabetic() || c == '_' {
+                    let start = i;
+                    i = ident_end(src, i, &mut col);
+                    out.push((Token::Ident(&src[start..i]), at));
+                } else {
+                    return Err(err(at, format!("unexpected character '{c}'")));
                 }
-                out.push((Token::Ident(text), at));
+                continue;
             }
-            other => {
-                return Err(err(at, format!("unexpected character '{other}'")));
-            }
-        }
+        };
+        // The remaining tokens are one or two ASCII characters.
+        let width = match tok {
+            Token::Arrow | Token::Le | Token::Ge | Token::Assign | Token::EqEq | Token::Ne => 2,
+            _ => 1,
+        };
+        out.push((tok, at));
+        i += width;
+        col += width;
     }
     // Drop leading/trailing separators for convenience.
     while matches!(out.last(), Some((Token::Sep, _))) {
@@ -357,11 +262,33 @@ pub fn lex(src: &str) -> Result<Vec<(Token, Pos)>, LexError> {
     Ok(out)
 }
 
+/// The end of the identifier starting at byte `i`, advancing `col` by its
+/// length in characters. Identifiers continue with letters, digits, `_`
+/// and `'`.
+fn ident_end(src: &str, mut i: usize, col: &mut usize) -> usize {
+    let bytes = src.as_bytes();
+    while let Some(&b) = bytes.get(i) {
+        if b.is_ascii_alphanumeric() || b == b'_' || b == b'\'' {
+            i += 1;
+        } else if b.is_ascii() {
+            break;
+        } else {
+            let c = src[i..].chars().next().expect("i is on a char boundary");
+            if !c.is_alphanumeric() {
+                break;
+            }
+            i += c.len_utf8();
+        }
+        *col += 1;
+    }
+    i
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|(t, _)| t).collect()
     }
 
@@ -370,11 +297,11 @@ mod tests {
         assert_eq!(
             toks("x := a+b"),
             vec![
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Assign,
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Plus,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
             ]
         );
     }
@@ -384,11 +311,11 @@ mod tests {
         assert_eq!(
             toks("a := 1\n\n;;\nb := 2"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Assign,
                 Token::Int(1),
                 Token::Sep,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::Assign,
                 Token::Int(2),
             ]
@@ -400,11 +327,11 @@ mod tests {
         assert_eq!(
             toks("x := 1 # trailing\n// whole line\ny := 2"),
             vec![
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Assign,
                 Token::Int(1),
                 Token::Sep,
-                Token::Ident("y".into()),
+                Token::Ident("y"),
                 Token::Assign,
                 Token::Int(2),
             ]
@@ -416,11 +343,11 @@ mod tests {
         assert_eq!(
             toks("out(x,\n y)"),
             vec![
-                Token::Ident("out".into()),
+                Token::Ident("out"),
                 Token::LParen,
-                Token::Ident("x".into()),
+                Token::Ident("x"),
                 Token::Comma,
-                Token::Ident("y".into()),
+                Token::Ident("y"),
                 Token::RParen,
             ]
         );
@@ -431,17 +358,17 @@ mod tests {
         assert_eq!(
             toks("a <= b >= c == d != e -> f"),
             vec![
-                Token::Ident("a".into()),
+                Token::Ident("a"),
                 Token::Le,
-                Token::Ident("b".into()),
+                Token::Ident("b"),
                 Token::Ge,
-                Token::Ident("c".into()),
+                Token::Ident("c"),
                 Token::EqEq,
-                Token::Ident("d".into()),
+                Token::Ident("d"),
                 Token::Ne,
-                Token::Ident("e".into()),
+                Token::Ident("e"),
                 Token::Arrow,
-                Token::Ident("f".into()),
+                Token::Ident("f"),
             ]
         );
     }
@@ -460,7 +387,7 @@ mod tests {
         let toks = lex("x := 1\n  y := 42").unwrap();
         let find = |name: &str| {
             toks.iter()
-                .find(|(t, _)| matches!(t, Token::Ident(s) if s == name))
+                .find(|(t, _)| *t == Token::Ident(name))
                 .map(|(_, p)| *p)
                 .unwrap()
         };

@@ -20,7 +20,8 @@
 //! Right-hand sides may be arbitrarily nested expressions; parsing in
 //! [`Mode::Strict`] rejects anything deeper than 3-address form, while
 //! [`Mode::Decompose`] performs the canonical decomposition of Sec. 6
-//! (Fig. 18: `x := a+b+c` becomes `t1 := a+b; x := t1+c`).
+//! (Fig. 18: `x := a+b+c` becomes `t1 := a+b; x := t1+c`). In either mode,
+//! nesting deeper than [`MAX_DEPTH`] is a [`ParseError`].
 //!
 //! # Examples
 //!
@@ -35,6 +36,8 @@
 //! ```
 
 mod ast;
+#[cfg(test)]
+mod diagnostics;
 mod lexer;
 mod parser;
 mod printer;
@@ -43,6 +46,6 @@ pub use ast::Expr;
 pub use lexer::{lex, LexError, Pos, Token};
 pub use parser::{
     parse, parse_cond_str, parse_expr_str, parse_with_locations, parse_with_mode, Mode, ParseError,
-    SourceMap,
+    SourceMap, MAX_DEPTH,
 };
 pub use printer::{node_summary, to_text};

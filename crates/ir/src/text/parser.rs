@@ -4,10 +4,10 @@ use std::fmt;
 use crate::graph::{FlowGraph, NodeId};
 use crate::instr::{Cond, Instr};
 use crate::term::{BinOp, Operand, Term};
-use crate::var::Var;
+use crate::var::{Var, VarPool};
 
 use super::ast::Expr;
-use super::lexer::{lex, Pos, Token};
+use super::lexer::{lex, LexError, Pos, Token};
 
 /// How the parser treats expressions deeper than 3-address form.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -76,14 +76,22 @@ impl SourceMap {
     }
 }
 
+/// The deepest expression nesting the parser accepts: the parentheses and
+/// operator operands enclosing a point plus the height of the expression
+/// built there. Parsing, lowering and dropping an [`Expr`] each recurse
+/// once per level, so the cap keeps every walk within a small thread
+/// stack; deeper input is a [`ParseError`], not an abort. The
+/// while-language front end (`am_lang`) shares this cap.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a flow graph in [`Mode::Strict`].
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on syntax errors, on nested expressions (use
-/// [`parse_with_mode`] with [`Mode::Decompose`] to lower them instead) and
-/// on structurally invalid graphs (see
-/// [`FlowGraph::validate`](crate::FlowGraph::validate)).
+/// [`parse_with_mode`] with [`Mode::Decompose`] to lower them instead), on
+/// nesting deeper than [`MAX_DEPTH`] and on structurally invalid graphs
+/// (see [`FlowGraph::validate`](crate::FlowGraph::validate)).
 pub fn parse(src: &str) -> Result<FlowGraph, ParseError> {
     parse_with_mode(src, Mode::Strict)
 }
@@ -94,7 +102,7 @@ pub fn parse(src: &str) -> Result<FlowGraph, ParseError> {
 ///
 /// See [`parse`].
 pub fn parse_with_mode(src: &str, mode: Mode) -> Result<FlowGraph, ParseError> {
-    parse_with_locations(src, mode).map(|(g, _)| g)
+    Parser::new(src, mode, None)?.run().map(|(g, _)| g)
 }
 
 /// Like [`parse_with_mode`], but also returns the [`SourceMap`] giving the
@@ -104,126 +112,62 @@ pub fn parse_with_mode(src: &str, mode: Mode) -> Result<FlowGraph, ParseError> {
 ///
 /// See [`parse`].
 pub fn parse_with_locations(src: &str, mode: Mode) -> Result<(FlowGraph, SourceMap), ParseError> {
-    let tokens = lex(src).map_err(|e| ParseError {
-        line: e.line,
-        col: e.col,
-        message: e.message,
-    })?;
-    let taken_names: HashSet<String> = tokens
-        .iter()
-        .filter_map(|(t, _)| match t {
-            Token::Ident(s) => Some(s.clone()),
-            _ => None,
-        })
-        .collect();
-    Parser {
-        tokens,
-        pos: 0,
-        graph: FlowGraph::new(),
-        nodes: HashMap::new(),
-        defined: HashSet::new(),
-        start: None,
-        end: None,
-        mode,
-        taken_names,
-        fresh_counter: 0,
-        srcmap: SourceMap::default(),
-    }
-    .run()
+    let (g, map) = Parser::new(src, mode, Some(SourceMap::default()))?.run()?;
+    Ok((g, map.unwrap_or_default()))
 }
 
-struct Parser {
-    tokens: Vec<(Token, Pos)>,
-    pos: usize,
-    graph: FlowGraph,
-    nodes: HashMap<String, NodeId>,
-    defined: HashSet<String>,
-    start: Option<String>,
-    end: Option<String>,
-    mode: Mode,
-    taken_names: HashSet<String>,
-    fresh_counter: usize,
-    srcmap: SourceMap,
-}
-
-impl Parser {
-    fn run(mut self) -> Result<(FlowGraph, SourceMap), ParseError> {
-        while self.peek().is_some() {
-            self.skip_seps();
-            let Some(tok) = self.peek().cloned() else {
-                break;
-            };
-            match tok {
-                Token::Ident(kw) if kw == "start" => {
-                    self.advance();
-                    // Resolved lazily so that node ids follow the order of
-                    // `node`/`edge` items (canonical temporary numbering
-                    // depends on node order).
-                    self.start = Some(self.expect_label()?);
-                }
-                Token::Ident(kw) if kw == "end" => {
-                    self.advance();
-                    self.end = Some(self.expect_label()?);
-                }
-                Token::Ident(kw) if kw == "node" => {
-                    self.advance();
-                    self.parse_node()?;
-                }
-                Token::Ident(kw) if kw == "edge" => {
-                    self.advance();
-                    self.parse_edge()?;
-                }
-                other => {
-                    return Err(self.error(format!(
-                        "expected 'start', 'end', 'node' or 'edge', found {other}"
-                    )));
-                }
-            }
-            self.skip_seps();
-        }
-        self.finish()
-    }
-
-    fn finish(mut self) -> Result<(FlowGraph, SourceMap), ParseError> {
-        let start_label = self
-            .start
-            .take()
-            .ok_or_else(|| self.missing("no 'start' declaration"))?;
-        let end_label = self
-            .end
-            .take()
-            .ok_or_else(|| self.missing("no 'end' declaration"))?;
-        let start = self.node_for(&start_label);
-        let end = self.node_for(&end_label);
-        for label in self.nodes.keys() {
-            if !self.defined.contains(label) {
-                return Err(self.missing(&format!("node '{label}' referenced but never defined")));
-            }
-        }
-        self.graph.set_start(start);
-        self.graph.set_end(end);
-        self.graph.validate().map_err(|e| ParseError {
-            line: 0,
-            col: 0,
-            message: e.to_string(),
-        })?;
-        Ok((self.graph, self.srcmap))
-    }
-
-    fn missing(&self, msg: &str) -> ParseError {
+impl From<LexError> for ParseError {
+    fn from(e: LexError) -> Self {
         ParseError {
-            line: 0,
-            col: 0,
-            message: msg.to_owned(),
+            line: e.line,
+            col: e.col,
+            message: e.message,
         }
     }
+}
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+/// A node label: an identifier, or a bare integer written in any form
+/// (`01` and `1` name the same node).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Label<'a> {
+    Name(&'a str),
+    Num(i64),
+}
+
+impl fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Name(s) => write!(f, "{s}"),
+            Label::Num(i) => write!(f, "{i}"),
+        }
+    }
+}
+
+/// The token stream with a read position, and the expression parser
+/// shared by whole graphs and the standalone [`parse_expr_str`] and
+/// [`parse_cond_str`].
+struct Cursor<'a> {
+    tokens: Vec<(Token<'a>, Pos)>,
+    pos: usize,
+    /// Parentheses and operator operands enclosing the current token.
+    depth: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(src: &'a str) -> Result<Self, ParseError> {
+        Ok(Cursor {
+            tokens: lex(src)?,
+            pos: 0,
+            depth: 0,
+        })
     }
 
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).map(|&(t, _)| t)
+    }
+
+    fn advance(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
@@ -234,175 +178,68 @@ impl Parser {
     fn here(&self) -> Pos {
         self.tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|(_, p)| *p)
+            .map(|&(_, p)| p)
             .unwrap_or_default()
     }
 
     fn error(&self, message: String) -> ParseError {
-        self.error_at(self.here(), message)
-    }
-
-    fn error_at(&self, at: Pos, message: String) -> ParseError {
-        ParseError {
-            line: at.line,
-            col: at.col,
-            message,
-        }
+        error_at(self.here(), message)
     }
 
     fn skip_seps(&mut self) {
-        while matches!(self.peek(), Some(Token::Sep)) {
-            self.advance();
+        while self.peek() == Some(Token::Sep) {
+            self.pos += 1;
         }
     }
 
-    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
+    fn expect(&mut self, want: Token<'_>) -> Result<(), ParseError> {
         let at = self.here();
         match self.advance() {
-            Some(ref t) if t == want => Ok(()),
-            Some(t) => Err(self.error_at(at, format!("expected {want}, found {t}"))),
-            None => Err(self.error_at(at, format!("expected {want}, found end of input"))),
+            Some(t) if t == want => Ok(()),
+            Some(t) => Err(error_at(at, format!("expected {want}, found {t}"))),
+            None => Err(error_at(at, format!("expected {want}, found end of input"))),
         }
     }
 
-    /// Node labels may be identifiers or bare integers.
-    fn expect_label(&mut self) -> Result<String, ParseError> {
-        let at = self.here();
-        match self.advance() {
-            Some(Token::Ident(s)) => Ok(s),
-            Some(Token::Int(i)) => Ok(i.to_string()),
-            Some(t) => Err(self.error_at(at, format!("expected a node label, found {t}"))),
-            None => Err(self.error_at(at, "expected a node label, found end of input".into())),
-        }
-    }
-
-    fn node_for(&mut self, label: &str) -> NodeId {
-        if let Some(&n) = self.nodes.get(label) {
-            return n;
-        }
-        let n = self.graph.add_node(label);
-        self.nodes.insert(label.to_owned(), n);
-        n
-    }
-
-    fn parse_edge(&mut self) -> Result<(), ParseError> {
-        let from = self.expect_label()?;
-        let from = self.node_for(&from);
-        self.expect(&Token::Arrow)?;
-        loop {
-            let to = self.expect_label()?;
-            let to = self.node_for(&to);
-            self.graph.add_edge(from, to);
-            if matches!(self.peek(), Some(Token::Comma)) {
-                self.advance();
-            } else {
-                break;
-            }
+    /// Fails when a node of expression height `height` built at the
+    /// current depth would nest deeper than [`MAX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<(), ParseError> {
+        if self.depth + height > MAX_DEPTH {
+            return Err(self.error(format!("nested deeper than {MAX_DEPTH} levels")));
         }
         Ok(())
     }
 
-    fn parse_node(&mut self) -> Result<(), ParseError> {
-        let opened = self.here();
-        let label = self.expect_label()?;
-        if !self.defined.insert(label.clone()) {
-            return Err(self.error(format!("node '{label}' defined twice")));
-        }
-        let node = self.node_for(&label);
-        self.expect(&Token::LBrace)?;
-        loop {
-            self.skip_seps();
-            if matches!(self.peek(), Some(Token::RBrace)) {
-                self.advance();
-                break;
-            }
-            if self.peek().is_none() {
-                return Err(self.error(format!(
-                    "unterminated body of node '{label}' (opened at line {}, column {}): \
-                     expected '}}' before end of input",
-                    opened.line, opened.col
-                )));
-            }
-            let at = self.here();
-            let instrs = self.parse_stmt()?;
-            let base = self.graph.block(node).instrs.len();
-            for offset in 0..instrs.len() {
-                self.srcmap.map.insert((node, base + offset), at);
-            }
-            self.graph.block_mut(node).instrs.extend(instrs);
-        }
-        Ok(())
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.depth += 1;
+        self.check_depth(0)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
-    fn parse_stmt(&mut self) -> Result<Vec<Instr>, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Ident(kw)) if kw == "skip" => {
-                self.advance();
-                Ok(vec![Instr::Skip])
-            }
-            Some(Token::Ident(kw)) if kw == "out" => {
-                self.advance();
-                self.expect(&Token::LParen)?;
-                let mut ops = Vec::new();
-                if !matches!(self.peek(), Some(Token::RParen)) {
-                    loop {
-                        ops.push(self.parse_operand()?);
-                        if matches!(self.peek(), Some(Token::Comma)) {
-                            self.advance();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.expect(&Token::RParen)?;
-                Ok(vec![Instr::Out(ops)])
-            }
-            Some(Token::Ident(kw)) if kw == "branch" => {
-                self.advance();
-                self.parse_branch()
-            }
-            Some(Token::Ident(name)) => {
-                self.advance();
-                self.expect(&Token::Assign)?;
-                let lhs = self.graph.pool_mut().intern(&name);
-                let expr = self.parse_expr(0)?;
-                self.lower_assign(lhs, &expr)
-            }
-            Some(t) => Err(self.error(format!("expected a statement, found {t}"))),
-            None => Err(self.error("expected a statement, found end of input".into())),
-        }
-    }
-
-    fn parse_operand(&mut self) -> Result<Operand, ParseError> {
+    fn operand(&mut self, pool: &mut VarPool) -> Result<Operand, ParseError> {
         let at = self.here();
         match self.advance() {
-            Some(Token::Ident(name)) => Ok(Operand::Var(self.graph.pool_mut().intern(&name))),
+            Some(Token::Ident(name)) => Ok(Operand::Var(pool.intern(name))),
             Some(Token::Int(i)) => Ok(Operand::Const(i)),
             Some(Token::Minus) => match self.advance() {
                 Some(Token::Int(i)) => Ok(Operand::Const(-i)),
-                _ => Err(self.error_at(at, "expected an integer after '-'".into())),
+                _ => Err(error_at(at, "expected an integer after '-'".into())),
             },
-            Some(t) => Err(self.error_at(at, format!("expected an operand, found {t}"))),
-            None => Err(self.error_at(at, "expected an operand, found end of input".into())),
+            Some(t) => Err(error_at(at, format!("expected an operand, found {t}"))),
+            None => Err(error_at(
+                at,
+                "expected an operand, found end of input".into(),
+            )),
         }
     }
 
-    /// Precedence-climbing expression parser.
-    /// Level 0: relational; level 1: `+`/`-`; level 2: `*`/`/`/`%`.
-    fn parse_expr(&mut self, min_level: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.parse_primary()?;
-        while let Some((op, level)) = self.peek_binop() {
-            if level < min_level {
-                break;
-            }
-            self.advance();
-            let rhs = self.parse_expr(level + 1)?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn peek_binop(&self) -> Option<(BinOp, u8)> {
+    fn binop(&self) -> Option<(BinOp, u8)> {
         Some(match self.peek()? {
             Token::Lt => (BinOp::Lt, 0),
             Token::Le => (BinOp::Le, 0),
@@ -419,21 +256,266 @@ impl Parser {
         })
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), Some(Token::LParen)) {
-            self.advance();
-            let e = self.parse_expr(0)?;
-            self.expect(&Token::RParen)?;
-            return Ok(e);
+    /// Precedence-climbing expression parser, returning the expression and
+    /// its height (0 for a leaf).
+    /// Level 0: relational; level 1: `+`/`-`; level 2: `*`/`/`/`%`.
+    fn expr(&mut self, min_level: u8, pool: &mut VarPool) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = if self.peek() == Some(Token::LParen) {
+            self.pos += 1;
+            let e = self.nested(|c| c.expr(0, pool))?;
+            self.expect(Token::RParen)?;
+            e
+        } else {
+            (Expr::Operand(self.operand(pool)?), 0)
+        };
+        while let Some((op, level)) = self.binop() {
+            if level < min_level {
+                break;
+            }
+            self.pos += 1;
+            let (rhs, rhs_height) = self.nested(|c| c.expr(level + 1, pool))?;
+            // Left-associative chains deepen the tree without recursing
+            // here, so the height is checked as the tree grows.
+            height = 1 + height.max(rhs_height);
+            self.check_depth(height)?;
+            lhs = Expr::binary(op, lhs, rhs);
         }
-        Ok(Expr::Operand(self.parse_operand()?))
+        Ok((lhs, height))
+    }
+}
+
+fn error_at(at: Pos, message: String) -> ParseError {
+    ParseError {
+        line: at.line,
+        col: at.col,
+        message,
+    }
+}
+
+/// An error without a source position.
+fn unplaced(message: &str) -> ParseError {
+    ParseError {
+        line: 0,
+        col: 0,
+        message: message.to_owned(),
+    }
+}
+
+struct Parser<'a> {
+    cur: Cursor<'a>,
+    graph: FlowGraph,
+    nodes: HashMap<Label<'a>, NodeId>,
+    /// Whether each node, by id, has had its `node` item.
+    defined: Vec<bool>,
+    start: Option<Label<'a>>,
+    end: Option<Label<'a>>,
+    mode: Mode,
+    /// The source's identifiers that start with `t`, the only ones a fresh
+    /// `t<n>` can collide with; collected when the first is needed.
+    taken: Option<HashSet<&'a str>>,
+    fresh_counter: usize,
+    /// Filled only for [`parse_with_locations`].
+    srcmap: Option<SourceMap>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, mode: Mode, srcmap: Option<SourceMap>) -> Result<Self, ParseError> {
+        Ok(Parser {
+            cur: Cursor::new(src)?,
+            graph: FlowGraph::new(),
+            nodes: HashMap::new(),
+            defined: Vec::new(),
+            start: None,
+            end: None,
+            mode,
+            taken: None,
+            fresh_counter: 0,
+            srcmap,
+        })
+    }
+
+    fn run(mut self) -> Result<(FlowGraph, Option<SourceMap>), ParseError> {
+        loop {
+            self.cur.skip_seps();
+            let keyword = match self.cur.peek() {
+                None => break,
+                Some(Token::Ident(kw @ ("start" | "end" | "node" | "edge"))) => kw,
+                Some(other) => {
+                    return Err(self.cur.error(format!(
+                        "expected 'start', 'end', 'node' or 'edge', found {other}"
+                    )));
+                }
+            };
+            self.cur.pos += 1;
+            match keyword {
+                // Resolved lazily so that node ids follow the order of
+                // `node`/`edge` items (canonical temporary numbering
+                // depends on node order).
+                "start" => self.start = Some(self.expect_label()?),
+                "end" => self.end = Some(self.expect_label()?),
+                "node" => self.parse_node()?,
+                _ => self.parse_edge()?,
+            }
+        }
+        self.finish()
+    }
+
+    fn finish(mut self) -> Result<(FlowGraph, Option<SourceMap>), ParseError> {
+        let start = self
+            .start
+            .ok_or_else(|| unplaced("no 'start' declaration"))?;
+        let end = self.end.ok_or_else(|| unplaced("no 'end' declaration"))?;
+        let start = self.node_for(start);
+        let end = self.node_for(end);
+        if let Some(n) = self.graph.nodes().find(|n| !self.defined[n.index()]) {
+            let label = self.graph.label(n);
+            return Err(unplaced(&format!(
+                "node '{label}' referenced but never defined"
+            )));
+        }
+        self.graph.set_start(start);
+        self.graph.set_end(end);
+        self.graph
+            .validate()
+            .map_err(|e| unplaced(&e.to_string()))?;
+        Ok((self.graph, self.srcmap))
+    }
+
+    /// Node labels may be identifiers or bare integers.
+    fn expect_label(&mut self) -> Result<Label<'a>, ParseError> {
+        let at = self.cur.here();
+        match self.cur.advance() {
+            Some(Token::Ident(s)) => Ok(Label::Name(s)),
+            Some(Token::Int(i)) => Ok(Label::Num(i)),
+            Some(t) => Err(error_at(at, format!("expected a node label, found {t}"))),
+            None => Err(error_at(
+                at,
+                "expected a node label, found end of input".into(),
+            )),
+        }
+    }
+
+    fn node_for(&mut self, label: Label<'a>) -> NodeId {
+        let graph = &mut self.graph;
+        let defined = &mut self.defined;
+        *self.nodes.entry(label).or_insert_with(|| {
+            defined.push(false);
+            match label {
+                Label::Name(s) => graph.add_node(s),
+                Label::Num(i) => graph.add_node(&i.to_string()),
+            }
+        })
+    }
+
+    fn parse_edge(&mut self) -> Result<(), ParseError> {
+        let from = self.expect_label()?;
+        let from = self.node_for(from);
+        self.cur.expect(Token::Arrow)?;
+        loop {
+            let to = self.expect_label()?;
+            let to = self.node_for(to);
+            self.graph.add_edge(from, to);
+            if self.cur.peek() == Some(Token::Comma) {
+                self.cur.pos += 1;
+            } else {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn parse_node(&mut self) -> Result<(), ParseError> {
+        let opened = self.cur.here();
+        let label = self.expect_label()?;
+        let node = self.node_for(label);
+        if std::mem::replace(&mut self.defined[node.index()], true) {
+            return Err(self.cur.error(format!("node '{label}' defined twice")));
+        }
+        self.cur.expect(Token::LBrace)?;
+        let mut body = Vec::new();
+        loop {
+            self.cur.skip_seps();
+            match self.cur.peek() {
+                Some(Token::RBrace) => {
+                    self.cur.pos += 1;
+                    break;
+                }
+                None => {
+                    return Err(self.cur.error(format!(
+                        "unterminated body of node '{label}' (opened at line {}, column {}): \
+                         expected '}}' before end of input",
+                        opened.line, opened.col
+                    )));
+                }
+                Some(_) => {}
+            }
+            let at = self.cur.here();
+            let first = body.len();
+            self.parse_stmt(&mut body)?;
+            if let Some(map) = &mut self.srcmap {
+                for index in first..body.len() {
+                    map.map.insert((node, index), at);
+                }
+            }
+        }
+        self.graph.block_mut(node).instrs = body;
+        Ok(())
+    }
+
+    /// Parses one statement, appending the instructions it lowers to.
+    fn parse_stmt(&mut self, out: &mut Vec<Instr>) -> Result<(), ParseError> {
+        let at = self.cur.here();
+        match self.cur.advance() {
+            Some(Token::Ident("skip")) => out.push(Instr::Skip),
+            Some(Token::Ident("out")) => {
+                self.cur.expect(Token::LParen)?;
+                let mut ops = Vec::new();
+                if self.cur.peek() != Some(Token::RParen) {
+                    loop {
+                        ops.push(self.cur.operand(self.graph.pool_mut())?);
+                        if self.cur.peek() == Some(Token::Comma) {
+                            self.cur.pos += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                }
+                self.cur.expect(Token::RParen)?;
+                out.push(Instr::Out(ops));
+            }
+            Some(Token::Ident("branch")) => self.parse_branch(out)?,
+            Some(Token::Ident(name)) => {
+                self.cur.expect(Token::Assign)?;
+                let lhs = self.graph.pool_mut().intern(name);
+                let (expr, _) = self.cur.expr(0, self.graph.pool_mut())?;
+                self.lower_assign(lhs, &expr, out)?;
+            }
+            Some(t) => return Err(error_at(at, format!("expected a statement, found {t}"))),
+            None => {
+                return Err(error_at(
+                    at,
+                    "expected a statement, found end of input".into(),
+                ))
+            }
+        }
+        Ok(())
     }
 
     fn fresh_var(&mut self) -> Var {
+        let tokens = &self.cur.tokens;
+        let taken = self.taken.get_or_insert_with(|| {
+            tokens
+                .iter()
+                .filter_map(|&(t, _)| match t {
+                    Token::Ident(s) if s.starts_with('t') => Some(s),
+                    _ => None,
+                })
+                .collect()
+        });
         loop {
             self.fresh_counter += 1;
             let name = format!("t{}", self.fresh_counter);
-            if !self.taken_names.contains(&name) {
+            if !taken.contains(name.as_str()) {
                 return self.graph.pool_mut().intern(&name);
             }
         }
@@ -441,22 +523,27 @@ impl Parser {
 
     /// Lowers `lhs := expr` to instructions, decomposing nested expressions
     /// when the mode allows it.
-    fn lower_assign(&mut self, lhs: Var, expr: &Expr) -> Result<Vec<Instr>, ParseError> {
+    fn lower_assign(
+        &mut self,
+        lhs: Var,
+        expr: &Expr,
+        out: &mut Vec<Instr>,
+    ) -> Result<(), ParseError> {
         if let Some(term) = expr.as_term() {
-            return Ok(vec![Instr::assign(lhs, term)]);
+            out.push(Instr::assign(lhs, term));
+            return Ok(());
         }
         if self.mode == Mode::Strict {
-            return Err(self.error(
+            return Err(self.cur.error(
                 "nested expression requires 3-address form (parse with Mode::Decompose)".into(),
             ));
         }
         let Expr::Binary { op, lhs: l, rhs: r } = expr else {
             unreachable!("operand exprs always convert to terms");
         };
-        let mut instrs = Vec::new();
-        let lo = self.lower_subexpr(l, &mut instrs);
-        let ro = self.lower_subexpr(r, &mut instrs);
-        instrs.push(Instr::assign(
+        let lo = self.lower_subexpr(l, out);
+        let ro = self.lower_subexpr(r, out);
+        out.push(Instr::assign(
             lhs,
             Term::Binary {
                 op: *op,
@@ -464,17 +551,17 @@ impl Parser {
                 rhs: ro,
             },
         ));
-        Ok(instrs)
+        Ok(())
     }
 
-    fn lower_subexpr(&mut self, expr: &Expr, instrs: &mut Vec<Instr>) -> Operand {
+    fn lower_subexpr(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Operand {
         match expr {
             Expr::Operand(o) => *o,
             Expr::Binary { op, lhs, rhs } => {
-                let lo = self.lower_subexpr(lhs, instrs);
-                let ro = self.lower_subexpr(rhs, instrs);
+                let lo = self.lower_subexpr(lhs, out);
+                let ro = self.lower_subexpr(rhs, out);
                 let v = self.fresh_var();
-                instrs.push(Instr::assign(
+                out.push(Instr::assign(
                     v,
                     Term::Binary {
                         op: *op,
@@ -488,25 +575,21 @@ impl Parser {
     }
 
     /// Lowers a side of a branch condition to a 3-address term, emitting
-    /// decomposition assignments into `instrs` when needed.
-    fn lower_cond_side(
-        &mut self,
-        expr: &Expr,
-        instrs: &mut Vec<Instr>,
-    ) -> Result<Term, ParseError> {
+    /// decomposition assignments into `out` when needed.
+    fn lower_cond_side(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Result<Term, ParseError> {
         if let Some(t) = expr.as_term() {
             return Ok(t);
         }
         if self.mode == Mode::Strict {
-            return Err(self.error(
+            return Err(self.cur.error(
                 "nested condition requires 3-address form (parse with Mode::Decompose)".into(),
             ));
         }
         match expr {
             Expr::Operand(o) => Ok(Term::Operand(*o)),
             Expr::Binary { op, lhs, rhs } => {
-                let lo = self.lower_subexpr(lhs, instrs);
-                let ro = self.lower_subexpr(rhs, instrs);
+                let lo = self.lower_subexpr(lhs, out);
+                let ro = self.lower_subexpr(rhs, out);
                 Ok(Term::Binary {
                     op: *op,
                     lhs: lo,
@@ -516,13 +599,12 @@ impl Parser {
         }
     }
 
-    fn parse_branch(&mut self) -> Result<Vec<Instr>, ParseError> {
-        let expr = self.parse_expr(0)?;
-        let mut instrs = Vec::new();
+    fn parse_branch(&mut self, out: &mut Vec<Instr>) -> Result<(), ParseError> {
+        let (expr, _) = self.cur.expr(0, self.graph.pool_mut())?;
         let cond = match &expr {
             Expr::Binary { op, lhs, rhs } if op.is_relational() => {
-                let l = self.lower_cond_side(lhs, &mut instrs)?;
-                let r = self.lower_cond_side(rhs, &mut instrs)?;
+                let l = self.lower_cond_side(lhs, out)?;
+                let r = self.lower_cond_side(rhs, out)?;
                 Cond {
                     op: *op,
                     lhs: l,
@@ -531,7 +613,7 @@ impl Parser {
             }
             other => {
                 // `branch x` means `branch x != 0`.
-                let t = self.lower_cond_side(other, &mut instrs)?;
+                let t = self.lower_cond_side(other, out)?;
                 Cond {
                     op: BinOp::Ne,
                     lhs: t,
@@ -539,8 +621,8 @@ impl Parser {
                 }
             }
         };
-        instrs.push(Instr::Branch(cond));
-        Ok(instrs)
+        out.push(Instr::Branch(cond));
+        Ok(())
     }
 }
 
@@ -745,108 +827,74 @@ mod tests {
         };
         assert_eq!(*rhs, Term::from(-3));
     }
-}
 
-/// A tiny cursor for parsing standalone expressions and conditions
-/// (used by [`crate::builder`]).
-struct ExprCursor<'p> {
-    tokens: Vec<(Token, Pos)>,
-    pos: usize,
-    pool: &'p mut crate::var::VarPool,
-}
-
-impl ExprCursor<'_> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+    /// A one-statement program assigning `rhs` to `x`.
+    fn assigning(rhs: &str) -> String {
+        format!("start s\nend e\nnode s {{ x := {rhs} }}\nnode e {{ out(x) }}\nedge s -> e")
     }
 
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn err(&self, message: impl Into<String>) -> ParseError {
-        ParseError {
-            line: 1,
-            col: 0,
-            message: message.into(),
+    /// Each shape used to overflow the stack, in the parser or in a later
+    /// walk over its expression, and must now be a typed error in both
+    /// modes.
+    fn assert_too_deep(src: &str) {
+        for mode in [Mode::Strict, Mode::Decompose] {
+            let err = parse_with_mode(src, mode).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
         }
     }
 
-    fn operand(&mut self) -> Result<Operand, ParseError> {
-        match self.advance() {
-            Some(Token::Ident(name)) => Ok(Operand::Var(self.pool.intern(&name))),
-            Some(Token::Int(i)) => Ok(Operand::Const(i)),
-            Some(Token::Minus) => match self.advance() {
-                Some(Token::Int(i)) => Ok(Operand::Const(-i)),
-                _ => Err(self.err("expected an integer after '-'")),
-            },
-            Some(t) => Err(self.err(format!("expected an operand, found {t}"))),
-            None => Err(self.err("expected an operand, found end of input")),
-        }
+    #[test]
+    fn deeply_nested_parentheses_are_an_error() {
+        let n = 5000;
+        assert_too_deep(&assigning(&format!("{}a{}", "(".repeat(n), ")".repeat(n))));
     }
 
-    fn binop(&self) -> Option<(BinOp, u8)> {
-        Some(match self.peek()? {
-            Token::Lt => (BinOp::Lt, 0),
-            Token::Le => (BinOp::Le, 0),
-            Token::Gt => (BinOp::Gt, 0),
-            Token::Ge => (BinOp::Ge, 0),
-            Token::EqEq => (BinOp::EqOp, 0),
-            Token::Ne => (BinOp::Ne, 0),
-            Token::Plus => (BinOp::Add, 1),
-            Token::Minus => (BinOp::Sub, 1),
-            Token::Star => (BinOp::Mul, 2),
-            Token::Slash => (BinOp::Div, 2),
-            Token::Percent => (BinOp::Mod, 2),
-            _ => return None,
-        })
+    #[test]
+    fn long_flat_operator_chains_are_an_error() {
+        // A left-deep tree built by a loop, not by recursion.
+        assert_too_deep(&assigning(&format!("a{}", " + a".repeat(20_000))));
+        assert_too_deep(&format!(
+            "start s\nend e\nnode s {{ branch a{} > 0 }}\nnode e {{ out() }}\nedge s -> e, e",
+            " * a".repeat(20_000)
+        ));
     }
 
-    fn expr(&mut self, min_level: u8) -> Result<Expr, ParseError> {
-        let mut lhs = if matches!(self.peek(), Some(Token::LParen)) {
-            self.advance();
-            let e = self.expr(0)?;
-            match self.advance() {
-                Some(Token::RParen) => e,
-                _ => return Err(self.err("expected ')'")),
-            }
-        } else {
-            Expr::Operand(self.operand()?)
-        };
-        while let Some((op, level)) = self.binop() {
-            if level < min_level {
-                break;
-            }
-            self.advance();
-            let rhs = self.expr(level + 1)?;
-            lhs = Expr::binary(op, lhs, rhs);
-        }
-        Ok(lhs)
+    #[test]
+    fn deep_standalone_expressions_are_an_error() {
+        let mut pool = crate::var::VarPool::new();
+        let deep = format!("{}a{}", "(".repeat(5000), ")".repeat(5000));
+        let err = parse_expr_str(&deep, &mut pool).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        let err = parse_cond_str(&format!("a{}", " - a".repeat(20_000)), &mut pool).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
     }
 
-    fn finish(&self) -> Result<(), ParseError> {
-        match self.peek() {
-            None => Ok(()),
-            Some(t) => Err(self.err(format!("unexpected trailing {t}"))),
-        }
+    #[test]
+    fn programs_at_the_depth_limit_decompose() {
+        // Half the budget in parentheses, the rest in the chain inside.
+        let parens = MAX_DEPTH / 2;
+        let height = MAX_DEPTH - parens;
+        let rhs = format!(
+            "{}a{}{}",
+            "(".repeat(parens),
+            " + a".repeat(height),
+            ")".repeat(parens)
+        );
+        let g = parse_with_mode(&assigning(&rhs), Mode::Decompose).unwrap();
+        assert_eq!(g.block(g.start()).instrs.len(), height);
+        assert_too_deep(&assigning(&rhs.replacen("a", "a + a", 1)));
     }
 }
 
-fn cursor<'p>(src: &str, pool: &'p mut crate::var::VarPool) -> Result<ExprCursor<'p>, ParseError> {
-    let tokens = lex(src).map_err(|e| ParseError {
-        line: e.line,
-        col: e.col,
-        message: e.message,
-    })?;
-    Ok(ExprCursor {
-        tokens,
-        pos: 0,
-        pool,
-    })
+/// Parses a standalone expression: the whole of `src`, nested to any depth
+/// up to [`MAX_DEPTH`].
+fn standalone_expr(src: &str, pool: &mut VarPool) -> Result<Expr, ParseError> {
+    let mut c = Cursor::new(src)?;
+    let (expr, _) = c.expr(0, pool)?;
+    match c.peek() {
+        None => Ok(expr),
+        Some(t) => Err(c.error(format!("unexpected trailing {t}"))),
+    }
 }
 
 /// Parses a standalone 3-address term, e.g. `"a+b"`, `"x"`, `"-3"`.
@@ -855,15 +903,14 @@ fn cursor<'p>(src: &str, pool: &'p mut crate::var::VarPool) -> Result<ExprCursor
 /// # Errors
 ///
 /// Rejects nested expressions (`"a+b+c"`) and syntax errors.
-pub fn parse_expr_str(src: &str, pool: &mut crate::var::VarPool) -> Result<Term, ParseError> {
-    let mut c = cursor(src, pool)?;
-    let expr = c.expr(0)?;
-    c.finish()?;
-    expr.as_term().ok_or_else(|| ParseError {
-        line: 1,
-        col: 0,
-        message: "nested expression requires 3-address form".into(),
-    })
+pub fn parse_expr_str(src: &str, pool: &mut VarPool) -> Result<Term, ParseError> {
+    standalone_expr(src, pool)?
+        .as_term()
+        .ok_or_else(|| ParseError {
+            line: 1,
+            col: 0,
+            message: "nested expression requires 3-address form".into(),
+        })
 }
 
 /// Parses a standalone branch condition, e.g. `"x+z > y+i"` or `"p"`
@@ -872,10 +919,8 @@ pub fn parse_expr_str(src: &str, pool: &mut crate::var::VarPool) -> Result<Term,
 /// # Errors
 ///
 /// Rejects sides deeper than one operator and syntax errors.
-pub fn parse_cond_str(src: &str, pool: &mut crate::var::VarPool) -> Result<Cond, ParseError> {
-    let mut c = cursor(src, pool)?;
-    let expr = c.expr(0)?;
-    c.finish()?;
+pub fn parse_cond_str(src: &str, pool: &mut VarPool) -> Result<Cond, ParseError> {
+    let expr = standalone_expr(src, pool)?;
     let side = |e: &Expr| {
         e.as_term().ok_or_else(|| ParseError {
             line: 1,

@@ -14,8 +14,9 @@ use crate::ast::{LExpr, Program, Stmt};
 /// recurse once per level, so the cap keeps every later walk — not just
 /// the parser — within a 2 MiB thread stack, unoptimized builds included;
 /// deeper input is a [`LangError`], not an abort. Generated and
-/// hand-written programs nest a few levels deep.
-pub const MAX_DEPTH: usize = 128;
+/// hand-written programs nest a few levels deep. The `.ir` front end
+/// applies the same cap ([`am_ir::text::MAX_DEPTH`]).
+pub use am_ir::text::MAX_DEPTH;
 
 /// A parse failure with its 1-based source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -258,8 +259,11 @@ fn lex(src: &str) -> Result<Vec<(Tok, usize)>, LangError> {
 }
 
 struct Parser {
-    tokens: Vec<(Tok, usize)>,
-    pos: usize,
+    /// The unread tokens with their lines, last first: reading a token
+    /// pops it.
+    rest: Vec<(Tok, usize)>,
+    /// The line of the last token read.
+    last_line: usize,
     /// Blocks, parentheses and operator operands enclosing the current
     /// token.
     depth: usize,
@@ -267,22 +271,18 @@ struct Parser {
 
 impl Parser {
     fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
+        self.rest.last().map(|(t, _)| t)
     }
 
     fn advance(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let (t, line) = self.rest.pop()?;
+        self.last_line = line;
+        Some(t)
     }
 
+    /// The line of the current token; at end of input, of the last one.
     fn line(&self) -> usize {
-        self.tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map(|(_, l)| *l)
-            .unwrap_or(0)
+        self.rest.last().map_or(self.last_line, |&(_, l)| l)
     }
 
     fn err(&self, message: impl Into<String>) -> LangError {
@@ -340,14 +340,16 @@ impl Parser {
     /// Parses one surface statement; `for` desugars to two statements
     /// (its init assignment plus a while loop), hence the vector.
     fn stmt(&mut self) -> Result<Vec<Stmt>, LangError> {
-        match self.peek().cloned() {
-            Some(Tok::KwSkip) => {
-                self.advance();
+        let line = self.line();
+        let Some(tok) = self.advance() else {
+            return Err(self.err("expected a statement, found end of input"));
+        };
+        match tok {
+            Tok::KwSkip => {
                 self.expect(&Tok::Semi)?;
                 Ok(vec![Stmt::Skip])
             }
-            Some(Tok::KwPrint) => {
-                self.advance();
+            Tok::KwPrint => {
                 self.expect(&Tok::LParen)?;
                 let mut args = Vec::new();
                 if self.peek() != Some(&Tok::RParen) {
@@ -364,8 +366,7 @@ impl Parser {
                 self.expect(&Tok::Semi)?;
                 Ok(vec![Stmt::Print(args)])
             }
-            Some(Tok::KwIf) => {
-                self.advance();
+            Tok::KwIf => {
                 self.expect(&Tok::LParen)?;
                 let cond = self.expr(0)?;
                 self.expect(&Tok::RParen)?;
@@ -382,18 +383,16 @@ impl Parser {
                     else_body,
                 }])
             }
-            Some(Tok::KwWhile) => {
-                self.advance();
+            Tok::KwWhile => {
                 self.expect(&Tok::LParen)?;
                 let cond = self.expr(0)?;
                 self.expect(&Tok::RParen)?;
                 let body = self.block()?;
                 Ok(vec![Stmt::While { cond, body }])
             }
-            Some(Tok::KwFor) => {
+            Tok::KwFor => {
                 // for (v := e1; cond; v2 := e2) { body }  desugars to
                 // v := e1; while (cond) { body; v2 := e2; }
-                self.advance();
                 self.expect(&Tok::LParen)?;
                 let init = self.assign_clause()?;
                 self.expect(&Tok::Semi)?;
@@ -405,8 +404,7 @@ impl Parser {
                 body.push(step);
                 Ok(vec![init, Stmt::While { cond, body }])
             }
-            Some(Tok::KwDo) => {
-                self.advance();
+            Tok::KwDo => {
                 let body = self.block()?;
                 self.expect(&Tok::KwWhile)?;
                 self.expect(&Tok::LParen)?;
@@ -415,15 +413,16 @@ impl Parser {
                 self.expect(&Tok::Semi)?;
                 Ok(vec![Stmt::DoWhile { body, cond }])
             }
-            Some(Tok::Ident(name)) => {
-                self.advance();
+            Tok::Ident(name) => {
                 self.expect(&Tok::Assign)?;
                 let rhs = self.expr(0)?;
                 self.expect(&Tok::Semi)?;
                 Ok(vec![Stmt::Assign { lhs: name, rhs }])
             }
-            Some(t) => Err(self.err(format!("expected a statement, found {t}"))),
-            None => Err(self.err("expected a statement, found end of input")),
+            t => Err(LangError {
+                line,
+                message: format!("expected a statement, found {t}"),
+            }),
         }
     }
 
@@ -456,7 +455,7 @@ impl Parser {
     /// with its height (0 for a leaf).
     fn expr_height(&mut self, min_level: u8) -> Result<(LExpr, usize), LangError> {
         let (mut lhs, mut height) = self.primary()?;
-        while let Some(Tok::Op(op)) = self.peek().copied_op() {
+        while let Some(&Tok::Op(op)) = self.peek() {
             let level = Self::level(op);
             if level < min_level {
                 break;
@@ -482,10 +481,8 @@ impl Parser {
             Some(Tok::Ident(name)) => Ok((LExpr::Var(name), 0)),
             Some(Tok::Int(i)) => Ok((LExpr::Const(i), 0)),
             Some(Tok::Op(BinOp::Sub)) => match self.peek() {
-                Some(Tok::Int(_)) => {
-                    let Some(Tok::Int(i)) = self.advance() else {
-                        unreachable!()
-                    };
+                Some(&Tok::Int(i)) => {
+                    self.advance();
                     Ok((LExpr::Const(-i), 0))
                 }
                 // General unary minus: -e is 0 - e.
@@ -501,19 +498,6 @@ impl Parser {
     }
 }
 
-trait CopiedOp {
-    fn copied_op(&self) -> Option<Tok>;
-}
-
-impl CopiedOp for Option<&Tok> {
-    fn copied_op(&self) -> Option<Tok> {
-        match self {
-            Some(Tok::Op(op)) => Some(Tok::Op(*op)),
-            _ => None,
-        }
-    }
-}
-
 /// Parses a while-language program.
 ///
 /// # Errors
@@ -521,10 +505,11 @@ impl CopiedOp for Option<&Tok> {
 /// Returns a [`LangError`] with the offending source line on lexical or
 /// syntactic problems, and on nesting deeper than [`MAX_DEPTH`].
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
-    let tokens = lex(src)?;
+    let mut rest = lex(src)?;
+    rest.reverse();
     let mut p = Parser {
-        tokens,
-        pos: 0,
+        rest,
+        last_line: 0,
         depth: 0,
     };
     let mut body = Vec::new();

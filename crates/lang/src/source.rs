@@ -116,4 +116,21 @@ mod tests {
         assert!(compile_source(SourceKind::While, "x = 1;").is_err());
         assert!(compile_source(SourceKind::Ir, "start\nmangled").is_err());
     }
+
+    #[test]
+    fn deep_ir_is_a_typed_error() {
+        // Both shapes used to abort the process with a stack overflow.
+        let n = 200_000;
+        let program = |rhs: String| {
+            format!("start s\nend e\nnode s {{ x := {rhs} }}\nnode e {{ out(x) }}\nedge s -> e")
+        };
+        let parens = program(format!("{}a{}", "(".repeat(n), ")".repeat(n)));
+        let chain = program(format!("a{}", "+a".repeat(n)));
+        for src in [parens, chain] {
+            let Err(SourceError::Ir(err)) = compile_source(SourceKind::Ir, &src) else {
+                panic!("deep .ir input must be a parse error");
+            };
+            assert!(err.message.contains("nested deeper"), "{err}");
+        }
+    }
 }

@@ -150,6 +150,31 @@ fn malformed_programs_fail_cleanly_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_ir_gets_an_error_reply_and_the_server_survives() {
+    let (endpoint, handle) = boot(ServerConfig::default());
+    let mut client = Client::connect(&endpoint).expect("connect");
+
+    // 200k parentheses used to overflow a worker's stack, which no
+    // `catch_unwind` can stop: the whole daemon aborted.
+    let n = 200_000;
+    let deep = format!(
+        "start s\nend e\nnode s {{ x := {}a{} }}\nnode e {{ out(x) }}\nedge s -> e",
+        "(".repeat(n),
+        ")".repeat(n)
+    );
+    let err = client
+        .optimize("deep.ir", SourceKind::Ir, &deep)
+        .expect_err("deep program must fail");
+    let ClientError::Server(message) = err else {
+        panic!("expected a server error, got {err:?}")
+    };
+    assert!(message.contains("nested deeper"), "{message}");
+
+    client.ping().expect("ping after the deep request");
+    stop(&endpoint, handle);
+}
+
+#[test]
 fn concurrent_clients_get_bit_identical_results_with_dedup() {
     let (endpoint, handle) = boot(ServerConfig::default());
     let corpus: Arc<Vec<(String, String)>> = Arc::new(
