@@ -1,0 +1,135 @@
+//! Motion-phase provenance, pinned by stable hash.
+//!
+//! Every elimination, hoist insertion and hoist removal of the assignment
+//! motion fixed point appends one `ProvRecord` (`amopt --explain-dir`).
+//! This test folds the motion-phase record stream — kind, round, node,
+//! index, instruction text, pattern bit and interned instruction id, in
+//! emission order — into one FNV-1a hash per program family and compares
+//! it with the value the optimizer produced when the pin was written.
+//! Any change to which sites move, in which round, in which order, or
+//! under which interned id shows up here. In particular a round that
+//! removes and re-inserts a block's assignments unchanged (an identity
+//! move) must still report every `HoistInsert`/`HoistRemove` record.
+//!
+//! When a change is *meant* to move a decision, print the new values with
+//! `cargo test --test provenance_pin -- --nocapture` and update the pins.
+
+use am_bench::workloads::{nest_grid, wide_fan};
+use am_core::global::{optimize_with, GlobalConfig};
+use am_ir::random::corpus80;
+use am_ir::FlowGraph;
+use am_obs::{ProvRecord, ProvRecorder};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte stream, with a separator between fields so that
+/// adjacent fields cannot trade bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        self.0 ^= 0xff;
+        self.0 = self.0.wrapping_mul(FNV_PRIME);
+    }
+
+    fn field(&mut self, value: impl std::fmt::Debug) {
+        self.bytes(format!("{value:?}").as_bytes());
+    }
+
+    fn record(&mut self, r: &ProvRecord) {
+        self.field(r.kind);
+        self.field(r.round);
+        self.field(&r.node);
+        self.field(r.index);
+        self.field(&r.instr);
+        self.field(r.pattern);
+        self.field(r.instr_id);
+    }
+}
+
+/// The motion-phase records of optimizing `g`, in emission order.
+fn motion_records(g: &FlowGraph) -> Vec<ProvRecord> {
+    let config = GlobalConfig {
+        keep_snapshots: false,
+        recorder: ProvRecorder::enabled(),
+        ..Default::default()
+    };
+    optimize_with(g, &config);
+    config
+        .recorder
+        .take()
+        .into_iter()
+        .filter(|r| r.phase == "motion")
+        .collect()
+}
+
+/// Hash and record count of the motion records of `programs`, in order.
+fn pin<'g>(programs: impl IntoIterator<Item = &'g FlowGraph>) -> (u64, usize) {
+    let mut h = Fnv(FNV_OFFSET);
+    let mut count = 0;
+    for g in programs {
+        let records = motion_records(g);
+        count += records.len();
+        records.iter().for_each(|r| h.record(r));
+        h.bytes(b"end of program");
+    }
+    (h.0, count)
+}
+
+fn check(family: &str, got: (u64, usize), want: (u64, usize)) {
+    println!("{family}: ({:#018x}, {})", got.0, got.1);
+    assert_eq!(
+        got, want,
+        "{family}: motion provenance moved (hash, record count)"
+    );
+}
+
+#[test]
+fn corpus80_motion_provenance_is_pinned() {
+    let corpus: Vec<FlowGraph> = corpus80().into_iter().map(|(_, g)| g).collect();
+    check("corpus80", pin(&corpus), (0x1d1e_d864_eff3_98bd, 22737));
+}
+
+#[test]
+fn nest_grid_motion_provenance_is_pinned() {
+    check(
+        "nest_grid(20,2,8)",
+        pin([&nest_grid(20, 2, 8)]),
+        (0x1676_bb74_3793_8a5d, 3886),
+    );
+}
+
+#[test]
+fn wide_fan_motion_provenance_is_pinned() {
+    check(
+        "wide_fan(100,4)",
+        pin([&wide_fan(100, 4)]),
+        (0x4fa8_830d_060f_04fa, 1454),
+    );
+}
+
+/// The pinned programs really exercise identity moves: some round removes
+/// and re-inserts assignments of a block without changing it, so the pins
+/// above cover the records such a round must keep.
+#[test]
+fn pinned_programs_contain_identity_moves() {
+    let g = nest_grid(20, 2, 8);
+    let records = motion_records(&g);
+    let last = records.iter().map(|r| r.round).max().expect("records");
+    let kinds = |kind: am_obs::ProvKind| {
+        records
+            .iter()
+            .filter(|r| r.round == last && r.kind == kind)
+            .count()
+    };
+    assert!(kinds(am_obs::ProvKind::HoistRemove) > 0);
+    assert_eq!(
+        kinds(am_obs::ProvKind::HoistInsert),
+        kinds(am_obs::ProvKind::HoistRemove)
+    );
+}
