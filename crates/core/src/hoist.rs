@@ -39,8 +39,8 @@
 use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{Confluence, Direction, PatternMasks, Problem, Solution};
-use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse};
+use am_dfa::{solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_ir::{FlowGraph, Instr, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 
 use crate::incremental::MotionContext;
@@ -73,103 +73,150 @@ pub fn analyze_hoisting(g: &FlowGraph) -> HoistAnalysis {
 }
 
 impl MotionContext {
-    /// Solves Table 1 over the blocks of `g`: block locals through the
-    /// locals cache, the backward must system on the shared node system
-    /// (warm-started where safe, [`Self::solve_hoistability`]) and the
-    /// insertion points, reusing the buffers of a spare analysis.
+    /// Solves Table 1 over the blocks of `g`: refills the locals and
+    /// candidates of every block whose content changed since its row was
+    /// built, solves the backward must system on the shared node system
+    /// and recomputes the insertion points. The analysis is the context's
+    /// previous one updated in place (a fresh one on a fresh context);
+    /// [`Self::hoist_round`] hands it back afterwards.
+    ///
+    /// When the refilled rows changed only monotonically downward
+    /// (candidates lost, blockades gained) on unchanged edges, the system
+    /// is re-solved from the previous greatest solution with only the
+    /// changed nodes seeded ([`am_dfa::solve_seeded`]): the old solution is
+    /// a post-fixed point of the lowered system, so the descent reaches the
+    /// new greatest fixed point. Otherwise the solve is cold.
     pub(crate) fn hoisting(&mut self, g: &FlowGraph) -> HoistAnalysis {
-        self.intern_blocks(g);
-        let occ_rank = self.occurrence_ranks(g);
+        self.sync(g);
+        let occ_rank = self.occurrence_ranks();
         let (nodes, ap) = (g.node_count(), self.universe.assign_count());
-        let mut problem = Problem::new(Direction::Backward, Confluence::Must, 0, ap);
-        let (mut recycled, mut inserts, mut candidates) = Default::default();
-        if let Some(spare) = self.hoist_spare.take() {
-            problem.gen = spare.loc_hoistable;
-            problem.kill = spare.loc_blocked;
-            recycled = Some(spare.hoistable);
-            inserts = (spare.n_insert, spare.x_insert);
-            candidates = spare.candidates;
-        }
-        // Every row is overwritten below.
-        fit_rows(&mut problem.gen, nodes, ap);
-        fit_rows(&mut problem.kill, nodes, ap);
-        candidates.resize_with(nodes, Vec::new);
+        let (solved_on, mut a) = match self.hoist.take() {
+            Some((edges, a)) if a.loc_hoistable.len() == nodes => (Some(edges), a),
+            _ => {
+                self.hoist_stamps.clear();
+                let empty = vec![BitSet::new(ap); nodes];
+                let a = HoistAnalysis {
+                    universe: Rc::clone(&self.universe),
+                    loc_hoistable: empty.clone(),
+                    loc_blocked: empty,
+                    hoistable: Solution::default(),
+                    n_insert: Vec::new(),
+                    x_insert: Vec::new(),
+                    candidates: vec![Vec::new(); nodes],
+                    occ_rank: Vec::new(),
+                };
+                (None, a)
+            }
+        };
+        self.hoist_stamps.resize(nodes, 0);
+        let mut dirty = Vec::new();
+        let mut lowered = true;
+        let mut locals = BlockLocals {
+            hoistable: BitSet::new(ap),
+            blocked: BitSet::new(ap),
+            candidates: Vec::new(),
+        };
         for n in g.nodes() {
             let ni = n.index();
-            if let Some(locals) = self.hoist_rows.get(&self.block_keys[ni]) {
+            if self.hoist_stamps[ni] == self.block_stamps[ni] {
                 self.rows_reused += 1;
-                problem.gen[ni].copy_from(&locals.hoistable);
-                problem.kill[ni].copy_from(&locals.blocked);
-                candidates[ni].clone_from(&locals.candidates);
                 continue;
             }
-            let locals = block_locals(&g.block(n).instrs, &self.universe, &self.masks);
+            self.hoist_stamps[ni] = self.block_stamps[ni];
             self.rows_recomputed += 1;
-            problem.gen[ni].copy_from(&locals.hoistable);
-            problem.kill[ni].copy_from(&locals.blocked);
-            candidates[ni].clone_from(&locals.candidates);
-            self.hoist_rows.insert(self.block_keys[ni].clone(), locals);
+            let patterns = self.block_keys[ni]
+                .iter()
+                .map(|&id| self.assign_pattern(id));
+            locals.compute(&g.block(n).instrs, patterns, &self.masks);
+            let (gen, kill) = (&mut a.loc_hoistable[ni], &mut a.loc_blocked[ni]);
+            if *gen != locals.hoistable || *kill != locals.blocked {
+                lowered &= locals.hoistable.is_subset(gen) && kill.is_subset(&locals.blocked);
+                dirty.push(ni);
+                gen.copy_from(&locals.hoistable);
+                kill.copy_from(&locals.blocked);
+            }
+            a.candidates[ni].clone_from(&locals.candidates);
         }
-        let hoistable = self.solve_hoistability(g, &problem, recycled);
-        let (n_insert, x_insert) = insertion_points(g, &hoistable, &problem.kill, ap, inserts);
-        HoistAnalysis {
-            universe: Rc::clone(&self.universe),
-            loc_hoistable: problem.gen,
-            loc_blocked: problem.kill,
-            hoistable,
-            n_insert,
-            x_insert,
-            candidates,
-            occ_rank,
-        }
+        let mut problem = Problem::new(Direction::Backward, Confluence::Must, 0, ap);
+        problem.gen = std::mem::take(&mut a.loc_hoistable);
+        problem.kill = std::mem::take(&mut a.loc_blocked);
+        let recycled = self.hoist_spare.take();
+        let hoistable = if lowered && solved_on == Some(self.edge_hash) {
+            self.hoist_warm += 1;
+            let ns = self.node_system(g);
+            let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
+            solve_seeded(
+                succs,
+                preds,
+                &problem,
+                schedule,
+                &a.hoistable,
+                &dirty,
+                recycled,
+            )
+        } else {
+            self.solve_cold(g, &problem, recycled)
+        };
+        self.hoist_spare = Some(std::mem::replace(&mut a.hoistable, hoistable));
+        a.loc_hoistable = problem.gen;
+        a.loc_blocked = problem.kill;
+        let recycled = (
+            std::mem::take(&mut a.n_insert),
+            std::mem::take(&mut a.x_insert),
+        );
+        (a.n_insert, a.x_insert) = insertion_points(g, &a.hoistable, &a.loc_blocked, ap, recycled);
+        a.occ_rank = occ_rank;
+        a
     }
 }
 
 /// The Table 1 local predicates of one block.
-pub(crate) struct BlockLocals {
+struct BlockLocals {
     /// `LOC-HOISTABLE`.
-    pub(crate) hoistable: BitSet,
+    hoistable: BitSet,
     /// `LOC-BLOCKED`.
-    pub(crate) blocked: BitSet,
+    blocked: BitSet,
     /// The `(pattern, instruction index)` hoisting candidates.
-    pub(crate) candidates: Vec<(usize, usize)>,
+    candidates: Vec<(usize, usize)>,
 }
 
-/// The block-level local predicates of Table 1 for one instruction list,
-/// in one pass with a running blocked mask instead of a per-pattern
-/// rescan. The candidate check precedes the instruction's own blocking
-/// update: the first *unblocked* occurrence of a pattern is its candidate
-/// (Fig. 13), and every occurrence blocks the ones after it.
-pub(crate) fn block_locals(
-    instrs: &[Instr],
-    universe: &PatternUniverse,
-    masks: &PatternMasks,
-) -> BlockLocals {
-    let ap = universe.assign_count();
-    let mut hoistable = BitSet::new(ap);
-    let mut blocked = BitSet::new(ap);
-    let mut candidates = Vec::new();
-    for (idx, instr) in instrs.iter().enumerate() {
-        if let Instr::Assign { lhs, rhs } = instr {
-            if let Some(i) = universe.assign_id(&AssignPattern::new(*lhs, *rhs)) {
+impl BlockLocals {
+    /// Computes the local predicates of one instruction list into `self`,
+    /// given each instruction's assignment pattern index (`None` for other
+    /// instructions), in one pass with a running blocked mask instead of a
+    /// per-pattern rescan. The candidate check precedes the instruction's
+    /// own blocking update: the first *unblocked* occurrence of a pattern
+    /// is its candidate (Fig. 13), and every occurrence blocks the ones
+    /// after it.
+    fn compute(
+        &mut self,
+        instrs: &[Instr],
+        patterns: impl IntoIterator<Item = Option<usize>>,
+        masks: &PatternMasks,
+    ) {
+        let BlockLocals {
+            hoistable,
+            blocked,
+            candidates,
+        } = self;
+        hoistable.clear();
+        blocked.clear();
+        candidates.clear();
+        for ((idx, instr), pattern) in instrs.iter().enumerate().zip(patterns) {
+            if let Some(i) = pattern {
                 if !blocked.contains(i) && !hoistable.contains(i) {
                     hoistable.insert(i);
                     candidates.push((i, idx));
                 }
             }
+            if let Some(d) = instr.def() {
+                blocked.union_with(masks.assign_lhs(d));
+                blocked.union_with(masks.assign_mentions(d));
+            }
+            instr.for_each_use(|u| {
+                blocked.union_with(masks.assign_lhs(u));
+            });
         }
-        if let Some(d) = instr.def() {
-            blocked.union_with(masks.assign_lhs(d));
-            blocked.union_with(masks.assign_mentions(d));
-        }
-        instr.for_each_use(|u| {
-            blocked.union_with(masks.assign_lhs(u));
-        });
-    }
-    BlockLocals {
-        hoistable,
-        blocked,
-        candidates,
     }
 }
 
@@ -250,7 +297,18 @@ pub struct HoistOutcome {
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
     let analysis = analyze_hoisting(g);
-    apply_insertion_step(g, &analysis, None, &ProvRecorder::disabled(), 0)
+    apply_insertion_step(g, &analysis, None, &ProvRecorder::disabled(), 0).0
+}
+
+/// The blocks an insertion step rewrote, in node order, and how many
+/// blocks it moved code in without changing them.
+#[derive(Default)]
+pub(crate) struct Rewritten {
+    pub(crate) blocks: Vec<NodeId>,
+    /// Blocks whose insertions re-create exactly the removed candidates at
+    /// the same positions (identity moves): counted as inserts and
+    /// removals, reported to the recorder, but not rewritten.
+    pub(crate) identity: usize,
 }
 
 /// Applies the insertion/removal step of `analysis`, computed on `g`,
@@ -262,13 +320,17 @@ pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
 /// to patterns that still occur — the pattern set and bit order a universe
 /// collected fresh from `g` would produce, even when the analysis ran over
 /// the motion loop's larger entry universe.
+///
+/// A block is written only when its new contents differ from the old, and
+/// then refilled in place (its own allocation, kept instructions moved,
+/// not cloned); the blocks written are returned with the outcome.
 pub(crate) fn apply_insertion_step(
     g: &mut FlowGraph,
     analysis: &HoistAnalysis,
     only: Option<usize>,
     recorder: &ProvRecorder,
     round: u32,
-) -> HoistOutcome {
+) -> (HoistOutcome, Rewritten) {
     let sol = &analysis.hoistable;
     let mut outcome = HoistOutcome {
         iterations: sol.iterations,
@@ -276,27 +338,43 @@ pub(crate) fn apply_insertion_step(
         max_worklist_len: sol.max_worklist_len,
         ..HoistOutcome::default()
     };
+    let mut rewritten = Rewritten::default();
     let kept = |i: usize| only.is_none_or(|o| o == i) && analysis.occ_rank[i].is_some();
-    let in_order = |set: &BitSet| {
-        let mut patterns: Vec<usize> = set.iter().filter(|&i| kept(i)).collect();
+    let in_order = |set: &BitSet, patterns: &mut Vec<usize>| {
+        patterns.clear();
+        patterns.extend(set.iter().filter(|&i| kept(i)));
         patterns.sort_by_key(|&i| analysis.occ_rank[i]);
-        patterns
     };
-    for n in g.nodes().collect::<Vec<_>>() {
+    let instance = |i: usize| {
+        let pat = analysis.universe.assign(i);
+        Instr::Assign {
+            lhs: pat.lhs,
+            rhs: pat.rhs,
+        }
+    };
+    let (mut entry, mut exit, mut scratch) = (Vec::new(), Vec::new(), Vec::<Instr>::new());
+    for n in g.nodes() {
         let ni = n.index();
-        let removed_here: Vec<(usize, usize)> = analysis.candidates[ni]
+        let candidates = &analysis.candidates[ni];
+        let removed = |idx: usize| {
+            candidates
+                .iter()
+                .find(|&&(pat, r)| r == idx && only.is_none_or(|o| o == pat))
+                .map(|&(pat, _)| pat)
+        };
+        let removals = candidates
             .iter()
-            .copied()
-            .filter(|&(pat, _)| only.is_none_or(|o| o == pat))
-            .collect();
-        if analysis.n_insert[ni].is_empty()
-            && analysis.x_insert[ni].is_empty()
-            && removed_here.is_empty()
-        {
+            .filter(|&&(pat, _)| only.is_none_or(|o| o == pat))
+            .count();
+        if analysis.n_insert[ni].is_empty() && analysis.x_insert[ni].is_empty() && removals == 0 {
             continue;
         }
-        let observe =
-            |g: &FlowGraph, kind: ProvKind, index, instr: &Instr, pattern: usize, fact: &str| {
+        in_order(&analysis.n_insert[ni], &mut entry);
+        in_order(&analysis.x_insert[ni], &mut exit);
+        outcome.inserted += entry.len() + exit.len();
+        outcome.removed += removals;
+        if recorder.is_enabled() {
+            let observe = |kind, index, instr: &Instr, pattern: usize, fact: &str| {
                 recorder.record(ProvRecord {
                     kind,
                     phase: "motion",
@@ -310,68 +388,71 @@ pub(crate) fn apply_insertion_step(
                     justification: fact.to_owned(),
                 });
             };
-        let instance = |i: usize| {
-            let pat = analysis.universe.assign(i);
-            Instr::Assign {
-                lhs: pat.lhs,
-                rhs: pat.rhs,
-            }
-        };
-        let mut fresh: Vec<Instr> = Vec::new();
-        for i in in_order(&analysis.n_insert[ni]) {
-            let instr = instance(i);
-            if recorder.is_enabled() {
+            for &i in &entry {
                 observe(
-                    g,
                     ProvKind::HoistInsert,
                     None,
-                    &instr,
+                    &instance(i),
                     i,
                     "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
                 );
             }
-            fresh.push(instr);
-            outcome.inserted += 1;
-        }
-        for (idx, instr) in g.block(n).instrs.iter().enumerate() {
-            match removed_here.iter().find(|&&(_, r)| r == idx) {
-                Some(&(pattern, _)) => {
-                    if recorder.is_enabled() {
-                        observe(
-                            g,
-                            ProvKind::HoistRemove,
-                            Some(idx as u32),
-                            instr,
-                            pattern,
-                            "first unblocked occurrence in its block, covered by hoisted instances",
-                        );
-                    }
-                    outcome.removed += 1;
+            for (idx, instr) in g.block(n).instrs.iter().enumerate() {
+                if let Some(pattern) = removed(idx) {
+                    observe(
+                        ProvKind::HoistRemove,
+                        Some(idx as u32),
+                        instr,
+                        pattern,
+                        "first unblocked occurrence in its block, covered by hoisted instances",
+                    );
                 }
-                None => fresh.push(instr.clone()),
             }
-        }
-        for i in in_order(&analysis.x_insert[ni]) {
-            let instr = instance(i);
-            if recorder.is_enabled() {
+            for &i in &exit {
                 observe(
-                    g,
                     ProvKind::HoistInsert,
                     None,
-                    &instr,
+                    &instance(i),
                     i,
                     "X-INSERT: hoistable at exit, blocked from entering this block",
                 );
             }
-            fresh.push(instr);
-            outcome.inserted += 1;
         }
-        if g.block(n).instrs != fresh {
-            outcome.changed = true;
-            g.block_mut(n).instrs = fresh;
+        // The new block is entry ++ (old minus candidates) ++ exit; it equals
+        // the old one exactly when the insertions re-create the removed
+        // candidates in place.
+        let old = &g.block(n).instrs;
+        let identity = entry.len() + exit.len() == removals && {
+            let (head, rest) = old.split_at(entry.len());
+            let (middle, tail) = rest.split_at(rest.len() - exit.len());
+            let kept_old = old
+                .iter()
+                .enumerate()
+                .filter(|&(idx, _)| removed(idx).is_none())
+                .map(|(_, instr)| instr);
+            entry.iter().zip(head).all(|(&i, b)| instance(i) == *b)
+                && kept_old.eq(middle)
+                && exit.iter().zip(tail).all(|(&i, b)| instance(i) == *b)
+        };
+        if identity {
+            rewritten.identity += 1;
+            continue;
         }
+        scratch.extend(entry.iter().map(|&i| instance(i)));
+        let instrs = &mut g.block_mut(n).instrs;
+        scratch.extend(
+            instrs
+                .drain(..)
+                .enumerate()
+                .filter(|&(idx, _)| removed(idx).is_none())
+                .map(|(_, instr)| instr),
+        );
+        scratch.extend(exit.iter().map(|&i| instance(i)));
+        instrs.append(&mut scratch);
+        rewritten.blocks.push(n);
     }
-    outcome
+    outcome.changed = !rewritten.blocks.is_empty();
+    (outcome, rewritten)
 }
 
 #[cfg(test)]
@@ -540,6 +621,60 @@ mod tests {
         assert_eq!(instrs, vec!["branch p > 0"]);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
         assert_eq!(g.block(n2).instrs.len(), 1);
+    }
+
+    /// A branch whose one side computes `x := a+b; y := c+d`: both are
+    /// hoisting candidates of node 2 and are re-inserted at its entry.
+    const ONE_SIDED_PAIR: &str = "start 1\nend 4\n\
+         node 1 { branch p > 0 }\n\
+         node 2 { x := a+b; y := c+d; out(x,y) }\n\
+         node 3 { skip }\n\
+         node 4 { skip }\n\
+         edge 1 -> 2, 3\nedge 2 -> 4\nedge 3 -> 4";
+
+    #[test]
+    fn identity_moves_are_counted_but_not_rewritten() {
+        let mut g = parse(ONE_SIDED_PAIR).unwrap();
+        let analysis = analyze_hoisting(&g);
+        let (before, revision) = (g.clone(), g.revision());
+        let (outcome, rewritten) =
+            apply_insertion_step(&mut g, &analysis, None, &ProvRecorder::disabled(), 0);
+        assert_eq!((outcome.inserted, outcome.removed), (2, 2));
+        assert!(!outcome.changed);
+        assert_eq!(rewritten.identity, 1);
+        assert!(rewritten.blocks.is_empty());
+        assert_eq!(
+            (g.revision(), g),
+            (revision, before),
+            "no block was touched"
+        );
+    }
+
+    #[test]
+    fn a_balanced_move_that_changes_a_block_is_written() {
+        // One insertion for one removal, with a matching first and last
+        // instruction, but a different block: the whole block is compared.
+        let mut g = parse(ONE_SIDED_PAIR).unwrap();
+        let mut analysis = analyze_hoisting(&g);
+        let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
+        let cands = analysis.candidates[n2.index()].clone();
+        let [(x, 0), (y, 1)] = cands[..] else {
+            panic!("unexpected candidates {cands:?}");
+        };
+        analysis.candidates[n2.index()] = vec![(y, 1)];
+        analysis.n_insert[n2.index()].remove(y);
+        let (outcome, rewritten) =
+            apply_insertion_step(&mut g, &analysis, None, &ProvRecorder::disabled(), 0);
+        assert!(analysis.n_insert[n2.index()].contains(x));
+        assert!(outcome.changed);
+        assert_eq!((rewritten.blocks, rewritten.identity), (vec![n2], 0));
+        let body: Vec<String> = g
+            .block(n2)
+            .instrs
+            .iter()
+            .map(|i| i.display(g.pool()))
+            .collect();
+        assert_eq!(body, ["x := a+b", "x := a+b", "out(x,y)"]);
     }
 
     #[test]

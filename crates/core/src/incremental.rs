@@ -2,11 +2,13 @@
 //!
 //! Every round of [`assignment_motion`](crate::motion::assignment_motion)
 //! re-solves the Table 1 and Table 2 systems on a program that usually
-//! differs from the previous round in a handful of instructions. The naive
-//! loop rebuilds everything from scratch each round; [`MotionContext`]
-//! carries the parts that survive. The tables themselves are implemented
-//! once, in [`crate::rae`] and [`crate::hoist`], against these caches; the
-//! one-shot entries there run the same code on a fresh context.
+//! differs from the previous round in a handful of blocks. [`MotionContext`]
+//! carries the parts that survive, and the work it does per round follows
+//! what the round changed rather than the program size — the chains of
+//! second-order effects that Sec. 4.5 ties the round count to. The tables
+//! themselves are implemented once, in [`crate::rae`] and [`crate::hoist`],
+//! against these caches; the one-shot entries there run the same code on a
+//! fresh context.
 //!
 //! * **Pattern universe and masks** — collected once at motion entry. The
 //!   motion phase only *removes* occurrences and re-inserts instances of
@@ -21,51 +23,60 @@
 //!   in-place universe extension: existing pattern ids stay stable and the
 //!   new patterns take the next free indices, so only the caches whose
 //!   bitset width depends on the universe size are dropped.
-//! * **Gen/kill rows** — Table 2 rows keyed by hash-consed instruction id
-//!   ([`am_ir::intern::InstrInterner`]) and Table 1 block locals keyed by
-//!   the block's id vector. Each distinct instruction content is
-//!   structurally hashed once, at interning; from then on row lookups,
-//!   block keys and the program content hash compose cached hashes and
-//!   compare ids. Unchanged instructions and blocks reuse their rows; the
-//!   `incremental/gen_kill_rows` trace counter reports the hit rate per
-//!   round.
+//! * **Program mirror** — the interned instruction ids of every block
+//!   ([`am_ir::intern::InstrInterner`]), a cached hash per block composed
+//!   from the interner's cached instruction hashes, and a stamp per block
+//!   that changes whenever its content does. The rewrites report the
+//!   blocks they changed ([`remove_locs`], [`apply_insertion_step`]) and
+//!   only those are re-interned, re-hashed and re-stamped. The program
+//!   fingerprint folds the per-block hashes into a position-keyed sum, so
+//!   a changed block updates it in O(1) — the cached-hash idiom of
+//!   hash-consed expression DAGs. A [`FlowGraph::revision`] the context did
+//!   not produce itself (a mutating round hook, an injected fault) forces a
+//!   full re-sync that re-interns every block and re-stamps the ones whose
+//!   content actually changed.
+//! * **Gen/kill rows** — Table 2 rows dense by interned instruction id, and
+//!   the node-level Table 2 and Table 1 problem rows, candidates included,
+//!   each tagged with the stamp of the block content it was built from.
+//!   A round refills only the rows whose stamp is stale; the
+//!   `incremental/gen_kill_rows` trace counter reports reused and rebuilt
+//!   rows per round, `incremental/dirty_blocks` and
+//!   `incremental/identity_blocks` how many blocks the round rewrote and
+//!   how many it moved code in without changing.
 //! * **Node system** — the block adjacency and solver schedule shared by
-//!   both tables, reused while the edge fingerprint is unchanged, so the
-//!   RPO traversals are not re-derived per solve.
+//!   both tables, reused while the edge fingerprint (taken at each full
+//!   re-sync; the motion rewrites never touch edges) is unchanged.
 //! * **Previous hoist system** — when a round's Table 1 rows changed only
 //!   monotonically downward (candidates lost, blockades gained), the
 //!   backward must system is re-solved from the previous greatest solution
 //!   with only the dirty nodes seeded ([`am_dfa::solve_seeded`]); the old
 //!   solution is a post-fixed point of the lowered system, so the descent
 //!   reaches the new greatest fixed point. Non-monotone changes fall back
-//!   to a cold scheduled solve. A round whose hoist input is byte-identical
-//!   to the previous round's (last elimination found nothing and the last
-//!   hoist was a no-op) skips the solve outright.
+//!   to a cold scheduled solve. A round whose hoist input has the same
+//!   fingerprint as the previous round's (last elimination found nothing
+//!   and the last hoist was a no-op) skips the solve outright.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use am_dfa::{
-    node_adjacency, solve_scheduled, solve_seeded, Adjacency, PatternMasks, Problem, Schedule,
-    Solution,
+    node_adjacency, solve_scheduled, Adjacency, PatternMasks, Problem, Schedule, Solution,
 };
 use am_ir::intern::{InstrId, InstrInterner};
-use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse};
+use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
 use am_obs::ProvRecorder;
-use am_trace::Tracer;
+use am_trace::{Span, Tracer};
 
-use crate::hoist::{apply_insertion_step, BlockLocals, HoistAnalysis, HoistOutcome};
-use crate::rae::{redundancy_row, remove_locs, RaeBlockRow, RaeOutcome, Row};
+use crate::hoist::{apply_insertion_step, HoistAnalysis, HoistOutcome};
+use crate::rae::{redundancy_row, remove_locs, RaeOutcome, Row};
 
-/// Multiply-rotate hasher in the FxHash family. The row caches hash every
-/// instruction once per round and the fingerprints hash the whole program;
-/// SipHash is measurable overhead at that call frequency, and none of these
-/// tables face untrusted keys. Map collisions are resolved by `Eq`;
-/// fingerprint collisions can only skip a no-op re-solve or end the motion
-/// loop a round early, never corrupt a result.
+/// Multiply-rotate hasher in the FxHash family. The fingerprints hash
+/// block contents and edges at every re-sync; SipHash is measurable
+/// overhead at that call frequency, and none of these hashes face
+/// untrusted keys. Fingerprint collisions can only skip a no-op re-solve
+/// or end the motion loop a round early, never corrupt a result.
 #[derive(Default)]
-pub(crate) struct FxHasher(u64);
+struct FxHasher(u64);
 
 const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -90,14 +101,6 @@ impl Hasher for FxHasher {
         self.add(tail);
     }
     #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
     fn write_u64(&mut self, n: u64) {
         self.add(n);
     }
@@ -110,8 +113,6 @@ impl Hasher for FxHasher {
         self.0
     }
 }
-
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -129,51 +130,69 @@ pub(crate) struct NodeSystem {
 pub(crate) struct MotionContext {
     pub(crate) universe: Rc<PatternUniverse>,
     pub(crate) masks: PatternMasks,
-    /// Hash-consing interner shared by every fingerprint below: each
-    /// distinct instruction content is structurally hashed once, after
-    /// which row lookups compare ids and the program content hash composes
-    /// cached per-instruction hashes.
+    /// Hash-consing interner behind the program mirror: each distinct
+    /// instruction content is structurally hashed once, after which block
+    /// keys compare ids and block hashes compose cached hashes.
     interner: InstrInterner,
+    /// The universe index of every interned instruction's assignment
+    /// pattern, dense by id (`None` for other instructions).
+    assign_of: Vec<Option<u32>>,
     /// Set when an interned instruction carries an assignment pattern the
     /// universe does not know (only possible through a mutating hook);
-    /// consumed by [`Self::intern_blocks`].
+    /// consumed at the end of every sync.
     stale: bool,
+    /// The graph revision the mirror below describes, `None` before the
+    /// first sync.
+    synced: Option<u64>,
+    /// Interned instruction ids per block: the mirror of the program.
+    pub(crate) block_keys: Vec<Vec<InstrId>>,
+    /// Cached hash of every block's content ([`block_hash`]).
+    block_hashes: Vec<u64>,
+    /// Per block, the stamp of its current content: unique across the
+    /// context's lifetime and never 0, so a row tagged with it is current
+    /// exactly when the stamps match.
+    pub(crate) block_stamps: Vec<u64>,
+    next_stamp: u64,
+    /// The first stamp handed out in the current round; a block stamped
+    /// before it is counted dirty on its first re-stamp of the round.
+    round_stamp: u64,
+    /// Position-keyed sum of the block hashes ([`slot_hash`]).
+    block_sum: u64,
+    /// Fingerprints of the edges and of the whole shape (edges plus the
+    /// boundary nodes), taken at the last full re-sync.
+    pub(crate) edge_hash: u64,
+    shape_hash: u64,
     /// Table 2 rows dense by interned instruction id. The interner hands
     /// out dense indices, so the row of an already-seen instruction is one
     /// bounds-checked array load.
     pub(crate) rae_rows: Vec<Option<Row>>,
-    /// Composed Table 2 transfer of a whole block, by interned block
-    /// content — the node-level row the redundancy system is solved over.
-    pub(crate) rae_blocks: HashMap<Vec<InstrId>, RaeBlockRow, FxBuild>,
-    /// Table 1 locals by interned block content.
-    pub(crate) hoist_rows: HashMap<Vec<InstrId>, BlockLocals, FxBuild>,
-    /// Reusable node-level Table 2 problem buffers; every node's row is
-    /// overwritten each round, so reuse only checks the universe width.
+    /// The node-level Table 2 problem, which blocks hold an occurrence of
+    /// their own pattern, and the block stamp every row was built from.
     pub(crate) rae_problem: Option<Problem>,
-    /// Node-level adjacency and schedule, keyed by the edge fingerprint.
-    node_system: Option<NodeSystem>,
-    /// The previous round's hoist analysis and its edge fingerprint, the
-    /// warm start of the next hoist solve.
-    prev_hoist: Option<(u64, HoistAnalysis)>,
-    /// The hoist analysis displaced from [`Self::prev_hoist`] a round ago,
-    /// whose buffers the next hoist analysis reuses.
-    pub(crate) hoist_spare: Option<HoistAnalysis>,
+    pub(crate) rae_occurs: Vec<bool>,
+    pub(crate) rae_stamps: Vec<u64>,
     /// Detached fact buffers of the previous Table 2 solve, recycled into
     /// the next one (the facts themselves are reinitialized).
     pub(crate) rae_solution: Option<Solution>,
-    /// Interned instruction ids per block of the program last interned
-    /// ([`Self::intern_blocks`]): the row caches' keys. The buffers are
-    /// reused across rounds.
-    pub(crate) block_keys: Vec<Vec<InstrId>>,
-    /// Content hash of the last hoist input and whether that hoist changed
-    /// the program; a byte-identical re-run of a no-op is skipped.
+    /// The last hoist analysis with the edge fingerprint it was solved
+    /// on: its rows are the current Table 1 rows (tagged by
+    /// [`Self::hoist_stamps`]) and its solution warm-starts the next solve.
+    pub(crate) hoist: Option<(u64, HoistAnalysis)>,
+    pub(crate) hoist_stamps: Vec<u64>,
+    /// The solution displaced from [`Self::hoist`] a round ago, whose
+    /// buffers the next hoist solve reuses.
+    pub(crate) hoist_spare: Option<Solution>,
+    /// Node-level adjacency and schedule, keyed by the edge fingerprint.
+    node_system: Option<NodeSystem>,
+    /// Fingerprint of the last hoist input and whether that hoist changed
+    /// the program; a re-run of a no-op on the same input is skipped.
     last_hoist: Option<(u64, bool)>,
-    /// `(graph revision, content hash)` memo for [`Self::content_hash`].
-    content_memo: Option<(u64, u64)>,
     pub(crate) rows_reused: u64,
     pub(crate) rows_recomputed: u64,
     hoist_skipped: u64,
-    hoist_warm: u64,
+    pub(crate) hoist_warm: u64,
+    dirty_blocks: u64,
+    identity_blocks: u64,
 }
 
 impl MotionContext {
@@ -185,22 +204,33 @@ impl MotionContext {
             universe: Rc::new(universe),
             masks,
             interner: InstrInterner::new(),
+            assign_of: Vec::new(),
             stale: false,
-            rae_rows: Vec::new(),
-            rae_blocks: HashMap::default(),
-            hoist_rows: HashMap::default(),
-            rae_problem: None,
-            node_system: None,
-            prev_hoist: None,
-            hoist_spare: None,
-            rae_solution: None,
+            synced: None,
             block_keys: Vec::new(),
+            block_hashes: Vec::new(),
+            block_stamps: Vec::new(),
+            next_stamp: 1,
+            round_stamp: 1,
+            block_sum: 0,
+            edge_hash: 0,
+            shape_hash: 0,
+            rae_rows: Vec::new(),
+            rae_problem: None,
+            rae_occurs: Vec::new(),
+            rae_stamps: Vec::new(),
+            rae_solution: None,
+            hoist: None,
+            hoist_stamps: Vec::new(),
+            hoist_spare: None,
+            node_system: None,
             last_hoist: None,
-            content_memo: None,
             rows_reused: 0,
             rows_recomputed: 0,
             hoist_skipped: 0,
             hoist_warm: 0,
+            dirty_blocks: 0,
+            identity_blocks: 0,
         }
     }
 
@@ -209,20 +239,25 @@ impl MotionContext {
     /// current universe does not know (only possible through a mutating
     /// hook). Extension keeps all existing pattern ids stable — new
     /// patterns take fresh indices — so nothing that survives the refresh
-    /// (schedules, the interner) has to be renumbered; the caches cleared
-    /// here are exactly the ones whose bitset width depends on the universe
-    /// size.
+    /// (schedules, the interner, the mirror) has to be renumbered; the
+    /// caches cleared here are exactly the ones whose bitset width depends
+    /// on the universe size.
     fn refresh(&mut self, g: &FlowGraph) {
-        // Drop the analyses sharing the universe first, so the extension
+        // Drop the analysis sharing the universe first, so the extension
         // happens in place.
-        self.prev_hoist = None;
+        self.hoist = None;
         self.hoist_spare = None;
         Rc::make_mut(&mut self.universe).extend(g);
         self.masks = PatternMasks::build(&self.universe, g.pool().len());
         self.rae_rows.clear();
-        self.rae_blocks.clear();
-        self.hoist_rows.clear();
         self.rae_problem = None;
+        self.rae_stamps.clear();
+        self.hoist_stamps.clear();
+        // Every unknown pattern interned so far is in `g`, so the mirror
+        // names every id whose pattern index may have appeared.
+        for &id in self.block_keys.iter().flatten() {
+            self.assign_of[id.index()] = assign_index(self.interner.instr(id), &self.universe);
+        }
         self.stale = false;
     }
 
@@ -230,92 +265,145 @@ impl MotionContext {
     /// content carries an assignment pattern the universe does not know.
     /// The universe only grows, so any instruction interned before is
     /// covered forever and the check runs exactly once per distinct
-    /// content — staleness detection costs nothing beyond the intern
-    /// lookup that the row caches need anyway.
+    /// content.
     fn intern_instr(&mut self, instr: &Instr) -> InstrId {
         let (id, is_new) = self.interner.intern(instr);
         if is_new {
-            if let Instr::Assign { lhs, rhs } = instr {
-                if self
-                    .universe
-                    .assign_id(&AssignPattern::new(*lhs, *rhs))
-                    .is_none()
-                {
-                    self.stale = true;
-                }
-            }
+            let pattern = assign_index(instr, &self.universe);
+            self.stale |= matches!(instr, Instr::Assign { .. }) && pattern.is_none();
+            self.assign_of.push(pattern);
         }
         id
     }
 
-    /// Interns every instruction of `g` into [`Self::block_keys`], then
-    /// refreshes the universe if an instruction carries a pattern it does
-    /// not know.
-    pub(crate) fn intern_blocks(&mut self, g: &FlowGraph) {
-        let mut keys = std::mem::take(&mut self.block_keys);
-        keys.iter_mut().for_each(Vec::clear);
-        keys.resize_with(g.node_count(), Vec::new);
+    /// Interns the instructions of block `n` into `keys`, replacing its
+    /// contents.
+    fn intern_block(&mut self, g: &FlowGraph, n: NodeId, keys: &mut Vec<InstrId>) {
+        keys.clear();
+        for instr in &g.block(n).instrs {
+            keys.push(self.intern_instr(instr));
+        }
+    }
+
+    /// Brings the program mirror up to date with `g`: free when the graph
+    /// is at the revision the context last produced or observed, a full
+    /// re-sync otherwise.
+    pub(crate) fn sync(&mut self, g: &FlowGraph) {
+        if self.synced != Some(g.revision()) {
+            self.resync(g);
+        }
+    }
+
+    /// Re-interns and re-hashes every block of `g` and re-takes the edge
+    /// fingerprints; blocks whose interned content changed (all of them on
+    /// the first sync) get a fresh stamp, so their rows are rebuilt.
+    fn resync(&mut self, g: &FlowGraph) {
+        let first = self.synced.is_none();
+        let nodes = g.node_count();
+        self.block_keys.resize_with(nodes, Vec::new);
+        self.block_hashes.resize(nodes, 0);
+        self.block_stamps.resize(nodes, 0);
+        let mut keys = Vec::new();
         for n in g.nodes() {
-            for instr in &g.block(n).instrs {
-                keys[n.index()].push(self.intern_instr(instr));
+            let i = n.index();
+            self.intern_block(g, n, &mut keys);
+            if self.block_stamps[i] == 0 || self.block_keys[i] != keys {
+                std::mem::swap(&mut self.block_keys[i], &mut keys);
+                self.block_hashes[i] = block_hash(&self.interner, &self.block_keys[i]);
+                self.restamp(i, !first);
             }
         }
-        self.block_keys = keys;
-        if self.stale {
-            self.refresh(g);
-        }
-    }
-
-    /// Content hash of the whole program — blocks, edges and boundary
-    /// nodes — composed from the interner's cached per-instruction hashes.
-    /// The motion loop uses it both for the hoist no-op skip and as the
-    /// convergence check, avoiding a full program clone per round; a
-    /// collision can only skip a no-op re-solve or end the loop a round
-    /// early, never corrupt a result.
-    ///
-    /// Memoized on [`FlowGraph::revision`]: the end-of-round convergence
-    /// hash doubles as the next round's entry hash for free, because the
-    /// graph is only touched through `&mut` accessors in between (round
-    /// hooks included — a mutating hook bumps the revision and invalidates
-    /// the memo).
-    pub(crate) fn content_hash(&mut self, g: &FlowGraph) -> u64 {
-        if let Some((revision, hash)) = self.content_memo {
-            if revision == g.revision() {
-                return hash;
-            }
-        }
-        let hash = self.content_hash_uncached(g);
-        self.content_memo = Some((g.revision(), hash));
-        hash
-    }
-
-    fn content_hash_uncached(&mut self, g: &FlowGraph) -> u64 {
+        self.block_sum = self
+            .block_hashes
+            .iter()
+            .enumerate()
+            .fold(0, |sum, (i, &h)| sum.wrapping_add(slot_hash(i, h)));
+        self.edge_hash = edge_hash(g);
         let mut h = FxHasher::default();
         g.start().index().hash(&mut h);
         g.end().index().hash(&mut h);
-        g.node_count().hash(&mut h);
-        for n in g.nodes() {
-            for instr in &g.block(n).instrs {
-                let id = self.intern_instr(instr);
-                h.write_u64(self.interner.hash(id));
-            }
-            for &m in g.succs(n) {
-                m.index().hash(&mut h);
-            }
-            0xffusize.hash(&mut h);
+        h.write_u64(self.edge_hash);
+        self.shape_hash = h.finish();
+        if self.stale {
+            self.refresh(g);
         }
+        if first {
+            // The first sync builds the mirror; it is no round's change.
+            self.round_stamp = self.next_stamp;
+        }
+        self.synced = Some(g.revision());
+    }
+
+    /// Re-syncs the blocks `changed` that the context itself just rewrote
+    /// in `g` (which was in sync before the rewrite): re-interns, re-hashes
+    /// and re-stamps only those, and folds their new hashes into the
+    /// fingerprint.
+    pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, changed: &[NodeId]) {
+        for &n in changed {
+            let i = n.index();
+            let mut keys = std::mem::take(&mut self.block_keys[i]);
+            self.intern_block(g, n, &mut keys);
+            let hash = block_hash(&self.interner, &keys);
+            self.block_keys[i] = keys;
+            self.block_sum = self
+                .block_sum
+                .wrapping_sub(slot_hash(i, self.block_hashes[i]))
+                .wrapping_add(slot_hash(i, hash));
+            self.block_hashes[i] = hash;
+            self.restamp(i, true);
+        }
+        if self.stale {
+            self.refresh(g);
+        }
+        self.synced = Some(g.revision());
+    }
+
+    /// Gives block `i` a fresh content stamp, counting it dirty (when
+    /// `count`) on its first re-stamp of the round.
+    fn restamp(&mut self, i: usize, count: bool) {
+        if count && self.block_stamps[i] < self.round_stamp {
+            self.dirty_blocks += 1;
+        }
+        self.block_stamps[i] = self.next_stamp;
+        self.next_stamp += 1;
+    }
+
+    /// Fingerprint of the whole program — blocks, edges and boundary
+    /// nodes — read off the mirror after a [`Self::sync`]. The motion loop
+    /// uses it both for the hoist no-op skip and as the convergence check,
+    /// avoiding a full program clone per round; a collision can only skip
+    /// a no-op re-solve or end the loop a round early, never corrupt a
+    /// result.
+    pub(crate) fn fingerprint(&mut self, g: &FlowGraph) -> u64 {
+        self.sync(g);
+        let mut h = FxHasher::default();
+        h.write_u64(self.shape_hash);
+        h.write_u64(self.block_sum);
         h.finish()
     }
 
-    /// First-occurrence rank of every assignment pattern in `g` (`None` for
-    /// patterns without occurrences), refreshing the universe first if it
-    /// is stale.
-    pub(crate) fn occurrence_ranks(&mut self, g: &FlowGraph) -> Vec<Option<u32>> {
-        if let Some(ranks) = occurrence_ranks_in(g, &self.universe) {
-            return ranks;
+    /// First-occurrence rank of every assignment pattern in the mirrored
+    /// program (`None` for patterns without occurrences), read from the
+    /// interned ids.
+    pub(crate) fn occurrence_ranks(&self) -> Vec<Option<u32>> {
+        let mut ranks: Vec<Option<u32>> = vec![None; self.universe.assign_count()];
+        let mut next = 0u32;
+        for &id in self.block_keys.iter().flatten() {
+            if let Some(i) = self.assign_pattern(id) {
+                let rank = &mut ranks[i];
+                if rank.is_none() {
+                    *rank = Some(next);
+                    next += 1;
+                }
+            }
         }
-        self.refresh(g);
-        occurrence_ranks_in(g, &self.universe).expect("fresh universe covers the program")
+        ranks
+    }
+
+    /// The universe index of the assignment pattern of interned
+    /// instruction `id` (`None` for other instructions).
+    pub(crate) fn assign_pattern(&self, id: InstrId) -> Option<usize> {
+        self.assign_of[id.index()].map(|i| i as usize)
     }
 
     /// Caches the Table 2 row of interned instruction `id`;
@@ -333,17 +421,16 @@ impl MotionContext {
         }
     }
 
-    /// The node-level adjacency and schedule of `g`, rebuilt only when the
-    /// block edges changed.
+    /// The node-level adjacency and schedule of `g` (synced), rebuilt only
+    /// when the block edges changed.
     pub(crate) fn node_system(&mut self, g: &FlowGraph) -> &NodeSystem {
-        let edge_hash = edge_hash(g);
         let valid = matches!(&self.node_system,
-            Some(ns) if ns.edge_hash == edge_hash && ns.succs.len() == g.node_count());
+            Some(ns) if ns.edge_hash == self.edge_hash && ns.succs.len() == g.node_count());
         if !valid {
             let (succs, preds) = node_adjacency(g);
             let schedule = Schedule::build(&succs, &preds);
             self.node_system = Some(NodeSystem {
-                edge_hash,
+                edge_hash: self.edge_hash,
                 succs,
                 preds,
                 schedule,
@@ -352,45 +439,16 @@ impl MotionContext {
         self.node_system.as_ref().expect("node system built above")
     }
 
-    /// Solves the Table 1 system `problem` over the node system of `g`.
-    ///
-    /// When the previous round's rows changed only monotonically downward
-    /// (candidates lost, blockades gained), the backward must system is
-    /// re-solved from the previous greatest solution with only the dirty
-    /// nodes seeded ([`am_dfa::solve_seeded`]): the old solution is a
-    /// post-fixed point of the lowered system, so the descent reaches the
-    /// new greatest fixed point. Non-monotone changes fall back to a cold
-    /// scheduled solve. `recycled` lends its fact buffers either way.
-    pub(crate) fn solve_hoistability(
+    /// Solves a Table 2 or cold Table 1 `problem` over the node system of
+    /// `g`, lending it the `recycled` fact buffers.
+    pub(crate) fn solve_cold(
         &mut self,
         g: &FlowGraph,
         problem: &Problem,
         recycled: Option<Solution>,
     ) -> Solution {
-        let nodes = g.node_count();
-        self.node_system(g);
-        let ns = self.node_system.as_ref().expect("node system built above");
-        let warm = self.prev_hoist.as_ref().and_then(|(edge_hash, prev)| {
-            if *edge_hash != ns.edge_hash || prev.loc_hoistable.len() != nodes {
-                return None;
-            }
-            let (gen, kill) = (&prev.loc_hoistable, &prev.loc_blocked);
-            let dirty: Vec<usize> = (0..nodes)
-                .filter(|&i| gen[i] != problem.gen[i] || kill[i] != problem.kill[i])
-                .collect();
-            let lowered = dirty
-                .iter()
-                .all(|&i| problem.gen[i].is_subset(&gen[i]) && kill[i].is_subset(&problem.kill[i]));
-            lowered.then_some((&prev.hoistable, dirty))
-        });
-        let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
-        match warm {
-            Some((prev, dirty)) => {
-                self.hoist_warm += 1;
-                solve_seeded(succs, preds, problem, schedule, prev, &dirty, recycled)
-            }
-            None => solve_scheduled(succs, preds, problem, schedule, recycled),
-        }
+        let ns = self.node_system(g);
+        solve_scheduled(&ns.succs, &ns.preds, problem, &ns.schedule, recycled)
     }
 
     /// One redundant-assignment-elimination pass
@@ -404,7 +462,8 @@ impl MotionContext {
     ) -> RaeOutcome {
         let mut span = tracer.span("analysis", "rae");
         let (locs, sol) = self.redundant_locs(g, recorder, round);
-        remove_locs(g, &locs);
+        let changed = remove_locs(g, &locs);
+        self.note_rewritten(g, &changed);
         let outcome = RaeOutcome {
             eliminated: locs.len(),
             iterations: sol.iterations,
@@ -426,22 +485,16 @@ impl MotionContext {
     }
 
     /// One hoisting pass ([`Self::hoisting`] and the insertion step) under
-    /// an `analysis/aht` span, skipped outright when its input is
-    /// byte-identical to a previous hoist that changed nothing.
-    /// `known_hash` is the content hash of `g` when the caller already has
-    /// it (the motion loop hashes the program at round entry).
+    /// an `analysis/aht` span, skipped outright when its input has the
+    /// fingerprint of a previous hoist that changed nothing.
     pub(crate) fn hoist_round(
         &mut self,
         g: &mut FlowGraph,
         tracer: &Tracer,
-        known_hash: Option<u64>,
         recorder: &ProvRecorder,
         round: u32,
     ) -> HoistOutcome {
-        let input_hash = match known_hash {
-            Some(h) => h,
-            None => self.content_hash(g),
-        };
+        let input_hash = self.fingerprint(g);
         if self.last_hoist == Some((input_hash, false)) {
             // The deterministic analysis would reproduce that no-op.
             self.hoist_skipped += 1;
@@ -459,59 +512,86 @@ impl MotionContext {
                 ("max_worklist_len", sol.max_worklist_len as i64),
             ],
         );
-        let outcome = apply_insertion_step(g, &analysis, None, recorder, round);
-        let edge_hash = self.node_system.as_ref().map_or(0, |ns| ns.edge_hash);
-        if let Some((_, old)) = self.prev_hoist.replace((edge_hash, analysis)) {
-            self.hoist_spare = Some(old);
-        }
+        let (outcome, rewritten) = apply_insertion_step(g, &analysis, None, recorder, round);
+        self.note_rewritten(g, &rewritten.blocks);
+        self.identity_blocks += rewritten.identity as u64;
+        self.hoist = Some((self.edge_hash, analysis));
         self.last_hoist = Some((input_hash, outcome.changed));
         span.arg("inserted", outcome.inserted as i64)
             .arg("removed", outcome.removed as i64);
         outcome
     }
 
-    /// Emits and resets the per-round incrementality counters.
-    pub(crate) fn emit_round_counters(&mut self, tracer: &Tracer) {
-        tracer.counter(
-            "incremental",
-            "gen_kill_rows",
-            &[
-                ("reused", self.rows_reused as i64),
-                ("recomputed", self.rows_recomputed as i64),
-            ],
-        );
-        if self.hoist_skipped > 0 || self.hoist_warm > 0 {
+    /// Ends a round: attaches its block counts to the round `span`, emits
+    /// the per-round incrementality counters, and resets them. A disabled
+    /// tracer costs one branch.
+    pub(crate) fn end_round(&mut self, tracer: &Tracer, span: &mut Span) {
+        if tracer.enabled() {
+            let (dirty, identity) = (self.dirty_blocks as i64, self.identity_blocks as i64);
+            span.arg("dirty_blocks", dirty)
+                .arg("identity_blocks", identity);
             tracer.counter(
                 "incremental",
-                "hoist_solves",
+                "gen_kill_rows",
                 &[
-                    ("skipped", self.hoist_skipped as i64),
-                    ("warm", self.hoist_warm as i64),
+                    ("reused", self.rows_reused as i64),
+                    ("recomputed", self.rows_recomputed as i64),
                 ],
             );
+            tracer.counter("incremental", "dirty_blocks", &[("blocks", dirty)]);
+            tracer.counter("incremental", "identity_blocks", &[("blocks", identity)]);
+            if self.hoist_skipped > 0 || self.hoist_warm > 0 {
+                tracer.counter(
+                    "incremental",
+                    "hoist_solves",
+                    &[
+                        ("skipped", self.hoist_skipped as i64),
+                        ("warm", self.hoist_warm as i64),
+                    ],
+                );
+            }
         }
         self.rows_reused = 0;
         self.rows_recomputed = 0;
         self.hoist_skipped = 0;
         self.hoist_warm = 0;
+        self.dirty_blocks = 0;
+        self.identity_blocks = 0;
+        self.round_stamp = self.next_stamp;
     }
 }
 
-/// First-occurrence ranks over `universe`, or `None` if the program
-/// contains an assignment pattern the universe does not know.
-fn occurrence_ranks_in(g: &FlowGraph, universe: &PatternUniverse) -> Option<Vec<Option<u32>>> {
-    let mut ranks: Vec<Option<u32>> = vec![None; universe.assign_count()];
-    let mut next = 0u32;
-    for (_, instr) in g.locs() {
-        if let Instr::Assign { lhs, rhs } = instr {
-            let i = universe.assign_id(&AssignPattern::new(*lhs, *rhs))?;
-            if ranks[i].is_none() {
-                ranks[i] = Some(next);
-                next += 1;
-            }
-        }
+/// The universe index of `instr`'s assignment pattern, if it has a known
+/// one.
+fn assign_index(instr: &Instr, universe: &PatternUniverse) -> Option<u32> {
+    match instr {
+        Instr::Assign { lhs, rhs } => universe
+            .assign_id(&AssignPattern::new(*lhs, *rhs))
+            .map(|i| i as u32),
+        _ => None,
     }
-    Some(ranks)
+}
+
+/// Hash of one block's content, composed from the interner's cached
+/// per-instruction hashes.
+fn block_hash(interner: &InstrInterner, keys: &[InstrId]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(keys.len());
+    for &id in keys {
+        h.write_u64(interner.hash(id));
+    }
+    h.finish()
+}
+
+/// The contribution of block `i` with content hash `hash` to the program
+/// fingerprint's sum: a full-avalanche mix of the pair (the SplitMix64
+/// finalizer), so that summing contributions neither commutes blocks nor
+/// lets weak low bits cancel.
+fn slot_hash(i: usize, hash: u64) -> u64 {
+    let mut z = hash ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Fingerprint of the node-level edges.
@@ -525,4 +605,178 @@ fn edge_hash(g: &FlowGraph) -> u64 {
         0xffusize.hash(&mut h);
     }
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global::GlobalConfig;
+    use crate::motion::{assignment_motion, assignment_motion_with, default_round_budget};
+    use crate::motion::{MotionOrder, MotionStats};
+    use am_ir::random::{corpus80, structured, SplitMix64, StructuredConfig};
+    use am_ir::{Operand, Term};
+
+    /// The 80-program corpus and 200 seeded structured programs, critical
+    /// edges split.
+    fn programs() -> Vec<FlowGraph> {
+        let mut out: Vec<FlowGraph> = corpus80().into_iter().map(|(_, g)| g).collect();
+        for seed in 0..200 {
+            out.push(structured(
+                &mut SplitMix64::new(seed),
+                &StructuredConfig::default(),
+            ));
+        }
+        for g in &mut out {
+            g.split_critical_edges();
+        }
+        out
+    }
+
+    /// The maintained mirror — block keys, per-block hashes, stamps and
+    /// the fingerprint — equals a full re-sync of the same context, and a
+    /// fresh context (whose hashes are structural) agrees on the hashes.
+    fn assert_mirror_is_exact(ctx: &mut MotionContext, g: &FlowGraph, at: &str) {
+        let fingerprint = ctx.fingerprint(g);
+        let keys = ctx.block_keys.clone();
+        let hashes = ctx.block_hashes.clone();
+        let stamps = ctx.block_stamps.clone();
+        ctx.synced = None;
+        assert_eq!(ctx.fingerprint(g), fingerprint, "{at}: fingerprint");
+        assert_eq!(ctx.block_keys, keys, "{at}: block keys");
+        assert_eq!(ctx.block_hashes, hashes, "{at}: block hashes");
+        assert_eq!(ctx.block_stamps, stamps, "{at}: a re-sync found a change");
+        let mut fresh = MotionContext::new(g);
+        assert_eq!(fresh.fingerprint(g), fingerprint, "{at}: fresh fingerprint");
+        assert_eq!(fresh.block_hashes, hashes, "{at}: fresh block hashes");
+    }
+
+    #[test]
+    fn incremental_mirror_equals_a_full_resync_after_every_round() {
+        let (tracer, recorder) = (Tracer::disabled(), ProvRecorder::disabled());
+        for (p, program) in programs().into_iter().enumerate() {
+            let mut g = program.clone();
+            let mut ctx = MotionContext::new(&g);
+            for round in 1..=default_round_budget(&g) as u32 {
+                let before = ctx.fingerprint(&g);
+                let rae = ctx.rae_round(&mut g, &tracer, &recorder, round);
+                assert_mirror_is_exact(&mut ctx, &g, &format!("program {p} round {round} rae"));
+                let hoist = ctx.hoist_round(&mut g, &tracer, &recorder, round);
+                assert_mirror_is_exact(&mut ctx, &g, &format!("program {p} round {round}"));
+                if (rae.eliminated == 0 && !hoist.changed) || ctx.fingerprint(&g) == before {
+                    break;
+                }
+            }
+            // The replayed loop is the motion loop.
+            let mut reference = program;
+            assignment_motion(&mut reference);
+            assert_eq!(g, reference, "program {p}");
+        }
+    }
+
+    /// Round 1 drops the first instruction of the last block holding an
+    /// assignment; round 2 appends an assignment of a pattern no universe
+    /// has seen to the start block. Both edits bypass the context.
+    fn rewrite_behind_the_back(round: usize, g: &mut FlowGraph) {
+        let Some(n) = g
+            .nodes()
+            .filter(|&n| {
+                g.block(n)
+                    .instrs
+                    .iter()
+                    .any(|i| matches!(i, Instr::Assign { .. }))
+            })
+            .last()
+        else {
+            return;
+        };
+        let lhs = g
+            .block(n)
+            .instrs
+            .iter()
+            .find_map(Instr::def)
+            .expect("an assignment");
+        match round {
+            1 => {
+                g.block_mut(n).instrs.remove(0);
+            }
+            2 => {
+                let start = g.start();
+                g.block_mut(start).instrs.push(Instr::Assign {
+                    lhs,
+                    rhs: Term::Operand(Operand::Const(7_654_321)),
+                });
+            }
+            _ => {}
+        }
+    }
+
+    fn run(g: &FlowGraph, hook: &mut dyn FnMut(usize, &mut FlowGraph)) -> (FlowGraph, MotionStats) {
+        let mut g = g.clone();
+        let stats = assignment_motion_with(
+            &mut g,
+            &GlobalConfig::default(),
+            MotionOrder::RaeFirst,
+            hook,
+        );
+        (g, stats)
+    }
+
+    #[test]
+    fn a_foreign_rewrite_forces_a_full_resync() {
+        for (p, program) in programs().into_iter().enumerate() {
+            let tracked = run(&program, &mut rewrite_behind_the_back);
+            // Touching a block every round moves the revision, so this
+            // context re-syncs from scratch at every round entry.
+            let resynced = run(&program, &mut |round, g| {
+                rewrite_behind_the_back(round, g);
+                let start = g.start();
+                g.block_mut(start);
+            });
+            assert_eq!(tracked, resynced, "program {p}");
+        }
+    }
+
+    #[test]
+    fn dirty_blocks_cover_every_block_a_round_changed() {
+        for (p, program) in programs().into_iter().enumerate().step_by(7) {
+            let (tracer, collector) = Tracer::collector();
+            let config = GlobalConfig {
+                tracer,
+                ..GlobalConfig::default()
+            };
+            let mut g = program.clone();
+            let mut changed = Vec::new();
+            let mut previous = g.clone();
+            assignment_motion_with(&mut g, &config, MotionOrder::RaeFirst, &mut |_, g| {
+                let differ = g
+                    .nodes()
+                    .filter(|&n| g.block(n) != previous.block(n))
+                    .count();
+                changed.push(differ as i64);
+                previous = g.clone();
+            });
+            let dirty: Vec<i64> = collector
+                .events()
+                .iter()
+                .filter(|e| e.cat == "round")
+                .map(|e| {
+                    e.arg("dirty_blocks")
+                        .expect("round spans carry dirty_blocks")
+                })
+                .collect();
+            assert_eq!(dirty.len(), changed.len(), "program {p}");
+            for (round, (&d, &c)) in dirty.iter().zip(&changed).enumerate() {
+                assert!(
+                    c <= d,
+                    "program {p} round {}: {c} changed, {d} dirty",
+                    round + 1
+                );
+            }
+            assert_eq!(
+                changed.last(),
+                Some(&0),
+                "program {p}: the last round changes nothing"
+            );
+        }
+    }
 }

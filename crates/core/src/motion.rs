@@ -109,6 +109,11 @@ pub fn assignment_motion(g: &mut FlowGraph) -> MotionStats {
 /// round and mutating hooks to inject faults at an exact phase boundary.
 /// A mutation made in the round that would otherwise have converged is kept
 /// but not re-stabilized — the budget governs further rounds as usual.
+/// The round context notices a hook's mutation through
+/// [`FlowGraph::revision`], which every `&mut` accessor of the graph moves,
+/// and then re-syncs its caches from the whole program; a hook must not
+/// replace the graph wholesale (`*g = other`), since `other` may carry the
+/// same revision.
 pub fn assignment_motion_with(
     g: &mut FlowGraph,
     config: &GlobalConfig,
@@ -128,20 +133,15 @@ pub fn assignment_motion_with(
             String::new()
         };
         let mut span = tracer.span("round", name);
-        let before_hash = ctx.content_hash(g);
+        let before_hash = ctx.fingerprint(g);
         let (rae, hoist) = match order {
             MotionOrder::RaeFirst => {
                 let rae = ctx.rae_round(g, tracer, recorder, round as u32);
-                // An elimination-free pass leaves the program byte-identical,
-                // so the round-entry hash is still the hoist input hash.
-                let known = (rae.eliminated == 0).then_some(before_hash);
-                let hoist = ctx.hoist_round(g, tracer, known, recorder, round as u32);
-                (rae, hoist)
+                (rae, ctx.hoist_round(g, tracer, recorder, round as u32))
             }
             MotionOrder::HoistFirst => {
-                let hoist = ctx.hoist_round(g, tracer, Some(before_hash), recorder, round as u32);
-                let rae = ctx.rae_round(g, tracer, recorder, round as u32);
-                (rae, hoist)
+                let hoist = ctx.hoist_round(g, tracer, recorder, round as u32);
+                (ctx.rae_round(g, tracer, recorder, round as u32), hoist)
             }
         };
         stats.rounds += 1;
@@ -153,13 +153,15 @@ pub fn assignment_motion_with(
         span.arg("eliminated", rae.eliminated as i64)
             .arg("inserted", hoist.inserted as i64)
             .arg("removed", hoist.removed as i64);
+        ctx.end_round(tracer, &mut span);
         drop(span);
-        ctx.emit_round_counters(tracer);
-        // A round that provably changed nothing is the fixed point; the
-        // hash fallback covers changes that happen to cancel out without
-        // cloning the program every round (a collision could only end the
-        // loop one round early, never produce a wrong program).
-        let stable = (rae.eliminated == 0 && !hoist.changed) || ctx.content_hash(g) == before_hash;
+        // A round that provably changed nothing is the fixed point. The
+        // fingerprint covers changes that cancel out within the round (an
+        // elimination re-inserted by the hoist): the context maintains it
+        // from the blocks the round rewrote, so the check costs O(1) and no
+        // program clone (a collision could only end the loop one round
+        // early, never produce a wrong program).
+        let stable = (rae.eliminated == 0 && !hoist.changed) || ctx.fingerprint(g) == before_hash;
         hook(round, g);
         if stable {
             stats.converged = true;

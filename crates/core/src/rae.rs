@@ -33,7 +33,7 @@
 use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_dfa::{Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 use am_trace::Tracer;
@@ -84,14 +84,6 @@ pub(crate) fn redundancy_row(
     (gen, kill)
 }
 
-/// The composed Table 2 transfer of one block ([`compose_block`]) and
-/// whether any of its instructions carries its own pattern bit.
-pub(crate) struct RaeBlockRow {
-    pub(crate) gen: BitSet,
-    pub(crate) kill: BitSet,
-    pub(crate) occurs: bool,
-}
-
 /// Folds the rows of one block into its node-level transfer
 /// `out = gen ∪ (in ∖ kill)`: `gen := (gen ∖ kill_ι) ∪ gen_ι`,
 /// `kill := kill ∪ kill_ι`. The fold is exact for gen/kill systems —
@@ -139,33 +131,30 @@ pub(crate) fn stream_block<'r>(
 }
 
 impl MotionContext {
-    /// Solves Table 2 over the blocks of `g`: composes every block's
-    /// transfer through the block-row cache and solves the forward must
-    /// system on the shared node system, recycling the previous solve's
-    /// buffers. Returns the solution and which blocks hold an occurrence;
-    /// the interned block keys stay in `block_keys` for
-    /// [`Self::stream_redundancy`].
-    pub(crate) fn solve_redundancy(&mut self, g: &FlowGraph) -> (Solution, Vec<bool>) {
-        self.intern_blocks(g);
+    /// Solves Table 2 over the blocks of `g`: refills the node-level row of
+    /// every block whose content changed since its row was built (all of
+    /// them on a fresh context) and solves the forward must system on the
+    /// shared node system, recycling the previous solve's buffers. Which
+    /// blocks hold an occurrence stays in `rae_occurs`, the interned block
+    /// keys in `block_keys`, for [`Self::stream_redundancy`].
+    pub(crate) fn solve_redundancy(&mut self, g: &FlowGraph) -> Solution {
+        self.sync(g);
         let (nodes, ap) = (g.node_count(), self.universe.assign_count());
         let mut problem = match self.rae_problem.take() {
-            // Every node's row is overwritten below, so reuse only needs
-            // matching width and count.
-            Some(mut p) if p.universe == ap => {
-                p.gen.resize_with(nodes, || BitSet::new(ap));
-                p.kill.resize_with(nodes, || BitSet::new(ap));
-                p
+            Some(p) if p.universe == ap => p,
+            _ => {
+                self.rae_stamps.clear();
+                Problem::new(Direction::Forward, Confluence::Must, 0, ap)
             }
-            _ => Problem::new(Direction::Forward, Confluence::Must, nodes, ap),
         };
-        let mut occurs = vec![false; nodes];
+        problem.gen.resize_with(nodes, || BitSet::new(ap));
+        problem.kill.resize_with(nodes, || BitSet::new(ap));
+        self.rae_occurs.resize(nodes, false);
+        self.rae_stamps.resize(nodes, 0);
         for n in g.nodes() {
             let ni = n.index();
-            if let Some(row) = self.rae_blocks.get(&self.block_keys[ni]) {
+            if self.rae_stamps[ni] == self.block_stamps[ni] {
                 self.rows_reused += self.block_keys[ni].len() as u64;
-                problem.gen[ni].copy_from(&row.gen);
-                problem.kill[ni].copy_from(&row.kill);
-                occurs[ni] = row.occurs;
                 continue;
             }
             for (j, instr) in g.block(n).instrs.iter().enumerate() {
@@ -176,21 +165,13 @@ impl MotionContext {
                     .as_ref()
                     .expect("row cached above")
             });
-            occurs[ni] = compose_block(rows, &mut problem.gen[ni], &mut problem.kill[ni]);
-            self.rae_blocks.insert(
-                self.block_keys[ni].clone(),
-                RaeBlockRow {
-                    gen: problem.gen[ni].clone(),
-                    kill: problem.kill[ni].clone(),
-                    occurs: occurs[ni],
-                },
-            );
+            self.rae_occurs[ni] = compose_block(rows, &mut problem.gen[ni], &mut problem.kill[ni]);
+            self.rae_stamps[ni] = self.block_stamps[ni];
         }
         let recycled = self.rae_solution.take();
-        let ns = self.node_system(g);
-        let sol = solve_scheduled(&ns.succs, &ns.preds, &problem, &ns.schedule, recycled);
+        let sol = self.solve_cold(g, &problem, recycled);
         self.rae_problem = Some(problem);
-        (sol, occurs)
+        sol
     }
 
     /// Streams the entry facts of block `n` from its solved entry fact over
@@ -223,10 +204,10 @@ impl MotionContext {
         recorder: &ProvRecorder,
         round: u32,
     ) -> (Vec<Loc>, Solution) {
-        let (sol, occurs) = self.solve_redundancy(g);
+        let sol = self.solve_redundancy(g);
         let mut locs = Vec::new();
         let mut x = BitSet::new(self.universe.assign_count());
-        for n in g.nodes().filter(|n| occurs[n.index()]) {
+        for n in g.nodes().filter(|n| self.rae_occurs[n.index()]) {
             let instrs = &g.block(n).instrs;
             self.stream_redundancy(n, &sol.before[n.index()], &mut x, |j, own, fact| {
                 let Some(i) = own.filter(|&i| fact.contains(i)) else {
@@ -290,7 +271,7 @@ impl RedundancyAnalysis {
 /// Solves the redundancy analysis of Table 2 over `g`.
 pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
     let mut ctx = MotionContext::new(g);
-    let (solution, _) = ctx.solve_redundancy(g);
+    let solution = ctx.solve_redundancy(g);
     RedundancyAnalysis {
         universe: Rc::clone(&ctx.universe),
         solution,
@@ -324,35 +305,40 @@ pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
     MotionContext::new(g).rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
 }
 
-/// Removes the instructions at `locs` from `g`. Locations must refer to the
-/// current program.
+/// Removes the instructions at `locs` from `g` and returns the blocks it
+/// changed, in first-seen order. Locations must refer to the current
+/// program.
 ///
-/// Cost is O(|locs| + Σ block sizes of affected nodes): locations are first
-/// grouped per node (in first-seen order, so mutation order stays
-/// deterministic) and only the touched blocks are rewritten. Scanning every
-/// node of the graph against the full loc list made elimination rounds the
-/// dominant motion cost on 10k-node graphs.
-pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) {
-    use std::collections::HashMap;
-    let mut slot_of: HashMap<am_ir::NodeId, usize> = HashMap::with_capacity(locs.len());
-    let mut by_node: Vec<(am_ir::NodeId, Vec<usize>)> = Vec::new();
+/// Cost is O(|locs| log |locs| + Σ block sizes of affected nodes):
+/// locations are grouped per node through a dense per-node slot and each
+/// touched block is filtered in place, keeping its allocation. Scanning
+/// every node of the graph against the full loc list made elimination
+/// rounds the dominant motion cost on 10k-node graphs.
+pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) -> Vec<NodeId> {
+    const NO_SLOT: u32 = u32::MAX;
+    let mut slot_of = vec![NO_SLOT; g.node_count()];
+    let mut touched: Vec<NodeId> = Vec::new();
+    let mut doomed: Vec<(u32, usize)> = Vec::with_capacity(locs.len());
     for l in locs {
-        let slot = *slot_of.entry(l.node).or_insert_with(|| {
-            by_node.push((l.node, Vec::new()));
-            by_node.len() - 1
+        let slot = &mut slot_of[l.node.index()];
+        if *slot == NO_SLOT {
+            *slot = touched.len() as u32;
+            touched.push(l.node);
+        }
+        doomed.push((*slot, l.index));
+    }
+    doomed.sort_unstable();
+    doomed.dedup();
+    for run in doomed.chunk_by(|a, b| a.0 == b.0) {
+        let mut index = 0;
+        let mut next = run.iter().map(|&(_, i)| i).peekable();
+        g.block_mut(touched[run[0].0 as usize]).instrs.retain(|_| {
+            let keep = next.next_if_eq(&index).is_none();
+            index += 1;
+            keep
         });
-        by_node[slot].1.push(l.index);
     }
-    for (n, mut doomed) in by_node {
-        doomed.sort_unstable();
-        let old = std::mem::take(&mut g.block_mut(n).instrs);
-        g.block_mut(n).instrs = old
-            .into_iter()
-            .enumerate()
-            .filter(|(index, _)| doomed.binary_search(index).is_err())
-            .map(|(_, instr)| instr)
-            .collect();
-    }
+    touched
 }
 
 #[cfg(test)]

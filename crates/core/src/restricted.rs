@@ -68,7 +68,8 @@ pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
             }
             // Tentatively hoist only this pattern and clean up.
             let mut tentative = g.clone();
-            let outcome = apply_insertion_step(&mut tentative, &analysis, Some(i), &recorder, 0);
+            let (outcome, _) =
+                apply_insertion_step(&mut tentative, &analysis, Some(i), &recorder, 0);
             if !outcome.changed {
                 continue;
             }

@@ -73,7 +73,7 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
     let recorder = ProvRecorder::disabled();
     for i in 0..analysis.universe.assign_count() {
         let mut next = g.clone();
-        let outcome = apply_insertion_step(&mut next, &analysis, Some(i), &recorder, 0);
+        let (outcome, _) = apply_insertion_step(&mut next, &analysis, Some(i), &recorder, 0);
         if outcome.changed {
             out.push(next);
         }

@@ -29,5 +29,5 @@ pub mod tracer;
 
 pub use event::{Event, EventKind};
 pub use sink::{Collector, NoopSink, Sink};
-pub use stats::{AnalysisTotals, DurStats, Histogram, OptStats, ScatterPoint};
+pub use stats::{AnalysisTotals, DurStats, Histogram, OptStats, RoundCost, ScatterPoint};
 pub use tracer::{Span, Tracer};

@@ -122,6 +122,31 @@ pub struct AnalysisTotals {
     pub max_worklist_len: u64,
 }
 
+/// The cost of one motion round number, folded over every `round` span of
+/// that number: its time, and the blocks it rewrote (`dirty_blocks`) or
+/// moved code in without changing (`identity_blocks`). Sec. 4.5 predicts
+/// that the work of a round follows its dirty blocks, not program size.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RoundCost {
+    /// Latency of the round.
+    pub time: DurStats,
+    /// Dirty blocks summed over the folded spans.
+    pub dirty_blocks: u64,
+    /// Identity blocks summed over the folded spans.
+    pub identity_blocks: u64,
+}
+
+impl RoundCost {
+    /// Mean dirty and identity blocks per folded span.
+    pub fn mean_blocks(&self) -> (f64, f64) {
+        let n = self.time.count.max(1) as f64;
+        (
+            self.dirty_blocks as f64 / n,
+            self.identity_blocks as f64 / n,
+        )
+    }
+}
+
 /// One point of the iterations-vs-size scatter: an `optimize` span's
 /// program size against the fixpoint work it cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,6 +217,9 @@ pub struct OptStats {
     pub analyses: BTreeMap<String, AnalysisTotals>,
     /// Every other counter value, summed, keyed `cat/name/key`.
     pub counters: BTreeMap<String, i64>,
+    /// Per-round cost of the motion fixed point, keyed by the 1-based
+    /// round number of the `round/round N` spans.
+    pub rounds: BTreeMap<u32, RoundCost>,
     /// Iterations-vs-size scatter, one point per `optimize` span.
     pub scatter: Vec<ScatterPoint>,
     /// Total events folded in.
@@ -217,6 +245,14 @@ impl OptStats {
                         .entry(format!("{}/{}", ev.cat, ev.name))
                         .or_default()
                         .record(*dur_micros);
+                    let round = ev.name.strip_prefix("round ").and_then(|r| r.parse().ok());
+                    if let Some(round) = round.filter(|_| ev.cat == "round") {
+                        let cost = self.rounds.entry(round).or_default();
+                        cost.time.record(*dur_micros);
+                        cost.dirty_blocks += ev.arg("dirty_blocks").unwrap_or(0).max(0) as u64;
+                        cost.identity_blocks +=
+                            ev.arg("identity_blocks").unwrap_or(0).max(0) as u64;
+                    }
                     if ev.cat == "phase" && ev.name == "optimize" {
                         self.scatter.push(ScatterPoint {
                             nodes: ev.arg("nodes").unwrap_or(0),
@@ -429,6 +465,31 @@ mod tests {
         assert_eq!(stats.scatter[0].iterations, 77);
         assert_eq!(stats.total_iterations(), 77);
         assert_eq!(stats.service(), None, "no server events in an amopt trace");
+    }
+
+    #[test]
+    fn round_spans_fold_into_per_round_cost() {
+        let blocks = |dirty, identity| {
+            vec![
+                ("dirty_blocks".to_owned(), dirty),
+                ("identity_blocks".to_owned(), identity),
+            ]
+        };
+        let events = vec![
+            span("round", "round 1", 500, blocks(40, 0)),
+            span("round", "round 2", 100, blocks(2, 5)),
+            span("round", "round 1", 700, blocks(60, 0)),
+            // Not a motion round: a span of another category, and one
+            // without a round number.
+            span("phase", "round 1", 9, blocks(1, 1)),
+            span("round", "round", 9, blocks(1, 1)),
+        ];
+        let stats = OptStats::from_events(&events);
+        assert_eq!(stats.rounds.keys().copied().collect::<Vec<_>>(), [1, 2]);
+        let first = &stats.rounds[&1];
+        assert_eq!((first.time.count, first.time.quantile(1.0)), (2, 700));
+        assert_eq!(first.mean_blocks(), (50.0, 0.0));
+        assert_eq!(stats.rounds[&2].mean_blocks(), (2.0, 5.0));
     }
 
     #[test]
