@@ -22,8 +22,9 @@
 use am_core::global::{optimize_hooked, GlobalConfig};
 use am_core::sink::{sink_assignments, SinkConfig};
 use am_core::verify::weakly_equivalent;
-use am_ir::alpha::{canonical_text, stable_hash, stable_hash_text};
+use am_ir::alpha::{rename_temps_canonically, stable_hash, stable_hash_text};
 use am_ir::interp::{run, Config, Oracle, RunResult, StopReason};
+use am_ir::text::to_text;
 use am_ir::{reference_universe, FlowGraph, PatternUniverse};
 use am_prove::{prove_pair, ProveConfig, Verdict};
 use am_trace::Tracer;
@@ -253,15 +254,16 @@ fn describe(a: &RunResult, b: &RunResult) -> String {
 
 /// Cross-checks the interned identity layer on one snapshot against its
 /// structural references: the streamed `stable_hash` against the hash of
-/// the materialised canonical text, the arena-backed pattern universe
-/// against the naive linear-scan enumeration, and the arena's own internal
-/// invariants. Returns a description of the first mismatch.
+/// the clone-and-print oracle text (`to_text(&rename_temps_canonically(..))`,
+/// which shares no renaming code with the stream), the arena-backed
+/// pattern universe against the naive linear-scan enumeration, and the
+/// arena's own internal invariants. Returns a description of the first mismatch.
 fn identity_mismatch(snap: &FlowGraph) -> Option<String> {
     let streamed = stable_hash(snap);
-    let texted = stable_hash_text(&canonical_text(snap));
-    if streamed != texted {
+    let oracle = stable_hash_text(&to_text(&rename_temps_canonically(snap)));
+    if streamed != oracle {
         return Some(format!(
-            "streamed stable_hash {streamed:016x} != text-path hash {texted:016x}"
+            "streamed stable_hash {streamed:016x} != clone-and-print oracle hash {oracle:016x}"
         ));
     }
     let interned = PatternUniverse::collect(snap);

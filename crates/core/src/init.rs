@@ -8,7 +8,7 @@
 //! admissible expression motion, and — the paper's key observation — it
 //! makes assignment motion subsume expression motion (Lemma 4.1).
 
-use am_ir::{Cond, FlowGraph, Instr, Term};
+use am_ir::{Cond, FlowGraph, Instr, Term, TermArena, Var};
 
 /// Statistics of an initialization run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -25,6 +25,13 @@ pub struct InitStats {
 /// right-hand side (`h_t := t`) are left alone, which makes the phase
 /// idempotent. Trivial right-hand sides (copies, constants) have no
 /// associated temporary and are untouched.
+///
+/// Each distinct term's temporary is resolved once per call: a hash-consing
+/// arena maps the term to a dense id, and only a term seen for the first
+/// time goes to [`FlowGraph::temp_for`], which renders its name and
+/// interns it. Temporaries are therefore interned in first-occurrence order,
+/// exactly as one `temp_for` call per occurrence would intern them.
+///
 /// # Examples
 ///
 /// ```
@@ -40,13 +47,24 @@ pub struct InitStats {
 /// ```
 pub fn initialize(g: &mut FlowGraph) -> InitStats {
     let mut stats = InitStats::default();
+    // Only non-trivial terms are interned, so arena ids are dense indices
+    // into `temps`.
+    let mut terms = TermArena::new();
+    let mut temps: Vec<Var> = Vec::new();
+    let mut resolve_temp = |g: &mut FlowGraph, t: Term| -> Var {
+        let id = terms.intern(t).index();
+        if id == temps.len() {
+            temps.push(g.temp_for(t));
+        }
+        temps[id]
+    };
     for n in g.nodes().collect::<Vec<_>>() {
         let old = std::mem::take(&mut g.block_mut(n).instrs);
         let mut new = Vec::with_capacity(old.len() * 2);
         for instr in old {
             match instr {
                 Instr::Assign { lhs, rhs } if rhs.is_nontrivial() => {
-                    let h = g.temp_for(rhs);
+                    let h = resolve_temp(g, rhs);
                     if h == lhs {
                         // Already an initialization; nothing to do.
                         new.push(Instr::Assign { lhs, rhs });
@@ -60,7 +78,7 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
                     let mut side = |t: Term, g: &mut FlowGraph, new: &mut Vec<Instr>| -> Term {
                         if t.is_nontrivial() {
                             stats.condition_sides_extracted += 1;
-                            let h = g.temp_for(t);
+                            let h = resolve_temp(g, t);
                             new.push(Instr::Assign { lhs: h, rhs: t });
                             Term::from(h)
                         } else {
@@ -82,6 +100,8 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use am_ir::random::{structured, unstructured, StructuredConfig, UnstructuredConfig};
+    use am_ir::rng::SplitMix64;
     use am_ir::text::{parse, to_text};
     use am_ir::{interp, BinOp};
 
@@ -195,5 +215,73 @@ mod tests {
                 rhs: Term::binary(BinOp::Add, a, b)
             }
         );
+    }
+
+    /// The initialization loop as it reads in Sec. 4.2: `temp_for` at
+    /// every occurrence, no per-term resolution.
+    fn reference_initialize(g: &mut FlowGraph) -> InitStats {
+        let mut stats = InitStats::default();
+        for n in g.nodes().collect::<Vec<_>>() {
+            let old = std::mem::take(&mut g.block_mut(n).instrs);
+            let mut new = Vec::new();
+            for instr in old {
+                match instr {
+                    Instr::Assign { lhs, rhs } if rhs.is_nontrivial() => {
+                        let h = g.temp_for(rhs);
+                        if h == lhs {
+                            new.push(Instr::Assign { lhs, rhs });
+                        } else {
+                            stats.assignments_decomposed += 1;
+                            new.push(Instr::Assign { lhs: h, rhs });
+                            new.push(Instr::assign(lhs, h));
+                        }
+                    }
+                    Instr::Branch(c) => {
+                        let mut side = |t: Term| {
+                            if !t.is_nontrivial() {
+                                return t;
+                            }
+                            stats.condition_sides_extracted += 1;
+                            let h = g.temp_for(t);
+                            new.push(Instr::Assign { lhs: h, rhs: t });
+                            Term::from(h)
+                        };
+                        let (lhs, rhs) = (side(c.lhs), side(c.rhs));
+                        new.push(Instr::Branch(Cond { op: c.op, lhs, rhs }));
+                    }
+                    other => new.push(other),
+                }
+            }
+            g.block_mut(n).instrs = new;
+        }
+        stats
+    }
+
+    #[test]
+    fn per_term_resolution_leaves_the_pool_unchanged() {
+        let mut programs = vec![parse(RUNNING_EXAMPLE).unwrap()];
+        for seed in 0..25u64 {
+            let mut rng = SplitMix64::new(seed);
+            programs.push(structured(&mut rng, &StructuredConfig::default()));
+            let mut rng = SplitMix64::new(seed + 100);
+            programs.push(unstructured(&mut rng, &UnstructuredConfig::default()));
+        }
+        assert_eq!(programs.len(), 51);
+        for (i, g) in programs.into_iter().enumerate() {
+            let (mut fast, mut slow) = (g.clone(), g);
+            assert_eq!(
+                initialize(&mut fast),
+                reference_initialize(&mut slow),
+                "program {i}: stats"
+            );
+            let names = |g: &FlowGraph| -> Vec<(String, bool)> {
+                let pool = g.pool();
+                pool.iter()
+                    .map(|v| (pool.name(v).to_owned(), pool.is_temp(v)))
+                    .collect()
+            };
+            assert_eq!(names(&fast), names(&slow), "program {i}: pool");
+            assert_eq!(to_text(&fast), to_text(&slow), "program {i}: program");
+        }
     }
 }

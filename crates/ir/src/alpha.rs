@@ -11,8 +11,7 @@ use std::fmt::{self, Write};
 
 use crate::graph::FlowGraph;
 use crate::instr::{Cond, Instr};
-use crate::term::{Operand, Term};
-use crate::text::to_text;
+use crate::text;
 use crate::var::Var;
 
 /// Returns a copy of `g` whose temporaries are renamed to `h1`, `h2`, … in
@@ -20,6 +19,11 @@ use crate::var::Var;
 ///
 /// Non-temporary variables keep their names. The copy shares no state with
 /// the original.
+///
+/// This is the reference renaming, kept deliberately literal (it clones the
+/// graph, rebuilds the pool and rewrites every instruction) and left
+/// unoptimized: `to_text(&rename_temps_canonically(g))` is the oracle that
+/// [`canonical_text`] and [`stable_hash`] are byte-compared against.
 pub fn rename_temps_canonically(g: &FlowGraph) -> FlowGraph {
     // Order temporaries by first occurrence.
     let mut order: Vec<Var> = Vec::new();
@@ -89,11 +93,15 @@ fn map_instr(instr: &Instr, f: &impl Fn(Var) -> Var) -> Instr {
     }
 }
 
-/// The canonical textual form of `g`: temporaries renamed positionally, then
-/// printed with [`to_text`]. Two programs are *alpha-equivalent* when their
-/// canonical texts are equal.
+/// The canonical textual form of `g`: the text
+/// [`to_text`](text::to_text) would print after
+/// [`rename_temps_canonically`], rendered in one pass with the positional
+/// names substituted on the fly (no program clone). Two programs are
+/// *alpha-equivalent* when their canonical texts are equal.
 pub fn canonical_text(g: &FlowGraph) -> String {
-    to_text(&rename_temps_canonically(g))
+    let mut out = String::new();
+    write_canonical(&mut out, g).expect(text::INFALLIBLE);
+    out
 }
 
 /// Whether two programs are identical up to the renaming of temporaries.
@@ -127,12 +135,12 @@ impl Write for FnvWriter {
 /// result cache address entries by this value, so it must never drift (a
 /// golden fixture over the shared corpus pins it).
 ///
-/// The bytes are streamed straight into the hash: the canonical renaming is
-/// computed as a name substitution and the text is re-rendered into the
-/// hasher, with no program clone and no intermediate `String`. The
-/// regression suite asserts byte-for-byte agreement with the
-/// clone-and-print path (`stable_hash_text(&canonical_text(g))`) on every
-/// corpus program — two independent render paths, differentially pinned.
+/// The bytes are streamed straight into the hash by the same writer that
+/// backs [`canonical_text`] and [`to_text`](text::to_text), with no
+/// program clone and no intermediate `String`. Its oracle is the literal clone-and-print path
+/// `to_text(&rename_temps_canonically(g))`, which rebuilds the pool and
+/// renames every instruction; the regression suite, `am-check`'s identity
+/// check and this module's tests byte-compare the two.
 pub fn stable_hash(g: &FlowGraph) -> u64 {
     let mut w = FnvWriter(FNV_OFFSET);
     write_canonical(&mut w, g).expect("hashing sink never fails");
@@ -147,109 +155,46 @@ pub fn stable_hash_text(canonical: &str) -> u64 {
     w.0
 }
 
-/// Streams the canonical text of `g` (exactly the bytes of
-/// [`canonical_text`]) into `w`: positional temporary names substituted on
-/// the fly, everything else rendered as [`to_text`] renders it.
-fn write_canonical(w: &mut impl Write, g: &FlowGraph) -> fmt::Result {
-    // Positional names for temporaries, in first-occurrence order — the
-    // same order `rename_temps_canonically` assigns. Renaming only changes
-    // what `display` prints for a variable, so substituting names during
+/// Streams the canonical text of `g` into `w`: positional temporary names
+/// substituted on the fly, everything else rendered as
+/// [`to_text`](text::to_text) renders it.
+fn write_canonical<W: Write>(w: &mut W, g: &FlowGraph) -> fmt::Result {
+    // Rank of each temporary by first occurrence (defs before uses, nodes
+    // in index order) — the order `rename_temps_canonically` assigns;
+    // 0 marks a variable that keeps its pool name. Renaming only changes
+    // what is printed for a variable, so substituting names during
     // rendering yields byte-identical text without cloning the graph.
-    let mut renamed: HashMap<Var, String> = HashMap::new();
-    let note = |v: Var, renamed: &mut HashMap<Var, String>| {
-        if g.pool().is_temp(v) && !renamed.contains_key(&v) {
-            let name = format!("h{}", renamed.len() + 1);
-            renamed.insert(v, name);
+    let pool = g.pool();
+    let mut rank = vec![0u32; pool.len()];
+    let mut next = 0;
+    let mut note = |v: Var| {
+        if rank[v.index()] == 0 && pool.is_temp(v) {
+            next += 1;
+            rank[v.index()] = next;
         }
     };
-    for (_, instr) in g.locs() {
-        if let Some(d) = instr.def() {
-            note(d, &mut renamed);
-        }
-        instr.for_each_use(|v| note(v, &mut renamed));
-    }
-    let name = |v: Var| -> &str {
-        renamed
-            .get(&v)
-            .map(String::as_str)
-            .unwrap_or_else(|| g.pool().name(v))
-    };
-    let operand = |w: &mut dyn Write, o: Operand| -> fmt::Result {
-        match o {
-            Operand::Var(v) => w.write_str(name(v)),
-            Operand::Const(c) => write!(w, "{c}"),
-        }
-    };
-    let term = |w: &mut dyn Write, t: Term| -> fmt::Result {
-        match t {
-            Term::Operand(o) => operand(w, o),
-            Term::Binary { op, lhs, rhs } => {
-                operand(w, lhs)?;
-                w.write_str(op.symbol())?;
-                operand(w, rhs)
-            }
-        }
-    };
-
-    writeln!(w, "start {}", g.label(g.start()))?;
-    writeln!(w, "end {}", g.label(g.end()))?;
     for n in g.nodes() {
-        writeln!(w, "node {} {{", g.label(n))?;
         for instr in &g.block(n).instrs {
-            w.write_str("  ")?;
-            match instr {
-                Instr::Skip => w.write_str("skip")?,
-                Instr::Assign { lhs, rhs } => {
-                    w.write_str(name(*lhs))?;
-                    w.write_str(" := ")?;
-                    term(w, *rhs)?;
-                }
-                Instr::Out(ops) => {
-                    w.write_str("out(")?;
-                    for (i, &o) in ops.iter().enumerate() {
-                        if i > 0 {
-                            w.write_str(",")?;
-                        }
-                        operand(w, o)?;
-                    }
-                    w.write_str(")")?;
-                }
-                Instr::Branch(c) => {
-                    w.write_str("branch ")?;
-                    term(w, c.lhs)?;
-                    write!(w, " {} ", c.op.symbol())?;
-                    term(w, c.rhs)?;
-                }
+            if let Some(d) = instr.def() {
+                note(d);
             }
-            w.write_str("\n")?;
-        }
-        w.write_str("}\n")?;
-    }
-    for n in g.nodes() {
-        if !g.succs(n).is_empty() {
-            write!(w, "edge {} -> ", g.label(n))?;
-            for (i, &m) in g.succs(n).iter().enumerate() {
-                if i > 0 {
-                    w.write_str(", ")?;
-                }
-                w.write_str(g.label(m))?;
-            }
-            w.write_str("\n")?;
+            instr.for_each_use(&mut note);
         }
     }
-    Ok(())
-}
-
-/// Helper for terms in tests: maps a term's variables.
-pub fn map_term(t: Term, f: &impl Fn(Var) -> Var) -> Term {
-    t.map_vars(f)
+    text::write_program(w, g, &mut |w: &mut W, v: Var| match rank[v.index()] {
+        0 => w.write_str(pool.name(v)),
+        r => {
+            w.write_str("h")?;
+            text::write_int(w, i64::from(r))
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::BinOp;
-    use crate::text::parse;
+    use crate::term::{BinOp, Term};
+    use crate::text::{parse, to_text};
 
     fn with_temp(name_suffix: &str) -> FlowGraph {
         let mut g =
@@ -316,16 +261,21 @@ mod tests {
 
     #[test]
     fn streamed_hash_equals_text_path_hash() {
-        // The streaming renderer inside `stable_hash` and the
-        // clone-and-print path must produce identical bytes — including on
-        // programs with temporaries, where the renaming substitution does
-        // the work the clone path does by rebuilding the pool.
+        // The one streaming renderer (behind `canonical_text` and
+        // `stable_hash`) and the clone-and-print oracle must produce
+        // identical bytes — including on programs with temporaries, where
+        // the rank substitution does the work the oracle does by
+        // rebuilding the pool.
         for g in [
             with_temp("a+b"),
             with_temp("weird_name"),
             parse("start s\nend e\nnode s { skip }\nnode e { out(x) }\nedge s -> e").unwrap(),
+            parse("start s\nend e\nnode s { x := -3*a }\nnode e { out(x,-7,0) }\nedge s -> e")
+                .unwrap(),
         ] {
-            assert_eq!(stable_hash(&g), stable_hash_text(&canonical_text(&g)));
+            let oracle = to_text(&rename_temps_canonically(&g));
+            assert_eq!(canonical_text(&g), oracle);
+            assert_eq!(stable_hash(&g), stable_hash_text(&oracle));
         }
     }
 

@@ -2,6 +2,7 @@ use std::fmt;
 
 use crate::instr::Instr;
 use crate::term::Term;
+use crate::text;
 use crate::var::{Var, VarPool};
 
 /// Identifier of a basic block (node) within a [`FlowGraph`].
@@ -381,7 +382,10 @@ impl FlowGraph {
             term.is_nontrivial(),
             "only non-trivial terms own temporaries"
         );
-        let name = format!("h<{}>", term.display(&self.pool));
+        let mut name = String::from("h<");
+        text::write_term(&mut name, term, &mut text::source_names(&self.pool))
+            .expect(text::INFALLIBLE);
+        name.push('>');
         self.pool.intern_temp(&name)
     }
 

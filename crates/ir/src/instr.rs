@@ -1,4 +1,5 @@
 use crate::term::{BinOp, Operand, Term};
+use crate::text;
 use crate::var::{Var, VarPool};
 
 /// A branch condition: a relational operator applied to two 3-address terms.
@@ -51,12 +52,9 @@ impl Cond {
 
     /// Renders the condition with names from `pool`.
     pub fn display(self, pool: &VarPool) -> String {
-        format!(
-            "{} {} {}",
-            self.lhs.display(pool),
-            self.op.symbol(),
-            self.rhs.display(pool)
-        )
+        let mut out = String::new();
+        text::write_cond(&mut out, self, &mut text::source_names(pool)).expect(text::INFALLIBLE);
+        out
     }
 }
 
@@ -144,23 +142,9 @@ impl Instr {
 
     /// Renders the instruction with names from `pool`.
     pub fn display(&self, pool: &VarPool) -> String {
-        match self {
-            Instr::Skip => "skip".to_owned(),
-            Instr::Assign { lhs, rhs } => {
-                format!("{} := {}", pool.name(*lhs), rhs.display(pool))
-            }
-            Instr::Out(ops) => {
-                let args: Vec<String> = ops
-                    .iter()
-                    .map(|o| match o {
-                        Operand::Var(v) => pool.name(*v).to_owned(),
-                        Operand::Const(c) => c.to_string(),
-                    })
-                    .collect();
-                format!("out({})", args.join(","))
-            }
-            Instr::Branch(c) => format!("branch {}", c.display(pool)),
-        }
+        let mut out = String::new();
+        text::write_instr(&mut out, self, &mut text::source_names(pool)).expect(text::INFALLIBLE);
+        out
     }
 }
 

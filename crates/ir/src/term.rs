@@ -1,5 +1,6 @@
 use std::fmt;
 
+use crate::text;
 use crate::var::{Var, VarPool};
 
 /// An atomic operand: a variable or an integer constant.
@@ -181,16 +182,9 @@ impl Term {
 
     /// Renders the term with variable names from `pool`.
     pub fn display(self, pool: &VarPool) -> String {
-        let op_str = |o: Operand| match o {
-            Operand::Var(v) => pool.name(v).to_owned(),
-            Operand::Const(c) => c.to_string(),
-        };
-        match self {
-            Term::Operand(o) => op_str(o),
-            Term::Binary { op, lhs, rhs } => {
-                format!("{}{}{}", op_str(lhs), op.symbol(), op_str(rhs))
-            }
-        }
+        let mut out = String::new();
+        text::write_term(&mut out, self, &mut text::source_names(pool)).expect(text::INFALLIBLE);
+        out
     }
 }
 

@@ -49,3 +49,6 @@ pub use parser::{
     SourceMap, MAX_DEPTH,
 };
 pub use printer::{node_summary, to_text};
+pub(crate) use printer::{
+    source_names, write_cond, write_instr, write_int, write_program, write_term, INFALLIBLE,
+};

@@ -13,8 +13,8 @@ use am_ir::random::{unstructured, SplitMix64, UnstructuredConfig};
 use am_lang::SourceKind;
 use am_serve::client::{Client, ClientError};
 use am_serve::diskcache::DiskCacheConfig;
-use am_serve::net::Endpoint;
-use am_serve::proto::Reply;
+use am_serve::net::{Endpoint, NetStream};
+use am_serve::proto::{self, Reply};
 use am_serve::server::{Server, ServerConfig};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -171,6 +171,31 @@ fn deeply_nested_ir_gets_an_error_reply_and_the_server_survives() {
     assert!(message.contains("nested deeper"), "{message}");
 
     client.ping().expect("ping after the deep request");
+    stop(&endpoint, handle);
+}
+
+#[test]
+fn deeply_nested_json_frame_gets_an_error_reply_and_the_server_survives() {
+    let (endpoint, handle) = boot(ServerConfig::default());
+
+    // 100k nested `[` (a ~100 KB frame, far under the frame cap) used to
+    // overflow the connection thread's stack inside the JSON reader: an
+    // abort of the whole daemon.
+    let mut raw = NetStream::connect(&endpoint).expect("connect");
+    proto::write_frame(&mut raw, &"[".repeat(100_000)).expect("send deep frame");
+    let reply = proto::read_frame(&mut raw)
+        .expect("read reply")
+        .expect("a reply frame, not a closed connection");
+    let (id, reply) = proto::parse_response(&reply).expect("well-formed reply");
+    assert_eq!(id, 0, "no request id could be read");
+    let Reply::Error { message } = reply else {
+        panic!("expected an error reply, got {reply:?}")
+    };
+    assert!(message.contains("nested deeper"), "{message}");
+    drop(raw);
+
+    let mut client = Client::connect(&endpoint).expect("fresh connection");
+    client.ping().expect("ping after the deep frame");
     stop(&endpoint, handle);
 }
 

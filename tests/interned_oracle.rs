@@ -10,14 +10,17 @@
 //! implementation produced. This test replays the full 280-program fixture
 //! (`tests/fixtures/golden_hashes.txt`, generated from the pre-refactor
 //! tree; regenerate with `cargo run --release --example golden_hashes`)
-//! and cross-checks the streamed hash path against the text path.
+//! and cross-checks the streamed render against the clone-and-print
+//! oracle.
 
 use std::collections::HashMap;
 
+use am_bench::workloads::{nest_grid, wide_fan};
 use am_core::global::optimize;
-use am_ir::alpha::{canonical_text, stable_hash, stable_hash_text};
+use am_ir::alpha::{canonical_text, rename_temps_canonically, stable_hash, stable_hash_text};
 use am_ir::random::{corpus80, structured, unstructured, StructuredConfig, UnstructuredConfig};
 use am_ir::rng::SplitMix64;
+use am_ir::text::to_text;
 use am_ir::{reference_universe, FlowGraph, PatternUniverse};
 
 /// The fixture programs, rebuilt exactly as `examples/golden_hashes.rs`
@@ -98,24 +101,48 @@ fn golden_hashes_are_bit_identical() {
     }
 }
 
-/// The streamed hash (`stable_hash`, a direct `fmt::Write` sink) and the
-/// text-path hash (`stable_hash_text` over the materialised
-/// `canonical_text`) are the same function, on inputs and on optimizer
-/// outputs.
+/// The one streaming renderer (`canonical_text`, and `stable_hash` over
+/// the same writer) is byte-identical to the literal clone-and-print
+/// oracle `to_text(&rename_temps_canonically(g))`, on inputs and on
+/// optimizer outputs: the 280 fixture programs (which include the shared
+/// corpus), 200 further seeded random programs, and small rungs of both XL
+/// families.
 #[test]
-fn streamed_and_text_hash_paths_agree_on_corpus() {
-    for (name, g) in corpus80() {
-        assert_eq!(
-            stable_hash(&g),
-            stable_hash_text(&canonical_text(&g)),
-            "{name}: hash paths disagree on input"
-        );
+fn canonical_text_matches_clone_and_print_oracle() {
+    let mut programs: Vec<(String, FlowGraph)> = fixture_programs()
+        .into_iter()
+        .map(|(family, name, g)| (format!("{family} {name}"), g))
+        .collect();
+    for seed in 0..100u64 {
+        let mut rng = SplitMix64::new(seed);
+        programs.push((
+            format!("structured {seed}"),
+            structured(&mut rng, &StructuredConfig::default()),
+        ));
+        let mut rng = SplitMix64::new(seed);
+        programs.push((
+            format!("unstructured {seed}"),
+            unstructured(&mut rng, &UnstructuredConfig::default()),
+        ));
+    }
+    for copies in [1, 4] {
+        programs.push((format!("nest_grid({copies},2,8)"), nest_grid(copies, 2, 8)));
+    }
+    for branches in [2, 40] {
+        programs.push((format!("wide_fan({branches},4)"), wide_fan(branches, 4)));
+    }
+    assert_eq!(programs.len(), 484);
+    for (name, g) in programs {
         let opt = optimize(&g).program;
-        assert_eq!(
-            stable_hash(&opt),
-            stable_hash_text(&canonical_text(&opt)),
-            "{name}: hash paths disagree on optimized output"
-        );
+        for (stage, p) in [("input", &g), ("optimized output", &opt)] {
+            let oracle = to_text(&rename_temps_canonically(p));
+            assert_eq!(canonical_text(p), oracle, "{name}: {stage} text");
+            assert_eq!(
+                stable_hash(p),
+                stable_hash_text(&oracle),
+                "{name}: {stage} hash"
+            );
+        }
     }
 }
 
