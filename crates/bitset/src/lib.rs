@@ -1,14 +1,17 @@
-//! Dense, fixed-universe bit sets and bit matrices.
+//! Dense, fixed-universe bit sets.
 //!
 //! Bit-vector data-flow analyses manipulate sets drawn from a small, fixed
 //! universe (the assignment and expression patterns of a program). This crate
-//! provides the two containers those analyses need:
+//! provides the containers those analyses need:
 //!
 //! * [`BitSet`] — a dense set of `usize` elements below a fixed universe
 //!   size, with in-place union/intersection/difference and change reporting
-//!   (the change bit is what drives worklist convergence).
-//! * [`BitMatrix`] — a rectangular array of bit rows, used to store one
-//!   [`BitSet`] per program point without per-point allocation.
+//!   (the change bit is what drives worklist convergence). Universes of at
+//!   most 128 elements are stored inline, so the per-point fact rows of
+//!   typical programs never allocate.
+//! * [`ActiveWords`] — the dirty-word index of a gen/kill row, letting the
+//!   fused transfer [`BitSet::transfer_from`] copy untouched words of a
+//!   wide universe straight through.
 //!
 //! # Examples
 //!
@@ -25,10 +28,8 @@
 //! assert_eq!(a.iter().collect::<Vec<_>>(), vec![3]);
 //! ```
 
-mod matrix;
 mod set;
 
-pub use matrix::BitMatrix;
 pub use set::{ActiveWords, BitSet};
 
 /// Number of bits per storage word.

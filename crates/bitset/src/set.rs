@@ -1,12 +1,22 @@
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::{tail_mask, words_for, WORD_BITS};
+
+/// Words a set stores inline: as many as fit in the room its heap slice
+/// would take, so inline rows cost no space over heap ones.
+const INLINE_WORDS: usize = size_of::<Box<[u64]>>() / size_of::<u64>();
 
 /// A dense set of `usize` elements drawn from a fixed universe `0..len`.
 ///
 /// All binary operations require both operands to share the same universe
 /// size and report whether the receiver changed, which is the signal
 /// worklist solvers use to decide whether to requeue dependents.
+///
+/// A universe of at most 128 elements (two words) is stored inline, so
+/// creating or cloning such a set never allocates; wider universes keep
+/// their words on the heap. Equality and hashing see only the universe
+/// size and its words, whichever the storage.
 ///
 /// # Examples
 ///
@@ -19,34 +29,62 @@ use crate::{tail_mask, words_for, WORD_BITS};
 /// assert_eq!(live.count(), 2);
 /// assert!(live.contains(5));
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct BitSet {
     len: usize,
-    words: Vec<u64>,
+    words: Words,
+}
+
+/// The storage of a [`BitSet`]: inline when the universe fits in
+/// [`INLINE_WORDS`] words, else on the heap. Inline words past the
+/// universe are zero, and every operation keeps them so, which lets the
+/// kernels run over the whole inline array.
+#[derive(Clone)]
+enum Words {
+    Inline([u64; INLINE_WORDS]),
+    Heap(Box<[u64]>),
 }
 
 impl BitSet {
     /// Creates an empty set over the universe `0..len`.
     pub fn new(len: usize) -> Self {
-        BitSet {
-            len,
-            words: vec![0; words_for(len)],
-        }
+        let n = words_for(len);
+        let words = if n <= INLINE_WORDS {
+            Words::Inline([0; INLINE_WORDS])
+        } else {
+            Words::Heap(vec![0; n].into_boxed_slice())
+        };
+        BitSet { len, words }
     }
 
     /// Creates a full set containing every element of `0..len`.
     pub fn full(len: usize) -> Self {
-        let mut s = BitSet {
-            len,
-            words: vec![u64::MAX; words_for(len)],
-        };
-        s.trim();
+        let mut s = BitSet::new(len);
+        s.insert_all();
         s
     }
 
-    fn trim(&mut self) {
-        if let Some(last) = self.words.last_mut() {
-            *last &= tail_mask(self.len);
+    /// The words of the universe, exactly `words_for(len)` of them.
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(a) => &a[..words_for(self.len)],
+            Words::Heap(b) => b,
+        }
+    }
+
+    /// The words the kernels run over: the whole inline array, or the
+    /// heap slice.
+    fn raw(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(a) => a,
+            Words::Heap(b) => b,
+        }
+    }
+
+    fn raw_mut(&mut self) -> &mut [u64] {
+        match &mut self.words {
+            Words::Inline(a) => a,
+            Words::Heap(b) => b,
         }
     }
 
@@ -57,12 +95,12 @@ impl BitSet {
 
     /// Returns `true` when the set contains no elements.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.raw().iter().all(|&w| w == 0)
     }
 
     /// Number of elements currently in the set.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        self.raw().iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Tests membership of `bit`.
@@ -72,7 +110,7 @@ impl BitSet {
     /// Panics if `bit` is outside the universe.
     pub fn contains(&self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        self.words[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
+        self.raw()[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
     }
 
     /// Inserts `bit`; returns `true` if the set changed.
@@ -82,7 +120,7 @@ impl BitSet {
     /// Panics if `bit` is outside the universe.
     pub fn insert(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        let w = &mut self.words[bit / WORD_BITS];
+        let w = &mut self.raw_mut()[bit / WORD_BITS];
         let mask = 1 << (bit % WORD_BITS);
         let changed = *w & mask == 0;
         *w |= mask;
@@ -96,7 +134,7 @@ impl BitSet {
     /// Panics if `bit` is outside the universe.
     pub fn remove(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        let w = &mut self.words[bit / WORD_BITS];
+        let w = &mut self.raw_mut()[bit / WORD_BITS];
         let mask = 1 << (bit % WORD_BITS);
         let changed = *w & mask != 0;
         *w &= !mask;
@@ -114,13 +152,17 @@ impl BitSet {
 
     /// Removes every element.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        self.raw_mut().fill(0);
     }
 
     /// Inserts every element of the universe.
     pub fn insert_all(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = u64::MAX);
-        self.trim();
+        let len = self.len;
+        let words = &mut self.raw_mut()[..words_for(len)];
+        words.fill(u64::MAX);
+        if let Some(last) = words.last_mut() {
+            *last &= tail_mask(len);
+        }
     }
 
     fn assert_same_universe(&self, other: &BitSet) {
@@ -131,54 +173,41 @@ impl BitSet {
         );
     }
 
-    /// `self ∪= other`; returns `true` if `self` changed.
+    /// `self = op(self, other)` word by word; returns `true` if `self`
+    /// changed.
     ///
     /// Single branchless pass: the change signal is an XOR accumulator over
     /// all words, so the loop vectorizes instead of testing per word.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
+    #[inline]
+    fn update(&mut self, other: &BitSet, op: impl Fn(u64, u64) -> u64) -> bool {
         self.assert_same_universe(other);
         let mut diff = 0u64;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | b;
+        for (a, &b) in self.raw_mut().iter_mut().zip(other.raw()) {
+            let new = op(*a, b);
             diff |= *a ^ new;
             *a = new;
         }
         diff != 0
+    }
+
+    /// `self ∪= other`; returns `true` if `self` changed.
+    pub fn union_with(&mut self, other: &BitSet) -> bool {
+        self.update(other, |a, b| a | b)
     }
 
     /// `self ∩= other`; returns `true` if `self` changed.
     pub fn intersect_with(&mut self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        let mut diff = 0u64;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a & b;
-            diff |= *a ^ new;
-            *a = new;
-        }
-        diff != 0
+        self.update(other, |a, b| a & b)
     }
 
     /// `self −= other`; returns `true` if `self` changed.
     pub fn difference_with(&mut self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        let mut diff = 0u64;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a & !b;
-            diff |= *a ^ new;
-            *a = new;
-        }
-        diff != 0
+        self.update(other, |a, b| a & !b)
     }
 
     /// Replaces `self` with a copy of `other`; returns `true` if it changed.
     pub fn copy_from(&mut self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        let mut diff = 0u64;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            diff |= *a ^ b;
-            *a = *b;
-        }
-        diff != 0
+        self.update(other, |_, b| b)
     }
 
     /// The fused gen/kill transfer `self = gen ∪ (input ∖ kill)`; returns
@@ -206,17 +235,19 @@ impl BitSet {
         self.assert_same_universe(input);
         self.assert_same_universe(gen);
         self.assert_same_universe(kill);
-        let words = self.words.len();
+        let (input, gen, kill) = (input.raw(), gen.raw(), kill.raw());
+        let out = self.raw_mut();
         let mut diff = 0u64;
         match &active.index {
             None => {
-                for i in 0..words {
-                    let new = gen.words[i] | (input.words[i] & !kill.words[i]);
-                    diff |= self.words[i] ^ new;
-                    self.words[i] = new;
+                for (((o, &i), &g), &k) in out.iter_mut().zip(input).zip(gen).zip(kill) {
+                    let new = g | (i & !k);
+                    diff |= *o ^ new;
+                    *o = new;
                 }
             }
             Some(index) => {
+                let words = out.len();
                 assert_eq!(
                     active.words, words,
                     "active-word index built for a different universe"
@@ -229,17 +260,17 @@ impl BitSet {
                 for &w in index.iter() {
                     let w = w as usize;
                     for i in start..w {
-                        diff |= self.words[i] ^ input.words[i];
-                        self.words[i] = input.words[i];
+                        diff |= out[i] ^ input[i];
+                        out[i] = input[i];
                     }
-                    let new = gen.words[w] | (input.words[w] & !kill.words[w]);
-                    diff |= self.words[w] ^ new;
-                    self.words[w] = new;
+                    let new = gen[w] | (input[w] & !kill[w]);
+                    diff |= out[w] ^ new;
+                    out[w] = new;
                     start = w + 1;
                 }
                 for i in start..words {
-                    diff |= self.words[i] ^ input.words[i];
-                    self.words[i] = input.words[i];
+                    diff |= out[i] ^ input[i];
+                    out[i] = input[i];
                 }
             }
         }
@@ -249,25 +280,41 @@ impl BitSet {
     /// Tests `self ⊆ other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.assert_same_universe(other);
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
+        self.raw().iter().zip(other.raw()).all(|(a, b)| a & !b == 0)
     }
 
     /// Tests whether the sets share no element.
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
         self.assert_same_universe(other);
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
+        self.raw().iter().zip(other.raw()).all(|(a, b)| a & b == 0)
     }
 
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
+        let words = self.words();
         Iter {
-            set: self,
+            words,
             word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
+            current: words.first().copied().unwrap_or(0),
         }
+    }
+}
+
+impl PartialEq for BitSet {
+    fn eq(&self, other: &BitSet) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitSet {}
+
+/// Hashes the universe size, then its words as one slice (the stream a
+/// derived `Hash` over a `Vec<u64>` field feeds), so hash values do not
+/// depend on the storage.
+impl Hash for BitSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        self.words().hash(state);
     }
 }
 
@@ -301,9 +348,10 @@ impl Extend<usize> for BitSet {
 /// where `gen | kill == 0` turns the transfer into a plain copy of the
 /// input. This index records which words are *active* (`gen | kill != 0`)
 /// so the fused transfer can stream the inactive runs as straight copies.
-/// When at least half the words are active the index degrades to a dense
-/// marker and the transfer scans every word — the sparse walk would only
-/// add bookkeeping.
+/// When at least half the words are active, or the universe fits in the
+/// inline words of a [`BitSet`], the index degrades to a dense marker that
+/// allocates nothing, and the transfer scans every word — the sparse walk
+/// would only add bookkeeping.
 ///
 /// # Examples
 ///
@@ -338,18 +386,17 @@ impl ActiveWords {
     /// Panics if the two sets have different universe sizes.
     pub fn build(gen: &BitSet, kill: &BitSet) -> Self {
         gen.assert_same_universe(kill);
-        let words = gen.words.len();
-        let active: Vec<u32> = (0..words)
-            .filter(|&i| gen.words[i] | kill.words[i] != 0)
-            .map(|i| i as u32)
-            .collect();
-        if active.len() * 2 >= words {
-            ActiveWords { words, index: None }
-        } else {
-            ActiveWords {
-                words,
-                index: Some(active.into_boxed_slice()),
-            }
+        let (g, k) = (gen.words(), kill.words());
+        let words = g.len();
+        let active = |&i: &usize| g[i] | k[i] != 0;
+        // Count before collecting: a dense row, and every row of an
+        // inline universe, allocates no index.
+        if words <= INLINE_WORDS || (0..words).filter(active).count() * 2 >= words {
+            return ActiveWords { words, index: None };
+        }
+        ActiveWords {
+            words,
+            index: Some((0..words).filter(active).map(|i| i as u32).collect()),
         }
     }
 
@@ -377,7 +424,7 @@ impl ActiveWords {
 
 /// Iterator over the elements of a [`BitSet`] in increasing order.
 pub struct Iter<'a> {
-    set: &'a BitSet,
+    words: &'a [u64],
     word_idx: usize,
     current: u64,
 }
@@ -393,10 +440,10 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_idx * WORD_BITS + bit);
             }
             self.word_idx += 1;
-            if self.word_idx >= self.set.words.len() {
+            if self.word_idx >= self.words.len() {
                 return None;
             }
-            self.current = self.set.words[self.word_idx];
+            self.current = self.words[self.word_idx];
         }
     }
 }
@@ -586,7 +633,7 @@ mod iterator_tests {
         scratch.difference_with(kill);
         scratch.union_with(gen);
         let changed = *out != scratch;
-        out.words.copy_from_slice(&scratch.words);
+        *out = scratch;
         changed
     }
 

@@ -62,57 +62,13 @@ use std::rc::Rc;
 use am_dfa::{
     node_adjacency, solve_scheduled, Adjacency, PatternMasks, Problem, Schedule, Solution,
 };
-use am_ir::intern::{InstrId, InstrInterner};
+use am_ir::intern::{FxMapHasher, InstrId, InstrInterner};
 use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
 use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
 use crate::hoist::{apply_insertion_step, HoistAnalysis, HoistOutcome};
 use crate::rae::{redundancy_row, remove_locs, RaeOutcome, Row};
-
-/// Multiply-rotate hasher in the FxHash family. The fingerprints hash
-/// block contents and edges at every re-sync; SipHash is measurable
-/// overhead at that call frequency, and none of these hashes face
-/// untrusted keys. Fingerprint collisions can only skip a no-op re-solve
-/// or end the motion loop a round early, never corrupt a result.
-#[derive(Default)]
-struct FxHasher(u64);
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in chunks.by_ref() {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let mut tail = 0u64;
-        for &b in chunks.remainder() {
-            tail = tail << 8 | b as u64;
-        }
-        self.add(tail);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -319,7 +275,7 @@ impl MotionContext {
             .enumerate()
             .fold(0, |sum, (i, &h)| sum.wrapping_add(slot_hash(i, h)));
         self.edge_hash = edge_hash(g);
-        let mut h = FxHasher::default();
+        let mut h = FxMapHasher::default();
         g.start().index().hash(&mut h);
         g.end().index().hash(&mut h);
         h.write_u64(self.edge_hash);
@@ -376,7 +332,7 @@ impl MotionContext {
     /// result.
     pub(crate) fn fingerprint(&mut self, g: &FlowGraph) -> u64 {
         self.sync(g);
-        let mut h = FxHasher::default();
+        let mut h = FxMapHasher::default();
         h.write_u64(self.shape_hash);
         h.write_u64(self.block_sum);
         h.finish()
@@ -575,7 +531,7 @@ fn assign_index(instr: &Instr, universe: &PatternUniverse) -> Option<u32> {
 /// Hash of one block's content, composed from the interner's cached
 /// per-instruction hashes.
 fn block_hash(interner: &InstrInterner, keys: &[InstrId]) -> u64 {
-    let mut h = FxHasher::default();
+    let mut h = FxMapHasher::default();
     h.write_usize(keys.len());
     for &id in keys {
         h.write_u64(interner.hash(id));
@@ -596,7 +552,7 @@ fn slot_hash(i: usize, hash: u64) -> u64 {
 
 /// Fingerprint of the node-level edges.
 fn edge_hash(g: &FlowGraph) -> u64 {
-    let mut h = FxHasher::default();
+    let mut h = FxMapHasher::default();
     g.node_count().hash(&mut h);
     for n in g.nodes() {
         for &m in g.succs(n) {

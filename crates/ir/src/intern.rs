@@ -29,12 +29,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 use crate::instr::Instr;
 use crate::term::{Operand, Term};
 
-/// FxHash-style hasher for the intern index maps. The interner sits on the
-/// motion engine's per-round hot path, where SipHash is measurable
-/// overhead, and the maps never face untrusted keys; collisions are
-/// resolved by `Eq` as usual.
+/// FxHash-style hasher for the intern index maps and the motion engine's
+/// fingerprints. The interner sits on the motion engine's per-round hot
+/// path, where SipHash is measurable overhead, and neither the maps nor
+/// the fingerprints face untrusted keys; map collisions are resolved by
+/// `Eq` as usual. Not a stable cross-process hash, and not for maps keyed
+/// by client text, where it would invite hash flooding.
 #[derive(Default)]
-pub(crate) struct FxMapHasher(u64);
+pub struct FxMapHasher(u64);
 
 impl FxMapHasher {
     #[inline]

@@ -1,85 +1,64 @@
 use crate::term::{BinOp, Operand, Term};
-use crate::var::VarPool;
 
-/// A surface expression: arbitrarily nested, as written in source text.
-///
-/// The core IR only admits 3-address terms; [`Expr::depth`] distinguishes
-/// expressions that fit directly from those needing the Sec. 6
-/// decomposition.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Expr {
+/// Index of a node in an [`ExprArena`].
+pub(crate) type ExprId = u32;
+
+/// One node of a surface expression: arbitrarily nested, as written in
+/// source text. Children are arena indices.
+#[derive(Clone, Copy)]
+pub(crate) enum Node {
     /// A variable or constant leaf.
-    Operand(Operand),
+    Leaf(Operand),
     /// `lhs op rhs`.
     Binary {
         /// The operator.
         op: BinOp,
         /// Left subexpression.
-        lhs: Box<Expr>,
+        lhs: ExprId,
         /// Right subexpression.
-        rhs: Box<Expr>,
+        rhs: ExprId,
     },
 }
 
-impl Expr {
-    /// Builds a binary node.
-    pub fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> Expr {
-        Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        }
+/// The node buffer the expression parser writes into, reused across
+/// statements: parsing a statement clears it, so after the first few
+/// statements no expression allocates. Nodes are pushed children first.
+///
+/// The core IR only admits 3-address terms; [`ExprArena::as_term`]
+/// distinguishes expressions that fit directly from those needing the
+/// Sec. 6 decomposition.
+#[derive(Default)]
+pub(crate) struct ExprArena {
+    nodes: Vec<Node>,
+}
+
+impl ExprArena {
+    /// Forgets every node, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.nodes.clear();
     }
 
-    /// Operator nesting depth: 0 for a leaf, 1 for `a+b`, 2 for `a+b+c`, …
-    pub fn depth(&self) -> usize {
-        match self {
-            Expr::Operand(_) => 0,
-            Expr::Binary { lhs, rhs, .. } => 1 + lhs.depth().max(rhs.depth()),
-        }
+    /// Appends `node`, returning its index.
+    pub(crate) fn push(&mut self, node: Node) -> ExprId {
+        let id = ExprId::try_from(self.nodes.len()).expect("expression arena index fits u32");
+        self.nodes.push(node);
+        id
     }
 
-    /// Converts to a 3-address [`Term`] if the expression is shallow enough.
-    pub fn as_term(&self) -> Option<Term> {
-        match self {
-            Expr::Operand(o) => Some(Term::Operand(*o)),
-            Expr::Binary { op, lhs, rhs } => match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Operand(l), Expr::Operand(r)) => Some(Term::Binary {
-                    op: *op,
-                    lhs: *l,
-                    rhs: *r,
-                }),
+    /// The node at `id`.
+    pub(crate) fn node(&self, id: ExprId) -> Node {
+        self.nodes[id as usize]
+    }
+
+    /// Converts the expression rooted at `id` to a 3-address [`Term`] if
+    /// it is shallow enough.
+    pub(crate) fn as_term(&self, id: ExprId) -> Option<Term> {
+        match self.node(id) {
+            Node::Leaf(o) => Some(Term::Operand(o)),
+            Node::Binary { op, lhs, rhs } => match (self.node(lhs), self.node(rhs)) {
+                (Node::Leaf(lhs), Node::Leaf(rhs)) => Some(Term::Binary { op, lhs, rhs }),
                 _ => None,
             },
-        }
-    }
-
-    /// Flattens the expression into 3-address form (Sec. 6, Fig. 18):
-    /// every nested subexpression is assigned to a fresh variable drawn from
-    /// `fresh`, the generated `(var, term)` assignments are appended to
-    /// `emitted` in evaluation order, and the resulting operand is returned.
-    pub fn decompose(
-        &self,
-        pool: &mut VarPool,
-        fresh: &mut dyn FnMut(&mut VarPool) -> crate::var::Var,
-        emitted: &mut Vec<(crate::var::Var, Term)>,
-    ) -> Operand {
-        match self {
-            Expr::Operand(o) => *o,
-            Expr::Binary { op, lhs, rhs } => {
-                let l = lhs.decompose(pool, fresh, emitted);
-                let r = rhs.decompose(pool, fresh, emitted);
-                let v = fresh(pool);
-                emitted.push((
-                    v,
-                    Term::Binary {
-                        op: *op,
-                        lhs: l,
-                        rhs: r,
-                    },
-                ));
-                Operand::Var(v)
-            }
         }
     }
 }
@@ -87,62 +66,55 @@ impl Expr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::Var;
-
-    fn leaf(pool: &mut VarPool, name: &str) -> Expr {
-        Expr::Operand(Operand::Var(pool.intern(name)))
-    }
+    use crate::var::VarPool;
 
     #[test]
-    fn depth_and_as_term() {
+    fn as_term_accepts_three_address_shapes() {
         let mut pool = VarPool::new();
-        let a = leaf(&mut pool, "a");
-        let b = leaf(&mut pool, "b");
-        let c = leaf(&mut pool, "c");
-        assert_eq!(a.depth(), 0);
-        let ab = Expr::binary(BinOp::Add, a.clone(), b.clone());
-        assert_eq!(ab.depth(), 1);
-        assert!(ab.as_term().is_some());
-        let abc = Expr::binary(BinOp::Add, ab.clone(), c);
-        assert_eq!(abc.depth(), 2);
-        assert!(abc.as_term().is_none());
-        assert_eq!(a.as_term(), Some(Term::operand(pool.lookup("a").unwrap())));
+        let mut arena = ExprArena::default();
+        let [a, b, c] = ["a", "b", "c"].map(|n| Operand::Var(pool.intern(n)));
+        let la = arena.push(Node::Leaf(a));
+        assert_eq!(arena.as_term(la), Some(Term::Operand(a)));
+        let lb = arena.push(Node::Leaf(b));
+        let ab = arena.push(Node::Binary {
+            op: BinOp::Add,
+            lhs: la,
+            rhs: lb,
+        });
+        assert_eq!(
+            arena.as_term(ab),
+            Some(Term::Binary {
+                op: BinOp::Add,
+                lhs: a,
+                rhs: b
+            })
+        );
+        let lc = arena.push(Node::Leaf(c));
+        let abc = arena.push(Node::Binary {
+            op: BinOp::Add,
+            lhs: ab,
+            rhs: lc,
+        });
+        assert_eq!(arena.as_term(abc), None);
+        arena.clear();
+        assert_eq!(
+            arena.push(Node::Leaf(c)),
+            0,
+            "a cleared arena restarts at 0"
+        );
     }
 
     #[test]
     fn decompose_emits_in_evaluation_order() {
-        // (a+b)+c  =>  t1 := a+b ; result term t1+c
-        let mut pool = VarPool::new();
-        let a = leaf(&mut pool, "a");
-        let b = leaf(&mut pool, "b");
-        let c = leaf(&mut pool, "c");
-        let abc = Expr::binary(BinOp::Add, Expr::binary(BinOp::Add, a, b), c);
-        let mut counter = 0;
-        let mut fresh = |pool: &mut VarPool| -> Var {
-            counter += 1;
-            pool.intern(&format!("t{counter}"))
-        };
-        let mut emitted = Vec::new();
-        let result = abc.decompose(&mut pool, &mut fresh, &mut emitted);
-        assert_eq!(emitted.len(), 2);
-        let t1 = pool.lookup("t1").unwrap();
-        let t2 = pool.lookup("t2").unwrap();
-        let (v1, term1) = emitted[0];
-        assert_eq!(v1, t1);
-        assert_eq!(
-            term1,
-            Term::binary(
-                BinOp::Add,
-                pool.lookup("a").unwrap(),
-                pool.lookup("b").unwrap()
-            )
-        );
-        let (v2, term2) = emitted[1];
-        assert_eq!(v2, t2);
-        assert_eq!(
-            term2,
-            Term::binary(BinOp::Add, t1, pool.lookup("c").unwrap())
-        );
-        assert_eq!(result, Operand::Var(t2));
+        // (a+b)*(c-d) + e  =>  t1 := a+b; t2 := c-d; t3 := t1*t2; x := t3+e
+        let src = "start s\nend e\nnode s { x := (a+b)*(c-d) + e }\nnode e { out(x) }\nedge s -> e";
+        let g = crate::text::parse_with_mode(src, crate::text::Mode::Decompose).unwrap();
+        let text: Vec<String> = g
+            .block(g.start())
+            .instrs
+            .iter()
+            .map(|i| i.display(g.pool()))
+            .collect();
+        assert_eq!(text, ["t1 := a+b", "t2 := c-d", "t3 := t1*t2", "x := t3+e"]);
     }
 }

@@ -42,7 +42,6 @@ mod lexer;
 mod parser;
 mod printer;
 
-pub use ast::Expr;
 pub use lexer::{lex, LexError, Pos, Token};
 pub use parser::{
     parse, parse_cond_str, parse_expr_str, parse_with_locations, parse_with_mode, Mode, ParseError,

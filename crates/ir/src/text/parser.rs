@@ -6,7 +6,7 @@ use crate::instr::{Cond, Instr};
 use crate::term::{BinOp, Operand, Term};
 use crate::var::{Var, VarPool};
 
-use super::ast::Expr;
+use super::ast::{ExprArena, ExprId, Node};
 use super::lexer::{lex, LexError, Pos, Token};
 
 /// How the parser treats expressions deeper than 3-address form.
@@ -78,10 +78,10 @@ impl SourceMap {
 
 /// The deepest expression nesting the parser accepts: the parentheses and
 /// operator operands enclosing a point plus the height of the expression
-/// built there. Parsing, lowering and dropping an [`Expr`] each recurse
-/// once per level, so the cap keeps every walk within a small thread
-/// stack; deeper input is a [`ParseError`], not an abort. The
-/// while-language front end (`am_lang`) shares this cap.
+/// built there. Parsing and lowering an expression each recurse once per
+/// level, so the cap keeps every walk within a small thread stack; deeper
+/// input is a [`ParseError`], not an abort. The while-language front end
+/// (`am_lang`) shares this cap.
 pub const MAX_DEPTH: usize = 128;
 
 /// Parses a flow graph in [`Mode::Strict`].
@@ -151,6 +151,8 @@ struct Cursor<'a> {
     pos: usize,
     /// Parentheses and operator operands enclosing the current token.
     depth: usize,
+    /// The nodes of the expression parsed last.
+    exprs: ExprArena,
 }
 
 impl<'a> Cursor<'a> {
@@ -159,6 +161,7 @@ impl<'a> Cursor<'a> {
             tokens: lex(src)?,
             pos: 0,
             depth: 0,
+            exprs: ExprArena::default(),
         })
     }
 
@@ -256,17 +259,25 @@ impl<'a> Cursor<'a> {
         })
     }
 
-    /// Precedence-climbing expression parser, returning the expression and
-    /// its height (0 for a leaf).
+    /// Parses one expression into [`Cursor::exprs`], replacing the
+    /// previous one, and returns its root.
+    fn expression(&mut self, pool: &mut VarPool) -> Result<ExprId, ParseError> {
+        self.exprs.clear();
+        self.expr(0, pool).map(|(root, _)| root)
+    }
+
+    /// Precedence-climbing expression parser, returning the expression's
+    /// root and its height (0 for a leaf).
     /// Level 0: relational; level 1: `+`/`-`; level 2: `*`/`/`/`%`.
-    fn expr(&mut self, min_level: u8, pool: &mut VarPool) -> Result<(Expr, usize), ParseError> {
+    fn expr(&mut self, min_level: u8, pool: &mut VarPool) -> Result<(ExprId, usize), ParseError> {
         let (mut lhs, mut height) = if self.peek() == Some(Token::LParen) {
             self.pos += 1;
             let e = self.nested(|c| c.expr(0, pool))?;
             self.expect(Token::RParen)?;
             e
         } else {
-            (Expr::Operand(self.operand(pool)?), 0)
+            let leaf = Node::Leaf(self.operand(pool)?);
+            (self.exprs.push(leaf), 0)
         };
         while let Some((op, level)) = self.binop() {
             if level < min_level {
@@ -278,7 +289,7 @@ impl<'a> Cursor<'a> {
             // here, so the height is checked as the tree grows.
             height = 1 + height.max(rhs_height);
             self.check_depth(height)?;
-            lhs = Expr::binary(op, lhs, rhs);
+            lhs = self.exprs.push(Node::Binary { op, lhs, rhs });
         }
         Ok((lhs, height))
     }
@@ -487,8 +498,9 @@ impl<'a> Parser<'a> {
             Some(Token::Ident(name)) => {
                 self.cur.expect(Token::Assign)?;
                 let lhs = self.graph.pool_mut().intern(name);
-                let (expr, _) = self.cur.expr(0, self.graph.pool_mut())?;
-                self.lower_assign(lhs, &expr, out)?;
+                let root = self.cur.expression(self.graph.pool_mut())?;
+                let rhs = self.lower_term(root, "expression", out)?;
+                out.push(Instr::assign(lhs, rhs));
             }
             Some(t) => return Err(error_at(at, format!("expected a statement, found {t}"))),
             None => {
@@ -521,105 +533,61 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Lowers `lhs := expr` to instructions, decomposing nested expressions
-    /// when the mode allows it.
-    fn lower_assign(
+    /// Lowers the expression at `id` to a 3-address term, emitting the
+    /// decomposition assignments of its nested operands into `out` when
+    /// the mode allows it; `what` names the construct in the Strict-mode
+    /// error.
+    fn lower_term(
         &mut self,
-        lhs: Var,
-        expr: &Expr,
+        id: ExprId,
+        what: &str,
         out: &mut Vec<Instr>,
-    ) -> Result<(), ParseError> {
-        if let Some(term) = expr.as_term() {
-            out.push(Instr::assign(lhs, term));
-            return Ok(());
+    ) -> Result<Term, ParseError> {
+        if let Some(term) = self.cur.exprs.as_term(id) {
+            return Ok(term);
         }
         if self.mode == Mode::Strict {
-            return Err(self.cur.error(
-                "nested expression requires 3-address form (parse with Mode::Decompose)".into(),
-            ));
+            return Err(self.cur.error(format!(
+                "nested {what} requires 3-address form (parse with Mode::Decompose)"
+            )));
         }
-        let Expr::Binary { op, lhs: l, rhs: r } = expr else {
-            unreachable!("operand exprs always convert to terms");
+        let Node::Binary { op, lhs, rhs } = self.cur.exprs.node(id) else {
+            unreachable!("leaves always convert to terms");
         };
-        let lo = self.lower_subexpr(l, out);
-        let ro = self.lower_subexpr(r, out);
-        out.push(Instr::assign(
-            lhs,
-            Term::Binary {
-                op: *op,
-                lhs: lo,
-                rhs: ro,
-            },
-        ));
-        Ok(())
+        let lhs = self.lower_operand(lhs, out);
+        let rhs = self.lower_operand(rhs, out);
+        Ok(Term::Binary { op, lhs, rhs })
     }
 
-    fn lower_subexpr(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Operand {
-        match expr {
-            Expr::Operand(o) => *o,
-            Expr::Binary { op, lhs, rhs } => {
-                let lo = self.lower_subexpr(lhs, out);
-                let ro = self.lower_subexpr(rhs, out);
+    /// Lowers the expression at `id` to an operand: a leaf as is, an
+    /// operator node through a fresh variable assigned after its operands.
+    fn lower_operand(&mut self, id: ExprId, out: &mut Vec<Instr>) -> Operand {
+        match self.cur.exprs.node(id) {
+            Node::Leaf(o) => o,
+            Node::Binary { op, lhs, rhs } => {
+                let lhs = self.lower_operand(lhs, out);
+                let rhs = self.lower_operand(rhs, out);
                 let v = self.fresh_var();
-                out.push(Instr::assign(
-                    v,
-                    Term::Binary {
-                        op: *op,
-                        lhs: lo,
-                        rhs: ro,
-                    },
-                ));
+                out.push(Instr::assign(v, Term::Binary { op, lhs, rhs }));
                 Operand::Var(v)
             }
         }
     }
 
-    /// Lowers a side of a branch condition to a 3-address term, emitting
-    /// decomposition assignments into `out` when needed.
-    fn lower_cond_side(&mut self, expr: &Expr, out: &mut Vec<Instr>) -> Result<Term, ParseError> {
-        if let Some(t) = expr.as_term() {
-            return Ok(t);
-        }
-        if self.mode == Mode::Strict {
-            return Err(self.cur.error(
-                "nested condition requires 3-address form (parse with Mode::Decompose)".into(),
-            ));
-        }
-        match expr {
-            Expr::Operand(o) => Ok(Term::Operand(*o)),
-            Expr::Binary { op, lhs, rhs } => {
-                let lo = self.lower_subexpr(lhs, out);
-                let ro = self.lower_subexpr(rhs, out);
-                Ok(Term::Binary {
-                    op: *op,
-                    lhs: lo,
-                    rhs: ro,
-                })
-            }
-        }
-    }
-
     fn parse_branch(&mut self, out: &mut Vec<Instr>) -> Result<(), ParseError> {
-        let (expr, _) = self.cur.expr(0, self.graph.pool_mut())?;
-        let cond = match &expr {
-            Expr::Binary { op, lhs, rhs } if op.is_relational() => {
-                let l = self.lower_cond_side(lhs, out)?;
-                let r = self.lower_cond_side(rhs, out)?;
-                Cond {
-                    op: *op,
-                    lhs: l,
-                    rhs: r,
-                }
-            }
-            other => {
-                // `branch x` means `branch x != 0`.
-                let t = self.lower_cond_side(other, out)?;
-                Cond {
-                    op: BinOp::Ne,
-                    lhs: t,
-                    rhs: Term::from(0),
-                }
-            }
+        let root = self.cur.expression(self.graph.pool_mut())?;
+        let cond = match self.cur.exprs.node(root) {
+            Node::Binary { op, lhs, rhs } if op.is_relational() => Cond {
+                op,
+                lhs: self.lower_term(lhs, "condition", out)?,
+                rhs: self.lower_term(rhs, "condition", out)?,
+            },
+            // `branch x` means `branch x != 0`.
+            _ => Cond {
+                op: BinOp::Ne,
+                lhs: self.lower_term(root, "condition", out)?,
+                rhs: Term::from(0),
+            },
         };
         out.push(Instr::Branch(cond));
         Ok(())
@@ -887,14 +855,27 @@ mod tests {
 }
 
 /// Parses a standalone expression: the whole of `src`, nested to any depth
-/// up to [`MAX_DEPTH`].
-fn standalone_expr(src: &str, pool: &mut VarPool) -> Result<Expr, ParseError> {
+/// up to [`MAX_DEPTH`]. Returns the cursor holding its nodes, and its root.
+fn standalone_expr<'a>(
+    src: &'a str,
+    pool: &mut VarPool,
+) -> Result<(Cursor<'a>, ExprId), ParseError> {
     let mut c = Cursor::new(src)?;
-    let (expr, _) = c.expr(0, pool)?;
+    let root = c.expression(pool)?;
     match c.peek() {
-        None => Ok(expr),
+        None => Ok((c, root)),
         Some(t) => Err(c.error(format!("unexpected trailing {t}"))),
     }
+}
+
+/// Converts the expression at `id` to a 3-address term, or fails with
+/// `message` at line 1.
+fn shallow_term(exprs: &ExprArena, id: ExprId, message: &str) -> Result<Term, ParseError> {
+    exprs.as_term(id).ok_or_else(|| ParseError {
+        line: 1,
+        col: 0,
+        message: message.into(),
+    })
 }
 
 /// Parses a standalone 3-address term, e.g. `"a+b"`, `"x"`, `"-3"`.
@@ -904,13 +885,8 @@ fn standalone_expr(src: &str, pool: &mut VarPool) -> Result<Expr, ParseError> {
 ///
 /// Rejects nested expressions (`"a+b+c"`) and syntax errors.
 pub fn parse_expr_str(src: &str, pool: &mut VarPool) -> Result<Term, ParseError> {
-    standalone_expr(src, pool)?
-        .as_term()
-        .ok_or_else(|| ParseError {
-            line: 1,
-            col: 0,
-            message: "nested expression requires 3-address form".into(),
-        })
+    let (c, root) = standalone_expr(src, pool)?;
+    shallow_term(&c.exprs, root, "nested expression requires 3-address form")
 }
 
 /// Parses a standalone branch condition, e.g. `"x+z > y+i"` or `"p"`
@@ -920,23 +896,17 @@ pub fn parse_expr_str(src: &str, pool: &mut VarPool) -> Result<Term, ParseError>
 ///
 /// Rejects sides deeper than one operator and syntax errors.
 pub fn parse_cond_str(src: &str, pool: &mut VarPool) -> Result<Cond, ParseError> {
-    let expr = standalone_expr(src, pool)?;
-    let side = |e: &Expr| {
-        e.as_term().ok_or_else(|| ParseError {
-            line: 1,
-            col: 0,
-            message: "condition side requires 3-address form".into(),
-        })
-    };
-    match &expr {
-        Expr::Binary { op, lhs, rhs } if op.is_relational() => Ok(Cond {
-            op: *op,
+    let (c, root) = standalone_expr(src, pool)?;
+    let side = |id| shallow_term(&c.exprs, id, "condition side requires 3-address form");
+    match c.exprs.node(root) {
+        Node::Binary { op, lhs, rhs } if op.is_relational() => Ok(Cond {
+            op,
             lhs: side(lhs)?,
             rhs: side(rhs)?,
         }),
-        other => Ok(Cond {
+        _ => Ok(Cond {
             op: BinOp::Ne,
-            lhs: side(other)?,
+            lhs: side(root)?,
             rhs: Term::from(0),
         }),
     }
