@@ -5,6 +5,7 @@ use std::fmt;
 
 use am_ir::text::Pos;
 use am_ir::NodeId;
+use am_trace::json;
 
 /// How serious a finding is.
 ///
@@ -161,25 +162,18 @@ impl LintReport {
     pub fn to_jsonl(&self, program: &str) -> String {
         let mut out = String::new();
         for d in &self.diags {
-            out.push_str("{\"program\":");
-            am_trace::json::write_str(&mut out, program);
-            out.push_str(",\"code\":");
-            am_trace::json::write_str(&mut out, d.code);
-            out.push_str(",\"severity\":");
-            am_trace::json::write_str(&mut out, d.severity.name());
-            if let Some(node) = &d.node {
-                out.push_str(",\"node\":");
-                am_trace::json::write_str(&mut out, node);
-            }
-            if let Some(i) = d.instr {
-                out.push_str(&format!(",\"instr\":{i}"));
-            }
-            if let Some(p) = d.pos {
-                out.push_str(&format!(",\"line\":{},\"col\":{}", p.line, p.col));
-            }
-            out.push_str(",\"message\":");
-            am_trace::json::write_str(&mut out, &d.message);
-            out.push_str("}\n");
+            let members = [
+                Some(("program", program.into())),
+                Some(("code", d.code.into())),
+                Some(("severity", d.severity.name().into())),
+                d.node.as_deref().map(|node| ("node", node.into())),
+                d.instr.map(|i| ("instr", i.into())),
+                d.pos.map(|p| ("line", p.line.into())),
+                d.pos.map(|p| ("col", p.col.into())),
+                Some(("message", d.message.as_str().into())),
+            ];
+            json::obj(members.into_iter().flatten()).write(&mut out);
+            out.push('\n');
         }
         out
     }

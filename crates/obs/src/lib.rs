@@ -1,7 +1,7 @@
 //! `am-obs`: the observability layer of the assignment-motion workspace.
 //!
 //! Four independent pieces, all zero-dependency (`am-trace` supplies the
-//! hand-written JSON reader/writer and the metrics primitives):
+//! one JSON codec and the metrics primitives):
 //!
 //! * [`provenance`] — per-instruction decision records captured while the
 //!   optimizer runs: which analysis fact (which bit of which Table 1/2/3

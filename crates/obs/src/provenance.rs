@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use am_trace::json;
+use am_trace::json::{self, Json};
 
 /// What kind of transformation a record documents.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -113,36 +113,24 @@ pub struct ProvRecord {
 }
 
 impl ProvRecord {
-    /// Renders the record as one JSON object (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        out.push_str("{\"kind\":");
-        json::write_str(out, self.kind.label());
-        out.push_str(",\"phase\":");
-        json::write_str(out, self.phase);
-        let _ = write!(out, ",\"round\":{}", self.round);
-        out.push_str(",\"node\":");
-        json::write_str(out, &self.node);
-        if let Some(index) = self.index {
-            let _ = write!(out, ",\"index\":{index}");
-        }
-        out.push_str(",\"instr\":");
-        json::write_str(out, &self.instr);
-        if let Some(new_instr) = &self.new_instr {
-            out.push_str(",\"new_instr\":");
-            json::write_str(out, new_instr);
-        }
-        if let Some(pattern) = self.pattern {
-            let _ = write!(out, ",\"pattern\":{pattern}");
-        }
-        if let Some(id) = self.instr_id {
-            let _ = write!(out, ",\"instr_id\":{id}");
-        }
-        out.push_str(",\"rule\":");
-        json::write_str(out, self.kind.rule());
-        out.push_str(",\"justification\":");
-        json::write_str(out, &self.justification);
-        out.push('}');
+    /// The record as one JSON object (a line of the JSONL export).
+    pub fn to_json(&self) -> Json {
+        let members = [
+            Some(("kind", self.kind.label().into())),
+            Some(("phase", self.phase.into())),
+            Some(("round", self.round.into())),
+            Some(("node", self.node.as_str().into())),
+            self.index.map(|index| ("index", index.into())),
+            Some(("instr", self.instr.as_str().into())),
+            self.new_instr
+                .as_deref()
+                .map(|new_instr| ("new_instr", new_instr.into())),
+            self.pattern.map(|pattern| ("pattern", pattern.into())),
+            self.instr_id.map(|id| ("instr_id", id.into())),
+            Some(("rule", self.kind.rule().into())),
+            Some(("justification", self.justification.as_str().into())),
+        ];
+        json::obj(members.into_iter().flatten())
     }
 }
 
@@ -205,7 +193,7 @@ impl ProvRecorder {
 pub fn jsonl(records: &[ProvRecord]) -> String {
     let mut out = String::new();
     for record in records {
-        record.write_json(&mut out);
+        record.to_json().write(&mut out);
         out.push('\n');
     }
     out
@@ -273,46 +261,6 @@ pub fn report(records: &[ProvRecord]) -> String {
     out
 }
 
-/// Parses one line of the JSONL export back into a record (used by the
-/// differential test to replay a decision log from disk).
-pub fn parse_jsonl_line(line: &str) -> Result<ProvRecord, String> {
-    let v = json::parse(line).map_err(|e| e.to_string())?;
-    let kind_label = v
-        .get("kind")
-        .and_then(|k| k.as_str())
-        .ok_or("missing kind")?;
-    let kind = [
-        ProvKind::Eliminate,
-        ProvKind::HoistInsert,
-        ProvKind::HoistRemove,
-        ProvKind::FlushInsert,
-        ProvKind::FlushRemove,
-        ProvKind::FlushReconstruct,
-    ]
-    .into_iter()
-    .find(|k| k.label() == kind_label)
-    .ok_or_else(|| format!("unknown kind '{kind_label}'"))?;
-    let phase = match v.get("phase").and_then(|p| p.as_str()) {
-        Some("motion") => "motion",
-        Some("flush") => "flush",
-        other => return Err(format!("unknown phase {other:?}")),
-    };
-    let get_str = |key: &str| v.get(key).and_then(|s| s.as_str()).map(str::to_owned);
-    let get_u32 = |key: &str| v.get(key).and_then(|n| n.as_u64()).map(|n| n as u32);
-    Ok(ProvRecord {
-        kind,
-        phase,
-        round: get_u32("round").ok_or("missing round")?,
-        node: get_str("node").ok_or("missing node")?,
-        index: get_u32("index"),
-        instr: get_str("instr").ok_or("missing instr")?,
-        new_instr: get_str("new_instr"),
-        pattern: get_u32("pattern"),
-        instr_id: get_u32("instr_id"),
-        justification: get_str("justification").ok_or("missing justification")?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,8 +325,15 @@ mod tests {
             },
         ];
         let text = jsonl(&records);
-        let parsed: Vec<ProvRecord> = text.lines().map(|l| parse_jsonl_line(l).unwrap()).collect();
-        assert_eq!(parsed, records);
+        let parsed: Vec<Json> = text.lines().map(|l| json::parse(l).unwrap()).collect();
+        let built: Vec<Json> = records.iter().map(ProvRecord::to_json).collect();
+        assert_eq!(parsed, built);
+        assert_eq!(parsed[0].u64_field("index"), Ok(3));
+        assert!(
+            parsed[1].get("index").is_none(),
+            "absent fields are left out"
+        );
+        assert_eq!(parsed[1].str_field("new_instr"), Ok("x := c+d"));
     }
 
     #[test]

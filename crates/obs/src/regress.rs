@@ -168,11 +168,10 @@ impl Report {
 
 /// The document kind of a parsed bench document, from its `schema` tag.
 pub fn doc_kind(doc: &Json) -> Result<&'static str, String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some("am-bench-dataflow/v1") => Ok("dataflow"),
-        Some("am-bench-service/v1") => Ok("service"),
-        Some(other) => Err(format!("unsupported bench schema \"{other}\"")),
-        None => Err("document has no \"schema\" tag".into()),
+    match doc.str_field("schema")? {
+        "am-bench-dataflow/v1" => Ok("dataflow"),
+        "am-bench-service/v1" => Ok("service"),
+        other => Err(format!("unsupported bench schema \"{other}\"")),
     }
 }
 
@@ -201,15 +200,8 @@ pub fn extract_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
     };
     match doc_kind(doc)? {
         "dataflow" => {
-            let records = doc
-                .get("records")
-                .and_then(Json::as_arr)
-                .ok_or("missing \"records\" array")?;
-            for r in records {
-                let label = r
-                    .get("label")
-                    .and_then(Json::as_str)
-                    .ok_or("record without label")?;
+            for r in doc.arr_field("records")? {
+                let label = r.str_field("label")?;
                 for (field, direction) in [
                     ("converged", HigherBetter),
                     ("eliminated", HigherBetter),
@@ -331,55 +323,16 @@ pub fn compare(baseline: &Json, candidate: &Json, t: &Thresholds) -> Result<Repo
     Ok(report)
 }
 
-/// Renders a JSON value compactly onto one line (history entries embed the
-/// full document this way, keeping the file valid JSONL).
-pub fn write_json_compact(out: &mut String, v: &Json) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                let _ = write!(out, "{}", *n as i64);
-            } else {
-                let _ = write!(out, "{n}");
-            }
-        }
-        Json::Str(s) => json::write_str(out, s),
-        Json::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_compact(out, item);
-            }
-            out.push(']');
-        }
-        Json::Obj(members) => {
-            out.push('{');
-            for (i, (key, value)) in members.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_str(out, key);
-                out.push(':');
-                write_json_compact(out, value);
-            }
-            out.push('}');
-        }
-    }
-}
-
 /// Builds one `BENCH_history.jsonl` line from a rendered bench document.
 pub fn history_line(ts_seconds: u64, doc_text: &str) -> Result<String, String> {
     let doc = json::parse(doc_text).map_err(|e| e.to_string())?;
     let kind = doc_kind(&doc)?;
-    let mut line = format!("{{\"ts\":{ts_seconds},\"kind\":\"{kind}\",\"doc\":");
-    write_json_compact(&mut line, &doc);
-    line.push('}');
-    Ok(line)
+    Ok(json::obj([
+        ("ts", ts_seconds.into()),
+        ("kind", kind.into()),
+        ("doc", doc),
+    ])
+    .to_string())
 }
 
 /// Appends one history line for `doc_text` to the file at `path`,
@@ -566,14 +519,5 @@ mod tests {
         // A bare document loads as itself.
         let bare = load_doc(&doc, None).unwrap();
         assert_eq!(doc_kind(&bare).unwrap(), "dataflow");
-    }
-
-    #[test]
-    fn compact_writer_round_trips() {
-        let doc = parse(&dataflow_doc(376, 222, 8));
-        let mut out = String::new();
-        write_json_compact(&mut out, &doc);
-        assert_eq!(parse(&out), doc);
-        assert!(!out.contains('\n'));
     }
 }

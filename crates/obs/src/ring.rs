@@ -9,7 +9,6 @@
 //! long the daemon runs.
 
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::Mutex;
 
 use am_trace::json::{self, Json};
@@ -56,46 +55,39 @@ impl TraceEntry {
         rows
     }
 
-    /// Renders the entry as one JSON object (no trailing newline).
-    pub fn write_json(&self, out: &mut String) {
-        out.push_str("{\"trace\":");
-        json::write_str(out, &self.trace_id);
-        out.push_str(",\"name\":");
-        json::write_str(out, &self.name);
-        out.push_str(",\"source\":");
-        json::write_str(out, &self.source);
-        let _ = write!(
-            out,
-            ",\"queue_micros\":{},\"service_micros\":{},\"conn\":{},\"ts_micros\":{}",
-            self.queue_micros, self.service_micros, self.conn, self.ts_micros
-        );
-        if let Some(phases) = &self.phases {
-            let _ = write!(
-                out,
-                ",\"phases\":[{},{},{},{}]",
-                phases[0], phases[1], phases[2], phases[3]
-            );
-        }
-        out.push('}');
+    /// The entry as one JSON object.
+    pub fn to_json(&self) -> Json {
+        let members = [
+            Some(("trace", self.trace_id.as_str().into())),
+            Some(("name", self.name.as_str().into())),
+            Some(("source", self.source.as_str().into())),
+            Some(("queue_micros", self.queue_micros.into())),
+            Some(("service_micros", self.service_micros.into())),
+            Some(("conn", self.conn.into())),
+            Some(("ts_micros", self.ts_micros.into())),
+            self.phases
+                .map(|phases| ("phases", phases.into_iter().map(Json::from).collect())),
+        ];
+        json::obj(members.into_iter().flatten())
     }
 
-    /// Parses an entry from a parsed JSON object.
-    pub fn from_json(v: &Json) -> Option<TraceEntry> {
-        let get_u64 = |key: &str| v.get(key).and_then(Json::as_u64);
-        let get_str = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_owned);
-        let phases = v.get("phases").and_then(Json::as_arr).and_then(|items| {
+    /// Reads an entry back from [`to_json`](TraceEntry::to_json)'s
+    /// object. `conn` and `ts_micros` default to 0, and `phases` is absent
+    /// unless it holds exactly four integers.
+    pub fn from_json(v: &Json) -> Result<TraceEntry, String> {
+        let phases = v.arr_field("phases").ok().and_then(|items| {
             let micros: Vec<u64> = items.iter().filter_map(Json::as_u64).collect();
             <[u64; 4]>::try_from(micros).ok()
         });
-        Some(TraceEntry {
-            trace_id: get_str("trace")?,
-            name: get_str("name")?,
-            source: get_str("source")?,
-            queue_micros: get_u64("queue_micros")?,
-            service_micros: get_u64("service_micros")?,
+        Ok(TraceEntry {
+            trace_id: v.str_field("trace")?.to_owned(),
+            name: v.str_field("name")?.to_owned(),
+            source: v.str_field("source")?.to_owned(),
+            queue_micros: v.u64_field("queue_micros")?,
+            service_micros: v.u64_field("service_micros")?,
             phases,
-            conn: get_u64("conn").unwrap_or(0),
-            ts_micros: get_u64("ts_micros").unwrap_or(0),
+            conn: v.u64_field("conn").unwrap_or(0),
+            ts_micros: v.u64_field("ts_micros").unwrap_or(0),
         })
     }
 }
@@ -192,9 +184,8 @@ mod tests {
                 ..entry(8)
             },
         ] {
-            let mut out = String::new();
-            e.write_json(&mut out);
-            let parsed = TraceEntry::from_json(&json::parse(&out).unwrap()).unwrap();
+            let text = e.to_json().to_string();
+            let parsed = TraceEntry::from_json(&json::parse(&text).unwrap()).unwrap();
             assert_eq!(parsed, e);
         }
     }

@@ -4,12 +4,14 @@
 //! `bench_dataflow` scaling harness (`crates/bench`) and
 //! `amopt --bench-json`: a `schema` tag, the producing `generator`, and a
 //! flat list of per-workload (or per-job) records carrying wall time,
-//! per-phase timings and the solver counters. Hand-written writer — the
-//! workspace builds offline, so no serde.
+//! per-phase timings and the solver counters, one compact record per line.
+//! Written through the workspace's one JSON codec, [`am_trace::json`].
 //!
 //! Consumers diff successive documents to track the solver trajectory:
 //! `wall_micros` and `worklist_pushes` are the regression-gated fields
 //! (see `docs/PERFORMANCE.md`).
+
+use am_trace::json::{self, Json};
 
 /// Schema identifier embedded in every document.
 pub const BENCH_SCHEMA: &str = "am-bench-dataflow/v1";
@@ -68,6 +70,30 @@ impl BenchRecord {
             self.worklist_pushes as f64 / self.points as f64
         }
     }
+
+    /// The record as one JSON object, fields in schema order.
+    pub fn to_json(&self) -> Json {
+        json::obj([
+            ("label", self.label.as_str().into()),
+            ("nodes", self.nodes.into()),
+            ("instrs", self.instrs.into()),
+            ("points", self.points.into()),
+            ("wall_micros", self.wall_micros.into()),
+            ("split_micros", self.split_micros.into()),
+            ("init_micros", self.init_micros.into()),
+            ("motion_micros", self.motion_micros.into()),
+            ("flush_micros", self.flush_micros.into()),
+            ("rounds", self.rounds.into()),
+            ("converged", self.converged.into()),
+            ("iterations", self.iterations.into()),
+            ("worklist_pushes", self.worklist_pushes.into()),
+            ("max_worklist_len", self.max_worklist_len.into()),
+            ("eliminated", self.eliminated.into()),
+            ("inserted", self.inserted.into()),
+            ("removed", self.removed.into()),
+            ("cache_hit", self.cache_hit.into()),
+        ])
+    }
 }
 
 /// Estimated rendered size of one record — used to reserve the output
@@ -75,147 +101,26 @@ impl BenchRecord {
 /// of repeatedly growing (and copying) the string.
 const RECORD_RESERVE: usize = 384;
 
-/// Renders a full document: schema tag, generator name, records. Writes
-/// into a single pre-reserved buffer; callers persisting the result
-/// should write it through a temporary file + rename so an interrupted
-/// run never leaves a truncated document behind.
+/// The full document: schema tag, generator name, records.
+fn document(generator: &str, records: &[BenchRecord]) -> Json {
+    json::obj([
+        ("schema", BENCH_SCHEMA.into()),
+        ("generator", generator.into()),
+        (
+            "records",
+            records.iter().map(BenchRecord::to_json).collect(),
+        ),
+    ])
+}
+
+/// Renders the full document, one record per line, into a single
+/// pre-reserved buffer. Callers persisting the result should write it
+/// through a temporary file + rename so an interrupted run never leaves a
+/// truncated document behind.
 pub fn render(generator: &str, records: &[BenchRecord]) -> String {
-    use std::fmt::Write;
     let mut out = String::with_capacity(64 + records.len() * RECORD_RESERVE);
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": {},", escape(BENCH_SCHEMA));
-    let _ = writeln!(out, "  \"generator\": {},", escape(generator));
-    out.push_str("  \"records\": [");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        render_record(&mut out, r);
-    }
-    if !records.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-fn render_record(out: &mut String, r: &BenchRecord) {
-    use std::fmt::Write;
-    let _ = write!(
-        out,
-        "{{\"label\": {}, \"nodes\": {}, \"instrs\": {}, \"points\": {}, \
-         \"wall_micros\": {}, \"split_micros\": {}, \"init_micros\": {}, \
-         \"motion_micros\": {}, \"flush_micros\": {}, \"rounds\": {}, \
-         \"converged\": {}, \"iterations\": {}, \"worklist_pushes\": {}, \
-         \"max_worklist_len\": {}, \"eliminated\": {}, \"inserted\": {}, \
-         \"removed\": {}, \"cache_hit\": {}}}",
-        escape(&r.label),
-        r.nodes,
-        r.instrs,
-        r.points,
-        r.wall_micros,
-        r.split_micros,
-        r.init_micros,
-        r.motion_micros,
-        r.flush_micros,
-        r.rounds,
-        r.converged,
-        r.iterations,
-        r.worklist_pushes,
-        r.max_worklist_len,
-        r.eliminated,
-        r.inserted,
-        r.removed,
-        r.cache_hit,
-    );
-}
-
-/// Parses a full `am-bench-dataflow/v1` document back into its generator
-/// name and records — the inverse of [`render`], built on the zero-dep
-/// JSON reader in `am-trace`. Consumers (tests, baseline diffing) use it
-/// to guard the schema against drift: every field [`render`] writes must
-/// come back, and an unknown schema tag is an error.
-pub fn parse_document(text: &str) -> Result<(String, Vec<BenchRecord>), String> {
-    let v = am_trace::json::parse(text).map_err(|e| e.to_string())?;
-    let schema = v
-        .get("schema")
-        .and_then(|s| s.as_str())
-        .ok_or("missing \"schema\"")?;
-    if schema != BENCH_SCHEMA {
-        return Err(format!(
-            "unsupported schema \"{schema}\" (expected \"{BENCH_SCHEMA}\")"
-        ));
-    }
-    let generator = v
-        .get("generator")
-        .and_then(|g| g.as_str())
-        .ok_or("missing \"generator\"")?
-        .to_owned();
-    let records = v
-        .get("records")
-        .and_then(|r| r.as_arr())
-        .ok_or("missing \"records\" array")?;
-    let records = records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| parse_record(r).map_err(|e| format!("record {i}: {e}")))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((generator, records))
-}
-
-fn parse_record(v: &am_trace::json::Json) -> Result<BenchRecord, String> {
-    let uint = |key: &str| {
-        v.get(key)
-            .and_then(|x| x.as_u64())
-            .ok_or_else(|| format!("missing or non-integer \"{key}\""))
-    };
-    let boolean = |key: &str| match v.get(key) {
-        Some(am_trace::json::Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean \"{key}\"")),
-    };
-    Ok(BenchRecord {
-        label: v
-            .get("label")
-            .and_then(|x| x.as_str())
-            .ok_or("missing or non-string \"label\"")?
-            .to_owned(),
-        nodes: uint("nodes")? as usize,
-        instrs: uint("instrs")? as usize,
-        points: uint("points")? as usize,
-        wall_micros: uint("wall_micros")? as u128,
-        split_micros: uint("split_micros")? as u128,
-        init_micros: uint("init_micros")? as u128,
-        motion_micros: uint("motion_micros")? as u128,
-        flush_micros: uint("flush_micros")? as u128,
-        rounds: uint("rounds")? as usize,
-        converged: boolean("converged")?,
-        iterations: uint("iterations")?,
-        worklist_pushes: uint("worklist_pushes")?,
-        max_worklist_len: uint("max_worklist_len")? as usize,
-        eliminated: uint("eliminated")? as usize,
-        inserted: uint("inserted")? as usize,
-        removed: uint("removed")? as usize,
-        cache_hit: boolean("cache_hit")?,
-    })
-}
-
-/// JSON string literal with the required escapes.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    document(generator, records).write_lines(&mut out);
+    out.push('\n');
     out
 }
 
@@ -235,19 +140,23 @@ mod tests {
             worklist_pushes: 40,
             ..Default::default()
         };
-        let doc = render("bench_dataflow", &[rec]);
-        assert!(doc.starts_with("{\n  \"schema\": \"am-bench-dataflow/v1\""));
-        assert!(doc.contains("\"generator\": \"bench_dataflow\""));
-        assert!(doc.contains("\"label\": \"nest \\\"d=1\\\"\""));
-        assert!(doc.contains("\"wall_micros\": 1234"));
-        assert!(doc.contains("\"converged\": true"));
-        assert!(doc.ends_with("]\n}\n"));
+        let doc = render("bench_dataflow", &[rec.clone(), rec]);
+        assert!(doc.starts_with(
+            "{\"schema\":\"am-bench-dataflow/v1\",\n \"generator\":\"bench_dataflow\",\n \
+             \"records\":[{\"label\":\"nest \\\"d=1\\\"\",\"nodes\":3,"
+        ));
+        assert!(doc.contains("\"wall_micros\":1234,"));
+        assert!(doc.contains("\"converged\":true,"));
+        assert!(doc.contains("\"cache_hit\":false},\n  {\"label\":"));
+        assert!(doc.ends_with("\"cache_hit\":false}]}\n"));
+        assert_eq!(doc.lines().count(), 4, "one line per record: {doc}");
     }
 
     #[test]
     fn empty_document_is_valid() {
         let doc = render("amopt", &[]);
-        assert!(doc.contains("\"records\": []"));
+        assert!(doc.contains("\"records\":[]"));
+        assert_eq!(json::parse(&doc).unwrap(), document("amopt", &[]));
     }
 
     #[test]
@@ -276,9 +185,11 @@ mod tests {
             BenchRecord::default(),
         ];
         let doc = render("amopt", &records);
-        let (generator, parsed) = parse_document(&doc).unwrap();
-        assert_eq!(generator, "amopt");
-        assert_eq!(parsed, records);
+        assert_eq!(json::parse(&doc).unwrap(), document("amopt", &records));
+        let first = records[0].to_json();
+        assert_eq!(first.as_obj().map(<[_]>::len), Some(18));
+        assert_eq!(first.u64_field("max_worklist_len"), Ok(77));
+        assert_eq!(first.bool_field("cache_hit"), Ok(true));
     }
 
     #[test]
@@ -300,40 +211,45 @@ mod tests {
             .collect();
         let doc = render("bench_dataflow", &records);
         assert!(doc.len() > 2_000_000, "not a multi-MB document");
-        assert!(doc.ends_with("]\n}\n"), "document truncated");
-        let (generator, parsed) = parse_document(&doc).unwrap();
-        assert_eq!(generator, "bench_dataflow");
-        assert_eq!(parsed.len(), records.len());
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn parse_rejects_schema_drift() {
-        let doc = render("amopt", &[]).replace("am-bench-dataflow/v1", "am-bench-dataflow/v2");
-        let err = parse_document(&doc).unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
-        assert!(parse_document("{}").is_err());
-        assert!(parse_document("not json").is_err());
-        let missing =
-            r#"{"schema":"am-bench-dataflow/v1","generator":"x","records":[{"label":"a"}]}"#;
-        let err = parse_document(missing).unwrap_err();
-        assert!(err.contains("record 0"), "{err}");
+        assert!(doc.ends_with("}]}\n"), "document truncated");
+        assert_eq!(doc.lines().count(), 2 + records.len());
+        assert_eq!(
+            json::parse(&doc).unwrap(),
+            document("bench_dataflow", &records)
+        );
     }
 
     #[test]
     fn checked_in_baseline_parses_through_the_schema() {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_dataflow.json");
         let text = std::fs::read_to_string(path).expect("checked-in BENCH_dataflow.json");
-        let (generator, records) = parse_document(&text).unwrap();
-        assert_eq!(generator, "bench_dataflow");
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc.str_field("schema"), Ok(BENCH_SCHEMA));
+        assert_eq!(doc.str_field("generator"), Ok("bench_dataflow"));
+        let records = doc.arr_field("records").unwrap();
         assert!(
             records.len() >= 12,
             "workload ladder shrank: {}",
             records.len()
         );
-        for r in &records {
-            assert!(r.points > 0, "{}: zero points", r.label);
-            assert!(r.converged, "{}: did not converge", r.label);
+        let written = BenchRecord::default().to_json();
+        for r in records {
+            let label = r.str_field("label").unwrap();
+            // Every field the encoder writes is present, with its type.
+            for (key, value) in written.as_obj().unwrap() {
+                let field = r.field(key).unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert_eq!(
+                    std::mem::discriminant(field),
+                    std::mem::discriminant(value),
+                    "{label}: \"{key}\" has the wrong type"
+                );
+            }
+            assert!(r.u64_field("points").unwrap() > 0, "{label}: zero points");
+            assert_eq!(
+                r.bool_field("converged"),
+                Ok(true),
+                "{label}: did not converge"
+            );
         }
     }
 

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 use am_serve::diskcache::DiskCacheConfig;
 use am_serve::net::Endpoint;
 use am_serve::server::{Server, ServerConfig};
-use am_trace::Tracer;
+use am_trace::{json, Tracer};
 
 fn usage() -> ! {
     eprintln!("usage: amserve [options]");
@@ -104,10 +104,22 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
+    // The budget travels in `stats` replies, whose integers are exact
+    // (and readable by `amclient`) only below the JSON limit.
+    let budget_bytes = cache_budget_mb
+        .max(1)
+        .checked_mul(1 << 20)
+        .filter(|&bytes| bytes < json::EXACT_INT_LIMIT)
+        .ok_or_else(|| {
+            format!(
+                "--cache-budget-mb must be at most {}",
+                (json::EXACT_INT_LIMIT - 1) >> 20
+            )
+        })?;
     if let Some(dir) = cache_dir {
         options.config.disk = Some(DiskCacheConfig {
             root: dir.into(),
-            budget_bytes: cache_budget_mb.max(1) << 20,
+            budget_bytes,
         });
     }
     Ok(options)

@@ -15,7 +15,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,6 +25,7 @@ use am_serve::diskcache::DiskCacheConfig;
 use am_serve::net::Endpoint;
 use am_serve::proto::Reply;
 use am_serve::server::{Server, ServerConfig};
+use am_trace::json;
 
 /// Schema tag of the emitted document.
 pub const SERVICE_SCHEMA: &str = "am-bench-service/v1";
@@ -233,6 +233,8 @@ impl BenchDoc {
         }
     }
 
+    /// The `am-bench-service/v1` document, one member per line.
+    /// `dedup_ratio` and `throughput_rps` are rounded to 3 and 1 decimals.
     fn render(&self) -> String {
         let l = &self.latencies_sorted;
         let mean = if l.is_empty() {
@@ -240,48 +242,50 @@ impl BenchDoc {
         } else {
             l.iter().sum::<u64>() / l.len() as u64
         };
+        let round = |x: f64, scale: f64| (x * scale).round() / scale;
+        let doc = json::obj([
+            ("schema", SERVICE_SCHEMA.into()),
+            ("generator", "bench_service".into()),
+            (
+                "config",
+                json::obj([
+                    ("clients", self.clients.into()),
+                    ("passes", self.passes.into()),
+                    ("window", self.window.into()),
+                    ("workers", self.workers.into()),
+                    ("programs", self.programs.into()),
+                    ("persistent_cache", self.persistent_cache.into()),
+                ]),
+            ),
+            ("requests", self.requests.into()),
+            ("errors", self.errors.into()),
+            ("busy_retries", self.busy_retries.into()),
+            (
+                "sources",
+                json::obj(
+                    self.sources
+                        .iter()
+                        .map(|(name, count)| (name.as_str(), (*count).into())),
+                ),
+            ),
+            ("dedup_ratio", round(self.dedup_ratio(), 1e3).into()),
+            ("throughput_rps", round(self.throughput_rps(), 1e1).into()),
+            ("wall_micros", self.wall_micros.into()),
+            (
+                "latency_micros",
+                json::obj([
+                    ("count", l.len().into()),
+                    ("mean", mean.into()),
+                    ("p50", percentile(l, 0.50).into()),
+                    ("p95", percentile(l, 0.95).into()),
+                    ("p99", percentile(l, 0.99).into()),
+                    ("max", l.last().copied().unwrap_or(0).into()),
+                ]),
+            ),
+        ]);
         let mut out = String::new();
-        let _ = write!(out, "{{\n  \"schema\": \"{SERVICE_SCHEMA}\",\n");
-        out.push_str("  \"generator\": \"bench_service\",\n");
-        let _ =
-            writeln!(
-            out,
-            "  \"config\": {{\"clients\": {}, \"passes\": {}, \"window\": {}, \"workers\": {}, \
-             \"programs\": {}, \"persistent_cache\": {}}},",
-            self.clients, self.passes, self.window, self.workers, self.programs,
-            self.persistent_cache
-        );
-        let _ = writeln!(
-            out,
-            "  \"requests\": {}, \"errors\": {}, \"busy_retries\": {},",
-            self.requests, self.errors, self.busy_retries
-        );
-        out.push_str("  \"sources\": {");
-        for (i, (name, count)) in self.sources.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "\"{name}\": {count}");
-        }
-        out.push_str("},\n");
-        let _ = writeln!(
-            out,
-            "  \"dedup_ratio\": {:.3}, \"throughput_rps\": {:.1}, \"wall_micros\": {},",
-            self.dedup_ratio(),
-            self.throughput_rps(),
-            self.wall_micros
-        );
-        let _ = write!(
-            out,
-            "  \"latency_micros\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \
-             \"p99\": {}, \"max\": {}}}\n}}\n",
-            l.len(),
-            mean,
-            percentile(l, 0.50),
-            percentile(l, 0.95),
-            percentile(l, 0.99),
-            l.last().copied().unwrap_or(0)
-        );
+        doc.write_lines(&mut out);
+        out.push('\n');
         out
     }
 }

@@ -24,7 +24,6 @@
 //! file modification order.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -188,21 +187,20 @@ impl DiskCache {
     /// graceful shutdown; skipping it only costs recency fidelity.
     pub fn flush_index(&self) -> io::Result<()> {
         let index = self.index.lock().unwrap();
-        let mut out = String::new();
-        let _ = write!(out, "{{\"schema\":\"{INDEX_SCHEMA}\",\"entries\":[");
         let mut ordered: Vec<_> = index.entries.iter().collect();
         ordered.sort_by_key(|(hash, _)| **hash);
-        for (i, (hash, slot)) in ordered.into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"hash\":\"{hash:016x}\",\"last_used\":{}}}",
-                slot.last_used
-            );
-        }
-        out.push_str("]}\n");
+        let entries = ordered
+            .into_iter()
+            .map(|(hash, slot)| {
+                json::obj([
+                    ("hash", format!("{hash:016x}").into()),
+                    ("last_used", slot.last_used.into()),
+                ])
+            })
+            .collect();
+        let mut out = String::new();
+        json::obj([("schema", INDEX_SCHEMA.into()), ("entries", entries)]).write(&mut out);
+        out.push('\n');
         let final_path = self.dir.join("index.json");
         let temp = self.dir.join(format!(
             "index.tmp.{}.{}",
@@ -343,19 +341,18 @@ fn load_recency(path: &Path) -> HashMap<u64, u64> {
     let Ok(value) = json::parse(text.trim()) else {
         return recency;
     };
-    if value.get("schema").and_then(Json::as_str) != Some(INDEX_SCHEMA) {
+    if value.str_field("schema") != Ok(INDEX_SCHEMA) {
         return recency;
     }
-    let Some(entries) = value.get("entries").and_then(Json::as_arr) else {
+    let Ok(entries) = value.arr_field("entries") else {
         return recency;
     };
     for entry in entries {
         let hash = entry
-            .get("hash")
-            .and_then(Json::as_str)
+            .str_field("hash")
+            .ok()
             .and_then(|h| u64::from_str_radix(h, 16).ok());
-        let last_used = entry.get("last_used").and_then(Json::as_u64);
-        if let (Some(hash), Some(last_used)) = (hash, last_used) {
+        if let (Some(hash), Ok(last_used)) = (hash, entry.u64_field("last_used")) {
             recency.insert(hash, last_used);
         }
     }
@@ -364,155 +361,133 @@ fn load_recency(path: &Path) -> HashMap<u64, u64> {
 
 /// Renders a cache entry file.
 pub fn encode_entry(r: &CachedResult) -> String {
+    let lint = r.lint.as_ref().map_or(Json::Null, |lint| {
+        json::obj([
+            ("errors", lint.errors.into()),
+            ("warnings", lint.warnings.into()),
+            ("infos", lint.infos.into()),
+            (
+                "lines",
+                lint.lines.iter().map(|l| l.as_str().into()).collect(),
+            ),
+        ])
+    });
+    let entry = json::obj([
+        ("schema", ENTRY_SCHEMA.into()),
+        ("canonical", r.canonical.as_str().into()),
+        ("nodes", r.nodes.into()),
+        ("instrs", r.instrs.into()),
+        ("points", r.points.into()),
+        ("edges_split", r.edges_split.into()),
+        (
+            "init",
+            json::obj([
+                (
+                    "assignments_decomposed",
+                    r.init.assignments_decomposed.into(),
+                ),
+                (
+                    "condition_sides_extracted",
+                    r.init.condition_sides_extracted.into(),
+                ),
+            ]),
+        ),
+        (
+            "motion",
+            json::obj([
+                ("rounds", r.motion.rounds.into()),
+                ("eliminated", r.motion.eliminated.into()),
+                ("inserted", r.motion.inserted.into()),
+                ("removed", r.motion.removed.into()),
+                ("iterations", r.motion.iterations.into()),
+                ("worklist_pushes", r.motion.worklist_pushes.into()),
+                ("converged", r.motion.converged.into()),
+            ]),
+        ),
+        (
+            "flush",
+            json::obj([
+                ("instances_removed", r.flush.instances_removed.into()),
+                ("inserted", r.flush.inserted.into()),
+                ("reconstructed", r.flush.reconstructed.into()),
+                ("iterations", r.flush.iterations.into()),
+                ("worklist_pushes", r.flush.worklist_pushes.into()),
+                ("max_worklist_len", r.flush.max_worklist_len.into()),
+            ]),
+        ),
+        (
+            "timings_micros",
+            json::obj([
+                ("split", r.timings.split.as_micros().into()),
+                ("init", r.timings.init.as_micros().into()),
+                ("motion", r.timings.motion.as_micros().into()),
+                ("flush", r.timings.flush.as_micros().into()),
+            ]),
+        ),
+        ("lint", lint),
+    ]);
     let mut out = String::new();
-    let _ = write!(out, "{{\"schema\":\"{ENTRY_SCHEMA}\",\"canonical\":");
-    json::write_str(&mut out, &r.canonical);
-    let _ = write!(
-        out,
-        ",\"nodes\":{},\"instrs\":{},\"points\":{},\"edges_split\":{}",
-        r.nodes, r.instrs, r.points, r.edges_split
-    );
-    let _ = write!(
-        out,
-        ",\"init\":{{\"assignments_decomposed\":{},\"condition_sides_extracted\":{}}}",
-        r.init.assignments_decomposed, r.init.condition_sides_extracted
-    );
-    let _ = write!(
-        out,
-        ",\"motion\":{{\"rounds\":{},\"eliminated\":{},\"inserted\":{},\"removed\":{},\
-         \"iterations\":{},\"worklist_pushes\":{},\"converged\":{}}}",
-        r.motion.rounds,
-        r.motion.eliminated,
-        r.motion.inserted,
-        r.motion.removed,
-        r.motion.iterations,
-        r.motion.worklist_pushes,
-        r.motion.converged
-    );
-    let _ = write!(
-        out,
-        ",\"flush\":{{\"instances_removed\":{},\"inserted\":{},\"reconstructed\":{},\
-         \"iterations\":{},\"worklist_pushes\":{},\"max_worklist_len\":{}}}",
-        r.flush.instances_removed,
-        r.flush.inserted,
-        r.flush.reconstructed,
-        r.flush.iterations,
-        r.flush.worklist_pushes,
-        r.flush.max_worklist_len
-    );
-    let _ = write!(
-        out,
-        ",\"timings_micros\":{{\"split\":{},\"init\":{},\"motion\":{},\"flush\":{}}}",
-        r.timings.split.as_micros(),
-        r.timings.init.as_micros(),
-        r.timings.motion.as_micros(),
-        r.timings.flush.as_micros()
-    );
-    match &r.lint {
-        None => out.push_str(",\"lint\":null"),
-        Some(lint) => {
-            let _ = write!(
-                out,
-                ",\"lint\":{{\"errors\":{},\"warnings\":{},\"infos\":{},\"lines\":[",
-                lint.errors, lint.warnings, lint.infos
-            );
-            for (i, line) in lint.lines.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::write_str(&mut out, line);
-            }
-            out.push_str("]}");
-        }
-    }
-    out.push_str("}\n");
+    entry.write(&mut out);
+    out.push('\n');
     out
 }
 
 /// Parses a cache entry file.
 pub fn decode_entry(text: &str) -> Result<CachedResult, String> {
     let value = json::parse(text.trim()).map_err(|e| format!("bad entry JSON: {e}"))?;
-    match value.get("schema").and_then(Json::as_str) {
-        Some(ENTRY_SCHEMA) => {}
-        Some(other) => return Err(format!("entry schema '{other}', expected '{ENTRY_SCHEMA}'")),
-        None => return Err("entry is missing \"schema\"".to_owned()),
+    match value.str_field("schema")? {
+        ENTRY_SCHEMA => {}
+        other => return Err(format!("entry schema '{other}', expected '{ENTRY_SCHEMA}'")),
     }
-    let uint = |v: &Json, key: &str| -> Result<usize, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .map(|n| n as usize)
-            .ok_or_else(|| format!("missing or non-integer \"{key}\""))
-    };
-    let uint64 = |v: &Json, key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing or non-integer \"{key}\""))
-    };
-    let section = |key: &str| value.get(key).ok_or_else(|| format!("missing \"{key}\""));
-
-    let canonical = value
-        .get("canonical")
-        .and_then(Json::as_str)
-        .ok_or("missing or non-string \"canonical\"")?
-        .to_owned();
-    let init = section("init")?;
-    let motion = section("motion")?;
-    let converged = match motion.get("converged") {
-        Some(Json::Bool(b)) => *b,
-        _ => return Err("missing or non-boolean \"converged\"".to_owned()),
-    };
-    let flush = section("flush")?;
-    let timings = section("timings_micros")?;
+    let init = value.field("init")?;
+    let motion = value.field("motion")?;
+    let flush = value.field("flush")?;
+    let timings = value.field("timings_micros")?;
     let lint = match value.get("lint") {
         None | Some(Json::Null) => None,
-        Some(lint) => {
-            let lines = lint
-                .get("lines")
-                .and_then(Json::as_arr)
-                .ok_or("missing lint \"lines\"")?
+        Some(lint) => Some(LintSummary {
+            errors: lint.u64_field("errors")? as usize,
+            warnings: lint.u64_field("warnings")? as usize,
+            infos: lint.u64_field("infos")? as usize,
+            lines: lint
+                .arr_field("lines")?
                 .iter()
                 .map(|l| l.as_str().map(str::to_owned).ok_or("non-string lint line"))
-                .collect::<Result<Vec<_>, _>>()?;
-            Some(LintSummary {
-                errors: uint(lint, "errors")?,
-                warnings: uint(lint, "warnings")?,
-                infos: uint(lint, "infos")?,
-                lines,
-            })
-        }
+                .collect::<Result<_, _>>()?,
+        }),
     };
     Ok(CachedResult {
-        canonical,
-        nodes: uint(&value, "nodes")?,
-        instrs: uint(&value, "instrs")?,
-        points: uint(&value, "points")?,
-        edges_split: uint(&value, "edges_split")?,
+        canonical: value.str_field("canonical")?.to_owned(),
+        nodes: value.u64_field("nodes")? as usize,
+        instrs: value.u64_field("instrs")? as usize,
+        points: value.u64_field("points")? as usize,
+        edges_split: value.u64_field("edges_split")? as usize,
         init: InitStats {
-            assignments_decomposed: uint(init, "assignments_decomposed")?,
-            condition_sides_extracted: uint(init, "condition_sides_extracted")?,
+            assignments_decomposed: init.u64_field("assignments_decomposed")? as usize,
+            condition_sides_extracted: init.u64_field("condition_sides_extracted")? as usize,
         },
         motion: MotionStats {
-            rounds: uint(motion, "rounds")?,
-            eliminated: uint(motion, "eliminated")?,
-            inserted: uint(motion, "inserted")?,
-            removed: uint(motion, "removed")?,
-            iterations: uint64(motion, "iterations")?,
-            worklist_pushes: uint64(motion, "worklist_pushes")?,
-            converged,
+            rounds: motion.u64_field("rounds")? as usize,
+            eliminated: motion.u64_field("eliminated")? as usize,
+            inserted: motion.u64_field("inserted")? as usize,
+            removed: motion.u64_field("removed")? as usize,
+            iterations: motion.u64_field("iterations")?,
+            worklist_pushes: motion.u64_field("worklist_pushes")?,
+            converged: motion.bool_field("converged")?,
         },
         flush: FlushStats {
-            instances_removed: uint(flush, "instances_removed")?,
-            inserted: uint(flush, "inserted")?,
-            reconstructed: uint(flush, "reconstructed")?,
-            iterations: uint64(flush, "iterations")?,
-            worklist_pushes: uint64(flush, "worklist_pushes")?,
-            max_worklist_len: uint(flush, "max_worklist_len")?,
+            instances_removed: flush.u64_field("instances_removed")? as usize,
+            inserted: flush.u64_field("inserted")? as usize,
+            reconstructed: flush.u64_field("reconstructed")? as usize,
+            iterations: flush.u64_field("iterations")?,
+            worklist_pushes: flush.u64_field("worklist_pushes")?,
+            max_worklist_len: flush.u64_field("max_worklist_len")? as usize,
         },
         timings: PhaseTimings {
-            split: Duration::from_micros(uint64(timings, "split")?),
-            init: Duration::from_micros(uint64(timings, "init")?),
-            motion: Duration::from_micros(uint64(timings, "motion")?),
-            flush: Duration::from_micros(uint64(timings, "flush")?),
+            split: Duration::from_micros(timings.u64_field("split")?),
+            init: Duration::from_micros(timings.u64_field("init")?),
+            motion: Duration::from_micros(timings.u64_field("motion")?),
+            flush: Duration::from_micros(timings.u64_field("flush")?),
         },
         lint,
     })

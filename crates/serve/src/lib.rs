@@ -7,8 +7,8 @@
 //!
 //! * [`proto`] — the wire protocol: 4-byte length-prefixed JSON frames,
 //!   id-tagged requests so responses can be pipelined and delivered out
-//!   of order. Zero dependencies: hand-written writers, `am-trace`'s JSON
-//!   reader.
+//!   of order. Zero dependencies: frames go through `am-trace`'s JSON
+//!   codec.
 //! * [`net`] — localhost TCP and unix-domain sockets behind one
 //!   [`net::Endpoint`] syntax.
 //! * [`diskcache`] — the persistent content-addressed result cache

@@ -18,10 +18,9 @@
 //!   queued job has been answered and the persistent cache index flushed.
 //!
 //! The reader/writer works over any `Read`/`Write`, so tests can run it
-//! over in-memory buffers; the parser is `am-trace`'s zero-dependency JSON
-//! reader.
+//! over in-memory buffers. Payloads are built and read as
+//! [`am_trace::json::Json`] values, through the workspace's one JSON codec.
 
-use std::fmt::Write as _;
 use std::io::{self, Read, Write};
 
 use am_lang::SourceKind;
@@ -170,28 +169,25 @@ fn kind_from_str(s: &str) -> Result<SourceKind, String> {
 
 /// Renders a request frame payload.
 pub fn encode_request(envelope: &Envelope) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"am\":{PROTOCOL_VERSION},\"id\":{}", envelope.id);
-    match &envelope.request {
-        Request::Ping => out.push_str(",\"op\":\"ping\""),
-        Request::Stats => out.push_str(",\"op\":\"stats\""),
-        Request::TraceTail { limit } => {
-            let _ = write!(out, ",\"op\":\"trace-tail\",\"limit\":{limit}");
-        }
-        Request::Shutdown => out.push_str(",\"op\":\"shutdown\""),
+    let head = [("am", PROTOCOL_VERSION.into()), ("id", envelope.id.into())];
+    let op = |op: &str| ("op", Json::from(op));
+    let tail = match &envelope.request {
+        Request::Ping => vec![op("ping")],
+        Request::Stats => vec![op("stats")],
+        Request::TraceTail { limit } => vec![op("trace-tail"), ("limit", (*limit).into())],
+        Request::Shutdown => vec![op("shutdown")],
         Request::Optimize(req) => {
-            out.push_str(",\"op\":\"optimize\",\"name\":");
-            json::write_str(&mut out, &req.name);
-            let _ = write!(out, ",\"kind\":\"{}\",\"text\":", kind_str(req.kind));
-            json::write_str(&mut out, &req.text);
-            if let Some(trace) = &req.trace {
-                out.push_str(",\"trace\":");
-                json::write_str(&mut out, trace);
-            }
+            let mut members = vec![
+                op("optimize"),
+                ("name", req.name.as_str().into()),
+                ("kind", kind_str(req.kind).into()),
+                ("text", req.text.as_str().into()),
+            ];
+            members.extend(req.trace.as_deref().map(|trace| ("trace", trace.into())));
+            members
         }
-    }
-    out.push('}');
-    out
+    };
+    json::obj(head.into_iter().chain(tail)).to_string()
 }
 
 /// Parses a request frame payload. On failure the error carries the
@@ -199,43 +195,26 @@ pub fn encode_request(envelope: &Envelope) -> String {
 /// correlated `error` response.
 pub fn parse_request(payload: &str) -> Result<Envelope, (Option<u64>, String)> {
     let value = json::parse(payload).map_err(|e| (None, format!("bad request JSON: {e}")))?;
-    let id = value.get("id").and_then(Json::as_u64);
-    let fail = |msg: String| (id, msg);
-    let id = id.ok_or_else(|| (None, "request is missing a numeric \"id\"".to_owned()))?;
-    match value.get("am").and_then(Json::as_u64) {
-        Some(PROTOCOL_VERSION) => {}
-        Some(v) => return Err(fail(format!("unsupported protocol version {v}"))),
-        None => {
-            return Err(fail(
-                "request is missing \"am\" (protocol version)".to_owned(),
-            ))
-        }
+    let id = value.u64_field("id").map_err(|e| (None, e))?;
+    let fail = |msg: String| (Some(id), msg);
+    match value.u64_field("am").map_err(fail)? {
+        PROTOCOL_VERSION => {}
+        v => return Err(fail(format!("unsupported protocol version {v}"))),
     }
-    let op = value
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| fail("request is missing a string \"op\"".to_owned()))?;
-    let request = match op {
+    let request = match value.str_field("op").map_err(fail)? {
         "ping" => Request::Ping,
         "stats" => Request::Stats,
         "trace-tail" => Request::TraceTail {
-            limit: value.get("limit").and_then(Json::as_u64).unwrap_or(16),
+            limit: value.u64_field("limit").unwrap_or(16),
         },
         "shutdown" => Request::Shutdown,
         "optimize" => {
-            let field = |key: &str| {
-                value
-                    .get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| fail(format!("optimize request is missing a string \"{key}\"")))
-            };
-            let kind = kind_from_str(&field("kind")?).map_err(fail)?;
+            let field = |key: &str| value.str_field(key).map(str::to_owned).map_err(fail);
             Request::Optimize(OptimizeRequest {
                 name: field("name")?,
-                kind,
+                kind: kind_from_str(&field("kind")?).map_err(fail)?,
                 text: field("text")?,
-                trace: value.get("trace").and_then(Json::as_str).map(str::to_owned),
+                trace: field("trace").ok(),
             })
         }
         other => return Err(fail(format!("unknown op '{other}'"))),
@@ -417,80 +396,89 @@ pub enum Reply {
     },
 }
 
-fn write_quantiles(out: &mut String, q: &QuantileSummary) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"total_micros\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{}}}",
-        q.count, q.total_micros, q.p50, q.p95, q.p99, q.max
-    );
+fn quantiles_json(q: &QuantileSummary) -> Json {
+    json::obj([
+        ("count", q.count.into()),
+        ("total_micros", q.total_micros.into()),
+        ("p50", q.p50.into()),
+        ("p95", q.p95.into()),
+        ("p99", q.p99.into()),
+        ("max", q.max.into()),
+    ])
+}
+
+/// A response frame payload: the `id` and `type` members, then `body`.
+fn response<'k>(id: u64, kind: &str, body: impl IntoIterator<Item = (&'k str, Json)>) -> String {
+    json::obj(
+        [("id", id.into()), ("type", kind.into())]
+            .into_iter()
+            .chain(body),
+    )
+    .to_string()
 }
 
 /// Renders an `ok` response payload.
 pub fn encode_ok(id: u64) -> String {
-    format!("{{\"id\":{id},\"type\":\"ok\"}}")
+    response(id, "ok", [])
 }
 
 /// Renders a `busy` response payload.
 pub fn encode_busy(id: u64, queued: u64, limit: u64) -> String {
-    format!("{{\"id\":{id},\"type\":\"busy\",\"queued\":{queued},\"limit\":{limit}}}")
+    response(
+        id,
+        "busy",
+        [("queued", queued.into()), ("limit", limit.into())],
+    )
 }
 
 /// Renders an `error` response payload.
 pub fn encode_error(id: u64, message: &str) -> String {
-    let mut out = format!("{{\"id\":{id},\"type\":\"error\",\"message\":");
-    json::write_str(&mut out, message);
-    out.push('}');
-    out
+    response(id, "error", [("message", message.into())])
 }
 
 /// Renders a `result` response payload.
 pub fn encode_result(id: u64, r: &ResultPayload) -> String {
-    let mut out = format!("{{\"id\":{id},\"type\":\"result\",\"name\":");
-    json::write_str(&mut out, &r.name);
-    let _ = write!(out, ",\"hash\":\"{}\",\"source\":\"{}\"", r.hash, r.source);
-    out.push_str(",\"canonical\":");
-    json::write_str(&mut out, &r.canonical);
-    let _ = write!(
-        out,
-        ",\"nodes\":{},\"instrs\":{},\"points\":{},\"edges_split\":{},\"rounds\":{},\
-         \"converged\":{},\"eliminated\":{},\"inserted\":{},\"removed\":{},\"iterations\":{},\
-         \"lint_errors\":{},\"lint_warnings\":{},\"queue_micros\":{},\"service_micros\":{}}}",
-        r.nodes,
-        r.instrs,
-        r.points,
-        r.edges_split,
-        r.rounds,
-        r.converged,
-        r.eliminated,
-        r.inserted,
-        r.removed,
-        r.iterations,
-        r.lint_errors,
-        r.lint_warnings,
-        r.queue_micros,
-        r.service_micros
-    );
-    out
+    response(
+        id,
+        "result",
+        [
+            ("name", r.name.as_str().into()),
+            ("hash", r.hash.as_str().into()),
+            ("source", r.source.as_str().into()),
+            ("canonical", r.canonical.as_str().into()),
+            ("nodes", r.nodes.into()),
+            ("instrs", r.instrs.into()),
+            ("points", r.points.into()),
+            ("edges_split", r.edges_split.into()),
+            ("rounds", r.rounds.into()),
+            ("converged", r.converged.into()),
+            ("eliminated", r.eliminated.into()),
+            ("inserted", r.inserted.into()),
+            ("removed", r.removed.into()),
+            ("iterations", r.iterations.into()),
+            ("lint_errors", r.lint_errors.into()),
+            ("lint_warnings", r.lint_warnings.into()),
+            ("queue_micros", r.queue_micros.into()),
+            ("service_micros", r.service_micros.into()),
+        ],
+    )
 }
 
 /// Renders a `trace` response payload.
 pub fn encode_trace(id: u64, entries: &[TraceEntry], dropped: u64) -> String {
-    let mut out = format!("{{\"id\":{id},\"type\":\"trace\",\"dropped\":{dropped},\"entries\":[");
-    for (i, entry) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        entry.write_json(&mut out);
-    }
-    out.push_str("]}");
-    out
+    response(
+        id,
+        "trace",
+        [
+            ("dropped", dropped.into()),
+            ("entries", entries.iter().map(TraceEntry::to_json).collect()),
+        ],
+    )
 }
 
 /// Renders a `stats` response payload.
 pub fn encode_stats(id: u64, s: &StatsSnapshot) -> String {
-    let mut out = format!("{{\"id\":{id},\"type\":\"stats\"");
-    write_stats_body(&mut out, s);
-    out
+    response(id, "stats", stats_body(s))
 }
 
 /// Renders a snapshot as a standalone `am-stats/v1` document — the shape
@@ -498,193 +486,177 @@ pub fn encode_stats(id: u64, s: &StatsSnapshot) -> String {
 /// as the wire `stats` response, with a schema tag instead of the
 /// response envelope).
 pub fn encode_stats_doc(s: &StatsSnapshot) -> String {
-    let mut out = String::from("{\"schema\":\"am-stats/v1\"");
-    write_stats_body(&mut out, s);
-    out
+    json::obj(
+        [("schema", "am-stats/v1".into())]
+            .into_iter()
+            .chain(stats_body(s)),
+    )
+    .to_string()
 }
 
-fn write_stats_body(out: &mut String, s: &StatsSnapshot) {
-    let _ = write!(
-        out,
-        ",\"uptime_micros\":{},\"workers\":{},\"connections_open\":{},\"connections_total\":{}",
-        s.uptime_micros, s.workers, s.connections_open, s.connections_total
-    );
-    let _ = write!(
-        out,
-        ",\"requests\":{{\"optimize\":{},\"stats\":{},\"ping\":{}}}",
-        s.requests_optimize, s.requests_stats, s.requests_ping
-    );
-    let _ = write!(
-        out,
-        ",\"sources\":{{\"fresh\":{},\"memory\":{},\"disk\":{},\"coalesced\":{}}}",
-        s.fresh, s.memory_hits, s.disk_hits, s.coalesced
-    );
-    let _ = write!(
-        out,
-        ",\"busy\":{},\"errors\":{},\"queued_now\":{},\"queue_peak\":{}",
-        s.busy, s.errors, s.queued_now, s.queue_peak
-    );
+fn stats_body(s: &StatsSnapshot) -> [(&'static str, Json); 13] {
     let m = &s.memory_cache;
-    let _ = write!(
-        out,
-        ",\"memory_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"entries\":{}}}",
-        m.hits, m.misses, m.evictions, m.entries
+    let disk = s.disk_cache.map_or(Json::Null, |d| {
+        json::obj([
+            ("hits", d.hits.into()),
+            ("misses", d.misses.into()),
+            ("stores", d.stores.into()),
+            ("evictions", d.evictions.into()),
+            ("load_errors", d.load_errors.into()),
+            ("entries", d.entries.into()),
+            ("bytes", d.bytes.into()),
+            ("budget_bytes", d.budget_bytes.into()),
+        ])
+    });
+    let latency = [
+        ("request", quantiles_json(&s.latency_request)),
+        ("queue", quantiles_json(&s.latency_queue)),
+    ]
+    .into_iter()
+    .chain(
+        PHASE_NAMES
+            .into_iter()
+            .zip(s.phases.iter().map(quantiles_json)),
     );
-    match &s.disk_cache {
-        None => out.push_str(",\"disk_cache\":null"),
-        Some(d) => {
-            let _ = write!(
-                out,
-                ",\"disk_cache\":{{\"hits\":{},\"misses\":{},\"stores\":{},\"evictions\":{},\
-                 \"load_errors\":{},\"entries\":{},\"bytes\":{},\"budget_bytes\":{}}}",
-                d.hits,
-                d.misses,
-                d.stores,
-                d.evictions,
-                d.load_errors,
-                d.entries,
-                d.bytes,
-                d.budget_bytes
-            );
-        }
-    }
-    out.push_str(",\"latency\":{\"request\":");
-    write_quantiles(out, &s.latency_request);
-    out.push_str(",\"queue\":");
-    write_quantiles(out, &s.latency_queue);
-    for (name, q) in PHASE_NAMES.iter().zip(&s.phases) {
-        let _ = write!(out, ",\"{name}\":");
-        write_quantiles(out, q);
-    }
-    out.push_str("}}");
-}
-
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer \"{key}\""))
-}
-
-fn get_str(v: &Json, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string \"{key}\""))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean \"{key}\"")),
-    }
+    [
+        ("uptime_micros", s.uptime_micros.into()),
+        ("workers", s.workers.into()),
+        ("connections_open", s.connections_open.into()),
+        ("connections_total", s.connections_total.into()),
+        (
+            "requests",
+            json::obj([
+                ("optimize", s.requests_optimize.into()),
+                ("stats", s.requests_stats.into()),
+                ("ping", s.requests_ping.into()),
+            ]),
+        ),
+        (
+            "sources",
+            json::obj([
+                ("fresh", s.fresh.into()),
+                ("memory", s.memory_hits.into()),
+                ("disk", s.disk_hits.into()),
+                ("coalesced", s.coalesced.into()),
+            ]),
+        ),
+        ("busy", s.busy.into()),
+        ("errors", s.errors.into()),
+        ("queued_now", s.queued_now.into()),
+        ("queue_peak", s.queue_peak.into()),
+        (
+            "memory_cache",
+            json::obj([
+                ("hits", m.hits.into()),
+                ("misses", m.misses.into()),
+                ("evictions", m.evictions.into()),
+                ("entries", m.entries.into()),
+            ]),
+        ),
+        ("disk_cache", disk),
+        ("latency", json::obj(latency)),
+    ]
 }
 
 fn parse_quantiles(v: &Json, key: &str) -> Result<QuantileSummary, String> {
-    let q = v
-        .get(key)
-        .ok_or_else(|| format!("missing latency \"{key}\""))?;
+    let q = v.field(key)?;
     Ok(QuantileSummary {
-        count: get_u64(q, "count")?,
-        total_micros: get_u64(q, "total_micros")?,
-        p50: get_u64(q, "p50")?,
-        p95: get_u64(q, "p95")?,
-        p99: get_u64(q, "p99")?,
-        max: get_u64(q, "max")?,
+        count: q.u64_field("count")?,
+        total_micros: q.u64_field("total_micros")?,
+        p50: q.u64_field("p50")?,
+        p95: q.u64_field("p95")?,
+        p99: q.u64_field("p99")?,
+        max: q.u64_field("max")?,
     })
 }
 
 /// Parses a response frame payload into its id and [`Reply`].
 pub fn parse_response(payload: &str) -> Result<(u64, Reply), String> {
     let value = json::parse(payload).map_err(|e| format!("bad response JSON: {e}"))?;
-    let id = get_u64(&value, "id")?;
-    let reply = match get_str(&value, "type")?.as_str() {
+    let id = value.u64_field("id")?;
+    let reply = match value.str_field("type")? {
         "ok" => Reply::Ok,
         "trace" => {
-            let items = value
-                .get("entries")
-                .and_then(Json::as_arr)
-                .ok_or("missing \"entries\"")?;
-            let entries = items
+            let entries = value
+                .arr_field("entries")?
                 .iter()
-                .map(|item| TraceEntry::from_json(item).ok_or("malformed trace entry".to_owned()))
+                .map(TraceEntry::from_json)
                 .collect::<Result<Vec<_>, _>>()?;
             Reply::Trace {
                 entries,
-                dropped: get_u64(&value, "dropped")?,
+                dropped: value.u64_field("dropped")?,
             }
         }
         "busy" => Reply::Busy {
-            queued: get_u64(&value, "queued")?,
-            limit: get_u64(&value, "limit")?,
+            queued: value.u64_field("queued")?,
+            limit: value.u64_field("limit")?,
         },
         "error" => Reply::Error {
-            message: get_str(&value, "message")?,
+            message: value.str_field("message")?.to_owned(),
         },
         "result" => Reply::Result(Box::new(ResultPayload {
-            name: get_str(&value, "name")?,
-            hash: get_str(&value, "hash")?,
-            source: get_str(&value, "source")?,
-            canonical: get_str(&value, "canonical")?,
-            nodes: get_u64(&value, "nodes")?,
-            instrs: get_u64(&value, "instrs")?,
-            points: get_u64(&value, "points")?,
-            edges_split: get_u64(&value, "edges_split")?,
-            rounds: get_u64(&value, "rounds")?,
-            converged: get_bool(&value, "converged")?,
-            eliminated: get_u64(&value, "eliminated")?,
-            inserted: get_u64(&value, "inserted")?,
-            removed: get_u64(&value, "removed")?,
-            iterations: get_u64(&value, "iterations")?,
-            lint_errors: get_u64(&value, "lint_errors")?,
-            lint_warnings: get_u64(&value, "lint_warnings")?,
-            queue_micros: get_u64(&value, "queue_micros")?,
-            service_micros: get_u64(&value, "service_micros")?,
+            name: value.str_field("name")?.to_owned(),
+            hash: value.str_field("hash")?.to_owned(),
+            source: value.str_field("source")?.to_owned(),
+            canonical: value.str_field("canonical")?.to_owned(),
+            nodes: value.u64_field("nodes")?,
+            instrs: value.u64_field("instrs")?,
+            points: value.u64_field("points")?,
+            edges_split: value.u64_field("edges_split")?,
+            rounds: value.u64_field("rounds")?,
+            converged: value.bool_field("converged")?,
+            eliminated: value.u64_field("eliminated")?,
+            inserted: value.u64_field("inserted")?,
+            removed: value.u64_field("removed")?,
+            iterations: value.u64_field("iterations")?,
+            lint_errors: value.u64_field("lint_errors")?,
+            lint_warnings: value.u64_field("lint_warnings")?,
+            queue_micros: value.u64_field("queue_micros")?,
+            service_micros: value.u64_field("service_micros")?,
         })),
         "stats" => {
-            let requests = value.get("requests").ok_or("missing \"requests\"")?;
-            let sources = value.get("sources").ok_or("missing \"sources\"")?;
-            let mem = value
-                .get("memory_cache")
-                .ok_or("missing \"memory_cache\"")?;
+            let requests = value.field("requests")?;
+            let sources = value.field("sources")?;
+            let mem = value.field("memory_cache")?;
             let disk = match value.get("disk_cache") {
                 None | Some(Json::Null) => None,
                 Some(d) => Some(DiskCacheSnapshot {
-                    hits: get_u64(d, "hits")?,
-                    misses: get_u64(d, "misses")?,
-                    stores: get_u64(d, "stores")?,
-                    evictions: get_u64(d, "evictions")?,
-                    load_errors: get_u64(d, "load_errors")?,
-                    entries: get_u64(d, "entries")?,
-                    bytes: get_u64(d, "bytes")?,
-                    budget_bytes: get_u64(d, "budget_bytes")?,
+                    hits: d.u64_field("hits")?,
+                    misses: d.u64_field("misses")?,
+                    stores: d.u64_field("stores")?,
+                    evictions: d.u64_field("evictions")?,
+                    load_errors: d.u64_field("load_errors")?,
+                    entries: d.u64_field("entries")?,
+                    bytes: d.u64_field("bytes")?,
+                    budget_bytes: d.u64_field("budget_bytes")?,
                 }),
             };
-            let latency = value.get("latency").ok_or("missing \"latency\"")?;
+            let latency = value.field("latency")?;
             let mut phases = [QuantileSummary::default(); 4];
             for (slot, name) in phases.iter_mut().zip(PHASE_NAMES) {
                 *slot = parse_quantiles(latency, name)?;
             }
             Reply::Stats(Box::new(StatsSnapshot {
-                uptime_micros: get_u64(&value, "uptime_micros")?,
-                workers: get_u64(&value, "workers")?,
-                connections_open: get_u64(&value, "connections_open")?,
-                connections_total: get_u64(&value, "connections_total")?,
-                requests_optimize: get_u64(requests, "optimize")?,
-                requests_stats: get_u64(requests, "stats")?,
-                requests_ping: get_u64(requests, "ping")?,
-                fresh: get_u64(sources, "fresh")?,
-                memory_hits: get_u64(sources, "memory")?,
-                disk_hits: get_u64(sources, "disk")?,
-                coalesced: get_u64(sources, "coalesced")?,
-                busy: get_u64(&value, "busy")?,
-                errors: get_u64(&value, "errors")?,
-                queued_now: get_u64(&value, "queued_now")?,
-                queue_peak: get_u64(&value, "queue_peak")?,
+                uptime_micros: value.u64_field("uptime_micros")?,
+                workers: value.u64_field("workers")?,
+                connections_open: value.u64_field("connections_open")?,
+                connections_total: value.u64_field("connections_total")?,
+                requests_optimize: requests.u64_field("optimize")?,
+                requests_stats: requests.u64_field("stats")?,
+                requests_ping: requests.u64_field("ping")?,
+                fresh: sources.u64_field("fresh")?,
+                memory_hits: sources.u64_field("memory")?,
+                disk_hits: sources.u64_field("disk")?,
+                coalesced: sources.u64_field("coalesced")?,
+                busy: value.u64_field("busy")?,
+                errors: value.u64_field("errors")?,
+                queued_now: value.u64_field("queued_now")?,
+                queue_peak: value.u64_field("queue_peak")?,
                 memory_cache: MemoryCacheSnapshot {
-                    hits: get_u64(mem, "hits")?,
-                    misses: get_u64(mem, "misses")?,
-                    evictions: get_u64(mem, "evictions")?,
-                    entries: get_u64(mem, "entries")?,
+                    hits: mem.u64_field("hits")?,
+                    misses: mem.u64_field("misses")?,
+                    evictions: mem.u64_field("evictions")?,
+                    entries: mem.u64_field("entries")?,
                 },
                 disk_cache: disk,
                 latency_request: parse_quantiles(latency, "request")?,

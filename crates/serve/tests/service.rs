@@ -5,9 +5,12 @@
 //! shuts it down gracefully through the protocol.
 
 use std::collections::HashMap;
+use std::io::Read as _;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use am_ir::random::{unstructured, SplitMix64, UnstructuredConfig};
 use am_lang::SourceKind;
@@ -16,6 +19,7 @@ use am_serve::diskcache::DiskCacheConfig;
 use am_serve::net::{Endpoint, NetStream};
 use am_serve::proto::{self, Reply};
 use am_serve::server::{Server, ServerConfig};
+use am_trace::json;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("am-serve-e2e-{tag}-{}", std::process::id()));
@@ -197,6 +201,102 @@ fn deeply_nested_json_frame_gets_an_error_reply_and_the_server_survives() {
     let mut client = Client::connect(&endpoint).expect("fresh connection");
     client.ping().expect("ping after the deep frame");
     stop(&endpoint, handle);
+}
+
+#[test]
+fn ascii_escaped_names_outside_the_bmp_are_echoed_intact() {
+    let (endpoint, handle) = boot(ServerConfig::default());
+
+    // How Python's default `json.dumps` sends "p😀.ir": the character as
+    // a `\u` surrogate pair.
+    let request = r#"{"am":1,"id":7,"op":"optimize","name":"p\ud83d\ude00.ir","kind":"ir","text":"start s\nend s\nnode s { out(x) }"}"#;
+    let mut raw = NetStream::connect(&endpoint).expect("connect");
+    proto::write_frame(&mut raw, request).expect("send request");
+    let reply = proto::read_frame(&mut raw)
+        .expect("read reply")
+        .expect("a reply frame");
+    let (id, reply) = proto::parse_response(&reply).expect("well-formed reply");
+    assert_eq!(id, 7);
+    let Reply::Result(result) = reply else {
+        panic!("expected a result, got {reply:?}")
+    };
+    assert_eq!(result.name, "p\u{1f600}.ir");
+    drop(raw);
+    stop(&endpoint, handle);
+}
+
+/// Waits up to 20 s for `child` to exit on its own.
+fn exit_code_within_deadline(child: &mut std::process::Child) -> Option<i32> {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while Instant::now() < deadline {
+        if let Some(status) = child.try_wait().expect("poll amserve") {
+            return status.code();
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    None
+}
+
+#[test]
+fn amserve_caps_the_cache_budget_at_the_exact_integer_limit() {
+    let dir = temp_dir("budget");
+    let amserve = |budget_mb: u64, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_amserve"))
+            .args(["--listen", "tcp://127.0.0.1:0", "--quiet", "--cache-dir"])
+            .arg(dir.join("cache"))
+            .args(["--cache-budget-mb", &budget_mb.to_string()])
+            .args(extra)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn amserve")
+    };
+    let max_mb = (json::EXACT_INT_LIMIT - 1) >> 20;
+    // 2^44 MiB overflows a u64 byte count (it used to wrap to a 0-byte
+    // budget); one MiB more than the cap reaches the limit, past which a
+    // `stats` reply is unreadable. Both are usage errors, before binding.
+    for budget_mb in [1 << 44, max_mb + 1, u64::MAX] {
+        let mut child = amserve(budget_mb, &[]);
+        let code = exit_code_within_deadline(&mut child);
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert_eq!(code, Some(2), "--cache-budget-mb {budget_mb}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--cache-budget-mb must be at most {max_mb}")),
+            "{stderr}"
+        );
+    }
+
+    // The cap itself is served, and `stats` reads it back exactly.
+    let ready = dir.join("ready");
+    let mut child = amserve(
+        max_mb,
+        &["--ready-file", ready.to_str().expect("UTF-8 path")],
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let endpoint = loop {
+        if let Some(line) = std::fs::read_to_string(&ready)
+            .ok()
+            .filter(|text| text.ends_with('\n'))
+            .and_then(|text| text.lines().next().map(str::to_owned))
+        {
+            break Endpoint::parse(&line).expect("ready-file endpoint");
+        }
+        assert!(Instant::now() < deadline, "amserve never became ready");
+        thread::sleep(Duration::from_millis(20));
+    };
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let stats = client.stats().expect("stats readable at the cap");
+    assert_eq!(stats.disk_cache.map(|d| d.budget_bytes), Some(max_mb << 20));
+    client.shutdown().expect("shutdown");
+    assert_eq!(exit_code_within_deadline(&mut child), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

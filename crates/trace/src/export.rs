@@ -10,30 +10,37 @@
 use std::fmt::Write as _;
 
 use crate::event::{Event, EventKind};
-use crate::json;
+use crate::json::{self, Json};
 use crate::stats::OptStats;
+
+/// The event's `args` as an object of integers.
+fn args_json(ev: &Event) -> Json {
+    Json::Obj(
+        ev.args
+            .iter()
+            .map(|(key, value)| (key.clone(), (*value).into()))
+            .collect(),
+    )
+}
 
 /// Serializes one event as a single JSON line (no trailing newline).
 pub fn jsonl_line(ev: &Event) -> String {
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"name\":");
-    json::write_str(&mut out, &ev.name);
-    out.push_str(",\"cat\":");
-    json::write_str(&mut out, &ev.cat);
     let ph = match ev.kind {
         EventKind::Span { .. } => "span",
         EventKind::Counter => "counter",
         EventKind::Instant => "instant",
     };
-    let _ = write!(out, ",\"ph\":\"{ph}\",\"ts\":{}", ev.ts_micros);
-    if let EventKind::Span { dur_micros } = ev.kind {
-        let _ = write!(out, ",\"dur\":{dur_micros}");
-    }
-    let _ = write!(out, ",\"tid\":{},\"depth\":{}", ev.tid, ev.depth);
-    out.push_str(",\"args\":");
-    json::write_int_obj(&mut out, &ev.args);
-    out.push('}');
-    out
+    let members = [
+        Some(("name", ev.name.as_str().into())),
+        Some(("cat", ev.cat.as_str().into())),
+        Some(("ph", ph.into())),
+        Some(("ts", ev.ts_micros.into())),
+        ev.dur_micros().map(|dur| ("dur", dur.into())),
+        Some(("tid", ev.tid.into())),
+        Some(("depth", ev.depth.into())),
+        Some(("args", args_json(ev))),
+    ];
+    json::obj(members.into_iter().flatten()).to_string()
 }
 
 /// Serializes a whole event stream as JSON lines.
@@ -50,89 +57,69 @@ pub fn jsonl(events: &[Event]) -> String {
 /// [`jsonl_line`].
 pub fn parse_jsonl_line(line: &str) -> Result<Event, String> {
     let v = json::parse(line).map_err(|e| e.to_string())?;
-    let field = |key: &str| v.get(key).ok_or_else(|| format!("missing \"{key}\""));
-    let name = field("name")?
-        .as_str()
-        .ok_or("\"name\" must be a string")?
-        .to_owned();
-    let cat = field("cat")?
-        .as_str()
-        .ok_or("\"cat\" must be a string")?
-        .to_owned();
-    let ts_micros = field("ts")?.as_u64().ok_or("\"ts\" must be an integer")?;
-    let tid = field("tid")?.as_u64().ok_or("\"tid\" must be an integer")?;
-    let depth = field("depth")?
-        .as_u64()
-        .ok_or("\"depth\" must be an integer")? as u32;
-    let kind = match field("ph")?.as_str() {
-        Some("span") => EventKind::Span {
-            dur_micros: field("dur")?.as_u64().ok_or("\"dur\" must be an integer")?,
+    let kind = match v.str_field("ph")? {
+        "span" => EventKind::Span {
+            dur_micros: v.u64_field("dur")?,
         },
-        Some("counter") => EventKind::Counter,
-        Some("instant") => EventKind::Instant,
+        "counter" => EventKind::Counter,
+        "instant" => EventKind::Instant,
         _ => return Err("\"ph\" must be span|counter|instant".to_owned()),
     };
-    let mut args = Vec::new();
-    for (key, value) in field("args")?
-        .as_obj()
-        .ok_or("\"args\" must be an object")?
-    {
-        args.push((
-            key.clone(),
+    let args = v
+        .obj_field("args")?
+        .iter()
+        .map(|(key, value)| {
             value
                 .as_i64()
-                .ok_or_else(|| format!("arg \"{key}\" must be an integer"))?,
-        ));
-    }
+                .map(|n| (key.clone(), n))
+                .ok_or_else(|| format!("arg \"{key}\" must be an integer"))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Event {
-        name,
-        cat,
+        name: v.str_field("name")?.to_owned(),
+        cat: v.str_field("cat")?.to_owned(),
         kind,
-        ts_micros,
-        tid,
-        depth,
+        ts_micros: v.u64_field("ts")?,
+        tid: v.u64_field("tid")?,
+        depth: u32::try_from(v.u64_field("depth")?).map_err(|_| "\"depth\" out of range")?,
         args,
     })
 }
 
 /// Serializes the event stream in the Chrome trace-event format (a JSON
-/// array of objects), loadable in `chrome://tracing` and Perfetto.
+/// array of objects, one per line), loadable in `chrome://tracing` and
+/// Perfetto.
 ///
 /// Spans become complete events (`"ph":"X"` with `ts`/`dur`), counters
 /// become counter events (`"ph":"C"`), instants thread-scoped instant
 /// events (`"ph":"i"`). All timestamps are microseconds, as the format
 /// requires.
 pub fn chrome_trace(events: &[Event]) -> String {
-    let mut out = String::from("[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n ");
-        }
-        out.push_str("{\"name\":");
-        json::write_str(&mut out, &ev.name);
-        out.push_str(",\"cat\":");
-        json::write_str(&mut out, &ev.cat);
-        match ev.kind {
-            EventKind::Span { dur_micros } => {
-                let _ = write!(
-                    out,
-                    ",\"ph\":\"X\",\"ts\":{},\"dur\":{dur_micros}",
-                    ev.ts_micros
-                );
-            }
-            EventKind::Counter => {
-                let _ = write!(out, ",\"ph\":\"C\",\"ts\":{}", ev.ts_micros);
-            }
-            EventKind::Instant => {
-                let _ = write!(out, ",\"ph\":\"i\",\"ts\":{},\"s\":\"t\"", ev.ts_micros);
-            }
-        }
-        let _ = write!(out, ",\"pid\":1,\"tid\":{}", ev.tid);
-        out.push_str(",\"args\":");
-        json::write_int_obj(&mut out, &ev.args);
-        out.push('}');
-    }
-    out.push_str("]\n");
+    let trace: Json = events
+        .iter()
+        .map(|ev| {
+            let ph = match ev.kind {
+                EventKind::Span { .. } => "X",
+                EventKind::Counter => "C",
+                EventKind::Instant => "i",
+            };
+            let members = [
+                Some(("name", ev.name.as_str().into())),
+                Some(("cat", ev.cat.as_str().into())),
+                Some(("ph", ph.into())),
+                Some(("ts", ev.ts_micros.into())),
+                ev.dur_micros().map(|dur| ("dur", dur.into())),
+                (ev.kind == EventKind::Instant).then(|| ("s", "t".into())),
+                Some(("pid", 1u64.into())),
+                Some(("tid", ev.tid.into())),
+                Some(("args", args_json(ev))),
+            ];
+            json::obj(members.into_iter().flatten())
+        })
+        .collect();
+    let mut out = String::new();
+    trace.write_lines(&mut out);
+    out.push('\n');
     out
 }
 
