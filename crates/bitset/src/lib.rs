@@ -36,6 +36,7 @@ pub use set::{ActiveWords, BitSet};
 pub(crate) const WORD_BITS: usize = u64::BITS as usize;
 
 /// Number of `u64` words needed to hold `bits` bits.
+#[inline]
 pub(crate) fn words_for(bits: usize) -> usize {
     bits.div_ceil(WORD_BITS)
 }

@@ -47,6 +47,7 @@ enum Words {
 
 impl BitSet {
     /// Creates an empty set over the universe `0..len`.
+    #[inline]
     pub fn new(len: usize) -> Self {
         let n = words_for(len);
         let words = if n <= INLINE_WORDS {
@@ -65,6 +66,7 @@ impl BitSet {
     }
 
     /// The words of the universe, exactly `words_for(len)` of them.
+    #[inline]
     fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline(a) => &a[..words_for(self.len)],
@@ -74,6 +76,7 @@ impl BitSet {
 
     /// The words the kernels run over: the whole inline array, or the
     /// heap slice.
+    #[inline]
     fn raw(&self) -> &[u64] {
         match &self.words {
             Words::Inline(a) => a,
@@ -81,6 +84,7 @@ impl BitSet {
         }
     }
 
+    #[inline]
     fn raw_mut(&mut self) -> &mut [u64] {
         match &mut self.words {
             Words::Inline(a) => a,
@@ -89,11 +93,13 @@ impl BitSet {
     }
 
     /// The universe size (not the number of elements; see [`BitSet::count`]).
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// Returns `true` when the set contains no elements.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.raw().iter().all(|&w| w == 0)
     }
@@ -108,6 +114,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `bit` is outside the universe.
+    #[inline]
     pub fn contains(&self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
         self.raw()[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
@@ -118,6 +125,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `bit` is outside the universe.
+    #[inline]
     pub fn insert(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
         let w = &mut self.raw_mut()[bit / WORD_BITS];
@@ -132,6 +140,7 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `bit` is outside the universe.
+    #[inline]
     pub fn remove(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
         let w = &mut self.raw_mut()[bit / WORD_BITS];
@@ -151,6 +160,7 @@ impl BitSet {
     }
 
     /// Removes every element.
+    #[inline]
     pub fn clear(&mut self) {
         self.raw_mut().fill(0);
     }
@@ -165,6 +175,7 @@ impl BitSet {
         }
     }
 
+    #[inline]
     fn assert_same_universe(&self, other: &BitSet) {
         assert_eq!(
             self.len, other.len,
@@ -191,21 +202,25 @@ impl BitSet {
     }
 
     /// `self ∪= other`; returns `true` if `self` changed.
+    #[inline]
     pub fn union_with(&mut self, other: &BitSet) -> bool {
         self.update(other, |a, b| a | b)
     }
 
     /// `self ∩= other`; returns `true` if `self` changed.
+    #[inline]
     pub fn intersect_with(&mut self, other: &BitSet) -> bool {
         self.update(other, |a, b| a & b)
     }
 
     /// `self −= other`; returns `true` if `self` changed.
+    #[inline]
     pub fn difference_with(&mut self, other: &BitSet) -> bool {
         self.update(other, |a, b| a & !b)
     }
 
     /// Replaces `self` with a copy of `other`; returns `true` if it changed.
+    #[inline]
     pub fn copy_from(&mut self, other: &BitSet) -> bool {
         self.update(other, |_, b| b)
     }
@@ -225,6 +240,7 @@ impl BitSet {
     ///
     /// Panics if any operand's universe differs from `self`'s, or if
     /// `active` was built for a different word count.
+    #[inline]
     pub fn transfer_from(
         &mut self,
         input: &BitSet,
@@ -278,18 +294,21 @@ impl BitSet {
     }
 
     /// Tests `self ⊆ other`.
+    #[inline]
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.assert_same_universe(other);
         self.raw().iter().zip(other.raw()).all(|(a, b)| a & !b == 0)
     }
 
     /// Tests whether the sets share no element.
+    #[inline]
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
         self.assert_same_universe(other);
         self.raw().iter().zip(other.raw()).all(|(a, b)| a & b == 0)
     }
 
     /// Iterates over the elements in increasing order.
+    #[inline]
     pub fn iter(&self) -> Iter<'_> {
         let words = self.words();
         Iter {
@@ -301,6 +320,7 @@ impl BitSet {
 }
 
 impl PartialEq for BitSet {
+    #[inline]
     fn eq(&self, other: &BitSet) -> bool {
         self.len == other.len && self.words() == other.words()
     }
@@ -391,13 +411,21 @@ impl ActiveWords {
         let active = |&i: &usize| g[i] | k[i] != 0;
         // Count before collecting: a dense row, and every row of an
         // inline universe, allocates no index.
-        if words <= INLINE_WORDS || (0..words).filter(active).count() * 2 >= words {
+        if ActiveWords::always_dense(gen.len) || (0..words).filter(active).count() * 2 >= words {
             return ActiveWords { words, index: None };
         }
         ActiveWords {
             words,
             index: Some((0..words).filter(active).map(|i| i as u32).collect()),
         }
+    }
+
+    /// Whether every row over `universe` is dense: a universe that fits
+    /// a set's inline words builds no index, so one [`dense`](Self::dense)
+    /// marker serves all of its rows.
+    #[inline]
+    pub fn always_dense(universe: usize) -> bool {
+        words_for(universe) <= INLINE_WORDS
     }
 
     /// Builds a dense marker: the transfer applies gen/kill to every word.
@@ -432,6 +460,7 @@ pub struct Iter<'a> {
 impl Iterator for Iter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.current != 0 {

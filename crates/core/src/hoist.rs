@@ -40,10 +40,12 @@ use std::rc::Rc;
 
 use am_bitset::BitSet;
 use am_dfa::{solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 
 use crate::incremental::MotionContext;
+use crate::rae::retain_unlisted;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -124,10 +126,10 @@ impl MotionContext {
             }
             self.hoist_stamps[ni] = self.block_stamps[ni];
             self.rows_recomputed += 1;
-            let patterns = self.block_keys[ni]
-                .iter()
-                .map(|&id| self.assign_pattern(id));
-            locals.compute(&g.block(n).instrs, patterns, &self.masks);
+            locals.clear();
+            self.for_each_blocking_row(ni, |idx, pattern, blocks| {
+                locals.step(idx, pattern, blocks)
+            });
             let (gen, kill) = (&mut a.loc_hoistable[ni], &mut a.loc_blocked[ni]);
             if *gen != locals.hoistable || *kill != locals.blocked {
                 lowered &= locals.hoistable.is_subset(gen) && kill.is_subset(&locals.blocked);
@@ -171,38 +173,65 @@ impl MotionContext {
 }
 
 /// The Table 1 local predicates of one block.
-struct BlockLocals {
+pub(crate) struct BlockLocals {
     /// `LOC-HOISTABLE`.
-    hoistable: BitSet,
+    pub(crate) hoistable: BitSet,
     /// `LOC-BLOCKED`.
-    blocked: BitSet,
-    /// The `(pattern, instruction index)` hoisting candidates.
-    candidates: Vec<(usize, usize)>,
+    pub(crate) blocked: BitSet,
+    /// The `(pattern, instruction index)` hoisting candidates, in index
+    /// order.
+    pub(crate) candidates: Vec<(usize, usize)>,
 }
 
 impl BlockLocals {
-    /// Computes the local predicates of one instruction list into `self`,
-    /// given each instruction's assignment pattern index (`None` for other
-    /// instructions), in one pass with a running blocked mask instead of a
-    /// per-pattern rescan. The candidate check precedes the instruction's
-    /// own blocking update: the first *unblocked* occurrence of a pattern
-    /// is its candidate (Fig. 13), and every occurrence blocks the ones
-    /// after it.
-    fn compute(
-        &mut self,
+    fn clear(&mut self) {
+        self.hoistable.clear();
+        self.blocked.clear();
+        self.candidates.clear();
+    }
+
+    /// Adds instruction `idx` of the block, with its assignment pattern
+    /// index and its [`blocking_row`], to the local predicates of the
+    /// instructions before it. The candidate check precedes the
+    /// instruction's own blocking update: the first *unblocked* occurrence
+    /// of a pattern is its candidate (Fig. 13), and every occurrence blocks
+    /// the ones after it.
+    fn step(&mut self, idx: usize, pattern: Option<usize>, blocks: &BitSet) {
+        if let Some(i) = pattern {
+            if !self.blocked.contains(i) && !self.hoistable.contains(i) {
+                self.hoistable.insert(i);
+                self.candidates.push((i, idx));
+            }
+        }
+        self.blocked.union_with(blocks);
+    }
+
+    /// The oracle of [`Self::step`]: the local predicates of one
+    /// instruction list, computed by walking the instructions.
+    #[cfg(test)]
+    pub(crate) fn compute(
         instrs: &[Instr],
-        patterns: impl IntoIterator<Item = Option<usize>>,
+        universe: &PatternUniverse,
         masks: &PatternMasks,
-    ) {
+    ) -> Self {
+        let ap = universe.assign_count();
+        let mut locals = BlockLocals {
+            hoistable: BitSet::new(ap),
+            blocked: BitSet::new(ap),
+            candidates: Vec::new(),
+        };
         let BlockLocals {
             hoistable,
             blocked,
             candidates,
-        } = self;
-        hoistable.clear();
-        blocked.clear();
-        candidates.clear();
-        for ((idx, instr), pattern) in instrs.iter().enumerate().zip(patterns) {
+        } = &mut locals;
+        for (idx, instr) in instrs.iter().enumerate() {
+            let pattern = match instr {
+                Instr::Assign { lhs, rhs } => {
+                    universe.assign_id(&am_ir::AssignPattern::new(*lhs, *rhs))
+                }
+                _ => None,
+            };
             if let Some(i) = pattern {
                 if !blocked.contains(i) && !hoistable.contains(i) {
                     hoistable.insert(i);
@@ -217,7 +246,24 @@ impl BlockLocals {
                 blocked.union_with(masks.assign_lhs(u));
             });
         }
+        locals
     }
+}
+
+/// The Table 1 blocking row of one instruction over a universe of `ap`
+/// assignment patterns: the patterns it blocks (Def. 3.2) — those whose
+/// left-hand side it modifies or uses, and those with an operand it
+/// modifies.
+pub(crate) fn blocking_row(instr: &Instr, masks: &PatternMasks, ap: usize) -> BitSet {
+    let mut row = BitSet::new(ap);
+    if let Some(d) = instr.def() {
+        row.union_with(masks.assign_lhs(d));
+        row.union_with(masks.assign_mentions(d));
+    }
+    instr.for_each_use(|u| {
+        row.union_with(masks.assign_lhs(u));
+    });
+    row
 }
 
 /// The insertion points of the greatest solution: `N-INSERT` at the
@@ -296,163 +342,179 @@ pub struct HoistOutcome {
 /// [`assignment_motion`](crate::motion::assignment_motion) iterates it
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
-    let analysis = analyze_hoisting(g);
-    apply_insertion_step(g, &analysis, None, &ProvRecorder::disabled(), 0).0
+    let mut ctx = MotionContext::new(g);
+    let analysis = ctx.hoisting(g);
+    let recorder = ProvRecorder::disabled();
+    ctx.apply_insertion_step(g, &analysis, None, &recorder, 0, &mut Rewritten::default())
 }
 
-/// The blocks an insertion step rewrote, in node order, and how many
-/// blocks it moved code in without changing them.
+/// The blocks an insertion step rewrote, in node order, with their new
+/// interned ids, and how many blocks it moved code in without changing
+/// them.
 #[derive(Default)]
 pub(crate) struct Rewritten {
     pub(crate) blocks: Vec<NodeId>,
+    /// The new ids of every rewritten block, concatenated in block order.
+    pub(crate) keys: Vec<InstrId>,
+    /// Where each rewritten block's ids end in `keys`.
+    pub(crate) ends: Vec<usize>,
     /// Blocks whose insertions re-create exactly the removed candidates at
     /// the same positions (identity moves): counted as inserts and
     /// removals, reported to the recorder, but not rewritten.
     pub(crate) identity: usize,
 }
 
-/// Applies the insertion/removal step of `analysis`, computed on `g`,
-/// restricted to pattern `only` when given (the restricted baseline of
-/// Fig. 8/9 and the universe explorer hoist one pattern at a time). Every
-/// insertion and removal is reported to `recorder`.
-///
-/// Same-point insertions are emitted in first-occurrence order and limited
-/// to patterns that still occur — the pattern set and bit order a universe
-/// collected fresh from `g` would produce, even when the analysis ran over
-/// the motion loop's larger entry universe.
-///
-/// A block is written only when its new contents differ from the old, and
-/// then refilled in place (its own allocation, kept instructions moved,
-/// not cloned); the blocks written are returned with the outcome.
-pub(crate) fn apply_insertion_step(
-    g: &mut FlowGraph,
-    analysis: &HoistAnalysis,
-    only: Option<usize>,
-    recorder: &ProvRecorder,
-    round: u32,
-) -> (HoistOutcome, Rewritten) {
-    let sol = &analysis.hoistable;
-    let mut outcome = HoistOutcome {
-        iterations: sol.iterations,
-        worklist_pushes: sol.worklist_pushes,
-        max_worklist_len: sol.max_worklist_len,
-        ..HoistOutcome::default()
-    };
-    let mut rewritten = Rewritten::default();
-    let kept = |i: usize| only.is_none_or(|o| o == i) && analysis.occ_rank[i].is_some();
-    let in_order = |set: &BitSet, patterns: &mut Vec<usize>| {
-        patterns.clear();
-        patterns.extend(set.iter().filter(|&i| kept(i)));
-        patterns.sort_by_key(|&i| analysis.occ_rank[i]);
-    };
-    let instance = |i: usize| {
-        let pat = analysis.universe.assign(i);
-        Instr::Assign {
-            lhs: pat.lhs,
-            rhs: pat.rhs,
-        }
-    };
-    let (mut entry, mut exit, mut scratch) = (Vec::new(), Vec::new(), Vec::<Instr>::new());
-    for n in g.nodes() {
-        let ni = n.index();
-        let candidates = &analysis.candidates[ni];
-        let removed = |idx: usize| {
-            candidates
-                .iter()
-                .find(|&&(pat, r)| r == idx && only.is_none_or(|o| o == pat))
-                .map(|&(pat, _)| pat)
+impl Rewritten {
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.keys.clear();
+        self.ends.clear();
+        self.identity = 0;
+    }
+}
+
+impl MotionContext {
+    /// Applies the insertion/removal step of `analysis`, computed on `g`
+    /// in this context, restricted to pattern `only` when given (the
+    /// restricted baseline of Fig. 8/9 and the universe explorer hoist one
+    /// pattern at a time, each on a copy of the program the context
+    /// mirrors). Every insertion and removal is reported to `recorder`.
+    ///
+    /// Same-point insertions are emitted in first-occurrence order and
+    /// limited to patterns that still occur — the pattern set and bit
+    /// order a universe collected fresh from `g` would produce, even when
+    /// the analysis ran over the motion loop's larger entry universe.
+    ///
+    /// Each touched block's new content is first composed as ids: the
+    /// instance id of every inserted pattern around the kept ids of the
+    /// old block. A block is written only when those differ from its old
+    /// ids, and then refilled in place (its own allocation, kept
+    /// instructions moved, not cloned); the blocks written are returned
+    /// with their new ids in `rewritten` (cleared first, so that its
+    /// buffers are reused), which [`Self::note_rewritten`] takes into the
+    /// mirror. The context itself is left as it was.
+    pub(crate) fn apply_insertion_step(
+        &self,
+        g: &mut FlowGraph,
+        analysis: &HoistAnalysis,
+        only: Option<usize>,
+        recorder: &ProvRecorder,
+        round: u32,
+        rewritten: &mut Rewritten,
+    ) -> HoistOutcome {
+        debug_assert_eq!(self.block_keys.len(), g.node_count(), "context mirrors g");
+        let sol = &analysis.hoistable;
+        let mut outcome = HoistOutcome {
+            iterations: sol.iterations,
+            worklist_pushes: sol.worklist_pushes,
+            max_worklist_len: sol.max_worklist_len,
+            ..HoistOutcome::default()
         };
-        let removals = candidates
-            .iter()
-            .filter(|&&(pat, _)| only.is_none_or(|o| o == pat))
-            .count();
-        if analysis.n_insert[ni].is_empty() && analysis.x_insert[ni].is_empty() && removals == 0 {
-            continue;
-        }
-        in_order(&analysis.n_insert[ni], &mut entry);
-        in_order(&analysis.x_insert[ni], &mut exit);
-        outcome.inserted += entry.len() + exit.len();
-        outcome.removed += removals;
-        if recorder.is_enabled() {
-            let observe = |kind, index, instr: &Instr, pattern: usize, fact: &str| {
-                recorder.record(ProvRecord {
-                    kind,
-                    phase: "motion",
-                    round,
-                    node: g.label(n).to_owned(),
-                    index,
-                    instr: instr.display(g.pool()),
-                    new_instr: None,
-                    pattern: Some(pattern as u32),
-                    instr_id: None,
-                    justification: fact.to_owned(),
-                });
-            };
-            for &i in &entry {
-                observe(
-                    ProvKind::HoistInsert,
-                    None,
-                    &instance(i),
-                    i,
-                    "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
-                );
+        rewritten.clear();
+        let kept = |i: usize| only.is_none_or(|o| o == i) && analysis.occ_rank[i].is_some();
+        let in_order = |set: &BitSet, patterns: &mut Vec<usize>| {
+            patterns.clear();
+            patterns.extend(set.iter().filter(|&i| kept(i)));
+            patterns.sort_by_key(|&i| analysis.occ_rank[i]);
+        };
+        let instance = |i: usize| {
+            let pat = analysis.universe.assign(i);
+            Instr::Assign {
+                lhs: pat.lhs,
+                rhs: pat.rhs,
             }
-            for (idx, instr) in g.block(n).instrs.iter().enumerate() {
-                if let Some(pattern) = removed(idx) {
+        };
+        let (mut entry, mut exit) = (Vec::new(), Vec::new());
+        for n in g.nodes() {
+            let ni = n.index();
+            // The removed candidates' (pattern, index) pairs, in index
+            // order.
+            let removed = || {
+                analysis.candidates[ni]
+                    .iter()
+                    .filter(|&&(pat, _)| only.is_none_or(|o| o == pat))
+            };
+            let doomed = || removed().map(|&(_, idx)| idx);
+            let removals = removed().count();
+            if analysis.n_insert[ni].is_empty() && analysis.x_insert[ni].is_empty() && removals == 0
+            {
+                continue;
+            }
+            in_order(&analysis.n_insert[ni], &mut entry);
+            in_order(&analysis.x_insert[ni], &mut exit);
+            outcome.inserted += entry.len() + exit.len();
+            outcome.removed += removals;
+            if recorder.is_enabled() {
+                let observe = |kind, index, instr: &Instr, pattern: usize, fact: &str| {
+                    recorder.record(ProvRecord {
+                        kind,
+                        phase: "motion",
+                        round,
+                        node: g.label(n).to_owned(),
+                        index,
+                        instr: instr.display(g.pool()),
+                        new_instr: None,
+                        pattern: Some(pattern as u32),
+                        instr_id: None,
+                        justification: fact.to_owned(),
+                    });
+                };
+                for &i in &entry {
+                    observe(
+                        ProvKind::HoistInsert,
+                        None,
+                        &instance(i),
+                        i,
+                        "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
+                    );
+                }
+                for &(pattern, idx) in removed() {
                     observe(
                         ProvKind::HoistRemove,
                         Some(idx as u32),
-                        instr,
+                        &g.block(n).instrs[idx],
                         pattern,
                         "first unblocked occurrence in its block, covered by hoisted instances",
                     );
                 }
+                for &i in &exit {
+                    observe(
+                        ProvKind::HoistInsert,
+                        None,
+                        &instance(i),
+                        i,
+                        "X-INSERT: hoistable at exit, blocked from entering this block",
+                    );
+                }
             }
-            for &i in &exit {
-                observe(
-                    ProvKind::HoistInsert,
-                    None,
-                    &instance(i),
-                    i,
-                    "X-INSERT: hoistable at exit, blocked from entering this block",
-                );
+            // The new block is entry ++ (old minus candidates) ++ exit; it
+            // equals the old one exactly when the insertions re-create the
+            // removed candidates in place.
+            let start = rewritten.keys.len();
+            let keys = &mut rewritten.keys;
+            keys.extend(entry.iter().map(|&i| self.instance_id(i)));
+            let mut next = doomed().peekable();
+            keys.extend(
+                (self.block_keys[ni].iter().enumerate())
+                    .filter(|&(idx, _)| next.next_if_eq(&idx).is_none())
+                    .map(|(_, &id)| id),
+            );
+            keys.extend(exit.iter().map(|&i| self.instance_id(i)));
+            if keys[start..] == self.block_keys[ni][..] {
+                keys.truncate(start);
+                rewritten.identity += 1;
+                continue;
             }
+            let instrs = &mut g.block_mut(n).instrs;
+            retain_unlisted(instrs, doomed());
+            instrs.splice(0..0, entry.iter().map(|&i| instance(i)));
+            instrs.extend(exit.iter().map(|&i| instance(i)));
+            rewritten.blocks.push(n);
+            rewritten.ends.push(rewritten.keys.len());
         }
-        // The new block is entry ++ (old minus candidates) ++ exit; it equals
-        // the old one exactly when the insertions re-create the removed
-        // candidates in place.
-        let old = &g.block(n).instrs;
-        let identity = entry.len() + exit.len() == removals && {
-            let (head, rest) = old.split_at(entry.len());
-            let (middle, tail) = rest.split_at(rest.len() - exit.len());
-            let kept_old = old
-                .iter()
-                .enumerate()
-                .filter(|&(idx, _)| removed(idx).is_none())
-                .map(|(_, instr)| instr);
-            entry.iter().zip(head).all(|(&i, b)| instance(i) == *b)
-                && kept_old.eq(middle)
-                && exit.iter().zip(tail).all(|(&i, b)| instance(i) == *b)
-        };
-        if identity {
-            rewritten.identity += 1;
-            continue;
-        }
-        scratch.extend(entry.iter().map(|&i| instance(i)));
-        let instrs = &mut g.block_mut(n).instrs;
-        scratch.extend(
-            instrs
-                .drain(..)
-                .enumerate()
-                .filter(|&(idx, _)| removed(idx).is_none())
-                .map(|(_, instr)| instr),
-        );
-        scratch.extend(exit.iter().map(|&i| instance(i)));
-        instrs.append(&mut scratch);
-        rewritten.blocks.push(n);
+        outcome.changed = !rewritten.blocks.is_empty();
+        outcome
     }
-    outcome.changed = !rewritten.blocks.is_empty();
-    (outcome, rewritten)
 }
 
 #[cfg(test)]
@@ -635,10 +697,13 @@ mod tests {
     #[test]
     fn identity_moves_are_counted_but_not_rewritten() {
         let mut g = parse(ONE_SIDED_PAIR).unwrap();
-        let analysis = analyze_hoisting(&g);
+        let mut ctx = MotionContext::new(&g);
+        let analysis = ctx.hoisting(&g);
         let (before, revision) = (g.clone(), g.revision());
-        let (outcome, rewritten) =
-            apply_insertion_step(&mut g, &analysis, None, &ProvRecorder::disabled(), 0);
+        let mut rewritten = Rewritten::default();
+        let recorder = ProvRecorder::disabled();
+        let outcome =
+            ctx.apply_insertion_step(&mut g, &analysis, None, &recorder, 0, &mut rewritten);
         assert_eq!((outcome.inserted, outcome.removed), (2, 2));
         assert!(!outcome.changed);
         assert_eq!(rewritten.identity, 1);
@@ -655,7 +720,8 @@ mod tests {
         // One insertion for one removal, with a matching first and last
         // instruction, but a different block: the whole block is compared.
         let mut g = parse(ONE_SIDED_PAIR).unwrap();
-        let mut analysis = analyze_hoisting(&g);
+        let mut ctx = MotionContext::new(&g);
+        let mut analysis = ctx.hoisting(&g);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
         let cands = analysis.candidates[n2.index()].clone();
         let [(x, 0), (y, 1)] = cands[..] else {
@@ -663,8 +729,10 @@ mod tests {
         };
         analysis.candidates[n2.index()] = vec![(y, 1)];
         analysis.n_insert[n2.index()].remove(y);
-        let (outcome, rewritten) =
-            apply_insertion_step(&mut g, &analysis, None, &ProvRecorder::disabled(), 0);
+        let mut rewritten = Rewritten::default();
+        let recorder = ProvRecorder::disabled();
+        let outcome =
+            ctx.apply_insertion_step(&mut g, &analysis, None, &recorder, 0, &mut rewritten);
         assert!(analysis.n_insert[n2.index()].contains(x));
         assert!(outcome.changed);
         assert_eq!((rewritten.blocks, rewritten.identity), (vec![n2], 0));

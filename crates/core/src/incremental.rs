@@ -26,23 +26,33 @@
 //! * **Program mirror** — the interned instruction ids of every block
 //!   ([`am_ir::intern::InstrInterner`]), a cached hash per block composed
 //!   from the interner's cached instruction hashes, and a stamp per block
-//!   that changes whenever its content does. The rewrites report the
-//!   blocks they changed ([`remove_locs`], [`apply_insertion_step`]) and
-//!   only those are re-interned, re-hashed and re-stamped. The program
+//!   that changes whenever its content does. The rewrites hand the mirror
+//!   the new ids of the blocks they changed: an elimination drops the ids
+//!   of the removed occurrences, and the insertion step
+//!   ([`MotionContext::apply_insertion_step`]) composes each rewritten block from
+//!   the kept ids and the one interned instance id of every inserted
+//!   pattern. Only those blocks are re-hashed and re-stamped, and nothing
+//!   is interned after the first sync. The program
 //!   fingerprint folds the per-block hashes into a position-keyed sum, so
 //!   a changed block updates it in O(1) — the cached-hash idiom of
 //!   hash-consed expression DAGs. A [`FlowGraph::revision`] the context did
 //!   not produce itself (a mutating round hook, an injected fault) forces a
 //!   full re-sync that re-interns every block and re-stamps the ones whose
 //!   content actually changed.
-//! * **Gen/kill rows** — Table 2 rows dense by interned instruction id, and
-//!   the node-level Table 2 and Table 1 problem rows, candidates included,
-//!   each tagged with the stamp of the block content it was built from.
-//!   A round refills only the rows whose stamp is stale; the
+//! * **Gen/kill rows** — the Table 2 row and the Table 1 blocking row of
+//!   every interned instruction, dense by id, and the node-level Table 2
+//!   and Table 1 problem rows, candidates included, each tagged with the
+//!   stamp of the block content it was built from. A round refills only
+//!   the rows whose stamp is stale, from the block's ids alone; the
 //!   `incremental/gen_kill_rows` trace counter reports reused and rebuilt
 //!   rows per round, `incremental/dirty_blocks` and
 //!   `incremental/identity_blocks` how many blocks the round rewrote and
 //!   how many it moved code in without changing.
+//! * **Quiet blocks** — per block, the stamp and solved entry fact of the
+//!   last Table 2 stream that found no redundancy in it. A block with the
+//!   same stamp and entry fact would stream the same empty result, so it
+//!   is not streamed again; `incremental/rae_stream` counts the streamed
+//!   and skipped occurrence blocks.
 //! * **Node system** — the block adjacency and solver schedule shared by
 //!   both tables, reused while the edge fingerprint (taken at each full
 //!   re-sync; the motion rewrites never touch edges) is unchanged.
@@ -59,16 +69,17 @@
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
+use am_bitset::BitSet;
 use am_dfa::{
     node_adjacency, solve_scheduled, Adjacency, PatternMasks, Problem, Schedule, Solution,
 };
 use am_ir::intern::{FxMapHasher, InstrId, InstrInterner};
-use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse};
+use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
-use crate::hoist::{apply_insertion_step, HoistAnalysis, HoistOutcome};
-use crate::rae::{redundancy_row, remove_locs, RaeOutcome, Row};
+use crate::hoist::{blocking_row, HoistAnalysis, HoistOutcome, Rewritten};
+use crate::rae::{redundancy_row, retain_unlisted, RaeOutcome, Row};
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -93,6 +104,12 @@ pub(crate) struct MotionContext {
     /// The universe index of every interned instruction's assignment
     /// pattern, dense by id (`None` for other instructions).
     assign_of: Vec<Option<u32>>,
+    /// The interned id of every assignment pattern's instance `v := t`,
+    /// dense by pattern index: the one id the insertion step hands the
+    /// mirror for each instance it inserts. Every pattern of the universe
+    /// is collected from an instruction of the program, so each gets its
+    /// id when that instruction is first interned.
+    instance_of: Vec<Option<InstrId>>,
     /// Set when an interned instruction carries an assignment pattern the
     /// universe does not know (only possible through a mutating hook);
     /// consumed at the end of every sync.
@@ -122,6 +139,9 @@ pub(crate) struct MotionContext {
     /// out dense indices, so the row of an already-seen instruction is one
     /// bounds-checked array load.
     pub(crate) rae_rows: Vec<Option<Row>>,
+    /// Table 1 blocking rows dense by interned instruction id
+    /// ([`blocking_row`]).
+    blocking_rows: Vec<Option<BitSet>>,
     /// The node-level Table 2 problem, which blocks hold an occurrence of
     /// their own pattern, and the block stamp every row was built from.
     pub(crate) rae_problem: Option<Problem>,
@@ -130,6 +150,9 @@ pub(crate) struct MotionContext {
     /// Detached fact buffers of the previous Table 2 solve, recycled into
     /// the next one (the facts themselves are reinitialized).
     pub(crate) rae_solution: Option<Solution>,
+    /// Per block, the stamp and entry fact of the last Table 2 stream that
+    /// found no redundancy in it (stamp 0: none).
+    pub(crate) quiet_blocks: Vec<(u64, BitSet)>,
     /// The last hoist analysis with the edge fingerprint it was solved
     /// on: its rows are the current Table 1 rows (tagged by
     /// [`Self::hoist_stamps`]) and its solution warm-starts the next solve.
@@ -138,6 +161,9 @@ pub(crate) struct MotionContext {
     /// The solution displaced from [`Self::hoist`] a round ago, whose
     /// buffers the next hoist solve reuses.
     pub(crate) hoist_spare: Option<Solution>,
+    /// The buffers of the last insertion step's [`Rewritten`], reused by
+    /// the next.
+    rewritten: Rewritten,
     /// Node-level adjacency and schedule, keyed by the edge fingerprint.
     node_system: Option<NodeSystem>,
     /// Fingerprint of the last hoist input and whether that hoist changed
@@ -149,6 +175,11 @@ pub(crate) struct MotionContext {
     pub(crate) hoist_warm: u64,
     dirty_blocks: u64,
     identity_blocks: u64,
+    pub(crate) streamed_blocks: u64,
+    pub(crate) skipped_blocks: u64,
+    /// Calls into the interner, for the test that no round makes one.
+    #[cfg(test)]
+    intern_calls: u64,
 }
 
 impl MotionContext {
@@ -157,6 +188,7 @@ impl MotionContext {
         let universe = PatternUniverse::collect(g);
         let masks = PatternMasks::build(&universe, g.pool().len());
         MotionContext {
+            instance_of: vec![None; universe.assign_count()],
             universe: Rc::new(universe),
             masks,
             interner: InstrInterner::new(),
@@ -172,13 +204,16 @@ impl MotionContext {
             edge_hash: 0,
             shape_hash: 0,
             rae_rows: Vec::new(),
+            blocking_rows: Vec::new(),
             rae_problem: None,
             rae_occurs: Vec::new(),
             rae_stamps: Vec::new(),
             rae_solution: None,
+            quiet_blocks: Vec::new(),
             hoist: None,
             hoist_stamps: Vec::new(),
             hoist_spare: None,
+            rewritten: Rewritten::default(),
             node_system: None,
             last_hoist: None,
             rows_reused: 0,
@@ -187,6 +222,10 @@ impl MotionContext {
             hoist_warm: 0,
             dirty_blocks: 0,
             identity_blocks: 0,
+            streamed_blocks: 0,
+            skipped_blocks: 0,
+            #[cfg(test)]
+            intern_calls: 0,
         }
     }
 
@@ -206,13 +245,20 @@ impl MotionContext {
         Rc::make_mut(&mut self.universe).extend(g);
         self.masks = PatternMasks::build(&self.universe, g.pool().len());
         self.rae_rows.clear();
+        self.blocking_rows.clear();
         self.rae_problem = None;
         self.rae_stamps.clear();
+        self.quiet_blocks.clear();
         self.hoist_stamps.clear();
         // Every unknown pattern interned so far is in `g`, so the mirror
         // names every id whose pattern index may have appeared.
+        self.instance_of.resize(self.universe.assign_count(), None);
         for &id in self.block_keys.iter().flatten() {
-            self.assign_of[id.index()] = assign_index(self.interner.instr(id), &self.universe);
+            let pattern = assign_index(self.interner.instr(id), &self.universe);
+            self.assign_of[id.index()] = pattern;
+            if let Some(i) = pattern {
+                self.instance_of[i as usize] = Some(id);
+            }
         }
         self.stale = false;
     }
@@ -223,11 +269,18 @@ impl MotionContext {
     /// covered forever and the check runs exactly once per distinct
     /// content.
     fn intern_instr(&mut self, instr: &Instr) -> InstrId {
+        #[cfg(test)]
+        {
+            self.intern_calls += 1;
+        }
         let (id, is_new) = self.interner.intern(instr);
         if is_new {
             let pattern = assign_index(instr, &self.universe);
             self.stale |= matches!(instr, Instr::Assign { .. }) && pattern.is_none();
             self.assign_of.push(pattern);
+            if let Some(i) = pattern {
+                self.instance_of[i as usize] = Some(id);
+            }
         }
         id
     }
@@ -290,28 +343,46 @@ impl MotionContext {
         self.synced = Some(g.revision());
     }
 
-    /// Re-syncs the blocks `changed` that the context itself just rewrote
-    /// in `g` (which was in sync before the rewrite): re-interns, re-hashes
-    /// and re-stamps only those, and folds their new hashes into the
-    /// fingerprint.
-    pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, changed: &[NodeId]) {
-        for &n in changed {
-            let i = n.index();
-            let mut keys = std::mem::take(&mut self.block_keys[i]);
-            self.intern_block(g, n, &mut keys);
-            let hash = block_hash(&self.interner, &keys);
-            self.block_keys[i] = keys;
-            self.block_sum = self
-                .block_sum
-                .wrapping_sub(slot_hash(i, self.block_hashes[i]))
-                .wrapping_add(slot_hash(i, hash));
-            self.block_hashes[i] = hash;
-            self.restamp(i, true);
-        }
-        if self.stale {
-            self.refresh(g);
+    /// Takes the new ids of the blocks an insertion step just rewrote in
+    /// `g` (which was in sync before the rewrite) into the mirror, and
+    /// re-hashes and re-stamps only those blocks. Every id is already
+    /// interned, so no instruction is read.
+    pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, rewritten: &Rewritten) {
+        let mut start = 0;
+        for (&n, &end) in rewritten.blocks.iter().zip(&rewritten.ends) {
+            let keys = &mut self.block_keys[n.index()];
+            keys.clear();
+            keys.extend_from_slice(&rewritten.keys[start..end]);
+            start = end;
+            self.rekey(n.index());
         }
         self.synced = Some(g.revision());
+    }
+
+    /// Removes the redundant occurrences `locs` (in program order, as
+    /// [`Self::redundant_locs`] returns them) from `g` and their ids from
+    /// the mirror, re-hashing and re-stamping the blocks that lost one.
+    fn remove_redundant(&mut self, g: &mut FlowGraph, locs: &[Loc]) {
+        for run in locs.chunk_by(|a, b| a.node == b.node) {
+            let n = run[0].node;
+            let doomed = || run.iter().map(|l| l.index);
+            retain_unlisted(&mut g.block_mut(n).instrs, doomed());
+            retain_unlisted(&mut self.block_keys[n.index()], doomed());
+            self.rekey(n.index());
+        }
+        self.synced = Some(g.revision());
+    }
+
+    /// Re-hashes block `i` from its new ids, folds the hash into the
+    /// fingerprint and re-stamps the block.
+    fn rekey(&mut self, i: usize) {
+        let hash = block_hash(&self.interner, &self.block_keys[i]);
+        self.block_sum = self
+            .block_sum
+            .wrapping_sub(slot_hash(i, self.block_hashes[i]))
+            .wrapping_add(slot_hash(i, hash));
+        self.block_hashes[i] = hash;
+        self.restamp(i, true);
     }
 
     /// Gives block `i` a fresh content stamp, counting it dirty (when
@@ -358,22 +429,59 @@ impl MotionContext {
 
     /// The universe index of the assignment pattern of interned
     /// instruction `id` (`None` for other instructions).
-    pub(crate) fn assign_pattern(&self, id: InstrId) -> Option<usize> {
+    fn assign_pattern(&self, id: InstrId) -> Option<usize> {
         self.assign_of[id.index()].map(|i| i as usize)
+    }
+
+    /// The interned id of pattern `i`'s instance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no instruction of the pattern was interned, which a
+    /// pattern that occurs in the mirrored program rules out.
+    pub(crate) fn instance_id(&self, i: usize) -> InstrId {
+        self.instance_of[i].expect("an occurring pattern has an interned instance")
     }
 
     /// Caches the Table 2 row of interned instruction `id`;
     /// `redundancy_row` runs once per distinct content.
-    pub(crate) fn cache_rae_row(&mut self, id: InstrId, instr: &Instr) {
+    pub(crate) fn cache_rae_row(&mut self, id: InstrId) {
         let idx = id.index();
         if idx >= self.rae_rows.len() {
             self.rae_rows.resize_with(idx + 1, || None);
         }
         if self.rae_rows[idx].is_none() {
             self.rows_recomputed += 1;
-            self.rae_rows[idx] = Some(redundancy_row(instr, &self.universe, &self.masks));
+            let row = redundancy_row(self.interner.instr(id), &self.universe, &self.masks);
+            self.rae_rows[idx] = Some(row);
         } else {
             self.rows_reused += 1;
+        }
+    }
+
+    /// Feeds the interned instructions of block `ni` to `f` in order, each
+    /// with its assignment pattern index and its Table 1 blocking row;
+    /// [`blocking_row`] runs once per distinct content.
+    pub(crate) fn for_each_blocking_row(
+        &mut self,
+        ni: usize,
+        mut f: impl FnMut(usize, Option<usize>, &BitSet),
+    ) {
+        let MotionContext {
+            universe,
+            masks,
+            interner,
+            assign_of,
+            block_keys,
+            blocking_rows,
+            ..
+        } = self;
+        blocking_rows.resize_with(interner.len(), || None);
+        for (idx, &id) in block_keys[ni].iter().enumerate() {
+            let row = blocking_rows[id.index()].get_or_insert_with(|| {
+                blocking_row(interner.instr(id), masks, universe.assign_count())
+            });
+            f(idx, assign_of[id.index()].map(|i| i as usize), row);
         }
     }
 
@@ -418,8 +526,7 @@ impl MotionContext {
     ) -> RaeOutcome {
         let mut span = tracer.span("analysis", "rae");
         let (locs, sol) = self.redundant_locs(g, recorder, round);
-        let changed = remove_locs(g, &locs);
-        self.note_rewritten(g, &changed);
+        self.remove_redundant(g, &locs);
         let outcome = RaeOutcome {
             eliminated: locs.len(),
             iterations: sol.iterations,
@@ -468,9 +575,12 @@ impl MotionContext {
                 ("max_worklist_len", sol.max_worklist_len as i64),
             ],
         );
-        let (outcome, rewritten) = apply_insertion_step(g, &analysis, None, recorder, round);
-        self.note_rewritten(g, &rewritten.blocks);
+        let mut rewritten = std::mem::take(&mut self.rewritten);
+        let outcome =
+            self.apply_insertion_step(g, &analysis, None, recorder, round, &mut rewritten);
+        self.note_rewritten(g, &rewritten);
         self.identity_blocks += rewritten.identity as u64;
+        self.rewritten = rewritten;
         self.hoist = Some((self.edge_hash, analysis));
         self.last_hoist = Some((input_hash, outcome.changed));
         span.arg("inserted", outcome.inserted as i64)
@@ -484,8 +594,10 @@ impl MotionContext {
     pub(crate) fn end_round(&mut self, tracer: &Tracer, span: &mut Span) {
         if tracer.enabled() {
             let (dirty, identity) = (self.dirty_blocks as i64, self.identity_blocks as i64);
+            let streamed = self.streamed_blocks as i64;
             span.arg("dirty_blocks", dirty)
-                .arg("identity_blocks", identity);
+                .arg("identity_blocks", identity)
+                .arg("streamed_blocks", streamed);
             tracer.counter(
                 "incremental",
                 "gen_kill_rows",
@@ -496,6 +608,14 @@ impl MotionContext {
             );
             tracer.counter("incremental", "dirty_blocks", &[("blocks", dirty)]);
             tracer.counter("incremental", "identity_blocks", &[("blocks", identity)]);
+            tracer.counter(
+                "incremental",
+                "rae_stream",
+                &[
+                    ("streamed", streamed),
+                    ("skipped", self.skipped_blocks as i64),
+                ],
+            );
             if self.hoist_skipped > 0 || self.hoist_warm > 0 {
                 tracer.counter(
                     "incremental",
@@ -513,6 +633,8 @@ impl MotionContext {
         self.hoist_warm = 0;
         self.dirty_blocks = 0;
         self.identity_blocks = 0;
+        self.streamed_blocks = 0;
+        self.skipped_blocks = 0;
         self.round_stamp = self.next_stamp;
     }
 }
@@ -567,10 +689,12 @@ fn edge_hash(g: &FlowGraph) -> u64 {
 mod tests {
     use super::*;
     use crate::global::GlobalConfig;
+    use crate::hoist::BlockLocals;
     use crate::motion::{assignment_motion, assignment_motion_with, default_round_budget};
     use crate::motion::{MotionOrder, MotionStats};
-    use am_ir::random::{corpus80, structured, SplitMix64, StructuredConfig};
+    use am_ir::random::{corpus80, nest_grid, structured, wide_fan, SplitMix64, StructuredConfig};
     use am_ir::{Operand, Term};
+    use am_obs::{ProvKind, ProvRecord};
 
     /// The 80-program corpus and 200 seeded structured programs, critical
     /// edges split.
@@ -734,5 +858,185 @@ mod tests {
                 "program {p}: the last round changes nothing"
             );
         }
+    }
+
+    /// An elimination–elimination effect on a block no round rewrites:
+    /// round 1 removes the redundant `a := c` of node 2, which makes the
+    /// `x := a+b` of node 3 redundant in round 2 through node 3's entry
+    /// fact alone. `y := x` blocks that occurrence from being hoisted, and
+    /// hoisting `y := x` itself is an identity move.
+    const ENTRY_FACT_ONLY: &str = "start 0\nend 9\n\
+         node 0 { skip }\n\
+         node 1 { a := c; x := a+b; branch p > 0 }\n\
+         node 2 { a := c; branch q > 0 }\n\
+         node 3 { y := x; x := a+b; out(x,y) }\n\
+         node 5 { skip }\n\
+         node 9 { skip }\n\
+         edge 0 -> 1\nedge 1 -> 2, 5\nedge 2 -> 3, 5\nedge 3 -> 9\nedge 5 -> 9";
+
+    /// `programs()`, [`ENTRY_FACT_ONLY`] and the `xl-nest` and `xl-fan`
+    /// shapes at test size, critical edges split.
+    fn programs_and_xl() -> Vec<FlowGraph> {
+        let mut out = programs();
+        let entry_fact_only = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
+        for mut g in [entry_fact_only, nest_grid(20, 2, 8), wide_fan(100, 4)] {
+            g.split_critical_edges();
+            out.push(g);
+        }
+        out
+    }
+
+    /// Replays the motion loop of `assignment_motion_with` in `order` on
+    /// `ctx`, calling `check` after every half-round; returns the program.
+    fn replay(
+        program: &FlowGraph,
+        ctx: &mut MotionContext,
+        order: MotionOrder,
+        recorder: &ProvRecorder,
+        mut check: impl FnMut(&mut MotionContext, &mut FlowGraph, &str),
+    ) -> FlowGraph {
+        let tracer = Tracer::disabled();
+        let mut g = program.clone();
+        for round in 1..=default_round_budget(&g) as u32 {
+            let before = ctx.fingerprint(&g);
+            let (rae, hoist) = match order {
+                MotionOrder::RaeFirst => {
+                    let rae = ctx.rae_round(&mut g, &tracer, recorder, round);
+                    check(ctx, &mut g, &format!("round {round} rae"));
+                    (rae, ctx.hoist_round(&mut g, &tracer, recorder, round))
+                }
+                MotionOrder::HoistFirst => {
+                    let hoist = ctx.hoist_round(&mut g, &tracer, recorder, round);
+                    check(ctx, &mut g, &format!("round {round} hoist"));
+                    (ctx.rae_round(&mut g, &tracer, recorder, round), hoist)
+                }
+            };
+            check(ctx, &mut g, &format!("round {round}"));
+            if (rae.eliminated == 0 && !hoist.changed) || ctx.fingerprint(&g) == before {
+                break;
+            }
+        }
+        g
+    }
+
+    fn motion_in(order: MotionOrder, program: &FlowGraph) -> FlowGraph {
+        let mut g = program.clone();
+        assignment_motion_with(&mut g, &GlobalConfig::default(), order, &mut |_, _| {});
+        g
+    }
+
+    #[test]
+    fn per_id_table1_rows_equal_the_instruction_walk() {
+        for order in [MotionOrder::RaeFirst, MotionOrder::HoistFirst] {
+            for (p, program) in programs_and_xl().into_iter().enumerate() {
+                let mut ctx = MotionContext::new(&program);
+                let g = replay(
+                    &program,
+                    &mut ctx,
+                    order,
+                    &ProvRecorder::disabled(),
+                    |ctx, g, at| {
+                        let a = ctx.hoisting(g);
+                        for n in g.nodes() {
+                            let (ni, at) = (n.index(), format!("{order:?} program {p} {at} {n:?}"));
+                            let oracle =
+                                BlockLocals::compute(&g.block(n).instrs, &ctx.universe, &ctx.masks);
+                            assert_eq!(
+                                a.loc_hoistable[ni], oracle.hoistable,
+                                "{at}: LOC-HOISTABLE"
+                            );
+                            assert_eq!(a.loc_blocked[ni], oracle.blocked, "{at}: LOC-BLOCKED");
+                            assert_eq!(a.candidates[ni], oracle.candidates, "{at}: candidates");
+                        }
+                        ctx.hoist = Some((ctx.edge_hash, a));
+                    },
+                );
+                assert_eq!(g, motion_in(order, &program), "{order:?} program {p}");
+            }
+        }
+    }
+
+    /// The `Eliminate` records among `records`.
+    fn eliminations(records: Vec<ProvRecord>) -> Vec<ProvRecord> {
+        records
+            .into_iter()
+            .filter(|r| r.kind == ProvKind::Eliminate)
+            .collect()
+    }
+
+    #[test]
+    fn skipping_quiet_blocks_changes_no_elimination() {
+        let mut skipped = 0;
+        for order in [MotionOrder::RaeFirst, MotionOrder::HoistFirst] {
+            for (p, program) in programs_and_xl().into_iter().enumerate() {
+                // The reference context forgets every quiet block before
+                // each round, so it streams every occurrence block.
+                let forced_recorder = ProvRecorder::enabled();
+                let mut forced = MotionContext::new(&program);
+                let mut forced_rounds = Vec::new();
+                let forced_g = replay(
+                    &program,
+                    &mut forced,
+                    order,
+                    &forced_recorder,
+                    |ctx, _, _| {
+                        ctx.quiet_blocks.clear();
+                        forced_rounds.push(eliminations(forced_recorder.take()));
+                    },
+                );
+                let recorder = ProvRecorder::enabled();
+                let mut ctx = MotionContext::new(&program);
+                let mut rounds = Vec::new();
+                let g = replay(&program, &mut ctx, order, &recorder, |_, _, _| {
+                    rounds.push(eliminations(recorder.take()));
+                });
+                assert_eq!(rounds, forced_rounds, "{order:?} program {p}: eliminations");
+                assert_eq!(g, forced_g, "{order:?} program {p}");
+                skipped += ctx.skipped_blocks;
+            }
+        }
+        assert!(skipped > 0, "no block was ever skipped");
+    }
+
+    #[test]
+    fn a_clean_block_is_streamed_again_when_its_entry_fact_changes() {
+        let mut program = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
+        program.split_critical_edges();
+        let recorder = ProvRecorder::enabled();
+        let mut ctx = MotionContext::new(&program);
+        replay(
+            &program,
+            &mut ctx,
+            MotionOrder::RaeFirst,
+            &recorder,
+            |_, _, _| {},
+        );
+        let eliminated: Vec<(u32, String)> = eliminations(recorder.take())
+            .into_iter()
+            .map(|r| (r.round, r.node))
+            .collect();
+        assert_eq!(eliminated, [(1, "2".to_owned()), (2, "3".to_owned())]);
+    }
+
+    #[test]
+    fn motion_rounds_intern_nothing_after_the_first_sync() {
+        let mut program = nest_grid(20, 2, 8);
+        program.split_critical_edges();
+        let mut ctx = MotionContext::new(&program);
+        ctx.sync(&program);
+        assert!(ctx.intern_calls > 0);
+        ctx.intern_calls = 0;
+        let g = replay(
+            &program,
+            &mut ctx,
+            MotionOrder::RaeFirst,
+            &ProvRecorder::disabled(),
+            |_, _, _| {},
+        );
+        assert_eq!(ctx.intern_calls, 0, "a round re-interned instructions");
+        let mut reference = program;
+        let stats = assignment_motion(&mut reference);
+        assert!(stats.rounds > 2 && stats.converged);
+        assert_eq!(g, reference);
     }
 }

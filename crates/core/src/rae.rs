@@ -157,8 +157,8 @@ impl MotionContext {
                 self.rows_reused += self.block_keys[ni].len() as u64;
                 continue;
             }
-            for (j, instr) in g.block(n).instrs.iter().enumerate() {
-                self.cache_rae_row(self.block_keys[ni][j], instr);
+            for j in 0..self.block_keys[ni].len() {
+                self.cache_rae_row(self.block_keys[ni][j]);
             }
             let rows = self.block_keys[ni].iter().map(|id| {
                 self.rae_rows[id.index()]
@@ -198,6 +198,11 @@ impl MotionContext {
     /// describe the program before any removal: every occurrence's
     /// redundancy is justified by earlier occurrences that the elimination
     /// keeps.
+    ///
+    /// A block holding an occurrence is streamed unless it is *quiet*: its
+    /// last stream, with the same content stamp and the same solved entry
+    /// fact, found no redundancy. The stream is a function of the block's
+    /// rows and its entry fact, so it would find none again.
     pub(crate) fn redundant_locs(
         &mut self,
         g: &FlowGraph,
@@ -205,11 +210,22 @@ impl MotionContext {
         round: u32,
     ) -> (Vec<Loc>, Solution) {
         let sol = self.solve_redundancy(g);
+        let ap = self.universe.assign_count();
+        self.quiet_blocks
+            .resize_with(g.node_count(), || (0, BitSet::new(ap)));
         let mut locs = Vec::new();
-        let mut x = BitSet::new(self.universe.assign_count());
+        let mut x = BitSet::new(ap);
         for n in g.nodes().filter(|n| self.rae_occurs[n.index()]) {
+            let (ni, entry) = (n.index(), &sol.before[n.index()]);
+            let (stamp, fact) = &self.quiet_blocks[ni];
+            if *stamp == self.block_stamps[ni] && fact == entry {
+                self.skipped_blocks += 1;
+                continue;
+            }
+            self.streamed_blocks += 1;
+            let found = locs.len();
             let instrs = &g.block(n).instrs;
-            self.stream_redundancy(n, &sol.before[n.index()], &mut x, |j, own, fact| {
+            self.stream_redundancy(n, entry, &mut x, |j, own, fact| {
                 let Some(i) = own.filter(|&i| fact.contains(i)) else {
                     return;
                 };
@@ -231,6 +247,15 @@ impl MotionContext {
                 }
                 locs.push(Loc { node: n, index: j });
             });
+            let (stamp, fact) = &mut self.quiet_blocks[ni];
+            if locs.len() == found {
+                *stamp = self.block_stamps[ni];
+                fact.copy_from(entry);
+            } else {
+                // The elimination rewrites the block, and its new stamp
+                // would not match anyway.
+                *stamp = 0;
+            }
         }
         (locs, sol)
     }
@@ -305,16 +330,13 @@ pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
     MotionContext::new(g).rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
 }
 
-/// Removes the instructions at `locs` from `g` and returns the blocks it
-/// changed, in first-seen order. Locations must refer to the current
-/// program.
+/// Removes the instructions at `locs`, in any order, from `g`. Locations
+/// must refer to the current program.
 ///
 /// Cost is O(|locs| log |locs| + Σ block sizes of affected nodes):
 /// locations are grouped per node through a dense per-node slot and each
-/// touched block is filtered in place, keeping its allocation. Scanning
-/// every node of the graph against the full loc list made elimination
-/// rounds the dominant motion cost on 10k-node graphs.
-pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) -> Vec<NodeId> {
+/// touched block is filtered in place, keeping its allocation.
+pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) {
     const NO_SLOT: u32 = u32::MAX;
     let mut slot_of = vec![NO_SLOT; g.node_count()];
     let mut touched: Vec<NodeId> = Vec::new();
@@ -330,15 +352,21 @@ pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) -> Vec<NodeId> {
     doomed.sort_unstable();
     doomed.dedup();
     for run in doomed.chunk_by(|a, b| a.0 == b.0) {
-        let mut index = 0;
-        let mut next = run.iter().map(|&(_, i)| i).peekable();
-        g.block_mut(touched[run[0].0 as usize]).instrs.retain(|_| {
-            let keep = next.next_if_eq(&index).is_none();
-            index += 1;
-            keep
-        });
+        let block = &mut g.block_mut(touched[run[0].0 as usize]).instrs;
+        retain_unlisted(block, run.iter().map(|&(_, i)| i));
     }
-    touched
+}
+
+/// Removes the elements at the positions `doomed` (ascending, each at
+/// most once) from `items` in place, in one pass.
+pub(crate) fn retain_unlisted<T>(items: &mut Vec<T>, doomed: impl IntoIterator<Item = usize>) {
+    let mut index = 0;
+    let mut next = doomed.into_iter().peekable();
+    items.retain(|_| {
+        let keep = next.next_if_eq(&index).is_none();
+        index += 1;
+        keep
+    });
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 use am_ir::FlowGraph;
 use am_obs::ProvRecorder;
 
-use crate::hoist::{analyze_hoisting, apply_insertion_step};
+use crate::hoist::Rewritten;
+use crate::incremental::MotionContext;
 use crate::rae::eliminate_redundant_assignments;
 
 /// Statistics of a [`restricted_assignment_motion`] run.
@@ -59,7 +60,8 @@ pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
     for _ in 0..budget {
         stats.rounds += 1;
         stats.eliminated += eliminate_redundant_assignments(g).eliminated;
-        let analysis = analyze_hoisting(g);
+        let mut ctx = MotionContext::new(g);
+        let analysis = ctx.hoisting(g);
         let mut accepted_one = false;
         for (i, pat) in analysis.universe.assign_patterns() {
             let before = occurrence_count(g, &pat);
@@ -68,8 +70,14 @@ pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
             }
             // Tentatively hoist only this pattern and clean up.
             let mut tentative = g.clone();
-            let (outcome, _) =
-                apply_insertion_step(&mut tentative, &analysis, Some(i), &recorder, 0);
+            let outcome = ctx.apply_insertion_step(
+                &mut tentative,
+                &analysis,
+                Some(i),
+                &recorder,
+                0,
+                &mut Rewritten::default(),
+            );
             if !outcome.changed {
                 continue;
             }

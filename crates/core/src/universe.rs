@@ -25,7 +25,8 @@ use am_ir::alpha::canonical_text;
 use am_ir::FlowGraph;
 use am_obs::ProvRecorder;
 
-use crate::hoist::{analyze_hoisting, apply_insertion_step};
+use crate::hoist::Rewritten;
+use crate::incremental::MotionContext;
 use crate::rae::{redundant_locs, remove_locs};
 
 /// Limits for [`explore`].
@@ -69,11 +70,19 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
         out.push(next);
     }
     // Per-pattern hoisting steps.
-    let analysis = analyze_hoisting(g);
+    let mut ctx = MotionContext::new(g);
+    let analysis = ctx.hoisting(g);
     let recorder = ProvRecorder::disabled();
     for i in 0..analysis.universe.assign_count() {
         let mut next = g.clone();
-        let (outcome, _) = apply_insertion_step(&mut next, &analysis, Some(i), &recorder, 0);
+        let outcome = ctx.apply_insertion_step(
+            &mut next,
+            &analysis,
+            Some(i),
+            &recorder,
+            0,
+            &mut Rewritten::default(),
+        );
         if outcome.changed {
             out.push(next);
         }

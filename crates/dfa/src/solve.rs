@@ -287,8 +287,7 @@ pub fn solve_scheduled(
     };
     reset_rows(&mut input, n, &top);
     reset_rows(&mut output, n, &top);
-    let seed: Vec<usize> = (0..n).collect();
-    run(succs, preds, problem, schedule, input, output, &seed)
+    run(succs, preds, problem, schedule, input, output, 0..n)
 }
 
 /// Reinitializes `rows` to `n` copies of `value`, reusing allocations
@@ -359,7 +358,15 @@ pub fn solve_seeded(
     };
     copy_rows(&mut input, src_in);
     copy_rows(&mut output, src_out);
-    run(succs, preds, problem, schedule, input, output, dirty)
+    run(
+        succs,
+        preds,
+        problem,
+        schedule,
+        input,
+        output,
+        dirty.iter().copied(),
+    )
 }
 
 /// Makes `rows` a row-for-row copy of `src`, reusing allocations where the
@@ -444,7 +451,7 @@ fn run(
     schedule: &Schedule,
     mut input: Vec<BitSet>,
     mut output: Vec<BitSet>,
-    seed: &[usize],
+    seed: impl IntoIterator<Item = usize>,
 ) -> Solution {
     let n = succs.len();
     assert_eq!(schedule.len(), n, "schedule length mismatch");
@@ -458,7 +465,7 @@ fn run(
     let mut worklist_pushes: u64 = 0;
     let mut on_list = vec![false; n];
     let mut queue = RankQueue::new(n);
-    for &p in seed {
+    for p in seed {
         if !on_list[p] {
             on_list[p] = true;
             queue.push(order.rank[p]);
@@ -468,7 +475,10 @@ fn run(
     let mut max_worklist_len = queue.len();
     // Dirty-word indices of the gen/kill rows, built lazily on first visit
     // so warm restarts with small dirty sets never scan the whole problem.
-    let mut rows: Vec<Option<ActiveWords>> = vec![None; n];
+    // On a universe where every row is dense, one marker serves them all.
+    let dense = ActiveWords::dense(problem.universe);
+    let mut rows: Option<Vec<Option<ActiveWords>>> =
+        (!ActiveWords::always_dense(problem.universe)).then(|| vec![None; n]);
     while let Some(rank) = queue.pop() {
         let p = order.seq[rank as usize] as usize;
         on_list[p] = false;
@@ -497,8 +507,12 @@ fn run(
         }
         // Fused transfer: out = gen ∪ (in ∖ kill) in one word pass, with
         // the same exact change bit the three-pass formulation computed.
-        let row =
-            rows[p].get_or_insert_with(|| ActiveWords::build(&problem.gen[p], &problem.kill[p]));
+        let row = match &mut rows {
+            Some(rows) => {
+                rows[p].get_or_insert_with(|| ActiveWords::build(&problem.gen[p], &problem.kill[p]))
+            }
+            None => &dense,
+        };
         if output[p].transfer_from(&input[p], &problem.gen[p], &problem.kill[p], row) {
             for &q in &downstream[p] {
                 let q = q as usize;

@@ -8,11 +8,17 @@
 //!   behaviour;
 //! * [`unstructured`] wires random edges (possibly irreducible), probing the
 //!   unrestricted worst case.
+//!
+//! Two deterministic XL shapes, [`nest_grid`] and [`wide_fan`], are the
+//! programs of the `xl-nest` and `xl-fan` benchmark workloads.
+
+use std::fmt::Write as _;
 
 use crate::graph::{FlowGraph, NodeId};
 use crate::instr::{Cond, Instr};
 pub use crate::rng::SplitMix64;
 use crate::term::{BinOp, Operand, Term};
+use crate::text::parse;
 use crate::var::Var;
 
 /// Parameters for [`structured`].
@@ -382,6 +388,111 @@ pub fn corpus80() -> Vec<(String, FlowGraph)> {
         ));
     }
     programs
+}
+
+/// XL family: a long sequence of `copies` shallow loop nests (each
+/// `depth` deep, `width` invariant patterns per level) that share their
+/// loop-invariant variables, so hoisted initializations become redundant
+/// across consecutive copies — the motion fixed point has real work at
+/// 10k+ nodes without the round count growing with program size (rounds
+/// depend on the nest shape, which is constant).
+///
+/// All copies share one pattern set, so the universe (and the round
+/// count) is fixed by `depth * width` while the graph grows without
+/// bound — the wide-universe regime is covered by [`wide_fan`] and
+/// `am_bench::workloads::inlined_program` instead.
+pub fn nest_grid(copies: usize, depth: usize, width: usize) -> FlowGraph {
+    let copies = copies.max(1);
+    let depth = depth.max(1);
+    let width = width.max(1);
+    let mut src = String::new();
+    let _ = writeln!(src, "start init");
+    let _ = writeln!(src, "end done");
+    let _ = writeln!(src, "node init {{ s := 0 }}");
+    let _ = writeln!(src, "node done {{ out(s) }}");
+    for c in 0..copies {
+        // Re-initialize the shared loop counters: keeps the counter
+        // patterns (`ik := n`, `ik := ik - 1`) shared across every copy
+        // instead of minting `copies * depth` distinct patterns.
+        let mut pre = String::new();
+        for k in 0..depth {
+            if k > 0 {
+                let _ = write!(pre, "; ");
+            }
+            let _ = write!(pre, "i{k} := n");
+        }
+        let _ = writeln!(src, "node pre{c} {{ {pre} }}");
+        for k in 0..depth {
+            let mut body = String::new();
+            for j in 0..width {
+                // Independent invariants (no slot-to-slot chain): the
+                // round count stays flat as `copies` grows.
+                let konst = k * width + j;
+                let _ = write!(body, "w{k}_{j} := a + {konst}; ");
+            }
+            let _ = write!(body, "s := s + w{k}_{}", width - 1);
+            let _ = writeln!(src, "node head{c}_{k} {{ {body} }}");
+            let _ = writeln!(
+                src,
+                "node latch{c}_{k} {{ i{k} := i{k} - 1; branch i{k} > 0 }}"
+            );
+        }
+        if c == 0 {
+            let _ = writeln!(src, "edge init -> pre0");
+        }
+        let _ = writeln!(src, "edge pre{c} -> head{c}_0");
+        for k in 0..depth {
+            if k + 1 < depth {
+                let _ = writeln!(src, "edge head{c}_{k} -> head{c}_{}", k + 1);
+            } else {
+                let _ = writeln!(src, "edge head{c}_{k} -> latch{c}_{k}");
+            }
+        }
+        for k in (0..depth).rev() {
+            let exit = if k == 0 {
+                if c + 1 < copies {
+                    format!("pre{}", c + 1)
+                } else {
+                    "done".to_owned()
+                }
+            } else {
+                format!("latch{c}_{}", k - 1)
+            };
+            let _ = writeln!(src, "edge latch{c}_{k} -> head{c}_{k}, {exit}");
+        }
+    }
+    parse(&src).expect("generated nest grid parses")
+}
+
+/// XL family: one `branches`-way fan — every branch computes the same
+/// `width` patterns (hoistable into the entry, eliminable in the leaves)
+/// plus one pattern unique to its block of 128 leaves (widening the
+/// universe with size). Exercises very wide confluence merges, the shape
+/// where the flush's point-level systems dominate.
+pub fn wide_fan(branches: usize, width: usize) -> FlowGraph {
+    let branches = branches.max(2);
+    let width = width.max(1);
+    let mut src = String::new();
+    let _ = writeln!(src, "start entry");
+    let _ = writeln!(src, "end done");
+    let _ = writeln!(src, "node entry {{ skip }}");
+    for t in 0..branches {
+        let mut body = String::new();
+        for j in 0..width {
+            let _ = write!(body, "x{j} := a + {j}; ");
+        }
+        let _ = write!(body, "y := a + {}", 1000 + t / 128);
+        let _ = writeln!(src, "node b{t} {{ {body} }}");
+    }
+    let _ = writeln!(src, "node join {{ s := x0 + y }}");
+    let _ = writeln!(src, "node done {{ out(s) }}");
+    let leaves = (0..branches).map(|t| format!("b{t}")).collect::<Vec<_>>();
+    let _ = writeln!(src, "edge entry -> {}", leaves.join(", "));
+    for t in 0..branches {
+        let _ = writeln!(src, "edge b{t} -> join");
+    }
+    let _ = writeln!(src, "edge join -> done");
+    parse(&src).expect("generated wide fan parses")
 }
 
 #[cfg(test)]

@@ -120,16 +120,17 @@ fn print_report(stats: &OptStats) {
     if !stats.rounds.is_empty() {
         println!();
         println!(
-            "{:<8} {:>7} {:>10} {:>10} {:>12} {:>15}",
-            "round", "count", "p50", "p95", "dirty blocks", "identity blocks"
+            "{:<8} {:>7} {:>10} {:>10} {:>12} {:>15} {:>15}",
+            "round", "count", "p50", "p95", "dirty blocks", "identity blocks", "streamed blocks"
         );
         for (round, cost) in &stats.rounds {
             let (dirty, identity) = cost.mean_blocks();
             println!(
-                "{round:<8} {:>7} {:>10} {:>10} {dirty:>12.1} {identity:>15.1}",
+                "{round:<8} {:>7} {:>10} {:>10} {dirty:>12.1} {identity:>15.1} {:>15.1}",
                 cost.time.count,
                 fmt_micros(cost.time.quantile(0.5)),
                 fmt_micros(cost.time.quantile(0.95)),
+                cost.mean_streamed(),
             );
         }
     }

@@ -123,9 +123,10 @@ pub struct AnalysisTotals {
 }
 
 /// The cost of one motion round number, folded over every `round` span of
-/// that number: its time, and the blocks it rewrote (`dirty_blocks`) or
-/// moved code in without changing (`identity_blocks`). Sec. 4.5 predicts
-/// that the work of a round follows its dirty blocks, not program size.
+/// that number: its time, the blocks it rewrote (`dirty_blocks`) or moved
+/// code in without changing (`identity_blocks`), and the blocks its
+/// Table 2 pass streamed (`streamed_blocks`). Sec. 4.5 predicts that the
+/// work of a round follows its dirty blocks, not program size.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundCost {
     /// Latency of the round.
@@ -134,6 +135,8 @@ pub struct RoundCost {
     pub dirty_blocks: u64,
     /// Identity blocks summed over the folded spans.
     pub identity_blocks: u64,
+    /// Streamed blocks summed over the folded spans.
+    pub streamed_blocks: u64,
 }
 
 impl RoundCost {
@@ -144,6 +147,11 @@ impl RoundCost {
             self.dirty_blocks as f64 / n,
             self.identity_blocks as f64 / n,
         )
+    }
+
+    /// Mean streamed blocks per folded span.
+    pub fn mean_streamed(&self) -> f64 {
+        self.streamed_blocks as f64 / self.time.count.max(1) as f64
     }
 }
 
@@ -252,6 +260,8 @@ impl OptStats {
                         cost.dirty_blocks += ev.arg("dirty_blocks").unwrap_or(0).max(0) as u64;
                         cost.identity_blocks +=
                             ev.arg("identity_blocks").unwrap_or(0).max(0) as u64;
+                        cost.streamed_blocks +=
+                            ev.arg("streamed_blocks").unwrap_or(0).max(0) as u64;
                     }
                     if ev.cat == "phase" && ev.name == "optimize" {
                         self.scatter.push(ScatterPoint {
@@ -490,6 +500,21 @@ mod tests {
         assert_eq!((first.time.count, first.time.quantile(1.0)), (2, 700));
         assert_eq!(first.mean_blocks(), (50.0, 0.0));
         assert_eq!(stats.rounds[&2].mean_blocks(), (2.0, 5.0));
+    }
+
+    #[test]
+    fn round_spans_fold_streamed_blocks() {
+        let streamed = |n| vec![("streamed_blocks".to_owned(), n)];
+        let events = vec![
+            span("round", "round 1", 500, streamed(30)),
+            span("round", "round 1", 700, streamed(50)),
+            // A trace written before the arg existed reads 0.
+            span("round", "round 2", 100, Vec::new()),
+        ];
+        let stats = OptStats::from_events(&events);
+        assert_eq!(stats.rounds[&1].streamed_blocks, 80);
+        assert_eq!(stats.rounds[&1].mean_streamed(), 40.0);
+        assert_eq!(stats.rounds[&2].mean_streamed(), 0.0);
     }
 
     #[test]
