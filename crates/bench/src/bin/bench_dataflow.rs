@@ -16,19 +16,20 @@
 //! `--max-wall-micros` is the XL smoke gate: the run fails if any
 //! workload's best wall time exceeds the ceiling.
 //!
-//! The XL ladder (`--xl`) extends the study to 10k–100k-point graphs in
-//! three families (sequential loop-nest grids, very wide fans, inlined
-//! program shapes) and prints the fitted nodes-vs-wall exponent per
-//! family, turning the paper's Sec. 4.5 complexity claim into a measured
-//! curve. The `flush%` column is each workload's final-flush share of its
-//! best wall time. `--xl-smoke` runs just the mid-size nest rung for CI.
+//! Every run prints the fitted nodes-vs-wall exponent of each family it
+//! measured with at least two rungs (loop nests, diamond chains, random
+//! graphs), turning the paper's Sec. 4.5 complexity claim into a measured
+//! curve. The XL ladder (`--xl`) extends the study to 10k–100k-point
+//! graphs in three more families (sequential loop-nest grids, very wide
+//! fans, inlined program shapes). The `flush%` column is each workload's
+//! final-flush share of its best wall time. `--xl-smoke` runs just the
+//! mid-size nest rung for CI.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use am_bench::workloads::{
     diamond_chain, fit_nodes_exponent, inlined_program, loop_nest, nest_grid, wide_fan,
-    ComplexityRow,
 };
 use am_core::global::{optimize_with, GlobalConfig};
 use am_dfa::PointGraph;
@@ -224,23 +225,11 @@ fn write_atomic(path: &str, doc: &str) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// Fitted nodes-vs-wall exponent of the records in `family` (by label
-/// prefix); NaN with fewer than two usable points.
-fn family_exponent(records: &[BenchRecord], family: &str) -> f64 {
-    let rows: Vec<ComplexityRow> = records
-        .iter()
-        .filter(|r| r.label.starts_with(family))
-        .map(|r| ComplexityRow {
-            label: r.label.clone(),
-            nodes: r.nodes,
-            instrs: r.instrs,
-            micros: r.wall_micros,
-            motion_rounds: r.rounds,
-            solver_iterations: r.iterations,
-            converged: r.converged,
-        })
-        .collect();
-    fit_nodes_exponent(&rows)
+/// A workload's family: its label up to the first parameter
+/// (`"xl nest c=700"` is in family `"xl nest"`).
+fn family(label: &str) -> &str {
+    let head = label.split_once('=').map_or(label, |(head, _)| head);
+    head.rsplit_once(' ').map_or(head, |(family, _)| family)
 }
 
 fn main() -> ExitCode {
@@ -294,12 +283,10 @@ fn main() -> ExitCode {
         );
         records.push(rec);
     }
-    if opts.xl {
-        for family in ["xl nest", "xl fan", "xl inline"] {
-            let e = family_exponent(&records, family);
-            if e.is_finite() {
-                println!("fit: {family:<10} wall ~ nodes^{e:.2}");
-            }
+    for rungs in records.chunk_by(|a, b| family(&a.label) == family(&b.label)) {
+        let e = fit_nodes_exponent(rungs.iter().map(|r| (r.nodes, r.wall_micros)));
+        if e.is_finite() {
+            println!("fit: {:<10} wall ~ nodes^{e:.2}", family(&rungs[0].label));
         }
     }
     let doc = render("bench_dataflow", &records);

@@ -3,15 +3,14 @@
 //!
 //! * [`figures`] — one reproduction function per paper figure, returning
 //!   before/after programs and dynamic cost measurements (used by the
-//!   `figures` binary, the integration tests and the wall-clock benches);
-//! * [`workloads`] — the synthetic program families and measurement
-//!   machinery of the complexity study (`complexity` binary);
+//!   `figures` binary and the integration tests);
+//! * [`workloads`] — the synthetic program families of the complexity
+//!   study and its exponent fit (`bench_dataflow` binary);
 //! * [`programs`] — the figure input programs in textual IR.
 
 #![warn(missing_docs)]
 
 pub mod figures;
 pub mod programs;
-pub mod timer;
 pub mod witness;
 pub mod workloads;

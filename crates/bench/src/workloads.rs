@@ -1,18 +1,13 @@
-//! Workload families and measurement for the complexity study (Sec. 4.5).
+//! Workload families of the complexity study (Sec. 4.5).
 //!
 //! The paper claims the global algorithm is "essentially quadratic" for
 //! realistic structured programs and up to fourth order in the unrestricted
-//! worst case. [`structured_sweep`]/[`unstructured_sweep`] regenerate that
-//! study: program families swept over size, measuring wall time, assignment
-//! motion rounds and total data-flow solver iterations.
+//! worst case. The `bench_dataflow` ladder sweeps these families over size
+//! and fits `wall ~ nodes^k` per family with [`fit_nodes_exponent`].
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use am_core::global::{optimize_with, GlobalConfig};
-use am_ir::random::SplitMix64;
 pub use am_ir::random::{nest_grid, wide_fan};
-use am_ir::random::{unstructured, UnstructuredConfig};
 use am_ir::text::parse;
 use am_ir::FlowGraph;
 
@@ -108,8 +103,8 @@ pub fn diamond_chain(sections: usize, width: usize) -> FlowGraph {
 
 /// A while-language benchmark program: `bodies` nested do-while loops,
 /// each with an invariant chain and induction updates — compiled through
-/// the `am-lang` frontend (parser + 3-address lowering), so the sweep also
-/// exercises the full stack.
+/// the `am-lang` frontend (parser + 3-address lowering), so the
+/// `showdown` table also exercises the full stack.
 pub fn while_workload(bodies: usize, chain: usize) -> FlowGraph {
     use std::fmt::Write as _;
     let bodies = bodies.max(1);
@@ -182,189 +177,16 @@ pub fn inlined_program(calls: usize, procs: usize) -> FlowGraph {
     parse(&src).expect("generated inlined program parses")
 }
 
-/// One measured data point of the complexity study.
-#[derive(Clone, Debug)]
-pub struct ComplexityRow {
-    /// Workload label.
-    pub label: String,
-    /// Nodes before optimization.
-    pub nodes: usize,
-    /// Instructions before optimization.
-    pub instrs: usize,
-    /// Wall time of the full pipeline, in microseconds.
-    pub micros: u128,
-    /// Assignment-motion rounds until stabilization.
-    pub motion_rounds: usize,
-    /// Total data-flow solver iterations across all phases.
-    pub solver_iterations: u64,
-    /// Whether the motion phase converged within budget.
-    pub converged: bool,
-}
-
-/// Runs the full pipeline on `g` and records the complexity metrics.
-pub fn measure_complexity(label: &str, g: &FlowGraph) -> ComplexityRow {
-    let config = GlobalConfig {
-        keep_snapshots: false,
-        ..Default::default()
-    };
-    let start = Instant::now();
-    let result = optimize_with(g, &config);
-    let micros = start.elapsed().as_micros();
-    ComplexityRow {
-        label: label.to_owned(),
-        nodes: g.node_count(),
-        instrs: g.instr_count(),
-        micros,
-        motion_rounds: result.motion.rounds,
-        solver_iterations: result.motion.iterations + result.flush.iterations,
-        converged: result.motion.converged,
-    }
-}
-
-/// The structured sweep: loop nests of growing depth and width.
-pub fn structured_sweep() -> Vec<ComplexityRow> {
-    let mut rows = Vec::new();
-    for (depth, width) in [
-        (1, 2),
-        (2, 2),
-        (2, 4),
-        (3, 4),
-        (4, 4),
-        (4, 8),
-        (6, 8),
-        (8, 8),
-    ] {
-        let g = loop_nest(depth, width);
-        rows.push(measure_complexity(&format!("nest d={depth} w={width}"), &g));
-    }
-    for sections in [2, 4, 8, 16, 32] {
-        let g = diamond_chain(sections, 4);
-        rows.push(measure_complexity(&format!("diamonds s={sections}"), &g));
-    }
-    for (bodies, chain) in [(1, 3), (2, 3), (4, 3), (4, 6), (8, 6)] {
-        let g = while_workload(bodies, chain);
-        rows.push(measure_complexity(
-            &format!("whilelang b={bodies} c={chain}"),
-            &g,
-        ));
-    }
-    rows
-}
-
-/// The unstructured sweep: random graphs of growing node count.
-pub fn unstructured_sweep() -> Vec<ComplexityRow> {
-    let mut rows = Vec::new();
-    for nodes in [8, 16, 32, 64, 128] {
-        let mut rng = SplitMix64::new(nodes as u64);
-        let g = unstructured(
-            &mut rng,
-            &UnstructuredConfig {
-                nodes,
-                extra_edges: nodes / 2,
-                max_instrs: 4,
-                num_vars: 6,
-                allow_div: false,
-            },
-        );
-        rows.push(measure_complexity(&format!("random n={nodes}"), &g));
-    }
-    rows
-}
-
-/// A deterministic corpus of in-memory jobs for the batch pipeline:
-/// `unique` distinct random structured programs, each repeated `dups`
-/// times under different names, shuffled into an interleaved order. The
-/// duplicates make the content-addressed cache earn its keep.
-pub fn pipeline_corpus(unique: usize, dups: usize) -> Vec<am_pipeline::Job> {
-    use am_ir::random::{structured, StructuredConfig};
-    use am_ir::text::to_text;
-    let unique = unique.max(1);
-    let dups = dups.max(1);
-    let mut jobs = Vec::with_capacity(unique * dups);
-    for copy in 0..dups {
-        for idx in 0..unique {
-            let mut rng = SplitMix64::new(0xC0_6905 + idx as u64);
-            let g = structured(&mut rng, &StructuredConfig::default());
-            jobs.push(am_pipeline::Job::from_source(
-                format!("mem/{idx}_{copy}.ir"),
-                am_lang::SourceKind::Ir,
-                to_text(&g),
-            ));
-        }
-    }
-    jobs
-}
-
-/// One data point of the pipeline throughput study.
-#[derive(Clone, Debug)]
-pub struct ThroughputRow {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Jobs in the batch.
-    pub jobs: usize,
-    /// Jobs served from the result cache.
-    pub cache_hits: usize,
-    /// Batch wall time in microseconds.
-    pub micros: u128,
-    /// Jobs per second.
-    pub jobs_per_sec: f64,
-}
-
-/// Runs the corpus through `am_pipeline` once per worker count and
-/// reports throughput — the `pipeline_throughput` workload.
-pub fn pipeline_throughput(
-    unique: usize,
-    dups: usize,
-    worker_counts: &[usize],
-) -> Vec<ThroughputRow> {
-    let jobs = pipeline_corpus(unique, dups);
-    worker_counts
-        .iter()
-        .map(|&workers| {
-            let pipeline = am_pipeline::Pipeline::new(am_pipeline::PipelineConfig {
-                workers: Some(workers),
-                ..Default::default()
-            });
-            let report = pipeline.run(&jobs);
-            let secs = report.wall.as_secs_f64();
-            ThroughputRow {
-                workers,
-                jobs: report.jobs.len(),
-                cache_hits: report.cache_hits(),
-                micros: report.wall.as_micros(),
-                jobs_per_sec: if secs > 0.0 {
-                    jobs.len() as f64 / secs
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect()
-}
-
-/// Least-squares slope of `ln(time)` over `ln(size)` — the empirical
-/// scaling exponent of a sweep.
-pub fn fit_exponent(rows: &[ComplexityRow]) -> f64 {
-    fit_log_log(
-        rows.iter()
-            .filter(|r| r.micros > 0 && r.instrs > 0)
-            .map(|r| ((r.instrs as f64).ln(), (r.micros as f64).ln()))
-            .collect(),
-    )
-}
-
-/// Fitted exponent of wall time against *node count* — the axis the XL
-/// ladder scales along (Sec. 4.5 frames the complexity claim per node).
-pub fn fit_nodes_exponent(rows: &[ComplexityRow]) -> f64 {
-    fit_log_log(
-        rows.iter()
-            .filter(|r| r.micros > 0 && r.nodes > 0)
-            .map(|r| ((r.nodes as f64).ln(), (r.micros as f64).ln()))
-            .collect(),
-    )
-}
-
-fn fit_log_log(points: Vec<(f64, f64)>) -> f64 {
+/// Least-squares slope of `ln(micros)` over `ln(nodes)` for
+/// `(nodes, micros)` pairs — the empirical scaling exponent of a sweep
+/// along node count, the axis Sec. 4.5 frames its complexity claim in.
+/// Pairs with a zero coordinate are skipped; NaN with fewer than two left.
+pub fn fit_nodes_exponent(rows: impl IntoIterator<Item = (usize, u128)>) -> f64 {
+    let points: Vec<(f64, f64)> = rows
+        .into_iter()
+        .filter(|&(nodes, micros)| nodes > 0 && micros > 0)
+        .map(|(nodes, micros)| ((nodes as f64).ln(), (micros as f64).ln()))
+        .collect();
     if points.len() < 2 {
         return f64::NAN;
     }
@@ -379,6 +201,15 @@ fn fit_log_log(points: Vec<(f64, f64)>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use am_core::global::{optimize_with, GlobalConfig, GlobalResult};
+
+    fn optimize_quietly(g: &FlowGraph) -> GlobalResult {
+        let config = GlobalConfig {
+            keep_snapshots: false,
+            ..Default::default()
+        };
+        optimize_with(g, &config)
+    }
 
     #[test]
     fn loop_nest_is_valid_and_scales() {
@@ -412,14 +243,14 @@ mod tests {
         // The whole point of the family: 4x the program must not mean
         // more motion rounds, or XL rungs measure round count, not
         // solver throughput.
-        let small = measure_complexity("s", &nest_grid(5, 2, 4));
-        let large = measure_complexity("l", &nest_grid(20, 2, 4));
+        let small = optimize_quietly(&nest_grid(5, 2, 4)).motion;
+        let large = optimize_quietly(&nest_grid(20, 2, 4)).motion;
         assert!(small.converged && large.converged);
         assert!(
-            large.motion_rounds <= small.motion_rounds + 1,
+            large.rounds <= small.rounds + 1,
             "rounds grew with copies: {} -> {}",
-            small.motion_rounds,
-            large.motion_rounds
+            small.rounds,
+            large.rounds
         );
     }
 
@@ -428,8 +259,7 @@ mod tests {
         let g = wide_fan(64, 4);
         assert_eq!(g.validate(), Ok(()));
         assert!(g.node_count() >= 64 + 3);
-        let row = measure_complexity("fan", &g);
-        assert!(row.converged);
+        assert!(optimize_quietly(&g).motion.converged);
     }
 
     #[test]
@@ -437,16 +267,15 @@ mod tests {
         let g = inlined_program(64, 6);
         assert_eq!(g.validate(), Ok(()));
         assert!(g.node_count() >= 64 * 3);
-        let row = measure_complexity("inline", &g);
-        assert!(row.converged);
+        assert!(optimize_quietly(&g).motion.converged);
     }
 
     #[test]
     fn loop_nest_optimizes_and_converges() {
         let g = loop_nest(3, 4);
-        let row = measure_complexity("t", &g);
-        assert!(row.converged);
-        assert!(row.motion_rounds >= 2, "second-order chain needs rounds");
+        let motion = optimize_quietly(&g).motion;
+        assert!(motion.converged);
+        assert!(motion.rounds >= 2, "second-order chain needs rounds");
     }
 
     #[test]
@@ -466,37 +295,8 @@ mod tests {
 
     #[test]
     fn exponent_fit_on_synthetic_data() {
-        let rows: Vec<ComplexityRow> = [(10usize, 100u128), (20, 400), (40, 1600)]
-            .into_iter()
-            .map(|(instrs, micros)| ComplexityRow {
-                label: "synthetic".into(),
-                nodes: 1,
-                instrs,
-                micros,
-                motion_rounds: 1,
-                solver_iterations: 1,
-                converged: true,
-            })
-            .collect();
-        let k = fit_exponent(&rows);
+        let k = fit_nodes_exponent([(10usize, 100u128), (20, 400), (40, 1600)]);
         assert!((k - 2.0).abs() < 1e-9, "{k}");
-    }
-}
-
-#[cfg(test)]
-mod pipeline_workload_tests {
-    use super::*;
-
-    #[test]
-    fn corpus_duplicates_hit_the_cache() {
-        let rows = pipeline_throughput(4, 3, &[2]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].jobs, 12);
-        // A duplicate in flight while its original is still optimizing on
-        // the other worker misses (both then insert the same entry), so
-        // each unique program is optimized at most `workers` times:
-        // 12 jobs - 4 unique * 2 workers => at least 4 hits.
-        assert!(rows[0].cache_hits >= 4, "{rows:?}");
     }
 }
 

@@ -1,11 +1,10 @@
 //! Seeded validation campaigns over the random-program corpus.
 //!
 //! [`run_campaign`] sweeps a seed range, generating each program with
-//! [`seed_program`] (the same distribution the historical `fuzz_blitz`
-//! sweep used, so seed numbers stay comparable across tools), validating
-//! it per phase, and — on failure — shrinking the witness and writing a
-//! reproduction bundle. The `amcheck` binary and `fuzz_blitz` are thin
-//! wrappers around this.
+//! [`seed_program`] (a fixed distribution, so a seed number names the
+//! same program across releases), validating it per phase, and — on
+//! failure — shrinking the witness and writing a reproduction bundle. The
+//! `amcheck` binary is a thin wrapper around this.
 
 use std::path::{Path, PathBuf};
 
@@ -22,8 +21,8 @@ use am_prove::Verdict;
 
 /// The deterministic program for `seed` — one third structured, one third
 /// structured with division and deeper nesting, one third unstructured
-/// with seed-dependent size. Matches `fuzz_blitz`'s historical
-/// distribution so seed numbers are stable identifiers.
+/// with seed-dependent size. The distribution is fixed so seed numbers
+/// are stable identifiers.
 pub fn seed_program(seed: u64) -> FlowGraph {
     let mut rng = SplitMix64::new(seed);
     match seed % 3 {
@@ -49,8 +48,8 @@ pub fn seed_program(seed: u64) -> FlowGraph {
     }
 }
 
-/// The validation configuration campaigns use for `seed` — `fuzz_blitz`'s
-/// historical inputs (`v0` varies with the seed) and oracle seeding.
+/// The validation configuration campaigns use for `seed` — fixed inputs
+/// (`v0` varies with the seed) and oracle seeding.
 pub fn seed_validation_config(seed: u64, runs: usize, decisions: usize) -> ValidationConfig {
     ValidationConfig {
         runs,

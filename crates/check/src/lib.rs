@@ -33,7 +33,7 @@
 //!
 //! * [`validate::validate`] — check one program, localizing any failure;
 //! * [`campaign::run_campaign`] — seeded sweeps over the random-program
-//!   corpus (the `amcheck` binary and `fuzz_blitz` wrap this);
+//!   corpus (the `amcheck` binary wraps this);
 //! * [`fault::FaultSpec`] — inject a deliberate miscompile at a chosen
 //!   phase boundary, to prove the harness localizes and shrinks it.
 //!

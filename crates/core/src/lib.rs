@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod copyprop;
+pub mod explain;
 pub mod flush;
 pub mod global;
 pub mod hoist;

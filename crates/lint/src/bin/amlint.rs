@@ -17,6 +17,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use am_core::explain::capture;
 use am_core::global::{optimize_with, GlobalConfig};
 use am_ir::dot::to_dot_with;
 use am_ir::text::{parse_with_locations, SourceMap};
@@ -46,9 +47,10 @@ invariants. With no inputs, --synthetic or --corpus, uses ./programs.
 options:
   --optimize       run the full optimizer first and lint its output
                    (checks the guarantees of Thms 5.1-5.4 statically)
-  --provenance     also re-run the optimizer with provenance recording and
-                   cross-check every Eliminate record against the L101
-                   redundancy analysis (L103; disagreement is an error)
+  --provenance     also run the optimizer with provenance recording (the
+                   run --optimize lints) and cross-check every Eliminate
+                   record against the L101 redundancy analysis (L103;
+                   disagreement is an error)
   --synthetic N    also lint N deterministic seeded random programs
   --corpus         also lint the canonical 80-program random corpus
   --jsonl FILE     write all findings as JSON lines to FILE
@@ -252,16 +254,24 @@ fn main() -> ExitCode {
     for unit in &units {
         let mut graph = unit.graph.clone();
         let mut srcmap = unit.srcmap.clone();
+        // One optimizer run per unit: the provenance capture, when asked
+        // for, is also the run whose output --optimize lints.
+        let explained = opts.provenance.then(|| capture(&unit.graph, None, &tracer));
         if opts.optimize {
             let mut span = tracer.span("lint", format!("optimize {}", unit.name));
-            graph = optimize_with(
-                &graph,
-                &GlobalConfig {
-                    tracer: tracer.clone(),
-                    ..GlobalConfig::default()
-                },
-            )
-            .program;
+            graph = match &explained {
+                Some(c) => c.result.program.clone(),
+                None => {
+                    optimize_with(
+                        &graph,
+                        &GlobalConfig {
+                            tracer: tracer.clone(),
+                            ..GlobalConfig::default()
+                        },
+                    )
+                    .program
+                }
+            };
             // Optimization rewrites the program; original positions no
             // longer apply.
             srcmap = None;
@@ -272,11 +282,10 @@ fn main() -> ExitCode {
             srcmap,
         };
         let mut report = lint_graph(&graph, &cfg);
-        if opts.provenance {
-            // The cross-check re-runs the optimizer itself, so it always
-            // starts from the original program.
-            let prov = am_lint::check_provenance(&unit.graph, None, &cfg);
-            report.diags.extend(prov.diags);
+        if let Some(c) = &explained {
+            report
+                .diags
+                .extend(am_lint::check_provenance(c, &cfg).diags);
         }
         totals.0 += report.errors();
         totals.1 += report.warnings();

@@ -6,79 +6,32 @@
 //! *must-redundant* — the eliminated right-hand side available on every
 //! incoming path when control reaches the occurrence. That is exactly the
 //! condition `L101` (see [`crate::lint_graph`]) checks with the classic
-//! availability solver. This module re-runs the optimizer with provenance
-//! recording and replays every `Eliminate` record against the snapshot its
-//! coordinates refer to: a record naming a site the availability analysis
-//! does *not* consider must-redundant means the decision log and the
-//! dataflow analysis disagree about the same paper rule — one of them is
-//! wrong, and either way it is an error.
-//!
-//! An `Eliminate` record of motion round `r` refers to the program at the
-//! *start* of round `r` (the `MotionRound(r-1)` snapshot; `Init` for round
-//! 1) — rounds collect all redundant sites before removing any.
+//! availability solver. This module replays every `Eliminate` record of a
+//! provenance [`Capture`] against the snapshot its coordinates refer to
+//! (the capture owns that mapping and the site lookup): a record naming a
+//! site the availability analysis does *not* consider must-redundant
+//! means the decision log and the dataflow analysis disagree about the
+//! same paper rule — one of them is wrong, and either way it is an error.
 
-use am_core::global::{optimize_hooked, GlobalConfig, PhaseId};
+use am_core::explain::{locate, Capture};
 use am_dfa::classic::available_expressions;
 use am_dfa::PointGraph;
-use am_ir::{FlowGraph, Instr, NodeId, PatternUniverse};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
+use am_ir::{FlowGraph, Instr, PatternUniverse};
+use am_obs::ProvRecord;
 
 use crate::diag::{Diagnostic, LintReport, Severity};
 use crate::LintConfig;
 
-fn find_node(g: &FlowGraph, label: &str) -> Option<NodeId> {
-    g.nodes().find(|&n| g.label(n) == label)
-}
-
-/// Runs the optimizer on `g` with provenance recording enabled and checks
-/// every `Eliminate` record against the redundancy analysis of the
-/// snapshot it refers to (`L103`, error on disagreement or unlocatable
-/// coordinates). Non-`Eliminate` records assert motion rather than store
-/// properties and are not availability claims, so they are not checked
-/// here.
-pub fn check_provenance(
-    g: &FlowGraph,
-    max_motion_rounds: Option<usize>,
-    cfg: &LintConfig,
-) -> LintReport {
+/// Checks every `Eliminate` record of `capture` against the redundancy
+/// analysis of the snapshot it refers to (`L103`, error on disagreement
+/// or unlocatable coordinates). Non-`Eliminate` records assert motion
+/// rather than store properties and are not availability claims, so they
+/// are not checked here.
+pub fn check_provenance(capture: &Capture, cfg: &LintConfig) -> LintReport {
     let mut span = cfg.tracer.span("lint", "provenance");
-    let recorder = ProvRecorder::enabled();
-    let mut snapshots: Vec<(PhaseId, FlowGraph)> = Vec::new();
-    let global = GlobalConfig {
-        max_motion_rounds,
-        keep_snapshots: false,
-        tracer: cfg.tracer.clone(),
-        recorder: recorder.clone(),
-    };
-    optimize_hooked(g, &global, &mut |phase, prog| {
-        snapshots.push((phase, prog.clone()));
-    });
-    let records = recorder.take();
-
     let mut diags = Vec::new();
-    let mut rounds: Vec<u32> = records
-        .iter()
-        .filter(|r| r.kind == ProvKind::Eliminate)
-        .map(|r| r.round)
-        .collect();
-    rounds.sort_unstable();
-    rounds.dedup();
-
     let mut checked = 0usize;
-    for round in rounds {
-        let pre_phase = if round <= 1 {
-            PhaseId::Init
-        } else {
-            PhaseId::MotionRound(round as usize - 1)
-        };
-        let snap = snapshots
-            .iter()
-            .find(|(p, _)| *p == pre_phase)
-            .map(|(_, s)| s);
-        let round_records: Vec<&ProvRecord> = records
-            .iter()
-            .filter(|r| r.kind == ProvKind::Eliminate && r.round == round)
-            .collect();
+    for (snap, round_records) in capture.eliminations() {
         let Some(snap) = snap else {
             for r in &round_records {
                 diags.push(unlocatable(r, "no snapshot for its round"));
@@ -102,12 +55,7 @@ fn check_round(snap: &FlowGraph, records: &[&ProvRecord], diags: &mut Vec<Diagno
     let pool = snap.pool();
     let mut checked = 0usize;
     for r in records {
-        let located = find_node(snap, &r.node).and_then(|node| {
-            let index = r.index? as usize;
-            let instr = snap.block(node).instrs.get(index)?;
-            (instr.display(pool) == r.instr).then_some((node, index, instr))
-        });
-        let Some((node, index, instr)) = located else {
+        let Some((node, index, instr)) = locate(snap, r) else {
             diags.push(unlocatable(
                 r,
                 "its coordinates do not name that instruction in the snapshot",
@@ -175,7 +123,10 @@ fn unlocatable(r: &ProvRecord, why: &str) -> Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use am_core::explain::capture;
     use am_ir::text::parse;
+    use am_obs::ProvKind;
+    use am_trace::Tracer;
 
     #[test]
     fn running_example_provenance_agrees_with_l101() {
@@ -183,14 +134,20 @@ mod tests {
             "start 1\nend 4\nnode 1 { y := c+d }\nnode 2 { branch x+z > y+i }\nnode 3 { y := c+d; x := y+z; i := i+x }\nnode 4 { x := y+z; x := c+d; out(i,x,y) }\nedge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2",
         )
         .unwrap();
-        let report = check_provenance(&g, None, &LintConfig::default());
+        let report = check_provenance(
+            &capture(&g, None, &Tracer::disabled()),
+            &LintConfig::default(),
+        );
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn corpus_provenance_agrees_with_l101() {
         for (name, g) in am_ir::random::corpus80().into_iter().take(20) {
-            let report = check_provenance(&g, None, &LintConfig::default());
+            let report = check_provenance(
+                &capture(&g, None, &Tracer::disabled()),
+                &LintConfig::default(),
+            );
             assert!(report.is_clean(), "{name}: {report}");
         }
     }

@@ -15,12 +15,11 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use am_core::explain::capture;
 use am_lang::SourceKind;
 use am_obs::provenance;
 use am_pipeline::bench_json::{self, BenchRecord};
-use am_pipeline::{
-    explain_graph, Job, JobInput, JobOutcome, Pipeline, PipelineConfig, PipelineReport,
-};
+use am_pipeline::{Job, JobInput, JobOutcome, Pipeline, PipelineConfig, PipelineReport};
 use am_trace::{export, Tracer};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -56,8 +55,7 @@ non-recursively). With no inputs, uses ./programs.
 
 options:
   --workers N      worker threads (default: available parallelism)
-  --cache-cap N    in-memory result-cache capacity in entries (default
-                   256; --cache-size is accepted as an alias)
+  --cache-cap N    in-memory result-cache capacity in entries (default 256)
   --rounds N       motion-round budget per job (default: paper's bound)
   --repeat N       run the batch N times; repeats hit the cache (default 1)
   --emit           print each optimized program (canonical text)
@@ -123,10 +121,10 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|e| format!("--workers: {e}"))?,
                 );
             }
-            "--cache-cap" | "--cache-size" => {
-                opts.cache_capacity = value(&mut args, &arg)?
+            "--cache-cap" => {
+                opts.cache_capacity = value(&mut args, "--cache-cap")?
                     .parse()
-                    .map_err(|e| format!("{arg}: {e}"))?;
+                    .map_err(|e| format!("--cache-cap: {e}"))?;
             }
             "--rounds" => {
                 opts.max_motion_rounds = Some(
@@ -281,9 +279,10 @@ fn bench_records(report: &PipelineReport) -> Vec<BenchRecord> {
 /// whose decisions were not replayed), printing the human report and
 /// optionally exporting per-job JSONL + report files. With `--prove`,
 /// every `Eliminate` record's side condition (must-redundancy at the
-/// recorded site) is additionally discharged statically by the symbolic
-/// prover; the number of sites that were *refuted* (or could not be
-/// located) is returned and fails the batch when nonzero.
+/// recorded site) of that same capture is additionally discharged
+/// statically by the symbolic prover; the number of sites that were
+/// *refuted* (or could not be located) is returned and fails the batch
+/// when nonzero.
 fn run_explain(jobs: &[Job], opts: &Options) -> Result<usize, String> {
     if let Some(dir) = &opts.explain_dir {
         std::fs::create_dir_all(dir)
@@ -309,7 +308,7 @@ fn run_explain(jobs: &[Job], opts: &Options) -> Result<usize, String> {
         };
         let graph =
             am_lang::compile_source(kind, &text).map_err(|e| format!("{}: {e}", job.name))?;
-        let explanation = explain_graph(&graph, opts.max_motion_rounds);
+        let explanation = capture(&graph, opts.max_motion_rounds, &Tracer::disabled());
         total += explanation.records.len();
         if let Some(dir) = &opts.explain_dir {
             let stem = job.name.replace(['/', '\\'], "_");
@@ -328,11 +327,8 @@ fn run_explain(jobs: &[Job], opts: &Options) -> Result<usize, String> {
             );
         }
         if opts.prove {
-            let report = am_prove::discharge_provenance(
-                &graph,
-                opts.max_motion_rounds,
-                &am_prove::ProveConfig::default(),
-            );
+            let report =
+                am_prove::discharge_provenance(&explanation, &am_prove::ProveConfig::default());
             discharge_failed += report.failed;
             if !opts.quiet || report.failed > 0 {
                 println!("discharge {}: {report}", job.name);

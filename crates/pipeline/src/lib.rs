@@ -50,13 +50,11 @@
 pub mod bench_json;
 pub mod cache;
 pub mod engine;
-pub mod explain;
 pub mod job;
 pub mod report;
 
 pub use bench_json::{BenchRecord, BENCH_SCHEMA};
 pub use cache::{CacheStats, CachedResult, ResultCache, SecondaryCache};
 pub use engine::{Pipeline, PipelineConfig};
-pub use explain::{explain_graph, Explanation};
 pub use job::{Job, JobInput, JobOutcome, JobReport, OptimizedJob, ResultSource};
 pub use report::PipelineReport;

@@ -90,6 +90,28 @@ fn alpha_equivalent_inputs_share_one_cache_entry() {
 }
 
 #[test]
+fn corpus_duplicates_hit_the_cache() {
+    // Four unique programs, each three times under different names,
+    // interleaved.
+    let jobs: Vec<Job> = (0..3)
+        .flat_map(|copy| {
+            (0..4u64).map(move |idx| {
+                let mut rng = SplitMix64::new(0xC0_6905 + idx);
+                let g = structured(&mut rng, &StructuredConfig::default());
+                Job::from_source(format!("mem/{idx}_{copy}.ir"), SourceKind::Ir, to_text(&g))
+            })
+        })
+        .collect();
+    let report = pipeline_with(2).run(&jobs);
+    assert_eq!(report.jobs.len(), 12);
+    // A duplicate in flight while its original is still optimizing on
+    // the other worker misses (both then insert the same entry), so
+    // each unique program is optimized at most `workers` times:
+    // 12 jobs - 4 unique * 2 workers => at least 4 hits.
+    assert!(report.cache_hits() >= 4, "{report}");
+}
+
+#[test]
 fn rerunning_a_batch_is_served_from_cache() {
     let p = pipeline_with(4);
     let jobs = corpus(6);

@@ -7,10 +7,11 @@
 
 use std::collections::HashMap;
 
+use am_core::explain::capture;
 use am_ir::random::corpus80;
 use am_ir::FlowGraph;
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
-use am_pipeline::explain_graph;
+use am_trace::Tracer;
 
 /// Per-site instruction multiset: (block label, instruction text) → count.
 type Multiset = HashMap<(String, String), i64>;
@@ -77,7 +78,7 @@ fn recording_never_perturbs_the_optimization() {
     let pipeline = am_pipeline::Pipeline::new(am_pipeline::PipelineConfig::default());
     for (name, g) in corpus80().into_iter().take(12) {
         let normal = pipeline.optimize_graph(&g);
-        let explained = explain_graph(&g, None);
+        let explained = capture(&g, None, &Tracer::disabled());
         assert_eq!(
             am_ir::alpha::canonical_text(&explained.result.program),
             normal.result.canonical,
@@ -89,7 +90,7 @@ fn recording_never_perturbs_the_optimization() {
 #[test]
 fn provenance_replays_the_exact_corpus_delta() {
     for (name, g) in corpus80() {
-        let explanation = explain_graph(&g, None);
+        let explanation = capture(&g, None, &Tracer::disabled());
         let result = &explanation.result;
         let records = &explanation.records;
         assert!(result.motion.converged, "{name}: did not converge");

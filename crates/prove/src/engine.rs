@@ -37,8 +37,6 @@ pub struct ProveConfig {
     pub max_simulations: usize,
     /// Cap on pending one-sided trap obligations per state.
     pub max_pending: usize,
-    /// Cap on the decision range (lcm of the two fanouts) per state.
-    pub max_fanout_lcm: usize,
     /// Primary input set for confirming refutation witnesses (the same
     /// defaults `am-check` campaigns use).
     pub inputs: Vec<(String, i64)>,
@@ -52,7 +50,6 @@ impl Default for ProveConfig {
             max_states: 1024,
             max_simulations: 100_000,
             max_pending: 64,
-            max_fanout_lcm: 16,
             inputs: vec![
                 ("v0".to_owned(), 3),
                 ("v1".to_owned(), 2),
@@ -203,8 +200,9 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-fn lcm(a: usize, b: usize) -> usize {
-    a / gcd(a, b) * b
+/// `None` when the lcm overflows `usize`.
+fn lcm(a: usize, b: usize) -> Option<usize> {
+    (a / gcd(a, b)).checked_mul(b)
 }
 
 fn prefix_related<T: PartialEq>(a: &[T], b: &[T]) -> bool {
@@ -515,12 +513,13 @@ impl<'a> Prover<'a> {
         }
         let fa = key.0.fanout(self.ga);
         let fb = key.1.fanout(self.gb);
-        let range = lcm(fa.max(1), fb.max(1));
-        if range > self.cfg.max_fanout_lcm {
-            return Err(Box::new(self.inconclusive(format!(
-                "decision fanout lcm {range} exceeds the cap"
-            ))));
-        }
+        // Every decision of the range is one segment simulation, so a
+        // range the remaining simulation budget cannot cover is refused
+        // before the state exists.
+        let budget = self.cfg.max_simulations.saturating_sub(self.simulations);
+        let Some(range) = lcm(fa.max(1), fb.max(1)).filter(|&r| r <= budget) else {
+            return Err(Box::new(self.inconclusive("simulation budget exceeded")));
+        };
         let s = self.states.len();
         self.states.push(State {
             key,

@@ -10,13 +10,12 @@
 //! snapshot its coordinates refer to and discharges that condition with
 //! the symbolic simulator, probing the site on every explored path.
 //!
-//! The coordinates of an `Eliminate` record of motion round `r` refer to
-//! the program at the *start* of round `r` (rounds run `rae; aht`, and
-//! the redundancy pass collects all sites before removing any), which is
-//! exactly the `MotionRound(r-1)` snapshot — the `Init` snapshot for
-//! round 1. Hoist and flush records move instructions rather than assert
-//! a store property; their correctness is covered by the phase-pair
-//! proof itself, so they are counted but not individually probed.
+//! Each record is replayed against the phase snapshot of a provenance
+//! [`Capture`] that its coordinates refer to — the program at the start
+//! of its round; the capture owns that mapping and the site lookup. Hoist
+//! and flush records move instructions rather than assert a store
+//! property; their correctness is covered by the phase-pair proof itself,
+//! so they are counted but not individually probed.
 //!
 //! Discharge runs in two tiers. The fast tier probes all of a round's
 //! sites in one symbolic exploration of the snapshot, checking the store
@@ -30,9 +29,9 @@
 //! matter, and a [`DischargeStatus::Failed`] verdict carries an
 //! interpreter-confirmed witness rather than a widening artefact.
 
-use am_core::global::{optimize_hooked, GlobalConfig, PhaseId};
-use am_ir::{FlowGraph, Instr, NodeId};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
+use am_core::explain::{locate, Capture};
+use am_ir::Instr;
+use am_obs::ProvRecord;
 
 use crate::engine::{prove_pair, prove_pair_probed, ProveConfig, Verdict};
 use crate::sim::Probe;
@@ -125,59 +124,15 @@ impl std::fmt::Display for DischargeReport {
     }
 }
 
-fn find_node(g: &FlowGraph, label: &str) -> Option<NodeId> {
-    g.nodes().find(|&n| g.label(n) == label)
-}
-
-/// Re-runs the optimizer on `g` with provenance recording enabled and
-/// statically discharges every `Eliminate` record against the snapshot
-/// its coordinates refer to.
-pub fn discharge_provenance(
-    g: &FlowGraph,
-    max_motion_rounds: Option<usize>,
-    cfg: &ProveConfig,
-) -> DischargeReport {
+/// Statically discharges every `Eliminate` record of `capture` against
+/// the snapshot its coordinates refer to.
+pub fn discharge_provenance(capture: &Capture, cfg: &ProveConfig) -> DischargeReport {
     let mut span = cfg.tracer.span("prove", "discharge");
-    let recorder = ProvRecorder::enabled();
-    let mut snapshots: Vec<(PhaseId, FlowGraph)> = Vec::new();
-    let global = GlobalConfig {
-        max_motion_rounds,
-        keep_snapshots: false,
-        tracer: cfg.tracer.clone(),
-        recorder: recorder.clone(),
-    };
-    optimize_hooked(g, &global, &mut |phase, prog| {
-        snapshots.push((phase, prog.clone()));
-    });
-    let records = recorder.take();
     let mut report = DischargeReport {
-        records: records.len(),
+        records: capture.records.len(),
         ..Default::default()
     };
-
-    // Group Eliminate records by round.
-    let mut rounds: Vec<u32> = records
-        .iter()
-        .filter(|r| r.kind == ProvKind::Eliminate)
-        .map(|r| r.round)
-        .collect();
-    rounds.sort_unstable();
-    rounds.dedup();
-
-    for round in rounds {
-        let pre_phase = if round <= 1 {
-            PhaseId::Init
-        } else {
-            PhaseId::MotionRound(round as usize - 1)
-        };
-        let snap = snapshots
-            .iter()
-            .find(|(p, _)| *p == pre_phase)
-            .map(|(_, s)| s);
-        let round_records: Vec<&ProvRecord> = records
-            .iter()
-            .filter(|r| r.kind == ProvKind::Eliminate && r.round == round)
-            .collect();
+    for (snap, round_records) in capture.eliminations() {
         report.eliminations += round_records.len();
         let Some(snap) = snap else {
             for r in &round_records {
@@ -190,18 +145,12 @@ pub fn discharge_provenance(
         let mut probes: Vec<Probe> = Vec::new();
         let mut probe_records: Vec<&ProvRecord> = Vec::new();
         for r in &round_records {
-            let located = find_node(snap, &r.node).and_then(|node| {
-                let index = r.index? as usize;
-                let instr = snap.block(node).instrs.get(index)?;
-                (matches!(instr, Instr::Assign { .. }) && instr.display(snap.pool()) == r.instr)
-                    .then_some((node, index))
-            });
-            match located {
-                Some((node, index)) => {
+            match locate(snap, r) {
+                Some((node, index, Instr::Assign { .. })) => {
                     probes.push(Probe { node, index });
                     probe_records.push(r);
                 }
-                None => {
+                _ => {
                     report.failed += 1;
                     report.sites.push(site_of(r, DischargeStatus::Unlocatable));
                 }
@@ -265,7 +214,9 @@ fn site_of(r: &ProvRecord, status: DischargeStatus) -> SiteDischarge {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use am_core::explain::capture;
     use am_ir::text::parse;
+    use am_trace::Tracer;
 
     #[test]
     fn running_example_eliminations_discharge() {
@@ -273,7 +224,10 @@ mod tests {
             "start 1\nend 4\nnode 1 { y := c+d }\nnode 2 { branch x+z > y+i }\nnode 3 { y := c+d; x := y+z; i := i+x }\nnode 4 { x := y+z; x := c+d; out(i,x,y) }\nedge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2",
         )
         .unwrap();
-        let report = discharge_provenance(&g, None, &ProveConfig::default());
+        let report = discharge_provenance(
+            &capture(&g, None, &Tracer::disabled()),
+            &ProveConfig::default(),
+        );
         assert!(report.eliminations > 0, "{report}");
         assert!(
             report.all_discharged(),

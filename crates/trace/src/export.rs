@@ -186,9 +186,9 @@ pub fn summary_tree(events: &[Event]) -> String {
     out
 }
 
-/// A one-line digest of a trace, printed by the benches so perf regressions
-/// show up in CI logs: span count, total fixpoint iterations, and p50/p95
-/// of the dominant span categories.
+/// A one-line digest of a trace, for logs where perf regressions should
+/// show up: span count, total fixpoint iterations, and p50/p95 of the
+/// dominant span categories.
 pub fn summary_line(events: &[Event]) -> String {
     let stats = OptStats::from_events(events);
     let mut line = format!(

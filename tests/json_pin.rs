@@ -16,6 +16,7 @@
 
 use std::time::Duration;
 
+use am_core::explain::capture;
 use am_core::flush::FlushStats;
 use am_core::global::{optimize_with, GlobalConfig, PhaseTimings};
 use am_core::init::InitStats;
@@ -26,14 +27,14 @@ use am_lint::{lint_graph, LintConfig, LintSummary};
 use am_obs::regress::history_line;
 use am_obs::TraceEntry;
 use am_pipeline::bench_json::{self, BenchRecord};
-use am_pipeline::{explain_graph, CachedResult, SecondaryCache};
+use am_pipeline::{CachedResult, SecondaryCache};
 use am_serve::diskcache::{decode_entry, encode_entry, DiskCache, DiskCacheConfig};
 use am_serve::proto::{
     encode_busy, encode_error, encode_ok, encode_request, encode_result, encode_stats,
     encode_stats_doc, encode_trace, DiskCacheSnapshot, Envelope, MemoryCacheSnapshot,
     OptimizeRequest, QuantileSummary, Request, ResultPayload, StatsSnapshot,
 };
-use am_trace::{Event, EventKind};
+use am_trace::{Event, EventKind, Tracer};
 
 /// Quotes, backslashes, every escaped control character, DEL, and text
 /// outside ASCII and outside the Basic Multilingual Plane.
@@ -360,7 +361,9 @@ fn provenance_and_lint_jsonl_of_the_corpus_are_pinned() {
     let mut provenance = String::new();
     let mut lint = String::new();
     for (name, g) in corpus80() {
-        provenance.push_str(&am_obs::provenance::jsonl(&explain_graph(&g, None).records));
+        provenance.push_str(&am_obs::provenance::jsonl(
+            &capture(&g, None, &Tracer::disabled()).records,
+        ));
         let optimized = optimize_with(&g, &GlobalConfig::default()).program;
         lint.push_str(&lint_graph(&optimized, &LintConfig::default()).to_jsonl(&name));
     }

@@ -9,14 +9,24 @@
 //! * A loop-carried reassociation the prover cannot decide is
 //!   **Inconclusive** (never Refuted), and the dynamic oracle then passes
 //!   it — the documented fallback.
+//! * The benchmark's XL shapes (`nest_grid`, `wide_fan`) prove at every
+//!   stage with nothing left inconclusive, and every recorded elimination
+//!   is discharged: the prover's budgets bound work, not branch width. Small sizes run here; the full sizes are
+//!   `#[ignore]`d and run in release with `-- --ignored`.
 
+use am_core::explain::capture;
 use am_ir::interp::{run, Config, Oracle, StopReason};
 use am_ir::random::{
-    corpus80, structured, unstructured, SplitMix64, StructuredConfig, UnstructuredConfig,
+    corpus80, nest_grid, structured, unstructured, wide_fan, SplitMix64, StructuredConfig,
+    UnstructuredConfig,
 };
 use am_ir::text::parse;
 use am_ir::FlowGraph;
-use am_prove::{prove_optimization, prove_pair, ProveConfig, ProveStats, RefuteKind, Verdict};
+use am_prove::{
+    discharge_provenance, prove_optimization, prove_pair, ProveConfig, ProveStats, RefuteKind,
+    Verdict,
+};
+use am_trace::Tracer;
 use assignment_motion::prelude::*;
 
 /// The full static sweep: corpus80 plus 200 random programs, every phase
@@ -164,4 +174,69 @@ fn loop_carried_reassociation_is_inconclusive_and_passes_dynamically() {
     // The dynamic oracle (the checker's differential comparison) passes.
     let report = compare(&a, &b, &Default::default());
     assert!(report.semantically_equal());
+}
+
+/// Proves every stage of the optimization of each program and asserts
+/// every verdict is `Proved`, then discharges every recorded elimination.
+fn assert_every_stage_proved(programs: &[(&str, FlowGraph)]) {
+    let cfg = ProveConfig::default();
+    for (name, g) in programs {
+        let outcome = prove_optimization(g, None, &cfg);
+        let bad: Vec<String> = outcome
+            .stages
+            .iter()
+            .filter(|(_, o)| o.verdict != Verdict::Proved)
+            .map(|(stage, o)| format!("{stage}: {} ({})", o.verdict, o.reason))
+            .collect();
+        assert!(bad.is_empty(), "{name}: {bad:?}");
+        assert_eq!(outcome.stats.inconclusive, 0, "{name}: {}", outcome.stats);
+        let report = discharge_provenance(&capture(g, None, &Tracer::disabled()), &cfg);
+        assert!(
+            report.failed == 0 && report.inconclusive == 0,
+            "{name}: {report}"
+        );
+    }
+}
+
+/// A state whose decision range (here a 200-way branch) exceeds the
+/// simulations left is refused when first reached, before any of its
+/// decisions is queued.
+#[test]
+fn a_decision_range_beyond_the_simulation_budget_is_refused() {
+    let g = wide_fan(200, 4);
+    let optimized = optimize(&g).program;
+    let cfg = ProveConfig {
+        max_simulations: 150,
+        ..ProveConfig::default()
+    };
+    let o = prove_pair(&g, &optimized, &cfg);
+    assert_eq!(o.verdict, Verdict::Inconclusive, "{}", o.reason);
+    assert_eq!(o.reason, "simulation budget exceeded");
+    assert!(
+        o.simulations < cfg.max_simulations,
+        "{} simulations: the wide state was explored up to the budget",
+        o.simulations
+    );
+}
+
+/// The XL benchmark shapes at small size: a 200-way fan (a decision range
+/// of 200 per state) and a 20-copy loop-nest grid.
+#[test]
+fn xl_shapes_prove_at_every_stage() {
+    assert_every_stage_proved(&[
+        ("wide_fan(200, 4)", wide_fan(200, 4)),
+        ("nest_grid(20, 2, 8)", nest_grid(20, 2, 8)),
+    ]);
+}
+
+/// The same at the sizes the `xl-fan` and `xl-nest` benchmark workloads
+/// optimize. Slow in a debug build; run with
+/// `cargo test --release --test prover -- --ignored`.
+#[test]
+#[ignore]
+fn xl_shapes_prove_at_every_stage_at_full_size() {
+    assert_every_stage_proved(&[
+        ("wide_fan(2500, 4)", wide_fan(2500, 4)),
+        ("nest_grid(300, 2, 8)", nest_grid(300, 2, 8)),
+    ]);
 }
