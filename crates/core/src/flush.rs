@@ -43,16 +43,32 @@
 //! `X-DELAYABLE*`, so `X-LATEST` can only hold at a block's last
 //! instruction, against the solved entry facts of the successor blocks.
 //! The rewrite consumes the same stream one block at a time.
+//!
+//! # On interned ids
+//!
+//! The phase runs on the round context (`MotionContext`) the motion
+//! phase leaves behind: its mirror holds the interned id of every
+//! instruction, and a program after motion repeats few distinct contents
+//! (52 of the 10,010 instructions of the `xl-fan` benchmark). The
+//! expression universe is
+//! numbered from the distinct ids in the order of their first occurrence
+//! in the program, which is the numbering a walk over every instruction
+//! gives, so temporaries, insertion order and provenance pattern bits do
+//! not change. The local predicates are computed once per distinct id
+//! (a `FlushRow`), the block rows are composed from the ids' rows, both
+//! systems are solved on the context's node system, and only blocks
+//! holding an instance, an `N-LATEST` point or an exit initialization are
+//! rewritten. The one-shot entries ([`analyze_flush`],
+//! [`final_flush_with`]) run the same code on a fresh context.
 
 use am_bitset::BitSet;
-use am_dfa::{
-    node_adjacency, solve_scheduled, Confluence, Direction, PatternMasks, Problem, Schedule,
-    Solution,
-};
+use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_ir::intern::InstrId;
 use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
 use am_obs::{ProvKind, ProvRecord};
 
 use crate::global::GlobalConfig;
+use crate::incremental::MotionContext;
 
 /// Statistics of a [`final_flush`] run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -127,72 +143,129 @@ impl InstrFacts {
     }
 }
 
+/// The Table 3 local predicates of one interned instruction, in the
+/// flush's pattern numbering.
+pub(crate) struct FlushRow {
+    /// `IS-INST`: the pattern whose instance the instruction is.
+    inst: Option<usize>,
+    /// `USED`.
+    used: BitSet,
+    /// `USED + BLOCKED`: the patterns whose delay the instruction stops.
+    stop: BitSet,
+}
+
+impl FlushRow {
+    /// Steps `N-DELAYABLE*` over the instruction to its `X-DELAYABLE*`.
+    fn delay(&self, delay: &mut BitSet) {
+        delay.difference_with(&self.stop);
+        if let Some(i) = self.inst {
+            delay.insert(i);
+        }
+    }
+
+    /// Steps `X-USABLE*` back over the instruction to its `N-USABLE*`.
+    fn usable(&self, usable: &mut BitSet) {
+        if let Some(i) = self.inst {
+            usable.remove(i);
+        }
+        usable.union_with(&self.used);
+    }
+}
+
+/// The [`FlushRow`] of every instruction of a program, dense by the
+/// interned id of the context it was built in (`None` for ids the program
+/// no longer holds).
+pub(crate) type FlushRows = Vec<Option<FlushRow>>;
+
+/// The row of interned instruction `id`.
+fn row_of(rows: &FlushRows, id: InstrId) -> &FlushRow {
+    rows[id.index()]
+        .as_ref()
+        .expect("every instruction of the program has a row")
+}
+
 /// Solves the delayability and usability systems of Table 3 over `g`
 /// (without transforming anything). The temporary of every expression
 /// pattern is created in `g`'s pool if it does not exist yet.
 pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
-    let universe = PatternUniverse::collect(g);
-    let temps: Vec<Var> = universe
-        .expr_patterns()
-        .map(|(_, t)| g.temp_for(t))
-        .collect();
-    // Index after `temp_for`: it may grow the variable pool, and the masks
-    // cover the whole pool.
-    let vars = g.pool().len();
-    let mut temp_bit = vec![None; vars];
-    for (i, h) in temps.iter().enumerate() {
-        temp_bit[h.index()] = Some(i as u32);
-    }
-    let mut analysis = FlushAnalysis {
-        masks: PatternMasks::build(&universe, vars),
-        universe,
-        temps,
-        delay: Solution::default(),
-        usable: Solution::default(),
-        temp_bit,
-    };
-    let ep = analysis.universe.expr_count();
-    let nodes = g.node_count();
-    let mut delay = Problem::new(Direction::Forward, Confluence::Must, nodes, ep);
-    let mut usable = Problem::new(Direction::Backward, Confluence::May, nodes, ep);
-    // Compose each block's rows front to back, from the sparse local
-    // predicates:
-    // * delayability: gen := (gen ∖ (USED_ι ∪ BLOCKED_ι)) ∪ IS-INST_ι,
-    //   kill := kill ∪ USED_ι ∪ BLOCKED_ι;
-    // * usability runs backward, so a use counts unless an earlier
-    //   instance of the block re-initializes the temporary first:
-    //   gen := gen ∪ (USED_ι ∖ kill), kill := kill ∪ IS-INST_ι.
-    for n in g.nodes() {
-        let ni = n.index();
-        let (d_gen, d_kill) = (&mut delay.gen[ni], &mut delay.kill[ni]);
-        let (u_gen, u_kill) = (&mut usable.gen[ni], &mut usable.kill[ni]);
-        for instr in &g.block(n).instrs {
-            if let Some((mentions, own)) = analysis.blocked(instr) {
-                d_gen.difference_with(mentions);
-                d_kill.union_with(mentions);
-                if let Some(i) = own {
-                    d_gen.remove(i);
-                    d_kill.insert(i);
-                }
-            }
-            analysis.for_each_used(instr, |i| {
-                d_gen.remove(i);
-                d_kill.insert(i);
-                if !u_kill.contains(i) {
-                    u_gen.insert(i);
-                }
-            });
-            if let Some(i) = analysis.instance(instr) {
-                d_gen.insert(i);
-                u_kill.insert(i);
+    MotionContext::new().flush_analysis(g).0
+}
+
+impl MotionContext {
+    /// Solves Table 3 over `g` on this context's mirror: numbers the
+    /// expression universe from the distinct interned instructions in
+    /// first-occurrence order (the numbering [`PatternUniverse::collect`]
+    /// gives `g`), computes one [`FlushRow`] per distinct instruction,
+    /// composes every block from its ids' rows and solves both systems on
+    /// the context's node system.
+    pub(crate) fn flush_analysis(&mut self, g: &mut FlowGraph) -> (FlushAnalysis, FlushRows) {
+        self.sync(g);
+        let mut seen = vec![false; self.interned()];
+        let mut distinct = Vec::new();
+        for &id in self.block_keys.iter().flatten() {
+            if !std::mem::replace(&mut seen[id.index()], true) {
+                distinct.push(id);
             }
         }
+        let mut universe = PatternUniverse::default();
+        universe.extend_instrs(distinct.iter().map(|&id| self.instr(id)));
+        let temps: Vec<Var> = universe
+            .expr_patterns()
+            .map(|(_, t)| g.temp_for(t))
+            .collect();
+        // Index after `temp_for`: it may grow the variable pool, and the
+        // masks cover the whole pool.
+        let vars = g.pool().len();
+        let mut temp_bit = vec![None; vars];
+        for (i, h) in temps.iter().enumerate() {
+            temp_bit[h.index()] = Some(i as u32);
+        }
+        let mut analysis = FlushAnalysis {
+            masks: PatternMasks::build(&universe, vars),
+            universe,
+            temps,
+            delay: Solution::default(),
+            usable: Solution::default(),
+            temp_bit,
+        };
+        let mut rows: FlushRows = Vec::new();
+        rows.resize_with(self.interned(), || None);
+        for &id in &distinct {
+            rows[id.index()] = Some(analysis.row(self.instr(id)));
+        }
+        let ep = analysis.universe.expr_count();
+        let nodes = g.node_count();
+        let mut delay = Problem::new(Direction::Forward, Confluence::Must, nodes, ep);
+        let mut usable = Problem::new(Direction::Backward, Confluence::May, nodes, ep);
+        // Compose each block's rows front to back:
+        // * delayability: gen := (gen ∖ (USED_ι ∪ BLOCKED_ι)) ∪ IS-INST_ι,
+        //   kill := kill ∪ USED_ι ∪ BLOCKED_ι;
+        // * usability runs backward, so a use counts unless an earlier
+        //   instance of the block re-initializes the temporary first:
+        //   gen := gen ∪ (USED_ι ∖ kill), kill := kill ∪ IS-INST_ι.
+        for (ni, keys) in self.block_keys.iter().enumerate() {
+            let (d_gen, d_kill) = (&mut delay.gen[ni], &mut delay.kill[ni]);
+            let (u_gen, u_kill) = (&mut usable.gen[ni], &mut usable.kill[ni]);
+            for &id in keys {
+                let r = row_of(&rows, id);
+                r.delay(d_gen);
+                d_kill.union_with(&r.stop);
+                for i in r.used.iter() {
+                    if !u_kill.contains(i) {
+                        u_gen.insert(i);
+                    }
+                }
+                if let Some(i) = r.inst {
+                    u_kill.insert(i);
+                }
+            }
+        }
+        let ns = self.node_system(g);
+        let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
+        analysis.delay = solve_scheduled(succs, preds, &delay, schedule, None);
+        analysis.usable = solve_scheduled(succs, preds, &usable, schedule, None);
+        (analysis, rows)
     }
-    let (succs, preds) = node_adjacency(g);
-    let schedule = Schedule::build(&succs, &preds);
-    analysis.delay = solve_scheduled(&succs, &preds, &delay, &schedule, None);
-    analysis.usable = solve_scheduled(&succs, &preds, &usable, &schedule, None);
-    analysis
 }
 
 impl FlushAnalysis {
@@ -230,37 +303,39 @@ impl FlushAnalysis {
         Some((self.masks.expr_mentions(d), self.temp_bit(d)))
     }
 
-    /// The Table 3 facts of every instruction of block `n`, in order — one
-    /// pass-through entry with empty local predicates for an empty block.
-    /// `g` must be the program the analysis was computed on.
-    pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<InstrFacts> {
-        let mut facts = Vec::new();
-        self.stream(n, &g.block(n).instrs, &mut facts);
-        facts
+    /// The Table 3 local predicates of `instr` that the flush reads.
+    fn row(&self, instr: &Instr) -> FlushRow {
+        let ep = self.universe.expr_count();
+        let mut row = FlushRow {
+            inst: self.instance(instr),
+            used: BitSet::new(ep),
+            stop: BitSet::new(ep),
+        };
+        self.for_each_used(instr, |i| {
+            row.used.insert(i);
+        });
+        row.stop.copy_from(&row.used);
+        if let Some((mentions, own)) = self.blocked(instr) {
+            row.stop.union_with(mentions);
+            if let Some(i) = own {
+                row.stop.insert(i);
+            }
+        }
+        row
     }
 
-    /// Streams the facts of block `n`, holding `instrs`, into the first
-    /// rows of `rows` and returns them: delayability forward from the
-    /// block's solved entry fact, usability backward from its exit fact.
-    /// Rows are reused across calls, so a whole-program pass allocates
-    /// only for its longest block.
-    fn stream<'r>(
-        &self,
-        n: NodeId,
-        instrs: &[Instr],
-        rows: &'r mut Vec<InstrFacts>,
-    ) -> &'r [InstrFacts] {
-        let len = instrs.len().max(1);
-        if rows.len() < len {
-            rows.resize_with(len, || InstrFacts::new(self.universe.expr_count()));
-        }
-        let ni = n.index();
-        for j in 0..len {
-            let (done, rest) = rows.split_at_mut(j);
-            let f = &mut rest[0];
-            f.is_inst.clear();
-            f.used.clear();
-            f.blocked.clear();
+    /// The Table 3 facts of every instruction of block `n`, in order — one
+    /// pass-through entry with empty local predicates for an empty block:
+    /// delayability streamed forward from the block's solved entry fact,
+    /// usability backward from its exit fact. `g` must be the program the
+    /// analysis was computed on. The local predicates are read off the
+    /// instructions themselves, not the flush's per-id rows.
+    pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<InstrFacts> {
+        let (ni, instrs) = (n.index(), &g.block(n).instrs);
+        let mut facts = Vec::with_capacity(instrs.len().max(1));
+        let mut delay = self.delay.before[ni].clone();
+        for j in 0..instrs.len().max(1) {
+            let mut f = InstrFacts::new(self.universe.expr_count());
             if let Some(instr) = instrs.get(j) {
                 if let Some(i) = self.instance(instr) {
                     f.is_inst.insert(i);
@@ -275,28 +350,21 @@ impl FlushAnalysis {
                     }
                 }
             }
-            f.n_delay.copy_from(match done.last() {
-                Some(prev) => &prev.x_delay,
-                None => &self.delay.before[ni],
-            });
-            f.x_delay.copy_from(&f.n_delay);
-            f.x_delay.difference_with(&f.used);
-            f.x_delay.difference_with(&f.blocked);
-            f.x_delay.union_with(&f.is_inst);
+            f.n_delay.copy_from(&delay);
+            delay.difference_with(&f.used);
+            delay.difference_with(&f.blocked);
+            delay.union_with(&f.is_inst);
+            f.x_delay.copy_from(&delay);
+            facts.push(f);
         }
-        for j in (0..len).rev() {
-            let (head, tail) = rows.split_at_mut(j + 1);
-            let f = &mut head[j];
-            f.x_usable.copy_from(if j + 1 < len {
-                &tail[0].n_usable
-            } else {
-                &self.usable.after[ni]
-            });
-            f.n_usable.copy_from(&f.x_usable);
-            f.n_usable.difference_with(&f.is_inst);
-            f.n_usable.union_with(&f.used);
+        let mut usable = self.usable.after[ni].clone();
+        for f in facts.iter_mut().rev() {
+            f.x_usable.copy_from(&usable);
+            usable.difference_with(&f.is_inst);
+            usable.union_with(&f.used);
+            f.n_usable.copy_from(&usable);
         }
-        &rows[..len]
+        facts
     }
 }
 
@@ -369,183 +437,237 @@ pub fn final_flush(g: &mut FlowGraph) -> FlushStats {
 /// insertion and reconstruction appends one [`am_obs::ProvRecord`] to the
 /// recorder. A disabled recorder costs one branch per potential record.
 pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
-    let recorder = &config.recorder;
-    let analysis = analyze_flush(g);
-    let (delay, usable) = (&analysis.delay, &analysis.usable);
-    for (name, sol) in [("delayability", delay), ("usability", usable)] {
-        config.tracer.counter(
-            "analysis",
-            name,
-            &[
-                ("iterations", sol.iterations as i64),
-                ("worklist_pushes", sol.worklist_pushes as i64),
-                ("max_worklist_len", sol.max_worklist_len as i64),
-            ],
-        );
-    }
-    let (universe, temps) = (&analysis.universe, &analysis.temps);
-    let ep = universe.expr_count();
-    let mut stats = FlushStats::default();
-    if ep == 0 {
-        return stats;
-    }
-    stats.iterations = delay.iterations + usable.iterations;
-    stats.worklist_pushes = delay.worklist_pushes + usable.worklist_pushes;
-    stats.max_worklist_len = delay.max_worklist_len.max(usable.max_worklist_len);
+    MotionContext::new().final_flush(g, config)
+}
 
-    // Rewrite the program block by block from the streamed facts.
-    let g_ref = &*g;
-    let record =
-        |kind, n, index: Option<usize>, instr: &Instr, new: Option<&Instr>, i, fact: &str| {
-            recorder.record(ProvRecord {
-                kind,
-                phase: "flush",
-                round: 0,
-                node: g_ref.label(n).to_owned(),
-                index: index.map(|j| j as u32),
-                instr: instr.display(g_ref.pool()),
-                new_instr: new.map(|new| new.display(g_ref.pool())),
-                pattern: Some(i as u32),
-                instr_id: None,
-                justification: fact.to_owned(),
-            });
-        };
-    let mut insert = |fresh: &mut Vec<Instr>, n, i: usize, fact: &str| {
-        let init = Instr::Assign {
-            lhs: temps[i],
-            rhs: universe.expr(i),
-        };
-        if recorder.is_enabled() {
-            record(ProvKind::FlushInsert, n, None, &init, None, i, fact);
+impl MotionContext {
+    /// [`final_flush_with`] on this context's mirror of `g`: the local
+    /// predicates come from the per-id [`FlushRow`]s and the solves from
+    /// the context's node system ([`Self::flush_analysis`]). A block with
+    /// no instance, no `N-LATEST` point and no exit initialization is left
+    /// as it is; every other block is rebuilt from its own instructions,
+    /// moved rather than cloned. The mirror is stale afterwards.
+    pub(crate) fn final_flush(&mut self, g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
+        let recorder = &config.recorder;
+        let (analysis, rows) = self.flush_analysis(g);
+        let (delay, usable) = (&analysis.delay, &analysis.usable);
+        for (name, sol) in [("delayability", delay), ("usability", usable)] {
+            config.tracer.counter(
+                "analysis",
+                name,
+                &[
+                    ("iterations", sol.iterations as i64),
+                    ("worklist_pushes", sol.worklist_pushes as i64),
+                    ("max_worklist_len", sol.max_worklist_len as i64),
+                ],
+            );
         }
-        fresh.push(init);
-        stats.inserted += 1;
-    };
-    let mut rows: Vec<InstrFacts> = Vec::new();
-    let mut latest = BitSet::new(ep);
-    let mut succ_delay = BitSet::new(ep);
-    let mut exit_inits = BitSet::new(ep);
-    let mut n_inits: Vec<usize> = Vec::new();
-    let mut reconstruct: Vec<usize> = Vec::new();
-    let mut blocks: Vec<(NodeId, Vec<Instr>)> = Vec::with_capacity(g_ref.node_count());
-    for n in g_ref.nodes() {
-        let instrs = &g_ref.block(n).instrs;
-        let facts = analysis.stream(n, instrs, &mut rows);
-        let last = facts.last().expect("a block has at least one point");
-        // X-INIT = X-LATEST · X-USABLE* with X-LATEST = X-DELAYABLE* ·
-        // Σ_{succ} ¬N-DELAYABLE*, possible only at the block's last point.
-        exit_inits.clear();
-        if let Some((&first, rest)) = g_ref.succs(n).split_first() {
-            succ_delay.copy_from(&delay.before[first.index()]);
-            for &m in rest {
-                succ_delay.intersect_with(&delay.before[m.index()]);
-            }
-            exit_inits.copy_from(&last.x_delay);
-            exit_inits.difference_with(&succ_delay);
-            exit_inits.intersect_with(&last.x_usable);
+        let (universe, temps) = (&analysis.universe, &analysis.temps);
+        let ep = universe.expr_count();
+        let mut stats = FlushStats::default();
+        if ep == 0 {
+            return stats;
         }
-        let mut fresh: Vec<Instr> = Vec::with_capacity(instrs.len());
-        for (j, (instr, f)) in instrs.iter().zip(facts).enumerate() {
-            // N-LATEST = N-DELAYABLE* · (USED + BLOCKED), split into
-            // initializations before the instruction and reconstructions.
-            latest.copy_from(&f.used);
-            latest.union_with(&f.blocked);
-            latest.intersect_with(&f.n_delay);
-            n_inits.clear();
-            reconstruct.clear();
-            for i in latest.iter() {
-                let h = temps[i];
-                let multi_use = use_count(instr, h) >= 2;
-                // A blockade that *redefines* the temporary (another
-                // instance of the same pattern, in particular) makes the
-                // arriving value dead: never insert for it.
-                let redefines_h = instr.def() == Some(h);
-                let is_used = f.used.contains(i);
-                let x_usable = f.x_usable.contains(i);
-                if is_used && !x_usable && !multi_use {
-                    reconstruct.push(i);
-                } else if (is_used && multi_use) || (x_usable && (is_used || !redefines_h)) {
-                    n_inits.push(i);
-                }
-                // Remaining cases: the value is dead here (redefined, or
-                // blocked with no use on any continuation) — dropped.
+        stats.iterations = delay.iterations + usable.iterations;
+        stats.worklist_pushes = delay.worklist_pushes + usable.worklist_pushes;
+        stats.max_worklist_len = delay.max_worklist_len.max(usable.max_worklist_len);
+
+        let mut n_delay = BitSet::new(ep);
+        let mut n_usable = BitSet::new(ep);
+        let mut succ_delay = BitSet::new(ep);
+        let mut exit_inits = BitSet::new(ep);
+        let (mut latest, mut x_usable): (Vec<BitSet>, Vec<BitSet>) = (Vec::new(), Vec::new());
+        let mut n_inits: Vec<usize> = Vec::new();
+        let mut reconstruct: Vec<usize> = Vec::new();
+        let mut spare: Vec<Instr> = Vec::new();
+        for n in g.nodes() {
+            let (ni, keys) = (n.index(), &self.block_keys[n.index()]);
+            if latest.len() < keys.len() {
+                latest.resize_with(keys.len(), || BitSet::new(ep));
+                x_usable.resize_with(keys.len(), || BitSet::new(ep));
             }
-            for &i in &n_inits {
-                insert(&mut fresh, n, i, "N-INIT = N-LATEST · X-USABLE*");
+            // Stream N-DELAYABLE* forward, keeping every instruction's
+            // N-LATEST = N-DELAYABLE* · (USED + BLOCKED). The block changes
+            // only where an instance sits or some delay stops.
+            n_delay.copy_from(&delay.before[ni]);
+            let (mut instances, mut stops) = (false, false);
+            for (&id, latest) in keys.iter().zip(&mut latest) {
+                let r = row_of(&rows, id);
+                if r.stop.is_disjoint(&n_delay) {
+                    latest.clear();
+                } else {
+                    latest.copy_from(&r.stop);
+                    latest.intersect_with(&n_delay);
+                    stops = true;
+                }
+                instances |= r.inst.is_some();
+                r.delay(&mut n_delay);
             }
-            if let Some(own) = f.is_inst.iter().next() {
-                // The instruction is an instance of some pattern and is
-                // removed (re-inserted at its latest points). If it was
-                // also the stop-point of *another* temporary marked for
-                // reconstruction, that value's use travels with the
-                // removed instance — materialize the initialization here,
-                // where it dominates every re-insertion point reached
-                // through this path.
-                if recorder.is_enabled() {
-                    let fact = "IS-INST: the instance leaves its motion position for its latest \
-                                points";
-                    record(ProvKind::FlushRemove, n, Some(j), instr, None, own, fact);
-                }
-                stats.instances_removed += 1;
-                for &i in &reconstruct {
-                    let fact = "reconstruction use travels with a removed instance; \
-                                initialization materialized here";
-                    insert(&mut fresh, n, i, fact);
-                }
-            } else {
-                let mut rewritten = instr.clone();
-                for &i in &reconstruct {
-                    match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
-                        Some(new_instr) => {
-                            if recorder.is_enabled() {
-                                let fact = "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: sole \
-                                            use, original term restored";
-                                let kind = ProvKind::FlushReconstruct;
-                                record(kind, n, Some(j), &rewritten, Some(&new_instr), i, fact);
-                            }
-                            rewritten = new_instr;
-                            stats.reconstructed += 1;
+            // X-INIT = X-LATEST · X-USABLE* with X-LATEST = X-DELAYABLE* ·
+            // Σ_{succ} ¬N-DELAYABLE*, possible only at the block's last
+            // point, whose X-DELAYABLE* the stream just reached.
+            exit_inits.copy_from(&n_delay);
+            exit_inits.intersect_with(&usable.after[ni]);
+            if !exit_inits.is_empty() {
+                match g.succs(n).split_first() {
+                    Some((&first, rest)) => {
+                        succ_delay.copy_from(&delay.before[first.index()]);
+                        for &m in rest {
+                            succ_delay.intersect_with(&delay.before[m.index()]);
                         }
-                        // The use position cannot hold a term (it sits
-                        // inside a binary term): keep the initialization
-                        // instead.
-                        None => insert(
-                            &mut fresh,
-                            n,
-                            i,
-                            "RECONSTRUCT held, but the use position cannot carry a term",
-                        ),
+                        exit_inits.difference_with(&succ_delay);
                     }
+                    None => exit_inits.clear(),
                 }
-                fresh.push(rewritten);
             }
+            if !instances && !stops && exit_inits.is_empty() {
+                continue;
+            }
+            // X-USABLE*, streamed backward from the block's exit and kept
+            // where some delay stops.
+            if stops {
+                n_usable.copy_from(&usable.after[ni]);
+                for (j, &id) in keys.iter().enumerate().rev() {
+                    if !latest[j].is_empty() {
+                        x_usable[j].copy_from(&n_usable);
+                    }
+                    row_of(&rows, id).usable(&mut n_usable);
+                }
+            }
+
+            let mut old = std::mem::take(&mut g.block_mut(n).instrs);
+            let mut fresh = std::mem::take(&mut spare);
+            fresh.reserve(old.len());
+            let g_ref = &*g;
+            let record =
+                |kind, index: Option<usize>, instr: &Instr, new: Option<&Instr>, i, fact: &str| {
+                    recorder.record(ProvRecord {
+                        kind,
+                        phase: "flush",
+                        round: 0,
+                        node: g_ref.label(n).to_owned(),
+                        index: index.map(|j| j as u32),
+                        instr: instr.display(g_ref.pool()),
+                        new_instr: new.map(|new| new.display(g_ref.pool())),
+                        pattern: Some(i as u32),
+                        instr_id: None,
+                        justification: fact.to_owned(),
+                    });
+                };
+            let mut insert = |fresh: &mut Vec<Instr>, i: usize, fact: &str| {
+                let init = Instr::Assign {
+                    lhs: temps[i],
+                    rhs: universe.expr(i),
+                };
+                if recorder.is_enabled() {
+                    record(ProvKind::FlushInsert, None, &init, None, i, fact);
+                }
+                fresh.push(init);
+                stats.inserted += 1;
+            };
+            for (j, (instr, &id)) in old.drain(..).zip(keys).enumerate() {
+                let r = row_of(&rows, id);
+                // N-LATEST, split into initializations before the
+                // instruction and reconstructions.
+                n_inits.clear();
+                reconstruct.clear();
+                for i in latest[j].iter() {
+                    let h = temps[i];
+                    let multi_use = use_count(&instr, h) >= 2;
+                    // A blockade that *redefines* the temporary (another
+                    // instance of the same pattern, in particular) makes
+                    // the arriving value dead: never insert for it.
+                    let redefines_h = instr.def() == Some(h);
+                    let is_used = r.used.contains(i);
+                    let x_usable = x_usable[j].contains(i);
+                    if is_used && !x_usable && !multi_use {
+                        reconstruct.push(i);
+                    } else if (is_used && multi_use) || (x_usable && (is_used || !redefines_h)) {
+                        n_inits.push(i);
+                    }
+                    // Remaining cases: the value is dead here (redefined,
+                    // or blocked with no use on any continuation) —
+                    // dropped.
+                }
+                for &i in &n_inits {
+                    insert(&mut fresh, i, "N-INIT = N-LATEST · X-USABLE*");
+                }
+                if let Some(own) = r.inst {
+                    // The instruction is an instance of some pattern and
+                    // is removed (re-inserted at its latest points). If it
+                    // was also the stop-point of *another* temporary
+                    // marked for reconstruction, that value's use travels
+                    // with the removed instance — materialize the
+                    // initialization here, where it dominates every
+                    // re-insertion point reached through this path.
+                    if recorder.is_enabled() {
+                        let fact = "IS-INST: the instance leaves its motion position for its \
+                                    latest points";
+                        record(ProvKind::FlushRemove, Some(j), &instr, None, own, fact);
+                    }
+                    stats.instances_removed += 1;
+                    for &i in &reconstruct {
+                        let fact = "reconstruction use travels with a removed instance; \
+                                    initialization materialized here";
+                        insert(&mut fresh, i, fact);
+                    }
+                } else {
+                    let mut rewritten = instr;
+                    for &i in &reconstruct {
+                        match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
+                            Some(new_instr) => {
+                                if recorder.is_enabled() {
+                                    let fact = "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: \
+                                                sole use, original term restored";
+                                    let kind = ProvKind::FlushReconstruct;
+                                    record(kind, Some(j), &rewritten, Some(&new_instr), i, fact);
+                                }
+                                rewritten = new_instr;
+                                stats.reconstructed += 1;
+                            }
+                            // The use position cannot hold a term (it sits
+                            // inside a binary term): keep the
+                            // initialization instead.
+                            None => insert(
+                                &mut fresh,
+                                i,
+                                "RECONSTRUCT held, but the use position cannot carry a term",
+                            ),
+                        }
+                    }
+                    fresh.push(rewritten);
+                }
+            }
+            // Insertions at the block exit; an empty block's pass-through
+            // point carries them too (X-LATEST on a split edge).
+            let fact = if keys.is_empty() {
+                "LATEST on the empty (split-edge) block, usable onward"
+            } else {
+                "X-INIT = X-LATEST · X-USABLE*"
+            };
+            for i in exit_inits.iter() {
+                insert(&mut fresh, i, fact);
+            }
+            g.block_mut(n).instrs = fresh;
+            spare = old;
         }
-        // Insertions at the block exit; an empty block's pass-through
-        // point carries them too (X-LATEST on a split edge).
-        let fact = if instrs.is_empty() {
-            "LATEST on the empty (split-edge) block, usable onward"
-        } else {
-            "X-INIT = X-LATEST · X-USABLE*"
-        };
-        for i in exit_inits.iter() {
-            insert(&mut fresh, n, i, fact);
-        }
-        blocks.push((n, fresh));
+        stats
     }
-    for (n, fresh) in blocks {
-        g.block_mut(n).instrs = fresh;
-    }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global::{optimize, optimize_hooked, PhaseId};
+    use crate::incremental::tests::programs_and_xl;
     use crate::init::initialize;
-    use crate::motion::assignment_motion;
+    use crate::motion::{assignment_motion, run_motion, MotionOrder};
     use am_ir::alpha::canonical_text;
     use am_ir::interp;
+    use am_ir::random::corpus80;
     use am_ir::text::parse;
+    use am_ir::BinOp;
+    use am_obs::ProvRecorder;
 
     const RUNNING_EXAMPLE: &str = "
         start 1
@@ -683,5 +805,107 @@ mod tests {
         let (_, g) = run_pipeline(RUNNING_EXAMPLE);
         let canon = canonical_text(&g);
         assert_eq!(canon.matches("h2 := x+z").count(), 2, "{canon}");
+    }
+
+    /// A configuration recording provenance.
+    fn recording() -> GlobalConfig {
+        GlobalConfig {
+            recorder: ProvRecorder::enabled(),
+            ..GlobalConfig::default()
+        }
+    }
+
+    #[test]
+    fn flush_on_the_motion_context_equals_a_fresh_flush() {
+        for (p, mut g) in programs_and_xl().into_iter().enumerate() {
+            initialize(&mut g);
+            let mut ctx = MotionContext::new();
+            let config = GlobalConfig::default();
+            run_motion(
+                &mut ctx,
+                &mut g,
+                &config,
+                MotionOrder::RaeFirst,
+                &mut |_, _| {},
+            );
+            let mut fresh_g = g.clone();
+            let fresh = analyze_flush(&mut fresh_g);
+            let (analysis, rows) = ctx.flush_analysis(&mut g);
+            let (assigns, exprs) = am_ir::reference_universe(&g);
+            let universe = &analysis.universe;
+            let universe_assigns: Vec<_> = universe.assign_patterns().map(|(_, a)| a).collect();
+            assert_eq!(universe_assigns, assigns, "program {p}");
+            let universe_exprs: Vec<_> = universe.expr_patterns().map(|(_, t)| t).collect();
+            assert_eq!(universe_exprs, exprs, "program {p}");
+            assert_eq!(analysis.temps, fresh.temps, "program {p}");
+            for n in g.nodes() {
+                let facts = analysis.block_facts(&g, n);
+                assert_eq!(facts, fresh.block_facts(&fresh_g, n), "program {p} {n:?}");
+                // The per-id rows are the instruction walk's predicates.
+                for (f, &id) in facts.iter().zip(&ctx.block_keys[n.index()]) {
+                    let r = row_of(&rows, id);
+                    let mut stop = f.used.clone();
+                    stop.union_with(&f.blocked);
+                    assert_eq!(r.inst, f.is_inst.iter().next(), "program {p} {n:?}");
+                    assert_eq!(r.used, f.used, "program {p} {n:?}");
+                    assert_eq!(r.stop, stop, "program {p} {n:?}");
+                }
+            }
+            let (on_ctx, on_fresh) = (recording(), recording());
+            let stats = ctx.final_flush(&mut g, &on_ctx);
+            assert_eq!(
+                stats,
+                final_flush_with(&mut fresh_g, &on_fresh),
+                "program {p}"
+            );
+            assert_eq!(g, fresh_g, "program {p}");
+            assert_eq!(
+                on_ctx.recorder.take(),
+                on_fresh.recorder.take(),
+                "program {p}"
+            );
+        }
+    }
+
+    /// Replaces the right-hand side of the first branch of `g` with `v*v`
+    /// over a new variable `v`: a term no pattern universe has seen, which
+    /// adds no assignment pattern. Returns whether `g` has a branch.
+    fn branch_on_an_unseen_term(g: &mut FlowGraph) -> bool {
+        let Some((n, j)) = g.nodes().find_map(|n| {
+            let j = (g.block(n).instrs.iter()).position(|i| matches!(i, Instr::Branch(_)))?;
+            Some((n, j))
+        }) else {
+            return false;
+        };
+        let v = g.pool_mut().intern("v");
+        if let Instr::Branch(c) = &mut g.block_mut(n).instrs[j] {
+            c.rhs = Term::binary(BinOp::Mul, v, v);
+        }
+        true
+    }
+
+    #[test]
+    fn a_term_injected_at_the_last_round_is_flushed_like_a_fresh_flush() {
+        let programs = std::iter::once(parse(RUNNING_EXAMPLE).unwrap())
+            .chain(corpus80().into_iter().map(|(_, g)| g));
+        let mut injected = 0;
+        for (p, program) in programs.enumerate() {
+            let last = optimize(&program).motion.rounds;
+            let mut branched = false;
+            let result = optimize_hooked(&program, &recording(), &mut |phase, g| {
+                if phase == PhaseId::MotionRound(last) {
+                    branched = branch_on_an_unseen_term(g);
+                }
+            });
+            if !branched {
+                continue;
+            }
+            injected += 1;
+            let mut fresh = result.after_motion.expect("snapshots kept");
+            final_flush(&mut fresh);
+            assert_eq!(result.program, fresh, "program {p}");
+            assert!(canonical_text(&fresh).contains("v*v"), "program {p}");
+        }
+        assert!(injected > 10, "only {injected} programs have a branch");
     }
 }

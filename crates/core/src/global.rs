@@ -9,9 +9,10 @@ use am_ir::FlowGraph;
 use am_obs::ProvRecorder;
 use am_trace::Tracer;
 
-use crate::flush::{final_flush_with, FlushStats};
+use crate::flush::FlushStats;
+use crate::incremental::MotionContext;
 use crate::init::{initialize, InitStats};
-use crate::motion::{assignment_motion_with, MotionOrder, MotionStats};
+use crate::motion::{run_motion, MotionOrder, MotionStats};
 
 /// A phase boundary of the global algorithm, as reported to the hook of
 /// [`optimize_hooked`]. Ordered: `Split < Init < MotionRound(1) < … < Flush`.
@@ -40,7 +41,8 @@ impl std::fmt::Display for PhaseId {
 }
 
 /// Configuration of the global algorithm — the one pass context the phase
-/// entry points ([`assignment_motion_with`], [`final_flush_with`]) take.
+/// entry points ([`assignment_motion_with`](crate::motion::assignment_motion_with),
+/// [`final_flush_with`](crate::flush::final_flush_with)) take.
 #[derive(Clone, Debug)]
 pub struct GlobalConfig {
     /// Round budget for the assignment motion fixed point; `None` uses the
@@ -169,6 +171,12 @@ pub fn optimize_with(g: &FlowGraph, config: &GlobalConfig) -> GlobalResult {
 /// which uses read-only hooks to snapshot each phase for differential
 /// checking and mutating hooks to inject a fault at a chosen boundary and
 /// confirm the checker localizes it.
+///
+/// The final flush reads the motion rounds' context, which notices a
+/// round hook's mutation through [`FlowGraph::revision`] and re-syncs; as
+/// for [`assignment_motion_with`](crate::motion::assignment_motion_with),
+/// a round hook must mutate the graph through its accessors, not replace
+/// it wholesale.
 pub fn optimize_hooked(
     g: &FlowGraph,
     config: &GlobalConfig,
@@ -204,7 +212,11 @@ pub fn optimize_hooked(
     }
     let after_init = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "motion");
-    let motion = assignment_motion_with(
+    // One context serves both phases: the flush reads the interned ids and
+    // the node system the motion rounds leave behind.
+    let mut ctx = MotionContext::new();
+    let motion = run_motion(
+        &mut ctx,
         &mut program,
         config,
         MotionOrder::RaeFirst,
@@ -213,7 +225,9 @@ pub fn optimize_hooked(
     timings.motion = span.end();
     let after_motion = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "flush");
-    let flush = final_flush_with(&mut program, config);
+    let flush = ctx.final_flush(&mut program, config);
+    // The mirror the flush read is freed in its phase.
+    drop(ctx);
     timings.flush = span.end();
     hook(PhaseId::Flush, &mut program);
     root.arg("rounds", motion.rounds as i64)

@@ -71,7 +71,7 @@ pub struct HoistAnalysis {
 
 /// Computes local predicates and solves the hoistability system of Table 1.
 pub fn analyze_hoisting(g: &FlowGraph) -> HoistAnalysis {
-    MotionContext::new(g).hoisting(g)
+    MotionContext::new().hoisting(g)
 }
 
 impl MotionContext {
@@ -342,7 +342,7 @@ pub struct HoistOutcome {
 /// [`assignment_motion`](crate::motion::assignment_motion) iterates it
 /// against redundancy elimination until the program stabilizes.
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
-    let mut ctx = MotionContext::new(g);
+    let mut ctx = MotionContext::new();
     let analysis = ctx.hoisting(g);
     let recorder = ProvRecorder::disabled();
     ctx.apply_insertion_step(g, &analysis, None, &recorder, 0, &mut Rewritten::default())
@@ -697,7 +697,7 @@ mod tests {
     #[test]
     fn identity_moves_are_counted_but_not_rewritten() {
         let mut g = parse(ONE_SIDED_PAIR).unwrap();
-        let mut ctx = MotionContext::new(&g);
+        let mut ctx = MotionContext::new();
         let analysis = ctx.hoisting(&g);
         let (before, revision) = (g.clone(), g.revision());
         let mut rewritten = Rewritten::default();
@@ -720,7 +720,7 @@ mod tests {
         // One insertion for one removal, with a matching first and last
         // instruction, but a different block: the whole block is compared.
         let mut g = parse(ONE_SIDED_PAIR).unwrap();
-        let mut ctx = MotionContext::new(&g);
+        let mut ctx = MotionContext::new();
         let mut analysis = ctx.hoisting(&g);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
         let cands = analysis.candidates[n2.index()].clone();

@@ -8,9 +8,14 @@
 //! second-order effects that Sec. 4.5 ties the round count to. The tables
 //! themselves are implemented once, in [`crate::rae`] and [`crate::hoist`],
 //! against these caches; the one-shot entries there run the same code on a
-//! fresh context.
+//! fresh context. The global algorithm hands the context on to the final
+//! flush ([`crate::flush`]), which reads the same interned ids and node
+//! system instead of walking the program again.
 //!
-//! * **Pattern universe and masks** — collected once at motion entry. The
+//! * **Pattern universe and masks** — numbered once, at the first sync,
+//!   from the distinct instructions it interned, in id order: ids follow
+//!   first occurrence, so this is the numbering of a walk over every
+//!   instruction, without that walk. The
 //!   motion phase only *removes* occurrences and re-inserts instances of
 //!   existing patterns, so the entry universe is a superset of every later
 //!   round's universe and the per-bit independence of gen/kill systems
@@ -65,6 +70,10 @@
 //!   to a cold scheduled solve. A round whose hoist input has the same
 //!   fingerprint as the previous round's (last elimination found nothing
 //!   and the last hoist was a no-op) skips the solve outright.
+//!
+//! When the motion phase ends, the round caches (rows, problems,
+//! solutions) are freed; the mirror, the interner and the node system stay
+//! for the flush.
 
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -107,8 +116,7 @@ pub(crate) struct MotionContext {
     /// The interned id of every assignment pattern's instance `v := t`,
     /// dense by pattern index: the one id the insertion step hands the
     /// mirror for each instance it inserts. Every pattern of the universe
-    /// is collected from an instruction of the program, so each gets its
-    /// id when that instruction is first interned.
+    /// is collected from an interned instruction, so each has its id.
     instance_of: Vec<Option<InstrId>>,
     /// Set when an interned instruction carries an assignment pattern the
     /// universe does not know (only possible through a mutating hook);
@@ -183,14 +191,14 @@ pub(crate) struct MotionContext {
 }
 
 impl MotionContext {
-    /// Builds the context for a motion run over `g`.
-    pub(crate) fn new(g: &FlowGraph) -> Self {
-        let universe = PatternUniverse::collect(g);
-        let masks = PatternMasks::build(&universe, g.pool().len());
+    /// An empty context; the first [`Self::sync`] mirrors the program
+    /// and numbers its universe.
+    pub(crate) fn new() -> Self {
+        let universe = PatternUniverse::default();
         MotionContext {
-            instance_of: vec![None; universe.assign_count()],
+            masks: PatternMasks::build(&universe, 0),
             universe: Rc::new(universe),
-            masks,
+            instance_of: Vec::new(),
             interner: InstrInterner::new(),
             assign_of: Vec::new(),
             stale: false,
@@ -253,21 +261,51 @@ impl MotionContext {
         // Every unknown pattern interned so far is in `g`, so the mirror
         // names every id whose pattern index may have appeared.
         self.instance_of.resize(self.universe.assign_count(), None);
-        for &id in self.block_keys.iter().flatten() {
-            let pattern = assign_index(self.interner.instr(id), &self.universe);
-            self.assign_of[id.index()] = pattern;
-            if let Some(i) = pattern {
-                self.instance_of[i as usize] = Some(id);
+        for b in 0..self.block_keys.len() {
+            for j in 0..self.block_keys[b].len() {
+                self.index_assign(self.block_keys[b][j]);
             }
         }
         self.stale = false;
     }
 
-    /// Interns one instruction, flagging the context stale when a *new*
-    /// content carries an assignment pattern the universe does not know.
-    /// The universe only grows, so any instruction interned before is
-    /// covered forever and the check runs exactly once per distinct
-    /// content.
+    /// Numbers the universe from the distinct instructions the first sync
+    /// interned, in id order. Ids follow first occurrence in the program,
+    /// so the first content holding a pattern is the one holding its first
+    /// occurrence, and the numbering is [`PatternUniverse::collect`]'s —
+    /// without a second walk over every instruction.
+    fn build_universe(&mut self, g: &FlowGraph) {
+        let mut universe = PatternUniverse::default();
+        universe.extend_instrs(self.interner.iter().map(|(_, instr)| instr));
+        self.masks = PatternMasks::build(&universe, g.pool().len());
+        self.instance_of = vec![None; universe.assign_count()];
+        for (id, instr) in self.interner.iter() {
+            let pattern = assign_index(instr, &universe);
+            self.assign_of[id.index()] = pattern;
+            if let Some(i) = pattern {
+                self.instance_of[i as usize] = Some(id);
+            }
+        }
+        self.universe = Rc::new(universe);
+    }
+
+    /// Records the universe index of interned instruction `id`'s
+    /// assignment pattern, flagging the context stale when the universe
+    /// does not know it.
+    fn index_assign(&mut self, id: InstrId) {
+        let instr = self.interner.instr(id);
+        let pattern = assign_index(instr, &self.universe);
+        self.stale |= matches!(instr, Instr::Assign { .. }) && pattern.is_none();
+        self.assign_of[id.index()] = pattern;
+        if let Some(i) = pattern {
+            self.instance_of[i as usize] = Some(id);
+        }
+    }
+
+    /// Interns one instruction. After the first sync, a *new* content is
+    /// indexed at once ([`Self::index_assign`]); the universe only grows,
+    /// so any instruction interned before is covered forever and the check
+    /// runs exactly once per distinct content.
     fn intern_instr(&mut self, instr: &Instr) -> InstrId {
         #[cfg(test)]
         {
@@ -275,14 +313,22 @@ impl MotionContext {
         }
         let (id, is_new) = self.interner.intern(instr);
         if is_new {
-            let pattern = assign_index(instr, &self.universe);
-            self.stale |= matches!(instr, Instr::Assign { .. }) && pattern.is_none();
-            self.assign_of.push(pattern);
-            if let Some(i) = pattern {
-                self.instance_of[i as usize] = Some(id);
+            self.assign_of.push(None);
+            if self.synced.is_some() {
+                self.index_assign(id);
             }
         }
         id
+    }
+
+    /// The instruction behind interned id `id`.
+    pub(crate) fn instr(&self, id: InstrId) -> &Instr {
+        self.interner.instr(id)
+    }
+
+    /// Number of distinct instructions interned so far.
+    pub(crate) fn interned(&self) -> usize {
+        self.interner.len()
     }
 
     /// Interns the instructions of block `n` into `keys`, replacing its
@@ -327,6 +373,9 @@ impl MotionContext {
             .iter()
             .enumerate()
             .fold(0, |sum, (i, &h)| sum.wrapping_add(slot_hash(i, h)));
+        if first {
+            self.build_universe(g);
+        }
         self.edge_hash = edge_hash(g);
         let mut h = FxMapHasher::default();
         g.start().index().hash(&mut h);
@@ -588,6 +637,25 @@ impl MotionContext {
         outcome
     }
 
+    /// Ends the motion phase: frees the round caches (the Table 1 and
+    /// Table 2 rows, problems and solutions) in the phase that used them.
+    /// The final flush reads only the mirror, the interner and the node
+    /// system; a later round would rebuild the caches from scratch.
+    pub(crate) fn end_motion(&mut self) {
+        self.rae_rows = Vec::new();
+        self.blocking_rows = Vec::new();
+        self.rae_problem = None;
+        self.rae_occurs = Vec::new();
+        self.rae_stamps = Vec::new();
+        self.rae_solution = None;
+        self.quiet_blocks = Vec::new();
+        self.hoist = None;
+        self.hoist_stamps = Vec::new();
+        self.hoist_spare = None;
+        self.rewritten = Rewritten::default();
+        self.last_hoist = None;
+    }
+
     /// Ends a round: attaches its block counts to the round `span`, emits
     /// the per-round incrementality counters, and resets them. A disabled
     /// tracer costs one branch.
@@ -686,7 +754,7 @@ fn edge_hash(g: &FlowGraph) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::global::GlobalConfig;
     use crate::hoist::BlockLocals;
@@ -725,7 +793,7 @@ mod tests {
         assert_eq!(ctx.block_keys, keys, "{at}: block keys");
         assert_eq!(ctx.block_hashes, hashes, "{at}: block hashes");
         assert_eq!(ctx.block_stamps, stamps, "{at}: a re-sync found a change");
-        let mut fresh = MotionContext::new(g);
+        let mut fresh = MotionContext::new();
         assert_eq!(fresh.fingerprint(g), fingerprint, "{at}: fresh fingerprint");
         assert_eq!(fresh.block_hashes, hashes, "{at}: fresh block hashes");
     }
@@ -735,7 +803,7 @@ mod tests {
         let (tracer, recorder) = (Tracer::disabled(), ProvRecorder::disabled());
         for (p, program) in programs().into_iter().enumerate() {
             let mut g = program.clone();
-            let mut ctx = MotionContext::new(&g);
+            let mut ctx = MotionContext::new();
             for round in 1..=default_round_budget(&g) as u32 {
                 let before = ctx.fingerprint(&g);
                 let rae = ctx.rae_round(&mut g, &tracer, &recorder, round);
@@ -876,7 +944,7 @@ mod tests {
 
     /// `programs()`, [`ENTRY_FACT_ONLY`] and the `xl-nest` and `xl-fan`
     /// shapes at test size, critical edges split.
-    fn programs_and_xl() -> Vec<FlowGraph> {
+    pub(crate) fn programs_and_xl() -> Vec<FlowGraph> {
         let mut out = programs();
         let entry_fact_only = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
         for mut g in [entry_fact_only, nest_grid(20, 2, 8), wide_fan(100, 4)] {
@@ -929,7 +997,7 @@ mod tests {
     fn per_id_table1_rows_equal_the_instruction_walk() {
         for order in [MotionOrder::RaeFirst, MotionOrder::HoistFirst] {
             for (p, program) in programs_and_xl().into_iter().enumerate() {
-                let mut ctx = MotionContext::new(&program);
+                let mut ctx = MotionContext::new();
                 let g = replay(
                     &program,
                     &mut ctx,
@@ -972,7 +1040,7 @@ mod tests {
                 // The reference context forgets every quiet block before
                 // each round, so it streams every occurrence block.
                 let forced_recorder = ProvRecorder::enabled();
-                let mut forced = MotionContext::new(&program);
+                let mut forced = MotionContext::new();
                 let mut forced_rounds = Vec::new();
                 let forced_g = replay(
                     &program,
@@ -985,7 +1053,7 @@ mod tests {
                     },
                 );
                 let recorder = ProvRecorder::enabled();
-                let mut ctx = MotionContext::new(&program);
+                let mut ctx = MotionContext::new();
                 let mut rounds = Vec::new();
                 let g = replay(&program, &mut ctx, order, &recorder, |_, _, _| {
                     rounds.push(eliminations(recorder.take()));
@@ -1003,7 +1071,7 @@ mod tests {
         let mut program = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
         program.split_critical_edges();
         let recorder = ProvRecorder::enabled();
-        let mut ctx = MotionContext::new(&program);
+        let mut ctx = MotionContext::new();
         replay(
             &program,
             &mut ctx,
@@ -1019,14 +1087,46 @@ mod tests {
     }
 
     #[test]
+    fn the_first_sync_numbers_the_universe_like_a_program_walk() {
+        for (p, mut g) in programs_and_xl().into_iter().enumerate() {
+            for phase in ["split", "init"] {
+                let mut ctx = MotionContext::new();
+                ctx.sync(&g);
+                let (assigns, exprs) = am_ir::reference_universe(&g);
+                let u = &ctx.universe;
+                let at = format!("program {p} after {phase}");
+                assert_eq!(
+                    u.assign_patterns().map(|(_, a)| a).collect::<Vec<_>>(),
+                    assigns,
+                    "{at}"
+                );
+                assert_eq!(
+                    u.expr_patterns().map(|(_, t)| t).collect::<Vec<_>>(),
+                    exprs,
+                    "{at}"
+                );
+                for &id in ctx.block_keys.iter().flatten() {
+                    let pattern = ctx.assign_pattern(id);
+                    assert_eq!(pattern, assign_index(ctx.instr(id), u).map(|i| i as usize));
+                    if let Some(i) = pattern {
+                        assert_eq!(ctx.instance_id(i), id, "{at}");
+                    }
+                }
+                crate::init::initialize(&mut g);
+            }
+        }
+    }
+
+    #[test]
     fn motion_rounds_intern_nothing_after_the_first_sync() {
         let mut program = nest_grid(20, 2, 8);
         program.split_critical_edges();
-        let mut ctx = MotionContext::new(&program);
+        crate::init::initialize(&mut program);
+        let mut ctx = MotionContext::new();
         ctx.sync(&program);
         assert!(ctx.intern_calls > 0);
         ctx.intern_calls = 0;
-        let g = replay(
+        let mut g = replay(
             &program,
             &mut ctx,
             MotionOrder::RaeFirst,
@@ -1037,6 +1137,12 @@ mod tests {
         let mut reference = program;
         let stats = assignment_motion(&mut reference);
         assert!(stats.rounds > 2 && stats.converged);
+        assert_eq!(g, reference);
+        // The flush reads the same ids.
+        let flush = ctx.final_flush(&mut g, &GlobalConfig::default());
+        assert_eq!(ctx.intern_calls, 0, "the flush re-interned instructions");
+        assert!(flush.instances_removed > 0);
+        crate::flush::final_flush(&mut reference);
         assert_eq!(g, reference);
     }
 }

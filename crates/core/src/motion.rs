@@ -120,11 +120,24 @@ pub fn assignment_motion_with(
     order: MotionOrder,
     hook: &mut dyn FnMut(usize, &mut FlowGraph),
 ) -> MotionStats {
+    run_motion(&mut MotionContext::new(), g, config, order, hook)
+}
+
+/// [`assignment_motion_with`] on the caller's context `ctx`, which is left
+/// mirroring the program the motion produced (or the one a last mutating
+/// hook left behind, which its next sync notices): the global algorithm
+/// hands it on to the final flush.
+pub(crate) fn run_motion(
+    ctx: &mut MotionContext,
+    g: &mut FlowGraph,
+    config: &GlobalConfig,
+    order: MotionOrder,
+    hook: &mut dyn FnMut(usize, &mut FlowGraph),
+) -> MotionStats {
     let max_rounds = config
         .max_motion_rounds
         .unwrap_or_else(|| default_round_budget(g));
     let (tracer, recorder) = (&config.tracer, &config.recorder);
-    let mut ctx = MotionContext::new(g);
     let mut stats = MotionStats::default();
     for round in 1..=max_rounds {
         let name = if tracer.enabled() {
@@ -168,6 +181,7 @@ pub fn assignment_motion_with(
             break;
         }
     }
+    ctx.end_motion();
     stats
 }
 

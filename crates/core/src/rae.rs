@@ -295,7 +295,7 @@ impl RedundancyAnalysis {
 
 /// Solves the redundancy analysis of Table 2 over `g`.
 pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
-    let mut ctx = MotionContext::new(g);
+    let mut ctx = MotionContext::new();
     let solution = ctx.solve_redundancy(g);
     RedundancyAnalysis {
         universe: Rc::clone(&ctx.universe),
@@ -307,7 +307,7 @@ pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
 /// The instruction locations of `g` whose assignment is redundant at
 /// entry, with the solver iterations spent.
 pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
-    let (locs, sol) = MotionContext::new(g).redundant_locs(g, &ProvRecorder::disabled(), 0);
+    let (locs, sol) = MotionContext::new().redundant_locs(g, &ProvRecorder::disabled(), 0);
     (locs, sol.iterations)
 }
 
@@ -327,7 +327,7 @@ pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
-    MotionContext::new(g).rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
+    MotionContext::new().rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
 }
 
 /// Removes the instructions at `locs`, in any order, from `g`. Locations

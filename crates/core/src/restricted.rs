@@ -60,7 +60,7 @@ pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
     for _ in 0..budget {
         stats.rounds += 1;
         stats.eliminated += eliminate_redundant_assignments(g).eliminated;
-        let mut ctx = MotionContext::new(g);
+        let mut ctx = MotionContext::new();
         let analysis = ctx.hoisting(g);
         let mut accepted_one = false;
         for (i, pat) in analysis.universe.assign_patterns() {

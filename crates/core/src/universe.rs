@@ -70,7 +70,7 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
         out.push(next);
     }
     // Per-pattern hoisting steps.
-    let mut ctx = MotionContext::new(g);
+    let mut ctx = MotionContext::new();
     let analysis = ctx.hoisting(g);
     let recorder = ProvRecorder::disabled();
     for i in 0..analysis.universe.assign_count() {

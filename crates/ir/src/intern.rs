@@ -424,6 +424,15 @@ impl InstrInterner {
         self.nodes[id.index()].hash
     }
 
+    /// Iterates over `(id, instruction)` in id order — the order in which
+    /// the distinct instructions were first interned.
+    pub fn iter(&self) -> impl Iterator<Item = (InstrId, &Instr)> + '_ {
+        self.nodes
+            .iter()
+            .enumerate()
+            .map(|(i, node)| (InstrId(i as u32), &node.instr))
+    }
+
     /// The underlying term arena.
     pub fn arena(&self) -> &TermArena {
         &self.arena

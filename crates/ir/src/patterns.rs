@@ -85,7 +85,7 @@ impl AssignPattern {
 /// universe over a changed program without renumbering existing patterns —
 /// which is what lets the motion engine refresh in place instead of
 /// rebuilding per round.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct PatternUniverse {
     assigns: Vec<AssignPattern>,
     assign_index: HashMap<AssignPattern, usize, FxMapBuild>,
@@ -95,11 +95,7 @@ pub struct PatternUniverse {
 impl PatternUniverse {
     /// Collects the pattern universes of `g`.
     pub fn collect(g: &FlowGraph) -> Self {
-        let mut u = PatternUniverse {
-            assigns: Vec::new(),
-            assign_index: HashMap::default(),
-            arena: TermArena::new(),
-        };
+        let mut u = PatternUniverse::default();
         u.extend(g);
         u
     }
@@ -111,7 +107,16 @@ impl PatternUniverse {
     /// superset universe safe; stable numbering keeps cached rows and
     /// solver solutions indexed by pattern valid across the extension.
     pub fn extend(&mut self, g: &FlowGraph) {
-        for (_, instr) in g.locs() {
+        self.extend_instrs(g.locs().map(|(_, instr)| instr));
+    }
+
+    /// As [`extend`](Self::extend), over a sequence of instructions: each
+    /// contributes its assignment pattern, then its expression occurrences.
+    /// Only the first occurrence of a pattern numbers it, so the *distinct*
+    /// instructions of a program, fed in the order of their first
+    /// occurrence, number every pattern exactly as the program does.
+    pub fn extend_instrs<'i>(&mut self, instrs: impl IntoIterator<Item = &'i Instr>) {
+        for instr in instrs {
             if let Instr::Assign { lhs, rhs } = instr {
                 self.intern_assign(AssignPattern::new(*lhs, *rhs));
             }

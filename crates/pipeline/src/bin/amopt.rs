@@ -12,6 +12,7 @@
 //! cargo run --release -p am-pipeline --bin amopt -- --emit programs/matrix_sum.wl
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -291,8 +292,8 @@ fn run_explain(jobs: &[Job], opts: &Options) -> Result<usize, String> {
     let mut total = 0usize;
     let mut discharge_failed = 0usize;
     for job in jobs {
-        let (kind, text) = match &job.input {
-            JobInput::Memory { kind, text } => (*kind, text.clone()),
+        let (kind, text): (SourceKind, Cow<str>) = match &job.input {
+            JobInput::Memory { kind, text } => (*kind, Cow::Borrowed(text)),
             JobInput::Path(path) => {
                 let kind = SourceKind::from_path(path).ok_or_else(|| {
                     format!(
@@ -302,7 +303,7 @@ fn run_explain(jobs: &[Job], opts: &Options) -> Result<usize, String> {
                 })?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
-                (kind, text)
+                (kind, Cow::Owned(text))
             }
             JobInput::Poison => continue,
         };

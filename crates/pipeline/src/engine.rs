@@ -8,6 +8,7 @@
 //! when — with a deterministic optimizer this makes batch output
 //! byte-identical across worker counts.
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -212,8 +213,8 @@ impl Pipeline {
     }
 
     fn process(&self, job: &Job) -> Result<OptimizedJob, String> {
-        let (kind, text) = match &job.input {
-            JobInput::Memory { kind, text } => (*kind, text.clone()),
+        let (kind, text): (SourceKind, Cow<str>) = match &job.input {
+            JobInput::Memory { kind, text } => (*kind, Cow::Borrowed(text)),
             JobInput::Path(path) => {
                 let kind = SourceKind::from_path(path).ok_or_else(|| {
                     format!(
@@ -223,7 +224,7 @@ impl Pipeline {
                 })?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
-                (kind, text)
+                (kind, Cow::Owned(text))
             }
             JobInput::Poison => panic!("poison job '{}'", job.name),
         };

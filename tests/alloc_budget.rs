@@ -109,7 +109,7 @@ fn wide_fan_allocations_are_budgeted() {
     check(
         "wide_fan(300,4)",
         &[to_text(&wide_fan(300, 4))],
-        [1_796, 3_767, 15],
+        [1_796, 3_410, 15],
     );
 }
 
@@ -118,12 +118,12 @@ fn nest_grid_allocations_are_budgeted() {
     check(
         "nest_grid(40,2,8)",
         &[to_text(&nest_grid(40, 2, 8))],
-        [1_193, 3_742, 15],
+        [1_193, 3_490, 15],
     );
 }
 
 #[test]
 fn corpus80_allocations_are_budgeted() {
     let sources: Vec<String> = corpus80().iter().map(|(_, g)| to_text(g)).collect();
-    check("corpus80", &sources, [10_059, 48_495, 782]);
+    check("corpus80", &sources, [10_059, 45_830, 782]);
 }

@@ -1,4 +1,4 @@
-//! Motion-phase provenance, pinned by stable hash.
+//! Motion- and flush-phase provenance, pinned by stable hash.
 //!
 //! Every elimination, hoist insertion and hoist removal of the assignment
 //! motion fixed point appends one `ProvRecord` (`amopt --explain-dir`).
@@ -10,6 +10,12 @@
 //! under which interned id shows up here. In particular a round that
 //! removes and re-inserts a block's assignments unchanged (an identity
 //! move) must still report every `HoistInsert`/`HoistRemove` record.
+//!
+//! The final flush is pinned the same way: its `FlushInsert`,
+//! `FlushRemove` and `FlushReconstruct` records — kind, node, index,
+//! instruction text, rewritten instruction text and pattern bit — fold
+//! into one hash per family, so a change to the flush's pattern
+//! numbering, insertion order or rewrite sites shows up here.
 //!
 //! When a change is *meant* to move a decision, print the new values with
 //! `cargo test --test provenance_pin -- --nocapture` and update the pins.
@@ -50,10 +56,19 @@ impl Fnv {
         self.field(r.pattern);
         self.field(r.instr_id);
     }
+
+    fn flush_record(&mut self, r: &ProvRecord) {
+        self.field(r.kind);
+        self.field(&r.node);
+        self.field(r.index);
+        self.field(&r.instr);
+        self.field(&r.new_instr);
+        self.field(r.pattern);
+    }
 }
 
-/// The motion-phase records of optimizing `g`, in emission order.
-fn motion_records(g: &FlowGraph) -> Vec<ProvRecord> {
+/// The records of `phase` from optimizing `g`, in emission order.
+fn phase_records(g: &FlowGraph, phase: &str) -> Vec<ProvRecord> {
     let config = GlobalConfig {
         keep_snapshots: false,
         recorder: ProvRecorder::enabled(),
@@ -64,29 +79,46 @@ fn motion_records(g: &FlowGraph) -> Vec<ProvRecord> {
         .recorder
         .take()
         .into_iter()
-        .filter(|r| r.phase == "motion")
+        .filter(|r| r.phase == phase)
         .collect()
 }
 
-/// Hash and record count of the motion records of `programs`, in order.
-fn pin<'g>(programs: impl IntoIterator<Item = &'g FlowGraph>) -> (u64, usize) {
+/// The motion-phase records of optimizing `g`, in emission order.
+fn motion_records(g: &FlowGraph) -> Vec<ProvRecord> {
+    phase_records(g, "motion")
+}
+
+/// Hash and record count of the `phase` records of `programs`, in order,
+/// each folded in by `fold`.
+fn phase_pin<'g>(
+    programs: impl IntoIterator<Item = &'g FlowGraph>,
+    phase: &str,
+    fold: fn(&mut Fnv, &ProvRecord),
+) -> (u64, usize) {
     let mut h = Fnv(FNV_OFFSET);
     let mut count = 0;
     for g in programs {
-        let records = motion_records(g);
+        let records = phase_records(g, phase);
         count += records.len();
-        records.iter().for_each(|r| h.record(r));
+        records.iter().for_each(|r| fold(&mut h, r));
         h.bytes(b"end of program");
     }
     (h.0, count)
 }
 
+/// Hash and record count of the motion records of `programs`, in order.
+fn pin<'g>(programs: impl IntoIterator<Item = &'g FlowGraph>) -> (u64, usize) {
+    phase_pin(programs, "motion", Fnv::record)
+}
+
+/// Hash and record count of the flush records of `programs`, in order.
+fn flush_pin<'g>(programs: impl IntoIterator<Item = &'g FlowGraph>) -> (u64, usize) {
+    phase_pin(programs, "flush", Fnv::flush_record)
+}
+
 fn check(family: &str, got: (u64, usize), want: (u64, usize)) {
     println!("{family}: ({:#018x}, {})", got.0, got.1);
-    assert_eq!(
-        got, want,
-        "{family}: motion provenance moved (hash, record count)"
-    );
+    assert_eq!(got, want, "{family}: provenance moved (hash, record count)");
 }
 
 #[test]
@@ -131,5 +163,33 @@ fn pinned_programs_contain_identity_moves() {
     assert_eq!(
         kinds(am_obs::ProvKind::HoistInsert),
         kinds(am_obs::ProvKind::HoistRemove)
+    );
+}
+
+#[test]
+fn corpus80_flush_provenance_is_pinned() {
+    let corpus: Vec<FlowGraph> = corpus80().into_iter().map(|(_, g)| g).collect();
+    check(
+        "corpus80 flush",
+        flush_pin(&corpus),
+        (0x335a_2cd2_48b7_3e98, 4242),
+    );
+}
+
+#[test]
+fn nest_grid_flush_provenance_is_pinned() {
+    check(
+        "nest_grid(20,2,8) flush",
+        flush_pin([&nest_grid(20, 2, 8)]),
+        (0x08c3_c020_d30b_914d, 356),
+    );
+}
+
+#[test]
+fn wide_fan_flush_provenance_is_pinned() {
+    check(
+        "wide_fan(100,4) flush",
+        flush_pin([&wide_fan(100, 4)]),
+        (0x71e8_3685_b77e_523c, 12),
     );
 }
