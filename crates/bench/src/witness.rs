@@ -55,7 +55,7 @@ pub fn initialize_subset(g: &FlowGraph, mask: u32) -> FlowGraph {
     let sites = decomposable_sites(g);
     for n in g.nodes() {
         let mut fresh = Vec::new();
-        for (idx, instr) in g.block(n).instrs.iter().enumerate() {
+        for (idx, instr) in g.instrs(n).enumerate() {
             let loc = Loc {
                 node: n,
                 index: idx,
@@ -85,7 +85,7 @@ pub fn initialize_subset(g: &FlowGraph, mask: u32) -> FlowGraph {
                 other => fresh.push(other.clone()),
             }
         }
-        out.block_mut(n).instrs = fresh;
+        out.set_block(n, fresh);
     }
     out
 }

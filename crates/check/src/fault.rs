@@ -9,7 +9,7 @@
 //! the shrinker reduces the witness to a handful of nodes.
 
 use am_core::global::PhaseId;
-use am_ir::{FlowGraph, Instr, Operand, PatternUniverse, Term};
+use am_ir::{FlowGraph, Instr, Loc, Operand, PatternUniverse, Term};
 
 /// Where to inject the fault: immediately after the named phase runs, so
 /// the corruption is attributed to that phase's output.
@@ -95,9 +95,12 @@ fn swap_pattern_ids(g: &mut FlowGraph) -> bool {
             *t = a;
         }
     };
-    for n in g.nodes().collect::<Vec<_>>() {
-        for instr in &mut g.block_mut(n).instrs {
-            match instr {
+    // Only the instructions that change are written.
+    let swapped: Vec<(Loc, Instr)> = g
+        .locs()
+        .filter_map(|(loc, instr)| {
+            let mut new = instr.clone();
+            match &mut new {
                 Instr::Assign { rhs, .. } => swap(rhs),
                 Instr::Branch(c) => {
                     swap(&mut c.lhs);
@@ -105,7 +108,11 @@ fn swap_pattern_ids(g: &mut FlowGraph) -> bool {
                 }
                 Instr::Skip | Instr::Out(_) => {}
             }
-        }
+            (new != *instr).then_some((loc, new))
+        })
+        .collect();
+    for (loc, instr) in swapped {
+        g.replace_instr(loc, instr);
     }
     true
 }
@@ -127,44 +134,37 @@ fn tweak_term(t: &mut Term) -> bool {
 }
 
 fn tweak_first_const(g: &mut FlowGraph) -> bool {
-    for n in g.nodes().collect::<Vec<_>>() {
-        for instr in &mut g.block_mut(n).instrs {
-            let hit = match instr {
-                Instr::Skip => false,
-                Instr::Assign { rhs, .. } => tweak_term(rhs),
-                Instr::Out(ops) => ops.iter_mut().any(tweak_operand),
-                Instr::Branch(c) => tweak_term(&mut c.lhs) || tweak_term(&mut c.rhs),
-            };
-            if hit {
-                return true;
-            }
-        }
-    }
-    false
+    let tweaked = g.locs().find_map(|(loc, instr)| {
+        let mut new = instr.clone();
+        let hit = match &mut new {
+            Instr::Skip => false,
+            Instr::Assign { rhs, .. } => tweak_term(rhs),
+            Instr::Out(ops) => ops.iter_mut().any(tweak_operand),
+            Instr::Branch(c) => tweak_term(&mut c.lhs) || tweak_term(&mut c.rhs),
+        };
+        hit.then_some((loc, new))
+    });
+    let Some((loc, instr)) = tweaked else {
+        return false;
+    };
+    g.replace_instr(loc, instr);
+    true
 }
 
 fn drop_instr(g: &mut FlowGraph) -> bool {
     let nodes: Vec<_> = g.nodes().collect();
     // Prefer dropping an out — observably wrong on every path through it.
     for &n in nodes.iter().rev() {
-        let block = g.block_mut(n);
-        if let Some(i) = block
-            .instrs
-            .iter()
-            .rposition(|i| matches!(i, Instr::Out(_)))
-        {
-            block.instrs.remove(i);
+        let site = g.instrs(n).rposition(|i| matches!(i, Instr::Out(_)));
+        if let Some(index) = site {
+            g.remove_instr(Loc { node: n, index });
             return true;
         }
     }
     for &n in nodes.iter().rev() {
-        let block = g.block_mut(n);
-        if let Some(i) = block
-            .instrs
-            .iter()
-            .rposition(|i| matches!(i, Instr::Assign { .. }))
-        {
-            block.instrs.remove(i);
+        let site = g.instrs(n).rposition(|i| matches!(i, Instr::Assign { .. }));
+        if let Some(index) = site {
+            g.remove_instr(Loc { node: n, index });
             return true;
         }
     }
@@ -173,14 +173,19 @@ fn drop_instr(g: &mut FlowGraph) -> bool {
 
 fn duplicate_eval(g: &mut FlowGraph) -> bool {
     for n in g.nodes().collect::<Vec<_>>() {
-        let block = g.block_mut(n);
-        let site = block.instrs.iter().position(|i| match i {
+        let site = g.instrs(n).position(|i| match i {
             Instr::Assign { lhs, rhs } => rhs.is_nontrivial() && !rhs.mentions(*lhs),
             _ => false,
         });
-        if let Some(i) = site {
-            let dup = block.instrs[i].clone();
-            block.instrs.insert(i + 1, dup);
+        if let Some(index) = site {
+            let dup = g.instr(Loc { node: n, index }).clone();
+            g.insert_instr(
+                Loc {
+                    node: n,
+                    index: index + 1,
+                },
+                dup,
+            );
             return true;
         }
     }

@@ -8,7 +8,7 @@
 //! survives (`ddmin`-style greedy first-improvement, restarted to a fixed
 //! point). The result is the graph that goes into the reproduction bundle.
 
-use am_ir::{FlowGraph, Instr, Term};
+use am_ir::{FlowGraph, Instr, Loc, Term};
 
 use crate::stage::Stage;
 use crate::validate::{validate, Failure, ValidationConfig};
@@ -85,61 +85,57 @@ fn candidates(g: &FlowGraph) -> Vec<FlowGraph> {
     }
     // Clear a whole block.
     for &n in &nodes {
-        if !g.block(n).instrs.is_empty() {
+        if !g.block(n).is_empty() {
             let mut c = g.clone();
-            c.block_mut(n).instrs.clear();
+            c.set_block(n, Vec::new());
             out.push(c);
         }
     }
     // Delete one instruction.
     for &n in &nodes {
-        for i in 0..g.block(n).instrs.len() {
+        for index in 0..g.block(n).len() {
             let mut c = g.clone();
-            c.block_mut(n).instrs.remove(i);
+            c.remove_instr(Loc { node: n, index });
             out.push(c);
         }
     }
     // Simplify one term: a binary right-hand side or branch side collapses
     // to either of its operands; an out(...) truncates to one operand.
     for &n in &nodes {
-        for i in 0..g.block(n).instrs.len() {
-            match &g.block(n).instrs[i] {
-                Instr::Assign {
+        for index in 0..g.block(n).len() {
+            let loc = Loc { node: n, index };
+            let mut simplified = |instr: Instr| {
+                let mut c = g.clone();
+                c.replace_instr(loc, instr);
+                out.push(c);
+            };
+            match g.instr(loc) {
+                &Instr::Assign {
+                    lhs: def,
                     rhs: Term::Binary { lhs, rhs, .. },
-                    ..
                 } => {
-                    for op in [*lhs, *rhs] {
-                        let mut c = g.clone();
-                        if let Instr::Assign { rhs, .. } = &mut c.block_mut(n).instrs[i] {
-                            *rhs = Term::Operand(op);
-                        }
-                        out.push(c);
+                    for op in [lhs, rhs] {
+                        simplified(Instr::Assign {
+                            lhs: def,
+                            rhs: Term::Operand(op),
+                        });
                     }
                 }
                 Instr::Branch(cond) => {
                     for side in [0, 1] {
                         let term = if side == 0 { &cond.lhs } else { &cond.rhs };
                         if let Term::Binary { lhs, .. } = term {
-                            let simplified = Term::Operand(*lhs);
-                            let mut c = g.clone();
-                            if let Instr::Branch(cond) = &mut c.block_mut(n).instrs[i] {
-                                if side == 0 {
-                                    cond.lhs = simplified;
-                                } else {
-                                    cond.rhs = simplified;
-                                }
+                            let mut cond = *cond;
+                            if side == 0 {
+                                cond.lhs = Term::Operand(*lhs);
+                            } else {
+                                cond.rhs = Term::Operand(*lhs);
                             }
-                            out.push(c);
+                            simplified(Instr::Branch(cond));
                         }
                     }
                 }
-                Instr::Out(ops) if ops.len() > 1 => {
-                    let mut c = g.clone();
-                    if let Instr::Out(ops) = &mut c.block_mut(n).instrs[i] {
-                        ops.truncate(1);
-                    }
-                    out.push(c);
-                }
+                Instr::Out(ops) if ops.len() > 1 => simplified(Instr::Out(ops[..1].to_vec())),
                 _ => {}
             }
         }

@@ -108,7 +108,7 @@ fn propagate_once(g: &mut FlowGraph) -> usize {
                 new_instr = Instr::Skip;
             }
         }
-        g.block_mut(loc.node).instrs[loc.index] = new_instr;
+        g.replace_instr(loc, new_instr);
     }
     rewritten
 }

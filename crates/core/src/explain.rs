@@ -77,7 +77,7 @@ fn snapshot_phase(round: u32) -> PhaseId {
 pub fn locate<'g>(snap: &'g FlowGraph, r: &ProvRecord) -> Option<(NodeId, usize, &'g Instr)> {
     let node = snap.nodes().find(|&n| snap.label(n) == r.node)?;
     let index = r.index? as usize;
-    let instr = snap.block(node).instrs.get(index)?;
+    let instr = snap.instrs(node).nth(index)?;
     (instr.display(snap.pool()) == r.instr).then_some((node, index, instr))
 }
 

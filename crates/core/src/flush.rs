@@ -331,12 +331,12 @@ impl FlushAnalysis {
     /// analysis was computed on. The local predicates are read off the
     /// instructions themselves, not the flush's per-id rows.
     pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<InstrFacts> {
-        let (ni, instrs) = (n.index(), &g.block(n).instrs);
+        let (ni, mut instrs) = (n.index(), g.instrs(n));
         let mut facts = Vec::with_capacity(instrs.len().max(1));
         let mut delay = self.delay.before[ni].clone();
-        for j in 0..instrs.len().max(1) {
+        for _ in 0..instrs.len().max(1) {
             let mut f = InstrFacts::new(self.universe.expr_count());
-            if let Some(instr) = instrs.get(j) {
+            if let Some(instr) = instrs.next() {
                 if let Some(i) = self.instance(instr) {
                     f.is_inst.insert(i);
                 }
@@ -535,7 +535,7 @@ impl MotionContext {
                 }
             }
 
-            let mut old = std::mem::take(&mut g.block_mut(n).instrs);
+            let mut old = g.take_block(n);
             let mut fresh = std::mem::take(&mut spare);
             fresh.reserve(old.len());
             let g_ref = &*g;
@@ -648,7 +648,7 @@ impl MotionContext {
             for i in exit_inits.iter() {
                 insert(&mut fresh, i, fact);
             }
-            g.block_mut(n).instrs = fresh;
+            g.set_block(n, fresh);
             spare = old;
         }
         stats
@@ -871,16 +871,15 @@ mod tests {
     /// over a new variable `v`: a term no pattern universe has seen, which
     /// adds no assignment pattern. Returns whether `g` has a branch.
     fn branch_on_an_unseen_term(g: &mut FlowGraph) -> bool {
-        let Some((n, j)) = g.nodes().find_map(|n| {
-            let j = (g.block(n).instrs.iter()).position(|i| matches!(i, Instr::Branch(_)))?;
-            Some((n, j))
+        let Some((loc, mut c)) = g.locs().find_map(|(loc, instr)| match instr {
+            Instr::Branch(c) => Some((loc, *c)),
+            _ => None,
         }) else {
             return false;
         };
         let v = g.pool_mut().intern("v");
-        if let Instr::Branch(c) = &mut g.block_mut(n).instrs[j] {
-            c.rhs = Term::binary(BinOp::Mul, v, v);
-        }
+        c.rhs = Term::binary(BinOp::Mul, v, v);
+        g.replace_instr(loc, Instr::Branch(c));
         true
     }
 

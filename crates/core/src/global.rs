@@ -173,10 +173,11 @@ pub fn optimize_with(g: &FlowGraph, config: &GlobalConfig) -> GlobalResult {
 /// confirm the checker localizes it.
 ///
 /// The final flush reads the motion rounds' context, which notices a
-/// round hook's mutation through [`FlowGraph::revision`] and re-syncs; as
-/// for [`assignment_motion_with`](crate::motion::assignment_motion_with),
-/// a round hook must mutate the graph through its accessors, not replace
-/// it wholesale.
+/// round hook's writes through the graph's block stamps and re-syncs the
+/// blocks written; as for
+/// [`assignment_motion_with`](crate::motion::assignment_motion_with), a
+/// round hook must mutate the graph through its accessors, not replace it
+/// wholesale.
 pub fn optimize_hooked(
     g: &FlowGraph,
     config: &GlobalConfig,
@@ -197,24 +198,26 @@ pub fn optimize_hooked(
     let init = initialize(&mut program);
     timings.init = span.end();
     hook(PhaseId::Init, &mut program);
-    if tracer.enabled() {
-        let universe = am_ir::PatternUniverse::collect(&program);
-        tracer.counter(
-            "meta",
-            "universe",
-            &[
-                ("assign_patterns", universe.assign_count() as i64),
-                ("expr_patterns", universe.expr_count() as i64),
-                ("nodes", program.node_count() as i64),
-                ("instrs", program.instr_count() as i64),
-            ],
-        );
-    }
     let after_init = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "motion");
     // One context serves both phases: the flush reads the interned ids and
     // the node system the motion rounds leave behind.
     let mut ctx = MotionContext::new();
+    if tracer.enabled() {
+        // The first sync, which the first round would make anyway, numbers
+        // the universe `PatternUniverse::collect` would.
+        ctx.sync(&program);
+        tracer.counter(
+            "meta",
+            "universe",
+            &[
+                ("assign_patterns", ctx.universe.assign_count() as i64),
+                ("expr_patterns", ctx.universe.expr_count() as i64),
+                ("nodes", program.node_count() as i64),
+                ("instrs", program.instr_count() as i64),
+            ],
+        );
+    }
     let motion = run_motion(
         &mut ctx,
         &mut program,
@@ -357,6 +360,41 @@ mod tests {
     }
 
     #[test]
+    fn the_universe_counter_counts_what_collect_counts() {
+        use am_ir::random::{corpus80, nest_grid, wide_fan};
+        use am_ir::PatternUniverse;
+        let programs = corpus80().into_iter().map(|(_, g)| g);
+        for (p, g) in programs
+            .chain([nest_grid(20, 2, 8), wide_fan(100, 4)])
+            .enumerate()
+        {
+            let (tracer, collector) = Tracer::collector();
+            let config = GlobalConfig {
+                tracer,
+                ..GlobalConfig::default()
+            };
+            let result = optimize_with(&g, &config);
+            let events = collector.events();
+            let mut counters = events
+                .iter()
+                .filter(|e| e.cat == "meta" && e.name == "universe");
+            let counter = counters.next().expect("a universe counter");
+            assert!(counters.next().is_none(), "program {p}: one counter");
+            let after_init = result.after_init.as_ref().expect("snapshots kept");
+            let universe = PatternUniverse::collect(after_init);
+            let expected = [
+                ("assign_patterns", universe.assign_count()),
+                ("expr_patterns", universe.expr_count()),
+                ("nodes", after_init.node_count()),
+                ("instrs", after_init.instr_count()),
+            ];
+            for (key, value) in expected {
+                assert_eq!(counter.arg(key), Some(value as i64), "program {p}: {key}");
+            }
+        }
+    }
+
+    #[test]
     fn mutating_hook_feeds_later_phases() {
         // Corrupting the program after init changes the final outcome —
         // the fault-injection contract of the validation harness.
@@ -365,7 +403,7 @@ mod tests {
         let faulty = optimize_hooked(&g, &GlobalConfig::default(), &mut |phase, prog| {
             if phase == PhaseId::Init {
                 let start = prog.start();
-                prog.block_mut(start).instrs.clear();
+                prog.set_block(start, Vec::new());
             }
         });
         assert_ne!(faulty.program, clean);

@@ -41,11 +41,11 @@ use std::rc::Rc;
 use am_bitset::BitSet;
 use am_dfa::{solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::intern::InstrId;
-use am_ir::{FlowGraph, Instr, NodeId, PatternUniverse};
+use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 
 use crate::incremental::MotionContext;
-use crate::rae::retain_unlisted;
+use crate::rae::unlisted;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -209,8 +209,8 @@ impl BlockLocals {
     /// The oracle of [`Self::step`]: the local predicates of one
     /// instruction list, computed by walking the instructions.
     #[cfg(test)]
-    pub(crate) fn compute(
-        instrs: &[Instr],
+    pub(crate) fn compute<'a>(
+        instrs: impl Iterator<Item = &'a Instr>,
         universe: &PatternUniverse,
         masks: &PatternMasks,
     ) -> Self {
@@ -225,7 +225,7 @@ impl BlockLocals {
             blocked,
             candidates,
         } = &mut locals;
-        for (idx, instr) in instrs.iter().enumerate() {
+        for (idx, instr) in instrs.enumerate() {
             let pattern = match instr {
                 Instr::Assign { lhs, rhs } => {
                     universe.assign_id(&am_ir::AssignPattern::new(*lhs, *rhs))
@@ -472,7 +472,10 @@ impl MotionContext {
                     observe(
                         ProvKind::HoistRemove,
                         Some(idx as u32),
-                        &g.block(n).instrs[idx],
+                        g.instr(Loc {
+                            node: n,
+                            index: idx,
+                        }),
                         pattern,
                         "first unblocked occurrence in its block, covered by hoisted instances",
                     );
@@ -505,10 +508,11 @@ impl MotionContext {
                 rewritten.identity += 1;
                 continue;
             }
-            let instrs = &mut g.block_mut(n).instrs;
-            retain_unlisted(instrs, doomed());
+            let mut instrs = g.take_block(n);
+            instrs.retain(unlisted(doomed()));
             instrs.splice(0..0, entry.iter().map(|&i| instance(i)));
             instrs.extend(exit.iter().map(|&i| instance(i)));
+            g.set_block(n, instrs);
             rewritten.blocks.push(n);
             rewritten.ends.push(rewritten.keys.len());
         }
@@ -591,12 +595,7 @@ mod tests {
         hoist_assignments(&mut g);
         let n1 = g.start();
         let text = to_text(&g);
-        let instrs: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let instrs: Vec<String> = g.instrs(n1).map(|i| i.display(g.pool())).collect();
         assert!(instrs.contains(&"x := a+b".to_owned()), "{text}");
     }
 
@@ -645,12 +644,7 @@ mod tests {
         // So the insertion point is the exit of node 1 (X-INSERT).
         assert!(analysis.x_insert[n1.index()].contains(i));
         hoist_assignments(&mut g);
-        let instrs: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|ins| ins.display(g.pool()))
-            .collect();
+        let instrs: Vec<String> = g.instrs(n1).map(|ins| ins.display(g.pool())).collect();
         assert_eq!(
             instrs,
             vec!["branch x > 0", "x := a+b"],
@@ -674,15 +668,10 @@ mod tests {
         .unwrap();
         hoist_assignments(&mut g);
         let n1 = g.start();
-        let instrs: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let instrs: Vec<String> = g.instrs(n1).map(|i| i.display(g.pool())).collect();
         assert_eq!(instrs, vec!["branch p > 0"]);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        assert_eq!(g.block(n2).instrs.len(), 1);
+        assert_eq!(g.block(n2).len(), 1);
     }
 
     /// A branch whose one side computes `x := a+b; y := c+d`: both are
@@ -699,7 +688,8 @@ mod tests {
         let mut g = parse(ONE_SIDED_PAIR).unwrap();
         let mut ctx = MotionContext::new();
         let analysis = ctx.hoisting(&g);
-        let (before, revision) = (g.clone(), g.revision());
+        let stamps = |g: &FlowGraph| (g.nodes().map(|n| g.block(n).stamp())).collect::<Vec<_>>();
+        let (before, before_stamps, last) = (g.clone(), stamps(&g), g.last_stamp());
         let mut rewritten = Rewritten::default();
         let recorder = ProvRecorder::disabled();
         let outcome =
@@ -709,10 +699,11 @@ mod tests {
         assert_eq!(rewritten.identity, 1);
         assert!(rewritten.blocks.is_empty());
         assert_eq!(
-            (g.revision(), g),
-            (revision, before),
-            "no block was touched"
+            (stamps(&g), g.last_stamp()),
+            (before_stamps, last),
+            "no block was written"
         );
+        assert_eq!(g, before);
     }
 
     #[test]
@@ -736,12 +727,7 @@ mod tests {
         assert!(analysis.n_insert[n2.index()].contains(x));
         assert!(outcome.changed);
         assert_eq!((rewritten.blocks, rewritten.identity), (vec![n2], 0));
-        let body: Vec<String> = g
-            .block(n2)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body: Vec<String> = g.instrs(n2).map(|i| i.display(g.pool())).collect();
         assert_eq!(body, ["x := a+b", "x := a+b", "out(x,y)"]);
     }
 
@@ -757,12 +743,7 @@ mod tests {
         )
         .unwrap();
         hoist_assignments(&mut g);
-        let instrs: Vec<String> = g
-            .block(g.start())
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let instrs: Vec<String> = g.instrs(g.start()).map(|i| i.display(g.pool())).collect();
         // N-INSERT places instances at the block *entry*.
         assert_eq!(instrs, vec!["x := a+b", "skip"]);
     }

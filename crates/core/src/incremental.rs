@@ -30,24 +30,27 @@
 //!   bitset width depends on the universe size are dropped.
 //! * **Program mirror** — the interned instruction ids of every block
 //!   ([`am_ir::intern::InstrInterner`]), a cached hash per block composed
-//!   from the interner's cached instruction hashes, and a stamp per block
-//!   that changes whenever its content does. The rewrites hand the mirror
-//!   the new ids of the blocks they changed: an elimination drops the ids
-//!   of the removed occurrences, and the insertion step
-//!   ([`MotionContext::apply_insertion_step`]) composes each rewritten block from
-//!   the kept ids and the one interned instance id of every inserted
-//!   pattern. Only those blocks are re-hashed and re-stamped, and nothing
-//!   is interned after the first sync. The program
-//!   fingerprint folds the per-block hashes into a position-keyed sum, so
-//!   a changed block updates it in O(1) — the cached-hash idiom of
-//!   hash-consed expression DAGs. A [`FlowGraph::revision`] the context did
-//!   not produce itself (a mutating round hook, an injected fault) forces a
-//!   full re-sync that re-interns every block and re-stamps the ones whose
-//!   content actually changed.
+//!   from the interner's cached instruction hashes, and the graph's write
+//!   stamp ([`am_ir::Block::stamp`]) of the content each block mirrors.
+//!   The graph stamps every block it writes, so one [`MotionContext::sync`]
+//!   serves every case: after an O(1) check that nothing was written
+//!   ([`FlowGraph::last_stamp`]) it re-interns exactly the blocks whose
+//!   stamp differs from the recorded one — all of them on the first sync,
+//!   the ones a mutating round hook or an injected fault wrote after it.
+//!   The context's own rewrites hand the mirror the new ids of the blocks
+//!   they wrote and record the stamps the writes got: an elimination drops
+//!   the ids of the removed occurrences, and the insertion step
+//!   ([`MotionContext::apply_insertion_step`]) composes each rewritten
+//!   block from the kept ids and the one interned instance id of every
+//!   inserted pattern. Only those blocks are re-hashed, and nothing is
+//!   interned after the first sync. The program fingerprint folds the
+//!   per-block hashes into a position-keyed sum, so a changed block
+//!   updates it in O(1) — the cached-hash idiom of hash-consed expression
+//!   DAGs.
 //! * **Gen/kill rows** — the Table 2 row and the Table 1 blocking row of
 //!   every interned instruction, dense by id, and the node-level Table 2
 //!   and Table 1 problem rows, candidates included, each tagged with the
-//!   stamp of the block content it was built from. A round refills only
+//!   graph stamp of the block content it was built from. A round refills only
 //!   the rows whose stamp is stale, from the block's ids alone; the
 //!   `incremental/gen_kill_rows` trace counter reports reused and rebuilt
 //!   rows per round, `incremental/dirty_blocks` and
@@ -59,8 +62,9 @@
 //!   is not streamed again; `incremental/rae_stream` counts the streamed
 //!   and skipped occurrence blocks.
 //! * **Node system** — the block adjacency and solver schedule shared by
-//!   both tables, reused while the edge fingerprint (taken at each full
-//!   re-sync; the motion rewrites never touch edges) is unchanged.
+//!   both tables, reused while the edge fingerprint is unchanged. The
+//!   fingerprint is re-taken only when the graph's edge stamp moved (the
+//!   motion rewrites never touch edges).
 //! * **Previous hoist system** — when a round's Table 1 rows changed only
 //!   monotonically downward (candidates lost, blockades gained), the
 //!   backward must system is re-solved from the previous greatest solution
@@ -88,7 +92,7 @@ use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
 use crate::hoist::{blocking_row, HoistAnalysis, HoistOutcome, Rewritten};
-use crate::rae::{redundancy_row, retain_unlisted, RaeOutcome, Row};
+use crate::rae::{redundancy_row, unlisted, RaeOutcome, Row};
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -122,27 +126,27 @@ pub(crate) struct MotionContext {
     /// universe does not know (only possible through a mutating hook);
     /// consumed at the end of every sync.
     stale: bool,
-    /// The graph revision the mirror below describes, `None` before the
-    /// first sync.
-    synced: Option<u64>,
+    /// The graph's [`FlowGraph::last_stamp`] the mirror below describes,
+    /// `None` before the first sync.
+    seen: Option<u64>,
     /// Interned instruction ids per block: the mirror of the program.
     pub(crate) block_keys: Vec<Vec<InstrId>>,
     /// Cached hash of every block's content ([`block_hash`]).
     block_hashes: Vec<u64>,
-    /// Per block, the stamp of its current content: unique across the
-    /// context's lifetime and never 0, so a row tagged with it is current
-    /// exactly when the stamps match.
+    /// Per block, the graph's write stamp of the content mirrored (0:
+    /// none yet). A graph never hands out 0 or the same stamp twice, so a
+    /// row tagged with a stamp is current exactly when the stamps match.
     pub(crate) block_stamps: Vec<u64>,
-    next_stamp: u64,
-    /// The first stamp handed out in the current round; a block stamped
-    /// before it is counted dirty on its first re-stamp of the round.
+    /// The first stamp the current round's writes can carry; a block
+    /// recorded with an older one is counted dirty when it is next
+    /// recorded.
     round_stamp: u64,
     /// Position-keyed sum of the block hashes ([`slot_hash`]).
     block_sum: u64,
-    /// Fingerprints of the edges and of the whole shape (edges plus the
-    /// boundary nodes), taken at the last full re-sync.
+    /// Fingerprint of the edges and the boundary nodes ([`edge_hash`]),
+    /// and the graph's edge stamp when it was taken.
     pub(crate) edge_hash: u64,
-    shape_hash: u64,
+    edge_stamp: u64,
     /// Table 2 rows dense by interned instruction id. The interner hands
     /// out dense indices, so the row of an already-seen instruction is one
     /// bounds-checked array load.
@@ -202,15 +206,14 @@ impl MotionContext {
             interner: InstrInterner::new(),
             assign_of: Vec::new(),
             stale: false,
-            synced: None,
+            seen: None,
             block_keys: Vec::new(),
             block_hashes: Vec::new(),
             block_stamps: Vec::new(),
-            next_stamp: 1,
-            round_stamp: 1,
+            round_stamp: 0,
             block_sum: 0,
+            edge_stamp: 0,
             edge_hash: 0,
-            shape_hash: 0,
             rae_rows: Vec::new(),
             blocking_rows: Vec::new(),
             rae_problem: None,
@@ -314,7 +317,7 @@ impl MotionContext {
         let (id, is_new) = self.interner.intern(instr);
         if is_new {
             self.assign_of.push(None);
-            if self.synced.is_some() {
+            if self.seen.is_some() {
                 self.index_assign(id);
             }
         }
@@ -331,41 +334,31 @@ impl MotionContext {
         self.interner.len()
     }
 
-    /// Interns the instructions of block `n` into `keys`, replacing its
-    /// contents.
-    fn intern_block(&mut self, g: &FlowGraph, n: NodeId, keys: &mut Vec<InstrId>) {
-        keys.clear();
-        for instr in &g.block(n).instrs {
-            keys.push(self.intern_instr(instr));
-        }
-    }
-
-    /// Brings the program mirror up to date with `g`: free when the graph
-    /// is at the revision the context last produced or observed, a full
-    /// re-sync otherwise.
+    /// Brings the program mirror up to date with `g`. Free when nothing
+    /// was written to `g` since the mirror last described it; otherwise
+    /// re-interns and re-hashes exactly the blocks whose write stamp
+    /// differs from the recorded one (every block on the first sync) and
+    /// re-takes the edge fingerprints when the edge stamp moved.
     pub(crate) fn sync(&mut self, g: &FlowGraph) {
-        if self.synced != Some(g.revision()) {
-            self.resync(g);
+        if self.seen == Some(g.last_stamp()) {
+            return;
         }
-    }
-
-    /// Re-interns and re-hashes every block of `g` and re-takes the edge
-    /// fingerprints; blocks whose interned content changed (all of them on
-    /// the first sync) get a fresh stamp, so their rows are rebuilt.
-    fn resync(&mut self, g: &FlowGraph) {
-        let first = self.synced.is_none();
+        let first = self.seen.is_none();
         let nodes = g.node_count();
         self.block_keys.resize_with(nodes, Vec::new);
         self.block_hashes.resize(nodes, 0);
         self.block_stamps.resize(nodes, 0);
-        let mut keys = Vec::new();
         for n in g.nodes() {
-            let i = n.index();
-            self.intern_block(g, n, &mut keys);
-            if self.block_stamps[i] == 0 || self.block_keys[i] != keys {
-                std::mem::swap(&mut self.block_keys[i], &mut keys);
-                self.block_hashes[i] = block_hash(&self.interner, &self.block_keys[i]);
-                self.restamp(i, !first);
+            let (i, stamp) = (n.index(), g.block(n).stamp());
+            if self.block_stamps[i] != stamp {
+                let mut keys = std::mem::take(&mut self.block_keys[i]);
+                keys.clear();
+                for instr in g.instrs(n) {
+                    keys.push(self.intern_instr(instr));
+                }
+                self.block_hashes[i] = block_hash(&self.interner, &keys);
+                self.block_keys[i] = keys;
+                self.record(i, stamp);
             }
         }
         self.block_sum = self
@@ -376,26 +369,23 @@ impl MotionContext {
         if first {
             self.build_universe(g);
         }
-        self.edge_hash = edge_hash(g);
-        let mut h = FxMapHasher::default();
-        g.start().index().hash(&mut h);
-        g.end().index().hash(&mut h);
-        h.write_u64(self.edge_hash);
-        self.shape_hash = h.finish();
+        if first || self.edge_stamp != g.edge_stamp() {
+            (self.edge_hash, self.edge_stamp) = (edge_hash(g), g.edge_stamp());
+        }
         if self.stale {
             self.refresh(g);
         }
+        self.seen = Some(g.last_stamp());
         if first {
             // The first sync builds the mirror; it is no round's change.
-            self.round_stamp = self.next_stamp;
+            self.round_stamp = g.last_stamp() + 1;
         }
-        self.synced = Some(g.revision());
     }
 
     /// Takes the new ids of the blocks an insertion step just rewrote in
     /// `g` (which was in sync before the rewrite) into the mirror, and
-    /// re-hashes and re-stamps only those blocks. Every id is already
-    /// interned, so no instruction is read.
+    /// re-hashes only those blocks. Every id is already interned, so no
+    /// instruction is read.
     pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, rewritten: &Rewritten) {
         let mut start = 0;
         for (&n, &end) in rewritten.blocks.iter().zip(&rewritten.ends) {
@@ -403,45 +393,46 @@ impl MotionContext {
             keys.clear();
             keys.extend_from_slice(&rewritten.keys[start..end]);
             start = end;
-            self.rekey(n.index());
+            self.rekey(g, n);
         }
-        self.synced = Some(g.revision());
+        self.seen = Some(g.last_stamp());
     }
 
     /// Removes the redundant occurrences `locs` (in program order, as
-    /// [`Self::redundant_locs`] returns them) from `g` and their ids from
-    /// the mirror, re-hashing and re-stamping the blocks that lost one.
+    /// [`Self::redundant_locs`] returns them) from `g` (in sync) and their
+    /// ids from the mirror, re-hashing the blocks that lost one.
     fn remove_redundant(&mut self, g: &mut FlowGraph, locs: &[Loc]) {
         for run in locs.chunk_by(|a, b| a.node == b.node) {
             let n = run[0].node;
             let doomed = || run.iter().map(|l| l.index);
-            retain_unlisted(&mut g.block_mut(n).instrs, doomed());
-            retain_unlisted(&mut self.block_keys[n.index()], doomed());
-            self.rekey(n.index());
+            g.retain_instrs(n, unlisted(doomed()));
+            self.block_keys[n.index()].retain(unlisted(doomed()));
+            self.rekey(g, n);
         }
-        self.synced = Some(g.revision());
+        self.seen = Some(g.last_stamp());
     }
 
-    /// Re-hashes block `i` from its new ids, folds the hash into the
-    /// fingerprint and re-stamps the block.
-    fn rekey(&mut self, i: usize) {
+    /// Re-hashes block `n` from its new ids, folds the hash into the
+    /// fingerprint and records the stamp `g` gave the block's write.
+    fn rekey(&mut self, g: &FlowGraph, n: NodeId) {
+        let i = n.index();
         let hash = block_hash(&self.interner, &self.block_keys[i]);
         self.block_sum = self
             .block_sum
             .wrapping_sub(slot_hash(i, self.block_hashes[i]))
             .wrapping_add(slot_hash(i, hash));
         self.block_hashes[i] = hash;
-        self.restamp(i, true);
+        self.record(i, g.block(n).stamp());
     }
 
-    /// Gives block `i` a fresh content stamp, counting it dirty (when
-    /// `count`) on its first re-stamp of the round.
-    fn restamp(&mut self, i: usize, count: bool) {
-        if count && self.block_stamps[i] < self.round_stamp {
+    /// Records that the mirror of block `i` holds the content written
+    /// with `stamp`, counting the block dirty on its first new stamp of
+    /// the round (never on the first sync, which is no round's change).
+    fn record(&mut self, i: usize, stamp: u64) {
+        if self.block_stamps[i] < self.round_stamp {
             self.dirty_blocks += 1;
         }
-        self.block_stamps[i] = self.next_stamp;
-        self.next_stamp += 1;
+        self.block_stamps[i] = stamp;
     }
 
     /// Fingerprint of the whole program — blocks, edges and boundary
@@ -453,7 +444,7 @@ impl MotionContext {
     pub(crate) fn fingerprint(&mut self, g: &FlowGraph) -> u64 {
         self.sync(g);
         let mut h = FxMapHasher::default();
-        h.write_u64(self.shape_hash);
+        h.write_u64(self.edge_hash);
         h.write_u64(self.block_sum);
         h.finish()
     }
@@ -703,7 +694,7 @@ impl MotionContext {
         self.identity_blocks = 0;
         self.streamed_blocks = 0;
         self.skipped_blocks = 0;
-        self.round_stamp = self.next_stamp;
+        self.round_stamp = self.seen.map_or(0, |stamp| stamp + 1);
     }
 }
 
@@ -740,10 +731,10 @@ fn slot_hash(i: usize, hash: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fingerprint of the node-level edges.
+/// Fingerprint of the node-level edges and the start and end node.
 fn edge_hash(g: &FlowGraph) -> u64 {
     let mut h = FxMapHasher::default();
-    g.node_count().hash(&mut h);
+    (g.node_count(), g.start().index(), g.end().index()).hash(&mut h);
     for n in g.nodes() {
         for &m in g.succs(n) {
             m.index().hash(&mut h);
@@ -781,21 +772,21 @@ pub(crate) mod tests {
     }
 
     /// The maintained mirror — block keys, per-block hashes, stamps and
-    /// the fingerprint — equals a full re-sync of the same context, and a
-    /// fresh context (whose hashes are structural) agrees on the hashes.
+    /// the fingerprint — equals the full sync of a fresh context: the
+    /// context's own rewrites left it describing `g`'s last write, its
+    /// keys name `g`'s instructions, its hashes (structural in both) and
+    /// fingerprint agree, and it recorded every block's current stamp.
     fn assert_mirror_is_exact(ctx: &mut MotionContext, g: &FlowGraph, at: &str) {
+        assert_eq!(ctx.seen, Some(g.last_stamp()), "{at}: a sync is pending");
         let fingerprint = ctx.fingerprint(g);
-        let keys = ctx.block_keys.clone();
-        let hashes = ctx.block_hashes.clone();
-        let stamps = ctx.block_stamps.clone();
-        ctx.synced = None;
-        assert_eq!(ctx.fingerprint(g), fingerprint, "{at}: fingerprint");
-        assert_eq!(ctx.block_keys, keys, "{at}: block keys");
-        assert_eq!(ctx.block_hashes, hashes, "{at}: block hashes");
-        assert_eq!(ctx.block_stamps, stamps, "{at}: a re-sync found a change");
         let mut fresh = MotionContext::new();
-        assert_eq!(fresh.fingerprint(g), fingerprint, "{at}: fresh fingerprint");
-        assert_eq!(fresh.block_hashes, hashes, "{at}: fresh block hashes");
+        assert_eq!(fresh.fingerprint(g), fingerprint, "{at}: fingerprint");
+        assert_eq!(fresh.block_hashes, ctx.block_hashes, "{at}: block hashes");
+        assert_eq!(fresh.block_stamps, ctx.block_stamps, "{at}: block stamps");
+        for n in g.nodes() {
+            let keys = ctx.block_keys[n.index()].iter().map(|&id| ctx.instr(id));
+            assert!(keys.eq(g.instrs(n)), "{at}: block keys of {n:?}");
+        }
     }
 
     #[test]
@@ -827,32 +818,25 @@ pub(crate) mod tests {
     fn rewrite_behind_the_back(round: usize, g: &mut FlowGraph) {
         let Some(n) = g
             .nodes()
-            .filter(|&n| {
-                g.block(n)
-                    .instrs
-                    .iter()
-                    .any(|i| matches!(i, Instr::Assign { .. }))
-            })
+            .filter(|&n| g.instrs(n).any(|i| matches!(i, Instr::Assign { .. })))
             .last()
         else {
             return;
         };
-        let lhs = g
-            .block(n)
-            .instrs
-            .iter()
-            .find_map(Instr::def)
-            .expect("an assignment");
+        let lhs = g.instrs(n).find_map(Instr::def).expect("an assignment");
         match round {
             1 => {
-                g.block_mut(n).instrs.remove(0);
+                g.remove_instr(Loc { node: n, index: 0 });
             }
             2 => {
                 let start = g.start();
-                g.block_mut(start).instrs.push(Instr::Assign {
-                    lhs,
-                    rhs: Term::Operand(Operand::Const(7_654_321)),
-                });
+                g.push_instr(
+                    start,
+                    Instr::Assign {
+                        lhs,
+                        rhs: Term::Operand(Operand::Const(7_654_321)),
+                    },
+                );
             }
             _ => {}
         }
@@ -873,12 +857,15 @@ pub(crate) mod tests {
     fn a_foreign_rewrite_forces_a_full_resync() {
         for (p, program) in programs().into_iter().enumerate() {
             let tracked = run(&program, &mut rewrite_behind_the_back);
-            // Touching a block every round moves the revision, so this
-            // context re-syncs from scratch at every round entry.
+            // Writing every block every round moves every stamp, so this
+            // context re-interns the whole program at every round entry,
+            // as a fresh context would.
             let resynced = run(&program, &mut |round, g| {
                 rewrite_behind_the_back(round, g);
-                let start = g.start();
-                g.block_mut(start);
+                for n in g.nodes() {
+                    let instrs = g.take_block(n);
+                    g.set_block(n, instrs);
+                }
             });
             assert_eq!(tracked, resynced, "program {p}");
         }
@@ -1008,7 +995,7 @@ pub(crate) mod tests {
                         for n in g.nodes() {
                             let (ni, at) = (n.index(), format!("{order:?} program {p} {at} {n:?}"));
                             let oracle =
-                                BlockLocals::compute(&g.block(n).instrs, &ctx.universe, &ctx.masks);
+                                BlockLocals::compute(g.instrs(n), &ctx.universe, &ctx.masks);
                             assert_eq!(
                                 a.loc_hoistable[ni], oracle.hoistable,
                                 "{at}: LOC-HOISTABLE"

@@ -59,7 +59,7 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
         temps[id]
     };
     for n in g.nodes().collect::<Vec<_>>() {
-        let old = std::mem::take(&mut g.block_mut(n).instrs);
+        let old = g.take_block(n);
         let mut new = Vec::with_capacity(old.len() * 2);
         for instr in old {
             match instr {
@@ -92,7 +92,7 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
                 other => new.push(other),
             }
         }
-        g.block_mut(n).instrs = new;
+        g.set_block(n, new);
     }
     stats
 }
@@ -199,7 +199,7 @@ mod tests {
         let a = g.pool().lookup("a").unwrap();
         let b = g.pool().lookup("b").unwrap();
         let h = g.temp_for(Term::binary(BinOp::Add, a, b));
-        let instrs = &g.block(g.start()).instrs;
+        let instrs: Vec<Instr> = g.instrs(g.start()).cloned().collect();
         assert_eq!(instrs.len(), 4);
         assert_eq!(
             instrs[0],
@@ -222,7 +222,7 @@ mod tests {
     fn reference_initialize(g: &mut FlowGraph) -> InitStats {
         let mut stats = InitStats::default();
         for n in g.nodes().collect::<Vec<_>>() {
-            let old = std::mem::take(&mut g.block_mut(n).instrs);
+            let old = g.take_block(n);
             let mut new = Vec::new();
             for instr in old {
                 match instr {
@@ -252,7 +252,7 @@ mod tests {
                     other => new.push(other),
                 }
             }
-            g.block_mut(n).instrs = new;
+            g.set_block(n, new);
         }
         stats
     }

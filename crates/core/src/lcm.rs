@@ -176,7 +176,7 @@ pub fn busy_expression_motion(g: &mut FlowGraph) -> EmStats {
                 stats.inserted += 1;
             }
         }
-        g.block_mut(n).instrs = fresh;
+        g.set_block(n, fresh);
     }
     stats
 }
@@ -257,20 +257,10 @@ mod tests {
         let (_, g) = em(FIG1);
         let canon = canonical_text(&g);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        let body2: Vec<String> = g
-            .block(n2)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body2: Vec<String> = g.instrs(n2).map(|i| i.display(g.pool())).collect();
         assert!(body2[0].contains(":= a+b"), "{canon}");
         let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-        let body3: Vec<String> = g
-            .block(n3)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body3: Vec<String> = g.instrs(n3).map(|i| i.display(g.pool())).collect();
         assert_eq!(body3[0], "x := a+b", "isolated use reconstructed: {canon}");
     }
 
@@ -303,12 +293,7 @@ mod tests {
              node 4 { x := y+z; x := c+d; out(i,x,y) }\n\
              edge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2");
         let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-        let body: Vec<String> = g
-            .block(n3)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body: Vec<String> = g.instrs(n3).map(|i| i.display(g.pool())).collect();
         // The y := ... assignment is still in the loop (via the temporary).
         assert!(
             body.iter().any(|s| s.starts_with("y := ")),
@@ -373,12 +358,7 @@ mod tests {
         assert_eq!(stats.replaced, 4);
         // The eager insertion sits in node 1 (earliest safe point).
         let n1 = g.start();
-        let body: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body: Vec<String> = g.instrs(n1).map(|i| i.display(g.pool())).collect();
         assert!(body.iter().any(|s| s.contains(":= a+b")), "{body:?}");
     }
 }

@@ -109,11 +109,11 @@ pub fn assignment_motion(g: &mut FlowGraph) -> MotionStats {
 /// round and mutating hooks to inject faults at an exact phase boundary.
 /// A mutation made in the round that would otherwise have converged is kept
 /// but not re-stabilized — the budget governs further rounds as usual.
-/// The round context notices a hook's mutation through
-/// [`FlowGraph::revision`], which every `&mut` accessor of the graph moves,
-/// and then re-syncs its caches from the whole program; a hook must not
-/// replace the graph wholesale (`*g = other`), since `other` may carry the
-/// same revision.
+/// The round context notices a hook's mutation through the write stamps
+/// the graph gives every block it writes ([`am_ir::Block::stamp`]) and
+/// re-syncs exactly the blocks the hook wrote; a hook must not replace the
+/// graph wholesale (`*g = other`) with an unrelated graph, whose stamps
+/// may coincide with the ones the context recorded.
 pub fn assignment_motion_with(
     g: &mut FlowGraph,
     config: &GlobalConfig,
@@ -236,11 +236,7 @@ mod tests {
         let occurrences = text.matches("x := a+b").count();
         assert_eq!(occurrences, 1, "{text}");
         let n1 = g.start();
-        assert!(g
-            .block(n1)
-            .instrs
-            .iter()
-            .any(|i| i.display(g.pool()) == "x := a+b"));
+        assert!(g.instrs(n1).any(|i| i.display(g.pool()) == "x := a+b"));
         check_semantics(&orig, &g, &[("a", 2), ("b", 3), ("y", 10)]);
     }
 
@@ -268,12 +264,7 @@ mod tests {
         assert!(stats.rounds >= 2, "needs a second round for the effect");
         for label in ["3", "4"] {
             let n = g.nodes().find(|&n| g.label(n) == label).unwrap();
-            let body: Vec<String> = g
-                .block(n)
-                .instrs
-                .iter()
-                .map(|i| i.display(g.pool()))
-                .collect();
+            let body: Vec<String> = g.instrs(n).map(|i| i.display(g.pool())).collect();
             assert!(
                 !body.contains(&"x := y+z".to_owned()),
                 "x := y+z should have left node {label}: {body:?}"
@@ -281,12 +272,7 @@ mod tests {
         }
         // y := c+d blocks it in node 1, so it lands at node 1's exit.
         let n1 = g.start();
-        let body1: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body1: Vec<String> = g.instrs(n1).map(|i| i.display(g.pool())).collect();
         assert_eq!(body1, vec!["y := c+d", "x := y+z"]);
         check_semantics(&orig, &g, SECOND_ORDER_INPUTS);
     }
@@ -330,12 +316,7 @@ mod tests {
         assert!(stats.converged);
         // Fig. 9(b): node 4 keeps no x := y+z.
         let n4 = g.nodes().find(|&n| g.label(n) == "4").unwrap();
-        let body: Vec<String> = g
-            .block(n4)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body: Vec<String> = g.instrs(n4).map(|i| i.display(g.pool())).collect();
         assert!(
             !body.contains(&"x := y+z".to_owned()),
             "partially redundant assignment should be gone: {body:?}"

@@ -224,7 +224,6 @@ impl MotionContext {
             }
             self.streamed_blocks += 1;
             let found = locs.len();
-            let instrs = &g.block(n).instrs;
             self.stream_redundancy(n, entry, &mut x, |j, own, fact| {
                 let Some(i) = own.filter(|&i| fact.contains(i)) else {
                     return;
@@ -236,7 +235,7 @@ impl MotionContext {
                         round,
                         node: g.label(n).to_owned(),
                         index: Some(j as u32),
-                        instr: instrs[j].display(g.pool()),
+                        instr: g.instr(Loc { node: n, index: j }).display(g.pool()),
                         new_instr: None,
                         pattern: Some(i as u32),
                         instr_id: Some(self.block_keys[n.index()][j].index() as u32),
@@ -282,7 +281,7 @@ impl RedundancyAnalysis {
     /// program the analysis was computed on.
     pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<BitSet> {
         let entry = &self.solution.before[n.index()];
-        let mut facts = Vec::with_capacity(g.block(n).instrs.len().max(1));
+        let mut facts = Vec::with_capacity(g.block(n).len().max(1));
         let mut x = BitSet::new(entry.len());
         self.ctx
             .stream_redundancy(n, entry, &mut x, |_, _, fact| facts.push(fact.clone()));
@@ -333,40 +332,28 @@ pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
 /// Removes the instructions at `locs`, in any order, from `g`. Locations
 /// must refer to the current program.
 ///
-/// Cost is O(|locs| log |locs| + Σ block sizes of affected nodes):
-/// locations are grouped per node through a dense per-node slot and each
-/// touched block is filtered in place, keeping its allocation.
+/// Cost is O(|locs| log |locs| + Σ block sizes of affected nodes): the
+/// sorted locations are grouped per node and each touched block is
+/// filtered in place, keeping its allocation.
 pub(crate) fn remove_locs(g: &mut FlowGraph, locs: &[Loc]) {
-    const NO_SLOT: u32 = u32::MAX;
-    let mut slot_of = vec![NO_SLOT; g.node_count()];
-    let mut touched: Vec<NodeId> = Vec::new();
-    let mut doomed: Vec<(u32, usize)> = Vec::with_capacity(locs.len());
-    for l in locs {
-        let slot = &mut slot_of[l.node.index()];
-        if *slot == NO_SLOT {
-            *slot = touched.len() as u32;
-            touched.push(l.node);
-        }
-        doomed.push((*slot, l.index));
-    }
+    let mut doomed = locs.to_vec();
     doomed.sort_unstable();
     doomed.dedup();
-    for run in doomed.chunk_by(|a, b| a.0 == b.0) {
-        let block = &mut g.block_mut(touched[run[0].0 as usize]).instrs;
-        retain_unlisted(block, run.iter().map(|&(_, i)| i));
+    for run in doomed.chunk_by(|a, b| a.node == b.node) {
+        g.retain_instrs(run[0].node, unlisted(run.iter().map(|l| l.index)));
     }
 }
 
-/// Removes the elements at the positions `doomed` (ascending, each at
-/// most once) from `items` in place, in one pass.
-pub(crate) fn retain_unlisted<T>(items: &mut Vec<T>, doomed: impl IntoIterator<Item = usize>) {
+/// A `retain` predicate that drops the elements at the positions `doomed`
+/// (ascending, each at most once) and keeps the rest, in one pass.
+pub(crate) fn unlisted<T>(doomed: impl IntoIterator<Item = usize>) -> impl FnMut(&T) -> bool {
     let mut index = 0;
     let mut next = doomed.into_iter().peekable();
-    items.retain(|_| {
+    move |_| {
         let keep = next.next_if_eq(&index).is_none();
         index += 1;
         keep
-    });
+    }
 }
 
 #[cfg(test)]
@@ -443,7 +430,7 @@ mod tests {
         let out = eliminate_redundant_assignments(&mut g);
         assert_eq!(out.eliminated, 1);
         let n4 = g.nodes().find(|&n| g.label(n) == "4").unwrap();
-        assert_eq!(g.block(n4).instrs.len(), 1, "{}", to_text(&g));
+        assert_eq!(g.block(n4).len(), 1, "{}", to_text(&g));
     }
 
     #[test]
@@ -462,7 +449,7 @@ mod tests {
         let out = eliminate_redundant_assignments(&mut g);
         assert_eq!(out.eliminated, 1);
         let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-        assert_eq!(g.block(n3).instrs.len(), 1);
+        assert_eq!(g.block(n3).len(), 1);
     }
 
     #[test]

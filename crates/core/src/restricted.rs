@@ -137,11 +137,7 @@ mod tests {
         );
         // The partially redundant assignment remains in node 4.
         let n4 = g.nodes().find(|&n| g.label(n) == "4").unwrap();
-        assert!(g
-            .block(n4)
-            .instrs
-            .iter()
-            .any(|i| i.display(g.pool()) == "x := y+z"));
+        assert!(g.instrs(n4).any(|i| i.display(g.pool()) == "x := y+z"));
     }
 
     #[test]
@@ -153,28 +149,13 @@ mod tests {
         // Fig. 9(b): node 4 holds only the out; x := y+z moved to node 1's
         // exit and node 3 (after the hoisted a := x+y).
         let n4 = g.nodes().find(|&n| g.label(n) == "4").unwrap();
-        let body4: Vec<String> = g
-            .block(n4)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body4: Vec<String> = g.instrs(n4).map(|i| i.display(g.pool())).collect();
         assert_eq!(body4, vec!["out(a,x)"]);
         let n1 = g.nodes().find(|&n| g.label(n) == "1").unwrap();
-        let body1: Vec<String> = g
-            .block(n1)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body1: Vec<String> = g.instrs(n1).map(|i| i.display(g.pool())).collect();
         assert_eq!(body1, vec!["x := y+z", "a := x+y"]);
         let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-        let body3: Vec<String> = g
-            .block(n3)
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let body3: Vec<String> = g.instrs(n3).map(|i| i.display(g.pool())).collect();
         assert_eq!(body3, vec!["a := x+y", "skip", "x := y+z"]);
     }
 

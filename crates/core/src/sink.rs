@@ -191,7 +191,7 @@ pub fn sink_assignments(g: &mut FlowGraph, config: &SinkConfig) -> SinkStats {
             }
             emit_inserts(&insert_after[pi], &mut fresh, &mut stats);
         }
-        g.block_mut(n).instrs = fresh;
+        g.set_block(n, fresh);
     }
     stats
 }
@@ -233,17 +233,9 @@ mod tests {
         assert!(stats.removed >= 1);
         // Node 2 (the using branch) now computes it; node 1 does not.
         let n1 = g.start();
-        assert!(!g
-            .block(n1)
-            .instrs
-            .iter()
-            .any(|i| i.display(g.pool()) == "x := a+b"));
+        assert!(!g.instrs(n1).any(|i| i.display(g.pool()) == "x := a+b"));
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        assert!(g
-            .block(n2)
-            .instrs
-            .iter()
-            .any(|i| i.display(g.pool()) == "x := a+b"));
+        assert!(g.instrs(n2).any(|i| i.display(g.pool()) == "x := a+b"));
         // Semantics (modulo the eliminated trap potential — none here).
         for p in [0, 1] {
             let cfg = interp::Config::with_inputs(vec![("a", 2), ("b", 3), ("p", p)]);

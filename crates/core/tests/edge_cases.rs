@@ -72,12 +72,7 @@ fn multiple_patterns_insert_at_one_point_in_stable_order() {
     // The branch reads only p, so both hoist through it to the entry of
     // node s, in pattern-index order.
     let s_node = g.start();
-    let body: Vec<String> = g
-        .block(s_node)
-        .instrs
-        .iter()
-        .map(|i| i.display(g.pool()))
-        .collect();
+    let body: Vec<String> = g.instrs(s_node).map(|i| i.display(g.pool())).collect();
     assert_eq!(body, vec!["x := a+b", "y := c+d", "branch p > 0"]);
 }
 

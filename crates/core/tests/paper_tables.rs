@@ -79,12 +79,7 @@ fn table1_second_round_after_rae_unblocks_the_loop_assignment() {
     let stats = am_core::motion::assignment_motion(&mut g);
     assert!(stats.converged);
     let n3 = node(&g, "3");
-    let body: Vec<String> = g
-        .block(n3)
-        .instrs
-        .iter()
-        .map(|i| i.display(g.pool()))
-        .collect();
+    let body: Vec<String> = g.instrs(n3).map(|i| i.display(g.pool())).collect();
     assert!(
         !body.iter().any(|s| s.contains("y+z")),
         "x := y+z must have left the loop: {body:?}"
@@ -145,7 +140,7 @@ fn table2_redundancy_on_the_initialized_example() {
     let p_i = u.assign_id(&pattern).unwrap();
     for n in g.nodes() {
         let facts = analysis.block_facts(&g, n);
-        for (instr, fact) in g.block(n).instrs.iter().zip(&facts) {
+        for (instr, fact) in g.instrs(n).zip(&facts) {
             if pattern.executed_by(instr) {
                 assert!(!fact.contains(p_i), "i := h<i+x> must not be redundant");
             }
@@ -233,11 +228,7 @@ fn table3_delayability_and_usability_on_g_assmot() {
     let facts_at = |needle: &str| -> am_core::flush::InstrFacts {
         g.nodes()
             .find_map(|n| {
-                let index = g
-                    .block(n)
-                    .instrs
-                    .iter()
-                    .position(|i| i.display(g.pool()) == needle)?;
+                let index = g.instrs(n).position(|i| i.display(g.pool()) == needle)?;
                 Some(analysis.block_facts(&g, n).swap_remove(index))
             })
             .unwrap_or_else(|| panic!("instruction '{needle}' not found"))

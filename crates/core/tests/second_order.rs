@@ -27,7 +27,7 @@ fn hoisting_enables_elimination() {
     assert!(stats.converged);
     assert!(stats.eliminated >= 1, "hoisting enabled the elimination");
     let n4 = fig8.nodes().find(|&n| fig8.label(n) == "4").unwrap();
-    assert_eq!(fig8.block(n4).instrs.len(), 1, "{}", to_text(&fig8));
+    assert_eq!(fig8.block(n4).len(), 1, "{}", to_text(&fig8));
 }
 
 #[test]
@@ -49,9 +49,7 @@ fn hoisting_enables_hoisting() {
         .find(|&n| one_pass.label(n) == "b")
         .unwrap();
     let body1: Vec<String> = one_pass
-        .block(b1)
-        .instrs
-        .iter()
+        .instrs(b1)
         .map(|i| i.display(one_pass.pool()))
         .collect();
     assert!(
@@ -67,12 +65,7 @@ fn hoisting_enables_hoisting() {
     assert!(stats.converged);
     assert!(stats.rounds >= 2);
     let b = g.nodes().find(|&n| g.label(n) == "b").unwrap();
-    let body: Vec<String> = g
-        .block(b)
-        .instrs
-        .iter()
-        .map(|i| i.display(g.pool()))
-        .collect();
+    let body: Vec<String> = g.instrs(b).map(|i| i.display(g.pool())).collect();
     assert!(!body.iter().any(|s| s.contains("w1 := a+1")), "{body:?}");
     assert!(!body.iter().any(|s| s.contains("w2 := w1+1")), "{body:?}");
 }
@@ -97,19 +90,13 @@ fn elimination_enables_hoisting() {
         .find(|&n| hoist_only.label(n) == "3")
         .unwrap();
     assert!(hoist_only
-        .block(n3)
-        .instrs
-        .iter()
+        .instrs(n3)
         .any(|i| i.display(hoist_only.pool()) == "x := y+z"));
     // The fixpoint moves it.
     let stats = assignment_motion(&mut g);
     assert!(stats.converged && stats.rounds >= 2);
     let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-    assert!(!g
-        .block(n3)
-        .instrs
-        .iter()
-        .any(|i| i.display(g.pool()) == "x := y+z"));
+    assert!(!g.instrs(n3).any(|i| i.display(g.pool()) == "x := y+z"));
 }
 
 #[test]
@@ -128,11 +115,6 @@ fn elimination_enables_elimination() {
     let second = eliminate_redundant_assignments(&mut g);
     assert_eq!(second.eliminated, 1, "now y := h0 falls too");
     let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
-    let body: Vec<String> = g
-        .block(n3)
-        .instrs
-        .iter()
-        .map(|i| i.display(g.pool()))
-        .collect();
+    let body: Vec<String> = g.instrs(n3).map(|i| i.display(g.pool())).collect();
     assert_eq!(body, vec!["q := q-1"]);
 }

@@ -83,11 +83,11 @@ fn naive_rae(g: &mut FlowGraph, what: &str) {
             .filter(|l| l.node == n)
             .map(|l| l.index)
             .collect();
-        let kept = g.block(n).instrs.iter().enumerate();
+        let kept = g.instrs(n).enumerate();
         let kept = kept
             .filter(|(j, _)| !doomed.contains(j))
             .map(|(_, i)| i.clone());
-        g.block_mut(n).instrs = kept.collect();
+        g.set_block(n, kept.collect());
     }
 }
 
@@ -100,13 +100,13 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
     let mut loc_blocked = vec![BitSet::new(ap); nodes];
     let mut candidates: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nodes];
     for n in g.nodes() {
-        let instrs = &g.block(n).instrs;
+        let instrs: Vec<&Instr> = g.instrs(n).collect();
         for (i, pat) in universe.assign_patterns() {
             // The first occurrence no earlier instruction blocks.
             let stop = instrs
                 .iter()
                 .position(|ins| pat.executed_by(ins) || pat.blocked_by(ins));
-            if let Some(idx) = stop.filter(|&idx| pat.executed_by(&instrs[idx])) {
+            if let Some(idx) = stop.filter(|&idx| pat.executed_by(instrs[idx])) {
                 loc_hoistable[n.index()].insert(i);
                 candidates[n.index()].push((i, idx));
             }
@@ -165,13 +165,13 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
         let ni = n.index();
         let mut fresh: Vec<Instr> = n_insert[ni].iter().map(instance).collect();
         let removed: Vec<usize> = candidates[ni].iter().map(|&(_, idx)| idx).collect();
-        let kept = g.block(n).instrs.iter().enumerate();
+        let kept = g.instrs(n).enumerate();
         fresh.extend(
             kept.filter(|(j, _)| !removed.contains(j))
                 .map(|(_, i)| i.clone()),
         );
         fresh.extend(x_insert[ni].iter().map(instance));
-        g.block_mut(n).instrs = fresh;
+        g.set_block(n, fresh);
     }
 }
 

@@ -125,7 +125,7 @@ impl<'g> PointGraph<'g> {
     /// The instruction at `p`, or `None` for a virtual pass-through point.
     pub fn instr(&self, p: PointId) -> Option<&'g Instr> {
         let loc = self.locs[p.index()]?;
-        Some(&self.graph.block(loc.node).instrs[loc.index])
+        Some(self.graph.instr(loc))
     }
 
     /// The location of `p`, or `None` for a virtual point.

@@ -63,9 +63,11 @@ pub fn rename_temps_canonically(g: &FlowGraph) -> FlowGraph {
     *renamed.pool_mut() = pool;
     let remap = |v: Var| map[&v];
     for n in g.nodes() {
-        for instr in &mut renamed.block_mut(n).instrs {
+        let mut instrs = renamed.take_block(n);
+        for instr in &mut instrs {
             *instr = map_instr(instr, &remap);
         }
+        renamed.set_block(n, instrs);
     }
     renamed
 }
@@ -174,7 +176,7 @@ fn write_canonical<W: Write>(w: &mut W, g: &FlowGraph) -> fmt::Result {
         }
     };
     for n in g.nodes() {
-        for instr in &g.block(n).instrs {
+        for instr in g.instrs(n) {
             if let Some(d) = instr.def() {
                 note(d);
             }
@@ -204,11 +206,9 @@ mod tests {
         let h = g.pool_mut().intern_temp(&format!("h<{name_suffix}>"));
         let x = g.pool().lookup("x").unwrap();
         let start = g.start();
-        g.block_mut(start).instrs.clear();
-        g.block_mut(start)
-            .instrs
-            .push(Instr::assign(h, Term::binary(BinOp::Add, a, b)));
-        g.block_mut(start).instrs.push(Instr::assign(x, h));
+        g.set_block(start, Vec::new());
+        g.push_instr(start, Instr::assign(h, Term::binary(BinOp::Add, a, b)));
+        g.push_instr(start, Instr::assign(x, h));
         g
     }
 
@@ -295,15 +295,11 @@ mod tests {
         let x = g.pool().lookup("x").unwrap();
         let y = g.pool().lookup("y").unwrap();
         let start = g.start();
-        g.block_mut(start).instrs.clear();
-        g.block_mut(start)
-            .instrs
-            .push(Instr::assign(h_ab, Term::binary(BinOp::Add, a, b)));
-        g.block_mut(start).instrs.push(Instr::assign(x, h_ab));
-        g.block_mut(start)
-            .instrs
-            .push(Instr::assign(h_cd, Term::binary(BinOp::Add, c, d)));
-        g.block_mut(start).instrs.push(Instr::assign(y, h_cd));
+        g.set_block(start, Vec::new());
+        g.push_instr(start, Instr::assign(h_ab, Term::binary(BinOp::Add, a, b)));
+        g.push_instr(start, Instr::assign(x, h_ab));
+        g.push_instr(start, Instr::assign(h_cd, Term::binary(BinOp::Add, c, d)));
+        g.push_instr(start, Instr::assign(y, h_cd));
         let text = canonical_text(&g);
         // h_ab occurs first, so it becomes h1 regardless of interning order.
         assert!(text.contains("h1 := a+b"), "{text}");

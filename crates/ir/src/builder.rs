@@ -114,7 +114,7 @@ impl GraphBuilder {
         for (label, instr) in pending {
             let node = self.nodes[&label];
             let lowered = self.lower(instr)?;
-            self.graph.block_mut(node).instrs.push(lowered);
+            self.graph.push_instr(node, lowered);
         }
         // Resolve edges.
         for (from, to) in std::mem::take(&mut self.edges) {

@@ -42,7 +42,7 @@ pub fn to_dot_with(g: &FlowGraph, extra: impl Fn(NodeId) -> Option<String>) -> S
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
     for n in g.nodes() {
         let mut label = format!("{}\\n", escape(g.label(n)));
-        for instr in &g.block(n).instrs {
+        for instr in g.instrs(n) {
             let _ = write!(label, "{}\\l", escape(&instr.display(g.pool())));
         }
         let mut attrs = format!("label=\"{label}\"");

@@ -30,26 +30,54 @@ impl fmt::Debug for NodeId {
 /// point*; instructions may legally follow it — they execute before control
 /// transfers, which is how insertions "at the exit of a block" (Table 1's
 /// `X-INSERT`) are represented.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// The instructions are read through [`FlowGraph::instrs`] and
+/// [`FlowGraph::instr`] and written through the graph's named mutations
+/// ([`FlowGraph::push_instr`], [`FlowGraph::set_block`], ...), each of
+/// which gives the block a fresh [write stamp](Self::stamp).
+#[derive(Clone)]
 pub struct Block {
-    /// The instruction sequence.
-    pub instrs: Vec<Instr>,
+    instrs: Vec<Instr>,
+    stamp: u64,
 }
 
 impl Block {
-    /// Creates an empty block.
-    pub fn new() -> Self {
-        Block::default()
-    }
-
     /// Number of instructions.
+    #[inline]
     pub fn len(&self) -> usize {
         self.instrs.len()
     }
 
     /// Returns `true` if the block contains no instructions.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
+    }
+
+    /// The stamp of the graph write that last set this block's content
+    /// (see [`FlowGraph::last_stamp`]): never 0, and moved by every write
+    /// to the block and by nothing else, so equal stamps at two points in
+    /// time mean the content did not change in between.
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
+
+/// Blocks compare by content; the stamp records history, not value.
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.instrs == other.instrs
+    }
+}
+
+impl Eq for Block {}
+
+impl fmt::Debug for Block {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Block")
+            .field("instrs", &self.instrs)
+            .finish()
     }
 }
 
@@ -110,7 +138,7 @@ impl std::error::Error for GraphError {}
 /// # Examples
 ///
 /// ```
-/// use am_ir::{FlowGraph, Instr, Term, BinOp};
+/// use am_ir::{FlowGraph, Instr, Loc, Term, BinOp};
 ///
 /// let mut g = FlowGraph::new();
 /// let s = g.add_node("s");
@@ -123,8 +151,16 @@ impl std::error::Error for GraphError {}
 /// let a = g.pool_mut().intern("a");
 /// let b = g.pool_mut().intern("b");
 /// let x = g.pool_mut().intern("x");
-/// g.block_mut(n).instrs.push(Instr::assign(x, Term::binary(BinOp::Add, a, b)));
+/// g.push_instr(n, Instr::assign(x, Term::binary(BinOp::Add, a, b)));
 /// assert!(g.validate().is_ok());
+/// assert_eq!(g.instrs(n).len(), 1);
+///
+/// // Every write stamps the block it wrote; reads stamp nothing.
+/// let stamp = g.block(n).stamp();
+/// assert_eq!(g.instr(Loc { node: n, index: 0 }).def(), Some(x));
+/// assert_eq!(g.block(n).stamp(), stamp);
+/// g.retain_instrs(n, |_| true);
+/// assert!(g.block(n).stamp() > stamp);
 /// ```
 #[derive(Clone)]
 pub struct FlowGraph {
@@ -136,11 +172,11 @@ pub struct FlowGraph {
     preds: Vec<Vec<NodeId>>,
     start: NodeId,
     end: NodeId,
-    /// Monotone mutation counter: bumped by every `&mut self` accessor, so
-    /// callers can memoize graph-derived values (content hashes, caches)
-    /// and invalidate them exactly when the graph may have changed. Not
-    /// part of the graph's value — equality ignores it.
-    revision: u64,
+    /// The last write stamp handed out ([`Self::last_stamp`]). Stamps
+    /// record history, not value: equality ignores them.
+    clock: u64,
+    /// The stamp of the last edge, node-set or boundary write.
+    edge_stamp: u64,
 }
 
 impl PartialEq for FlowGraph {
@@ -176,17 +212,48 @@ impl FlowGraph {
             preds: Vec::new(),
             start: NodeId(0),
             end: NodeId(0),
-            revision: 0,
+            clock: 0,
+            edge_stamp: 0,
         }
     }
 
-    /// The graph's mutation revision. Every `&mut self` accessor bumps it
-    /// (including [`block_mut`](Self::block_mut), conservatively — taking
-    /// the reference counts as a mutation). Two calls returning the same
-    /// value guarantee the graph content is unchanged between them; the
-    /// converse does not hold.
-    pub fn revision(&self) -> u64 {
-        self.revision
+    /// The newest write stamp. Every write to a block gives that block
+    /// the next stamp ([`Block::stamp`]); every write to the edges, the
+    /// node set or the start and end node gives the next one to
+    /// [`Self::edge_stamp`]. Reads, [`Self::pool_mut`] and `clone` move
+    /// no stamp, and a clone continues its original's stamps. So a caller
+    /// that mirrors graph-derived data can tell in O(1) that nothing was
+    /// written since it last looked (the same `last_stamp`), and
+    /// otherwise which blocks were (a different [`Block::stamp`]).
+    #[inline]
+    pub fn last_stamp(&self) -> u64 {
+        self.clock
+    }
+
+    /// The stamp of the last write to the edges, the node set or the
+    /// start and end node.
+    #[inline]
+    pub fn edge_stamp(&self) -> u64 {
+        self.edge_stamp
+    }
+
+    /// Hands out the next write stamp.
+    fn next_stamp(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// Stamps an edge, node-set or boundary write.
+    fn edges_written(&mut self) {
+        self.edge_stamp = self.next_stamp();
+    }
+
+    /// Stamps block `n` as written and returns its instructions.
+    fn write(&mut self, n: NodeId) -> &mut Vec<Instr> {
+        let stamp = self.next_stamp();
+        let block = &mut self.blocks[n.index()];
+        block.stamp = stamp;
+        &mut block.instrs
     }
 
     /// Adds an empty node with the given display label.
@@ -195,9 +262,13 @@ impl FlowGraph {
     }
 
     fn add_node_inner(&mut self, label: &str, synthetic: bool) -> NodeId {
-        self.revision += 1;
+        self.edges_written();
         let id = NodeId(u32::try_from(self.blocks.len()).expect("too many nodes"));
-        self.blocks.push(Block::new());
+        let stamp = self.next_stamp();
+        self.blocks.push(Block {
+            instrs: Vec::new(),
+            stamp,
+        });
         self.labels.push(label.to_owned());
         self.synthetic.push(synthetic);
         self.succs.push(Vec::new());
@@ -207,7 +278,7 @@ impl FlowGraph {
 
     /// Adds the edge `(m, n)`, appended to `m`'s ordered successor list.
     pub fn add_edge(&mut self, m: NodeId, n: NodeId) {
-        self.revision += 1;
+        self.edges_written();
         self.succs[m.index()].push(n);
         self.preds[n.index()].push(m);
     }
@@ -219,10 +290,10 @@ impl FlowGraph {
     /// unreachable) — callers probing reductions, like the `am-check`
     /// shrinker, should re-[`validate`](Self::validate).
     pub fn remove_edge(&mut self, m: NodeId, n: NodeId) -> bool {
-        self.revision += 1;
         let Some(si) = self.succs[m.index()].iter().position(|&t| t == n) else {
             return false;
         };
+        self.edges_written();
         self.succs[m.index()].remove(si);
         let pi = self.preds[n.index()]
             .iter()
@@ -276,7 +347,7 @@ impl FlowGraph {
         let mut map = vec![None; self.node_count()];
         for &n in &kept {
             let id = out.add_node_inner(self.label(n), self.is_synthetic(n));
-            out.block_mut(id).instrs = self.block(n).instrs.clone();
+            out.set_block(id, self.blocks[n.index()].instrs.clone());
             map[n.index()] = Some(id);
         }
         for &n in &kept {
@@ -293,13 +364,13 @@ impl FlowGraph {
 
     /// Declares `n` as the start node `s`.
     pub fn set_start(&mut self, n: NodeId) {
-        self.revision += 1;
+        self.edges_written();
         self.start = n;
     }
 
     /// Declares `n` as the end node `e`.
     pub fn set_end(&mut self, n: NodeId) {
-        self.revision += 1;
+        self.edges_written();
         self.end = n;
     }
 
@@ -339,14 +410,79 @@ impl FlowGraph {
     }
 
     /// The block of `n`.
+    #[inline]
     pub fn block(&self, n: NodeId) -> &Block {
         &self.blocks[n.index()]
     }
 
-    /// Mutable access to the block of `n`.
-    pub fn block_mut(&mut self, n: NodeId) -> &mut Block {
-        self.revision += 1;
-        &mut self.blocks[n.index()]
+    /// The instructions of block `n`, in order.
+    #[inline]
+    pub fn instrs(
+        &self,
+        n: NodeId,
+    ) -> impl ExactSizeIterator<Item = &Instr> + DoubleEndedIterator + Clone + '_ {
+        self.blocks[n.index()].instrs.iter()
+    }
+
+    /// The instruction at `loc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` is out of bounds.
+    #[inline]
+    pub fn instr(&self, loc: Loc) -> &Instr {
+        &self.blocks[loc.node.index()].instrs[loc.index]
+    }
+
+    /// Appends `instr` to block `n`.
+    pub fn push_instr(&mut self, n: NodeId, instr: Instr) {
+        self.write(n).push(instr);
+    }
+
+    /// Inserts `instr` at `loc`, shifting the instructions from there on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc.index` exceeds the block's length.
+    pub fn insert_instr(&mut self, loc: Loc, instr: Instr) {
+        self.write(loc.node).insert(loc.index, instr);
+    }
+
+    /// Removes and returns the instruction at `loc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` is out of bounds.
+    pub fn remove_instr(&mut self, loc: Loc) -> Instr {
+        self.write(loc.node).remove(loc.index)
+    }
+
+    /// Replaces the instruction at `loc` with `instr`, returning the old
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loc` is out of bounds.
+    pub fn replace_instr(&mut self, loc: Loc, instr: Instr) -> Instr {
+        std::mem::replace(&mut self.write(loc.node)[loc.index], instr)
+    }
+
+    /// Keeps the instructions of block `n` for which `keep` holds, in
+    /// order.
+    pub fn retain_instrs(&mut self, n: NodeId, keep: impl FnMut(&Instr) -> bool) {
+        self.write(n).retain(keep);
+    }
+
+    /// Empties block `n` and returns its instructions (their allocation
+    /// moves, nothing is copied).
+    pub fn take_block(&mut self, n: NodeId) -> Vec<Instr> {
+        std::mem::take(self.write(n))
+    }
+
+    /// Replaces the instructions of block `n` with `instrs` (moved, not
+    /// copied).
+    pub fn set_block(&mut self, n: NodeId, instrs: Vec<Instr>) {
+        *self.write(n) = instrs;
     }
 
     /// The display label of `n`.
@@ -366,7 +502,6 @@ impl FlowGraph {
 
     /// Mutable access to the variable pool.
     pub fn pool_mut(&mut self) -> &mut VarPool {
-        self.revision += 1;
         &mut self.pool
     }
 
@@ -433,6 +568,7 @@ impl FlowGraph {
                     self.preds[n.index()][pred_slot] = synth;
                     self.succs[synth.index()].push(n);
                     self.preds[synth.index()].push(m);
+                    self.edges_written();
                     split += 1;
                 }
             }
@@ -464,9 +600,8 @@ impl FlowGraph {
             if !(reach_fwd[n.index()] && reach_bwd[n.index()]) {
                 return Err(GraphError::Unreachable(n));
             }
-            let branches = self.blocks[n.index()]
-                .instrs
-                .iter()
+            let branches = self
+                .instrs(n)
                 .filter(|i| matches!(i, Instr::Branch(_)))
                 .count();
             if branches > 1 {
@@ -511,7 +646,7 @@ impl fmt::Debug for FlowGraph {
         for n in self.nodes() {
             let succs: Vec<_> = self.succs(n).iter().map(|m| self.label(*m)).collect();
             writeln!(f, "  node {} -> [{}]", self.label(n), succs.join(", "))?;
-            for instr in &self.block(n).instrs {
+            for instr in self.instrs(n) {
                 writeln!(f, "    {}", instr.display(&self.pool))?;
             }
         }
@@ -622,18 +757,12 @@ mod tests {
     fn branch_rules_are_checked() {
         let (mut g, [s, l, ..]) = diamond();
         let x = g.pool_mut().intern("x");
-        g.block_mut(l)
-            .instrs
-            .push(Instr::Branch(crate::instr::Cond::truthy(x)));
+        g.push_instr(l, Instr::Branch(crate::instr::Cond::truthy(x)));
         assert_eq!(g.validate(), Err(GraphError::BranchInStraightNode(l)));
-        g.block_mut(l).instrs.clear();
-        g.block_mut(s)
-            .instrs
-            .push(Instr::Branch(crate::instr::Cond::truthy(x)));
+        g.set_block(l, Vec::new());
+        g.push_instr(s, Instr::Branch(crate::instr::Cond::truthy(x)));
         assert_eq!(g.validate(), Ok(()));
-        g.block_mut(s)
-            .instrs
-            .push(Instr::Branch(crate::instr::Cond::truthy(x)));
+        g.push_instr(s, Instr::Branch(crate::instr::Cond::truthy(x)));
         assert_eq!(g.validate(), Err(GraphError::MultipleBranches(s)));
     }
 
@@ -740,7 +869,7 @@ mod tests {
         chain.add_edge(s, m);
         chain.add_edge(m, e);
         let x = chain.pool_mut().intern("x");
-        chain.block_mut(m).instrs.push(Instr::assign(x, 1));
+        chain.push_instr(m, Instr::assign(x, 1));
         let unbridged = chain.without_node(m, false).unwrap();
         assert!(unbridged.validate().is_err(), "end became unreachable");
         let bridged = chain.without_node(m, true).unwrap();
@@ -797,14 +926,109 @@ mod tests {
     fn locs_iterate_in_order() {
         let (mut g, [s, l, ..]) = diamond();
         let x = g.pool_mut().intern("x");
-        g.block_mut(s).instrs.push(Instr::assign(x, 1));
-        g.block_mut(l).instrs.push(Instr::assign(x, 2));
+        g.push_instr(s, Instr::assign(x, 1));
+        g.push_instr(l, Instr::assign(x, 2));
         let locs: Vec<_> = g.locs().map(|(l, _)| l).collect();
         assert_eq!(
             locs,
             vec![Loc { node: s, index: 0 }, Loc { node: l, index: 0 }]
         );
         assert_eq!(g.instr_count(), 2);
+    }
+
+    fn stamps(g: &FlowGraph) -> Vec<u64> {
+        g.nodes().map(|n| g.block(n).stamp()).collect()
+    }
+
+    type Write = Box<dyn Fn(&mut FlowGraph)>;
+
+    #[test]
+    fn a_write_moves_exactly_the_written_blocks_stamp() {
+        let (mut g, [_, l, ..]) = diamond();
+        let x = g.pool_mut().intern("x");
+        let at = move |index| Loc { node: l, index };
+        let writes: Vec<Write> = vec![
+            Box::new(move |g| g.push_instr(l, Instr::assign(x, 1))),
+            Box::new(move |g| g.insert_instr(at(0), Instr::assign(x, 2))),
+            Box::new(move |g| {
+                g.replace_instr(at(1), Instr::Skip);
+            }),
+            Box::new(move |g| {
+                g.remove_instr(at(0));
+            }),
+            Box::new(move |g| g.retain_instrs(l, |_| true)),
+            Box::new(move |g| {
+                let instrs = g.take_block(l);
+                g.set_block(l, instrs);
+            }),
+        ];
+        for (w, write) in writes.iter().enumerate() {
+            let (before, edges, last) = (stamps(&g), g.edge_stamp(), g.last_stamp());
+            write(&mut g);
+            let after = stamps(&g);
+            for n in g.nodes() {
+                let (old, new) = (before[n.index()], after[n.index()]);
+                if n == l {
+                    assert!(new > old, "write {w}: {n:?} kept its stamp");
+                } else {
+                    assert_eq!(new, old, "write {w}: {n:?} was not written");
+                }
+            }
+            assert!(g.last_stamp() > last, "write {w}");
+            assert_eq!(after[l.index()], g.last_stamp(), "write {w}");
+            assert_eq!(g.edge_stamp(), edges, "write {w}");
+        }
+        assert_eq!(g.instrs(l).collect::<Vec<_>>(), [&Instr::Skip]);
+    }
+
+    #[test]
+    fn reads_and_clones_move_no_stamp() {
+        let (mut g, [s, l, ..]) = diamond();
+        let x = g.pool_mut().intern("x");
+        g.push_instr(s, Instr::assign(x, 1));
+        let state = |g: &FlowGraph| (stamps(g), g.edge_stamp(), g.last_stamp());
+        let before = state(&g);
+        assert!(before.0.iter().all(|&stamp| stamp > 0), "{before:?}");
+        let mut distinct = before.0.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), g.node_count(), "stamps are unique");
+        assert_eq!(g.instrs(s).count(), 1);
+        assert_eq!(g.instr(Loc { node: s, index: 0 }).def(), Some(x));
+        assert!(g.block(l).is_empty());
+        assert_eq!(g.locs().count(), 1);
+        assert_eq!(g.validate(), Ok(()));
+        let _ = format!("{g:?}");
+        g.pool_mut().intern("y");
+        let copy = g.clone();
+        assert_eq!(state(&g), before);
+        assert_eq!(state(&copy), before);
+        assert_eq!(copy, g);
+    }
+
+    #[test]
+    fn edge_and_boundary_edits_move_the_edge_stamp() {
+        let (mut g, [s, l, r, e]) = diamond();
+        let edits: Vec<Write> = vec![
+            Box::new(move |g| g.add_edge(l, r)),
+            Box::new(|g| assert!(g.split_critical_edges() > 0)),
+            Box::new(move |g| assert!(g.remove_edge(s, l))),
+            Box::new(move |g| g.set_start(s)),
+            Box::new(move |g| g.set_end(e)),
+            Box::new(|g| {
+                g.add_node("island");
+            }),
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let (before, edges) = (stamps(&g), g.edge_stamp());
+            edit(&mut g);
+            assert!(g.edge_stamp() > edges, "edit {i}");
+            assert!(g.last_stamp() >= g.edge_stamp(), "edit {i}");
+            assert_eq!(stamps(&g)[..before.len()], before, "edit {i}");
+        }
+        let last = g.last_stamp();
+        assert!(!g.remove_edge(l, s), "no such edge");
+        assert_eq!(g.last_stamp(), last, "nothing was written");
     }
 }
 
@@ -852,6 +1076,7 @@ impl FlowGraph {
             g.preds[s.index()][pslot] = p;
             g.succs[n.index()].clear();
             g.preds[n.index()].clear();
+            g.edges_written();
         }
         // Phase 2: compact, dropping now-disconnected nodes.
         g.compacted(|n| {
@@ -878,8 +1103,8 @@ mod simplify_tests {
         g.add_edge(s, synth);
         g.add_edge(synth, e);
         let x = g.pool_mut().intern("x");
-        g.block_mut(s).instrs.push(Instr::assign(x, 1));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(x, 1));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         assert_eq!(g.validate(), Ok(()));
         let simplified = g.simplified();
         assert_eq!(simplified.node_count(), 2);
@@ -925,7 +1150,7 @@ mod simplify_tests {
         g.split_critical_edges();
         let synth = g.nodes().find(|&n| g.is_synthetic(n)).unwrap();
         let x = g.pool().lookup("x").unwrap();
-        g.block_mut(synth).instrs.push(Instr::assign(x, 7));
+        g.push_instr(synth, Instr::assign(x, 7));
         let simplified = g.simplified();
         assert_eq!(
             simplified.node_count(),

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use crate::graph::{FlowGraph, NodeId};
+use crate::graph::{FlowGraph, Loc, NodeId};
 use crate::instr::{Cond, Instr};
 use crate::term::{BinOp, Operand, Term};
 use crate::var::Var;
@@ -347,12 +347,12 @@ fn run_impl(g: &FlowGraph, config: &Config, sink: &mut dyn FnMut(TraceEvent)) ->
         // The branch decision is taken when the Branch instruction runs;
         // instructions after it still execute before control transfers.
         let mut taken: Option<usize> = None;
-        for idx in 0..g.block(node).instrs.len() {
+        for idx in 0..g.block(node).len() {
             if machine.result.steps >= config.max_steps {
                 break 'outer Some(Halt::StepLimit);
             }
             machine.result.steps += 1;
-            match g.block(node).instrs[idx].clone() {
+            match g.instr(Loc { node, index: idx }).clone() {
                 Instr::Skip => {}
                 Instr::Assign { lhs, rhs } => match machine.eval_term(rhs) {
                     Ok(value) => {
@@ -532,10 +532,10 @@ mod tests {
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
         let x = g.pool().lookup("x").unwrap();
-        g.block_mut(g.start()).instrs.clear();
+        g.set_block(g.start(), Vec::new());
         let start = g.start();
-        g.block_mut(start).instrs.push(Instr::assign(h, t));
-        g.block_mut(start).instrs.push(Instr::assign(x, h));
+        g.push_instr(start, Instr::assign(h, t));
+        g.push_instr(start, Instr::assign(x, h));
         let r = run(&g, &Config::with_inputs(vec![("a", 2), ("b", 3)]));
         assert_eq!(r.outputs, vec![vec![5]]);
         assert_eq!(r.assign_execs, 2);

@@ -262,14 +262,17 @@ mod tests {
         let y = g.pool_mut().intern("y");
         let z = g.pool_mut().intern("z");
         let add = Term::binary(BinOp::Add, y, z);
-        g.block_mut(s).instrs.push(Instr::Branch(Cond::new(
-            BinOp::Gt,
-            Term::binary(BinOp::Add, x, z),
-            Term::operand(y),
-        )));
-        g.block_mut(a).instrs.push(Instr::assign(x, add));
-        g.block_mut(b).instrs.push(Instr::assign(x, add));
-        g.block_mut(b).instrs.push(Instr::assign(y, 1));
+        g.push_instr(
+            s,
+            Instr::Branch(Cond::new(
+                BinOp::Gt,
+                Term::binary(BinOp::Add, x, z),
+                Term::operand(y),
+            )),
+        );
+        g.push_instr(a, Instr::assign(x, add));
+        g.push_instr(b, Instr::assign(x, add));
+        g.push_instr(b, Instr::assign(y, 1));
         g
     }
 
@@ -315,9 +318,7 @@ mod tests {
         let w = g2.pool_mut().intern("w");
         let y = g2.pool().lookup("y").unwrap();
         let n = g2.start();
-        g2.block_mut(n)
-            .instrs
-            .push(Instr::assign(w, Term::binary(BinOp::Mul, y, w)));
+        g2.push_instr(n, Instr::assign(w, Term::binary(BinOp::Mul, y, w)));
         assert!(!u.covers(&g2));
         u.extend(&g2);
         assert!(u.covers(&g2));

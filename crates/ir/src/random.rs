@@ -198,9 +198,10 @@ pub fn structured(rng: &mut SplitMix64, cfg: &StructuredConfig) -> FlowGraph {
     let end = g.add_node("e");
     g.set_end(end);
     g.add_edge(last, end);
-    g.block_mut(end)
-        .instrs
-        .push(Instr::Out(vars.iter().map(|&v| Operand::Var(v)).collect()));
+    g.push_instr(
+        end,
+        Instr::Out(vars.iter().map(|&v| Operand::Var(v)).collect()),
+    );
     debug_assert_eq!(g.validate(), Ok(()));
     g
 }
@@ -221,17 +222,15 @@ fn lower_seq(
 ) -> NodeId {
     for stmt in seq {
         match stmt {
-            Stmt::Assign => g.block_mut(cur).instrs.push(ctx.assign()),
+            Stmt::Assign => g.push_instr(cur, ctx.assign()),
             Stmt::Out => {
                 let ops = vec![Operand::Var(ctx.var()), Operand::Var(ctx.var())];
-                g.block_mut(cur).instrs.push(Instr::Out(ops));
+                g.push_instr(cur, Instr::Out(ops));
             }
             Stmt::If(then_seq, else_seq) => {
                 let cond_node = fresh_node(g, counter);
                 g.add_edge(cur, cond_node);
-                g.block_mut(cond_node)
-                    .instrs
-                    .push(Instr::Branch(ctx.cond()));
+                g.push_instr(cond_node, Instr::Branch(ctx.cond()));
                 let then_entry = fresh_node(g, counter);
                 let else_entry = fresh_node(g, counter);
                 g.add_edge(cond_node, then_entry);
@@ -246,7 +245,7 @@ fn lower_seq(
             Stmt::While(body) => {
                 let header = fresh_node(g, counter);
                 g.add_edge(cur, header);
-                g.block_mut(header).instrs.push(Instr::Branch(ctx.cond()));
+                g.push_instr(header, Instr::Branch(ctx.cond()));
                 let body_entry = fresh_node(g, counter);
                 let exit = fresh_node(g, counter);
                 g.add_edge(header, body_entry);
@@ -332,18 +331,19 @@ pub fn unstructured(rng: &mut SplitMix64, cfg: &UnstructuredConfig) -> FlowGraph
             } else {
                 ctx.assign()
             };
-            g.block_mut(node).instrs.push(instr);
+            g.push_instr(node, instr);
         }
         // Branch instruction for most multi-successor nodes; the rest stay
         // nondeterministic.
         if g.succs(node).len() > 1 && ctx.rng.gen_bool(0.7) {
             let cond = ctx.cond();
-            g.block_mut(node).instrs.push(Instr::Branch(cond));
+            g.push_instr(node, Instr::Branch(cond));
         }
         if i == n - 1 {
-            g.block_mut(node)
-                .instrs
-                .push(Instr::Out(vars.iter().map(|&v| Operand::Var(v)).collect()));
+            g.push_instr(
+                node,
+                Instr::Out(vars.iter().map(|&v| Operand::Var(v)).collect()),
+            );
         }
     }
     debug_assert_eq!(g.validate(), Ok(()), "{g:?}");

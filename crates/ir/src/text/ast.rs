@@ -109,12 +109,7 @@ mod tests {
         // (a+b)*(c-d) + e  =>  t1 := a+b; t2 := c-d; t3 := t1*t2; x := t3+e
         let src = "start s\nend e\nnode s { x := (a+b)*(c-d) + e }\nnode e { out(x) }\nedge s -> e";
         let g = crate::text::parse_with_mode(src, crate::text::Mode::Decompose).unwrap();
-        let text: Vec<String> = g
-            .block(g.start())
-            .instrs
-            .iter()
-            .map(|i| i.display(g.pool()))
-            .collect();
+        let text: Vec<String> = g.instrs(g.start()).map(|i| i.display(g.pool())).collect();
         assert_eq!(text, ["t1 := a+b", "t2 := c-d", "t3 := t1*t2", "x := t3+e"]);
     }
 }

@@ -203,7 +203,7 @@ fn every_error_arm_reports_its_exact_position_and_message() {
 fn located(g: &FlowGraph, map: &SourceMap) -> Vec<(String, usize, Option<Pos>)> {
     let mut out = Vec::new();
     for n in g.nodes() {
-        for i in 0..g.block(n).instrs.len() {
+        for i in 0..g.block(n).len() {
             out.push((g.label(n).to_owned(), i, map.get(n, i)));
         }
     }

@@ -469,7 +469,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.graph.block_mut(node).instrs = body;
+        self.graph.set_block(node, body);
         Ok(())
     }
 
@@ -597,6 +597,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::Loc;
 
     const RUNNING_EXAMPLE: &str = "
         # Fig. 4 of the paper.
@@ -620,14 +621,17 @@ mod tests {
         assert_eq!(g.label(g.end()), "4");
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
         assert_eq!(g.succs(n2).len(), 2);
-        assert!(matches!(g.block(n2).instrs[0], Instr::Branch(_)));
+        assert!(matches!(
+            *g.instr(Loc { node: n2, index: 0 }),
+            Instr::Branch(_)
+        ));
     }
 
     #[test]
     fn branch_condition_structure() {
         let g = parse(RUNNING_EXAMPLE).unwrap();
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        let Instr::Branch(c) = &g.block(n2).instrs[0] else {
+        let Instr::Branch(c) = g.instr(Loc { node: n2, index: 0 }) else {
             panic!("expected branch")
         };
         let x = g.pool().lookup("x").unwrap();
@@ -652,7 +656,7 @@ mod tests {
         let src = "start s\nend e\nnode s { x := a+b+c }\nnode e { out(x) }\nedge s -> e";
         let g = parse_with_mode(src, Mode::Decompose).unwrap();
         let s = g.start();
-        let instrs = &g.block(s).instrs;
+        let instrs: Vec<Instr> = g.instrs(s).cloned().collect();
         assert_eq!(instrs.len(), 2);
         let t1 = g.pool().lookup("t1").unwrap();
         let a = g.pool().lookup("a").unwrap();
@@ -669,7 +673,7 @@ mod tests {
             "start s\nend e\nnode s { t1 := 5; x := a+b+c }\nnode e { out(x,t1) }\nedge s -> e";
         let g = parse_with_mode(src, Mode::Decompose).unwrap();
         // The decomposition variable must not collide with source t1.
-        let instrs = &g.block(g.start()).instrs;
+        let instrs: Vec<Instr> = g.instrs(g.start()).cloned().collect();
         assert_eq!(instrs.len(), 3);
         let Instr::Assign { lhs, .. } = &instrs[1] else {
             panic!()
@@ -682,7 +686,10 @@ mod tests {
     fn branch_of_plain_var() {
         let src = "start s\nend e\nnode s { branch p }\nnode a { skip }\nnode e { out() }\nedge s -> a, e\nedge a -> e";
         let g = parse(src).unwrap();
-        let Instr::Branch(c) = &g.block(g.start()).instrs[0] else {
+        let Instr::Branch(c) = g.instr(Loc {
+            node: g.start(),
+            index: 0,
+        }) else {
             panic!()
         };
         assert_eq!(c.op, BinOp::Ne);
@@ -693,7 +700,7 @@ mod tests {
     fn self_assignment_becomes_skip() {
         let src = "start s\nend e\nnode s { x := x }\nnode e { out() }\nedge s -> e";
         let g = parse(src).unwrap();
-        assert_eq!(g.block(g.start()).instrs, vec![Instr::Skip]);
+        assert!(g.instrs(g.start()).eq(&[Instr::Skip]));
     }
 
     #[test]
@@ -702,7 +709,7 @@ mod tests {
         // a + (b*c) is nested: strict must reject, decompose computes b*c first.
         assert!(parse(src).is_err());
         let g = parse_with_mode(src, Mode::Decompose).unwrap();
-        let instrs = &g.block(g.start()).instrs;
+        let instrs: Vec<Instr> = g.instrs(g.start()).cloned().collect();
         let b = g.pool().lookup("b").unwrap();
         let c = g.pool().lookup("c").unwrap();
         let Instr::Assign { rhs, .. } = &instrs[0] else {
@@ -778,7 +785,7 @@ mod tests {
         let src = "start s\nend e\nnode s { x := a+b+c }\nnode e { out(x) }\nedge s -> e";
         let (g, map) = parse_with_locations(src, Mode::Decompose).unwrap();
         let s = g.start();
-        assert_eq!(g.block(s).instrs.len(), 2);
+        assert_eq!(g.block(s).len(), 2);
         assert_eq!(map.get(s, 0), map.get(s, 1));
         assert_eq!(map.get(s, 0), Some(Pos::new(3, 10)));
     }
@@ -788,7 +795,7 @@ mod tests {
         let src =
             "start s\nend e\nnode s { x := -3; y := x + -2 }\nnode e { out(x,y) }\nedge s -> e";
         let g = parse(src).unwrap();
-        let instrs = &g.block(g.start()).instrs;
+        let instrs: Vec<Instr> = g.instrs(g.start()).cloned().collect();
         assert_eq!(instrs.len(), 2);
         let Instr::Assign { rhs, .. } = &instrs[0] else {
             panic!()
@@ -849,7 +856,7 @@ mod tests {
             ")".repeat(parens)
         );
         let g = parse_with_mode(&assigning(&rhs), Mode::Decompose).unwrap();
-        assert_eq!(g.block(g.start()).instrs.len(), height);
+        assert_eq!(g.block(g.start()).len(), height);
         assert_too_deep(&assigning(&rhs.replacen("a", "a + a", 1)));
     }
 }

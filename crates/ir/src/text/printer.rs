@@ -44,7 +44,7 @@ pub(crate) fn write_program<W: Write>(
         w.write_str("node ")?;
         w.write_str(g.label(n))?;
         w.write_str(" {\n")?;
-        for instr in &g.block(n).instrs {
+        for instr in g.instrs(n) {
             w.write_str("  ")?;
             write_instr(w, instr, var)?;
             w.write_str("\n")?;
@@ -164,12 +164,7 @@ pub(crate) fn write_int(w: &mut impl Write, n: i64) -> fmt::Result {
 /// Handy for assertions about individual blocks in tests and for compact
 /// figure output.
 pub fn node_summary(g: &FlowGraph, n: NodeId) -> String {
-    let body: Vec<String> = g
-        .block(n)
-        .instrs
-        .iter()
-        .map(|i| i.display(g.pool()))
-        .collect();
+    let body: Vec<String> = g.instrs(n).map(|i| i.display(g.pool())).collect();
     format!("{}[{}]", g.label(n), body.join("; "))
 }
 

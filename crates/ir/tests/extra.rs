@@ -123,13 +123,9 @@ fn instructions_after_a_branch_execute_before_transfer() {
     g.add_edge(r, e);
     let p = g.pool_mut().intern("p");
     let x = g.pool_mut().intern("x");
-    g.block_mut(s)
-        .instrs
-        .push(Instr::Branch(Cond::new(BinOp::Gt, p, 0)));
-    g.block_mut(s).instrs.push(Instr::assign(x, 9)); // after the branch
-    g.block_mut(e)
-        .instrs
-        .push(Instr::Out(vec![Operand::Var(x)]));
+    g.push_instr(s, Instr::Branch(Cond::new(BinOp::Gt, p, 0)));
+    g.push_instr(s, Instr::assign(x, 9)); // after the branch
+    g.push_instr(e, Instr::Out(vec![Operand::Var(x)]));
     assert_eq!(g.validate(), Ok(()));
     for p_val in [1, -1] {
         let res = run(&g, &Config::with_inputs(vec![("p", p_val)]));

@@ -92,6 +92,13 @@ impl Lowerer {
 
     /// Lowers a statement sequence starting in `cur`; returns the node
     /// where control continues.
+    /// Appends `instrs` to block `n`.
+    fn emit(&mut self, n: NodeId, instrs: Vec<Instr>) {
+        for instr in instrs {
+            self.g.push_instr(n, instr);
+        }
+    }
+
     fn seq(&mut self, stmts: &[Stmt], mut cur: NodeId) -> NodeId {
         for stmt in stmts {
             cur = self.stmt(stmt, cur);
@@ -102,7 +109,7 @@ impl Lowerer {
     fn stmt(&mut self, stmt: &Stmt, cur: NodeId) -> NodeId {
         match stmt {
             Stmt::Skip => {
-                self.g.block_mut(cur).instrs.push(Instr::Skip);
+                self.g.push_instr(cur, Instr::Skip);
                 cur
             }
             Stmt::Assign { lhs, rhs } => {
@@ -110,14 +117,14 @@ impl Lowerer {
                 let term = self.term(rhs, &mut instrs);
                 let lhs = self.g.pool_mut().intern(lhs);
                 instrs.push(Instr::assign(lhs, term));
-                self.g.block_mut(cur).instrs.extend(instrs);
+                self.emit(cur, instrs);
                 cur
             }
             Stmt::Print(args) => {
                 let mut instrs = Vec::new();
                 let ops: Vec<Operand> = args.iter().map(|a| self.operand(a, &mut instrs)).collect();
                 instrs.push(Instr::Out(ops));
-                self.g.block_mut(cur).instrs.extend(instrs);
+                self.emit(cur, instrs);
                 cur
             }
             Stmt::If {
@@ -130,7 +137,7 @@ impl Lowerer {
                 let mut instrs = Vec::new();
                 let c = self.cond(cond, &mut instrs);
                 instrs.push(Instr::Branch(c));
-                self.g.block_mut(cond_node).instrs.extend(instrs);
+                self.emit(cond_node, instrs);
                 let then_entry = self.fresh_node("then");
                 let else_entry = self.fresh_node("else");
                 self.g.add_edge(cond_node, then_entry);
@@ -148,7 +155,7 @@ impl Lowerer {
                 let mut instrs = Vec::new();
                 let c = self.cond(cond, &mut instrs);
                 instrs.push(Instr::Branch(c));
-                self.g.block_mut(header).instrs.extend(instrs);
+                self.emit(header, instrs);
                 let body_entry = self.fresh_node("body");
                 let exit = self.fresh_node("endwhile");
                 self.g.add_edge(header, body_entry);
@@ -166,7 +173,7 @@ impl Lowerer {
                 let mut instrs = Vec::new();
                 let c = self.cond(cond, &mut instrs);
                 instrs.push(Instr::Branch(c));
-                self.g.block_mut(check).instrs.extend(instrs);
+                self.emit(check, instrs);
                 let exit = self.fresh_node("enddo");
                 self.g.add_edge(check, body_entry);
                 self.g.add_edge(check, exit);

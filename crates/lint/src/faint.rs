@@ -115,8 +115,8 @@ mod tests {
         let b = g.pool_mut().intern("b");
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
-        g.block_mut(s).instrs.push(Instr::assign(h, t));
-        g.block_mut(e).instrs.push(Instr::Out(vec![a.into()]));
+        g.push_instr(s, Instr::assign(h, t));
+        g.push_instr(e, Instr::Out(vec![a.into()]));
         assert_eq!(codes(&g), vec!["L201"]);
     }
 

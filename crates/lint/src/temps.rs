@@ -148,9 +148,9 @@ mod tests {
         let (mut g, s, e, a, b, x) = skeleton();
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
-        g.block_mut(s).instrs.push(Instr::assign(h, t));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(h, t));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         let cs = codes(&g);
         assert!(cs.contains(&"L301"), "{cs:?}");
     }
@@ -162,12 +162,10 @@ mod tests {
         let (mut g, s, e, a, b, x) = skeleton();
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
-        g.block_mut(s).instrs.push(Instr::assign(h, t));
-        g.block_mut(s).instrs.push(Instr::assign(a, 1));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e)
-            .instrs
-            .push(Instr::Out(vec![x.into(), a.into()]));
+        g.push_instr(s, Instr::assign(h, t));
+        g.push_instr(s, Instr::assign(a, 1));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into(), a.into()]));
         let cs = codes(&g);
         assert!(!cs.contains(&"L301"), "{cs:?}");
     }
@@ -178,12 +176,10 @@ mod tests {
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
         let y = g.pool_mut().intern("y");
-        g.block_mut(s).instrs.push(Instr::assign(h, t));
-        g.block_mut(s).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::assign(y, h));
-        g.block_mut(e)
-            .instrs
-            .push(Instr::Out(vec![x.into(), y.into()]));
+        g.push_instr(s, Instr::assign(h, t));
+        g.push_instr(s, Instr::assign(x, h));
+        g.push_instr(e, Instr::assign(y, h));
+        g.push_instr(e, Instr::Out(vec![x.into(), y.into()]));
         let cs = codes(&g);
         assert!(!cs.contains(&"L301"), "{cs:?}");
     }
@@ -195,13 +191,11 @@ mod tests {
         let t2 = Term::binary(BinOp::Mul, a, b);
         let h1 = g.temp_for(t1);
         let h2 = g.temp_for(t2);
-        g.block_mut(s).instrs.push(Instr::assign(h1, t1));
-        g.block_mut(s).instrs.push(Instr::assign(h2, t2));
-        g.block_mut(s).instrs.push(Instr::assign(a, 1));
-        g.block_mut(e).instrs.push(Instr::assign(x, h1));
-        g.block_mut(e)
-            .instrs
-            .push(Instr::Out(vec![x.into(), h2.into()]));
+        g.push_instr(s, Instr::assign(h1, t1));
+        g.push_instr(s, Instr::assign(h2, t2));
+        g.push_instr(s, Instr::assign(a, 1));
+        g.push_instr(e, Instr::assign(x, h1));
+        g.push_instr(e, Instr::Out(vec![x.into(), h2.into()]));
         let report = lint_graph(&g, &LintConfig::default());
         let l302 = report
             .diags

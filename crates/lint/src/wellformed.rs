@@ -192,8 +192,8 @@ mod tests {
     #[test]
     fn unreachable_node_is_l003_and_gates_dataflow() {
         let (mut g, s, e, _, _, x) = skeleton();
-        g.block_mut(s).instrs.push(Instr::assign(x, 1));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(x, 1));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         g.add_node("island");
         let report = lint_graph(&g, &LintConfig::default());
         assert_eq!(
@@ -208,8 +208,8 @@ mod tests {
         // h<a+b> is read but never assigned.
         let (mut g, _, e, a, b, x) = skeleton();
         let h = g.temp_for(Term::binary(BinOp::Add, a, b));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         assert!(codes(&g).contains(&"L010"));
     }
 
@@ -218,9 +218,9 @@ mod tests {
         let (mut g, s, e, a, b, x) = skeleton();
         let t = Term::binary(BinOp::Add, a, b);
         let h = g.temp_for(t);
-        g.block_mut(s).instrs.push(Instr::assign(h, t));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(h, t));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         assert!(!codes(&g).contains(&"L010"), "{:?}", codes(&g));
     }
 
@@ -229,11 +229,9 @@ mod tests {
         // h<a+b> := a*b violates the naming discipline.
         let (mut g, s, e, a, b, x) = skeleton();
         let h = g.temp_for(Term::binary(BinOp::Add, a, b));
-        g.block_mut(s)
-            .instrs
-            .push(Instr::assign(h, Term::binary(BinOp::Mul, a, b)));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(h, Term::binary(BinOp::Mul, a, b)));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         let cs = codes(&g);
         assert!(cs.contains(&"L011"), "{cs:?}");
     }
@@ -244,11 +242,9 @@ mod tests {
         // their name, so the naming lint cannot and must not apply.
         let (mut g, s, e, a, b, x) = skeleton();
         let h = g.pool_mut().intern_temp("h1");
-        g.block_mut(s)
-            .instrs
-            .push(Instr::assign(h, Term::binary(BinOp::Mul, a, b)));
-        g.block_mut(e).instrs.push(Instr::assign(x, h));
-        g.block_mut(e).instrs.push(Instr::Out(vec![x.into()]));
+        g.push_instr(s, Instr::assign(h, Term::binary(BinOp::Mul, a, b)));
+        g.push_instr(e, Instr::assign(x, h));
+        g.push_instr(e, Instr::Out(vec![x.into()]));
         assert!(!codes(&g).contains(&"L011"));
     }
 }

@@ -20,7 +20,7 @@ fn multiset(g: &FlowGraph) -> Multiset {
     let mut m = Multiset::new();
     for n in g.nodes() {
         let label = g.label(n).to_owned();
-        for instr in &g.block(n).instrs {
+        for instr in g.instrs(n) {
             *m.entry((label.clone(), instr.display(g.pool())))
                 .or_insert(0) += 1;
         }

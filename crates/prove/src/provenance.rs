@@ -30,7 +30,7 @@
 //! interpreter-confirmed witness rather than a widening artefact.
 
 use am_core::explain::{locate, Capture};
-use am_ir::Instr;
+use am_ir::{Instr, Loc};
 use am_obs::ProvRecord;
 
 use crate::engine::{prove_pair, prove_pair_probed, ProveConfig, Verdict};
@@ -177,10 +177,10 @@ pub fn discharge_provenance(capture: &Capture, cfg: &ProveConfig) -> DischargeRe
                 // evaluations). Path-sensitive, so join-widening noise
                 // from the fast tier cannot produce a false failure.
                 let mut removed = snap.clone();
-                removed
-                    .block_mut(probes[i].node)
-                    .instrs
-                    .remove(probes[i].index);
+                removed.remove_instr(Loc {
+                    node: probes[i].node,
+                    index: probes[i].index,
+                });
                 match prove_pair(snap, &removed, cfg).verdict {
                     Verdict::Proved => DischargeStatus::Discharged,
                     Verdict::Refuted => DischargeStatus::Failed,

@@ -15,7 +15,7 @@
 
 use std::collections::HashSet;
 
-use am_ir::{BinOp, FlowGraph, Instr, NodeId, Operand, Term, Var, VarPool};
+use am_ir::{BinOp, FlowGraph, Instr, Loc, NodeId, Operand, Term, Var, VarPool};
 
 use crate::value::{ValId, ValueArena};
 
@@ -300,9 +300,9 @@ pub fn run_segment(
     }
 
     loop {
-        let instr_count = g.block(node).instrs.len();
+        let instr_count = g.block(node).len();
         while idx < instr_count {
-            let instr = g.block(node).instrs[idx].clone();
+            let instr = g.instr(Loc { node, index: idx }).clone();
             match instr {
                 Instr::Skip => {}
                 Instr::Assign { lhs, rhs } => {

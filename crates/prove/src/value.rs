@@ -10,6 +10,7 @@
 //! `h := a+b; x := h` and `x := a+b` produce the *same* value for `x`.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use am_ir::BinOp;
 
@@ -235,22 +236,99 @@ impl ValueArena {
         self.intern(ValNode::Bin(op, l, r))
     }
 
-    /// Renders `v` for diagnostics.
+    /// Renders `v` for diagnostics as a fully parenthesized term, cut
+    /// off with `...` once it reaches 1,024 bytes. Shared
+    /// sub-values are written out at every use, so a chain of `x := x+x`
+    /// doubles the full rendering per step; the walk is iterative and
+    /// stops at the budget, so neither a doubling nor a deep chain costs
+    /// more than the budget's worth of work or any stack.
     pub fn display(&self, v: ValId) -> String {
-        match self.node(v) {
-            ValNode::Init(x) => format!("init#{x}"),
-            ValNode::Const(c) => c.to_string(),
-            ValNode::Bin(op, l, r) => {
-                format!("({} {} {})", self.display(l), op.symbol(), self.display(r))
-            }
-            ValNode::Widen(s) => format!("join#{s}"),
+        enum Piece {
+            Val(ValId),
+            Op(BinOp),
+            Close,
         }
+        let mut out = String::new();
+        let mut todo = vec![Piece::Val(v)];
+        while let Some(piece) = todo.pop() {
+            if out.len() >= DISPLAY_BUDGET {
+                out.push_str("...");
+                break;
+            }
+            // Every piece writes at least one byte, so the loop ends
+            // within the budget.
+            match piece {
+                Piece::Val(v) => match self.node(v) {
+                    ValNode::Init(x) => write!(out, "init#{x}"),
+                    ValNode::Const(c) => write!(out, "{c}"),
+                    ValNode::Widen(s) => write!(out, "join#{s}"),
+                    ValNode::Bin(op, l, r) => {
+                        out.push('(');
+                        todo.extend([Piece::Close, Piece::Val(r), Piece::Op(op), Piece::Val(l)]);
+                        Ok(())
+                    }
+                },
+                Piece::Op(op) => write!(out, " {} ", op.symbol()),
+                Piece::Close => write!(out, ")"),
+            }
+            .expect("writing to a String cannot fail");
+        }
+        out
     }
 }
+
+/// The length in bytes past which [`ValueArena::display`] elides the
+/// rest of a value.
+const DISPLAY_BUDGET: usize = 1024;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn display_writes_nested_terms() {
+        let mut a = ValueArena::new();
+        let x = a.init(0);
+        let one = a.constant(1);
+        let x1 = a.bin(BinOp::Add, x, one);
+        let doubled = a.bin(BinOp::Add, x1, x1);
+        let j = a.widen(0, 0, 0);
+        let cmp = a.bin(BinOp::Lt, doubled, j);
+        assert_eq!(a.display(cmp), "(((init#0 + 1) + (init#0 + 1)) < join#0)");
+        assert_eq!(a.display(one), "1");
+    }
+
+    #[test]
+    fn display_of_a_doubling_chain_is_cut_at_the_budget() {
+        // x := a+1, then 40 times x := x+x: the full rendering would take
+        // about 2^40 * 16 bytes.
+        let mut a = ValueArena::new();
+        let init = a.init(0);
+        let one = a.constant(1);
+        let mut x = a.bin(BinOp::Add, init, one);
+        for _ in 0..40 {
+            x = a.bin(BinOp::Add, x, x);
+        }
+        let text = a.display(x);
+        assert!(text.ends_with("..."), "{text}");
+        assert!(text.len() <= DISPLAY_BUDGET + 16, "{} bytes", text.len());
+        assert!(text.starts_with("((((((((((((("), "{text}");
+    }
+
+    #[test]
+    fn display_of_a_deep_chain_needs_no_stack() {
+        // 100,000 times x := x+1: one recursion level per step would
+        // overflow the stack.
+        let mut a = ValueArena::new();
+        let mut x = a.init(0);
+        let one = a.constant(1);
+        for _ in 0..100_000 {
+            x = a.bin(BinOp::Add, x, one);
+        }
+        let text = a.display(x);
+        assert!(text.ends_with("..."), "{text}");
+        assert!(text.len() <= DISPLAY_BUDGET + 16, "{} bytes", text.len());
+    }
 
     #[test]
     fn hash_consing_is_stable() {

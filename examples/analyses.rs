@@ -59,7 +59,7 @@ fn show_redundancy(g: &FlowGraph, title: &str) {
     let analysis = rae::analyze_redundancy(g);
     for n in g.nodes() {
         let facts = analysis.block_facts(g, n);
-        for (instr, fact) in g.block(n).instrs.iter().zip(&facts) {
+        for (instr, fact) in g.instrs(n).zip(&facts) {
             let redundant: Vec<String> = analysis
                 .universe
                 .assign_patterns()
@@ -114,7 +114,7 @@ fn show_flush(g: &mut FlowGraph) {
     );
     for n in g.nodes() {
         let facts = analysis.block_facts(g, n);
-        for (instr, f) in g.block(n).instrs.iter().zip(&facts) {
+        for (instr, f) in g.instrs(n).zip(&facts) {
             for (i, eps) in analysis.universe.expr_patterns() {
                 let interesting =
                     f.is_inst.contains(i) || f.used.contains(i) || f.blocked.contains(i);

@@ -48,7 +48,7 @@ impl Fnv {
         }
         for n in g.nodes() {
             self.field(g.label(n));
-            for instr in &g.block(n).instrs {
+            for instr in g.instrs(n) {
                 self.field(instr);
             }
             self.field(g.succs(n));

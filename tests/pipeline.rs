@@ -298,13 +298,11 @@ fn single_node_program_is_handled() {
     let x = g.pool_mut().intern("x");
     let a = g.pool_mut().intern("a");
     let b = g.pool_mut().intern("b");
-    g.block_mut(s).instrs.push(am_ir::Instr::assign(
-        x,
-        am_ir::Term::binary(am_ir::BinOp::Add, a, b),
-    ));
-    g.block_mut(s)
-        .instrs
-        .push(am_ir::Instr::Out(vec![x.into()]));
+    g.push_instr(
+        s,
+        am_ir::Instr::assign(x, am_ir::Term::binary(am_ir::BinOp::Add, a, b)),
+    );
+    g.push_instr(s, am_ir::Instr::Out(vec![x.into()]));
     assert_eq!(g.validate(), Ok(()));
     let result = optimize(&g);
     let cfg = RunConfig::with_inputs(vec![("a", 1), ("b", 2)]);
