@@ -24,14 +24,21 @@
 //! fans, inlined program shapes). The `flush%` column is each workload's
 //! final-flush share of its best wall time. `--xl-smoke` runs just the
 //! mid-size nest rung for CI.
+//!
+//! The `allocs` column is the heap allocations of one optimize run, the
+//! program handed over by value (no copy), counted by this binary's
+//! global allocator; the record's `allocations` field carries it, and
+//! `amstat regress` fails a rung whose count rose at all.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use am_bench::workloads::{
     diamond_chain, fit_nodes_exponent, inlined_program, loop_nest, nest_grid, wide_fan,
 };
-use am_core::global::{optimize_with, GlobalConfig};
+use am_core::global::{optimize_owned, optimize_with, GlobalConfig};
 use am_dfa::PointGraph;
 use am_ir::random::{unstructured, SplitMix64, UnstructuredConfig};
 use am_ir::FlowGraph;
@@ -170,6 +177,46 @@ fn xl_ladder(smoke: bool) -> Vec<(String, FlowGraph)> {
     workloads
 }
 
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every allocation request (`alloc`, `alloc_zeroed`, `realloc`)
+/// on the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: the slot may already be gone while a thread exits.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every request is forwarded unchanged to the system allocator;
+// the counter is a const-initialized thread-local `Cell` that never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
 /// Runs one workload `iters` times, keeping the fastest end-to-end run
 /// (and its per-phase timings; the counters are deterministic).
 fn measure(label: &str, g: &FlowGraph, iters: u32) -> BenchRecord {
@@ -177,9 +224,13 @@ fn measure(label: &str, g: &FlowGraph, iters: u32) -> BenchRecord {
         keep_snapshots: false,
         ..Default::default()
     };
-    // Warmup, then best-of-N: minimum wall time is the least noisy
+    // Warmup, counting its allocations (the copy is made outside the
+    // count), then best-of-N: minimum wall time is the least noisy
     // estimator on a shared machine.
-    let _ = optimize_with(g, &config);
+    let program = g.clone();
+    let before = ALLOCATIONS.with(Cell::get);
+    let _ = optimize_owned(program, &config, &mut |_, _| {});
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
     let mut best_wall = u128::MAX;
     let mut best = None;
     for _ in 0..iters {
@@ -212,6 +263,7 @@ fn measure(label: &str, g: &FlowGraph, iters: u32) -> BenchRecord {
         inserted: result.motion.inserted,
         removed: result.motion.removed,
         cache_hit: false,
+        allocations: Some(allocations),
     }
 }
 
@@ -246,7 +298,7 @@ fn main() -> ExitCode {
     }
     let mut records = Vec::new();
     println!(
-        "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8} {:>7}",
+        "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8} {:>7} {:>8}",
         "workload",
         "nodes",
         "instrs",
@@ -256,7 +308,8 @@ fn main() -> ExitCode {
         "iters",
         "pushes",
         "push/pt",
-        "flush%"
+        "flush%",
+        "allocs"
     );
     for (label, g) in workloads {
         // XL rungs run fewer timed iterations: a 30k-node rung at
@@ -269,7 +322,7 @@ fn main() -> ExitCode {
         };
         let rec = measure(&label, &g, iters);
         println!(
-            "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8.1} {:>7.1}",
+            "{:<18} {:>6} {:>7} {:>7} {:>10} {:>7} {:>9} {:>9} {:>8.1} {:>7.1} {:>8}",
             rec.label,
             rec.nodes,
             rec.instrs,
@@ -279,7 +332,8 @@ fn main() -> ExitCode {
             rec.iterations,
             rec.worklist_pushes,
             rec.pushes_per_point(),
-            100.0 * rec.flush_micros as f64 / rec.wall_micros.max(1) as f64
+            100.0 * rec.flush_micros as f64 / rec.wall_micros.max(1) as f64,
+            rec.allocations.unwrap_or(0)
         );
         records.push(rec);
     }

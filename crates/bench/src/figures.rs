@@ -312,7 +312,7 @@ pub fn fig13_candidates() -> FigureReport {
     let analysis = am_core::hoist::analyze_hoisting(&g);
     let n1 = g.start();
     let mut notes = Vec::new();
-    for (pat, idx) in &analysis.candidates[n1.index()] {
+    for (pat, idx) in analysis.candidates(n1) {
         notes.push(format!(
             "candidate: '{}' at instruction {idx}",
             analysis.universe.assign(*pat).display(g.pool())

@@ -166,6 +166,7 @@ impl BitSet {
     }
 
     /// Inserts every element of the universe.
+    #[inline]
     pub fn insert_all(&mut self) {
         let len = self.len;
         let words = &mut self.raw_mut()[..words_for(len)];

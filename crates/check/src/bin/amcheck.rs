@@ -7,13 +7,16 @@
 //! ```
 //!
 //! Exit status: 0 all seeds/files pass, 1 at least one failure (bundles
-//! under `--out`, default `target/am-check`), 2 usage error.
+//! under `--out`, default `target/am-check`) or one file left unchecked
+//! (no interpreter run of either program finished within the step limit
+//! on a stage the prover did not discharge), 2 usage error. Campaign
+//! seeds left unchecked are counted, not failed.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use am_check::campaign::{
-    check_file, default_bundle_dir, parse_seed_range, run_campaign, CampaignConfig,
+    check_file, default_bundle_dir, parse_seed_range, run_campaign, CampaignConfig, FileCheck,
 };
 use am_check::fault::{FaultKind, FaultSpec, InjectAt};
 use am_ir::text::parse;
@@ -167,9 +170,10 @@ fn main() -> ExitCode {
             String::new()
         };
         println!(
-            "amcheck: {} seeds checked ({} skipped), {} stage pairs, {} failures{lints}",
+            "amcheck: {} seeds checked ({} skipped, {} unchecked), {} stage pairs, {} failures{lints}",
             report.seeds_checked,
             report.seeds_skipped,
+            report.seeds_unchecked,
             report.stages_checked,
             report.failures.len()
         );
@@ -203,7 +207,11 @@ fn main() -> ExitCode {
                 }
             };
             match check_file(file, &program, &cfg) {
-                Ok(()) => println!("{file}: ok"),
+                Ok(FileCheck::Checked) => println!("{file}: ok"),
+                Ok(FileCheck::Unchecked(reason)) => {
+                    eprintln!("{file}: UNCHECKED ({reason})");
+                    failed += 1;
+                }
                 Err(f) => {
                     let bundle = f
                         .bundle

@@ -6,7 +6,7 @@
 //! and a `report.txt` naming the failing stage, the oracle decision trace,
 //! the inputs, the seed and the exact `amcheck` command line.
 //!
-//! The `.ir` files hold the [`canonical_text`](am_ir::alpha::canonical_text)
+//! The `.ir` files hold the [`canonical_text`]
 //! of the *pre-optimization* programs: labels synthesized by edge splitting
 //! (`"S2,3"`) and optimizer temporaries (`"h<a+b>"`) do not re-lex, so
 //! bundles always snapshot programs from before the optimizer ran.

@@ -205,6 +205,10 @@ pub struct CampaignReport {
     pub seeds_checked: u64,
     /// Seeds skipped because a requested fault found no injection site.
     pub seeds_skipped: u64,
+    /// Checked seeds that found no failure but left some stage unchecked
+    /// ([`crate::validate::Validation::unchecked`]). Counted, not failed:
+    /// a campaign fails only on refutations.
+    pub seeds_unchecked: u64,
     /// Snapshot pairs differentially checked, across all seeds.
     pub stages_checked: u64,
     /// Seeds whose final snapshot had error-severity lint findings
@@ -259,6 +263,10 @@ pub fn run_campaign(cfg: &CampaignConfig, progress: &mut dyn FnMut(u64, usize)) 
                 report.lints_tripped += 1;
                 span.arg("lint_errors", lint.errors as i64);
             }
+        }
+        if v.unchecked.is_some() {
+            report.seeds_unchecked += 1;
+            span.arg("unchecked", 1);
         }
         let failed = v.failure.is_some();
         if let Some(failure) = v.failure {
@@ -358,13 +366,23 @@ fn reproduce_command(seed: u64, cfg: &CampaignConfig) -> String {
     cmd
 }
 
+/// A file validation that found no failure.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FileCheck {
+    /// Every stage was proved or compared on finished runs.
+    Checked,
+    /// Some stage was checked by nothing; the reason says which and why
+    /// ([`crate::validate::Validation::unchecked`]).
+    Unchecked(String),
+}
+
 /// Validates a hand-written program the way a campaign seed is validated,
 /// shrinking and bundling on failure. Used by `amcheck FILE...`.
 pub fn check_file(
     name: &str,
     program: &FlowGraph,
     cfg: &CampaignConfig,
-) -> Result<(), Box<SeedFailure>> {
+) -> Result<FileCheck, Box<SeedFailure>> {
     let vcfg = ValidationConfig {
         runs: cfg.runs,
         decisions: cfg.decisions,
@@ -374,7 +392,7 @@ pub fn check_file(
     };
     let v = validate(program, &vcfg);
     match v.failure {
-        None => Ok(()),
+        None => Ok(v.unchecked.map_or(FileCheck::Checked, FileCheck::Unchecked)),
         Some(failure) => {
             let verdicts = v.prove_verdicts.clone();
             let mut entry = handle_failure(0, program, &vcfg, failure, v.prove_verdicts, cfg);

@@ -26,7 +26,7 @@
 //! On failure, a delta-debugging [`shrink`](shrink::shrink) pass cuts the
 //! program down (drop nodes and edges, truncate blocks, simplify terms),
 //! re-checking after each cut that the *same class* of failure survives,
-//! and a reproduction [`bundle`](bundle) — minimized `.ir` text, seed,
+//! and a reproduction [`bundle`] — minimized `.ir` text, seed,
 //! phase, oracle trace — is written under `target/am-check/`.
 //!
 //! Entry points:

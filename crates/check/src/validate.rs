@@ -1,7 +1,7 @@
 //! Per-phase differential validation of one program.
 //!
 //! [`validate`] replays the optimizer through the phase-boundary hooks of
-//! [`optimize_hooked`](am_core::global::optimize_hooked), snapshotting the
+//! [`optimize_hooked`], snapshotting the
 //! program after every phase, then checks each *consecutive pair* of
 //! snapshots — original vs. split, split vs. init, round `r` vs. round
 //! `r+1`, … — against the counting interpreter on corresponding runs (the
@@ -175,6 +175,12 @@ pub struct Validation {
     /// proved (they are compared dynamically only), so they do not
     /// appear here.
     pub prove_verdicts: Vec<(Stage, Verdict)>,
+    /// Why a validation that found no failure checked nothing at some
+    /// stage: the stage was left to the interpreter, and no run of either
+    /// program finished within the step limit, so the comparison was
+    /// vacuous. `None` when every stage was proved or compared on at
+    /// least one finished run.
+    pub unchecked: Option<String>,
 }
 
 impl Validation {
@@ -366,6 +372,7 @@ pub fn validate(g: &FlowGraph, cfg: &ValidationConfig) -> Validation {
                 fault_injected,
                 lint: lint.clone(),
                 prove_verdicts: Vec::new(),
+                unchecked: None,
             };
         }
     }
@@ -436,6 +443,18 @@ pub fn validate(g: &FlowGraph, cfg: &ValidationConfig) -> Validation {
         None
     };
 
+    // A dynamic comparison is vacuous when every run on both sides was cut
+    // off by the step limit; the first such stage is reported.
+    let mut unchecked: Option<String> = None;
+    let mut note_vacuous = |stage: Stage, before: &[RunResult], after: &[RunResult]| {
+        let cut = |runs: &[RunResult]| runs.iter().all(|r| r.stop == StopReason::StepLimit);
+        if unchecked.is_none() && cut(before) && cut(after) {
+            let limit = run_cfgs.first().map_or(0, |c| c.max_steps);
+            unchecked = Some(format!(
+                "{stage}: no interpreter run of either program finished within {limit} steps"
+            ));
+        }
+    };
     let mut stages_checked = 0;
     let mut prove_verdicts: Vec<(Stage, Verdict)> = Vec::new();
     let prove_cfg = ProveConfig {
@@ -499,6 +518,7 @@ pub fn validate(g: &FlowGraph, cfg: &ValidationConfig) -> Validation {
             if let Some(f) = check_pair(stage, before, after) {
                 break 'check Some(f);
             }
+            note_vacuous(stage, before, after);
         }
 
         // 5. The standalone baselines, against the original program. These
@@ -526,12 +546,14 @@ pub fn validate(g: &FlowGraph, cfg: &ValidationConfig) -> Validation {
                 if let Some(f) = check_pair(stage, original, &runs) {
                     break 'check Some(f);
                 }
+                note_vacuous(stage, original, &runs);
             }
         }
         None
     };
 
     Validation {
+        unchecked: unchecked.filter(|_| failure.is_none()),
         failure,
         stages_checked,
         runs: cfg.runs,

@@ -150,3 +150,38 @@ fn file_checking_bundles_under_the_file_name() {
     assert!(dir.ends_with("file-demo-ir"), "{}", dir.display());
     assert!(dir.join("original.ir").exists());
 }
+
+/// A fault on a program no interpreter run gets through is not reported as
+/// checked. Every run of `x := a; 100,000 × x := x+1; out(x)` stops at the
+/// interpreter's step limit before `out`, so the prover's refutation of
+/// the injected constant cannot be confirmed by a run and the
+/// differential oracle compares two cut-off runs: the file is unchecked,
+/// with the reason.
+#[test]
+fn a_program_no_run_finishes_is_reported_unchecked() {
+    use am_check::campaign::{check_file, FileCheck};
+    let body = std::iter::once("x := a")
+        .chain(std::iter::repeat_n("x := x+1", 100_000))
+        .chain(std::iter::once("out(x)"))
+        .collect::<Vec<_>>()
+        .join("; ");
+    let src = format!("start s\nend e\nnode s {{ {body} }}\nnode e {{ skip }}\nedge s -> e\n");
+    let g = parse(&src).unwrap();
+    let cfg = CampaignConfig {
+        fault: Some(FaultSpec {
+            at: InjectAt::Init,
+            kind: FaultKind::TweakConst,
+        }),
+        bundle_dir: None,
+        runs: 2,
+        ..CampaignConfig::default()
+    };
+    match check_file("chain.ir", &g, &cfg) {
+        Ok(FileCheck::Unchecked(reason)) => assert!(
+            reason.contains("no interpreter run of either program finished within 100000 steps"),
+            "{reason}"
+        ),
+        Ok(FileCheck::Checked) => panic!("the chain was reported checked"),
+        Err(f) => panic!("unexpected failure {:?}", f.failure),
+    }
+}

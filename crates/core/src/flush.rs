@@ -62,7 +62,7 @@
 //! [`final_flush_with`]) run the same code on a fresh context.
 
 use am_bitset::BitSet;
-use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_dfa::{solve_scheduled, Confluence, Direction, PatternMasks, Solution};
 use am_ir::intern::InstrId;
 use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
 use am_obs::{ProvKind, ProvRecord};
@@ -201,13 +201,13 @@ impl MotionContext {
     pub(crate) fn flush_analysis(&mut self, g: &mut FlowGraph) -> (FlushAnalysis, FlushRows) {
         self.sync(g);
         let mut seen = vec![false; self.interned()];
-        let mut distinct = Vec::new();
+        let mut distinct = Vec::with_capacity(self.interned());
         for &id in self.block_keys.iter().flatten() {
             if !std::mem::replace(&mut seen[id.index()], true) {
                 distinct.push(id);
             }
         }
-        let mut universe = PatternUniverse::default();
+        let mut universe = PatternUniverse::with_capacity(distinct.len());
         universe.extend_instrs(distinct.iter().map(|&id| self.instr(id)));
         let temps: Vec<Var> = universe
             .expr_patterns()
@@ -235,8 +235,11 @@ impl MotionContext {
         }
         let ep = analysis.universe.expr_count();
         let nodes = g.node_count();
-        let mut delay = Problem::new(Direction::Forward, Confluence::Must, nodes, ep);
-        let mut usable = Problem::new(Direction::Backward, Confluence::May, nodes, ep);
+        // The motion rounds' problems and solutions lend the flush their
+        // buffers.
+        let ([mut delay, mut usable], [delay_sol, usable_sol]) = self.take_solver_buffers();
+        delay.reset(Direction::Forward, Confluence::Must, nodes, ep);
+        usable.reset(Direction::Backward, Confluence::May, nodes, ep);
         // Compose each block's rows front to back:
         // * delayability: gen := (gen ∖ (USED_ι ∪ BLOCKED_ι)) ∪ IS-INST_ι,
         //   kill := kill ∪ USED_ι ∪ BLOCKED_ι;
@@ -262,8 +265,8 @@ impl MotionContext {
         }
         let ns = self.node_system(g);
         let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
-        analysis.delay = solve_scheduled(succs, preds, &delay, schedule, None);
-        analysis.usable = solve_scheduled(succs, preds, &usable, schedule, None);
+        analysis.delay = solve_scheduled(succs, preds, &delay, schedule, delay_sol);
+        analysis.usable = solve_scheduled(succs, preds, &usable, schedule, usable_sol);
         (analysis, rows)
     }
 }
@@ -476,16 +479,16 @@ impl MotionContext {
         let mut n_usable = BitSet::new(ep);
         let mut succ_delay = BitSet::new(ep);
         let mut exit_inits = BitSet::new(ep);
-        let (mut latest, mut x_usable): (Vec<BitSet>, Vec<BitSet>) = (Vec::new(), Vec::new());
-        let mut n_inits: Vec<usize> = Vec::new();
-        let mut reconstruct: Vec<usize> = Vec::new();
-        let mut spare: Vec<Instr> = Vec::new();
+        // Per-instruction scratch sized for the longest block, and one
+        // buffer every rewritten block is built in.
+        let longest = self.block_keys.iter().map(<[_]>::len).max().unwrap_or(0);
+        let mut latest = vec![BitSet::new(ep); longest];
+        let mut x_usable = latest.clone();
+        let mut n_inits: Vec<usize> = Vec::with_capacity(ep);
+        let mut reconstruct: Vec<usize> = Vec::with_capacity(ep);
+        let mut fresh: Vec<Instr> = Vec::new();
         for n in g.nodes() {
             let (ni, keys) = (n.index(), &self.block_keys[n.index()]);
-            if latest.len() < keys.len() {
-                latest.resize_with(keys.len(), || BitSet::new(ep));
-                x_usable.resize_with(keys.len(), || BitSet::new(ep));
-            }
             // Stream N-DELAYABLE* forward, keeping every instruction's
             // N-LATEST = N-DELAYABLE* · (USED + BLOCKED). The block changes
             // only where an instance sits or some delay stops.
@@ -536,8 +539,7 @@ impl MotionContext {
             }
 
             let mut old = g.take_block(n);
-            let mut fresh = std::mem::take(&mut spare);
-            fresh.reserve(old.len());
+            fresh.clear();
             let g_ref = &*g;
             let record =
                 |kind, index: Option<usize>, instr: &Instr, new: Option<&Instr>, i, fact: &str| {
@@ -648,8 +650,10 @@ impl MotionContext {
             for i in exit_inits.iter() {
                 insert(&mut fresh, i, fact);
             }
-            g.set_block(n, fresh);
-            spare = old;
+            // The block keeps its own allocation, which grows only if it
+            // must.
+            old.append(&mut fresh);
+            g.set_block(n, old);
         }
         stats
     }

@@ -135,7 +135,8 @@ pub struct GlobalResult {
 /// Runs the complete algorithm on a copy of `g` with default configuration.
 ///
 /// Critical edges are split first (Sec. 2.1); the original graph is not
-/// modified.
+/// modified. Like every borrowing entry, this clones `g` and delegates to
+/// [`optimize_owned`].
 ///
 /// # Examples
 ///
@@ -153,15 +154,30 @@ pub struct GlobalResult {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn optimize(g: &FlowGraph) -> GlobalResult {
-    optimize_with(g, &GlobalConfig::default())
+    optimize_owned(g.clone(), &GlobalConfig::default(), &mut |_, _| {})
 }
 
-/// Runs the complete algorithm with explicit configuration.
+/// Runs the complete algorithm on a copy of `g` with explicit
+/// configuration.
 pub fn optimize_with(g: &FlowGraph, config: &GlobalConfig) -> GlobalResult {
-    optimize_hooked(g, config, &mut |_, _| {})
+    optimize_owned(g.clone(), config, &mut |_, _| {})
 }
 
-/// Runs the complete algorithm, calling `hook` at every phase boundary.
+/// Runs the complete algorithm on a copy of `g`, calling `hook` at every
+/// phase boundary (see [`optimize_owned`]).
+pub fn optimize_hooked(
+    g: &FlowGraph,
+    config: &GlobalConfig,
+    hook: &mut dyn FnMut(PhaseId, &mut FlowGraph),
+) -> GlobalResult {
+    optimize_owned(g.clone(), config, hook)
+}
+
+/// Runs the complete algorithm on `program` itself, which becomes the
+/// result's [`GlobalResult::program`]: the one implementation behind
+/// every entry, for callers that have no further use for their input (the
+/// batch engine hands over the program it just parsed), so no copy is
+/// made.
 ///
 /// The hook fires after critical-edge splitting, after initialization,
 /// after every assignment-motion round and after the final flush, with the
@@ -178,17 +194,16 @@ pub fn optimize_with(g: &FlowGraph, config: &GlobalConfig) -> GlobalResult {
 /// [`assignment_motion_with`](crate::motion::assignment_motion_with), a
 /// round hook must mutate the graph through its accessors, not replace it
 /// wholesale.
-pub fn optimize_hooked(
-    g: &FlowGraph,
+pub fn optimize_owned(
+    mut program: FlowGraph,
     config: &GlobalConfig,
     hook: &mut dyn FnMut(PhaseId, &mut FlowGraph),
 ) -> GlobalResult {
     let tracer = &config.tracer;
     let mut timings = PhaseTimings::default();
     let mut root = tracer.span("phase", "optimize");
-    root.arg("nodes", g.node_count() as i64)
-        .arg("instrs", g.instr_count() as i64);
-    let mut program = g.clone();
+    root.arg("nodes", program.node_count() as i64)
+        .arg("instrs", program.instr_count() as i64);
     let mut span = tracer.span("phase", "split");
     let edges_split = program.split_critical_edges();
     span.arg("edges_split", edges_split as i64);
@@ -296,6 +311,38 @@ mod tests {
         let final_text = canonical_text(&result.program);
         assert!(final_text.contains("x := y+z"), "{final_text}");
         assert!(final_text.contains("branch h2 > y+i"), "{final_text}");
+    }
+
+    #[test]
+    fn the_by_value_entry_equals_the_borrowing_ones() {
+        use am_ir::random::{corpus80, nest_grid, structured, wide_fan};
+        use am_ir::random::{SplitMix64, StructuredConfig};
+        let mut programs: Vec<FlowGraph> = corpus80().into_iter().map(|(_, g)| g).collect();
+        for seed in 0..200 {
+            let config = StructuredConfig::default();
+            programs.push(structured(&mut SplitMix64::new(seed), &config));
+        }
+        programs.extend([nest_grid(20, 2, 8), wide_fan(100, 4)]);
+        // Everything but the timings.
+        let outcome = |r: GlobalResult| {
+            let phases = (r.init, r.motion, r.flush, r.edges_split);
+            (r.program, r.after_init, r.after_motion, phases)
+        };
+        let config = GlobalConfig::default();
+        for (p, g) in programs.iter().enumerate() {
+            let owned = outcome(optimize_owned(g.clone(), &config, &mut |_, _| {}));
+            let borrowed = [
+                ("optimize", optimize(g)),
+                ("optimize_with", optimize_with(g, &config)),
+                (
+                    "optimize_hooked",
+                    optimize_hooked(g, &config, &mut |_, _| {}),
+                ),
+            ];
+            for (entry, result) in borrowed {
+                assert!(outcome(result) == owned, "program {p}: {entry}");
+            }
+        }
     }
 
     #[test]

@@ -44,6 +44,7 @@ use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 
+use crate::flat::FlatBlocks;
 use crate::incremental::MotionContext;
 use crate::rae::unlisted;
 
@@ -62,11 +63,20 @@ pub struct HoistAnalysis {
     pub n_insert: Vec<BitSet>,
     /// `X-INSERT` per node.
     pub x_insert: Vec<BitSet>,
-    /// Per node, the `(pattern, instruction index)` hoisting candidates.
-    pub candidates: Vec<Vec<(usize, usize)>>,
+    /// Per node, the `(pattern, instruction index)` hoisting candidates
+    /// ([`Self::candidates`]), all nodes' in one buffer.
+    pub(crate) candidates: FlatBlocks<(usize, usize)>,
     /// First-occurrence rank of every pattern in the analyzed program
     /// (`None` for patterns without occurrences).
     occ_rank: Vec<Option<u32>>,
+}
+
+impl HoistAnalysis {
+    /// The `(pattern, instruction index)` hoisting candidates of node `n`,
+    /// in index order.
+    pub fn candidates(&self, n: NodeId) -> &[(usize, usize)] {
+        &self.candidates[n.index()]
+    }
 }
 
 /// Computes local predicates and solves the hoistability system of Table 1.
@@ -90,13 +100,15 @@ impl MotionContext {
     /// new greatest fixed point. Otherwise the solve is cold.
     pub(crate) fn hoisting(&mut self, g: &FlowGraph) -> HoistAnalysis {
         self.sync(g);
-        let occ_rank = self.occurrence_ranks();
         let (nodes, ap) = (g.node_count(), self.universe.assign_count());
         let (solved_on, mut a) = match self.hoist.take() {
             Some((edges, a)) if a.loc_hoistable.len() == nodes => (Some(edges), a),
             _ => {
                 self.hoist_stamps.clear();
                 let empty = vec![BitSet::new(ap); nodes];
+                let mut candidates = FlatBlocks::default();
+                candidates.reserve(nodes, nodes);
+                candidates.resize(nodes);
                 let a = HoistAnalysis {
                     universe: Rc::clone(&self.universe),
                     loc_hoistable: empty.clone(),
@@ -104,20 +116,22 @@ impl MotionContext {
                     hoistable: Solution::default(),
                     n_insert: Vec::new(),
                     x_insert: Vec::new(),
-                    candidates: vec![Vec::new(); nodes],
+                    candidates,
                     occ_rank: Vec::new(),
                 };
                 (None, a)
             }
         };
+        self.occurrence_ranks(&mut a.occ_rank);
         self.hoist_stamps.resize(nodes, 0);
-        let mut dirty = Vec::new();
+        let mut dirty = std::mem::take(&mut self.hoist_dirty);
+        dirty.clear();
+        dirty.reserve(nodes);
         let mut lowered = true;
-        let mut locals = BlockLocals {
-            hoistable: BitSet::new(ap),
-            blocked: BitSet::new(ap),
-            candidates: Vec::new(),
-        };
+        let mut locals = std::mem::replace(&mut self.hoist_locals, BlockLocals::new(0));
+        if locals.hoistable.len() != ap {
+            locals = BlockLocals::new(ap);
+        }
         for n in g.nodes() {
             let ni = n.index();
             if self.hoist_stamps[ni] == self.block_stamps[ni] {
@@ -137,37 +151,36 @@ impl MotionContext {
                 gen.copy_from(&locals.hoistable);
                 kill.copy_from(&locals.blocked);
             }
-            a.candidates[ni].clone_from(&locals.candidates);
+            a.candidates.set(ni, &locals.candidates);
         }
-        let mut problem = Problem::new(Direction::Backward, Confluence::Must, 0, ap);
+        if solved_on.is_none() {
+            // Every block was filled: from here on the rows are rewritten
+            // in the room this leaves.
+            a.candidates.make_room();
+        }
+        self.hoist_locals = locals;
+        let mut problem = match self.hoist_problem.take() {
+            Some(p) if p.universe == ap => p,
+            _ => Problem::new(Direction::Backward, Confluence::Must, 0, ap),
+        };
         problem.gen = std::mem::take(&mut a.loc_hoistable);
         problem.kill = std::mem::take(&mut a.loc_blocked);
-        let recycled = self.hoist_spare.take();
-        let hoistable = if lowered && solved_on == Some(self.edge_hash) {
+        // The previous solution is continued in place, or lends its
+        // buffers to a cold solve.
+        let previous = std::mem::take(&mut a.hoistable);
+        a.hoistable = if lowered && solved_on == Some(self.edge_hash) {
             self.hoist_warm += 1;
             let ns = self.node_system(g);
             let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
-            solve_seeded(
-                succs,
-                preds,
-                &problem,
-                schedule,
-                &a.hoistable,
-                &dirty,
-                recycled,
-            )
+            solve_seeded(succs, preds, &problem, schedule, previous, &dirty)
         } else {
-            self.solve_cold(g, &problem, recycled)
+            self.solve_cold(g, &problem, Some(previous))
         };
-        self.hoist_spare = Some(std::mem::replace(&mut a.hoistable, hoistable));
-        a.loc_hoistable = problem.gen;
-        a.loc_blocked = problem.kill;
-        let recycled = (
-            std::mem::take(&mut a.n_insert),
-            std::mem::take(&mut a.x_insert),
-        );
-        (a.n_insert, a.x_insert) = insertion_points(g, &a.hoistable, &a.loc_blocked, ap, recycled);
-        a.occ_rank = occ_rank;
+        self.hoist_dirty = dirty;
+        a.loc_hoistable = std::mem::take(&mut problem.gen);
+        a.loc_blocked = std::mem::take(&mut problem.kill);
+        self.hoist_problem = Some(problem);
+        insertion_points(g, &mut a, &mut self.hoist_scratch);
         a
     }
 }
@@ -184,6 +197,15 @@ pub(crate) struct BlockLocals {
 }
 
 impl BlockLocals {
+    /// Empty predicates over `ap` assignment patterns.
+    pub(crate) fn new(ap: usize) -> Self {
+        BlockLocals {
+            hoistable: BitSet::new(ap),
+            blocked: BitSet::new(ap),
+            candidates: Vec::new(),
+        }
+    }
+
     fn clear(&mut self) {
         self.hoistable.clear();
         self.blocked.clear();
@@ -214,12 +236,7 @@ impl BlockLocals {
         universe: &PatternUniverse,
         masks: &PatternMasks,
     ) -> Self {
-        let ap = universe.assign_count();
-        let mut locals = BlockLocals {
-            hoistable: BitSet::new(ap),
-            blocked: BitSet::new(ap),
-            candidates: Vec::new(),
-        };
+        let mut locals = BlockLocals::new(universe.assign_count());
         let BlockLocals {
             hoistable,
             blocked,
@@ -269,21 +286,18 @@ pub(crate) fn blocking_row(instr: &Instr, masks: &PatternMasks, ap: usize) -> Bi
 /// The insertion points of the greatest solution: `N-INSERT` at the
 /// earliestness frontier (start node, or predecessors where hoisting
 /// stops), `X-INSERT` where the block's own code blocks the pattern.
-/// Writes into the `recycled` tables. The frontier `Σ ¬X-HOISTABLE*` is
-/// computed as `¬ Π X-HOISTABLE*` (De Morgan), so the whole pass runs with
-/// one scratch set instead of an allocation per predecessor.
-fn insertion_points(
-    g: &FlowGraph,
-    hoistable: &Solution,
-    loc_blocked: &[BitSet],
-    ap: usize,
-    recycled: (Vec<BitSet>, Vec<BitSet>),
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let (n_hoistable, x_hoistable) = (&hoistable.before, &hoistable.after);
-    let (mut n_insert, mut x_insert) = recycled;
-    fit_rows(&mut n_insert, g.node_count(), ap);
-    fit_rows(&mut x_insert, g.node_count(), ap);
-    let mut inter = BitSet::new(ap);
+/// Writes into the tables of `a`, reusing their rows. The frontier
+/// `Σ ¬X-HOISTABLE*` is computed as `¬ Π X-HOISTABLE*` (De Morgan) in the
+/// one scratch set `inter`, instead of an allocation per predecessor.
+fn insertion_points(g: &FlowGraph, a: &mut HoistAnalysis, inter: &mut BitSet) {
+    let ap = a.universe.assign_count();
+    let (n_hoistable, x_hoistable) = (&a.hoistable.before, &a.hoistable.after);
+    let (n_insert, x_insert) = (&mut a.n_insert, &mut a.x_insert);
+    fit_rows(n_insert, g.node_count(), ap);
+    fit_rows(x_insert, g.node_count(), ap);
+    if inter.len() != ap {
+        *inter = BitSet::new(ap);
+    }
     for n in g.nodes() {
         let ni = n.index();
         // N-INSERT = N-HOISTABLE ∩ Σ_m ¬X-HOISTABLE_m
@@ -296,16 +310,15 @@ fn insertion_points(
                     for &m in rest {
                         inter.intersect_with(&x_hoistable[m.index()]);
                     }
-                    n_insert[ni].difference_with(&inter);
+                    n_insert[ni].difference_with(inter);
                 }
                 // An empty merge is an empty frontier.
                 None => n_insert[ni].clear(),
             }
         }
         x_insert[ni].copy_from(&x_hoistable[ni]);
-        x_insert[ni].intersect_with(&loc_blocked[ni]);
+        x_insert[ni].intersect_with(&a.loc_blocked[ni]);
     }
-    (n_insert, x_insert)
 }
 
 /// Sizes `rows` to `n` sets of width `ap`, reusing allocations where the
@@ -362,6 +375,9 @@ pub(crate) struct Rewritten {
     /// the same positions (identity moves): counted as inserts and
     /// removals, reported to the recorder, but not rewritten.
     pub(crate) identity: usize,
+    /// Scratch: the patterns inserted at a block's entry and exit.
+    entry: Vec<usize>,
+    exit: Vec<usize>,
 }
 
 impl Rewritten {
@@ -424,7 +440,10 @@ impl MotionContext {
                 rhs: pat.rhs,
             }
         };
-        let (mut entry, mut exit) = (Vec::new(), Vec::new());
+        let (mut entry, mut exit) = (
+            std::mem::take(&mut rewritten.entry),
+            std::mem::take(&mut rewritten.exit),
+        );
         for n in g.nodes() {
             let ni = n.index();
             // The removed candidates' (pattern, index) pairs, in index
@@ -508,14 +527,18 @@ impl MotionContext {
                 rewritten.identity += 1;
                 continue;
             }
+            // Rewritten in the block's own allocation, which grows at most
+            // once, and only if it must.
             let mut instrs = g.take_block(n);
             instrs.retain(unlisted(doomed()));
+            instrs.reserve(entry.len() + exit.len());
             instrs.splice(0..0, entry.iter().map(|&i| instance(i)));
             instrs.extend(exit.iter().map(|&i| instance(i)));
             g.set_block(n, instrs);
             rewritten.blocks.push(n);
             rewritten.ends.push(rewritten.keys.len());
         }
+        (rewritten.entry, rewritten.exit) = (entry, exit);
         outcome.changed = !rewritten.blocks.is_empty();
         outcome
     }
@@ -561,7 +584,8 @@ mod tests {
         let pat = am_ir::AssignPattern::new(y, am_ir::Term::binary(am_ir::BinOp::Add, a, b));
         let i = analysis.universe.assign_id(&pat).unwrap();
         let n1 = g.start();
-        let cands: Vec<usize> = analysis.candidates[n1.index()]
+        let cands: Vec<usize> = analysis
+            .candidates(n1)
             .iter()
             .filter(|(p, _)| *p == i)
             .map(|(_, idx)| *idx)
@@ -584,7 +608,7 @@ mod tests {
         let pat = am_ir::AssignPattern::new(x, am_ir::Term::binary(am_ir::BinOp::Add, a, b));
         let i = analysis.universe.assign_id(&pat).unwrap();
         assert!(!analysis.loc_hoistable[n1.index()].contains(i));
-        assert!(analysis.candidates[n1.index()].iter().all(|(p, _)| *p != i));
+        assert!(analysis.candidates(n1).iter().all(|(p, _)| *p != i));
     }
 
     #[test]
@@ -714,11 +738,11 @@ mod tests {
         let mut ctx = MotionContext::new();
         let mut analysis = ctx.hoisting(&g);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        let cands = analysis.candidates[n2.index()].clone();
+        let cands = analysis.candidates(n2).to_vec();
         let [(x, 0), (y, 1)] = cands[..] else {
             panic!("unexpected candidates {cands:?}");
         };
-        analysis.candidates[n2.index()] = vec![(y, 1)];
+        analysis.candidates.set(n2.index(), &[(y, 1)]);
         analysis.n_insert[n2.index()].remove(y);
         let mut rewritten = Rewritten::default();
         let recorder = ProvRecorder::disabled();

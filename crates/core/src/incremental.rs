@@ -29,7 +29,8 @@
 //!   new patterns take the next free indices, so only the caches whose
 //!   bitset width depends on the universe size are dropped.
 //! * **Program mirror** — the interned instruction ids of every block
-//!   ([`am_ir::intern::InstrInterner`]), a cached hash per block composed
+//!   ([`am_ir::intern::InstrInterner`]), all blocks' in one flat buffer
+//!   ([`FlatBlocks`]), a cached hash per block composed
 //!   from the interner's cached instruction hashes, and the graph's write
 //!   stamp ([`am_ir::Block::stamp`]) of the content each block mirrors.
 //!   The graph stamps every block it writes, so one [`MotionContext::sync`]
@@ -73,26 +74,34 @@
 //!   reaches the new greatest fixed point. Non-monotone changes fall back
 //!   to a cold scheduled solve. A round whose hoist input has the same
 //!   fingerprint as the previous round's (last elimination found nothing
-//!   and the last hoist was a no-op) skips the solve outright.
+//!   and the last hoist was a no-op) skips the solve outright. The warm
+//!   solve continues the previous solution in place.
+//! * **Round scratch** — occurrence ranks, dirty lists, elimination
+//!   locations, block locals and the insertion step's pattern lists live
+//!   here and are refilled each round, so a round that changes nothing
+//!   allocates nothing.
 //!
-//! When the motion phase ends, the round caches (rows, problems,
-//! solutions) are freed; the mirror, the interner and the node system stay
-//! for the flush.
+//! The final flush takes over the Table 2 and Table 1 problems and their
+//! last solutions ([`MotionContext::take_solver_buffers`]) and reads the
+//! mirror, the interner and the node system.
 
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use am_bitset::BitSet;
 use am_dfa::{
-    node_adjacency, solve_scheduled, Adjacency, PatternMasks, Problem, Schedule, Solution,
+    node_adjacency, solve_scheduled, Adjacency, Confluence, Direction, PatternMasks, Problem,
+    Schedule, Solution,
 };
 use am_ir::intern::{FxMapHasher, InstrId, InstrInterner};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
-use crate::hoist::{blocking_row, HoistAnalysis, HoistOutcome, Rewritten};
+use crate::flat::FlatBlocks;
+use crate::hoist::{blocking_row, BlockLocals, HoistAnalysis, HoistOutcome, Rewritten};
 use crate::rae::{redundancy_row, unlisted, RaeOutcome, Row};
+use crate::PRESIZE_LIMIT;
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -130,7 +139,9 @@ pub(crate) struct MotionContext {
     /// `None` before the first sync.
     seen: Option<u64>,
     /// Interned instruction ids per block: the mirror of the program.
-    pub(crate) block_keys: Vec<Vec<InstrId>>,
+    pub(crate) block_keys: FlatBlocks<InstrId>,
+    /// The ids of the block [`Self::sync`] is re-interning.
+    key_buf: Vec<InstrId>,
     /// Cached hash of every block's content ([`block_hash`]).
     block_hashes: Vec<u64>,
     /// Per block, the graph's write stamp of the content mirrored (0:
@@ -170,12 +181,21 @@ pub(crate) struct MotionContext {
     /// [`Self::hoist_stamps`]) and its solution warm-starts the next solve.
     pub(crate) hoist: Option<(u64, HoistAnalysis)>,
     pub(crate) hoist_stamps: Vec<u64>,
-    /// The solution displaced from [`Self::hoist`] a round ago, whose
-    /// buffers the next hoist solve reuses.
-    pub(crate) hoist_spare: Option<Solution>,
     /// The buffers of the last insertion step's [`Rewritten`], reused by
     /// the next.
     rewritten: Rewritten,
+    /// The Table 1 problem shell (direction and boundary) between solves;
+    /// its rows live in [`Self::hoist`]'s analysis.
+    pub(crate) hoist_problem: Option<Problem>,
+    /// Round scratch: the blocks whose Table 1 rows changed, one block's
+    /// local predicates, and the insertion points' meet.
+    pub(crate) hoist_dirty: Vec<usize>,
+    pub(crate) hoist_locals: BlockLocals,
+    pub(crate) hoist_scratch: BitSet,
+    /// Round scratch: the redundant occurrences found, and the fact
+    /// streamed through a block.
+    pub(crate) rae_locs: Vec<Loc>,
+    pub(crate) rae_scratch: BitSet,
     /// Node-level adjacency and schedule, keyed by the edge fingerprint.
     node_system: Option<NodeSystem>,
     /// Fingerprint of the last hoist input and whether that hoist changed
@@ -207,7 +227,8 @@ impl MotionContext {
             assign_of: Vec::new(),
             stale: false,
             seen: None,
-            block_keys: Vec::new(),
+            block_keys: FlatBlocks::default(),
+            key_buf: Vec::new(),
             block_hashes: Vec::new(),
             block_stamps: Vec::new(),
             round_stamp: 0,
@@ -223,8 +244,13 @@ impl MotionContext {
             quiet_blocks: Vec::new(),
             hoist: None,
             hoist_stamps: Vec::new(),
-            hoist_spare: None,
             rewritten: Rewritten::default(),
+            hoist_problem: None,
+            hoist_dirty: Vec::new(),
+            hoist_locals: BlockLocals::new(0),
+            hoist_scratch: BitSet::new(0),
+            rae_locs: Vec::new(),
+            rae_scratch: BitSet::new(0),
             node_system: None,
             last_hoist: None,
             rows_reused: 0,
@@ -252,7 +278,6 @@ impl MotionContext {
         // Drop the analysis sharing the universe first, so the extension
         // happens in place.
         self.hoist = None;
-        self.hoist_spare = None;
         Rc::make_mut(&mut self.universe).extend(g);
         self.masks = PatternMasks::build(&self.universe, g.pool().len());
         self.rae_rows.clear();
@@ -264,11 +289,11 @@ impl MotionContext {
         // Every unknown pattern interned so far is in `g`, so the mirror
         // names every id whose pattern index may have appeared.
         self.instance_of.resize(self.universe.assign_count(), None);
-        for b in 0..self.block_keys.len() {
-            for j in 0..self.block_keys[b].len() {
-                self.index_assign(self.block_keys[b][j]);
-            }
+        let keys = std::mem::take(&mut self.block_keys);
+        for &id in keys.iter().flatten() {
+            self.index_assign(id);
         }
+        self.block_keys = keys;
         self.stale = false;
     }
 
@@ -278,7 +303,7 @@ impl MotionContext {
     /// occurrence, and the numbering is [`PatternUniverse::collect`]'s —
     /// without a second walk over every instruction.
     fn build_universe(&mut self, g: &FlowGraph) {
-        let mut universe = PatternUniverse::default();
+        let mut universe = PatternUniverse::with_capacity(self.interner.len());
         universe.extend_instrs(self.interner.iter().map(|(_, instr)| instr));
         self.masks = PatternMasks::build(&universe, g.pool().len());
         self.instance_of = vec![None; universe.assign_count()];
@@ -345,21 +370,35 @@ impl MotionContext {
         }
         let first = self.seen.is_none();
         let nodes = g.node_count();
-        self.block_keys.resize_with(nodes, Vec::new);
+        if first {
+            // Sized once for the whole program: the mirror, and the
+            // interner for every instruction being distinct, up to
+            // `PRESIZE_LIMIT`.
+            let instrs = g.instr_count();
+            let distinct = instrs.min(PRESIZE_LIMIT);
+            self.interner = InstrInterner::with_capacity(distinct);
+            self.assign_of.reserve(distinct);
+            self.block_keys.reserve(nodes, instrs);
+        }
+        self.block_keys.resize(nodes);
         self.block_hashes.resize(nodes, 0);
         self.block_stamps.resize(nodes, 0);
+        let mut keys = std::mem::take(&mut self.key_buf);
         for n in g.nodes() {
             let (i, stamp) = (n.index(), g.block(n).stamp());
             if self.block_stamps[i] != stamp {
-                let mut keys = std::mem::take(&mut self.block_keys[i]);
                 keys.clear();
                 for instr in g.instrs(n) {
                     keys.push(self.intern_instr(instr));
                 }
                 self.block_hashes[i] = block_hash(&self.interner, &keys);
-                self.block_keys[i] = keys;
+                self.block_keys.set(i, &keys);
                 self.record(i, stamp);
             }
+        }
+        self.key_buf = keys;
+        if first {
+            self.block_keys.make_room();
         }
         self.block_sum = self
             .block_hashes
@@ -389,9 +428,7 @@ impl MotionContext {
     pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, rewritten: &Rewritten) {
         let mut start = 0;
         for (&n, &end) in rewritten.blocks.iter().zip(&rewritten.ends) {
-            let keys = &mut self.block_keys[n.index()];
-            keys.clear();
-            keys.extend_from_slice(&rewritten.keys[start..end]);
+            self.block_keys.set(n.index(), &rewritten.keys[start..end]);
             start = end;
             self.rekey(g, n);
         }
@@ -406,7 +443,7 @@ impl MotionContext {
             let n = run[0].node;
             let doomed = || run.iter().map(|l| l.index);
             g.retain_instrs(n, unlisted(doomed()));
-            self.block_keys[n.index()].retain(unlisted(doomed()));
+            self.block_keys.retain(n.index(), unlisted(doomed()));
             self.rekey(g, n);
         }
         self.seen = Some(g.last_stamp());
@@ -449,11 +486,12 @@ impl MotionContext {
         h.finish()
     }
 
-    /// First-occurrence rank of every assignment pattern in the mirrored
-    /// program (`None` for patterns without occurrences), read from the
-    /// interned ids.
-    pub(crate) fn occurrence_ranks(&self) -> Vec<Option<u32>> {
-        let mut ranks: Vec<Option<u32>> = vec![None; self.universe.assign_count()];
+    /// Writes into `ranks` the first-occurrence rank of every assignment
+    /// pattern in the mirrored program (`None` for patterns without
+    /// occurrences), read from the interned ids.
+    pub(crate) fn occurrence_ranks(&self, ranks: &mut Vec<Option<u32>>) {
+        ranks.clear();
+        ranks.resize(self.universe.assign_count(), None);
         let mut next = 0u32;
         for &id in self.block_keys.iter().flatten() {
             if let Some(i) = self.assign_pattern(id) {
@@ -464,7 +502,6 @@ impl MotionContext {
                 }
             }
         }
-        ranks
     }
 
     /// The universe index of the assignment pattern of interned
@@ -488,7 +525,7 @@ impl MotionContext {
     pub(crate) fn cache_rae_row(&mut self, id: InstrId) {
         let idx = id.index();
         if idx >= self.rae_rows.len() {
-            self.rae_rows.resize_with(idx + 1, || None);
+            self.rae_rows.resize_with(self.interner.len(), || None);
         }
         if self.rae_rows[idx].is_none() {
             self.rows_recomputed += 1;
@@ -565,7 +602,8 @@ impl MotionContext {
         round: u32,
     ) -> RaeOutcome {
         let mut span = tracer.span("analysis", "rae");
-        let (locs, sol) = self.redundant_locs(g, recorder, round);
+        let sol = self.redundant_locs(g, recorder, round);
+        let locs = std::mem::take(&mut self.rae_locs);
         self.remove_redundant(g, &locs);
         let outcome = RaeOutcome {
             eliminated: locs.len(),
@@ -573,6 +611,7 @@ impl MotionContext {
             worklist_pushes: sol.worklist_pushes,
             max_worklist_len: sol.max_worklist_len,
         };
+        self.rae_locs = locs;
         self.rae_solution = Some(sol);
         tracer.counter(
             "analysis",
@@ -628,23 +667,22 @@ impl MotionContext {
         outcome
     }
 
-    /// Ends the motion phase: frees the round caches (the Table 1 and
-    /// Table 2 rows, problems and solutions) in the phase that used them.
-    /// The final flush reads only the mirror, the interner and the node
-    /// system; a later round would rebuild the caches from scratch.
-    pub(crate) fn end_motion(&mut self) {
-        self.rae_rows = Vec::new();
-        self.blocking_rows = Vec::new();
-        self.rae_problem = None;
-        self.rae_occurs = Vec::new();
-        self.rae_stamps = Vec::new();
-        self.rae_solution = None;
-        self.quiet_blocks = Vec::new();
-        self.hoist = None;
-        self.hoist_stamps = Vec::new();
-        self.hoist_spare = None;
-        self.rewritten = Rewritten::default();
-        self.last_hoist = None;
+    /// Takes the problems and solutions the motion rounds leave behind,
+    /// for a later solve to reuse their buffers: the Table 2 and Table 1
+    /// problems (empty shells on a context that solved none) and their
+    /// last solutions. The round caches that tag them are reset, so a
+    /// later round rebuilds every row.
+    pub(crate) fn take_solver_buffers(&mut self) -> ([Problem; 2], [Option<Solution>; 2]) {
+        let shell = || Problem::new(Direction::Forward, Confluence::Must, 0, 0);
+        let rae = self.rae_problem.take().unwrap_or_else(shell);
+        self.rae_stamps.clear();
+        let mut hoist = self.hoist_problem.take().unwrap_or_else(shell);
+        let hoist_sol = self.hoist.take().map(|(_, a)| {
+            (hoist.gen, hoist.kill) = (a.loc_hoistable, a.loc_blocked);
+            a.hoistable
+        });
+        self.hoist_stamps.clear();
+        ([rae, hoist], [self.rae_solution.take(), hoist_sol])
     }
 
     /// Ends a round: attaches its block counts to the round `span`, emits
@@ -1001,7 +1039,7 @@ pub(crate) mod tests {
                                 "{at}: LOC-HOISTABLE"
                             );
                             assert_eq!(a.loc_blocked[ni], oracle.blocked, "{at}: LOC-BLOCKED");
-                            assert_eq!(a.candidates[ni], oracle.candidates, "{at}: candidates");
+                            assert_eq!(a.candidates(n), oracle.candidates, "{at}: candidates");
                         }
                         ctx.hoist = Some((ctx.edge_hash, a));
                     },

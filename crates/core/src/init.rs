@@ -49,8 +49,9 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
     let mut stats = InitStats::default();
     // Only non-trivial terms are interned, so arena ids are dense indices
     // into `temps`.
-    let mut terms = TermArena::new();
-    let mut temps: Vec<Var> = Vec::new();
+    let terms_bound = (2 * g.instr_count()).min(crate::PRESIZE_LIMIT);
+    let mut terms = TermArena::with_capacity(terms_bound);
+    let mut temps: Vec<Var> = Vec::with_capacity(terms_bound);
     let mut resolve_temp = |g: &mut FlowGraph, t: Term| -> Var {
         let id = terms.intern(t).index();
         if id == temps.len() {
@@ -58,9 +59,14 @@ pub fn initialize(g: &mut FlowGraph) -> InitStats {
         }
         temps[id]
     };
-    for n in g.nodes().collect::<Vec<_>>() {
+    // Every block moves to a fresh allocation of twice its length: room for
+    // the decompositions and later insertions. Rebuilding in one reused
+    // buffer and keeping the parser's allocations saves these allocations
+    // but raised the peak resident set of repeated cold compiles
+    // (docs/PERFORMANCE.md, "Allocations").
+    for n in g.nodes() {
         let old = g.take_block(n);
-        let mut new = Vec::with_capacity(old.len() * 2);
+        let mut new = Vec::with_capacity(2 * old.len());
         for instr in old {
             match instr {
                 Instr::Assign { lhs, rhs } if rhs.is_nontrivial() => {

@@ -181,7 +181,6 @@ pub(crate) fn run_motion(
             break;
         }
     }
-    ctx.end_motion();
     stats
 }
 

@@ -22,10 +22,10 @@
 //! # Solving at block level
 //!
 //! Table 2 is stated per instruction but solved over blocks: each block's
-//! instruction rows are folded into one exact transfer ([`compose_block`]),
+//! instruction rows are folded into one exact transfer (`compose_block`),
 //! the system runs over the block graph, and the per-instruction entry
 //! facts are recovered by streaming each block from its solved entry fact
-//! ([`stream_block`]). The motion loop runs this code through the row
+//! (`stream_block`). The motion loop runs this code through the row
 //! caches of its round context; the one-shot entries below
 //! ([`analyze_redundancy`], [`redundant_locs`],
 //! [`eliminate_redundant_assignments`]) run the same code on a fresh one.
@@ -192,9 +192,10 @@ impl MotionContext {
         stream_block(entry, rows, x, f);
     }
 
-    /// The redundant occurrences of `g` — those whose own bit holds at
-    /// their entry (Def. 3.4) — in program order, each reported to
-    /// `recorder`, with the solution they were read from. The facts
+    /// Finds the redundant occurrences of `g` — those whose own bit holds
+    /// at their entry (Def. 3.4) — in program order, each reported to
+    /// `recorder`, into [`Self::rae_locs`], and returns the solution they
+    /// were read from. The facts
     /// describe the program before any removal: every occurrence's
     /// redundancy is justified by earlier occurrences that the elimination
     /// keeps.
@@ -208,13 +209,17 @@ impl MotionContext {
         g: &FlowGraph,
         recorder: &ProvRecorder,
         round: u32,
-    ) -> (Vec<Loc>, Solution) {
+    ) -> Solution {
         let sol = self.solve_redundancy(g);
         let ap = self.universe.assign_count();
         self.quiet_blocks
             .resize_with(g.node_count(), || (0, BitSet::new(ap)));
-        let mut locs = Vec::new();
-        let mut x = BitSet::new(ap);
+        let mut locs = std::mem::take(&mut self.rae_locs);
+        locs.clear();
+        let mut x = std::mem::replace(&mut self.rae_scratch, BitSet::new(0));
+        if x.len() != ap {
+            x = BitSet::new(ap);
+        }
         for n in g.nodes().filter(|n| self.rae_occurs[n.index()]) {
             let (ni, entry) = (n.index(), &sol.before[n.index()]);
             let (stamp, fact) = &self.quiet_blocks[ni];
@@ -256,7 +261,8 @@ impl MotionContext {
                 *stamp = 0;
             }
         }
-        (locs, sol)
+        (self.rae_locs, self.rae_scratch) = (locs, x);
+        sol
     }
 }
 
@@ -306,8 +312,9 @@ pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
 /// The instruction locations of `g` whose assignment is redundant at
 /// entry, with the solver iterations spent.
 pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
-    let (locs, sol) = MotionContext::new().redundant_locs(g, &ProvRecorder::disabled(), 0);
-    (locs, sol.iterations)
+    let mut ctx = MotionContext::new();
+    let sol = ctx.redundant_locs(g, &ProvRecorder::disabled(), 0);
+    (ctx.rae_locs, sol.iterations)
 }
 
 /// Removes every redundant assignment occurrence from `g` (the Elimination

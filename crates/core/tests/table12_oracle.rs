@@ -143,7 +143,13 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
         "{what}: LOC-HOISTABLE"
     );
     assert_eq!(analysis.loc_blocked, loc_blocked, "{what}: LOC-BLOCKED");
-    assert_eq!(analysis.candidates, candidates, "{what}: candidates");
+    for n in g.nodes() {
+        assert_eq!(
+            analysis.candidates(n),
+            candidates[n.index()],
+            "{what}: candidates"
+        );
+    }
     assert_eq!(
         analysis.hoistable.before, sol.before,
         "{what}: N-HOISTABLE*"

@@ -204,6 +204,7 @@ pub fn strongly_live_variables(pg: &PointGraph<'_>) -> Solution {
         iterations,
         worklist_pushes,
         max_worklist_len,
+        ..Solution::default()
     }
 }
 

@@ -267,8 +267,9 @@ mod tests {
 pub fn node_adjacency(g: &FlowGraph) -> (Adjacency, Adjacency) {
     let mut succs = Adjacency::new();
     let mut preds = Adjacency::new();
-    succs.reserve(g.node_count(), 0);
-    preds.reserve(g.node_count(), 0);
+    let edges = g.nodes().map(|n| g.succs(n).len()).sum();
+    succs.reserve(g.node_count(), edges);
+    preds.reserve(g.node_count(), edges);
     for n in g.nodes() {
         succs.start_point();
         for &m in g.succs(n) {

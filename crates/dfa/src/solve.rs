@@ -86,6 +86,29 @@ impl Problem {
             boundary: BitSet::new(universe),
         }
     }
+
+    /// Reinitializes the problem to the state [`Problem::new`] gives it,
+    /// reusing the row allocations where the width already matches.
+    pub fn reset(
+        &mut self,
+        direction: Direction,
+        confluence: Confluence,
+        points: usize,
+        universe: usize,
+    ) {
+        self.direction = direction;
+        self.confluence = confluence;
+        self.universe = universe;
+        let empty = BitSet::new(universe);
+        for rows in [&mut self.gen, &mut self.kill] {
+            reset_rows(rows, points, &empty);
+        }
+        if self.boundary.len() == universe {
+            self.boundary.clear();
+        } else {
+            self.boundary = BitSet::new(universe);
+        }
+    }
 }
 
 /// One direction's processing order: a permutation of the points and its
@@ -214,6 +237,36 @@ pub struct Solution {
     /// this is at least the point count; a warm-started solve
     /// ([`solve_seeded`]) seeds only the dirty points.
     pub max_worklist_len: usize,
+    /// The worklist buffers of the solve, recycled with the fact rows.
+    pub(crate) work: Worklist,
+}
+
+/// The worklist state of one solve, kept with its [`Solution`] so that a
+/// solve handed the solution as `recycled` reuses the buffers. Cloning a
+/// solution does not copy them.
+#[derive(Default)]
+pub(crate) struct Worklist {
+    /// Whether each point is queued.
+    on_list: Vec<bool>,
+    /// The pending ranks.
+    queue: RankQueue,
+    /// Per point, the active-word index of its gen/kill row (wide
+    /// universes only).
+    rows: Vec<Option<ActiveWords>>,
+    /// The start value of a cold solve's facts.
+    top: Option<BitSet>,
+}
+
+impl Clone for Worklist {
+    fn clone(&self) -> Self {
+        Worklist::default()
+    }
+}
+
+impl std::fmt::Debug for Worklist {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Worklist")
+    }
 }
 
 impl Solution {
@@ -277,17 +330,23 @@ pub fn solve_scheduled(
 ) -> Solution {
     check_lengths(succs, preds, problem);
     let n = succs.len();
-    let top = match problem.confluence {
-        Confluence::Must => BitSet::full(problem.universe),
-        Confluence::May => BitSet::new(problem.universe),
+    let Solution {
+        before: mut input,
+        after: mut output,
+        mut work,
+        ..
+    } = recycled.unwrap_or_default();
+    let top = match &mut work.top {
+        Some(top) if top.len() == problem.universe => top,
+        slot => slot.insert(BitSet::new(problem.universe)),
     };
-    let (mut input, mut output) = match recycled {
-        Some(sol) => (sol.before, sol.after),
-        None => (Vec::new(), Vec::new()),
-    };
-    reset_rows(&mut input, n, &top);
-    reset_rows(&mut output, n, &top);
-    run(succs, preds, problem, schedule, input, output, 0..n)
+    match problem.confluence {
+        Confluence::Must => top.insert_all(),
+        Confluence::May => top.clear(),
+    }
+    reset_rows(&mut input, n, top);
+    reset_rows(&mut output, n, top);
+    run(succs, preds, problem, schedule, input, output, work, 0..n)
 }
 
 /// Reinitializes `rows` to `n` copies of `value`, reusing allocations
@@ -300,19 +359,20 @@ fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
     for row in rows.iter_mut() {
         row.copy_from(value);
     }
-    while rows.len() < n {
-        rows.push(value.clone());
+    if rows.len() < n {
+        rows.resize(n, value.clone());
     }
 }
 
 /// Continues a previous solve after a localized change to the problem.
 ///
-/// `warm` is the previous [`Solution`] of a problem over the same graph;
-/// `dirty` lists every point whose gen/kill row changed since then. The
-/// solver restarts chaotic iteration from the warm facts with only the
-/// dirty points seeded, and converges to the same fixed point a cold
-/// [`solve`] of the new problem would, **provided the change moved the
-/// transfer functions in the problem's safe direction**:
+/// `warm` is the previous [`Solution`] of a problem over the same graph,
+/// taken by value: the solve continues in its buffers, with nothing
+/// copied. `dirty` lists every point whose gen/kill row changed since
+/// then. The solver restarts chaotic iteration from the warm facts with
+/// only the dirty points seeded, and converges to the same fixed point a
+/// cold [`solve`] of the new problem would, **provided the change moved
+/// the transfer functions in the problem's safe direction**:
 ///
 /// * **Must** (greatest fixed point): the warm facts must be ≥ the new
 ///   fixed point, which holds when rows only *lowered* — gen bits removed
@@ -326,8 +386,6 @@ fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
 /// disappeared) can converge to a stale inner fixed point; callers must
 /// fall back to a cold solve in that case. The returned metrics count only
 /// the incremental work: `worklist_pushes` starts at `dirty.len()`.
-/// `recycled` lends its fact buffers to the working copy of the warm facts,
-/// as in [`solve_scheduled`].
 ///
 /// # Panics
 ///
@@ -338,26 +396,22 @@ pub fn solve_seeded(
     preds: &Adjacency,
     problem: &Problem,
     schedule: &Schedule,
-    warm: &Solution,
+    warm: Solution,
     dirty: &[usize],
-    recycled: Option<Solution>,
 ) -> Solution {
     check_lengths(succs, preds, problem);
-    let n = succs.len();
-    assert_eq!(warm.before.len(), n, "warm solution length mismatch");
+    assert_eq!(
+        warm.before.len(),
+        succs.len(),
+        "warm solution length mismatch"
+    );
     // Undo the direction normalization: `input` is the merged incoming
     // fact (entry for forward, exit for backward), `output` the
     // transferred one.
-    let (src_in, src_out) = match problem.direction {
-        Direction::Forward => (&warm.before, &warm.after),
-        Direction::Backward => (&warm.after, &warm.before),
+    let (input, output) = match problem.direction {
+        Direction::Forward => (warm.before, warm.after),
+        Direction::Backward => (warm.after, warm.before),
     };
-    let (mut input, mut output) = match recycled {
-        Some(sol) => (sol.before, sol.after),
-        None => (Vec::new(), Vec::new()),
-    };
-    copy_rows(&mut input, src_in);
-    copy_rows(&mut output, src_out);
     run(
         succs,
         preds,
@@ -365,23 +419,9 @@ pub fn solve_seeded(
         schedule,
         input,
         output,
+        warm.work,
         dirty.iter().copied(),
     )
-}
-
-/// Makes `rows` a row-for-row copy of `src`, reusing allocations where the
-/// width already matches.
-fn copy_rows(rows: &mut Vec<BitSet>, src: &[BitSet]) {
-    if rows.first().map(BitSet::len) != src.first().map(BitSet::len) {
-        rows.clear();
-    }
-    rows.truncate(src.len());
-    for (row, s) in rows.iter_mut().zip(src) {
-        row.copy_from(s);
-    }
-    for s in &src[rows.len().min(src.len())..] {
-        rows.push(s.clone());
-    }
 }
 
 /// Word-parallel priority worklist over schedule ranks.
@@ -394,6 +434,7 @@ fn copy_rows(rows: &mut Vec<BitSet>, src: &[BitSet]) {
 /// min-heap on ranks would, at a fraction of the constant cost — no
 /// sift-up/down, no per-element branching — which matters when a cold
 /// solve seeds all 10⁵ points of an XL graph.
+#[derive(Default)]
 struct RankQueue {
     words: Vec<u64>,
     len: usize,
@@ -402,12 +443,12 @@ struct RankQueue {
 }
 
 impl RankQueue {
-    fn new(n: usize) -> Self {
-        RankQueue {
-            words: vec![0; n.div_ceil(64)],
-            len: 0,
-            cur: n,
-        }
+    /// Empties the queue for ranks `0..n`, keeping its allocation.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.len = 0;
+        self.cur = n;
     }
 
     /// Inserts `rank`. The caller guarantees it is not already pending
@@ -443,7 +484,9 @@ impl RankQueue {
     }
 }
 
-/// The priority worklist loop shared by cold and warm solves.
+/// The priority worklist loop shared by cold and warm solves, on the
+/// recycled worklist buffers `work`.
+#[allow(clippy::too_many_arguments)]
 fn run(
     succs: &Adjacency,
     preds: &Adjacency,
@@ -451,6 +494,7 @@ fn run(
     schedule: &Schedule,
     mut input: Vec<BitSet>,
     mut output: Vec<BitSet>,
+    work: Worklist,
     seed: impl IntoIterator<Item = usize>,
 ) -> Solution {
     let n = succs.len();
@@ -463,8 +507,17 @@ fn run(
 
     let mut iterations: u64 = 0;
     let mut worklist_pushes: u64 = 0;
-    let mut on_list = vec![false; n];
-    let mut queue = RankQueue::new(n);
+    // The buffers are taken into locals for the loop, so that their
+    // lengths and pointers stay in registers.
+    let Worklist {
+        mut on_list,
+        mut queue,
+        rows: mut active,
+        top,
+    } = work;
+    on_list.clear();
+    on_list.resize(n, false);
+    queue.reset(n);
     for p in seed {
         if !on_list[p] {
             on_list[p] = true;
@@ -477,8 +530,11 @@ fn run(
     // so warm restarts with small dirty sets never scan the whole problem.
     // On a universe where every row is dense, one marker serves them all.
     let dense = ActiveWords::dense(problem.universe);
-    let mut rows: Option<Vec<Option<ActiveWords>>> =
-        (!ActiveWords::always_dense(problem.universe)).then(|| vec![None; n]);
+    let sparse = !ActiveWords::always_dense(problem.universe);
+    active.clear();
+    if sparse {
+        active.resize(n, None);
+    }
     while let Some(rank) = queue.pop() {
         let p = order.seq[rank as usize] as usize;
         on_list[p] = false;
@@ -507,11 +563,10 @@ fn run(
         }
         // Fused transfer: out = gen ∪ (in ∖ kill) in one word pass, with
         // the same exact change bit the three-pass formulation computed.
-        let row = match &mut rows {
-            Some(rows) => {
-                rows[p].get_or_insert_with(|| ActiveWords::build(&problem.gen[p], &problem.kill[p]))
-            }
-            None => &dense,
+        let row = if sparse {
+            active[p].get_or_insert_with(|| ActiveWords::build(&problem.gen[p], &problem.kill[p]))
+        } else {
+            &dense
         };
         if output[p].transfer_from(&input[p], &problem.gen[p], &problem.kill[p], row) {
             for &q in &downstream[p] {
@@ -536,6 +591,12 @@ fn run(
         iterations,
         worklist_pushes,
         max_worklist_len,
+        work: Worklist {
+            on_list,
+            queue,
+            rows: active,
+            top,
+        },
     }
 }
 
@@ -693,12 +754,12 @@ mod tests {
         let cold = solve(&succs, &preds, &p);
         // Re-seeding everything over an unchanged problem: one sweep, no
         // changes, identical facts.
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[0, 1, 2, 3], None);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, cold.clone(), &[0, 1, 2, 3]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert_eq!(warm.iterations, 4);
         // An empty dirty set does no work at all.
-        let idle = solve_seeded(&succs, &preds, &p, &schedule, &cold, &[], None);
+        let idle = solve_seeded(&succs, &preds, &p, &schedule, cold.clone(), &[]);
         assert_eq!(idle.before, cold.before);
         assert_eq!(idle.iterations, 0);
         assert_eq!(idle.worklist_pushes, 0);
@@ -721,7 +782,7 @@ mod tests {
         p.gen[1].remove(2);
         p.kill[1].insert(0);
         let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[1], None);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, old, &[1]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert!(warm.iterations <= cold.iterations);
@@ -738,7 +799,7 @@ mod tests {
         // Raise point 2's row: new gen bit, kill bit dropped.
         p.gen[2].insert(1);
         let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, &old, &[2], None);
+        let warm = solve_seeded(&succs, &preds, &p, &schedule, old, &[2]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
     }

@@ -340,9 +340,8 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
             pg.preds(),
             &problem,
             pg.schedule(),
-            &scheduled,
+            scheduled.clone(),
             &every_point,
-            Some(recycled),
         );
         assert_eq!(
             warm.before, ref_before,

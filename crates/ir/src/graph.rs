@@ -517,11 +517,14 @@ impl FlowGraph {
             term.is_nontrivial(),
             "only non-trivial terms own temporaries"
         );
-        let mut name = String::from("h<");
+        // The name is rendered on the stack: looking up a temporary that
+        // exists (every call after the first for a term) allocates nothing.
+        let mut name = NameBuf::default();
+        name.push_str("h<");
         text::write_term(&mut name, term, &mut text::source_names(&self.pool))
             .expect(text::INFALLIBLE);
-        name.push('>');
-        self.pool.intern_temp(&name)
+        name.push_str(">");
+        self.pool.intern_temp(name.as_str())
     }
 
     /// Iterates over `(Loc, &Instr)` pairs of all instructions in node/index
@@ -650,6 +653,55 @@ impl fmt::Debug for FlowGraph {
                 writeln!(f, "    {}", instr.display(&self.pool))?;
             }
         }
+        Ok(())
+    }
+}
+
+/// A temporary's name under construction: on the stack while it fits,
+/// on the heap past that.
+struct NameBuf {
+    len: usize,
+    bytes: [u8; 64],
+    spill: Option<String>,
+}
+
+impl Default for NameBuf {
+    fn default() -> Self {
+        NameBuf {
+            len: 0,
+            bytes: [0; 64],
+            spill: None,
+        }
+    }
+}
+
+impl NameBuf {
+    fn push_str(&mut self, s: &str) {
+        if let Some(spill) = &mut self.spill {
+            spill.push_str(s);
+        } else if let Some(room) = self.bytes.get_mut(self.len..self.len + s.len()) {
+            room.copy_from_slice(s.as_bytes());
+            self.len += s.len();
+        } else {
+            let mut spill = String::with_capacity(2 * (self.len + s.len()));
+            spill.push_str(self.as_str());
+            spill.push_str(s);
+            self.spill = Some(spill);
+        }
+    }
+
+    fn as_str(&self) -> &str {
+        match &self.spill {
+            Some(spill) => spill,
+            // Only whole `&str`s are copied in, so the prefix is UTF-8.
+            None => std::str::from_utf8(&self.bytes[..self.len]).expect("whole strings copied in"),
+        }
+    }
+}
+
+impl fmt::Write for NameBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.push_str(s);
         Ok(())
     }
 }

@@ -209,6 +209,15 @@ impl TermArena {
         TermArena::default()
     }
 
+    /// Creates an empty arena with room for `terms` terms.
+    pub fn with_capacity(terms: usize) -> Self {
+        TermArena {
+            nodes: Vec::with_capacity(terms),
+            index: HashMap::with_capacity_and_hasher(terms, FxMapBuild::default()),
+            patterns: Vec::with_capacity(terms),
+        }
+    }
+
     /// Interns `t`, returning the existing id when a structurally equal
     /// term is already present. A newly interned non-trivial term is also
     /// assigned the next dense [`PatternId`].
@@ -369,6 +378,16 @@ impl InstrInterner {
     /// Creates an empty interner.
     pub fn new() -> Self {
         InstrInterner::default()
+    }
+
+    /// Creates an empty interner with room for `instrs` distinct
+    /// instructions (and twice as many terms).
+    pub fn with_capacity(instrs: usize) -> Self {
+        InstrInterner {
+            arena: TermArena::with_capacity(2 * instrs),
+            nodes: Vec::with_capacity(instrs),
+            index: HashMap::with_capacity_and_hasher(instrs, FxMapBuild::default()),
+        }
     }
 
     /// Interns `instr`, returning `(id, newly_interned)`. All terms inside

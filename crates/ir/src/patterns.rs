@@ -93,6 +93,16 @@ pub struct PatternUniverse {
 }
 
 impl PatternUniverse {
+    /// An empty universe with room for the patterns of `instrs` distinct
+    /// instructions.
+    pub fn with_capacity(instrs: usize) -> Self {
+        PatternUniverse {
+            assigns: Vec::with_capacity(instrs),
+            assign_index: HashMap::with_capacity_and_hasher(instrs, FxMapBuild::default()),
+            arena: TermArena::with_capacity(2 * instrs),
+        }
+    }
+
     /// Collects the pattern universes of `g`.
     pub fn collect(g: &FlowGraph) -> Self {
         let mut u = PatternUniverse::default();

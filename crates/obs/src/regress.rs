@@ -10,7 +10,9 @@
 //!
 //! Noise model: deterministic **counters** (worklist pushes, iterations,
 //! eliminations, …) get a tight relative tolerance — they only move when
-//! the algorithm changes. **Time** metrics (wall micros, throughput,
+//! the algorithm changes. **Budgets** (a rung's heap allocations per
+//! optimize run) are deterministic counts with no tolerance at all: any
+//! rise regresses. **Time** metrics (wall micros, throughput,
 //! latency quantiles) get a loose relative tolerance plus an absolute
 //! floor, because shared CI runners jitter by tens of percent on
 //! microsecond-scale workloads; `counts_only` skips them entirely, which
@@ -34,6 +36,9 @@ pub enum Direction {
 pub enum MetricClass {
     /// Deterministic counter: tight tolerance, never skipped.
     Count,
+    /// Deterministic count that may not rise at all (heap allocations):
+    /// no tolerance, never skipped.
+    Budget,
     /// Wall-clock measurement: loose tolerance + floor, skippable.
     Time,
 }
@@ -217,6 +222,12 @@ pub fn extract_metrics(doc: &Json) -> Result<Vec<Metric>, String> {
                         direction,
                     );
                 }
+                push(
+                    format!("{label} / allocations"),
+                    num(r, "allocations"),
+                    Budget,
+                    LowerBetter,
+                );
                 for field in ["wall_micros", "motion_micros"] {
                     push(
                         format!("{label} / {field}"),
@@ -286,6 +297,7 @@ pub fn compare(baseline: &Json, candidate: &Json, t: &Thresholds) -> Result<Repo
         report.compared += 1;
         let (ratio, floor) = match b.class {
             MetricClass::Count => (t.count_ratio, 0.5),
+            MetricClass::Budget => (1.0, 0.0),
             MetricClass::Time => (t.time_ratio, t.time_floor),
         };
         let finding = |allowed: f64| Finding {
@@ -427,6 +439,38 @@ mod tests {
         let report = compare(&base, &worse, &Thresholds::default()).unwrap();
         assert!(!report.ok());
         assert!(report.regressions[0].name.contains("worklist_pushes"));
+    }
+
+    #[test]
+    fn an_allocation_count_may_not_rise_at_all() {
+        let with_allocations = |n: u64| {
+            let doc = dataflow_doc(376, 222, 8).replace(
+                "\"rounds\":4,",
+                &format!("\"rounds\":4,\"allocations\":{n},"),
+            );
+            parse(&doc)
+        };
+        let t = Thresholds {
+            counts_only: true,
+            ..Thresholds::default()
+        };
+        let base = with_allocations(10_000);
+        // One more allocation is inside any counter band, but a budget
+        // has none.
+        let report = compare(&base, &with_allocations(10_001), &t).unwrap();
+        assert!(!report.ok(), "{}", report.render());
+        assert_eq!(report.regressions[0].name, "nest d=1 / allocations");
+        assert_eq!(report.regressions[0].allowed, 10_000.0);
+        let report = compare(&base, &with_allocations(10_000), &t).unwrap();
+        assert!(report.ok() && report.improvements.is_empty());
+        let report = compare(&base, &with_allocations(9_000), &t).unwrap();
+        assert!(report.ok());
+        assert_eq!(report.improvements[0].name, "nest d=1 / allocations");
+        // A side without the field (an older baseline) compares nothing.
+        let old = parse(&dataflow_doc(376, 222, 8));
+        let report = compare(&old, &with_allocations(10_001), &t).unwrap();
+        assert!(report.ok());
+        assert_eq!(report.unmatched, 1);
     }
 
     #[test]

@@ -57,6 +57,10 @@ pub struct BenchRecord {
     /// for the scaling harness; per-job for `amopt --bench-json`, where a
     /// hit reports zero timings).
     pub cache_hit: bool,
+    /// Heap allocations of one optimize run, where the writer counts them
+    /// (`bench_dataflow`, through a counting allocator); omitted from the
+    /// JSON when `None`.
+    pub allocations: Option<u64>,
 }
 
 impl BenchRecord {
@@ -73,7 +77,7 @@ impl BenchRecord {
 
     /// The record as one JSON object, fields in schema order.
     pub fn to_json(&self) -> Json {
-        json::obj([
+        let mut fields = vec![
             ("label", self.label.as_str().into()),
             ("nodes", self.nodes.into()),
             ("instrs", self.instrs.into()),
@@ -92,7 +96,11 @@ impl BenchRecord {
             ("inserted", self.inserted.into()),
             ("removed", self.removed.into()),
             ("cache_hit", self.cache_hit.into()),
-        ])
+        ];
+        if let Some(n) = self.allocations {
+            fields.push(("allocations", n.into()));
+        }
+        json::obj(fields)
     }
 }
 
@@ -181,13 +189,16 @@ mod tests {
                 inserted: 3,
                 removed: 4,
                 cache_hit: true,
+                allocations: Some(4321),
             },
             BenchRecord::default(),
         ];
         let doc = render("amopt", &records);
         assert_eq!(json::parse(&doc).unwrap(), document("amopt", &records));
         let first = records[0].to_json();
-        assert_eq!(first.as_obj().map(<[_]>::len), Some(18));
+        assert_eq!(first.as_obj().map(<[_]>::len), Some(19));
+        assert_eq!(first.u64_field("allocations"), Ok(4321));
+        assert_eq!(records[1].to_json().field("allocations").ok(), None);
         assert_eq!(first.u64_field("max_worklist_len"), Ok(77));
         assert_eq!(first.bool_field("cache_hit"), Ok(true));
     }

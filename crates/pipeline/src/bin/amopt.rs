@@ -270,6 +270,7 @@ fn bench_records(report: &PipelineReport) -> Vec<BenchRecord> {
                 inserted: r.motion.inserted,
                 removed: r.motion.removed,
                 cache_hit: o.cache_hit,
+                allocations: None,
             })
         })
         .collect()

@@ -16,7 +16,7 @@ use std::thread;
 use std::time::Instant;
 
 use am_check::validate::{validate, ValidationConfig, VerdictCounts};
-use am_core::global::{optimize_with, GlobalConfig, PhaseTimings};
+use am_core::global::{optimize_owned, GlobalConfig, PhaseTimings};
 use am_ir::alpha::{canonical_text, stable_hash};
 use am_ir::FlowGraph;
 use am_lang::{compile_source, SourceKind};
@@ -231,7 +231,7 @@ impl Pipeline {
         let graph = compile_source(kind, &text).map_err(|e| format!("{}: {e}", job.name))?;
         let verification =
             (self.config.verify || self.config.prove).then(|| self.verify_graph(&graph));
-        let mut optimized = self.optimize_graph(&graph);
+        let mut optimized = self.optimize_graph(graph);
         if let Some((verdict, counts)) = verification {
             optimized.verification = Some(verdict);
             optimized.prove = counts;
@@ -244,8 +244,12 @@ impl Pipeline {
     /// a fresh optimizer run (offered to the secondary cache). Verification
     /// is a per-request concern and is left `None`; callers wanting it use
     /// [`Pipeline::run_job`].
-    pub fn optimize_graph(&self, graph: &FlowGraph) -> OptimizedJob {
-        let input_hash = stable_hash(graph);
+    ///
+    /// The program is taken by value: its hash and input shape are read
+    /// first, and a fresh run then optimizes the program itself
+    /// ([`optimize_owned`]), with no copy made.
+    pub fn optimize_graph(&self, graph: FlowGraph) -> OptimizedJob {
+        let input_hash = stable_hash(&graph);
         if let Some(result) = self.cache.get(input_hash) {
             return OptimizedJob {
                 input_hash,
@@ -271,23 +275,6 @@ impl Pipeline {
                 };
             }
         }
-        let config = GlobalConfig {
-            max_motion_rounds: self.config.max_motion_rounds,
-            keep_snapshots: false,
-            tracer: self.config.tracer.clone(),
-            ..GlobalConfig::default()
-        };
-        let out = optimize_with(graph, &config);
-        let lint = self.config.lint.then(|| {
-            let report = am_lint::lint_graph(
-                &out.program,
-                &am_lint::LintConfig {
-                    tracer: self.config.tracer.clone(),
-                    srcmap: None,
-                },
-            );
-            am_lint::LintSummary::from(&report)
-        });
         // Input shape, for bench reporting: every non-empty block contributes
         // one program point per instruction, empty blocks one virtual point
         // (mirrors `am_dfa::PointGraph::build`).
@@ -299,6 +286,23 @@ impl Pipeline {
             instrs += len;
             points += len.max(1);
         }
+        let config = GlobalConfig {
+            max_motion_rounds: self.config.max_motion_rounds,
+            keep_snapshots: false,
+            tracer: self.config.tracer.clone(),
+            ..GlobalConfig::default()
+        };
+        let out = optimize_owned(graph, &config, &mut |_, _| {});
+        let lint = self.config.lint.then(|| {
+            let report = am_lint::lint_graph(
+                &out.program,
+                &am_lint::LintConfig {
+                    tracer: self.config.tracer.clone(),
+                    srcmap: None,
+                },
+            );
+            am_lint::LintSummary::from(&report)
+        });
         let entry = CachedResult {
             canonical: canonical_text(&out.program),
             nodes,

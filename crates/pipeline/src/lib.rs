@@ -20,7 +20,7 @@
 //!   optimizer is deterministic, so batch output is byte-identical whether
 //!   one worker runs or sixteen do.
 //! * **Isolation** — a job that panics is reported as
-//!   [`JobOutcome::Panicked`](job::JobOutcome::Panicked); every other job
+//!   [`JobOutcome::Panicked`]; every other job
 //!   still completes.
 //! * **Sharing** — the cache is keyed by
 //!   [`am_ir::alpha::stable_hash`], so alpha-equivalent inputs (including

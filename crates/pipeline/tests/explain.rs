@@ -77,7 +77,7 @@ fn recording_never_perturbs_the_optimization() {
 
     let pipeline = am_pipeline::Pipeline::new(am_pipeline::PipelineConfig::default());
     for (name, g) in corpus80().into_iter().take(12) {
-        let normal = pipeline.optimize_graph(&g);
+        let normal = pipeline.optimize_graph(g.clone());
         let explained = capture(&g, None, &Tracer::disabled());
         assert_eq!(
             am_ir::alpha::canonical_text(&explained.result.program),

@@ -674,12 +674,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn process_leader(shared: &Shared, job: PendingJob) {
+fn process_leader(shared: &Shared, mut job: PendingJob) {
     let mut span = shared.tracer.span("request", "optimize");
     span.arg("queue_micros", job.queue_micros as i64);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        shared.pipeline.optimize_graph(&job.graph)
-    }));
+    // The engine consumes the parsed program; the job keeps its reply
+    // address.
+    let graph = std::mem::take(&mut job.graph);
+    let outcome = catch_unwind(AssertUnwindSafe(|| shared.pipeline.optimize_graph(graph)));
     let followers = {
         let mut dispatch = shared.dispatch.lock().unwrap();
         let followers = dispatch.inflight.remove(&job.hash).unwrap_or_default();
