@@ -12,14 +12,14 @@
 //! on a stage the prover did not discharge), 2 usage error. Campaign
 //! seeds left unchecked are counted, not failed.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use am_check::campaign::{
     check_file, default_bundle_dir, parse_seed_range, run_campaign, CampaignConfig, FileCheck,
 };
 use am_check::fault::{FaultKind, FaultSpec, InjectAt};
-use am_ir::text::parse;
+use am_lang::{compile_source, SourceKind};
 
 const USAGE: &str = "\
 usage: amcheck [OPTIONS] [FILE...]
@@ -198,7 +198,12 @@ fn main() -> ExitCode {
                 Ok(s) => s,
                 Err(e) => return fail_usage(&format!("cannot read {file}: {e}")),
             };
-            let program = match parse(&src) {
+            let Some(kind) = SourceKind::from_path(Path::new(file)) else {
+                eprintln!("{file}: unknown file type (expected .wl or .ir)");
+                failed += 1;
+                continue;
+            };
+            let program = match compile_source(kind, &src) {
                 Ok(g) => g,
                 Err(e) => {
                     eprintln!("{file}: parse error: {e}");

@@ -185,3 +185,24 @@ fn a_program_no_run_finishes_is_reported_unchecked() {
         Err(f) => panic!("unexpected failure {:?}", f.failure),
     }
 }
+
+/// File mode reads each file in its own front end: a `.wl` program is
+/// compiled from the while language, not parsed as flow-graph text, and
+/// both kinds of the checked-in programs validate.
+#[test]
+fn file_mode_checks_while_and_flow_graph_sources() {
+    let programs = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../programs");
+    for name in ["polynomial.wl", "running_example.ir"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_amcheck"))
+            .arg("--no-bundles")
+            .arg(programs.join(name))
+            .output()
+            .expect("amcheck runs");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "{name}: {stdout}{stderr}");
+        assert!(stdout.contains(&format!("{name}: ok")), "{name}: {stdout}");
+    }
+}

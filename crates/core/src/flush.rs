@@ -47,14 +47,13 @@
 //! # On interned ids
 //!
 //! The phase runs on the round context (`MotionContext`) the motion
-//! phase leaves behind: its mirror holds the interned id of every
-//! instruction, and a program after motion repeats few distinct contents
-//! (52 of the 10,010 instructions of the `xl-fan` benchmark). The
-//! expression universe is
-//! numbered from the distinct ids in the order of their first occurrence
-//! in the program, which is the numbering a walk over every instruction
-//! gives, so temporaries, insertion order and provenance pattern bits do
-//! not change. The local predicates are computed once per distinct id
+//! phase leaves behind, over the graph's interned ids: a program after
+//! motion repeats few distinct contents (52 of the 10,010 instructions of
+//! the `xl-fan` benchmark). The expression universe is numbered from the
+//! distinct ids in the order of their first occurrence in the program,
+//! which is the numbering a walk over every instruction gives, so
+//! temporaries, insertion order and provenance pattern bits do not
+//! change. The local predicates are computed once per distinct id
 //! (a `FlushRow`), the block rows are composed from the ids' rows, both
 //! systems are solved on the context's node system, and only blocks
 //! holding an instance, an `N-LATEST` point or an exit initialization are
@@ -173,8 +172,7 @@ impl FlushRow {
 }
 
 /// The [`FlushRow`] of every instruction of a program, dense by the
-/// interned id of the context it was built in (`None` for ids the program
-/// no longer holds).
+/// graph's interned id (`None` for ids the program does not hold).
 pub(crate) type FlushRows = Vec<Option<FlushRow>>;
 
 /// The row of interned instruction `id`.
@@ -192,23 +190,24 @@ pub fn analyze_flush(g: &mut FlowGraph) -> FlushAnalysis {
 }
 
 impl MotionContext {
-    /// Solves Table 3 over `g` on this context's mirror: numbers the
-    /// expression universe from the distinct interned instructions in
+    /// Solves Table 3 over `g` on this context: numbers the expression
+    /// universe from the distinct interned instructions in
     /// first-occurrence order (the numbering [`PatternUniverse::collect`]
     /// gives `g`), computes one [`FlushRow`] per distinct instruction,
     /// composes every block from its ids' rows and solves both systems on
     /// the context's node system.
     pub(crate) fn flush_analysis(&mut self, g: &mut FlowGraph) -> (FlushAnalysis, FlushRows) {
         self.sync(g);
-        let mut seen = vec![false; self.interned()];
-        let mut distinct = Vec::with_capacity(self.interned());
-        for &id in self.block_keys.iter().flatten() {
+        let interned = g.interner().len();
+        let mut seen = vec![false; interned];
+        let mut distinct = Vec::with_capacity(interned.min(g.instr_count()));
+        for &id in g.nodes().flat_map(|n| g.ids(n)) {
             if !std::mem::replace(&mut seen[id.index()], true) {
                 distinct.push(id);
             }
         }
         let mut universe = PatternUniverse::with_capacity(distinct.len());
-        universe.extend_instrs(distinct.iter().map(|&id| self.instr(id)));
+        universe.extend_instrs(distinct.iter().map(|&id| g.interner().instr(id)));
         let temps: Vec<Var> = universe
             .expr_patterns()
             .map(|(_, t)| g.temp_for(t))
@@ -229,9 +228,9 @@ impl MotionContext {
             temp_bit,
         };
         let mut rows: FlushRows = Vec::new();
-        rows.resize_with(self.interned(), || None);
+        rows.resize_with(interned, || None);
         for &id in &distinct {
-            rows[id.index()] = Some(analysis.row(self.instr(id)));
+            rows[id.index()] = Some(analysis.row(g.interner().instr(id)));
         }
         let ep = analysis.universe.expr_count();
         let nodes = g.node_count();
@@ -246,10 +245,11 @@ impl MotionContext {
         // * usability runs backward, so a use counts unless an earlier
         //   instance of the block re-initializes the temporary first:
         //   gen := gen ∪ (USED_ι ∖ kill), kill := kill ∪ IS-INST_ι.
-        for (ni, keys) in self.block_keys.iter().enumerate() {
+        for n in g.nodes() {
+            let ni = n.index();
             let (d_gen, d_kill) = (&mut delay.gen[ni], &mut delay.kill[ni]);
             let (u_gen, u_kill) = (&mut usable.gen[ni], &mut usable.kill[ni]);
-            for &id in keys {
+            for &id in g.ids(n) {
                 let r = row_of(&rows, id);
                 r.delay(d_gen);
                 d_kill.union_with(&r.stop);
@@ -444,12 +444,11 @@ pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats 
 }
 
 impl MotionContext {
-    /// [`final_flush_with`] on this context's mirror of `g`: the local
-    /// predicates come from the per-id [`FlushRow`]s and the solves from
-    /// the context's node system ([`Self::flush_analysis`]). A block with
-    /// no instance, no `N-LATEST` point and no exit initialization is left
-    /// as it is; every other block is rebuilt from its own instructions,
-    /// moved rather than cloned. The mirror is stale afterwards.
+    /// [`final_flush_with`] on this context: the local predicates come
+    /// from the per-id [`FlushRow`]s and the solves from the context's node
+    /// system ([`Self::flush_analysis`]). A block with no instance, no
+    /// `N-LATEST` point and no exit initialization is left as it is; every
+    /// other block is composed as ids and written in its own allocation.
     pub(crate) fn final_flush(&mut self, g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
         let recorder = &config.recorder;
         let (analysis, rows) = self.flush_analysis(g);
@@ -479,22 +478,24 @@ impl MotionContext {
         let mut n_usable = BitSet::new(ep);
         let mut succ_delay = BitSet::new(ep);
         let mut exit_inits = BitSet::new(ep);
-        // Per-instruction scratch sized for the longest block, and one
-        // buffer every rewritten block is built in.
-        let longest = self.block_keys.iter().map(<[_]>::len).max().unwrap_or(0);
+        // Per-instruction scratch sized for the longest block, one buffer
+        // every rewritten block is composed in and one holding its old
+        // ids, and the interned id of every pattern's initialization.
+        let longest = g.nodes().map(|n| g.ids(n).len()).max().unwrap_or(0);
         let mut latest = vec![BitSet::new(ep); longest];
         let mut x_usable = latest.clone();
         let mut n_inits: Vec<usize> = Vec::with_capacity(ep);
         let mut reconstruct: Vec<usize> = Vec::with_capacity(ep);
-        let mut fresh: Vec<Instr> = Vec::new();
+        let (mut old, mut fresh): (Vec<InstrId>, Vec<InstrId>) = (Vec::new(), Vec::new());
+        let mut init_ids: Vec<Option<InstrId>> = vec![None; ep];
         for n in g.nodes() {
-            let (ni, keys) = (n.index(), &self.block_keys[n.index()]);
+            let ni = n.index();
             // Stream N-DELAYABLE* forward, keeping every instruction's
             // N-LATEST = N-DELAYABLE* · (USED + BLOCKED). The block changes
             // only where an instance sits or some delay stops.
             n_delay.copy_from(&delay.before[ni]);
             let (mut instances, mut stops) = (false, false);
-            for (&id, latest) in keys.iter().zip(&mut latest) {
+            for (&id, latest) in g.ids(n).iter().zip(&mut latest) {
                 let r = row_of(&rows, id);
                 if r.stop.is_disjoint(&n_delay) {
                     latest.clear();
@@ -530,7 +531,7 @@ impl MotionContext {
             // where some delay stops.
             if stops {
                 n_usable.copy_from(&usable.after[ni]);
-                for (j, &id) in keys.iter().enumerate().rev() {
+                for (j, &id) in g.ids(n).iter().enumerate().rev() {
                     if !latest[j].is_empty() {
                         x_usable[j].copy_from(&n_usable);
                     }
@@ -538,44 +539,60 @@ impl MotionContext {
                 }
             }
 
-            let mut old = g.take_block(n);
+            old.clear();
+            old.extend_from_slice(g.ids(n));
             fresh.clear();
-            let g_ref = &*g;
-            let record =
-                |kind, index: Option<usize>, instr: &Instr, new: Option<&Instr>, i, fact: &str| {
-                    recorder.record(ProvRecord {
-                        kind,
-                        phase: "flush",
-                        round: 0,
-                        node: g_ref.label(n).to_owned(),
-                        index: index.map(|j| j as u32),
-                        instr: instr.display(g_ref.pool()),
-                        new_instr: new.map(|new| new.display(g_ref.pool())),
-                        pattern: Some(i as u32),
-                        instr_id: None,
-                        justification: fact.to_owned(),
-                    });
-                };
-            let mut insert = |fresh: &mut Vec<Instr>, i: usize, fact: &str| {
-                let init = Instr::Assign {
-                    lhs: temps[i],
-                    rhs: universe.expr(i),
-                };
+            let record = |g: &FlowGraph,
+                          kind,
+                          index: Option<usize>,
+                          instr: &Instr,
+                          new: Option<&Instr>,
+                          i,
+                          fact: &str| {
+                recorder.record(ProvRecord {
+                    kind,
+                    phase: "flush",
+                    round: 0,
+                    node: g.label(n).to_owned(),
+                    index: index.map(|j| j as u32),
+                    instr: instr.display(g.pool()),
+                    new_instr: new.map(|new| new.display(g.pool())),
+                    pattern: Some(i as u32),
+                    instr_id: None,
+                    justification: fact.to_owned(),
+                });
+            };
+            let mut insert = |g: &mut FlowGraph, fresh: &mut Vec<InstrId>, i: usize, fact: &str| {
+                let id = *init_ids[i].get_or_insert_with(|| {
+                    g.intern(Instr::Assign {
+                        lhs: temps[i],
+                        rhs: universe.expr(i),
+                    })
+                });
                 if recorder.is_enabled() {
-                    record(ProvKind::FlushInsert, None, &init, None, i, fact);
+                    record(
+                        g,
+                        ProvKind::FlushInsert,
+                        None,
+                        g.interner().instr(id),
+                        None,
+                        i,
+                        fact,
+                    );
                 }
-                fresh.push(init);
+                fresh.push(id);
                 stats.inserted += 1;
             };
-            for (j, (instr, &id)) in old.drain(..).zip(keys).enumerate() {
+            for (j, &id) in old.iter().enumerate() {
                 let r = row_of(&rows, id);
                 // N-LATEST, split into initializations before the
                 // instruction and reconstructions.
                 n_inits.clear();
                 reconstruct.clear();
+                let instr = g.interner().instr(id);
                 for i in latest[j].iter() {
                     let h = temps[i];
-                    let multi_use = use_count(&instr, h) >= 2;
+                    let multi_use = use_count(instr, h) >= 2;
                     // A blockade that *redefines* the temporary (another
                     // instance of the same pattern, in particular) makes
                     // the arriving value dead: never insert for it.
@@ -592,7 +609,7 @@ impl MotionContext {
                     // dropped.
                 }
                 for &i in &n_inits {
-                    insert(&mut fresh, i, "N-INIT = N-LATEST · X-USABLE*");
+                    insert(g, &mut fresh, i, "N-INIT = N-LATEST · X-USABLE*");
                 }
                 if let Some(own) = r.inst {
                     // The instruction is an instance of some pattern and
@@ -605,55 +622,56 @@ impl MotionContext {
                     if recorder.is_enabled() {
                         let fact = "IS-INST: the instance leaves its motion position for its \
                                     latest points";
-                        record(ProvKind::FlushRemove, Some(j), &instr, None, own, fact);
+                        let instr = g.interner().instr(id);
+                        record(g, ProvKind::FlushRemove, Some(j), instr, None, own, fact);
                     }
                     stats.instances_removed += 1;
                     for &i in &reconstruct {
                         let fact = "reconstruction use travels with a removed instance; \
                                     initialization materialized here";
-                        insert(&mut fresh, i, fact);
+                        insert(g, &mut fresh, i, fact);
                     }
                 } else {
-                    let mut rewritten = instr;
+                    // The instruction as rewritten so far, if it was.
+                    let mut rewritten: Option<Instr> = None;
                     for &i in &reconstruct {
-                        match reconstruct_use(&rewritten, temps[i], universe.expr(i)) {
+                        let current = rewritten.as_ref().unwrap_or(g.interner().instr(id));
+                        match reconstruct_use(current, temps[i], universe.expr(i)) {
                             Some(new_instr) => {
                                 if recorder.is_enabled() {
                                     let fact = "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: \
                                                 sole use, original term restored";
                                     let kind = ProvKind::FlushReconstruct;
-                                    record(kind, Some(j), &rewritten, Some(&new_instr), i, fact);
+                                    record(g, kind, Some(j), current, Some(&new_instr), i, fact);
                                 }
-                                rewritten = new_instr;
+                                rewritten = Some(new_instr);
                                 stats.reconstructed += 1;
                             }
                             // The use position cannot hold a term (it sits
                             // inside a binary term): keep the
                             // initialization instead.
                             None => insert(
+                                g,
                                 &mut fresh,
                                 i,
                                 "RECONSTRUCT held, but the use position cannot carry a term",
                             ),
                         }
                     }
-                    fresh.push(rewritten);
+                    fresh.push(rewritten.map_or(id, |instr| g.intern(instr)));
                 }
             }
             // Insertions at the block exit; an empty block's pass-through
             // point carries them too (X-LATEST on a split edge).
-            let fact = if keys.is_empty() {
+            let fact = if old.is_empty() {
                 "LATEST on the empty (split-edge) block, usable onward"
             } else {
                 "X-INIT = X-LATEST · X-USABLE*"
             };
             for i in exit_inits.iter() {
-                insert(&mut fresh, i, fact);
+                insert(g, &mut fresh, i, fact);
             }
-            // The block keeps its own allocation, which grows only if it
-            // must.
-            old.append(&mut fresh);
-            g.set_block(n, old);
+            g.set_ids(n, &fresh);
         }
         stats
     }
@@ -846,7 +864,7 @@ mod tests {
                 let facts = analysis.block_facts(&g, n);
                 assert_eq!(facts, fresh.block_facts(&fresh_g, n), "program {p} {n:?}");
                 // The per-id rows are the instruction walk's predicates.
-                for (f, &id) in facts.iter().zip(&ctx.block_keys[n.index()]) {
+                for (f, &id) in facts.iter().zip(g.ids(n)) {
                     let r = row_of(&rows, id);
                     let mut stop = f.used.clone();
                     stop.union_with(&f.blocked);

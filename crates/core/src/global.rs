@@ -215,7 +215,7 @@ pub fn optimize_owned(
     hook(PhaseId::Init, &mut program);
     let after_init = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "motion");
-    // One context serves both phases: the flush reads the interned ids and
+    // One context serves both phases: the flush reads the row caches and
     // the node system the motion rounds leave behind.
     let mut ctx = MotionContext::new();
     if tracer.enabled() {
@@ -244,7 +244,7 @@ pub fn optimize_owned(
     let after_motion = config.keep_snapshots.then(|| program.clone());
     let span = tracer.span("phase", "flush");
     let flush = ctx.final_flush(&mut program, config);
-    // The mirror the flush read is freed in its phase.
+    // The caches the flush read are freed in its phase.
     drop(ctx);
     timings.flush = span.end();
     hook(PhaseId::Flush, &mut program);

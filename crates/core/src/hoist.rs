@@ -44,9 +44,7 @@ use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 
-use crate::flat::FlatBlocks;
 use crate::incremental::MotionContext;
-use crate::rae::unlisted;
 
 /// The solved hoistability analysis of a program.
 pub struct HoistAnalysis {
@@ -63,9 +61,10 @@ pub struct HoistAnalysis {
     pub n_insert: Vec<BitSet>,
     /// `X-INSERT` per node.
     pub x_insert: Vec<BitSet>,
-    /// Per node, the `(pattern, instruction index)` hoisting candidates
-    /// ([`Self::candidates`]), all nodes' in one buffer.
-    pub(crate) candidates: FlatBlocks<(usize, usize)>,
+    /// Every node's `(pattern, instruction index)` hoisting candidates
+    /// ([`Self::candidates`]) in node order, and where each node's end.
+    pub(crate) candidates: Vec<(usize, usize)>,
+    pub(crate) candidate_ends: Vec<usize>,
     /// First-occurrence rank of every pattern in the analyzed program
     /// (`None` for patterns without occurrences).
     occ_rank: Vec<Option<u32>>,
@@ -75,7 +74,8 @@ impl HoistAnalysis {
     /// The `(pattern, instruction index)` hoisting candidates of node `n`,
     /// in index order.
     pub fn candidates(&self, n: NodeId) -> &[(usize, usize)] {
-        &self.candidates[n.index()]
+        let (ni, ends) = (n.index(), &self.candidate_ends);
+        &self.candidates[ni.checked_sub(1).map_or(0, |m| ends[m])..ends[ni]]
     }
 }
 
@@ -106,9 +106,6 @@ impl MotionContext {
             _ => {
                 self.hoist_stamps.clear();
                 let empty = vec![BitSet::new(ap); nodes];
-                let mut candidates = FlatBlocks::default();
-                candidates.reserve(nodes, nodes);
-                candidates.resize(nodes);
                 let a = HoistAnalysis {
                     universe: Rc::clone(&self.universe),
                     loc_hoistable: empty.clone(),
@@ -116,13 +113,14 @@ impl MotionContext {
                     hoistable: Solution::default(),
                     n_insert: Vec::new(),
                     x_insert: Vec::new(),
-                    candidates,
+                    candidates: Vec::new(),
+                    candidate_ends: Vec::new(),
                     occ_rank: Vec::new(),
                 };
                 (None, a)
             }
         };
-        self.occurrence_ranks(&mut a.occ_rank);
+        self.occurrence_ranks(g, &mut a.occ_rank);
         self.hoist_stamps.resize(nodes, 0);
         let mut dirty = std::mem::take(&mut self.hoist_dirty);
         dirty.clear();
@@ -132,16 +130,30 @@ impl MotionContext {
         if locals.hoistable.len() != ap {
             locals = BlockLocals::new(ap);
         }
+        // The candidates are rebuilt, copying the rows of unchanged blocks,
+        // in buffers that two analyses trade and that keep room for the
+        // rows: a round repeating the rows allocates nothing.
+        let room = |rows: &mut (Vec<(usize, usize)>, Vec<usize>), len: usize| {
+            rows.0.clear();
+            rows.1.clear();
+            rows.0.reserve(nodes.max(len));
+            rows.1.reserve(nodes);
+        };
+        let mut rows = std::mem::take(&mut self.hoist_candidates);
+        room(&mut rows, a.candidates.len());
+        let (candidates, ends) = &mut rows;
         for n in g.nodes() {
             let ni = n.index();
             if self.hoist_stamps[ni] == self.block_stamps[ni] {
                 self.rows_reused += 1;
+                candidates.extend_from_slice(a.candidates(n));
+                ends.push(candidates.len());
                 continue;
             }
             self.hoist_stamps[ni] = self.block_stamps[ni];
             self.rows_recomputed += 1;
             locals.clear();
-            self.for_each_blocking_row(ni, |idx, pattern, blocks| {
+            self.for_each_blocking_row(g, n, |idx, pattern, blocks| {
                 locals.step(idx, pattern, blocks)
             });
             let (gen, kill) = (&mut a.loc_hoistable[ni], &mut a.loc_blocked[ni]);
@@ -151,13 +163,13 @@ impl MotionContext {
                 gen.copy_from(&locals.hoistable);
                 kill.copy_from(&locals.blocked);
             }
-            a.candidates.set(ni, &locals.candidates);
+            candidates.extend_from_slice(&locals.candidates);
+            ends.push(candidates.len());
         }
-        if solved_on.is_none() {
-            // Every block was filled: from here on the rows are rewritten
-            // in the room this leaves.
-            a.candidates.make_room();
-        }
+        std::mem::swap(&mut rows.0, &mut a.candidates);
+        std::mem::swap(&mut rows.1, &mut a.candidate_ends);
+        room(&mut rows, a.candidates.len());
+        self.hoist_candidates = rows;
         self.hoist_locals = locals;
         let mut problem = match self.hoist_problem.take() {
             Some(p) if p.universe == ap => p,
@@ -361,32 +373,20 @@ pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
     ctx.apply_insertion_step(g, &analysis, None, &recorder, 0, &mut Rewritten::default())
 }
 
-/// The blocks an insertion step rewrote, in node order, with their new
-/// interned ids, and how many blocks it moved code in without changing
-/// them.
+/// The blocks an insertion step rewrote, in node order, and how many
+/// blocks it moved code in without changing them.
 #[derive(Default)]
 pub(crate) struct Rewritten {
     pub(crate) blocks: Vec<NodeId>,
-    /// The new ids of every rewritten block, concatenated in block order.
-    pub(crate) keys: Vec<InstrId>,
-    /// Where each rewritten block's ids end in `keys`.
-    pub(crate) ends: Vec<usize>,
     /// Blocks whose insertions re-create exactly the removed candidates at
     /// the same positions (identity moves): counted as inserts and
     /// removals, reported to the recorder, but not rewritten.
     pub(crate) identity: usize,
-    /// Scratch: the patterns inserted at a block's entry and exit.
+    /// Scratch: one block's new ids, and the patterns inserted at its
+    /// entry and exit.
+    ids: Vec<InstrId>,
     entry: Vec<usize>,
     exit: Vec<usize>,
-}
-
-impl Rewritten {
-    fn clear(&mut self) {
-        self.blocks.clear();
-        self.keys.clear();
-        self.ends.clear();
-        self.identity = 0;
-    }
 }
 
 impl MotionContext {
@@ -394,21 +394,19 @@ impl MotionContext {
     /// in this context, restricted to pattern `only` when given (the
     /// restricted baseline of Fig. 8/9 and the universe explorer hoist one
     /// pattern at a time, each on a copy of the program the context
-    /// mirrors). Every insertion and removal is reported to `recorder`.
+    /// synced). Every insertion and removal is reported to `recorder`.
     ///
     /// Same-point insertions are emitted in first-occurrence order and
     /// limited to patterns that still occur — the pattern set and bit
     /// order a universe collected fresh from `g` would produce, even when
     /// the analysis ran over the motion loop's larger entry universe.
     ///
-    /// Each touched block's new content is first composed as ids: the
-    /// instance id of every inserted pattern around the kept ids of the
-    /// old block. A block is written only when those differ from its old
-    /// ids, and then refilled in place (its own allocation, kept
-    /// instructions moved, not cloned); the blocks written are returned
-    /// with their new ids in `rewritten` (cleared first, so that its
-    /// buffers are reused), which [`Self::note_rewritten`] takes into the
-    /// mirror. The context itself is left as it was.
+    /// Each touched block's new content is composed as ids: the instance
+    /// id of every inserted pattern around the kept ids of the old block.
+    /// A block is written only when those differ from its old ids, and
+    /// then in its own allocation ([`FlowGraph::set_ids`]); the blocks
+    /// written are returned in `rewritten` (cleared first, so that its
+    /// buffers are reused). The context itself is left as it was.
     pub(crate) fn apply_insertion_step(
         &self,
         g: &mut FlowGraph,
@@ -418,7 +416,6 @@ impl MotionContext {
         round: u32,
         rewritten: &mut Rewritten,
     ) -> HoistOutcome {
-        debug_assert_eq!(self.block_keys.len(), g.node_count(), "context mirrors g");
         let sol = &analysis.hoistable;
         let mut outcome = HoistOutcome {
             iterations: sol.iterations,
@@ -426,21 +423,16 @@ impl MotionContext {
             max_worklist_len: sol.max_worklist_len,
             ..HoistOutcome::default()
         };
-        rewritten.clear();
+        rewritten.blocks.clear();
+        rewritten.identity = 0;
         let kept = |i: usize| only.is_none_or(|o| o == i) && analysis.occ_rank[i].is_some();
         let in_order = |set: &BitSet, patterns: &mut Vec<usize>| {
             patterns.clear();
             patterns.extend(set.iter().filter(|&i| kept(i)));
             patterns.sort_by_key(|&i| analysis.occ_rank[i]);
         };
-        let instance = |i: usize| {
-            let pat = analysis.universe.assign(i);
-            Instr::Assign {
-                lhs: pat.lhs,
-                rhs: pat.rhs,
-            }
-        };
-        let (mut entry, mut exit) = (
+        let (mut ids, mut entry, mut exit) = (
+            std::mem::take(&mut rewritten.ids),
             std::mem::take(&mut rewritten.entry),
             std::mem::take(&mut rewritten.exit),
         );
@@ -449,7 +441,8 @@ impl MotionContext {
             // The removed candidates' (pattern, index) pairs, in index
             // order.
             let removed = || {
-                analysis.candidates[ni]
+                analysis
+                    .candidates(n)
                     .iter()
                     .filter(|&&(pat, _)| only.is_none_or(|o| o == pat))
             };
@@ -478,11 +471,12 @@ impl MotionContext {
                         justification: fact.to_owned(),
                     });
                 };
+                let instance = |i: usize| g.interner().instr(self.instance_id(i));
                 for &i in &entry {
                     observe(
                         ProvKind::HoistInsert,
                         None,
-                        &instance(i),
+                        instance(i),
                         i,
                         "N-INSERT: hoistable at entry, not hoistable out of some predecessor",
                     );
@@ -503,7 +497,7 @@ impl MotionContext {
                     observe(
                         ProvKind::HoistInsert,
                         None,
-                        &instance(i),
+                        instance(i),
                         i,
                         "X-INSERT: hoistable at exit, blocked from entering this block",
                     );
@@ -512,33 +506,23 @@ impl MotionContext {
             // The new block is entry ++ (old minus candidates) ++ exit; it
             // equals the old one exactly when the insertions re-create the
             // removed candidates in place.
-            let start = rewritten.keys.len();
-            let keys = &mut rewritten.keys;
-            keys.extend(entry.iter().map(|&i| self.instance_id(i)));
+            ids.clear();
+            ids.extend(entry.iter().map(|&i| self.instance_id(i)));
             let mut next = doomed().peekable();
-            keys.extend(
-                (self.block_keys[ni].iter().enumerate())
+            ids.extend(
+                (g.ids(n).iter().enumerate())
                     .filter(|&(idx, _)| next.next_if_eq(&idx).is_none())
                     .map(|(_, &id)| id),
             );
-            keys.extend(exit.iter().map(|&i| self.instance_id(i)));
-            if keys[start..] == self.block_keys[ni][..] {
-                keys.truncate(start);
+            ids.extend(exit.iter().map(|&i| self.instance_id(i)));
+            if ids == g.ids(n) {
                 rewritten.identity += 1;
                 continue;
             }
-            // Rewritten in the block's own allocation, which grows at most
-            // once, and only if it must.
-            let mut instrs = g.take_block(n);
-            instrs.retain(unlisted(doomed()));
-            instrs.reserve(entry.len() + exit.len());
-            instrs.splice(0..0, entry.iter().map(|&i| instance(i)));
-            instrs.extend(exit.iter().map(|&i| instance(i)));
-            g.set_block(n, instrs);
+            g.set_ids(n, &ids);
             rewritten.blocks.push(n);
-            rewritten.ends.push(rewritten.keys.len());
         }
-        (rewritten.entry, rewritten.exit) = (entry, exit);
+        (rewritten.ids, rewritten.entry, rewritten.exit) = (ids, entry, exit);
         outcome.changed = !rewritten.blocks.is_empty();
         outcome
     }
@@ -742,7 +726,12 @@ mod tests {
         let [(x, 0), (y, 1)] = cands[..] else {
             panic!("unexpected candidates {cands:?}");
         };
-        analysis.candidates.set(n2.index(), &[(y, 1)]);
+        // Node 2 keeps only its second candidate.
+        let first = analysis.candidate_ends[n2.index()] - 2;
+        analysis.candidates.remove(first);
+        analysis.candidate_ends[n2.index()..]
+            .iter_mut()
+            .for_each(|end| *end -= 1);
         analysis.n_insert[n2.index()].remove(y);
         let mut rewritten = Rewritten::default();
         let recorder = ProvRecorder::disabled();

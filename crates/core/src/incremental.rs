@@ -9,45 +9,47 @@
 //! themselves are implemented once, in [`crate::rae`] and [`crate::hoist`],
 //! against these caches; the one-shot entries there run the same code on a
 //! fresh context. The global algorithm hands the context on to the final
-//! flush ([`crate::flush`]), which reads the same interned ids and node
-//! system instead of walking the program again.
+//! flush ([`crate::flush`]), which reads the same ids and node system
+//! instead of walking the program again.
 //!
-//! * **Pattern universe and masks** — numbered once, at the first sync,
-//!   from the distinct instructions it interned, in id order: ids follow
-//!   first occurrence, so this is the numbering of a walk over every
-//!   instruction, without that walk. The
-//!   motion phase only *removes* occurrences and re-inserts instances of
-//!   existing patterns, so the entry universe is a superset of every later
-//!   round's universe and the per-bit independence of gen/kill systems
-//!   makes the extra bits harmless. Two guards keep the results identical
-//!   to a fresh-universe run: insertions are filtered to patterns that
-//!   still occur, and same-point insertions are emitted in the current
-//!   graph's first-occurrence order (the order a fresh universe would
-//!   number them). A hook that injects a *new* pattern (fault injection)
-//!   is detected when the instruction is first interned and triggers an
-//!   in-place universe extension: existing pattern ids stay stable and the
-//!   new patterns take the next free indices, so only the caches whose
-//!   bitset width depends on the universe size are dropped.
-//! * **Program mirror** — the interned instruction ids of every block
-//!   ([`am_ir::intern::InstrInterner`]), all blocks' in one flat buffer
-//!   ([`FlatBlocks`]), a cached hash per block composed
-//!   from the interner's cached instruction hashes, and the graph's write
-//!   stamp ([`am_ir::Block::stamp`]) of the content each block mirrors.
-//!   The graph stamps every block it writes, so one [`MotionContext::sync`]
-//!   serves every case: after an O(1) check that nothing was written
-//!   ([`FlowGraph::last_stamp`]) it re-interns exactly the blocks whose
+//! The context keeps no copy of the program. Blocks hold the ids of their
+//! instructions in the graph's interner ([`FlowGraph::ids`],
+//! [`FlowGraph::interner`]), which caches every instruction's hash; the
+//! rewrites write ids into the graph ([`FlowGraph::set_ids`]).
+//!
+//! * **Pattern universe and masks** — numbered once, at the first sync, by
+//!   a walk over the blocks' ids with a seen mark: the distinct
+//!   instructions in first-occurrence order number the universe as a walk
+//!   over every instruction would. The same walk ranks the ids; the rank,
+//!   not the graph's id, is what provenance reports. The motion phase only
+//!   *removes* occurrences and re-inserts instances of existing patterns,
+//!   so the entry universe is a superset of every later round's universe
+//!   and the per-bit independence of gen/kill systems makes the extra bits
+//!   harmless. Two guards keep the results identical to a fresh-universe
+//!   run: insertions are filtered to patterns that still occur, and
+//!   same-point insertions are emitted in the current graph's
+//!   first-occurrence order (the order a fresh universe would number
+//!   them). A hook that injects a *new* pattern (fault injection) is
+//!   detected when a sync first meets its id and triggers an in-place
+//!   universe extension: existing pattern ids stay stable and the new
+//!   patterns take the next free indices, so only the caches whose bitset
+//!   width depends on the universe size are dropped.
+//! * **Block hashes** — a hash per block composed from the interner's
+//!   cached instruction hashes, and the graph's write stamp
+//!   ([`am_ir::Block::stamp`]) of the content hashed. The graph stamps
+//!   every block it writes, so one [`MotionContext::sync`] serves every
+//!   case: after an O(1) check that nothing was written
+//!   ([`FlowGraph::last_stamp`]) it re-hashes exactly the blocks whose
 //!   stamp differs from the recorded one — all of them on the first sync,
-//!   the ones a mutating round hook or an injected fault wrote after it.
-//!   The context's own rewrites hand the mirror the new ids of the blocks
-//!   they wrote and record the stamps the writes got: an elimination drops
-//!   the ids of the removed occurrences, and the insertion step
+//!   the ones a mutating round hook or an injected fault wrote after it —
+//!   and never interns. The context's own rewrites re-hash the blocks they
+//!   wrote and record the stamps the writes got: an elimination drops the
+//!   removed occurrences, and the insertion step
 //!   ([`MotionContext::apply_insertion_step`]) composes each rewritten
-//!   block from the kept ids and the one interned instance id of every
-//!   inserted pattern. Only those blocks are re-hashed, and nothing is
-//!   interned after the first sync. The program fingerprint folds the
-//!   per-block hashes into a position-keyed sum, so a changed block
-//!   updates it in O(1) — the cached-hash idiom of hash-consed expression
-//!   DAGs.
+//!   block from the kept ids and the one instance id of every inserted
+//!   pattern. The program fingerprint folds the per-block hashes into a
+//!   position-keyed sum, so a changed block updates it in O(1) — the
+//!   cached-hash idiom of hash-consed expression DAGs.
 //! * **Gen/kill rows** — the Table 2 row and the Table 1 blocking row of
 //!   every interned instruction, dense by id, and the node-level Table 2
 //!   and Table 1 problem rows, candidates included, each tagged with the
@@ -77,13 +79,13 @@
 //!   and the last hoist was a no-op) skips the solve outright. The warm
 //!   solve continues the previous solution in place.
 //! * **Round scratch** — occurrence ranks, dirty lists, elimination
-//!   locations, block locals and the insertion step's pattern lists live
-//!   here and are refilled each round, so a round that changes nothing
-//!   allocates nothing.
+//!   locations, block locals, the candidate buffers and the insertion
+//!   step's pattern lists live here and are refilled each round, so a
+//!   round that changes nothing allocates nothing.
 //!
 //! The final flush takes over the Table 2 and Table 1 problems and their
 //! last solutions ([`MotionContext::take_solver_buffers`]) and reads the
-//! mirror, the interner and the node system.
+//! node system.
 
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
@@ -93,15 +95,13 @@ use am_dfa::{
     node_adjacency, solve_scheduled, Adjacency, Confluence, Direction, PatternMasks, Problem,
     Schedule, Solution,
 };
-use am_ir::intern::{FxMapHasher, InstrId, InstrInterner};
+use am_ir::intern::{FxMapHasher, InstrId};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
-use crate::flat::FlatBlocks;
 use crate::hoist::{blocking_row, BlockLocals, HoistAnalysis, HoistOutcome, Rewritten};
 use crate::rae::{redundancy_row, unlisted, RaeOutcome, Row};
-use crate::PRESIZE_LIMIT;
 
 /// The node-level solver system shared by the redundancy and hoist passes
 /// of every round with the same block edges: adjacency lists plus the
@@ -119,34 +119,28 @@ pub(crate) struct NodeSystem {
 pub(crate) struct MotionContext {
     pub(crate) universe: Rc<PatternUniverse>,
     pub(crate) masks: PatternMasks,
-    /// Hash-consing interner behind the program mirror: each distinct
-    /// instruction content is structurally hashed once, after which block
-    /// keys compare ids and block hashes compose cached hashes.
-    interner: InstrInterner,
-    /// The universe index of every interned instruction's assignment
-    /// pattern, dense by id (`None` for other instructions).
-    assign_of: Vec<Option<u32>>,
-    /// The interned id of every assignment pattern's instance `v := t`,
-    /// dense by pattern index: the one id the insertion step hands the
-    /// mirror for each instance it inserts. Every pattern of the universe
-    /// is collected from an interned instruction, so each has its id.
+    /// What the context knows of every id of the graph's interner it has
+    /// seen in a block, dense by id (`None` for ids it has not seen).
+    known: Vec<Option<Known>>,
+    /// The rank the next id seen for the first time gets.
+    next_rank: u32,
+    /// The id of every assignment pattern's instance `v := t`, dense by
+    /// pattern index: the one id the insertion step writes for each
+    /// instance it inserts. Every pattern of the universe is collected
+    /// from an instruction seen in the program, so each has its id.
     instance_of: Vec<Option<InstrId>>,
-    /// Set when an interned instruction carries an assignment pattern the
-    /// universe does not know (only possible through a mutating hook);
-    /// consumed at the end of every sync.
+    /// Set when a block holds an assignment pattern the universe does not
+    /// know (only possible through a mutating hook); consumed at the end
+    /// of every sync.
     stale: bool,
-    /// The graph's [`FlowGraph::last_stamp`] the mirror below describes,
-    /// `None` before the first sync.
-    seen: Option<u64>,
-    /// Interned instruction ids per block: the mirror of the program.
-    pub(crate) block_keys: FlatBlocks<InstrId>,
-    /// The ids of the block [`Self::sync`] is re-interning.
-    key_buf: Vec<InstrId>,
+    /// The graph's [`FlowGraph::last_stamp`] the block hashes below
+    /// describe, `None` before the first sync.
+    synced: Option<u64>,
     /// Cached hash of every block's content ([`block_hash`]).
     block_hashes: Vec<u64>,
-    /// Per block, the graph's write stamp of the content mirrored (0:
-    /// none yet). A graph never hands out 0 or the same stamp twice, so a
-    /// row tagged with a stamp is current exactly when the stamps match.
+    /// Per block, the graph's write stamp of the content hashed (0: none
+    /// yet). A graph never hands out 0 or the same stamp twice, so a row
+    /// tagged with a stamp is current exactly when the stamps match.
     pub(crate) block_stamps: Vec<u64>,
     /// The first stamp the current round's writes can carry; a block
     /// recorded with an older one is counted dirty when it is next
@@ -192,6 +186,8 @@ pub(crate) struct MotionContext {
     pub(crate) hoist_dirty: Vec<usize>,
     pub(crate) hoist_locals: BlockLocals,
     pub(crate) hoist_scratch: BitSet,
+    /// The buffers of the hoisting candidates before the last analysis's.
+    pub(crate) hoist_candidates: (Vec<(usize, usize)>, Vec<usize>),
     /// Round scratch: the redundant occurrences found, and the fact
     /// streamed through a block.
     pub(crate) rae_locs: Vec<Loc>,
@@ -209,26 +205,36 @@ pub(crate) struct MotionContext {
     identity_blocks: u64,
     pub(crate) streamed_blocks: u64,
     pub(crate) skipped_blocks: u64,
-    /// Calls into the interner, for the test that no round makes one.
-    #[cfg(test)]
-    intern_calls: u64,
+}
+
+/// What a [`MotionContext`] knows of an interned id it has seen in the
+/// program.
+#[derive(Clone, Copy)]
+struct Known {
+    /// The id's rank in the order the context first saw the ids: first
+    /// occurrence in the program at the first sync, then the order later
+    /// syncs meet new ones. Provenance reports it as the instruction id,
+    /// which the graph's own ids (they also number the contents before
+    /// initialization) would not reproduce.
+    rank: u32,
+    /// The universe index of the id's assignment pattern (`None` for other
+    /// instructions, and for a pattern the universe does not know yet).
+    assign: Option<u32>,
 }
 
 impl MotionContext {
-    /// An empty context; the first [`Self::sync`] mirrors the program
-    /// and numbers its universe.
+    /// An empty context; the first [`Self::sync`] hashes the program's
+    /// blocks and numbers its universe.
     pub(crate) fn new() -> Self {
         let universe = PatternUniverse::default();
         MotionContext {
             masks: PatternMasks::build(&universe, 0),
             universe: Rc::new(universe),
+            known: Vec::new(),
+            next_rank: 0,
             instance_of: Vec::new(),
-            interner: InstrInterner::new(),
-            assign_of: Vec::new(),
             stale: false,
-            seen: None,
-            block_keys: FlatBlocks::default(),
-            key_buf: Vec::new(),
+            synced: None,
             block_hashes: Vec::new(),
             block_stamps: Vec::new(),
             round_stamp: 0,
@@ -249,6 +255,7 @@ impl MotionContext {
             hoist_dirty: Vec::new(),
             hoist_locals: BlockLocals::new(0),
             hoist_scratch: BitSet::new(0),
+            hoist_candidates: (Vec::new(), Vec::new()),
             rae_locs: Vec::new(),
             rae_scratch: BitSet::new(0),
             node_system: None,
@@ -261,8 +268,6 @@ impl MotionContext {
             identity_blocks: 0,
             streamed_blocks: 0,
             skipped_blocks: 0,
-            #[cfg(test)]
-            intern_calls: 0,
         }
     }
 
@@ -271,7 +276,7 @@ impl MotionContext {
     /// current universe does not know (only possible through a mutating
     /// hook). Extension keeps all existing pattern ids stable — new
     /// patterns take fresh indices — so nothing that survives the refresh
-    /// (schedules, the interner, the mirror) has to be renumbered; the
+    /// (schedules, block hashes, id ranks) has to be renumbered; the
     /// caches cleared here are exactly the ones whose bitset width depends
     /// on the universe size.
     fn refresh(&mut self, g: &FlowGraph) {
@@ -286,119 +291,94 @@ impl MotionContext {
         self.rae_stamps.clear();
         self.quiet_blocks.clear();
         self.hoist_stamps.clear();
-        // Every unknown pattern interned so far is in `g`, so the mirror
-        // names every id whose pattern index may have appeared.
+        // Every id seen so far was in the program when it was seen, and
+        // the universe has covered the program of every sync since, so
+        // re-indexing the seen ids finds every pattern that appeared.
         self.instance_of.resize(self.universe.assign_count(), None);
-        let keys = std::mem::take(&mut self.block_keys);
-        for &id in keys.iter().flatten() {
-            self.index_assign(id);
+        for (id, _) in g.interner().iter().take(self.known.len()) {
+            if self.known[id.index()].is_some() {
+                self.index_assign(g, id);
+            }
         }
-        self.block_keys = keys;
         self.stale = false;
     }
 
-    /// Numbers the universe from the distinct instructions the first sync
-    /// interned, in id order. Ids follow first occurrence in the program,
-    /// so the first content holding a pattern is the one holding its first
-    /// occurrence, and the numbering is [`PatternUniverse::collect`]'s —
-    /// without a second walk over every instruction.
-    fn build_universe(&mut self, g: &FlowGraph) {
-        let mut universe = PatternUniverse::with_capacity(self.interner.len());
-        universe.extend_instrs(self.interner.iter().map(|(_, instr)| instr));
+    /// Numbers the universe from the distinct ids of the first sync, in
+    /// the order of their first occurrence in the program: the first
+    /// content holding a pattern is the one holding its first occurrence,
+    /// so the numbering is [`PatternUniverse::collect`]'s, without a second
+    /// walk over every instruction.
+    fn build_universe(&mut self, g: &FlowGraph, distinct: &[InstrId]) {
+        let mut universe = PatternUniverse::with_capacity(distinct.len());
+        universe.extend_instrs(distinct.iter().map(|&id| g.interner().instr(id)));
         self.masks = PatternMasks::build(&universe, g.pool().len());
         self.instance_of = vec![None; universe.assign_count()];
-        for (id, instr) in self.interner.iter() {
-            let pattern = assign_index(instr, &universe);
-            self.assign_of[id.index()] = pattern;
-            if let Some(i) = pattern {
-                self.instance_of[i as usize] = Some(id);
-            }
-        }
         self.universe = Rc::new(universe);
+        for &id in distinct {
+            self.index_assign(g, id);
+        }
     }
 
-    /// Records the universe index of interned instruction `id`'s
-    /// assignment pattern, flagging the context stale when the universe
-    /// does not know it.
-    fn index_assign(&mut self, id: InstrId) {
-        let instr = self.interner.instr(id);
+    /// Records the universe index of `id`'s assignment pattern, flagging
+    /// the context stale when the universe does not know it.
+    fn index_assign(&mut self, g: &FlowGraph, id: InstrId) {
+        let instr = g.interner().instr(id);
         let pattern = assign_index(instr, &self.universe);
         self.stale |= matches!(instr, Instr::Assign { .. }) && pattern.is_none();
-        self.assign_of[id.index()] = pattern;
+        if let Some(known) = &mut self.known[id.index()] {
+            known.assign = pattern;
+        }
         if let Some(i) = pattern {
             self.instance_of[i as usize] = Some(id);
         }
     }
 
-    /// Interns one instruction. After the first sync, a *new* content is
-    /// indexed at once ([`Self::index_assign`]); the universe only grows,
-    /// so any instruction interned before is covered forever and the check
-    /// runs exactly once per distinct content.
-    fn intern_instr(&mut self, instr: &Instr) -> InstrId {
-        #[cfg(test)]
-        {
-            self.intern_calls += 1;
-        }
-        let (id, is_new) = self.interner.intern(instr);
-        if is_new {
-            self.assign_of.push(None);
-            if self.seen.is_some() {
-                self.index_assign(id);
-            }
-        }
-        id
+    /// The context's rank of interned id `id`, which a sync has seen
+    /// ([`Known::rank`]).
+    pub(crate) fn rank(&self, id: InstrId) -> u32 {
+        self.known[id.index()].expect("a synced id").rank
     }
 
-    /// The instruction behind interned id `id`.
-    pub(crate) fn instr(&self, id: InstrId) -> &Instr {
-        self.interner.instr(id)
-    }
-
-    /// Number of distinct instructions interned so far.
-    pub(crate) fn interned(&self) -> usize {
-        self.interner.len()
-    }
-
-    /// Brings the program mirror up to date with `g`. Free when nothing
-    /// was written to `g` since the mirror last described it; otherwise
-    /// re-interns and re-hashes exactly the blocks whose write stamp
-    /// differs from the recorded one (every block on the first sync) and
-    /// re-takes the edge fingerprints when the edge stamp moved.
+    /// Brings the block hashes up to date with `g`. Free when nothing was
+    /// written to `g` since they last described it; otherwise re-hashes
+    /// exactly the blocks whose write stamp differs from the recorded one
+    /// (every block on the first sync), from the interner's cached
+    /// instruction hashes, and re-takes the edge fingerprints when the
+    /// edge stamp moved. An id seen for the first time is ranked, and
+    /// after the first sync indexed at once ([`Self::index_assign`]); the
+    /// universe only grows, so the check runs once per distinct content.
     pub(crate) fn sync(&mut self, g: &FlowGraph) {
-        if self.seen == Some(g.last_stamp()) {
+        if self.synced == Some(g.last_stamp()) {
             return;
         }
-        let first = self.seen.is_none();
+        let first = self.synced.is_none();
         let nodes = g.node_count();
-        if first {
-            // Sized once for the whole program: the mirror, and the
-            // interner for every instruction being distinct, up to
-            // `PRESIZE_LIMIT`.
-            let instrs = g.instr_count();
-            let distinct = instrs.min(PRESIZE_LIMIT);
-            self.interner = InstrInterner::with_capacity(distinct);
-            self.assign_of.reserve(distinct);
-            self.block_keys.reserve(nodes, instrs);
-        }
-        self.block_keys.resize(nodes);
         self.block_hashes.resize(nodes, 0);
         self.block_stamps.resize(nodes, 0);
-        let mut keys = std::mem::take(&mut self.key_buf);
+        self.known.resize(g.interner().len(), None);
+        let mut distinct = Vec::new();
         for n in g.nodes() {
             let (i, stamp) = (n.index(), g.block(n).stamp());
-            if self.block_stamps[i] != stamp {
-                keys.clear();
-                for instr in g.instrs(n) {
-                    keys.push(self.intern_instr(instr));
-                }
-                self.block_hashes[i] = block_hash(&self.interner, &keys);
-                self.block_keys.set(i, &keys);
-                self.record(i, stamp);
+            if self.block_stamps[i] == stamp {
+                continue;
             }
-        }
-        self.key_buf = keys;
-        if first {
-            self.block_keys.make_room();
+            for &id in g.ids(n) {
+                let known = &mut self.known[id.index()];
+                if known.is_none() {
+                    *known = Some(Known {
+                        rank: self.next_rank,
+                        assign: None,
+                    });
+                    self.next_rank += 1;
+                    if first {
+                        distinct.push(id);
+                    } else {
+                        self.index_assign(g, id);
+                    }
+                }
+            }
+            self.block_hashes[i] = block_hash(g, n);
+            self.record(i, stamp);
         }
         self.block_sum = self
             .block_hashes
@@ -406,7 +386,7 @@ impl MotionContext {
             .enumerate()
             .fold(0, |sum, (i, &h)| sum.wrapping_add(slot_hash(i, h)));
         if first {
-            self.build_universe(g);
+            self.build_universe(g, &distinct);
         }
         if first || self.edge_stamp != g.edge_stamp() {
             (self.edge_hash, self.edge_stamp) = (edge_hash(g), g.edge_stamp());
@@ -414,46 +394,32 @@ impl MotionContext {
         if self.stale {
             self.refresh(g);
         }
-        self.seen = Some(g.last_stamp());
+        self.synced = Some(g.last_stamp());
         if first {
-            // The first sync builds the mirror; it is no round's change.
+            // The first sync hashes the whole program; it is no round's
+            // change.
             self.round_stamp = g.last_stamp() + 1;
         }
     }
 
-    /// Takes the new ids of the blocks an insertion step just rewrote in
-    /// `g` (which was in sync before the rewrite) into the mirror, and
-    /// re-hashes only those blocks. Every id is already interned, so no
-    /// instruction is read.
-    pub(crate) fn note_rewritten(&mut self, g: &FlowGraph, rewritten: &Rewritten) {
-        let mut start = 0;
-        for (&n, &end) in rewritten.blocks.iter().zip(&rewritten.ends) {
-            self.block_keys.set(n.index(), &rewritten.keys[start..end]);
-            start = end;
-            self.rekey(g, n);
-        }
-        self.seen = Some(g.last_stamp());
-    }
-
     /// Removes the redundant occurrences `locs` (in program order, as
-    /// [`Self::redundant_locs`] returns them) from `g` (in sync) and their
-    /// ids from the mirror, re-hashing the blocks that lost one.
+    /// [`Self::redundant_locs`] returns them) from `g` (in sync),
+    /// re-hashing the blocks that lost one.
     fn remove_redundant(&mut self, g: &mut FlowGraph, locs: &[Loc]) {
         for run in locs.chunk_by(|a, b| a.node == b.node) {
             let n = run[0].node;
-            let doomed = || run.iter().map(|l| l.index);
-            g.retain_instrs(n, unlisted(doomed()));
-            self.block_keys.retain(n.index(), unlisted(doomed()));
+            g.retain_instrs(n, unlisted(run.iter().map(|l| l.index)));
             self.rekey(g, n);
         }
-        self.seen = Some(g.last_stamp());
+        self.synced = Some(g.last_stamp());
     }
 
-    /// Re-hashes block `n` from its new ids, folds the hash into the
-    /// fingerprint and records the stamp `g` gave the block's write.
+    /// Re-hashes block `n` after the context's own write to it, which
+    /// only wrote ids the context has seen, folds the hash into the
+    /// fingerprint and records the stamp `g` gave the write.
     fn rekey(&mut self, g: &FlowGraph, n: NodeId) {
         let i = n.index();
-        let hash = block_hash(&self.interner, &self.block_keys[i]);
+        let hash = block_hash(g, n);
         self.block_sum = self
             .block_sum
             .wrapping_sub(slot_hash(i, self.block_hashes[i]))
@@ -462,7 +428,7 @@ impl MotionContext {
         self.record(i, g.block(n).stamp());
     }
 
-    /// Records that the mirror of block `i` holds the content written
+    /// Records that the hash of block `i` describes the content written
     /// with `stamp`, counting the block dirty on its first new stamp of
     /// the round (never on the first sync, which is no round's change).
     fn record(&mut self, i: usize, stamp: u64) {
@@ -473,7 +439,7 @@ impl MotionContext {
     }
 
     /// Fingerprint of the whole program — blocks, edges and boundary
-    /// nodes — read off the mirror after a [`Self::sync`]. The motion loop
+    /// nodes — read off the block hashes after a [`Self::sync`]. The motion loop
     /// uses it both for the hoist no-op skip and as the convergence check,
     /// avoiding a full program clone per round; a collision can only skip
     /// a no-op re-solve or end the loop a round early, never corrupt a
@@ -487,13 +453,13 @@ impl MotionContext {
     }
 
     /// Writes into `ranks` the first-occurrence rank of every assignment
-    /// pattern in the mirrored program (`None` for patterns without
-    /// occurrences), read from the interned ids.
-    pub(crate) fn occurrence_ranks(&self, ranks: &mut Vec<Option<u32>>) {
+    /// pattern in `g` (synced; `None` for patterns without occurrences),
+    /// read from the interned ids.
+    pub(crate) fn occurrence_ranks(&self, g: &FlowGraph, ranks: &mut Vec<Option<u32>>) {
         ranks.clear();
         ranks.resize(self.universe.assign_count(), None);
         let mut next = 0u32;
-        for &id in self.block_keys.iter().flatten() {
+        for &id in g.nodes().flat_map(|n| g.ids(n)) {
             if let Some(i) = self.assign_pattern(id) {
                 let rank = &mut ranks[i];
                 if rank.is_none() {
@@ -507,58 +473,59 @@ impl MotionContext {
     /// The universe index of the assignment pattern of interned
     /// instruction `id` (`None` for other instructions).
     fn assign_pattern(&self, id: InstrId) -> Option<usize> {
-        self.assign_of[id.index()].map(|i| i as usize)
+        self.known[id.index()]
+            .and_then(|known| known.assign)
+            .map(|i| i as usize)
     }
 
     /// The interned id of pattern `i`'s instance.
     ///
     /// # Panics
     ///
-    /// Panics if no instruction of the pattern was interned, which a
-    /// pattern that occurs in the mirrored program rules out.
+    /// Panics if no instruction of the pattern was seen, which a pattern
+    /// that occurs in the synced program rules out.
     pub(crate) fn instance_id(&self, i: usize) -> InstrId {
         self.instance_of[i].expect("an occurring pattern has an interned instance")
     }
 
-    /// Caches the Table 2 row of interned instruction `id`;
+    /// Caches the Table 2 row of `g`'s interned instruction `id`;
     /// `redundancy_row` runs once per distinct content.
-    pub(crate) fn cache_rae_row(&mut self, id: InstrId) {
+    pub(crate) fn cache_rae_row(&mut self, g: &FlowGraph, id: InstrId) {
         let idx = id.index();
         if idx >= self.rae_rows.len() {
-            self.rae_rows.resize_with(self.interner.len(), || None);
+            self.rae_rows.resize_with(g.interner().len(), || None);
         }
         if self.rae_rows[idx].is_none() {
             self.rows_recomputed += 1;
-            let row = redundancy_row(self.interner.instr(id), &self.universe, &self.masks);
+            let row = redundancy_row(g.interner().instr(id), &self.universe, &self.masks);
             self.rae_rows[idx] = Some(row);
         } else {
             self.rows_reused += 1;
         }
     }
 
-    /// Feeds the interned instructions of block `ni` to `f` in order, each
-    /// with its assignment pattern index and its Table 1 blocking row;
-    /// [`blocking_row`] runs once per distinct content.
+    /// Feeds the interned instructions of block `n` of `g` (synced) to
+    /// `f` in order, each with its assignment pattern index and its
+    /// Table 1 blocking row; [`blocking_row`] runs once per distinct
+    /// content.
     pub(crate) fn for_each_blocking_row(
         &mut self,
-        ni: usize,
+        g: &FlowGraph,
+        n: NodeId,
         mut f: impl FnMut(usize, Option<usize>, &BitSet),
     ) {
-        let MotionContext {
-            universe,
-            masks,
-            interner,
-            assign_of,
-            block_keys,
-            blocking_rows,
-            ..
-        } = self;
-        blocking_rows.resize_with(interner.len(), || None);
-        for (idx, &id) in block_keys[ni].iter().enumerate() {
-            let row = blocking_rows[id.index()].get_or_insert_with(|| {
-                blocking_row(interner.instr(id), masks, universe.assign_count())
+        let interner = g.interner();
+        self.blocking_rows.resize_with(interner.len(), || None);
+        for (idx, &id) in g.ids(n).iter().enumerate() {
+            let pattern = self.assign_pattern(id);
+            let row = self.blocking_rows[id.index()].get_or_insert_with(|| {
+                blocking_row(
+                    interner.instr(id),
+                    &self.masks,
+                    self.universe.assign_count(),
+                )
             });
-            f(idx, assign_of[id.index()].map(|i| i as usize), row);
+            f(idx, pattern, row);
         }
     }
 
@@ -657,7 +624,10 @@ impl MotionContext {
         let mut rewritten = std::mem::take(&mut self.rewritten);
         let outcome =
             self.apply_insertion_step(g, &analysis, None, recorder, round, &mut rewritten);
-        self.note_rewritten(g, &rewritten);
+        for &n in &rewritten.blocks {
+            self.rekey(g, n);
+        }
+        self.synced = Some(g.last_stamp());
         self.identity_blocks += rewritten.identity as u64;
         self.rewritten = rewritten;
         self.hoist = Some((self.edge_hash, analysis));
@@ -732,7 +702,7 @@ impl MotionContext {
         self.identity_blocks = 0;
         self.streamed_blocks = 0;
         self.skipped_blocks = 0;
-        self.round_stamp = self.seen.map_or(0, |stamp| stamp + 1);
+        self.round_stamp = self.synced.map_or(0, |stamp| stamp + 1);
     }
 }
 
@@ -747,13 +717,14 @@ fn assign_index(instr: &Instr, universe: &PatternUniverse) -> Option<u32> {
     }
 }
 
-/// Hash of one block's content, composed from the interner's cached
+/// Hash of the content of block `n`, composed from the interner's cached
 /// per-instruction hashes.
-fn block_hash(interner: &InstrInterner, keys: &[InstrId]) -> u64 {
+fn block_hash(g: &FlowGraph, n: NodeId) -> u64 {
+    let ids = g.ids(n);
     let mut h = FxMapHasher::default();
-    h.write_usize(keys.len());
-    for &id in keys {
-        h.write_u64(interner.hash(id));
+    h.write_usize(ids.len());
+    for &id in ids {
+        h.write_u64(g.interner().hash(id));
     }
     h.finish()
 }
@@ -809,22 +780,17 @@ pub(crate) mod tests {
         out
     }
 
-    /// The maintained mirror — block keys, per-block hashes, stamps and
-    /// the fingerprint — equals the full sync of a fresh context: the
-    /// context's own rewrites left it describing `g`'s last write, its
-    /// keys name `g`'s instructions, its hashes (structural in both) and
-    /// fingerprint agree, and it recorded every block's current stamp.
+    /// The maintained per-block hashes, stamps and fingerprint equal the
+    /// full sync of a fresh context: the context's own rewrites left it
+    /// describing `g`'s last write, its hashes and fingerprint agree, and
+    /// it recorded every block's current stamp.
     fn assert_mirror_is_exact(ctx: &mut MotionContext, g: &FlowGraph, at: &str) {
-        assert_eq!(ctx.seen, Some(g.last_stamp()), "{at}: a sync is pending");
+        assert_eq!(ctx.synced, Some(g.last_stamp()), "{at}: a sync is pending");
         let fingerprint = ctx.fingerprint(g);
         let mut fresh = MotionContext::new();
         assert_eq!(fresh.fingerprint(g), fingerprint, "{at}: fingerprint");
         assert_eq!(fresh.block_hashes, ctx.block_hashes, "{at}: block hashes");
         assert_eq!(fresh.block_stamps, ctx.block_stamps, "{at}: block stamps");
-        for n in g.nodes() {
-            let keys = ctx.block_keys[n.index()].iter().map(|&id| ctx.instr(id));
-            assert!(keys.eq(g.instrs(n)), "{at}: block keys of {n:?}");
-        }
     }
 
     #[test]
@@ -923,7 +889,7 @@ pub(crate) mod tests {
             assignment_motion_with(&mut g, &config, MotionOrder::RaeFirst, &mut |_, g| {
                 let differ = g
                     .nodes()
-                    .filter(|&n| g.block(n) != previous.block(n))
+                    .filter(|&n| !g.instrs(n).eq(previous.instrs(n)))
                     .count();
                 changed.push(differ as i64);
                 previous = g.clone();
@@ -1130,9 +1096,10 @@ pub(crate) mod tests {
                     exprs,
                     "{at}"
                 );
-                for &id in ctx.block_keys.iter().flatten() {
+                for &id in g.nodes().flat_map(|n| g.ids(n)) {
                     let pattern = ctx.assign_pattern(id);
-                    assert_eq!(pattern, assign_index(ctx.instr(id), u).map(|i| i as usize));
+                    let instr = g.interner().instr(id);
+                    assert_eq!(pattern, assign_index(instr, u).map(|i| i as usize));
                     if let Some(i) = pattern {
                         assert_eq!(ctx.instance_id(i), id, "{at}");
                     }
@@ -1149,8 +1116,7 @@ pub(crate) mod tests {
         crate::init::initialize(&mut program);
         let mut ctx = MotionContext::new();
         ctx.sync(&program);
-        assert!(ctx.intern_calls > 0);
-        ctx.intern_calls = 0;
+        let interned = program.interner().len();
         let mut g = replay(
             &program,
             &mut ctx,
@@ -1158,14 +1124,17 @@ pub(crate) mod tests {
             &ProvRecorder::disabled(),
             |_, _, _| {},
         );
-        assert_eq!(ctx.intern_calls, 0, "a round re-interned instructions");
+        assert_eq!(
+            g.interner().len(),
+            interned,
+            "a round interned instructions"
+        );
         let mut reference = program;
         let stats = assignment_motion(&mut reference);
         assert!(stats.rounds > 2 && stats.converged);
         assert_eq!(g, reference);
         // The flush reads the same ids.
         let flush = ctx.final_flush(&mut g, &GlobalConfig::default());
-        assert_eq!(ctx.intern_calls, 0, "the flush re-interned instructions");
         assert!(flush.instances_removed > 0);
         crate::flush::final_flush(&mut reference);
         assert_eq!(g, reference);

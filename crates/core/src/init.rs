@@ -8,7 +8,7 @@
 //! admissible expression motion, and — the paper's key observation — it
 //! makes assignment motion subsume expression motion (Lemma 4.1).
 
-use am_ir::{Cond, FlowGraph, Instr, Term, TermArena, Var};
+use am_ir::{Cond, FlowGraph, Instr, InstrId, Term, Var};
 
 /// Statistics of an initialization run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -26,11 +26,12 @@ pub struct InitStats {
 /// idempotent. Trivial right-hand sides (copies, constants) have no
 /// associated temporary and are untouched.
 ///
-/// Each distinct term's temporary is resolved once per call: a hash-consing
-/// arena maps the term to a dense id, and only a term seen for the first
-/// time goes to [`FlowGraph::temp_for`], which renders its name and
-/// interns it. Temporaries are therefore interned in first-occurrence order,
-/// exactly as one `temp_for` call per occurrence would intern them.
+/// The phase rewrites the graph's interned ids: each distinct instruction
+/// is expanded once, at its first occurrence, and each distinct term's
+/// temporary is resolved once, by the graph's term id, so
+/// [`FlowGraph::temp_for`] interns the temporaries in first-occurrence
+/// order, exactly as one call per occurrence would. A block without an
+/// expanding instruction is not written.
 ///
 /// # Examples
 ///
@@ -47,60 +48,81 @@ pub struct InitStats {
 /// ```
 pub fn initialize(g: &mut FlowGraph) -> InitStats {
     let mut stats = InitStats::default();
-    // Only non-trivial terms are interned, so arena ids are dense indices
-    // into `temps`.
-    let terms_bound = (2 * g.instr_count()).min(crate::PRESIZE_LIMIT);
-    let mut terms = TermArena::with_capacity(terms_bound);
-    let mut temps: Vec<Var> = Vec::with_capacity(terms_bound);
-    let mut resolve_temp = |g: &mut FlowGraph, t: Term| -> Var {
-        let id = terms.intern(t).index();
-        if id == temps.len() {
-            temps.push(g.temp_for(t));
-        }
-        temps[id]
-    };
-    // Every block moves to a fresh allocation of twice its length: room for
-    // the decompositions and later insertions. Rebuilding in one reused
-    // buffer and keeping the parser's allocations saves these allocations
-    // but raised the peak resident set of repeated cold compiles
-    // (docs/PERFORMANCE.md, "Allocations").
+    // Dense by the input's ids: the range of `expanded` an id expands to
+    // (empty: it stays); and by the graph's term ids, a term's temporary.
+    let mut ranges: Vec<Option<(usize, usize)>> = vec![None; g.interner().len()];
+    let mut temps: Vec<Option<Var>> = Vec::new();
+    let (mut expanded, mut block) = (Vec::new(), Vec::new());
     for n in g.nodes() {
-        let old = g.take_block(n);
-        let mut new = Vec::with_capacity(2 * old.len());
-        for instr in old {
-            match instr {
-                Instr::Assign { lhs, rhs } if rhs.is_nontrivial() => {
-                    let h = resolve_temp(g, rhs);
-                    if h == lhs {
-                        // Already an initialization; nothing to do.
-                        new.push(Instr::Assign { lhs, rhs });
-                    } else {
-                        stats.assignments_decomposed += 1;
-                        new.push(Instr::Assign { lhs: h, rhs });
-                        new.push(Instr::assign(lhs, h));
-                    }
+        block.clear();
+        let mut changed = false;
+        for j in 0..g.ids(n).len() {
+            let id = g.ids(n)[j];
+            let (start, end) = match ranges[id.index()] {
+                Some(range) => range,
+                None => {
+                    let start = expanded.len();
+                    expand(g, id, &mut temps, &mut expanded);
+                    *ranges[id.index()].insert((start, expanded.len()))
                 }
-                Instr::Branch(c) => {
-                    let mut side = |t: Term, g: &mut FlowGraph, new: &mut Vec<Instr>| -> Term {
-                        if t.is_nontrivial() {
-                            stats.condition_sides_extracted += 1;
-                            let h = resolve_temp(g, t);
-                            new.push(Instr::Assign { lhs: h, rhs: t });
-                            Term::from(h)
-                        } else {
-                            t
-                        }
-                    };
-                    let lhs = side(c.lhs, g, &mut new);
-                    let rhs = side(c.rhs, g, &mut new);
-                    new.push(Instr::Branch(Cond { op: c.op, lhs, rhs }));
-                }
-                other => new.push(other),
+            };
+            if start == end {
+                block.push(id);
+                continue;
             }
+            match g.interner().instr(id) {
+                Instr::Branch(_) => stats.condition_sides_extracted += end - start - 1,
+                _ => stats.assignments_decomposed += 1,
+            }
+            block.extend_from_slice(&expanded[start..end]);
+            changed = true;
         }
-        g.set_block(n, new);
+        if changed {
+            g.set_ids(n, &block);
+        }
     }
     stats
+}
+
+/// Appends what interned instruction `id` of `g` expands to onto
+/// `expanded`: `h_t := t; x := h_t` for `x := t`, and for a branch the
+/// initializations of its non-trivial sides and the branch on their
+/// temporaries. Appends nothing when the instruction stays.
+fn expand(
+    g: &mut FlowGraph,
+    id: InstrId,
+    temps: &mut Vec<Option<Var>>,
+    expanded: &mut Vec<InstrId>,
+) {
+    let mut temp = |g: &mut FlowGraph, t: Term| -> Var {
+        let term = g.intern_term(t).index();
+        if term >= temps.len() {
+            temps.resize(term + 1, None);
+        }
+        *temps[term].get_or_insert_with(|| g.temp_for(t))
+    };
+    match *g.interner().instr(id) {
+        Instr::Assign { lhs, rhs } if rhs.is_nontrivial() => {
+            let h = temp(g, rhs);
+            if h != lhs {
+                expanded.push(g.intern(Instr::Assign { lhs: h, rhs }));
+                expanded.push(g.intern(Instr::assign(lhs, h)));
+            }
+        }
+        Instr::Branch(c) if c.lhs.is_nontrivial() || c.rhs.is_nontrivial() => {
+            let mut side = |g: &mut FlowGraph, t: Term| -> Term {
+                if !t.is_nontrivial() {
+                    return t;
+                }
+                let h = temp(g, t);
+                expanded.push(g.intern(Instr::Assign { lhs: h, rhs: t }));
+                Term::from(h)
+            };
+            let (lhs, rhs) = (side(g, c.lhs), side(g, c.rhs));
+            expanded.push(g.intern(Instr::Branch(Cond { op: c.op, lhs, rhs })));
+        }
+        _ => {}
+    }
 }
 
 #[cfg(test)]

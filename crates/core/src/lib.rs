@@ -40,7 +40,6 @@
 
 pub mod copyprop;
 pub mod explain;
-mod flat;
 pub mod flush;
 pub mod global;
 pub mod hoist;
@@ -54,11 +53,3 @@ pub mod restricted;
 pub mod sink;
 pub mod universe;
 pub mod verify;
-
-/// The most entries a hash table keyed by distinct terms or instructions
-/// is sized for up front. A small program is sized exactly, so its table
-/// never grows; a large one repeats contents (the XL benchmark shapes
-/// hold a few dozen distinct instructions), and a table sized for every
-/// instruction would spread those few entries over memory the lookups
-/// then miss in cache. Past the limit a table grows as it fills.
-const PRESIZE_LIMIT: usize = 256;

@@ -135,8 +135,8 @@ impl MotionContext {
     /// every block whose content changed since its row was built (all of
     /// them on a fresh context) and solves the forward must system on the
     /// shared node system, recycling the previous solve's buffers. Which
-    /// blocks hold an occurrence stays in `rae_occurs`, the interned block
-    /// keys in `block_keys`, for [`Self::stream_redundancy`].
+    /// blocks hold an occurrence stays in `rae_occurs`, and the rows of
+    /// every id of `g` in `rae_rows`, for [`Self::stream_redundancy`].
     pub(crate) fn solve_redundancy(&mut self, g: &FlowGraph) -> Solution {
         self.sync(g);
         let (nodes, ap) = (g.node_count(), self.universe.assign_count());
@@ -154,13 +154,13 @@ impl MotionContext {
         for n in g.nodes() {
             let ni = n.index();
             if self.rae_stamps[ni] == self.block_stamps[ni] {
-                self.rows_reused += self.block_keys[ni].len() as u64;
+                self.rows_reused += g.ids(n).len() as u64;
                 continue;
             }
-            for j in 0..self.block_keys[ni].len() {
-                self.cache_rae_row(self.block_keys[ni][j]);
+            for &id in g.ids(n) {
+                self.cache_rae_row(g, id);
             }
-            let rows = self.block_keys[ni].iter().map(|id| {
+            let rows = g.ids(n).iter().map(|id| {
                 self.rae_rows[id.index()]
                     .as_ref()
                     .expect("row cached above")
@@ -174,17 +174,18 @@ impl MotionContext {
         sol
     }
 
-    /// Streams the entry facts of block `n` from its solved entry fact over
-    /// the cached rows of the last [`Self::solve_redundancy`] (see
-    /// [`stream_block`]).
+    /// Streams the entry facts of block `n` of `g` from its solved entry
+    /// fact over the cached rows of the last [`Self::solve_redundancy`] on
+    /// `g` (see [`stream_block`]).
     fn stream_redundancy(
         &self,
+        g: &FlowGraph,
         n: NodeId,
         entry: &BitSet,
         x: &mut BitSet,
         f: impl FnMut(usize, Option<usize>, &BitSet),
     ) {
-        let rows = self.block_keys[n.index()].iter().map(|id| {
+        let rows = g.ids(n).iter().map(|id| {
             self.rae_rows[id.index()]
                 .as_ref()
                 .expect("rows of composed blocks exist")
@@ -229,7 +230,7 @@ impl MotionContext {
             }
             self.streamed_blocks += 1;
             let found = locs.len();
-            self.stream_redundancy(n, entry, &mut x, |j, own, fact| {
+            self.stream_redundancy(g, n, entry, &mut x, |j, own, fact| {
                 let Some(i) = own.filter(|&i| fact.contains(i)) else {
                     return;
                 };
@@ -243,7 +244,7 @@ impl MotionContext {
                         instr: g.instr(Loc { node: n, index: j }).display(g.pool()),
                         new_instr: None,
                         pattern: Some(i as u32),
-                        instr_id: Some(self.block_keys[n.index()][j].index() as u32),
+                        instr_id: Some(self.rank(g.ids(n)[j])),
                         justification: format!(
                             "N-REDUNDANT bit {i} holds at entry of this occurrence (forward must solution)"
                         ),
@@ -290,7 +291,7 @@ impl RedundancyAnalysis {
         let mut facts = Vec::with_capacity(g.block(n).len().max(1));
         let mut x = BitSet::new(entry.len());
         self.ctx
-            .stream_redundancy(n, entry, &mut x, |_, _, fact| facts.push(fact.clone()));
+            .stream_redundancy(g, n, entry, &mut x, |_, _, fact| facts.push(fact.clone()));
         if facts.is_empty() {
             facts.push(entry.clone());
         }

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use crate::instr::Instr;
+use crate::intern::{InstrId, InstrInterner, TermId};
 use crate::term::Term;
 use crate::text;
 use crate::var::{Var, VarPool};
@@ -31,13 +32,16 @@ impl fmt::Debug for NodeId {
 /// transfers, which is how insertions "at the exit of a block" (Table 1's
 /// `X-INSERT`) are represented.
 ///
-/// The instructions are read through [`FlowGraph::instrs`] and
-/// [`FlowGraph::instr`] and written through the graph's named mutations
-/// ([`FlowGraph::push_instr`], [`FlowGraph::set_block`], ...), each of
-/// which gives the block a fresh [write stamp](Self::stamp).
+/// A block holds the [`InstrId`]s of its instructions in the graph's
+/// [`InstrInterner`] ([`FlowGraph::ids`]). The instructions are read
+/// through [`FlowGraph::instrs`] and [`FlowGraph::instr`] and written
+/// through the graph's named mutations ([`FlowGraph::push_instr`],
+/// [`FlowGraph::set_block`], [`FlowGraph::set_ids`], ...), each of which
+/// interns what it writes and gives the block a fresh
+/// [write stamp](Self::stamp).
 #[derive(Clone)]
 pub struct Block {
-    instrs: Vec<Instr>,
+    ids: Vec<InstrId>,
     stamp: u64,
 }
 
@@ -45,13 +49,13 @@ impl Block {
     /// Number of instructions.
     #[inline]
     pub fn len(&self) -> usize {
-        self.instrs.len()
+        self.ids.len()
     }
 
     /// Returns `true` if the block contains no instructions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
+        self.ids.is_empty()
     }
 
     /// The stamp of the graph write that last set this block's content
@@ -64,20 +68,9 @@ impl Block {
     }
 }
 
-/// Blocks compare by content; the stamp records history, not value.
-impl PartialEq for Block {
-    fn eq(&self, other: &Self) -> bool {
-        self.instrs == other.instrs
-    }
-}
-
-impl Eq for Block {}
-
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Block")
-            .field("instrs", &self.instrs)
-            .finish()
+        f.debug_struct("Block").field("ids", &self.ids).finish()
     }
 }
 
@@ -161,10 +154,19 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.block(n).stamp(), stamp);
 /// g.retain_instrs(n, |_| true);
 /// assert!(g.block(n).stamp() > stamp);
+///
+/// // Blocks hold interned ids: equal contents share one id.
+/// g.push_instr(n, Instr::assign(x, Term::binary(BinOp::Add, a, b)));
+/// let ids = g.ids(n);
+/// assert_eq!(ids[0], ids[1]);
 /// ```
 #[derive(Clone)]
 pub struct FlowGraph {
     pool: VarPool,
+    /// Every instruction the graph's blocks were ever written with, once.
+    /// Ids are never reused or forgotten, so the interner can hold
+    /// contents no block holds any more.
+    interner: InstrInterner,
     blocks: Vec<Block>,
     labels: Vec<String>,
     synthetic: Vec<bool>,
@@ -179,10 +181,14 @@ pub struct FlowGraph {
     edge_stamp: u64,
 }
 
+/// Graphs compare by content: two graphs that diverged from one clone
+/// can give the same id to different instructions, so blocks compare
+/// instruction by instruction, not id by id.
 impl PartialEq for FlowGraph {
     fn eq(&self, other: &Self) -> bool {
         self.pool == other.pool
-            && self.blocks == other.blocks
+            && self.blocks.len() == other.blocks.len()
+            && self.nodes().all(|n| self.instrs(n).eq(other.instrs(n)))
             && self.labels == other.labels
             && self.synthetic == other.synthetic
             && self.succs == other.succs
@@ -203,8 +209,15 @@ impl Default for FlowGraph {
 impl FlowGraph {
     /// Creates an empty graph. Set start and end before use.
     pub fn new() -> Self {
+        FlowGraph::with_capacity(0)
+    }
+
+    /// Creates an empty graph whose interner has room for `instrs`
+    /// distinct instructions.
+    pub fn with_capacity(instrs: usize) -> Self {
         FlowGraph {
             pool: VarPool::new(),
+            interner: InstrInterner::with_capacity(instrs),
             blocks: Vec::new(),
             labels: Vec::new(),
             synthetic: Vec::new(),
@@ -248,12 +261,13 @@ impl FlowGraph {
         self.edge_stamp = self.next_stamp();
     }
 
-    /// Stamps block `n` as written and returns its instructions.
-    fn write(&mut self, n: NodeId) -> &mut Vec<Instr> {
+    /// Stamps block `n` as written and returns its ids, with the interner
+    /// for the contents.
+    fn write(&mut self, n: NodeId) -> (&mut Vec<InstrId>, &mut InstrInterner) {
         let stamp = self.next_stamp();
         let block = &mut self.blocks[n.index()];
         block.stamp = stamp;
-        &mut block.instrs
+        (&mut block.ids, &mut self.interner)
     }
 
     /// Adds an empty node with the given display label.
@@ -266,7 +280,7 @@ impl FlowGraph {
         let id = NodeId(u32::try_from(self.blocks.len()).expect("too many nodes"));
         let stamp = self.next_stamp();
         self.blocks.push(Block {
-            instrs: Vec::new(),
+            ids: Vec::new(),
             stamp,
         });
         self.labels.push(label.to_owned());
@@ -343,11 +357,12 @@ impl FlowGraph {
     fn compacted(&self, keep: impl Fn(NodeId) -> bool) -> FlowGraph {
         let kept: Vec<NodeId> = self.nodes().filter(|&n| keep(n)).collect();
         let mut out = FlowGraph::new();
-        *out.pool_mut() = self.pool.clone();
+        out.pool = self.pool.clone();
+        out.interner = self.interner.clone();
         let mut map = vec![None; self.node_count()];
         for &n in &kept {
             let id = out.add_node_inner(self.label(n), self.is_synthetic(n));
-            out.set_block(id, self.blocks[n.index()].instrs.clone());
+            out.set_ids(id, self.ids(n));
             map[n.index()] = Some(id);
         }
         for &n in &kept {
@@ -421,7 +436,13 @@ impl FlowGraph {
         &self,
         n: NodeId,
     ) -> impl ExactSizeIterator<Item = &Instr> + DoubleEndedIterator + Clone + '_ {
-        self.blocks[n.index()].instrs.iter()
+        self.ids(n).iter().map(|&id| self.interner.instr(id))
+    }
+
+    /// The interned ids of block `n`'s instructions, in order.
+    #[inline]
+    pub fn ids(&self, n: NodeId) -> &[InstrId] {
+        &self.blocks[n.index()].ids
     }
 
     /// The instruction at `loc`.
@@ -431,12 +452,32 @@ impl FlowGraph {
     /// Panics if `loc` is out of bounds.
     #[inline]
     pub fn instr(&self, loc: Loc) -> &Instr {
-        &self.blocks[loc.node.index()].instrs[loc.index]
+        self.interner.instr(self.ids(loc.node)[loc.index])
+    }
+
+    /// The interner the blocks' ids index. Within one graph, two ids are
+    /// equal exactly when their instructions are.
+    #[inline]
+    pub fn interner(&self) -> &InstrInterner {
+        &self.interner
+    }
+
+    /// Interns `instr` without writing any block, for a caller that
+    /// composes blocks of ids ([`Self::set_ids`]).
+    pub fn intern(&mut self, instr: Instr) -> InstrId {
+        self.interner.intern_owned(instr).0
+    }
+
+    /// The id of `term` in the interner's term arena, interned on demand
+    /// ([`InstrInterner::intern_term`]).
+    pub fn intern_term(&mut self, term: Term) -> TermId {
+        self.interner.intern_term(term)
     }
 
     /// Appends `instr` to block `n`.
     pub fn push_instr(&mut self, n: NodeId, instr: Instr) {
-        self.write(n).push(instr);
+        let (ids, interner) = self.write(n);
+        ids.push(interner.intern_owned(instr).0);
     }
 
     /// Inserts `instr` at `loc`, shifting the instructions from there on.
@@ -445,44 +486,86 @@ impl FlowGraph {
     ///
     /// Panics if `loc.index` exceeds the block's length.
     pub fn insert_instr(&mut self, loc: Loc, instr: Instr) {
-        self.write(loc.node).insert(loc.index, instr);
+        let (ids, interner) = self.write(loc.node);
+        ids.insert(loc.index, interner.intern_owned(instr).0);
     }
 
-    /// Removes and returns the instruction at `loc`.
+    /// Removes the instruction at `loc` and returns a copy of it (the
+    /// interner keeps the original).
     ///
     /// # Panics
     ///
     /// Panics if `loc` is out of bounds.
     pub fn remove_instr(&mut self, loc: Loc) -> Instr {
-        self.write(loc.node).remove(loc.index)
+        let (ids, interner) = self.write(loc.node);
+        interner.instr(ids.remove(loc.index)).clone()
     }
 
-    /// Replaces the instruction at `loc` with `instr`, returning the old
-    /// one.
+    /// Replaces the instruction at `loc` with `instr`, returning a copy of
+    /// the old one.
     ///
     /// # Panics
     ///
     /// Panics if `loc` is out of bounds.
     pub fn replace_instr(&mut self, loc: Loc, instr: Instr) -> Instr {
-        std::mem::replace(&mut self.write(loc.node)[loc.index], instr)
+        let (ids, interner) = self.write(loc.node);
+        let new = interner.intern_owned(instr).0;
+        interner
+            .instr(std::mem::replace(&mut ids[loc.index], new))
+            .clone()
     }
 
     /// Keeps the instructions of block `n` for which `keep` holds, in
     /// order.
-    pub fn retain_instrs(&mut self, n: NodeId, keep: impl FnMut(&Instr) -> bool) {
-        self.write(n).retain(keep);
+    pub fn retain_instrs(&mut self, n: NodeId, mut keep: impl FnMut(&Instr) -> bool) {
+        let (ids, interner) = self.write(n);
+        ids.retain(|&id| keep(interner.instr(id)));
     }
 
-    /// Empties block `n` and returns its instructions (their allocation
-    /// moves, nothing is copied).
+    /// Empties block `n` and returns copies of its instructions.
     pub fn take_block(&mut self, n: NodeId) -> Vec<Instr> {
-        std::mem::take(self.write(n))
+        let (ids, interner) = self.write(n);
+        let instrs = ids.iter().map(|&id| interner.instr(id).clone()).collect();
+        ids.clear();
+        instrs
     }
 
-    /// Replaces the instructions of block `n` with `instrs` (moved, not
-    /// copied).
+    /// Replaces the instructions of block `n` with `instrs`, interning
+    /// each.
     pub fn set_block(&mut self, n: NodeId, instrs: Vec<Instr>) {
-        *self.write(n) = instrs;
+        self.fill_block(n, instrs);
+    }
+
+    /// [`Self::set_block`] from any instructions, for a caller that drains
+    /// a buffer it keeps.
+    pub(crate) fn fill_block(&mut self, n: NodeId, instrs: impl IntoIterator<Item = Instr>) {
+        let (ids, interner) = self.write(n);
+        ids.clear();
+        ids.extend(
+            instrs
+                .into_iter()
+                .map(|instr| interner.intern_owned(instr).0),
+        );
+    }
+
+    /// Replaces the ids of block `n` with `new`, in the block's own
+    /// allocation. When it must grow, it grows to twice the new length,
+    /// so that later rewrites adding a few instructions fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is not one of this graph's interner.
+    pub fn set_ids(&mut self, n: NodeId, new: &[InstrId]) {
+        let (ids, interner) = self.write(n);
+        assert!(
+            new.iter().all(|id| id.index() < interner.len()),
+            "ids of another graph's interner"
+        );
+        ids.clear();
+        if new.len() > ids.capacity() {
+            ids.reserve_exact(2 * new.len());
+        }
+        ids.extend_from_slice(new);
     }
 
     /// The display label of `n`.
@@ -530,16 +613,9 @@ impl FlowGraph {
     /// Iterates over `(Loc, &Instr)` pairs of all instructions in node/index
     /// order.
     pub fn locs(&self) -> impl Iterator<Item = (Loc, &Instr)> {
-        self.blocks.iter().enumerate().flat_map(|(b, block)| {
-            block.instrs.iter().enumerate().map(move |(i, instr)| {
-                (
-                    Loc {
-                        node: NodeId(b as u32),
-                        index: i,
-                    },
-                    instr,
-                )
-            })
+        self.nodes().flat_map(move |node| {
+            (self.ids(node).iter().enumerate())
+                .map(move |(index, &id)| (Loc { node, index }, self.interner.instr(id)))
         })
     }
 

@@ -22,6 +22,8 @@
 //! golden fixture and must never drift. Arena hashes are in-memory
 //! fingerprints in the FxHash family and carry no stability promise.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -81,6 +83,14 @@ impl Hasher for FxMapHasher {
 }
 
 pub(crate) type FxMapBuild = BuildHasherDefault<FxMapHasher>;
+
+/// The most entries a hash table keyed by distinct terms or instructions
+/// is sized for up front. A small program is sized exactly, so its table
+/// never grows; a large one repeats contents (the XL benchmark shapes
+/// hold a few dozen distinct instructions), and a table sized for every
+/// instruction would spread those few entries over memory the lookups
+/// then miss in cache. Past the limit a table grows as it fills.
+pub(crate) const PRESIZE_LIMIT: usize = 256;
 
 /// Index of an interned [`Term`] in a [`TermArena`].
 ///
@@ -222,21 +232,20 @@ impl TermArena {
     /// term is already present. A newly interned non-trivial term is also
     /// assigned the next dense [`PatternId`].
     pub fn intern(&mut self, t: Term) -> TermId {
-        if let Some(&id) = self.index.get(&t) {
-            return id;
-        }
         let id = TermId(u32::try_from(self.nodes.len()).expect("arena fits u32"));
-        let pattern = t.is_nontrivial().then(|| {
-            let p = PatternId(u32::try_from(self.patterns.len()).expect("patterns fit u32"));
-            self.patterns.push(id);
-            p
-        });
-        self.nodes.push(TermNode {
-            term: t,
-            hash: term_hash(t),
-            pattern,
-        });
-        self.index.insert(t, id);
+        let id = *self.index.entry(t).or_insert(id);
+        if id.index() == self.nodes.len() {
+            let pattern = t.is_nontrivial().then(|| {
+                let p = PatternId(u32::try_from(self.patterns.len()).expect("patterns fit u32"));
+                self.patterns.push(id);
+                p
+            });
+            self.nodes.push(TermNode {
+                term: t,
+                hash: term_hash(t),
+                pattern,
+            });
+        }
         id
     }
 
@@ -358,20 +367,45 @@ impl fmt::Debug for TermArena {
     }
 }
 
+#[derive(Clone)]
 struct InstrNode {
     instr: Instr,
     hash: u64,
+    /// The node interned before this one with the same hash, if any.
+    next: Option<InstrId>,
 }
 
-/// A hash-consing interner of [`Instr`]s layered over a [`TermArena`]:
-/// instruction hashes are composed from the cached hashes of their interned
-/// terms, so re-fingerprinting a program costs one table lookup per
-/// instruction instead of a structural re-walk per analysis layer.
-#[derive(Default)]
+/// The structural hash of an instruction, composed from the
+/// [`term_hash`]es of its terms. [`InstrInterner`] caches this value per
+/// node.
+pub fn instr_hash(instr: &Instr) -> u64 {
+    match instr {
+        Instr::Skip => mix(5, 0),
+        Instr::Assign { lhs, rhs } => mix(mix(6, lhs.index() as u64), term_hash(*rhs)),
+        Instr::Out(ops) => {
+            let mut h = mix(7, ops.len() as u64);
+            for &o in ops {
+                h = mix(h, operand_word(o));
+            }
+            h
+        }
+        Instr::Branch(c) => mix(mix(mix(8, c.op as u64), term_hash(c.lhs)), term_hash(c.rhs)),
+    }
+}
+
+/// A hash-consing interner of [`Instr`]s, with a [`TermArena`] for the
+/// terms its users intern ([`intern_term`](Self::intern_term)). Each
+/// instruction's structural hash ([`instr_hash`]) is cached, so
+/// re-fingerprinting a program costs one table load per instruction
+/// instead of a structural re-walk per analysis layer. The index maps a
+/// hash to the newest node with it, and nodes chain to older ones with
+/// the same hash, so an instruction is hashed once per lookup and stored
+/// once.
+#[derive(Clone, Default)]
 pub struct InstrInterner {
     arena: TermArena,
     nodes: Vec<InstrNode>,
-    index: HashMap<Instr, InstrId, FxMapBuild>,
+    index: HashMap<u64, InstrId, FxMapBuild>,
 }
 
 impl InstrInterner {
@@ -381,56 +415,54 @@ impl InstrInterner {
     }
 
     /// Creates an empty interner with room for `instrs` distinct
-    /// instructions (and twice as many terms).
+    /// instructions and as many terms.
     pub fn with_capacity(instrs: usize) -> Self {
         InstrInterner {
-            arena: TermArena::with_capacity(2 * instrs),
+            arena: TermArena::with_capacity(instrs),
             nodes: Vec::with_capacity(instrs),
             index: HashMap::with_capacity_and_hasher(instrs, FxMapBuild::default()),
         }
     }
 
-    /// Interns `instr`, returning `(id, newly_interned)`. All terms inside
-    /// the instruction are interned into the underlying [`TermArena`].
+    /// Interns `instr`, returning `(id, newly_interned)`.
     pub fn intern(&mut self, instr: &Instr) -> (InstrId, bool) {
-        if let Some(&id) = self.index.get(instr) {
-            return (id, false);
-        }
-        let hash = self.compose_hash(instr);
-        let id = InstrId(u32::try_from(self.nodes.len()).expect("interner fits u32"));
-        self.nodes.push(InstrNode {
-            instr: instr.clone(),
-            hash,
-        });
-        self.index.insert(instr.clone(), id);
-        (id, true)
+        self.intern_with(instr, Instr::clone)
     }
 
-    /// The instruction hash, composed from cached term hashes (computed
-    /// once, at first interning).
-    fn compose_hash(&mut self, instr: &Instr) -> u64 {
-        match instr {
-            Instr::Skip => mix(5, 0),
-            Instr::Assign { lhs, rhs } => {
-                let rhs = self.arena.intern(*rhs);
-                mix(mix(6, lhs.index() as u64), self.arena.hash(rhs))
+    /// As [`intern`](Self::intern), taking the instruction by value.
+    pub fn intern_owned(&mut self, instr: Instr) -> (InstrId, bool) {
+        self.intern_with(instr, |instr| instr)
+    }
+
+    /// Looks `instr` up with one probe of the index, and stores
+    /// `owned(instr)` when it is new.
+    fn intern_with<I: Borrow<Instr>>(
+        &mut self,
+        instr: I,
+        owned: impl FnOnce(I) -> Instr,
+    ) -> (InstrId, bool) {
+        let hash = instr_hash(instr.borrow());
+        let id = InstrId(u32::try_from(self.nodes.len()).expect("interner fits u32"));
+        let next = match self.index.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(id);
+                None
             }
-            Instr::Out(ops) => {
-                let mut h = mix(7, ops.len() as u64);
-                for &o in ops {
-                    h = mix(h, operand_word(o));
+            Entry::Occupied(mut slot) => {
+                let mut next = Some(*slot.get());
+                while let Some(old) = next {
+                    let node = &self.nodes[old.index()];
+                    if node.instr == *instr.borrow() {
+                        return (old, false);
+                    }
+                    next = node.next;
                 }
-                h
+                Some(slot.insert(id))
             }
-            Instr::Branch(c) => {
-                let lhs = self.arena.intern(c.lhs);
-                let rhs = self.arena.intern(c.rhs);
-                mix(
-                    mix(mix(8, c.op as u64), self.arena.hash(lhs)),
-                    self.arena.hash(rhs),
-                )
-            }
-        }
+        };
+        let instr = owned(instr);
+        self.nodes.push(InstrNode { instr, hash, next });
+        (id, true)
     }
 
     /// The instruction behind `id`.
@@ -438,7 +470,7 @@ impl InstrInterner {
         &self.nodes[id.index()].instr
     }
 
-    /// The cached composite hash of `id` — O(1), no re-walk.
+    /// The cached structural hash of `id` — O(1), no re-walk.
     pub fn hash(&self, id: InstrId) -> u64 {
         self.nodes[id.index()].hash
     }
@@ -452,7 +484,13 @@ impl InstrInterner {
             .map(|(i, node)| (InstrId(i as u32), &node.instr))
     }
 
-    /// The underlying term arena.
+    /// Interns `t` into the term arena ([`TermArena::intern`]). Terms are
+    /// interned on demand, not with the instructions that hold them.
+    pub fn intern_term(&mut self, t: Term) -> TermId {
+        self.arena.intern(t)
+    }
+
+    /// The term arena.
     pub fn arena(&self) -> &TermArena {
         &self.arena
     }
@@ -559,11 +597,13 @@ mod tests {
         assert!(new1 && !new2);
         assert_eq!(i1, i2);
         assert_eq!(ii.instr(i1), &assign);
-        // The rhs term was interned and carries pattern 0.
-        assert_eq!(
-            ii.arena().pattern_id(&Term::binary(BinOp::Add, y, z)),
-            Some(PatternId::from_index(0))
-        );
+        // Terms are interned on demand, not with their instruction: the
+        // rhs term is interned by `intern_term` and carries pattern 0.
+        let rhs = Term::binary(BinOp::Add, y, z);
+        assert!(ii.arena().is_empty());
+        let t = ii.intern_term(rhs);
+        assert_eq!(ii.arena().pattern_id(&rhs), Some(PatternId::from_index(0)));
+        assert_eq!(ii.arena().pattern_of(t), Some(PatternId::from_index(0)));
         // Different instructions get different ids (and, here, hashes).
         let (i3, _) = ii.intern(&Instr::Branch(Cond::new(
             BinOp::Gt,

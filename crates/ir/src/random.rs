@@ -182,7 +182,9 @@ fn gen_seq(rng: &mut SplitMix64, cfg: &StructuredConfig, depth: usize) -> Vec<St
 /// outputs every variable, so any semantic difference between the program
 /// and a transformed version is observable.
 pub fn structured(rng: &mut SplitMix64, cfg: &StructuredConfig) -> FlowGraph {
-    let mut g = FlowGraph::new();
+    // Room for the 10 to 60 instructions the default shapes draw, so the
+    // interner rarely grows while the program is built.
+    let mut g = FlowGraph::with_capacity(64);
     let vars: Vec<Var> = (0..cfg.num_vars.max(2))
         .map(|i| g.pool_mut().intern(&format!("v{i}")))
         .collect();
@@ -264,7 +266,7 @@ fn lower_seq(
 /// backward ones) add loops, joins and — frequently — irreducible regions.
 pub fn unstructured(rng: &mut SplitMix64, cfg: &UnstructuredConfig) -> FlowGraph {
     let n = cfg.nodes.max(2);
-    let mut g = FlowGraph::new();
+    let mut g = FlowGraph::with_capacity(n * (cfg.max_instrs + 1));
     let vars: Vec<Var> = (0..cfg.num_vars.max(2))
         .map(|i| g.pool_mut().intern(&format!("v{i}")))
         .collect();

@@ -327,13 +327,23 @@ struct Parser<'a> {
     fresh_counter: usize,
     /// Filled only for [`parse_with_locations`].
     srcmap: Option<SourceMap>,
+    /// The instructions of the node being parsed; one buffer for all
+    /// nodes, drained into the graph's interner.
+    body: Vec<Instr>,
 }
 
 impl<'a> Parser<'a> {
     fn new(src: &'a str, mode: Mode, srcmap: Option<SourceMap>) -> Result<Self, ParseError> {
+        let cur = Cursor::new(src)?;
+        // An instruction takes at least four tokens (`x := 1` and a
+        // separator), so a quarter of them bounds the distinct
+        // instructions parsed; the other quarter is room for the ones
+        // initialization adds. The cap keeps a large program's interner
+        // from being sized for contents it mostly repeats.
+        let instrs = (2 * (cur.tokens.len() / 4)).min(crate::intern::PRESIZE_LIMIT);
         Ok(Parser {
-            cur: Cursor::new(src)?,
-            graph: FlowGraph::new(),
+            cur,
+            graph: FlowGraph::with_capacity(instrs),
             nodes: HashMap::new(),
             defined: Vec::new(),
             start: None,
@@ -342,6 +352,7 @@ impl<'a> Parser<'a> {
             taken: None,
             fresh_counter: 0,
             srcmap,
+            body: Vec::new(),
         })
     }
 
@@ -443,7 +454,7 @@ impl<'a> Parser<'a> {
             return Err(self.cur.error(format!("node '{label}' defined twice")));
         }
         self.cur.expect(Token::LBrace)?;
-        let mut body = Vec::new();
+        let mut body = std::mem::take(&mut self.body);
         loop {
             self.cur.skip_seps();
             match self.cur.peek() {
@@ -469,7 +480,8 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.graph.set_block(node, body);
+        self.graph.fill_block(node, body.drain(..));
+        self.body = body;
         Ok(())
     }
 

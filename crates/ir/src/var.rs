@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned program variable.
 ///
@@ -26,6 +27,9 @@ impl fmt::Debug for Var {
 /// The variable table of a flow graph: names, and which variables are
 /// optimizer-introduced temporaries.
 ///
+/// Each name is stored once: the table and the name index share one
+/// `Arc<str>`, so interning a new name makes one allocation.
+///
 /// # Examples
 ///
 /// ```
@@ -39,9 +43,9 @@ impl fmt::Debug for Var {
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarPool {
-    names: Vec<String>,
+    names: Vec<Arc<str>>,
     temps: Vec<bool>,
-    index: HashMap<String, Var>,
+    index: HashMap<Arc<str>, Var>,
 }
 
 impl VarPool {
@@ -56,7 +60,7 @@ impl VarPool {
         if let Some(&v) = self.index.get(name) {
             return v;
         }
-        self.push(name.to_owned(), false)
+        self.push(name, false)
     }
 
     /// Interns `name` as a temporary variable.
@@ -69,12 +73,13 @@ impl VarPool {
         if let Some(&v) = self.index.get(name) {
             return v;
         }
-        self.push(name.to_owned(), true)
+        self.push(name, true)
     }
 
-    fn push(&mut self, name: String, temp: bool) -> Var {
+    fn push(&mut self, name: &str, temp: bool) -> Var {
         let v = Var(u32::try_from(self.names.len()).expect("too many variables"));
-        self.index.insert(name.clone(), v);
+        let name: Arc<str> = Arc::from(name);
+        self.index.insert(Arc::clone(&name), v);
         self.names.push(name);
         self.temps.push(temp);
         v
