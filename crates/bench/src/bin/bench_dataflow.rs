@@ -39,7 +39,6 @@ use am_bench::workloads::{
     diamond_chain, fit_nodes_exponent, inlined_program, loop_nest, nest_grid, wide_fan,
 };
 use am_core::global::{optimize_owned, optimize_with, GlobalConfig};
-use am_dfa::PointGraph;
 use am_ir::random::{unstructured, SplitMix64, UnstructuredConfig};
 use am_ir::FlowGraph;
 use am_pipeline::bench_json::{render, BenchRecord};
@@ -243,12 +242,11 @@ fn measure(label: &str, g: &FlowGraph, iters: u32) -> BenchRecord {
         }
     }
     let result = best.expect("at least one timed iteration");
-    let points = PointGraph::build(g).len();
     BenchRecord {
         label: label.to_owned(),
         nodes: g.node_count(),
         instrs: g.instr_count(),
-        points,
+        points: g.point_count(),
         wall_micros: best_wall,
         split_micros: result.timings.split.as_micros(),
         init_micros: result.timings.init.as_micros(),

@@ -220,6 +220,24 @@ impl BitSet {
         self.update(other, |a, b| a & !b)
     }
 
+    /// `self ∪= add ∖ except`; returns `true` if `self` changed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand's universe differs from `self`'s.
+    #[inline]
+    pub fn union_difference(&mut self, add: &BitSet, except: &BitSet) -> bool {
+        self.assert_same_universe(add);
+        self.assert_same_universe(except);
+        let mut diff = 0u64;
+        for ((a, &b), &c) in self.raw_mut().iter_mut().zip(add.raw()).zip(except.raw()) {
+            let new = *a | (b & !c);
+            diff |= *a ^ new;
+            *a = new;
+        }
+        diff != 0
+    }
+
     /// Replaces `self` with a copy of `other`; returns `true` if it changed.
     #[inline]
     pub fn copy_from(&mut self, other: &BitSet) -> bool {
@@ -317,6 +335,14 @@ impl BitSet {
             word_idx: 0,
             current: words.first().copied().unwrap_or(0),
         }
+    }
+}
+
+/// The empty set over the empty universe, a placeholder that a caller
+/// sizes before use.
+impl Default for BitSet {
+    fn default() -> Self {
+        BitSet::new(0)
     }
 }
 

@@ -234,6 +234,34 @@ fn subset_and_disjoint_match_the_model() {
 }
 
 #[test]
+fn union_difference_matches_the_model() {
+    let mut rng = Rng(0x0D1FF);
+    for universe in UNIVERSES {
+        for case in 0..64 {
+            let (mut set, model) = other_set(universe, &rng.bits(universe, 20));
+            let (add, add_model) = other_set(universe, &rng.bits(universe, 20));
+            let (except, except_model) = other_set(universe, &rng.bits(universe, 20));
+            let expected: BTreeSet<usize> = add_model
+                .difference(&except_model)
+                .chain(&model)
+                .copied()
+                .collect();
+            let at = format!("universe {universe} case {case}");
+            assert_eq!(
+                set.union_difference(&add, &except),
+                expected != model,
+                "{at}"
+            );
+            assert_eq!(
+                set,
+                other_set(universe, &Vec::from_iter(expected)).0,
+                "{at}"
+            );
+        }
+    }
+}
+
+#[test]
 fn copy_from_round_trips() {
     let mut rng = Rng(0xC0B1E5);
     for universe in UNIVERSES {

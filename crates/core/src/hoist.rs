@@ -31,15 +31,18 @@
 //! inserted at the same point are mutually independent (Sec. 4.3.2), so they
 //! are emitted in first-occurrence order.
 //!
-//! The motion loop solves this system through the caches of its round
-//! context, warm-starting it from the previous round where that is safe;
-//! the one-shot entries ([`analyze_hoisting`], [`hoist_assignments`]) run
-//! the same code on a fresh context.
+//! The local predicates are the block's blocking rows composed as in
+//! [`am_dfa::blocks`]: `LOC-BLOCKED` is their union, and the candidates are
+//! the occurrences whose bit reaches the block's entry. The motion loop
+//! solves this system through the caches of its round context,
+//! warm-starting it from the previous round where that is safe; the
+//! one-shot entries ([`analyze_hoisting`], [`hoist_assignments`]) run the
+//! same code on a fresh context.
 
 use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_dfa::{compose_row, solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
@@ -152,10 +155,19 @@ impl MotionContext {
             }
             self.hoist_stamps[ni] = self.block_stamps[ni];
             self.rows_recomputed += 1;
+            // The first occurrence of a pattern that no earlier
+            // instruction blocks is its candidate (Fig. 13): its bit
+            // reaches the block's entry.
             locals.clear();
-            self.for_each_blocking_row(g, n, |idx, pattern, blocks| {
-                locals.step(idx, pattern, blocks)
-            });
+            for (idx, &id) in g.ids(n).iter().enumerate() {
+                let row = (self.assign_pattern(id), self.blocking_row_of(g, id));
+                let (hoistable, blocked) = (&mut locals.hoistable, &mut locals.blocked);
+                if compose_row(Direction::Backward, &row, hoistable, blocked) {
+                    locals
+                        .candidates
+                        .push((row.0.expect("a generated bit"), idx));
+                }
+            }
             let (gen, kill) = (&mut a.loc_hoistable[ni], &mut a.loc_blocked[ni]);
             if *gen != locals.hoistable || *kill != locals.blocked {
                 lowered &= locals.hoistable.is_subset(gen) && kill.is_subset(&locals.blocked);
@@ -224,24 +236,8 @@ impl BlockLocals {
         self.candidates.clear();
     }
 
-    /// Adds instruction `idx` of the block, with its assignment pattern
-    /// index and its [`blocking_row`], to the local predicates of the
-    /// instructions before it. The candidate check precedes the
-    /// instruction's own blocking update: the first *unblocked* occurrence
-    /// of a pattern is its candidate (Fig. 13), and every occurrence blocks
-    /// the ones after it.
-    fn step(&mut self, idx: usize, pattern: Option<usize>, blocks: &BitSet) {
-        if let Some(i) = pattern {
-            if !self.blocked.contains(i) && !self.hoistable.contains(i) {
-                self.hoistable.insert(i);
-                self.candidates.push((i, idx));
-            }
-        }
-        self.blocked.union_with(blocks);
-    }
-
-    /// The oracle of [`Self::step`]: the local predicates of one
-    /// instruction list, computed by walking the instructions.
+    /// The oracle of the composed local predicates: the local predicates
+    /// of one instruction list, computed by walking the instructions.
     #[cfg(test)]
     pub(crate) fn compute<'a>(
         instrs: impl Iterator<Item = &'a Instr>,

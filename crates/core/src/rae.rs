@@ -21,19 +21,16 @@
 //!
 //! # Solving at block level
 //!
-//! Table 2 is stated per instruction but solved over blocks: each block's
-//! instruction rows are folded into one exact transfer (`compose_block`),
-//! the system runs over the block graph, and the per-instruction entry
-//! facts are recovered by streaming each block from its solved entry fact
-//! (`stream_block`). The motion loop runs this code through the row
-//! caches of its round context; the one-shot entries below
+//! Table 2 is stated per instruction and solved per block, as
+//! [`am_dfa::blocks`] explains; the motion loop runs it through the row
+//! caches of its round context, and the one-shot entries below
 //! ([`analyze_redundancy`], [`redundant_locs`],
 //! [`eliminate_redundant_assignments`]) run the same code on a fresh one.
 
 use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{Confluence, Direction, PatternMasks, Problem, Solution};
+use am_dfa::{compose, stream, Confluence, Direction, PatternMasks, PointFacts, Problem, Solution};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_obs::{ProvKind, ProvRecord, ProvRecorder};
 use am_trace::Tracer;
@@ -84,52 +81,6 @@ pub(crate) fn redundancy_row(
     (gen, kill)
 }
 
-/// Folds the rows of one block into its node-level transfer
-/// `out = gen ∪ (in ∖ kill)`: `gen := (gen ∖ kill_ι) ∪ gen_ι`,
-/// `kill := kill ∪ kill_ι`. The fold is exact for gen/kill systems —
-/// interior points of a block have a single predecessor, so substituting
-/// them out preserves the greatest fixed point. Returns whether any
-/// instruction generates its own bit: a block without an occurrence can
-/// never host an elimination.
-pub(crate) fn compose_block<'r>(
-    rows: impl IntoIterator<Item = &'r Row>,
-    gen: &mut BitSet,
-    kill: &mut BitSet,
-) -> bool {
-    gen.clear();
-    kill.clear();
-    let mut occurs = false;
-    for (own, k) in rows {
-        gen.difference_with(k);
-        kill.union_with(k);
-        if let Some(i) = *own {
-            occurs = true;
-            gen.insert(i);
-        }
-    }
-    occurs
-}
-
-/// Streams the entry facts `N-REDUNDANT*` of a block's instructions from
-/// the block's solved entry fact: calls `f(j, own, fact)` for instruction
-/// `j` with its own pattern bit and its entry fact, then applies its row.
-/// `x` is scratch space of the universe's width.
-pub(crate) fn stream_block<'r>(
-    entry: &BitSet,
-    rows: impl IntoIterator<Item = &'r Row>,
-    x: &mut BitSet,
-    mut f: impl FnMut(usize, Option<usize>, &BitSet),
-) {
-    x.copy_from(entry);
-    for (j, (own, kill)) in rows.into_iter().enumerate() {
-        f(j, *own, x);
-        x.difference_with(kill);
-        if let Some(i) = *own {
-            x.insert(i);
-        }
-    }
-}
-
 impl MotionContext {
     /// Solves Table 2 over the blocks of `g`: refills the node-level row of
     /// every block whose content changed since its row was built (all of
@@ -160,12 +111,14 @@ impl MotionContext {
             for &id in g.ids(n) {
                 self.cache_rae_row(g, id);
             }
-            let rows = g.ids(n).iter().map(|id| {
-                self.rae_rows[id.index()]
-                    .as_ref()
-                    .expect("row cached above")
-            });
-            self.rae_occurs[ni] = compose_block(rows, &mut problem.gen[ni], &mut problem.kill[ni]);
+            // A block without an occurrence can never host an elimination.
+            let mut occurs = false;
+            let rows = self
+                .rae_block_rows(g, n)
+                .inspect(|(own, _)| occurs |= own.is_some());
+            let (gen, kill) = (&mut problem.gen[ni], &mut problem.kill[ni]);
+            compose(Direction::Forward, rows, gen, kill);
+            self.rae_occurs[ni] = occurs;
             self.rae_stamps[ni] = self.block_stamps[ni];
         }
         let recycled = self.rae_solution.take();
@@ -174,23 +127,20 @@ impl MotionContext {
         sol
     }
 
-    /// Streams the entry facts of block `n` of `g` from its solved entry
-    /// fact over the cached rows of the last [`Self::solve_redundancy`] on
-    /// `g` (see [`stream_block`]).
-    fn stream_redundancy(
-        &self,
-        g: &FlowGraph,
+    /// The Table 2 rows of block `n`'s instructions, in order, as the last
+    /// [`Self::solve_redundancy`] on `g` cached them.
+    fn rae_block_rows<'a>(
+        &'a self,
+        g: &'a FlowGraph,
         n: NodeId,
-        entry: &BitSet,
-        x: &mut BitSet,
-        f: impl FnMut(usize, Option<usize>, &BitSet),
-    ) {
-        let rows = g.ids(n).iter().map(|id| {
-            self.rae_rows[id.index()]
+    ) -> impl DoubleEndedIterator<Item = (&'a Option<usize>, &'a BitSet)> + ExactSizeIterator + 'a
+    {
+        g.ids(n).iter().map(|id| {
+            let (own, kill) = self.rae_rows[id.index()]
                 .as_ref()
-                .expect("rows of composed blocks exist")
-        });
-        stream_block(entry, rows, x, f);
+                .expect("rows of composed blocks exist");
+            (own, kill)
+        })
     }
 
     /// Finds the redundant occurrences of `g` — those whose own bit holds
@@ -217,7 +167,7 @@ impl MotionContext {
             .resize_with(g.node_count(), || (0, BitSet::new(ap)));
         let mut locs = std::mem::take(&mut self.rae_locs);
         locs.clear();
-        let mut x = std::mem::replace(&mut self.rae_scratch, BitSet::new(0));
+        let mut x = std::mem::take(&mut self.rae_scratch);
         if x.len() != ap {
             x = BitSet::new(ap);
         }
@@ -230,12 +180,18 @@ impl MotionContext {
             }
             self.streamed_blocks += 1;
             let found = locs.len();
-            self.stream_redundancy(g, n, entry, &mut x, |j, own, fact| {
-                let Some(i) = own.filter(|&i| fact.contains(i)) else {
-                    return;
-                };
-                if recorder.is_enabled() {
-                    recorder.record(ProvRecord {
+            let rows = self.rae_block_rows(g, n);
+            stream(
+                Direction::Forward,
+                entry,
+                rows,
+                &mut x,
+                |j, (own, _), fact| {
+                    let Some(i) = own.filter(|&i| fact.contains(i)) else {
+                        return;
+                    };
+                    if recorder.is_enabled() {
+                        recorder.record(ProvRecord {
                         kind: ProvKind::Eliminate,
                         phase: "motion",
                         round,
@@ -249,9 +205,10 @@ impl MotionContext {
                             "N-REDUNDANT bit {i} holds at entry of this occurrence (forward must solution)"
                         ),
                     });
-                }
-                locs.push(Loc { node: n, index: j });
-            });
+                    }
+                    locs.push(Loc { node: n, index: j });
+                },
+            );
             let (stamp, fact) = &mut self.quiet_blocks[ni];
             if locs.len() == found {
                 *stamp = self.block_stamps[ni];
@@ -287,15 +244,12 @@ impl RedundancyAnalysis {
     /// order — one pass-through entry for an empty block. `g` must be the
     /// program the analysis was computed on.
     pub fn block_facts(&self, g: &FlowGraph, n: NodeId) -> Vec<BitSet> {
-        let entry = &self.solution.before[n.index()];
-        let mut facts = Vec::with_capacity(g.block(n).len().max(1));
-        let mut x = BitSet::new(entry.len());
-        self.ctx
-            .stream_redundancy(g, n, entry, &mut x, |_, _, fact| facts.push(fact.clone()));
-        if facts.is_empty() {
-            facts.push(entry.clone());
-        }
-        facts
+        let (sol, ni, mut facts) = (&self.solution, n.index(), PointFacts::default());
+        let rows = self.ctx.rae_block_rows(g, n);
+        facts.fill(Direction::Forward, &sol.before[ni], &sol.after[ni], rows);
+        (0..facts.points())
+            .map(|j| facts.before(j).clone())
+            .collect()
     }
 }
 

@@ -7,6 +7,10 @@
 //! view: one point per instruction, plus one virtual *pass-through* point
 //! per empty block so that facts still propagate through blocks without
 //! instructions (synthetic nodes from edge splitting are initially empty).
+//!
+//! Gen/kill systems are solved per block instead ([`crate::blocks`]); the
+//! point graph serves strong liveness, whose transfer is not gen/kill, and
+//! the test oracles that solve the paper's statement literally.
 
 use am_ir::{FlowGraph, Instr, Loc, NodeId};
 
@@ -29,7 +33,6 @@ pub struct PointGraph<'g> {
     graph: &'g FlowGraph,
     /// Location of each point; `None` for virtual points of empty blocks.
     locs: Vec<Option<Loc>>,
-    node_of: Vec<NodeId>,
     first_of: Vec<PointId>,
     last_of: Vec<PointId>,
     preds: Adjacency,
@@ -41,7 +44,6 @@ impl<'g> PointGraph<'g> {
     /// Builds the point graph of `g`.
     pub fn build(g: &'g FlowGraph) -> Self {
         let mut locs = Vec::new();
-        let mut node_of = Vec::new();
         let mut first_of = Vec::with_capacity(g.node_count());
         let mut last_of = Vec::with_capacity(g.node_count());
         for n in g.nodes() {
@@ -49,12 +51,8 @@ impl<'g> PointGraph<'g> {
             let first = PointId(locs.len() as u32);
             if len == 0 {
                 locs.push(None);
-                node_of.push(n);
             } else {
-                for index in 0..len {
-                    locs.push(Some(Loc { node: n, index }));
-                    node_of.push(n);
-                }
+                locs.extend((0..len).map(|index| Some(Loc { node: n, index })));
             }
             let last = PointId(locs.len() as u32 - 1);
             first_of.push(first);
@@ -97,7 +95,6 @@ impl<'g> PointGraph<'g> {
         PointGraph {
             graph: g,
             locs,
-            node_of,
             first_of,
             last_of,
             preds,
@@ -133,11 +130,6 @@ impl<'g> PointGraph<'g> {
         self.locs[p.index()]
     }
 
-    /// The node containing `p`.
-    pub fn node(&self, p: PointId) -> NodeId {
-        self.node_of[p.index()]
-    }
-
     /// First point of block `n`.
     pub fn first_of(&self, n: NodeId) -> PointId {
         self.first_of[n.index()]
@@ -146,17 +138,6 @@ impl<'g> PointGraph<'g> {
     /// Last point of block `n`.
     pub fn last_of(&self, n: NodeId) -> PointId {
         self.last_of[n.index()]
-    }
-
-    /// The entry point of the program: first point of the start node (the
-    /// paper's "first instruction of s").
-    pub fn entry(&self) -> PointId {
-        self.first_of(self.graph.start())
-    }
-
-    /// The exit point of the program: last point of the end node.
-    pub fn exit(&self) -> PointId {
-        self.last_of(self.graph.end())
     }
 
     /// Predecessor point adjacency (shared with the solver).
@@ -209,14 +190,13 @@ mod tests {
         assert_eq!(vp, pg.last_of(m));
         assert!(pg.instr(vp).is_none());
         assert!(pg.loc(vp).is_none());
-        assert_eq!(pg.node(vp), m);
     }
 
     #[test]
     fn adjacency_chains_through_blocks() {
         let g = g();
         let pg = PointGraph::build(&g);
-        let entry = pg.entry();
+        let entry = pg.first_of(g.start());
         assert_eq!(entry.index(), 0);
         assert!(pg.preds()[entry.index()].is_empty());
         // s0 -> s1 -> m -> e0 (point ids follow node creation order).
@@ -227,7 +207,7 @@ mod tests {
         assert_eq!(pg.succs()[1], [m_pt as u32]);
         assert_eq!(pg.succs()[m_pt], [e_pt as u32]);
         assert!(pg.succs()[e_pt].is_empty());
-        assert_eq!(pg.exit().index(), e_pt);
+        assert_eq!(pg.last_of(g.end()).index(), e_pt);
         assert_eq!(pg.preds()[e_pt], [m_pt as u32]);
     }
 

@@ -409,6 +409,12 @@ impl FlowGraph {
         self.blocks.iter().map(Block::len).sum()
     }
 
+    /// Number of program points: one per instruction, and one
+    /// pass-through point per empty block, where facts still flow.
+    pub fn point_count(&self) -> usize {
+        self.blocks.iter().map(|b| b.len().max(1)).sum()
+    }
+
     /// Iterates over all node ids in index order.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.blocks.len() as u32).map(NodeId)

@@ -21,10 +21,12 @@ use crate::Ctx;
 /// not fail the build; the optimizer is not required to remove them either
 /// — assignment sinking eliminates only what the paper's faintness
 /// analysis justifies, and `am-lint` reports what is left.
-pub(crate) fn check(ctx: &Ctx<'_>, pg: &PointGraph<'_>, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     let g = ctx.g;
     let pool = g.pool();
-    let strong = strongly_live_variables(pg);
+    // Strong liveness is not a gen/kill system, so it runs per instruction.
+    let pg = PointGraph::build(g);
+    let strong = strongly_live_variables(&pg);
 
     // Which variables are read by any instruction at all.
     let mut read = BitSet::new(pool.len());

@@ -25,7 +25,7 @@ pub struct BenchRecord {
     pub nodes: usize,
     /// Input instructions.
     pub instrs: usize,
-    /// Instruction-level program points of the input (`PointGraph` size).
+    /// Program points of the input ([`am_ir::FlowGraph::point_count`]).
     pub points: usize,
     /// End-to-end `optimize` wall time, microseconds (best of N).
     pub wall_micros: u128,

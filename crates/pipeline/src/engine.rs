@@ -275,17 +275,9 @@ impl Pipeline {
                 };
             }
         }
-        // Input shape, for bench reporting: every non-empty block contributes
-        // one program point per instruction, empty blocks one virtual point
-        // (mirrors `am_dfa::PointGraph::build`).
-        let nodes = graph.node_count();
-        let mut instrs = 0;
-        let mut points = 0;
-        for n in graph.nodes() {
-            let len = graph.block(n).len();
-            instrs += len;
-            points += len.max(1);
-        }
+        // Input shape, for bench reporting.
+        let (nodes, instrs, points) =
+            (graph.node_count(), graph.instr_count(), graph.point_count());
         let config = GlobalConfig {
             max_motion_rounds: self.config.max_motion_rounds,
             keep_snapshots: false,
