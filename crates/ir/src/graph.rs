@@ -539,12 +539,6 @@ impl FlowGraph {
     /// Replaces the instructions of block `n` with `instrs`, interning
     /// each.
     pub fn set_block(&mut self, n: NodeId, instrs: Vec<Instr>) {
-        self.fill_block(n, instrs);
-    }
-
-    /// [`Self::set_block`] from any instructions, for a caller that drains
-    /// a buffer it keeps.
-    pub(crate) fn fill_block(&mut self, n: NodeId, instrs: impl IntoIterator<Item = Instr>) {
         let (ids, interner) = self.write(n);
         ids.clear();
         ids.extend(
