@@ -316,7 +316,6 @@ pub fn validate(g: &FlowGraph, cfg: &ValidationConfig) -> Validation {
         max_motion_rounds: cfg.max_motion_rounds,
         keep_snapshots: false,
         tracer: cfg.tracer.clone(),
-        ..GlobalConfig::default()
     };
     let mut motion_rounds = 0;
     optimize_hooked(g, &gcfg, &mut |phase, prog| {

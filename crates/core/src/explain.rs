@@ -1,4 +1,4 @@
-//! Provenance capture: one optimizer run with the decision recorder on,
+//! Provenance capture: one optimizer run on a recording tracer,
 //! kept together with the phase snapshots its records can be replayed
 //! against.
 //!
@@ -22,8 +22,7 @@
 //! optimizes from scratch.
 
 use am_ir::{FlowGraph, Instr, NodeId};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
-use am_trace::Tracer;
+use am_trace::{ProvKind, ProvRecord, Tracer};
 
 use crate::global::{optimize_hooked, GlobalConfig, GlobalResult, PhaseId};
 
@@ -39,14 +38,13 @@ pub struct Capture {
     snapshots: Vec<(PhaseId, FlowGraph)>,
 }
 
-/// Optimizes `g` with provenance recording enabled, tracing to `tracer`.
+/// Optimizes `g` on [`tracer.recording()`](Tracer::recording): spans and
+/// counters go to `tracer`'s sink, records into the capture.
 pub fn capture(g: &FlowGraph, max_motion_rounds: Option<usize>, tracer: &Tracer) -> Capture {
-    let recorder = ProvRecorder::enabled();
     let config = GlobalConfig {
         max_motion_rounds,
         keep_snapshots: true,
-        tracer: tracer.clone(),
-        recorder: recorder.clone(),
+        tracer: tracer.recording(),
     };
     let mut snapshots = Vec::new();
     let result = optimize_hooked(g, &config, &mut |phase, prog| {
@@ -56,7 +54,7 @@ pub fn capture(g: &FlowGraph, max_motion_rounds: Option<usize>, tracer: &Tracer)
     });
     Capture {
         result,
-        records: recorder.take(),
+        records: config.tracer.take_records(),
         snapshots,
     }
 }
@@ -180,5 +178,37 @@ mod tests {
             }
         }
         assert_eq!(seen, c.result.motion.eliminated);
+    }
+
+    #[test]
+    fn a_capture_traces_like_an_unrecorded_run() {
+        // Each event without its timestamps and durations.
+        let shape = |events: Vec<am_trace::Event>| {
+            events
+                .into_iter()
+                .map(|e| {
+                    let span = matches!(e.kind, am_trace::EventKind::Span { .. });
+                    (e.cat, e.name, span, e.depth, e.args)
+                })
+                .collect::<Vec<_>>()
+        };
+        for (name, g) in am_ir::random::corpus80().into_iter().step_by(8) {
+            let (tracer, collector) = Tracer::collector();
+            let captured = capture(&g, None, &tracer);
+            let (tracer, plain) = Tracer::collector();
+            let config = GlobalConfig {
+                max_motion_rounds: None,
+                keep_snapshots: true,
+                tracer,
+            };
+            optimize_hooked(&g, &config, &mut |_, _| {});
+            assert!(!collector.is_empty(), "{name}: the capture traced nothing");
+            assert_eq!(shape(collector.take()), shape(plain.take()), "{name}");
+            assert_eq!(
+                captured.records,
+                capture(&g, None, &Tracer::disabled()).records,
+                "{name}: the sink changed the records"
+            );
+        }
     }
 }

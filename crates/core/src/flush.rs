@@ -61,7 +61,7 @@ use am_dfa::{
 };
 use am_ir::intern::InstrId;
 use am_ir::{Cond, FlowGraph, Instr, NodeId, Operand, PatternUniverse, Term, Var};
-use am_obs::{ProvKind, ProvRecord};
+use am_trace::{ProvKind, ProvRecord};
 
 use crate::global::GlobalConfig;
 use crate::incremental::MotionContext;
@@ -398,8 +398,9 @@ pub fn final_flush(g: &mut FlowGraph) -> FlushStats {
 /// As [`final_flush`], observed through `config`: the tracer receives one
 /// `analysis` counter per solved system (`delayability`, `usability`) with
 /// its fixpoint metrics, and every instance removal, initialization
-/// insertion and reconstruction appends one [`am_obs::ProvRecord`] to the
-/// recorder. A disabled recorder costs one branch per potential record.
+/// insertion and reconstruction appends one [`am_trace::ProvRecord`] to the
+/// tracer. A tracer that is not recording costs one branch per potential
+/// record.
 pub fn final_flush_with(g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
     MotionContext::new().final_flush(g, config)
 }
@@ -411,11 +412,11 @@ impl MotionContext {
     /// `N-LATEST` point and no exit initialization is left as it is; every
     /// other block is composed as ids and written in its own allocation.
     pub(crate) fn final_flush(&mut self, g: &mut FlowGraph, config: &GlobalConfig) -> FlushStats {
-        let recorder = &config.recorder;
+        let tracer = &config.tracer;
         let (analysis, rows) = self.flush_analysis(g);
         let (delay, usable) = (&analysis.delay, &analysis.usable);
         for (name, sol) in [("delayability", delay), ("usability", usable)] {
-            config.tracer.counter(
+            tracer.counter(
                 "analysis",
                 name,
                 &[
@@ -520,7 +521,7 @@ impl MotionContext {
                           new: Option<&Instr>,
                           i,
                           fact: &str| {
-                recorder.record(ProvRecord {
+                tracer.record(ProvRecord {
                     kind,
                     phase: "flush",
                     round: 0,
@@ -540,7 +541,7 @@ impl MotionContext {
                         rhs: universe.expr(i),
                     })
                 });
-                if recorder.is_enabled() {
+                if tracer.is_recording() {
                     record(
                         g,
                         ProvKind::FlushInsert,
@@ -590,7 +591,7 @@ impl MotionContext {
                     // with the removed instance — materialize the
                     // initialization here, where it dominates every
                     // re-insertion point reached through this path.
-                    if recorder.is_enabled() {
+                    if tracer.is_recording() {
                         let fact = "IS-INST: the instance leaves its motion position for its \
                                     latest points";
                         let instr = g.interner().instr(id);
@@ -609,7 +610,7 @@ impl MotionContext {
                         let current = rewritten.as_ref().unwrap_or(g.interner().instr(id));
                         match reconstruct_use(current, temps[i], universe.expr(i)) {
                             Some(new_instr) => {
-                                if recorder.is_enabled() {
+                                if tracer.is_recording() {
                                     let fact = "RECONSTRUCT = USED · N-LATEST · ¬X-USABLE*: \
                                                 sole use, original term restored";
                                     let kind = ProvKind::FlushReconstruct;
@@ -660,7 +661,7 @@ mod tests {
     use am_ir::random::corpus80;
     use am_ir::text::parse;
     use am_ir::BinOp;
-    use am_obs::ProvRecorder;
+    use am_trace::Tracer;
 
     const RUNNING_EXAMPLE: &str = "
         start 1
@@ -803,7 +804,7 @@ mod tests {
     /// A configuration recording provenance.
     fn recording() -> GlobalConfig {
         GlobalConfig {
-            recorder: ProvRecorder::enabled(),
+            tracer: Tracer::disabled().recording(),
             ..GlobalConfig::default()
         }
     }
@@ -853,8 +854,8 @@ mod tests {
             );
             assert_eq!(g, fresh_g, "program {p}");
             assert_eq!(
-                on_ctx.recorder.take(),
-                on_fresh.recorder.take(),
+                on_ctx.tracer.take_records(),
+                on_fresh.tracer.take_records(),
                 "program {p}"
             );
         }

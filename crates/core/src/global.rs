@@ -6,7 +6,6 @@
 use std::time::Duration;
 
 use am_ir::FlowGraph;
-use am_obs::ProvRecorder;
 use am_trace::Tracer;
 
 use crate::flush::FlushStats;
@@ -51,12 +50,11 @@ pub struct GlobalConfig {
     pub max_motion_rounds: Option<usize>,
     /// Keep copies of the intermediate programs (costs two clones).
     pub keep_snapshots: bool,
-    /// Trace sink for spans and counters; disabled (a no-op) by default.
+    /// The observer: spans and counters go to its sink, and a
+    /// [recording](Tracer::recording) tracer also keeps one
+    /// [`am_trace::ProvRecord`] per individual transformation
+    /// (`amopt --explain`). Disabled (a no-op) by default.
     pub tracer: Tracer,
-    /// Provenance sink recording one [`am_obs::ProvRecord`] per individual
-    /// transformation (`amopt --explain`); disabled (one branch per
-    /// potential record) by default.
-    pub recorder: ProvRecorder,
 }
 
 impl Default for GlobalConfig {
@@ -65,7 +63,6 @@ impl Default for GlobalConfig {
             max_motion_rounds: None,
             keep_snapshots: true,
             tracer: Tracer::disabled(),
-            recorder: ProvRecorder::disabled(),
         }
     }
 }

@@ -45,7 +45,7 @@ use am_bitset::BitSet;
 use am_dfa::{compose_row, solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
+use am_trace::{ProvKind, ProvRecord, Tracer};
 
 use crate::incremental::MotionContext;
 
@@ -365,8 +365,8 @@ pub struct HoistOutcome {
 pub fn hoist_assignments(g: &mut FlowGraph) -> HoistOutcome {
     let mut ctx = MotionContext::new();
     let analysis = ctx.hoisting(g);
-    let recorder = ProvRecorder::disabled();
-    ctx.apply_insertion_step(g, &analysis, None, &recorder, 0, &mut Rewritten::default())
+    let tracer = Tracer::disabled();
+    ctx.apply_insertion_step(g, &analysis, None, &tracer, 0, &mut Rewritten::default())
 }
 
 /// The blocks an insertion step rewrote, in node order, and how many
@@ -376,7 +376,7 @@ pub(crate) struct Rewritten {
     pub(crate) blocks: Vec<NodeId>,
     /// Blocks whose insertions re-create exactly the removed candidates at
     /// the same positions (identity moves): counted as inserts and
-    /// removals, reported to the recorder, but not rewritten.
+    /// removals, reported to the tracer, but not rewritten.
     pub(crate) identity: usize,
     /// Scratch: one block's new ids, and the patterns inserted at its
     /// entry and exit.
@@ -390,7 +390,7 @@ impl MotionContext {
     /// in this context, restricted to pattern `only` when given (the
     /// restricted baseline of Fig. 8/9 and the universe explorer hoist one
     /// pattern at a time, each on a copy of the program the context
-    /// synced). Every insertion and removal is reported to `recorder`.
+    /// synced). Every insertion and removal is reported to `tracer`.
     ///
     /// Same-point insertions are emitted in first-occurrence order and
     /// limited to patterns that still occur — the pattern set and bit
@@ -408,7 +408,7 @@ impl MotionContext {
         g: &mut FlowGraph,
         analysis: &HoistAnalysis,
         only: Option<usize>,
-        recorder: &ProvRecorder,
+        tracer: &Tracer,
         round: u32,
         rewritten: &mut Rewritten,
     ) -> HoistOutcome {
@@ -452,9 +452,9 @@ impl MotionContext {
             in_order(&analysis.x_insert[ni], &mut exit);
             outcome.inserted += entry.len() + exit.len();
             outcome.removed += removals;
-            if recorder.is_enabled() {
+            if tracer.is_recording() {
                 let observe = |kind, index, instr: &Instr, pattern: usize, fact: &str| {
-                    recorder.record(ProvRecord {
+                    tracer.record(ProvRecord {
                         kind,
                         phase: "motion",
                         round,
@@ -695,9 +695,8 @@ mod tests {
         let stamps = |g: &FlowGraph| (g.nodes().map(|n| g.block(n).stamp())).collect::<Vec<_>>();
         let (before, before_stamps, last) = (g.clone(), stamps(&g), g.last_stamp());
         let mut rewritten = Rewritten::default();
-        let recorder = ProvRecorder::disabled();
-        let outcome =
-            ctx.apply_insertion_step(&mut g, &analysis, None, &recorder, 0, &mut rewritten);
+        let tracer = Tracer::disabled();
+        let outcome = ctx.apply_insertion_step(&mut g, &analysis, None, &tracer, 0, &mut rewritten);
         assert_eq!((outcome.inserted, outcome.removed), (2, 2));
         assert!(!outcome.changed);
         assert_eq!(rewritten.identity, 1);
@@ -730,9 +729,8 @@ mod tests {
             .for_each(|end| *end -= 1);
         analysis.n_insert[n2.index()].remove(y);
         let mut rewritten = Rewritten::default();
-        let recorder = ProvRecorder::disabled();
-        let outcome =
-            ctx.apply_insertion_step(&mut g, &analysis, None, &recorder, 0, &mut rewritten);
+        let tracer = Tracer::disabled();
+        let outcome = ctx.apply_insertion_step(&mut g, &analysis, None, &tracer, 0, &mut rewritten);
         assert!(analysis.n_insert[n2.index()].contains(x));
         assert!(outcome.changed);
         assert_eq!((rewritten.blocks, rewritten.identity), (vec![n2], 0));

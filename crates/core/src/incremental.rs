@@ -95,7 +95,6 @@ use am_bitset::BitSet;
 use am_dfa::{BlockGraph, Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::intern::{FxMapHasher, InstrId};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
-use am_obs::ProvRecorder;
 use am_trace::{Span, Tracer};
 
 use crate::hoist::{blocking_row, BlockLocals, HoistAnalysis, HoistOutcome, Rewritten};
@@ -535,11 +534,10 @@ impl MotionContext {
         &mut self,
         g: &mut FlowGraph,
         tracer: &Tracer,
-        recorder: &ProvRecorder,
         round: u32,
     ) -> RaeOutcome {
         let mut span = tracer.span("analysis", "rae");
-        let sol = self.redundant_locs(g, recorder, round);
+        let sol = self.redundant_locs(g, tracer, round);
         let locs = std::mem::take(&mut self.rae_locs);
         self.remove_redundant(g, &locs);
         let outcome = RaeOutcome {
@@ -570,7 +568,6 @@ impl MotionContext {
         &mut self,
         g: &mut FlowGraph,
         tracer: &Tracer,
-        recorder: &ProvRecorder,
         round: u32,
     ) -> HoistOutcome {
         let input_hash = self.fingerprint(g);
@@ -592,8 +589,7 @@ impl MotionContext {
             ],
         );
         let mut rewritten = std::mem::take(&mut self.rewritten);
-        let outcome =
-            self.apply_insertion_step(g, &analysis, None, recorder, round, &mut rewritten);
+        let outcome = self.apply_insertion_step(g, &analysis, None, tracer, round, &mut rewritten);
         for &n in &rewritten.blocks {
             self.rekey(g, n);
         }
@@ -732,7 +728,7 @@ pub(crate) mod tests {
     use crate::motion::{MotionOrder, MotionStats};
     use am_ir::random::{corpus80, nest_grid, structured, wide_fan, SplitMix64, StructuredConfig};
     use am_ir::{Operand, Term};
-    use am_obs::{ProvKind, ProvRecord};
+    use am_trace::{ProvKind, ProvRecord};
 
     /// The 80-program corpus and 200 seeded structured programs, critical
     /// edges split.
@@ -765,15 +761,15 @@ pub(crate) mod tests {
 
     #[test]
     fn incremental_mirror_equals_a_full_resync_after_every_round() {
-        let (tracer, recorder) = (Tracer::disabled(), ProvRecorder::disabled());
+        let tracer = Tracer::disabled();
         for (p, program) in programs().into_iter().enumerate() {
             let mut g = program.clone();
             let mut ctx = MotionContext::new();
             for round in 1..=default_round_budget(&g) as u32 {
                 let before = ctx.fingerprint(&g);
-                let rae = ctx.rae_round(&mut g, &tracer, &recorder, round);
+                let rae = ctx.rae_round(&mut g, &tracer, round);
                 assert_mirror_is_exact(&mut ctx, &g, &format!("program {p} round {round} rae"));
-                let hoist = ctx.hoist_round(&mut g, &tracer, &recorder, round);
+                let hoist = ctx.hoist_round(&mut g, &tracer, round);
                 assert_mirror_is_exact(&mut ctx, &g, &format!("program {p} round {round}"));
                 if (rae.eliminated == 0 && !hoist.changed) || ctx.fingerprint(&g) == before {
                     break;
@@ -921,23 +917,22 @@ pub(crate) mod tests {
         program: &FlowGraph,
         ctx: &mut MotionContext,
         order: MotionOrder,
-        recorder: &ProvRecorder,
+        tracer: &Tracer,
         mut check: impl FnMut(&mut MotionContext, &mut FlowGraph, &str),
     ) -> FlowGraph {
-        let tracer = Tracer::disabled();
         let mut g = program.clone();
         for round in 1..=default_round_budget(&g) as u32 {
             let before = ctx.fingerprint(&g);
             let (rae, hoist) = match order {
                 MotionOrder::RaeFirst => {
-                    let rae = ctx.rae_round(&mut g, &tracer, recorder, round);
+                    let rae = ctx.rae_round(&mut g, tracer, round);
                     check(ctx, &mut g, &format!("round {round} rae"));
-                    (rae, ctx.hoist_round(&mut g, &tracer, recorder, round))
+                    (rae, ctx.hoist_round(&mut g, tracer, round))
                 }
                 MotionOrder::HoistFirst => {
-                    let hoist = ctx.hoist_round(&mut g, &tracer, recorder, round);
+                    let hoist = ctx.hoist_round(&mut g, tracer, round);
                     check(ctx, &mut g, &format!("round {round} hoist"));
-                    (ctx.rae_round(&mut g, &tracer, recorder, round), hoist)
+                    (ctx.rae_round(&mut g, tracer, round), hoist)
                 }
             };
             check(ctx, &mut g, &format!("round {round}"));
@@ -963,7 +958,7 @@ pub(crate) mod tests {
                     &program,
                     &mut ctx,
                     order,
-                    &ProvRecorder::disabled(),
+                    &Tracer::disabled(),
                     |ctx, g, at| {
                         let a = ctx.hoisting(g);
                         for n in g.nodes() {
@@ -1000,24 +995,18 @@ pub(crate) mod tests {
             for (p, program) in programs_and_xl().into_iter().enumerate() {
                 // The reference context forgets every quiet block before
                 // each round, so it streams every occurrence block.
-                let forced_recorder = ProvRecorder::enabled();
+                let forced_tracer = Tracer::disabled().recording();
                 let mut forced = MotionContext::new();
                 let mut forced_rounds = Vec::new();
-                let forced_g = replay(
-                    &program,
-                    &mut forced,
-                    order,
-                    &forced_recorder,
-                    |ctx, _, _| {
-                        ctx.quiet_blocks.clear();
-                        forced_rounds.push(eliminations(forced_recorder.take()));
-                    },
-                );
-                let recorder = ProvRecorder::enabled();
+                let forced_g = replay(&program, &mut forced, order, &forced_tracer, |ctx, _, _| {
+                    ctx.quiet_blocks.clear();
+                    forced_rounds.push(eliminations(forced_tracer.take_records()));
+                });
+                let tracer = Tracer::disabled().recording();
                 let mut ctx = MotionContext::new();
                 let mut rounds = Vec::new();
-                let g = replay(&program, &mut ctx, order, &recorder, |_, _, _| {
-                    rounds.push(eliminations(recorder.take()));
+                let g = replay(&program, &mut ctx, order, &tracer, |_, _, _| {
+                    rounds.push(eliminations(tracer.take_records()));
                 });
                 assert_eq!(rounds, forced_rounds, "{order:?} program {p}: eliminations");
                 assert_eq!(g, forced_g, "{order:?} program {p}");
@@ -1031,16 +1020,16 @@ pub(crate) mod tests {
     fn a_clean_block_is_streamed_again_when_its_entry_fact_changes() {
         let mut program = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
         program.split_critical_edges();
-        let recorder = ProvRecorder::enabled();
+        let tracer = Tracer::disabled().recording();
         let mut ctx = MotionContext::new();
         replay(
             &program,
             &mut ctx,
             MotionOrder::RaeFirst,
-            &recorder,
+            &tracer,
             |_, _, _| {},
         );
-        let eliminated: Vec<(u32, String)> = eliminations(recorder.take())
+        let eliminated: Vec<(u32, String)> = eliminations(tracer.take_records())
             .into_iter()
             .map(|r| (r.round, r.node))
             .collect();
@@ -1091,7 +1080,7 @@ pub(crate) mod tests {
             &program,
             &mut ctx,
             MotionOrder::RaeFirst,
-            &ProvRecorder::disabled(),
+            &Tracer::disabled(),
             |_, _, _| {},
         );
         assert_eq!(

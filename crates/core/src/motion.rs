@@ -98,9 +98,9 @@ pub fn assignment_motion(g: &mut FlowGraph) -> MotionStats {
 /// Each round runs under a `round` span of `config.tracer` carrying its
 /// eliminated/inserted/removed counts, and the rae/aht passes emit their
 /// own `analysis` counters. Every elimination, hoist insertion and hoist
-/// removal appends one [`am_obs::ProvRecord`] to `config.recorder`, keyed by
-/// node, instruction text, pattern bit and round; a disabled recorder costs
-/// one branch per potential record.
+/// removal appends one [`am_trace::ProvRecord`] to `config.tracer`, keyed by
+/// node, instruction text, pattern bit and round; a tracer that is not
+/// recording costs one branch per potential record.
 ///
 /// The hook receives the 1-based round number and the program as it stands
 /// after that round's `rae; aht` (or `aht; rae`) pass, *before* the
@@ -137,7 +137,7 @@ pub(crate) fn run_motion(
     let max_rounds = config
         .max_motion_rounds
         .unwrap_or_else(|| default_round_budget(g));
-    let (tracer, recorder) = (&config.tracer, &config.recorder);
+    let tracer = &config.tracer;
     let mut stats = MotionStats::default();
     for round in 1..=max_rounds {
         let name = if tracer.enabled() {
@@ -149,12 +149,12 @@ pub(crate) fn run_motion(
         let before_hash = ctx.fingerprint(g);
         let (rae, hoist) = match order {
             MotionOrder::RaeFirst => {
-                let rae = ctx.rae_round(g, tracer, recorder, round as u32);
-                (rae, ctx.hoist_round(g, tracer, recorder, round as u32))
+                let rae = ctx.rae_round(g, tracer, round as u32);
+                (rae, ctx.hoist_round(g, tracer, round as u32))
             }
             MotionOrder::HoistFirst => {
-                let hoist = ctx.hoist_round(g, tracer, recorder, round as u32);
-                (ctx.rae_round(g, tracer, recorder, round as u32), hoist)
+                let hoist = ctx.hoist_round(g, tracer, round as u32);
+                (ctx.rae_round(g, tracer, round as u32), hoist)
             }
         };
         stats.rounds += 1;

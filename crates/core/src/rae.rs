@@ -32,8 +32,7 @@ use std::rc::Rc;
 use am_bitset::BitSet;
 use am_dfa::{compose, stream, Confluence, Direction, PatternMasks, PointFacts, Problem, Solution};
 use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
-use am_trace::Tracer;
+use am_trace::{ProvKind, ProvRecord, Tracer};
 
 use crate::incremental::MotionContext;
 
@@ -145,7 +144,7 @@ impl MotionContext {
 
     /// Finds the redundant occurrences of `g` — those whose own bit holds
     /// at their entry (Def. 3.4) — in program order, each reported to
-    /// `recorder`, into [`Self::rae_locs`], and returns the solution they
+    /// `tracer`, into [`Self::rae_locs`], and returns the solution they
     /// were read from. The facts
     /// describe the program before any removal: every occurrence's
     /// redundancy is justified by earlier occurrences that the elimination
@@ -158,7 +157,7 @@ impl MotionContext {
     pub(crate) fn redundant_locs(
         &mut self,
         g: &FlowGraph,
-        recorder: &ProvRecorder,
+        tracer: &Tracer,
         round: u32,
     ) -> Solution {
         let sol = self.solve_redundancy(g);
@@ -190,8 +189,8 @@ impl MotionContext {
                     let Some(i) = own.filter(|&i| fact.contains(i)) else {
                         return;
                     };
-                    if recorder.is_enabled() {
-                        recorder.record(ProvRecord {
+                    if tracer.is_recording() {
+                        tracer.record(ProvRecord {
                         kind: ProvKind::Eliminate,
                         phase: "motion",
                         round,
@@ -268,7 +267,7 @@ pub fn analyze_redundancy(g: &FlowGraph) -> RedundancyAnalysis {
 /// entry, with the solver iterations spent.
 pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
     let mut ctx = MotionContext::new();
-    let sol = ctx.redundant_locs(g, &ProvRecorder::disabled(), 0);
+    let sol = ctx.redundant_locs(g, &Tracer::disabled(), 0);
     (ctx.rae_locs, sol.iterations)
 }
 
@@ -288,7 +287,7 @@ pub fn redundant_locs(g: &FlowGraph) -> (Vec<Loc>, u64) {
 /// # Ok::<(), am_ir::text::ParseError>(())
 /// ```
 pub fn eliminate_redundant_assignments(g: &mut FlowGraph) -> RaeOutcome {
-    MotionContext::new().rae_round(g, &Tracer::disabled(), &ProvRecorder::disabled(), 0)
+    MotionContext::new().rae_round(g, &Tracer::disabled(), 0)
 }
 
 /// Removes the instructions at `locs`, in any order, from `g`. Locations

@@ -14,7 +14,7 @@
 //! *strictly decreases* the pattern's occurrence count.
 
 use am_ir::FlowGraph;
-use am_obs::ProvRecorder;
+use am_trace::Tracer;
 
 use crate::hoist::Rewritten;
 use crate::incremental::MotionContext;
@@ -56,7 +56,7 @@ fn occurrence_count(g: &FlowGraph, pat: &am_ir::AssignPattern) -> usize {
 pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
     let mut stats = RestrictedStats::default();
     let budget = crate::motion::default_round_budget(g);
-    let recorder = ProvRecorder::disabled();
+    let tracer = Tracer::disabled();
     for _ in 0..budget {
         stats.rounds += 1;
         stats.eliminated += eliminate_redundant_assignments(g).eliminated;
@@ -74,7 +74,7 @@ pub fn restricted_assignment_motion(g: &mut FlowGraph) -> RestrictedStats {
                 &mut tentative,
                 &analysis,
                 Some(i),
-                &recorder,
+                &tracer,
                 0,
                 &mut Rewritten::default(),
             );

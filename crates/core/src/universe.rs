@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use am_ir::alpha::canonical_text;
 use am_ir::FlowGraph;
-use am_obs::ProvRecorder;
+use am_trace::Tracer;
 
 use crate::hoist::Rewritten;
 use crate::incremental::MotionContext;
@@ -72,14 +72,14 @@ pub fn successors(g: &FlowGraph) -> Vec<FlowGraph> {
     // Per-pattern hoisting steps.
     let mut ctx = MotionContext::new();
     let analysis = ctx.hoisting(g);
-    let recorder = ProvRecorder::disabled();
+    let tracer = Tracer::disabled();
     for i in 0..analysis.universe.assign_count() {
         let mut next = g.clone();
         let outcome = ctx.apply_insertion_step(
             &mut next,
             &analysis,
             Some(i),
-            &recorder,
+            &tracer,
             0,
             &mut Rewritten::default(),
         );

@@ -1,7 +1,7 @@
 //! `L103`: cross-check of the optimizer's own justifications against the
 //! lint suite's redundancy analysis.
 //!
-//! `amopt --explain` produces one [`am_obs::ProvRecord`] per
+//! `amopt --explain` produces one [`am_trace::ProvRecord`] per
 //! transformation; an `Eliminate` record claims its site was
 //! *must-redundant* — the eliminated right-hand side available on every
 //! incoming path when control reaches the occurrence. That is exactly the
@@ -17,7 +17,7 @@ use am_core::explain::{locate, Capture};
 use am_dfa::classic::available_expressions;
 use am_dfa::{BlockGraph, PointFacts};
 use am_ir::{FlowGraph, Instr, PatternUniverse};
-use am_obs::ProvRecord;
+use am_trace::ProvRecord;
 
 use crate::diag::{Diagnostic, LintReport, Severity};
 use crate::LintConfig;
@@ -123,8 +123,7 @@ mod tests {
     use super::*;
     use am_core::explain::capture;
     use am_ir::text::parse;
-    use am_obs::ProvKind;
-    use am_trace::Tracer;
+    use am_trace::{ProvKind, Tracer};
 
     #[test]
     fn running_example_provenance_agrees_with_l101() {

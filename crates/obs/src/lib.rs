@@ -1,17 +1,17 @@
-//! `am-obs`: the observability layer of the assignment-motion workspace.
+//! `am-obs`: the operational side of observability in the
+//! assignment-motion workspace — what a running service exposes and what
+//! the bench tooling checks.
 //!
-//! Four independent pieces, all zero-dependency (`am-trace` supplies the
-//! one JSON codec and the metrics primitives):
+//! Independent, zero-dependency pieces (`am-trace` supplies the one JSON
+//! codec and the metrics primitives). The optimizer's own observer, spans,
+//! counters and the decision log (`am_trace::provenance`) alike, is
+//! `am_trace::Tracer`; no optimizer crate depends on this one.
 //!
-//! * [`provenance`] — per-instruction decision records captured while the
-//!   optimizer runs: which analysis fact (which bit of which Table 1/2/3
-//!   row at which point) justified each elimination, hoist and flush
-//!   motion. Exported as JSONL and as a human report naming the paper rule
-//!   applied per site (`amopt --explain`).
 //! * [`promtext`] — a registry of named counters/gauges/histograms rendered
 //!   in the Prometheus text exposition format (0.0.4): `# HELP`/`# TYPE`
 //!   lines, label sets, cumulative `_bucket`/`_sum`/`_count` histograms.
-//!   `amserve --metrics` serves this over [`httpx`].
+//!   `amserve --metrics` serves this over [`httpx`], a minimal HTTP/1.1
+//!   exchange.
 //! * [`ring`] — a bounded in-memory ring of per-request span trees, keyed
 //!   by client-generated trace ids propagated through the wire protocol
 //!   (`amclient trace-tail`).
@@ -24,10 +24,8 @@
 
 pub mod httpx;
 pub mod promtext;
-pub mod provenance;
 pub mod regress;
 pub mod ring;
 
 pub use promtext::Registry;
-pub use provenance::{ProvKind, ProvRecord, ProvRecorder};
 pub use ring::{TraceEntry, TraceRing};

@@ -18,10 +18,9 @@ use std::process::ExitCode;
 
 use am_core::explain::capture;
 use am_lang::SourceKind;
-use am_obs::provenance;
 use am_pipeline::bench_json::{self, BenchRecord};
 use am_pipeline::{Job, JobInput, JobOutcome, Pipeline, PipelineConfig, PipelineReport};
-use am_trace::{export, Tracer};
+use am_trace::{export, provenance, Tracer};
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum TraceFormat {
@@ -251,16 +250,22 @@ fn bench_records(report: &PipelineReport) -> Vec<BenchRecord> {
         .filter_map(|job| {
             let o = job.optimized()?;
             let r = &o.result;
+            let cache_hit = o.source.is_cached();
+            let timings = if cache_hit {
+                Default::default()
+            } else {
+                r.timings
+            };
             Some(BenchRecord {
                 label: job.name.clone(),
                 nodes: r.nodes,
                 instrs: r.instrs,
                 points: r.points,
-                wall_micros: o.timings.total().as_micros(),
-                split_micros: o.timings.split.as_micros(),
-                init_micros: o.timings.init.as_micros(),
-                motion_micros: o.timings.motion.as_micros(),
-                flush_micros: o.timings.flush.as_micros(),
+                wall_micros: timings.total().as_micros(),
+                split_micros: timings.split.as_micros(),
+                init_micros: timings.init.as_micros(),
+                motion_micros: timings.motion.as_micros(),
+                flush_micros: timings.flush.as_micros(),
                 rounds: r.motion.rounds,
                 converged: r.motion.converged,
                 iterations: r.motion.iterations + r.flush.iterations,
@@ -269,16 +274,16 @@ fn bench_records(report: &PipelineReport) -> Vec<BenchRecord> {
                 eliminated: r.motion.eliminated,
                 inserted: r.motion.inserted,
                 removed: r.motion.removed,
-                cache_hit: o.cache_hit,
+                cache_hit,
                 allocations: None,
             })
         })
         .collect()
 }
 
-/// The `--explain` pass: re-optimizes every job sequentially with the
-/// provenance recorder enabled (no cache — a cache hit is exactly a run
-/// whose decisions were not replayed), printing the human report and
+/// The `--explain` pass: re-optimizes every job sequentially on a
+/// recording tracer (no cache — a cache hit is exactly a run whose
+/// decisions were not replayed), printing the human report and
 /// optionally exporting per-job JSONL + report files. With `--prove`,
 /// every `Eliminate` record's side condition (must-redundancy at the
 /// recorded site) of that same capture is additionally discharged

@@ -161,8 +161,8 @@ impl Pipeline {
             .collect();
         let mut phase_totals = PhaseTimings::default();
         for job in &jobs {
-            if let Some(o) = job.optimized() {
-                phase_totals.accumulate(&o.timings);
+            if let Some(o) = job.optimized().filter(|o| !o.source.is_cached()) {
+                phase_totals.accumulate(&o.result.timings);
             }
         }
         let cache = self.cache.stats();
@@ -202,7 +202,7 @@ impl Pipeline {
             Err(payload) => JobOutcome::Panicked(panic_message(payload.as_ref())),
         };
         if let JobOutcome::Optimized(o) = &outcome {
-            span.arg("cache_hit", o.cache_hit as i64);
+            span.arg("cache_hit", o.source.is_cached() as i64);
         }
         drop(span);
         JobReport {
@@ -254,9 +254,7 @@ impl Pipeline {
             return OptimizedJob {
                 input_hash,
                 source: ResultSource::Memory,
-                cache_hit: true,
                 result,
-                timings: PhaseTimings::default(),
                 verification: None,
                 prove: None,
             };
@@ -267,9 +265,7 @@ impl Pipeline {
                 return OptimizedJob {
                     input_hash,
                     source: ResultSource::Secondary,
-                    cache_hit: true,
                     result,
-                    timings: PhaseTimings::default(),
                     verification: None,
                     prove: None,
                 };
@@ -282,7 +278,6 @@ impl Pipeline {
             max_motion_rounds: self.config.max_motion_rounds,
             keep_snapshots: false,
             tracer: self.config.tracer.clone(),
-            ..GlobalConfig::default()
         };
         let out = optimize_owned(graph, &config, &mut |_, _| {});
         let lint = self.config.lint.then(|| {
@@ -314,9 +309,7 @@ impl Pipeline {
         OptimizedJob {
             input_hash,
             source: ResultSource::Fresh,
-            cache_hit: false,
             result,
-            timings: out.timings,
             verification: None,
             prove: None,
         }

@@ -4,7 +4,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use am_core::global::PhaseTimings;
 use am_lang::SourceKind;
 
 use crate::cache::CachedResult;
@@ -113,15 +112,13 @@ impl ResultSource {
 pub struct OptimizedJob {
     /// Stable content hash of the *input* program (the cache key).
     pub input_hash: u64,
-    /// Which tier produced the result.
+    /// Which tier produced the result; [`ResultSource::is_cached`] tells
+    /// a cache hit.
     pub source: ResultSource,
-    /// Whether the result came from a cache (memory or secondary).
-    pub cache_hit: bool,
-    /// The optimized program and its per-phase statistics.
+    /// The optimized program and its per-phase statistics. Its `timings`
+    /// are this job's own optimizer run only when `source` is
+    /// [`ResultSource::Fresh`]; a cache hit ran nothing.
     pub result: Arc<CachedResult>,
-    /// Per-phase wall times of this job's own optimizer run; zero on a
-    /// cache hit (nothing ran).
-    pub timings: PhaseTimings,
     /// Translation-validation verdict: `None` when verification was not
     /// requested, `Some(Err(_))` names the failing phase. Present even on
     /// cache hits — the cache stores results, not validations.

@@ -59,7 +59,7 @@ impl PipelineReport {
     pub fn cache_hits(&self) -> usize {
         self.jobs
             .iter()
-            .filter(|j| j.optimized().is_some_and(|o| o.cache_hit))
+            .filter(|j| j.optimized().is_some_and(|o| o.source.is_cached()))
             .count()
     }
 

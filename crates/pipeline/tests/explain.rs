@@ -10,8 +10,7 @@ use std::collections::HashMap;
 use am_core::explain::capture;
 use am_ir::random::corpus80;
 use am_ir::FlowGraph;
-use am_obs::{ProvKind, ProvRecord, ProvRecorder};
-use am_trace::Tracer;
+use am_trace::{ProvKind, ProvRecord, Tracer};
 
 /// Per-site instruction multiset: (block label, instruction text) → count.
 type Multiset = HashMap<(String, String), i64>;
@@ -66,14 +65,17 @@ fn count(records: &[ProvRecord], kind: ProvKind) -> usize {
 }
 
 /// Recording provenance must be observation only: the explained run's
-/// final program is bit-identical to the normal (recorder-disabled)
-/// pipeline run, and the default path really is the disabled one-branch
-/// recorder — no records accumulate anywhere a caller didn't ask for them.
+/// final program is bit-identical to the normal (not recording) pipeline
+/// run, and the default tracer really is the one-branch one that keeps no
+/// records — none accumulate anywhere a caller didn't ask for them.
 #[test]
 fn recording_never_perturbs_the_optimization() {
-    let disabled = ProvRecorder::default();
-    assert!(!disabled.is_enabled(), "default recorder is disabled");
-    assert!(disabled.take().is_empty());
+    let default = Tracer::default();
+    assert!(
+        !default.is_recording(),
+        "the default tracer keeps no records"
+    );
+    assert!(default.take_records().is_empty());
 
     let pipeline = am_pipeline::Pipeline::new(am_pipeline::PipelineConfig::default());
     for (name, g) in corpus80().into_iter().take(12) {

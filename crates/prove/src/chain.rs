@@ -82,7 +82,6 @@ pub fn prove_optimization(
         max_motion_rounds,
         keep_snapshots: false,
         tracer: cfg.tracer.clone(),
-        ..Default::default()
     };
     optimize_hooked(g, &global, &mut |phase, prog| {
         snapshots.push((phase, prog.clone()));

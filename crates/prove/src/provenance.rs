@@ -1,7 +1,7 @@
 //! Static discharge of provenance records.
 //!
 //! `amopt --explain` justifies every transformation with an
-//! [`am_obs::ProvRecord`] naming the paper rule that licensed it. For an
+//! [`am_trace::ProvRecord`] naming the paper rule that licensed it. For an
 //! `Eliminate` record the side condition is *must-redundancy*: at the
 //! eliminated occurrence `x := t`, every path already computed `t` into
 //! `x` with neither operand disturbed since — i.e. the symbolic store
@@ -31,7 +31,7 @@
 
 use am_core::explain::{locate, Capture};
 use am_ir::{Instr, Loc};
-use am_obs::ProvRecord;
+use am_trace::ProvRecord;
 
 use crate::engine::{prove_pair, prove_pair_probed, ProveConfig, Verdict};
 use crate::sim::Probe;

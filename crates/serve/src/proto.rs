@@ -363,7 +363,7 @@ pub struct StatsSnapshot {
 }
 
 /// The four phase labels, index-aligned with [`StatsSnapshot::phases`].
-pub const PHASE_NAMES: [&str; 4] = ["split", "init", "motion", "flush"];
+pub use am_obs::ring::PHASE_NAMES;
 
 /// A response as seen by the client.
 #[derive(Clone, Debug, PartialEq)]

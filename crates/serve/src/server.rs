@@ -693,13 +693,14 @@ fn process_leader(shared: &Shared, mut job: PendingJob) {
     span.arg("followers", followers.len() as i64);
     match outcome {
         Ok(out) => {
-            if out.source == ResultSource::Fresh {
-                shared.metrics.phase_timings([
-                    out.timings.split.as_micros() as u64,
-                    out.timings.init.as_micros() as u64,
-                    out.timings.motion.as_micros() as u64,
-                    out.timings.flush.as_micros() as u64,
-                ]);
+            // The phase micros of the run that actually executed the
+            // optimizer; a cache hit ran nothing.
+            let phases = (out.source == ResultSource::Fresh).then(|| {
+                let t = &out.result.timings;
+                [t.split, t.init, t.motion, t.flush].map(|d| d.as_micros() as u64)
+            });
+            if let Some(phases) = phases {
+                shared.metrics.phase_timings(phases);
             }
             shared.tracer.counter(
                 "serve",
@@ -709,9 +710,9 @@ fn process_leader(shared: &Shared, mut job: PendingJob) {
                     ("coalesced", followers.len() as i64),
                 ],
             );
-            answer(shared, &job, &out, out.source.label(), false);
+            answer(shared, &job, &out, out.source.label(), false, phases);
             for follower in &followers {
-                answer(shared, follower, &out, "coalesced", true);
+                answer(shared, follower, &out, "coalesced", true, None);
             }
         }
         Err(payload) => {
@@ -738,7 +739,17 @@ fn process_leader(shared: &Shared, mut job: PendingJob) {
     }
 }
 
-fn answer(shared: &Shared, job: &PendingJob, out: &OptimizedJob, source: &str, coalesced: bool) {
+/// Sends `out` to `job` and records its trace and metrics. `phases` are
+/// the phase micros of a leader that ran the optimizer; cache hits and
+/// coalesced riders pass `None` and carry the flat request span alone.
+fn answer(
+    shared: &Shared,
+    job: &PendingJob,
+    out: &OptimizedJob,
+    source: &str,
+    coalesced: bool,
+    phases: Option<[u64; 4]>,
+) {
     let service_micros = job.clock.elapsed().as_micros() as u64;
     let r = &out.result;
     let payload = ResultPayload {
@@ -762,14 +773,6 @@ fn answer(shared: &Shared, job: &PendingJob, out: &OptimizedJob, source: &str, c
         service_micros,
     };
     job.conn.send(&proto::encode_result(job.id, &payload));
-    // Phase spans only for the run that actually executed the optimizer;
-    // cache hits and coalesced riders carry the flat request span alone.
-    let phases = (!coalesced && out.source == ResultSource::Fresh).then_some([
-        out.timings.split.as_micros() as u64,
-        out.timings.init.as_micros() as u64,
-        out.timings.motion.as_micros() as u64,
-        out.timings.flush.as_micros() as u64,
-    ]);
     shared.record_trace(
         &job.trace,
         &job.name,

@@ -1,5 +1,4 @@
-//! Where events go: the [`Sink`] trait, the always-off [`NoopSink`] and the
-//! in-memory [`Collector`].
+//! Where events go: the [`Sink`] trait and the in-memory [`Collector`].
 //!
 //! Sinks are shared as `Arc<dyn Sink>`; every producer in the workspace
 //! (optimizer phases, pipeline workers, validation campaigns) writes to the
@@ -18,18 +17,6 @@ pub trait Sink: Send + Sync {
     /// Microseconds elapsed since this sink's epoch (events are stamped
     /// relative to it).
     fn now_micros(&self) -> u64;
-}
-
-/// A sink that drops everything. [`Tracer::disabled`](crate::Tracer::disabled)
-/// short-circuits before even building events, so this type mostly exists
-/// to make `Arc<dyn Sink>` total.
-pub struct NoopSink;
-
-impl Sink for NoopSink {
-    fn emit(&self, _event: Event) {}
-    fn now_micros(&self) -> u64 {
-        0
-    }
 }
 
 /// An in-memory, thread-safe event collector with a fixed epoch.

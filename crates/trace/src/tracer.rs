@@ -7,12 +7,18 @@
 //! their own reporting, e.g. `PhaseTimings`) but touches no shared state
 //! and emits nothing — the hot-path cost of disabled tracing is one branch
 //! and one `Instant::now` per span, taken only at phase granularity.
+//!
+//! The same handle carries the optimizer's decision log: a tracer made by
+//! [`Tracer::recording`] also keeps every [`ProvRecord`] a pass reports,
+//! in one log its clones share. Any other tracer drops records on one
+//! branch, before a pass formats a record's text.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::event::{Event, EventKind};
+use crate::provenance::ProvRecord;
 use crate::sink::{Collector, Sink};
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
@@ -26,16 +32,19 @@ fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-/// A handle for emitting spans and counters into a shared [`Sink`].
+/// A handle for emitting spans and counters into a shared [`Sink`], and
+/// provenance records into a shared log.
 #[derive(Clone, Default)]
 pub struct Tracer {
     sink: Option<Arc<dyn Sink>>,
+    records: Option<Arc<Mutex<Vec<ProvRecord>>>>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("enabled", &self.enabled())
+            .field("recording", &self.is_recording())
             .finish()
     }
 }
@@ -43,12 +52,50 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// The no-op tracer: nothing is recorded anywhere.
     pub fn disabled() -> Tracer {
-        Tracer { sink: None }
+        Tracer::default()
     }
 
     /// A tracer writing into `sink`.
     pub fn new(sink: Arc<dyn Sink>) -> Tracer {
-        Tracer { sink: Some(sink) }
+        Tracer {
+            sink: Some(sink),
+            records: None,
+        }
+    }
+
+    /// A tracer emitting into this one's sink (if any) that also keeps
+    /// provenance records, in a fresh log its clones share.
+    pub fn recording(&self) -> Tracer {
+        Tracer {
+            sink: self.sink.clone(),
+            records: Some(Arc::default()),
+        }
+    }
+
+    /// Whether records are kept. A pass checks this before formatting a
+    /// record's instruction text, so a tracer that is not recording pays
+    /// one branch per potential record.
+    #[inline]
+    pub fn is_recording(&self) -> bool {
+        self.records.is_some()
+    }
+
+    /// Appends one provenance record (a no-op unless recording).
+    pub fn record(&self, record: ProvRecord) {
+        if let Some(records) = &self.records {
+            records
+                .lock()
+                .expect("provenance log poisoned")
+                .push(record);
+        }
+    }
+
+    /// Takes every record kept so far, leaving the log empty.
+    pub fn take_records(&self) -> Vec<ProvRecord> {
+        match &self.records {
+            Some(records) => std::mem::take(&mut *records.lock().expect("provenance log poisoned")),
+            None => Vec::new(),
+        }
     }
 
     /// Convenience: a fresh in-memory [`Collector`] plus a tracer feeding
@@ -291,6 +338,46 @@ mod tests {
         tids.sort_unstable();
         tids.dedup();
         assert_eq!(tids.len(), 3, "{events:?}");
+    }
+
+    #[test]
+    fn records_ride_a_recording_tracer_only() {
+        let record = |round| ProvRecord {
+            kind: crate::ProvKind::Eliminate,
+            phase: "motion",
+            round,
+            node: "1".into(),
+            index: Some(0),
+            instr: "x := a+b".into(),
+            new_instr: None,
+            pattern: Some(0),
+            instr_id: None,
+            justification: "N-REDUNDANT".into(),
+        };
+        let (parent, collector) = Tracer::collector();
+        assert!(!parent.is_recording());
+        parent.record(record(1));
+        assert!(parent.take_records().is_empty(), "no log, nothing kept");
+
+        let recording = parent.recording();
+        assert!(recording.is_recording() && recording.enabled());
+        let clone = recording.clone();
+        clone.record(record(1));
+        recording.record(record(2));
+        assert!(parent.take_records().is_empty(), "the parent has no log");
+        assert!(parent.recording().take_records().is_empty(), "a fresh log");
+        let rounds: Vec<u32> = recording.take_records().iter().map(|r| r.round).collect();
+        assert_eq!(rounds, [1, 2], "clones share one log, in order");
+        assert!(clone.take_records().is_empty(), "take_records drains it");
+
+        drop(recording.span("phase", "flush"));
+        let events = collector.take();
+        assert_eq!(events.len(), 1, "spans reach the parent's sink");
+        assert_eq!(events[0].name, "flush");
+        assert!(
+            !Tracer::disabled().recording().enabled(),
+            "no sink, no spans"
+        );
     }
 
     #[test]

@@ -221,7 +221,11 @@ fn cold_pipeline_jobs_are_budgeted() {
         });
         let (report, n) = allocations(|| pipeline.run_job(job));
         let optimized = report.optimized().expect("the job optimizes");
-        assert!(!optimized.cache_hit, "{}: a cold engine hit", job.name);
+        assert!(
+            !optimized.source.is_cached(),
+            "{}: a cold engine hit",
+            job.name
+        );
         total += n;
     }
     println!(

@@ -359,11 +359,12 @@ fn trace_jsonl_is_pinned() {
 #[test]
 fn provenance_and_lint_jsonl_of_the_corpus_are_pinned() {
     let mut provenance = String::new();
+    let mut report = String::new();
     let mut lint = String::new();
     for (name, g) in corpus80() {
-        provenance.push_str(&am_obs::provenance::jsonl(
-            &capture(&g, None, &Tracer::disabled()).records,
-        ));
+        let records = capture(&g, None, &Tracer::disabled()).records;
+        provenance.push_str(&am_trace::provenance::jsonl(&records));
+        report.push_str(&am_trace::provenance::report(&records));
         let optimized = optimize_with(&g, &GlobalConfig::default()).program;
         lint.push_str(&lint_graph(&optimized, &LintConfig::default()).to_jsonl(&name));
     }
@@ -371,6 +372,11 @@ fn provenance_and_lint_jsonl_of_the_corpus_are_pinned() {
         "provenance",
         &provenance,
         (0x7aad_16cb_978f_f8cb, 7_431_455),
+    );
+    check_stream(
+        "provenance report",
+        &report,
+        (0xe18c_a665_065c_b68b, 3_450_462),
     );
     check_stream("lint", &lint, (0xc560_63c8_93e4_add9, 114_618));
 }

@@ -24,7 +24,7 @@ use am_bench::workloads::{nest_grid, wide_fan};
 use am_core::global::{optimize_with, GlobalConfig};
 use am_ir::random::corpus80;
 use am_ir::FlowGraph;
-use am_obs::{ProvRecord, ProvRecorder};
+use am_trace::{ProvKind, ProvRecord, Tracer};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -71,13 +71,13 @@ impl Fnv {
 fn phase_records(g: &FlowGraph, phase: &str) -> Vec<ProvRecord> {
     let config = GlobalConfig {
         keep_snapshots: false,
-        recorder: ProvRecorder::enabled(),
+        tracer: Tracer::disabled().recording(),
         ..Default::default()
     };
     optimize_with(g, &config);
     config
-        .recorder
-        .take()
+        .tracer
+        .take_records()
         .into_iter()
         .filter(|r| r.phase == phase)
         .collect()
@@ -153,17 +153,14 @@ fn pinned_programs_contain_identity_moves() {
     let g = nest_grid(20, 2, 8);
     let records = motion_records(&g);
     let last = records.iter().map(|r| r.round).max().expect("records");
-    let kinds = |kind: am_obs::ProvKind| {
+    let kinds = |kind: ProvKind| {
         records
             .iter()
             .filter(|r| r.round == last && r.kind == kind)
             .count()
     };
-    assert!(kinds(am_obs::ProvKind::HoistRemove) > 0);
-    assert_eq!(
-        kinds(am_obs::ProvKind::HoistInsert),
-        kinds(am_obs::ProvKind::HoistRemove)
-    );
+    assert!(kinds(ProvKind::HoistRemove) > 0);
+    assert_eq!(kinds(ProvKind::HoistInsert), kinds(ProvKind::HoistRemove));
 }
 
 #[test]
