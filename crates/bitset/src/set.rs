@@ -14,9 +14,10 @@ const INLINE_WORDS: usize = size_of::<Box<[u64]>>() / size_of::<u64>();
 /// worklist solvers use to decide whether to requeue dependents.
 ///
 /// A universe of at most 128 elements (two words) is stored inline, so
-/// creating or cloning such a set never allocates; wider universes keep
-/// their words on the heap. Equality and hashing see only the universe
-/// size and its words, whichever the storage.
+/// creating or cloning such a set never allocates, and the kernels run a
+/// fixed two-word loop on it; wider universes keep their words on the heap
+/// and take a loop over the slice. Equality and hashing see only the
+/// universe size and its words, whichever the storage.
 ///
 /// # Examples
 ///
@@ -36,13 +37,39 @@ pub struct BitSet {
 }
 
 /// The storage of a [`BitSet`]: inline when the universe fits in
-/// [`INLINE_WORDS`] words, else on the heap. Inline words past the
-/// universe are zero, and every operation keeps them so, which lets the
-/// kernels run over the whole inline array.
+/// [`INLINE_WORDS`] words, else on the heap. The universe size alone picks
+/// the storage, so the operands of a kernel, which share a universe, are
+/// all inline or all on the heap; each kernel matches once and runs its
+/// word loop over the fixed inline arrays in the all-inline arm, the heap
+/// slices in the other. Inline words past the universe are zero, and every
+/// operation keeps them so: the all-inline loops read and write the whole
+/// array, and equality compares it.
 #[derive(Clone)]
 enum Words {
     Inline([u64; INLINE_WORDS]),
     Heap(Box<[u64]>),
+}
+
+impl Words {
+    /// The words the kernels run over: the whole inline array, or the
+    /// heap slice.
+    #[inline]
+    fn raw(&self) -> &[u64] {
+        match self {
+            Words::Inline(a) => a,
+            Words::Heap(b) => b,
+        }
+    }
+
+    /// The inline array of an operand whose universe matched an inline
+    /// set's, which fixes its storage as inline too.
+    #[inline(always)]
+    fn inline(&self) -> &[u64] {
+        match self {
+            Words::Inline(a) => a,
+            Words::Heap(_) => unreachable!("a universe's size fixes its storage"),
+        }
+    }
 }
 
 impl BitSet {
@@ -68,27 +95,45 @@ impl BitSet {
     /// The words of the universe, exactly `words_for(len)` of them.
     #[inline]
     fn words(&self) -> &[u64] {
+        &self.words.raw()[..words_for(self.len)]
+    }
+
+    /// Runs the word loop `f` over the words of `self` and of `others`
+    /// (each of `self`'s universe), matched once on their storage: the
+    /// whole inline arrays when the universe is inline, so the loop runs a
+    /// fixed number of words, else the heap slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an operand's universe differs from `self`'s.
+    #[inline(always)]
+    fn with_words<const N: usize, R>(
+        &self,
+        others: [&BitSet; N],
+        f: impl FnOnce(&[u64], [&[u64]; N]) -> R,
+    ) -> R {
+        for other in others {
+            self.assert_same_universe(other);
+        }
         match &self.words {
-            Words::Inline(a) => &a[..words_for(self.len)],
-            Words::Heap(b) => b,
+            Words::Inline(a) => f(a, others.map(|o| o.words.inline())),
+            Words::Heap(a) => f(a, others.map(|o| o.words.raw())),
         }
     }
 
-    /// The words the kernels run over: the whole inline array, or the
-    /// heap slice.
-    #[inline]
-    fn raw(&self) -> &[u64] {
-        match &self.words {
-            Words::Inline(a) => a,
-            Words::Heap(b) => b,
+    /// [`Self::with_words`] with `self`'s words writable.
+    #[inline(always)]
+    fn with_words_mut<const N: usize, R>(
+        &mut self,
+        others: [&BitSet; N],
+        f: impl FnOnce(&mut [u64], [&[u64]; N]) -> R,
+    ) -> R {
+        for other in others {
+            self.assert_same_universe(other);
         }
-    }
-
-    #[inline]
-    fn raw_mut(&mut self) -> &mut [u64] {
         match &mut self.words {
-            Words::Inline(a) => a,
-            Words::Heap(b) => b,
+            Words::Inline(a) => f(a, others.map(|o| o.words.inline())),
+            Words::Heap(a) => f(a, others.map(|o| o.words.raw())),
         }
     }
 
@@ -101,12 +146,16 @@ impl BitSet {
     /// Returns `true` when the set contains no elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.raw().iter().all(|&w| w == 0)
+        self.with_words([], |a, []| a.iter().all(|&w| w == 0))
     }
 
     /// Number of elements currently in the set.
     pub fn count(&self) -> usize {
-        self.raw().iter().map(|w| w.count_ones() as usize).sum()
+        self.words
+            .raw()
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Tests membership of `bit`.
@@ -117,7 +166,9 @@ impl BitSet {
     #[inline]
     pub fn contains(&self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        self.raw()[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
+        self.with_words([], |a, []| {
+            a[bit / WORD_BITS] & (1 << (bit % WORD_BITS)) != 0
+        })
     }
 
     /// Inserts `bit`; returns `true` if the set changed.
@@ -128,11 +179,13 @@ impl BitSet {
     #[inline]
     pub fn insert(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        let w = &mut self.raw_mut()[bit / WORD_BITS];
-        let mask = 1 << (bit % WORD_BITS);
-        let changed = *w & mask == 0;
-        *w |= mask;
-        changed
+        self.with_words_mut([], |a, []| {
+            let w = &mut a[bit / WORD_BITS];
+            let mask = 1 << (bit % WORD_BITS);
+            let changed = *w & mask == 0;
+            *w |= mask;
+            changed
+        })
     }
 
     /// Removes `bit`; returns `true` if the set changed.
@@ -143,11 +196,13 @@ impl BitSet {
     #[inline]
     pub fn remove(&mut self, bit: usize) -> bool {
         assert!(bit < self.len, "bit {bit} out of universe {}", self.len);
-        let w = &mut self.raw_mut()[bit / WORD_BITS];
-        let mask = 1 << (bit % WORD_BITS);
-        let changed = *w & mask != 0;
-        *w &= !mask;
-        changed
+        self.with_words_mut([], |a, []| {
+            let w = &mut a[bit / WORD_BITS];
+            let mask = 1 << (bit % WORD_BITS);
+            let changed = *w & mask != 0;
+            *w &= !mask;
+            changed
+        })
     }
 
     /// Sets or clears `bit` according to `value`; returns `true` on change.
@@ -162,18 +217,20 @@ impl BitSet {
     /// Removes every element.
     #[inline]
     pub fn clear(&mut self) {
-        self.raw_mut().fill(0);
+        self.with_words_mut([], |a, []| a.fill(0));
     }
 
     /// Inserts every element of the universe.
     #[inline]
     pub fn insert_all(&mut self) {
         let len = self.len;
-        let words = &mut self.raw_mut()[..words_for(len)];
-        words.fill(u64::MAX);
-        if let Some(last) = words.last_mut() {
-            *last &= tail_mask(len);
-        }
+        self.with_words_mut([], |a, []| {
+            let words = &mut a[..words_for(len)];
+            words.fill(u64::MAX);
+            if let Some(last) = words.last_mut() {
+                *last &= tail_mask(len);
+            }
+        });
     }
 
     #[inline]
@@ -192,14 +249,15 @@ impl BitSet {
     /// all words, so the loop vectorizes instead of testing per word.
     #[inline]
     fn update(&mut self, other: &BitSet, op: impl Fn(u64, u64) -> u64) -> bool {
-        self.assert_same_universe(other);
-        let mut diff = 0u64;
-        for (a, &b) in self.raw_mut().iter_mut().zip(other.raw()) {
-            let new = op(*a, b);
-            diff |= *a ^ new;
-            *a = new;
-        }
-        diff != 0
+        self.with_words_mut([other], |a, [b]| {
+            let mut diff = 0u64;
+            for (a, &b) in a.iter_mut().zip(b) {
+                let new = op(*a, b);
+                diff |= *a ^ new;
+                *a = new;
+            }
+            diff != 0
+        })
     }
 
     /// `self ∪= other`; returns `true` if `self` changed.
@@ -227,15 +285,15 @@ impl BitSet {
     /// Panics if either operand's universe differs from `self`'s.
     #[inline]
     pub fn union_difference(&mut self, add: &BitSet, except: &BitSet) -> bool {
-        self.assert_same_universe(add);
-        self.assert_same_universe(except);
-        let mut diff = 0u64;
-        for ((a, &b), &c) in self.raw_mut().iter_mut().zip(add.raw()).zip(except.raw()) {
-            let new = *a | (b & !c);
-            diff |= *a ^ new;
-            *a = new;
-        }
-        diff != 0
+        self.with_words_mut([add, except], |a, [add, except]| {
+            let mut diff = 0u64;
+            for ((a, &b), &c) in a.iter_mut().zip(add).zip(except) {
+                let new = *a | (b & !c);
+                diff |= *a ^ new;
+                *a = new;
+            }
+            diff != 0
+        })
     }
 
     /// Replaces `self` with a copy of `other`; returns `true` if it changed.
@@ -267,63 +325,59 @@ impl BitSet {
         kill: &BitSet,
         active: &ActiveWords,
     ) -> bool {
-        self.assert_same_universe(input);
-        self.assert_same_universe(gen);
-        self.assert_same_universe(kill);
-        let (input, gen, kill) = (input.raw(), gen.raw(), kill.raw());
-        let out = self.raw_mut();
-        let mut diff = 0u64;
-        match &active.index {
-            None => {
-                for (((o, &i), &g), &k) in out.iter_mut().zip(input).zip(gen).zip(kill) {
-                    let new = g | (i & !k);
-                    diff |= *o ^ new;
-                    *o = new;
+        self.with_words_mut([input, gen, kill], |out, [input, gen, kill]| {
+            let mut diff = 0u64;
+            match &active.index {
+                None => {
+                    for (((o, &i), &g), &k) in out.iter_mut().zip(input).zip(gen).zip(kill) {
+                        let new = g | (i & !k);
+                        diff |= *o ^ new;
+                        *o = new;
+                    }
                 }
-            }
-            Some(index) => {
-                let words = out.len();
-                assert_eq!(
-                    active.words, words,
-                    "active-word index built for a different universe"
-                );
-                // Runs of inactive words between index entries are plain
-                // copies (tight, vectorizable); the indexed words get the
-                // full transfer. Change detection stays exact because each
-                // word's XOR contribution uses its actual new value.
-                let mut start = 0usize;
-                for &w in index.iter() {
-                    let w = w as usize;
-                    for i in start..w {
+                Some(index) => {
+                    let words = out.len();
+                    assert_eq!(
+                        active.words, words,
+                        "active-word index built for a different universe"
+                    );
+                    // Runs of inactive words between index entries are
+                    // plain copies (tight, vectorizable); the indexed words
+                    // get the full transfer. Change detection stays exact
+                    // because each word's XOR contribution uses its actual
+                    // new value.
+                    let mut start = 0usize;
+                    for &w in index.iter() {
+                        let w = w as usize;
+                        for i in start..w {
+                            diff |= out[i] ^ input[i];
+                            out[i] = input[i];
+                        }
+                        let new = gen[w] | (input[w] & !kill[w]);
+                        diff |= out[w] ^ new;
+                        out[w] = new;
+                        start = w + 1;
+                    }
+                    for i in start..words {
                         diff |= out[i] ^ input[i];
                         out[i] = input[i];
                     }
-                    let new = gen[w] | (input[w] & !kill[w]);
-                    diff |= out[w] ^ new;
-                    out[w] = new;
-                    start = w + 1;
-                }
-                for i in start..words {
-                    diff |= out[i] ^ input[i];
-                    out[i] = input[i];
                 }
             }
-        }
-        diff != 0
+            diff != 0
+        })
     }
 
     /// Tests `self ⊆ other`.
     #[inline]
     pub fn is_subset(&self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        self.raw().iter().zip(other.raw()).all(|(a, b)| a & !b == 0)
+        self.with_words([other], |a, [b]| a.iter().zip(b).all(|(a, b)| a & !b == 0))
     }
 
     /// Tests whether the sets share no element.
     #[inline]
     pub fn is_disjoint(&self, other: &BitSet) -> bool {
-        self.assert_same_universe(other);
-        self.raw().iter().zip(other.raw()).all(|(a, b)| a & b == 0)
+        self.with_words([other], |a, [b]| a.iter().zip(b).all(|(a, b)| a & b == 0))
     }
 
     /// Iterates over the elements in increasing order.
@@ -349,7 +403,7 @@ impl Default for BitSet {
 impl PartialEq for BitSet {
     #[inline]
     fn eq(&self, other: &BitSet) -> bool {
-        self.len == other.len && self.words() == other.words()
+        self.len == other.len && self.with_words([other], |a, [b]| a == b)
     }
 }
 

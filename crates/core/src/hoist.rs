@@ -504,12 +504,14 @@ impl MotionContext {
             // removed candidates in place.
             ids.clear();
             ids.extend(entry.iter().map(|&i| self.instance_id(i)));
-            let mut next = doomed().peekable();
-            ids.extend(
-                (g.ids(n).iter().enumerate())
-                    .filter(|&(idx, _)| next.next_if_eq(&idx).is_none())
-                    .map(|(_, &id)| id),
-            );
+            // The kept ids are the runs between the removed candidates
+            // (ascending, each once), copied whole.
+            let (old, mut start) = (g.ids(n), 0);
+            for idx in doomed() {
+                ids.extend_from_slice(&old[start..idx]);
+                start = idx + 1;
+            }
+            ids.extend_from_slice(&old[start..]);
             ids.extend(exit.iter().map(|&i| self.instance_id(i)));
             if ids == g.ids(n) {
                 rewritten.identity += 1;

@@ -54,17 +54,19 @@
 //! * **Gen/kill rows** — the Table 2 row and the Table 1 blocking row of
 //!   every interned instruction, dense by id, and the node-level Table 2
 //!   and Table 1 problem rows, candidates included, each tagged with the
-//!   graph stamp of the block content it was built from. A round refills only
+//!   graph stamp of the block content it was built from. Beside each
+//!   node-level Table 2 row sits the block's summary
+//!   ([`crate::rae::RaeSummary`]): whether an occurrence's own bit is
+//!   generated earlier in the block, and the own bits no earlier row
+//!   kills. The Table 2 pass streams a block's facts only when its summary
+//!   and solved entry fact show an elimination; `incremental/rae_stream`
+//!   counts the streamed occurrence blocks and those the summary ruled
+//!   out. A round refills only
 //!   the rows whose stamp is stale, from the block's ids alone; the
 //!   `incremental/gen_kill_rows` trace counter reports reused and rebuilt
 //!   rows per round, `incremental/dirty_blocks` and
 //!   `incremental/identity_blocks` how many blocks the round rewrote and
 //!   how many it moved code in without changing.
-//! * **Quiet blocks** — per block, the stamp and solved entry fact of the
-//!   last Table 2 stream that found no redundancy in it. A block with the
-//!   same stamp and entry fact would stream the same empty result, so it
-//!   is not streamed again; `incremental/rae_stream` counts the streamed
-//!   and skipped occurrence blocks.
 //! * **Node system** — the block adjacency and solver schedule shared by
 //!   both tables, reused while the edge fingerprint is unchanged. The
 //!   fingerprint is re-taken only when the graph's edge stamp moved (the
@@ -98,7 +100,7 @@ use am_ir::{AssignPattern, FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_trace::{Span, Tracer};
 
 use crate::hoist::{blocking_row, BlockLocals, HoistAnalysis, HoistOutcome, Rewritten};
-use crate::rae::{redundancy_row, unlisted, RaeOutcome, Row};
+use crate::rae::{redundancy_row, unlisted, RaeOutcome, RaeSummary, Row};
 
 /// State carried across assignment-motion rounds. The Table 2 and Table 1
 /// drivers that read and fill these caches live with their tables
@@ -146,17 +148,14 @@ pub(crate) struct MotionContext {
     /// Table 1 blocking rows dense by interned instruction id
     /// ([`blocking_row`]).
     blocking_rows: Vec<Option<BitSet>>,
-    /// The node-level Table 2 problem, which blocks hold an occurrence of
-    /// their own pattern, and the block stamp every row was built from.
+    /// The node-level Table 2 problem, the summary of every block's rows,
+    /// and the block stamp every row and summary was built from.
     pub(crate) rae_problem: Option<Problem>,
-    pub(crate) rae_occurs: Vec<bool>,
+    pub(crate) rae_summaries: Vec<RaeSummary>,
     pub(crate) rae_stamps: Vec<u64>,
     /// Detached fact buffers of the previous Table 2 solve, recycled into
     /// the next one (the facts themselves are reinitialized).
     pub(crate) rae_solution: Option<Solution>,
-    /// Per block, the stamp and entry fact of the last Table 2 stream that
-    /// found no redundancy in it (stamp 0: none).
-    pub(crate) quiet_blocks: Vec<(u64, BitSet)>,
     /// The last hoist analysis with the edge fingerprint it was solved
     /// on: its rows are the current Table 1 rows (tagged by
     /// [`Self::hoist_stamps`]) and its solution warm-starts the next solve.
@@ -191,7 +190,6 @@ pub(crate) struct MotionContext {
     dirty_blocks: u64,
     identity_blocks: u64,
     pub(crate) streamed_blocks: u64,
-    pub(crate) skipped_blocks: u64,
 }
 
 /// What a [`MotionContext`] knows of an interned id it has seen in the
@@ -231,10 +229,9 @@ impl MotionContext {
             rae_rows: Vec::new(),
             blocking_rows: Vec::new(),
             rae_problem: None,
-            rae_occurs: Vec::new(),
+            rae_summaries: Vec::new(),
             rae_stamps: Vec::new(),
             rae_solution: None,
-            quiet_blocks: Vec::new(),
             hoist: None,
             hoist_stamps: Vec::new(),
             rewritten: Rewritten::default(),
@@ -254,7 +251,6 @@ impl MotionContext {
             dirty_blocks: 0,
             identity_blocks: 0,
             streamed_blocks: 0,
-            skipped_blocks: 0,
         }
     }
 
@@ -276,7 +272,6 @@ impl MotionContext {
         self.blocking_rows.clear();
         self.rae_problem = None;
         self.rae_stamps.clear();
-        self.quiet_blocks.clear();
         self.hoist_stamps.clear();
         // Every id seen so far was in the program when it was seen, and
         // the universe has covered the program of every sync since, so
@@ -641,14 +636,6 @@ impl MotionContext {
             );
             tracer.counter("incremental", "dirty_blocks", &[("blocks", dirty)]);
             tracer.counter("incremental", "identity_blocks", &[("blocks", identity)]);
-            tracer.counter(
-                "incremental",
-                "rae_stream",
-                &[
-                    ("streamed", streamed),
-                    ("skipped", self.skipped_blocks as i64),
-                ],
-            );
             if self.hoist_skipped > 0 || self.hoist_warm > 0 {
                 tracer.counter(
                     "incremental",
@@ -667,7 +654,6 @@ impl MotionContext {
         self.dirty_blocks = 0;
         self.identity_blocks = 0;
         self.streamed_blocks = 0;
-        self.skipped_blocks = 0;
         self.round_stamp = self.synced.map_or(0, |stamp| stamp + 1);
     }
 }
@@ -988,32 +974,107 @@ pub(crate) mod tests {
             .collect()
     }
 
-    #[test]
-    fn skipping_quiet_blocks_changes_no_elimination() {
-        let mut skipped = 0;
-        for order in [MotionOrder::RaeFirst, MotionOrder::HoistFirst] {
-            for (p, program) in programs_and_xl().into_iter().enumerate() {
-                // The reference context forgets every quiet block before
-                // each round, so it streams every occurrence block.
-                let forced_tracer = Tracer::disabled().recording();
-                let mut forced = MotionContext::new();
-                let mut forced_rounds = Vec::new();
-                let forced_g = replay(&program, &mut forced, order, &forced_tracer, |ctx, _, _| {
-                    ctx.quiet_blocks.clear();
-                    forced_rounds.push(eliminations(forced_tracer.take_records()));
-                });
-                let tracer = Tracer::disabled().recording();
-                let mut ctx = MotionContext::new();
-                let mut rounds = Vec::new();
-                let g = replay(&program, &mut ctx, order, &tracer, |_, _, _| {
-                    rounds.push(eliminations(tracer.take_records()));
-                });
-                assert_eq!(rounds, forced_rounds, "{order:?} program {p}: eliminations");
-                assert_eq!(g, forced_g, "{order:?} program {p}");
-                skipped += ctx.skipped_blocks;
+    /// The redundant occurrences of `g`, read off the facts of every
+    /// instruction of every block: the stream without the summary's gate.
+    fn ungated_redundant_locs(g: &FlowGraph) -> Vec<Loc> {
+        let analysis = crate::rae::analyze_redundancy(g);
+        let mut locs = Vec::new();
+        for n in g.nodes() {
+            let facts = analysis.block_facts(g, n);
+            for (j, instr) in g.instrs(n).enumerate() {
+                let own = assign_index(instr, &analysis.universe);
+                if own.is_some_and(|i| facts[j].contains(i as usize)) {
+                    locs.push(Loc { node: n, index: j });
+                }
             }
         }
-        assert!(skipped > 0, "no block was ever skipped");
+        locs
+    }
+
+    #[test]
+    fn skipping_quiet_blocks_changes_no_elimination() {
+        let mut ruled_out = 0;
+        for order in [MotionOrder::RaeFirst, MotionOrder::HoistFirst] {
+            for (p, program) in programs_and_xl().into_iter().enumerate() {
+                let mut ctx = MotionContext::new();
+                let g = replay(
+                    &program,
+                    &mut ctx,
+                    order,
+                    &Tracer::disabled(),
+                    |ctx, g, at| {
+                        let before = ctx.streamed_blocks;
+                        let sol = ctx.redundant_locs(g, &Tracer::disabled(), 0);
+                        ctx.rae_solution = Some(sol);
+                        let streamed = ctx.streamed_blocks - before;
+                        ctx.streamed_blocks = before;
+                        let at = format!("{order:?} program {p} {at}");
+                        assert_eq!(ctx.rae_locs, ungated_redundant_locs(g), "{at}");
+                        let occurrence_blocks = g
+                            .nodes()
+                            .filter(|&n| {
+                                g.ids(n).iter().any(|id| {
+                                    matches!(ctx.rae_rows[id.index()], Some((Some(_), _)))
+                                })
+                            })
+                            .count() as u64;
+                        let eliminating = ctx.rae_locs.chunk_by(|a, b| a.node == b.node).count();
+                        assert_eq!(streamed, eliminating as u64, "{at}: streamed blocks");
+                        ruled_out += occurrence_blocks - streamed;
+                    },
+                );
+                assert_eq!(g, motion_in(order, &program), "{order:?} program {p}");
+            }
+        }
+        assert!(
+            ruled_out > 0,
+            "the gate never ruled out an occurrence block"
+        );
+    }
+
+    #[test]
+    fn the_gate_streams_exactly_the_blocks_that_lose_an_occurrence() {
+        let entry_fact_only = am_ir::text::parse(ENTRY_FACT_ONLY).expect("parses");
+        let shapes = [
+            ("wide_fan", wide_fan(100, 4)),
+            ("nest_grid", nest_grid(20, 2, 8)),
+            ("entry_fact_only", entry_fact_only),
+        ];
+        for (name, mut g) in shapes {
+            g.split_critical_edges();
+            let (tracer, collector) = Tracer::collector();
+            let tracer = tracer.recording();
+            let config = GlobalConfig {
+                tracer: tracer.clone(),
+                ..GlobalConfig::default()
+            };
+            assignment_motion_with(&mut g, &config, MotionOrder::RaeFirst, &mut |_, _| {});
+            let streamed: Vec<i64> = collector
+                .events()
+                .iter()
+                .filter(|e| e.cat == "round")
+                .map(|e| {
+                    e.arg("streamed_blocks")
+                        .expect("round spans carry streamed_blocks")
+                })
+                .collect();
+            let records = eliminations(tracer.take_records());
+            let losing: Vec<i64> = (1..=streamed.len() as u32)
+                .map(|round| {
+                    let nodes = records.iter().filter(|r| r.round == round).map(|r| &r.node);
+                    nodes.collect::<std::collections::BTreeSet<_>>().len() as i64
+                })
+                .collect();
+            assert_eq!(streamed, losing, "{name}: streamed blocks by round");
+            if name == "wide_fan" {
+                assert!(streamed.iter().all(|&s| s == 0), "{name}: {streamed:?}");
+            } else {
+                assert!(
+                    streamed.iter().any(|&s| s > 0),
+                    "{name}: nothing eliminated"
+                );
+            }
+        }
     }
 
     #[test]

@@ -125,7 +125,9 @@ pub struct AnalysisTotals {
 /// The cost of one motion round number, folded over every `round` span of
 /// that number: its time, the blocks it rewrote (`dirty_blocks`) or moved
 /// code in without changing (`identity_blocks`), and the blocks its
-/// Table 2 pass streamed (`streamed_blocks`). Sec. 4.5 predicts that the
+/// Table 2 pass streamed (`streamed_blocks`): those holding an elimination,
+/// the only ones whose block summary and entry fact let the stream
+/// through. Sec. 4.5 predicts that the
 /// work of a round follows its dirty blocks, not program size.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RoundCost {
