@@ -15,7 +15,7 @@ use am_bitset::BitSet;
 use am_core::global::GlobalConfig;
 use am_core::motion::{assignment_motion_with, MotionOrder};
 use am_core::{hoist, init, rae};
-use am_dfa::{node_adjacency, solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{solve, BlockGraph, Confluence, Direction, PointGraph, Problem};
 use am_ir::random::{structured, unstructured, SplitMix64, StructuredConfig, UnstructuredConfig};
 use am_ir::text::{parse_with_mode, to_text, Mode};
 use am_ir::{FlowGraph, Instr, Loc, PatternUniverse};
@@ -116,7 +116,7 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
         }
         candidates[n.index()].sort_by_key(|&(_, idx)| idx);
     }
-    let (succs, preds) = node_adjacency(g);
+    let BlockGraph { succs, preds, .. } = BlockGraph::build(g);
     let mut p = Problem::new(Direction::Backward, Confluence::Must, nodes, ap);
     p.gen = loc_hoistable.clone();
     p.kill = loc_blocked.clone();

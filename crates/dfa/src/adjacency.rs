@@ -1,25 +1,28 @@
-//! Compressed sparse adjacency over a dense point set.
+//! Adjacency over a dense point set: the flow graph's row store.
 //!
-//! The solver's graphs are rebuilt every motion round and walked on every
-//! solve, so their representation is on the hot path twice. A
-//! `Vec<Vec<usize>>` pays one heap allocation per point and scatters
-//! neighbor lists across the heap — on an XL point set (10⁴–10⁵ points)
-//! the rebuild alone costs tens of milliseconds and every traversal
-//! pointer-chases cold cache lines. [`Adjacency`] stores the same lists in
-//! compressed sparse row form: one flat `targets` array plus one offset
-//! per point. Rebuilds are two appends into recycled buffers, traversals
-//! are contiguous slice scans, and the whole structure is two allocations
-//! regardless of point count.
+//! The solvers walk neighbour lists on every solve, and the point graph
+//! rebuilds its lists whenever it is built, so the representation is on
+//! the hot path twice. A `Vec<Vec<usize>>` pays one heap allocation per
+//! point and scatters the lists across the heap. [`Adjacency`] holds them
+//! in [`am_ir::rows::Rows`], the one row store the flow graph keeps its
+//! blocks, successors and predecessors in: one slab of `u32` targets and
+//! one span per point. Built by appending points in index order, it has
+//! no holes and no spare room, and is two allocations however many points
+//! it has. The block graph's adjacency is a copy of the flow graph's own
+//! two edge slabs ([`FlowGraph::edge_rows`](am_ir::FlowGraph::edge_rows)),
+//! holes and all, so it is copied, not rebuilt list by list.
 
 use std::ops::Index;
 
-/// Neighbor lists of a dense point set in compressed sparse row form.
+use am_ir::rows::Rows;
+
+/// Neighbor lists of a dense point set, in one slab.
 ///
-/// Point `p`'s neighbors are `targets[offsets[p]..offsets[p+1]]`, in the
-/// order they were appended — the same order the equivalent
-/// `Vec<Vec<usize>>` would hold them. Build one with [`from_lists`]
-/// (tests, small graphs) or append points in index order with
-/// [`start_point`]/[`push_neighbor`] (hot rebuilds into recycled buffers).
+/// Point `p`'s neighbors are in the order they were appended — the same
+/// order the equivalent `Vec<Vec<usize>>` would hold them. Build one with
+/// [`from_lists`] (tests, small graphs), append points in index order with
+/// [`start_point`]/[`push_neighbor`] (hot rebuilds into recycled
+/// buffers), or copy a flow graph's edge rows with [`From`].
 ///
 /// [`from_lists`]: Adjacency::from_lists
 /// [`start_point`]: Adjacency::start_point
@@ -36,34 +39,27 @@ use std::ops::Index;
 /// assert_eq!(&adj[1], &[2]);
 /// assert!(adj.neighbors(2).is_empty());
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Adjacency {
-    /// `offsets[p]..offsets[p+1]` delimits point `p`'s neighbors; length
-    /// is always point count + 1.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
+    rows: Rows<u32>,
 }
 
-impl Default for Adjacency {
-    fn default() -> Self {
-        Self::new()
+impl From<Rows<u32>> for Adjacency {
+    fn from(rows: Rows<u32>) -> Self {
+        Adjacency { rows }
     }
 }
 
 impl Adjacency {
     /// An adjacency with no points.
     pub fn new() -> Self {
-        Adjacency {
-            offsets: vec![0],
-            targets: Vec::new(),
-        }
+        Adjacency::default()
     }
 
     /// Builds from per-point neighbor lists, preserving list order.
     pub fn from_lists(lists: &[Vec<usize>]) -> Self {
         let mut adj = Adjacency::new();
-        adj.offsets.reserve(lists.len());
-        adj.targets.reserve(lists.iter().map(Vec::len).sum());
+        adj.reserve(lists.len(), lists.iter().map(Vec::len).sum());
         for list in lists {
             adj.start_point();
             for &q in list {
@@ -75,49 +71,46 @@ impl Adjacency {
 
     /// Number of points.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.len()
     }
 
     /// Whether the point set is empty.
     pub fn is_empty(&self) -> bool {
-        self.offsets.len() == 1
+        self.rows.is_empty()
     }
 
     /// Total number of recorded neighbor entries (edges).
     pub fn edge_count(&self) -> usize {
-        self.targets.len()
+        self.rows.entries()
     }
 
     /// The neighbors of `p` in append order.
+    #[inline]
     pub fn neighbors(&self, p: usize) -> &[u32] {
-        &self.targets[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+        self.rows.row(p)
     }
 
     /// Number of neighbors of `p`.
     pub fn degree(&self, p: usize) -> usize {
-        (self.offsets[p + 1] - self.offsets[p]) as usize
+        self.rows.row(p).len()
     }
 
     /// Drops all points, keeping the buffers for reuse.
     pub fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.targets.clear();
+        self.rows.clear();
     }
 
     /// Reserves room for `points` further points and `edges` further
     /// neighbor entries.
     pub fn reserve(&mut self, points: usize, edges: usize) {
-        self.offsets.reserve(points);
-        self.targets.reserve(edges);
+        self.rows.reserve(points, edges);
     }
 
     /// Opens the next point (index = current [`len`](Self::len)); its
     /// neighbors are whatever is [pushed](Self::push_neighbor) before the
     /// next `start_point`. Points must be appended in index order.
     pub fn start_point(&mut self) {
-        let end = u32::try_from(self.targets.len()).expect("too many edges");
-        self.offsets.push(end);
+        self.rows.push_row();
     }
 
     /// Appends `q` to the most recently started point's neighbors.
@@ -126,15 +119,15 @@ impl Adjacency {
     ///
     /// Panics if no point was started.
     pub fn push_neighbor(&mut self, q: u32) {
-        assert!(self.offsets.len() > 1, "no point started");
-        self.targets.push(q);
-        *self.offsets.last_mut().expect("non-empty offsets") += 1;
+        let last = self.rows.len().checked_sub(1).expect("no point started");
+        self.rows.push(last, q);
     }
 }
 
 impl Index<usize> for Adjacency {
     type Output = [u32];
 
+    #[inline]
     fn index(&self, p: usize) -> &[u32] {
         self.neighbors(p)
     }

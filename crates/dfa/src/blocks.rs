@@ -15,8 +15,8 @@
 //!   propagation order) kills. Folding a backward system this way,
 //!   [`compose_row`] sees which gen bits reach the block's entry: Table 1's
 //!   hoisting candidates are the occurrences whose bit does.
-//! * **Solve** over the [`BlockGraph`] ([`node_adjacency`] and its
-//!   schedule, [`crate::solve`]). [`BlockSolution::solve`] is the one-shot
+//! * **Solve** over the [`BlockGraph`] (a copy of the flow graph's edge
+//!   rows and their schedule, [`crate::solve`]). [`BlockSolution::solve`] is the one-shot
 //!   form, with one row per distinct interned instruction; the motion
 //!   rounds and the flush cache their rows per interned id.
 //! * **Stream** ([`stream`]). Each instruction's facts follow from its
@@ -35,7 +35,6 @@ use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, NodeId};
 
 use crate::adjacency::Adjacency;
-use crate::points::node_adjacency;
 use crate::solve::{solve_scheduled, Confluence, Direction, Problem, Schedule, Solution};
 
 /// One side of a gen/kill row: a set of bits, or at most one bit.
@@ -190,9 +189,11 @@ pub struct BlockGraph {
 }
 
 impl BlockGraph {
-    /// The block graph of `g`.
+    /// The block graph of `g`: its adjacency copies the graph's two edge
+    /// slabs ([`FlowGraph::edge_rows`]).
     pub fn build(g: &FlowGraph) -> Self {
-        let (succs, preds) = node_adjacency(g);
+        let (succs, preds) = g.edge_rows();
+        let (succs, preds) = (Adjacency::from(succs), Adjacency::from(preds));
         let schedule = Schedule::build(&succs, &preds);
         BlockGraph {
             succs,
@@ -326,5 +327,43 @@ impl PointFacts {
     /// The exit fact of point `j`.
     pub fn after(&self, j: usize) -> &BitSet {
         &self.cuts[1..=self.len][j]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use am_ir::text::parse;
+
+    #[test]
+    fn mirrors_the_graph() {
+        let mut g = parse(
+            "start s\nend e\nnode s { branch p > 0 }\nnode a { skip }\nnode b { skip }\nnode e { out() }\nedge s -> a, b\nedge a -> e\nedge b -> e",
+        )
+        .unwrap();
+        let blocks = BlockGraph::build(&g);
+        assert_eq!(blocks.succs.len(), g.node_count());
+        let s = g.start().index();
+        assert_eq!(blocks.succs[s].len(), 2);
+        assert!(blocks.preds[s].is_empty());
+        let e = g.end().index();
+        assert_eq!(blocks.preds[e].len(), 2);
+        assert!(blocks.succs[e].is_empty());
+        // Rows that outgrew their room and moved within the edge slabs
+        // copy the same: the adjacency is row for row the graph's.
+        let [a, b] = ["a", "b"].map(|l| g.nodes().find(|&n| g.label(n) == l).unwrap());
+        for _ in 0..3 {
+            g.add_edge(a, b);
+            g.add_edge(b, a);
+        }
+        g.remove_edge(a, b);
+        g.split_critical_edges();
+        let blocks = BlockGraph::build(&g);
+        assert_eq!(blocks.succs.len(), g.node_count());
+        for n in g.nodes() {
+            let index = |list: &[NodeId]| list.iter().map(|m| m.index() as u32).collect::<Vec<_>>();
+            assert_eq!(blocks.succs[n.index()], index(g.succs(n)), "{n:?}");
+            assert_eq!(blocks.preds[n.index()], index(g.preds(n)), "{n:?}");
+        }
     }
 }

@@ -4,8 +4,8 @@
 //! gen/kill bit-vector systems; this crate provides the shared machinery:
 //!
 //! * [`blocks`] — the one engine every gen/kill system runs on: stated per
-//!   instruction, composed per block, solved over [`node_adjacency`] and
-//!   streamed back per instruction;
+//!   instruction, composed per block, solved over a copy of the flow
+//!   graph's edge rows ([`BlockGraph`]) and streamed back per instruction;
 //! * [`solve`] — the worklist fixed-point solver, parameterized over
 //!   [`Direction`], [`Confluence`] (∏/Σ) and per-point gen/kill sets;
 //!   must-systems are solved to greatest fixed points, may-systems to least;
@@ -45,7 +45,7 @@ mod solve;
 pub use adjacency::Adjacency;
 pub use blocks::{compose, compose_row, stream, Bits, BlockGraph, BlockSolution, PointFacts};
 pub use masks::PatternMasks;
-pub use points::{node_adjacency, PointGraph, PointId};
+pub use points::{PointGraph, PointId};
 pub use solve::{
     solve, solve_scheduled, solve_seeded, Confluence, Direction, Problem, Schedule, Solution,
 };

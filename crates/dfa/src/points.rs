@@ -240,47 +240,3 @@ mod tests {
         assert_eq!(instr.display(g.pool()), "b := 2");
     }
 }
-
-/// Block-level adjacency of a flow graph as dense index lists — the point
-/// set for node-granularity analyses (Table 1 of the paper runs on whole
-/// blocks rather than instructions).
-pub fn node_adjacency(g: &FlowGraph) -> (Adjacency, Adjacency) {
-    let mut succs = Adjacency::new();
-    let mut preds = Adjacency::new();
-    let edges = g.nodes().map(|n| g.succs(n).len()).sum();
-    succs.reserve(g.node_count(), edges);
-    preds.reserve(g.node_count(), edges);
-    for n in g.nodes() {
-        succs.start_point();
-        for &m in g.succs(n) {
-            succs.push_neighbor(m.index() as u32);
-        }
-        preds.start_point();
-        for &m in g.preds(n) {
-            preds.push_neighbor(m.index() as u32);
-        }
-    }
-    (succs, preds)
-}
-
-#[cfg(test)]
-mod node_adjacency_tests {
-    use super::*;
-    use am_ir::text::parse;
-
-    #[test]
-    fn mirrors_the_graph() {
-        let g = parse(
-            "start s\nend e\nnode s { branch p > 0 }\nnode a { skip }\nnode b { skip }\nnode e { out() }\nedge s -> a, b\nedge a -> e\nedge b -> e",
-        )
-        .unwrap();
-        let (succs, preds) = node_adjacency(&g);
-        assert_eq!(succs.len(), g.node_count());
-        let s = g.start().index();
-        assert_eq!(succs[s].len(), 2);
-        assert!(preds[s].is_empty());
-        let e = g.end().index();
-        assert_eq!(preds[e].len(), 2);
-        assert!(succs[e].is_empty());
-    }
-}

@@ -2,6 +2,7 @@ use std::fmt;
 
 use crate::instr::Instr;
 use crate::intern::{InstrId, InstrInterner, TermId};
+use crate::rows::{sealed::Head, Rows, Span};
 use crate::term::Term;
 use crate::text;
 use crate::var::{Var, VarPool};
@@ -32,36 +33,51 @@ impl fmt::Debug for NodeId {
 /// transfers, which is how insertions "at the exit of a block" (Table 1's
 /// `X-INSERT`) are represented.
 ///
-/// A block holds the [`InstrId`]s of its instructions in the graph's
-/// [`InstrInterner`] ([`FlowGraph::ids`]). The instructions are read
-/// through [`FlowGraph::instrs`] and [`FlowGraph::instr`] and written
-/// through the graph's named mutations ([`FlowGraph::push_instr`],
+/// A block's instructions are [`InstrId`]s of the graph's
+/// [`InstrInterner`] ([`FlowGraph::ids`]), kept in one slab with every
+/// other block's ([`crate::rows`]); the block itself is the span of its
+/// row there and its write stamp. The instructions are read through
+/// [`FlowGraph::instrs`] and [`FlowGraph::instr`] and written through the
+/// graph's named mutations ([`FlowGraph::push_instr`],
 /// [`FlowGraph::set_block`], [`FlowGraph::set_ids`], ...), each of which
 /// interns what it writes and gives the block a fresh
 /// [write stamp](Self::stamp).
 #[derive(Clone)]
 pub struct Block {
-    ids: Vec<InstrId>,
+    span: Span,
     stamp: u64,
+}
+
+impl Head for Block {
+    #[inline]
+    fn span(&self) -> &Span {
+        &self.span
+    }
+
+    #[inline]
+    fn span_mut(&mut self) -> &mut Span {
+        &mut self.span
+    }
 }
 
 impl Block {
     /// Number of instructions.
     #[inline]
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.span.len()
     }
 
     /// Returns `true` if the block contains no instructions.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.span.is_empty()
     }
 
     /// The stamp of the graph write that last set this block's content
     /// (see [`FlowGraph::last_stamp`]): never 0, and moved by every write
-    /// to the block and by nothing else, so equal stamps at two points in
-    /// time mean the content did not change in between.
+    /// to the block and by nothing else (moving the block's row within
+    /// the slab is not a write), so equal stamps at two points in time
+    /// mean the content did not change in between.
     #[inline]
     pub fn stamp(&self) -> u64 {
         self.stamp
@@ -70,7 +86,7 @@ impl Block {
 
 impl fmt::Debug for Block {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Block").field("ids", &self.ids).finish()
+        f.debug_struct("Block").field("len", &self.len()).finish()
     }
 }
 
@@ -128,6 +144,11 @@ impl std::error::Error for GraphError {}
 /// have no predecessors and no successors respectively. Successor lists are
 /// *ordered*: for a two-way branch, successor 0 is the "true" edge.
 ///
+/// Each per-node list lives in one flat store for all nodes: the blocks'
+/// instruction ids, the successors and the predecessors are each one
+/// [`Rows`] slab, and the labels one string with a span per node. Adding
+/// a node or an edge therefore allocates nothing of its own.
+///
 /// # Examples
 ///
 /// ```
@@ -167,11 +188,16 @@ pub struct FlowGraph {
     /// Ids are never reused or forgotten, so the interner can hold
     /// contents no block holds any more.
     interner: InstrInterner,
-    blocks: Vec<Block>,
-    labels: Vec<String>,
+    /// Every block's ids; the row heads are the blocks.
+    blocks: Rows<InstrId, Block>,
+    /// Every node's label, end to end.
+    label_text: String,
+    /// Node `n`'s label is `label_text[from..to]` for the `(from, to)` at
+    /// index `n`.
+    label_spans: Vec<(u32, u32)>,
     synthetic: Vec<bool>,
-    succs: Vec<Vec<NodeId>>,
-    preds: Vec<Vec<NodeId>>,
+    succs: Rows<NodeId>,
+    preds: Rows<NodeId>,
     start: NodeId,
     end: NodeId,
     /// The last write stamp handed out ([`Self::last_stamp`]). Stamps
@@ -183,13 +209,15 @@ pub struct FlowGraph {
 
 /// Graphs compare by content: two graphs that diverged from one clone
 /// can give the same id to different instructions, so blocks compare
-/// instruction by instruction, not id by id.
+/// instruction by instruction, not id by id. Every per-node list compares
+/// row by row, so where the slabs hold them does not matter.
 impl PartialEq for FlowGraph {
     fn eq(&self, other: &Self) -> bool {
         self.pool == other.pool
-            && self.blocks.len() == other.blocks.len()
-            && self.nodes().all(|n| self.instrs(n).eq(other.instrs(n)))
-            && self.labels == other.labels
+            && self.node_count() == other.node_count()
+            && self
+                .nodes()
+                .all(|n| self.instrs(n).eq(other.instrs(n)) && self.label(n) == other.label(n))
             && self.synthetic == other.synthetic
             && self.succs == other.succs
             && self.preds == other.preds
@@ -218,11 +246,12 @@ impl FlowGraph {
         FlowGraph {
             pool: VarPool::new(),
             interner: InstrInterner::with_capacity(instrs),
-            blocks: Vec::new(),
-            labels: Vec::new(),
+            blocks: Rows::default(),
+            label_text: String::new(),
+            label_spans: Vec::new(),
             synthetic: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
+            succs: Rows::new(),
+            preds: Rows::new(),
             start: NodeId(0),
             end: NodeId(0),
             clock: 0,
@@ -261,13 +290,11 @@ impl FlowGraph {
         self.edge_stamp = self.next_stamp();
     }
 
-    /// Stamps block `n` as written and returns its ids, with the interner
-    /// for the contents.
-    fn write(&mut self, n: NodeId) -> (&mut Vec<InstrId>, &mut InstrInterner) {
+    /// Stamps block `n` as written and returns its row index.
+    fn write(&mut self, n: NodeId) -> usize {
         let stamp = self.next_stamp();
-        let block = &mut self.blocks[n.index()];
-        block.stamp = stamp;
-        (&mut block.ids, &mut self.interner)
+        self.blocks.head_mut(n.index()).stamp = stamp;
+        n.index()
     }
 
     /// Adds an empty node with the given display label.
@@ -276,25 +303,52 @@ impl FlowGraph {
     }
 
     fn add_node_inner(&mut self, label: &str, synthetic: bool) -> NodeId {
+        self.add_node_with(synthetic, |text| text.push_str(label))
+    }
+
+    /// Adds an empty node whose label is `label` written out.
+    pub(crate) fn add_node_display(&mut self, label: impl fmt::Display) -> NodeId {
+        self.add_node_with(false, |text| {
+            fmt::Write::write_fmt(text, format_args!("{label}")).expect(text::INFALLIBLE)
+        })
+    }
+
+    /// Adds an empty node whose label `label` appends to the label text.
+    fn add_node_with(&mut self, synthetic: bool, label: impl FnOnce(&mut String)) -> NodeId {
         self.edges_written();
         let id = NodeId(u32::try_from(self.blocks.len()).expect("too many nodes"));
         let stamp = self.next_stamp();
-        self.blocks.push(Block {
-            ids: Vec::new(),
+        self.blocks.push_head(Block {
+            span: Span::default(),
             stamp,
         });
-        self.labels.push(label.to_owned());
+        let from = self.label_text.len();
+        label(&mut self.label_text);
+        let span = |at: usize| u32::try_from(at).expect("label text fits u32");
+        self.label_spans
+            .push((span(from), span(self.label_text.len())));
         self.synthetic.push(synthetic);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
+        self.succs.push_row();
+        self.preds.push_row();
         id
+    }
+
+    /// Reserves room for `nodes` more nodes, `edges` more edges, `ids`
+    /// more block entries and `label_bytes` more bytes of labels.
+    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize, ids: usize, label_bytes: usize) {
+        self.blocks.reserve(nodes, ids);
+        self.label_text.reserve(label_bytes);
+        self.label_spans.reserve(nodes);
+        self.synthetic.reserve(nodes);
+        self.succs.reserve(nodes, edges);
+        self.preds.reserve(nodes, edges);
     }
 
     /// Adds the edge `(m, n)`, appended to `m`'s ordered successor list.
     pub fn add_edge(&mut self, m: NodeId, n: NodeId) {
         self.edges_written();
-        self.succs[m.index()].push(n);
-        self.preds[n.index()].push(m);
+        self.succs.push(m.index(), n);
+        self.preds.push(n.index(), m);
     }
 
     /// Removes one occurrence of the edge `(m, n)`, preserving the order of
@@ -304,16 +358,17 @@ impl FlowGraph {
     /// unreachable) — callers probing reductions, like the `am-check`
     /// shrinker, should re-[`validate`](Self::validate).
     pub fn remove_edge(&mut self, m: NodeId, n: NodeId) -> bool {
-        let Some(si) = self.succs[m.index()].iter().position(|&t| t == n) else {
+        let Some(si) = self.succs(m).iter().position(|&t| t == n) else {
             return false;
         };
         self.edges_written();
-        self.succs[m.index()].remove(si);
-        let pi = self.preds[n.index()]
+        self.succs.remove(m.index(), si);
+        let pi = self
+            .preds(n)
             .iter()
             .position(|&p| p == m)
             .expect("edge lists out of sync");
-        self.preds[n.index()].remove(pi);
+        self.preds.remove(n.index(), pi);
         true
     }
 
@@ -333,10 +388,10 @@ impl FlowGraph {
         let mut g = self.clone();
         let preds: Vec<NodeId> = g.preds(n).iter().copied().filter(|&p| p != n).collect();
         let succs: Vec<NodeId> = g.succs(n).iter().copied().filter(|&s| s != n).collect();
-        while let Some(&p) = g.preds[n.index()].first() {
+        while let Some(&p) = g.preds(n).first() {
             g.remove_edge(p, n);
         }
-        while let Some(&s) = g.succs[n.index()].first() {
+        while let Some(&s) = g.succs(n).first() {
             g.remove_edge(n, s);
         }
         if bridge {
@@ -359,6 +414,8 @@ impl FlowGraph {
         let mut out = FlowGraph::new();
         out.pool = self.pool.clone();
         out.interner = self.interner.clone();
+        let edges = self.succs.entries();
+        out.reserve(kept.len(), edges, self.instr_count(), self.label_text.len());
         let mut map = vec![None; self.node_count()];
         for &n in &kept {
             let id = out.add_node_inner(self.label(n), self.is_synthetic(n));
@@ -406,13 +463,13 @@ impl FlowGraph {
 
     /// Total number of instructions over all blocks.
     pub fn instr_count(&self) -> usize {
-        self.blocks.iter().map(Block::len).sum()
+        self.blocks.heads().iter().map(Block::len).sum()
     }
 
     /// Number of program points: one per instruction, and one
     /// pass-through point per empty block, where facts still flow.
     pub fn point_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.len().max(1)).sum()
+        self.blocks.heads().iter().map(|b| b.len().max(1)).sum()
     }
 
     /// Iterates over all node ids in index order.
@@ -421,19 +478,28 @@ impl FlowGraph {
     }
 
     /// Ordered successors of `n`.
+    #[inline]
     pub fn succs(&self, n: NodeId) -> &[NodeId] {
-        &self.succs[n.index()]
+        self.succs.row(n.index())
     }
 
     /// Predecessors of `n`.
+    #[inline]
     pub fn preds(&self, n: NodeId) -> &[NodeId] {
-        &self.preds[n.index()]
+        self.preds.row(n.index())
+    }
+
+    /// The successor and predecessor rows with nodes as indices: copies of
+    /// the graph's two edge slabs, entry by entry, for a solver's
+    /// adjacency.
+    pub fn edge_rows(&self) -> (Rows<u32>, Rows<u32>) {
+        (self.succs.map(|n| n.0), self.preds.map(|n| n.0))
     }
 
     /// The block of `n`.
     #[inline]
     pub fn block(&self, n: NodeId) -> &Block {
-        &self.blocks[n.index()]
+        self.blocks.head(n.index())
     }
 
     /// The instructions of block `n`, in order.
@@ -448,7 +514,7 @@ impl FlowGraph {
     /// The interned ids of block `n`'s instructions, in order.
     #[inline]
     pub fn ids(&self, n: NodeId) -> &[InstrId] {
-        &self.blocks[n.index()].ids
+        self.blocks.row(n.index())
     }
 
     /// The instruction at `loc`.
@@ -482,8 +548,9 @@ impl FlowGraph {
 
     /// Appends `instr` to block `n`.
     pub fn push_instr(&mut self, n: NodeId, instr: Instr) {
-        let (ids, interner) = self.write(n);
-        ids.push(interner.intern_owned(instr).0);
+        let row = self.write(n);
+        let id = self.interner.intern_owned(instr).0;
+        self.blocks.push(row, id);
     }
 
     /// Inserts `instr` at `loc`, shifting the instructions from there on.
@@ -492,8 +559,9 @@ impl FlowGraph {
     ///
     /// Panics if `loc.index` exceeds the block's length.
     pub fn insert_instr(&mut self, loc: Loc, instr: Instr) {
-        let (ids, interner) = self.write(loc.node);
-        ids.insert(loc.index, interner.intern_owned(instr).0);
+        let row = self.write(loc.node);
+        let id = self.interner.intern_owned(instr).0;
+        self.blocks.insert(row, loc.index, id);
     }
 
     /// Removes the instruction at `loc` and returns a copy of it (the
@@ -503,8 +571,9 @@ impl FlowGraph {
     ///
     /// Panics if `loc` is out of bounds.
     pub fn remove_instr(&mut self, loc: Loc) -> Instr {
-        let (ids, interner) = self.write(loc.node);
-        interner.instr(ids.remove(loc.index)).clone()
+        let row = self.write(loc.node);
+        let id = self.blocks.remove(row, loc.index);
+        self.interner.instr(id).clone()
     }
 
     /// Replaces the instruction at `loc` with `instr`, returning a copy of
@@ -514,66 +583,66 @@ impl FlowGraph {
     ///
     /// Panics if `loc` is out of bounds.
     pub fn replace_instr(&mut self, loc: Loc, instr: Instr) -> Instr {
-        let (ids, interner) = self.write(loc.node);
-        let new = interner.intern_owned(instr).0;
-        interner
-            .instr(std::mem::replace(&mut ids[loc.index], new))
-            .clone()
+        let row = self.write(loc.node);
+        let new = self.interner.intern_owned(instr).0;
+        let old = std::mem::replace(&mut self.blocks.row_mut(row)[loc.index], new);
+        self.interner.instr(old).clone()
     }
 
     /// Keeps the instructions of block `n` for which `keep` holds, in
     /// order.
     pub fn retain_instrs(&mut self, n: NodeId, mut keep: impl FnMut(&Instr) -> bool) {
-        let (ids, interner) = self.write(n);
-        ids.retain(|&id| keep(interner.instr(id)));
+        let row = self.write(n);
+        let interner = &self.interner;
+        self.blocks.retain(row, |id| keep(interner.instr(id)));
     }
 
     /// Empties block `n` and returns copies of its instructions.
     pub fn take_block(&mut self, n: NodeId) -> Vec<Instr> {
-        let (ids, interner) = self.write(n);
-        let instrs = ids.iter().map(|&id| interner.instr(id).clone()).collect();
-        ids.clear();
+        let row = self.write(n);
+        let instrs = self.blocks.row(row).iter();
+        let instrs = instrs.map(|&id| self.interner.instr(id).clone()).collect();
+        self.blocks.clear_row(row);
         instrs
     }
 
     /// Replaces the instructions of block `n` with `instrs`, interning
     /// each.
     pub fn set_block(&mut self, n: NodeId, instrs: Vec<Instr>) {
-        let (ids, interner) = self.write(n);
-        ids.clear();
-        ids.extend(
-            instrs
-                .into_iter()
-                .map(|instr| interner.intern_owned(instr).0),
-        );
+        let row = self.write(n);
+        self.blocks.clear_row(row);
+        for instr in instrs {
+            let id = self.interner.intern_owned(instr).0;
+            self.blocks.push(row, id);
+        }
     }
 
-    /// Replaces the ids of block `n` with `new`, in the block's own
-    /// allocation. When it must grow, it grows to twice the new length,
-    /// so that later rewrites adding a few instructions fit.
+    /// Replaces the ids of block `n` with `new`, in the block's own room
+    /// in the slab. A block that must grow moves to the slab's end with
+    /// room for twice the new length, so that later rewrites adding a few
+    /// instructions fit; the block that ends the slab grows in place.
     ///
     /// # Panics
     ///
     /// Panics if an id is not one of this graph's interner.
     pub fn set_ids(&mut self, n: NodeId, new: &[InstrId]) {
-        let (ids, interner) = self.write(n);
+        let row = self.write(n);
         assert!(
-            new.iter().all(|id| id.index() < interner.len()),
+            new.iter().all(|id| id.index() < self.interner.len()),
             "ids of another graph's interner"
         );
-        ids.clear();
-        if new.len() > ids.capacity() {
-            ids.reserve_exact(2 * new.len());
-        }
-        ids.extend_from_slice(new);
+        self.blocks.set(row, new);
     }
 
     /// The display label of `n`.
+    #[inline]
     pub fn label(&self, n: NodeId) -> &str {
-        &self.labels[n.index()]
+        let (from, to) = self.label_spans[n.index()];
+        &self.label_text[from as usize..to as usize]
     }
 
     /// Whether `n` was introduced by critical-edge splitting.
+    #[inline]
     pub fn is_synthetic(&self, n: NodeId) -> bool {
         self.synthetic[n.index()]
     }
@@ -628,25 +697,47 @@ impl FlowGraph {
     /// Splits every critical edge by inserting a synthetic node (Fig. 10),
     /// returning the number of edges split. Code motion requires this
     /// normalization; all transformation entry points call it implicitly.
+    ///
+    /// Splitting changes no node's degree, so the edges to split are
+    /// counted first and every store is sized for them once: the split
+    /// makes a fixed number of allocations, however many edges it splits.
     pub fn split_critical_edges(&mut self) -> usize {
-        let mut split = 0;
-        for m in 0..self.blocks.len() {
-            let m = NodeId(m as u32);
-            for si in 0..self.succs[m.index()].len() {
-                let n = self.succs[m.index()][si];
+        let (mut count, mut label_bytes) = (0, 0);
+        for m in self.nodes() {
+            for &n in self.succs(m) {
                 if self.is_critical_edge(m, n) {
-                    let label = format!("S{},{}", self.labels[m.index()], self.labels[n.index()]);
-                    let synth = self.add_node_inner(&label, true);
+                    count += 1;
+                    label_bytes += 2 + self.label(m).len() + self.label(n).len();
+                }
+            }
+        }
+        self.reserve(count, count, 0, label_bytes);
+        let mut split = 0;
+        for m in 0..self.node_count() {
+            let m = NodeId(m as u32);
+            for si in 0..self.succs(m).len() {
+                let n = self.succs(m)[si];
+                if self.is_critical_edge(m, n) {
+                    // `S<m>,<n>`, copied within the label text.
+                    let (spans, m_at, n_at) = (&self.label_spans, m.index(), n.index());
+                    let [(m_from, m_to), (n_from, n_to)] = [spans[m_at], spans[n_at]];
+                    let synth = self.add_node_with(true, |text| {
+                        text.push('S');
+                        text.extend_from_within(m_from as usize..m_to as usize);
+                        text.push(',');
+                        text.extend_from_within(n_from as usize..n_to as usize);
+                    });
                     // Redirect m's si-th successor to the synthetic node,
                     // preserving successor order (branch decisions).
-                    self.succs[m.index()][si] = synth;
-                    let pred_slot = self.preds[n.index()]
+                    self.succs.row_mut(m.index())[si] = synth;
+                    let pred_slot = self
+                        .preds(n)
                         .iter()
                         .position(|&p| p == m)
                         .expect("edge lists out of sync");
-                    self.preds[n.index()][pred_slot] = synth;
-                    self.succs[synth.index()].push(n);
-                    self.preds[synth.index()].push(m);
+                    self.preds.row_mut(n.index())[pred_slot] = synth;
+                    self.succs.push(synth.index(), n);
+                    self.preds.push(synth.index(), m);
                     self.edges_written();
                     split += 1;
                 }
@@ -1192,18 +1283,20 @@ impl FlowGraph {
             let Some(n) = candidate else { break };
             let p = g.preds(n)[0];
             let s = g.succs(n)[0];
-            let slot = g.succs[p.index()]
+            let slot = g
+                .succs(p)
                 .iter()
                 .position(|&m| m == n)
                 .expect("edge lists in sync");
-            g.succs[p.index()][slot] = s;
-            let pslot = g.preds[s.index()]
+            g.succs.row_mut(p.index())[slot] = s;
+            let pslot = g
+                .preds(s)
                 .iter()
                 .position(|&m| m == n)
                 .expect("edge lists in sync");
-            g.preds[s.index()][pslot] = p;
-            g.succs[n.index()].clear();
-            g.preds[n.index()].clear();
+            g.preds.row_mut(s.index())[pslot] = p;
+            g.succs.clear_row(n.index());
+            g.preds.clear_row(n.index());
             g.edges_written();
         }
         // Phase 2: compact, dropping now-disconnected nodes.

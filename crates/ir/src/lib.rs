@@ -18,6 +18,7 @@
 //!   comparisons (Def. 3.8) measurable;
 //! * [`analysis`] — dominators, reducibility, natural loops;
 //! * [`random`] — structured/unstructured program generators;
+//! * [`rows`] — the flat row store the graph keeps its per-node lists in;
 //! * [`alpha`] — alpha-equivalence modulo temporary names, for pinning
 //!   transformed programs against the paper's figures.
 //!
@@ -54,6 +55,7 @@ pub mod interp;
 pub mod patterns;
 pub mod random;
 pub mod rng;
+pub mod rows;
 mod term;
 pub mod text;
 mod var;

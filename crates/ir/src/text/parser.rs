@@ -350,6 +350,9 @@ const MEMO_KEY_LIMIT: usize = 64;
 struct Parser<'a> {
     cur: Cursor<'a>,
     graph: FlowGraph,
+    /// The node of each label: the graph holds the labels' text, the
+    /// table only ids. The labels come from the input, so the table keeps
+    /// std's keyed hasher.
     nodes: HashMap<Label<'a>, NodeId>,
     /// Whether each node, by id, has had its `node` item.
     defined: Vec<bool>,
@@ -379,11 +382,19 @@ impl<'a> Parser<'a> {
         // tables from being sized for contents it mostly repeats.
         let statements = (cur.tokens.len() / 4).min(PRESIZE_LIMIT);
         let instrs = (2 * (cur.tokens.len() / 4)).min(PRESIZE_LIMIT);
+        // The graph's stores are sized from the token count too, with no
+        // cap: every node, edge and instruction is stored, repeated or
+        // not. A node item takes at least four tokens, but the measured
+        // shapes spend 10 to 40 per node; the estimates cover those, and
+        // a denser program's stores grow as they fill.
+        let nodes = cur.tokens.len() / 16;
+        let mut graph = FlowGraph::with_capacity(instrs);
+        graph.reserve(nodes, 2 * nodes, cur.tokens.len() / 2, 8 * nodes);
         Parser {
             cur,
-            graph: FlowGraph::with_capacity(instrs),
-            nodes: HashMap::new(),
-            defined: Vec::new(),
+            graph,
+            nodes: HashMap::with_capacity(nodes),
+            defined: Vec::with_capacity(nodes),
             start: None,
             end: None,
             mode,
@@ -464,7 +475,7 @@ impl<'a> Parser<'a> {
             defined.push(false);
             match label {
                 Label::Name(s) => graph.add_node(s),
-                Label::Num(i) => graph.add_node(&i.to_string()),
+                Label::Num(i) => graph.add_node_display(i),
             }
         })
     }

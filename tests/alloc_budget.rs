@@ -9,7 +9,9 @@
 //! snapshots) and renders the result's canonical text, and asserts a
 //! ceiling per stage. The ceilings hold about 10% headroom over the
 //! debug-build counts, so a change that brings back a per-row,
-//! per-statement or per-node allocation fails here. Release builds may
+//! per-statement or per-node allocation fails here; the graph's own
+//! storage is checked to allocate nothing per node at two sizes of one
+//! shape. Release builds may
 //! elide some allocations; the ceilings are upper bounds and hold there
 //! too.
 //!
@@ -122,7 +124,7 @@ fn wide_fan_allocations_are_budgeted() {
     check(
         "wide_fan(300,4)",
         &[to_text(&wide_fan(300, 4))],
-        [1_470, 135, 15],
+        [63, 128, 15],
     );
 }
 
@@ -131,14 +133,14 @@ fn nest_grid_allocations_are_budgeted() {
     check(
         "nest_grid(40,2,8)",
         &[to_text(&nest_grid(40, 2, 8))],
-        [1_000, 935, 15],
+        [68, 181, 15],
     );
 }
 
 #[test]
 fn corpus80_allocations_are_budgeted() {
     let sources: Vec<String> = corpus80().iter().map(|(_, g)| to_text(g)).collect();
-    check("corpus80", &sources, [9_730, 14_100, 782]);
+    check("corpus80", &sources, [4_035, 10_700, 782]);
 }
 
 /// A while-language program of the `corpus` benchmark's shape: two to
@@ -233,7 +235,7 @@ fn cold_pipeline_jobs_are_budgeted() {
         jobs.len(),
         total as f64 / jobs.len() as f64
     );
-    let ceiling = 43_750;
+    let ceiling = 33_200;
     assert!(
         total <= ceiling,
         "run_job made {total} allocations, over its budget of {ceiling}"
@@ -281,5 +283,64 @@ fn a_round_that_changes_nothing_allocates_nothing() {
         }
         println!("{shape}: {quiet} quiet rounds, none allocated");
         assert!(quiet > 0, "{shape}: no quiet round after the first");
+    }
+}
+
+/// The allocations of each phase of one batch optimize run of `g`, from
+/// the run's start or the previous phase's hook to this phase's.
+fn phase_allocations(g: FlowGraph) -> Vec<(PhaseId, u64)> {
+    let mut phases = Vec::with_capacity(16);
+    let mut last = ALLOCATIONS.with(Cell::get);
+    optimize_owned(g, &batch_config(), &mut |phase, _| {
+        let now = ALLOCATIONS.with(Cell::get);
+        if phases.len() < phases.capacity() {
+            phases.push((phase, now - last));
+        }
+        last = ALLOCATIONS.with(Cell::get);
+    });
+    phases
+}
+
+#[test]
+fn graph_storage_does_not_allocate_per_node() {
+    // Parsing sizes the graph's stores from the token count: a fan ten
+    // times as wide costs a few more allocations, not one per node.
+    let parse_of = |branches| {
+        let text = to_text(&wide_fan(branches, 4));
+        allocations(|| parse(&text).expect("program parses")).1
+    };
+    let (narrow, wide) = (parse_of(250), parse_of(2500));
+    println!("parse wide_fan(250,4) {narrow}, wide_fan(2500,4) {wide} allocations");
+    assert!(
+        wide.abs_diff(narrow) <= 16,
+        "parse allocations grow with the fan: {narrow} -> {wide}"
+    );
+    // Splitting counts the critical edges first and sizes every store
+    // once, whether the graph was parsed or built.
+    for copies in [20, 80] {
+        let built = nest_grid(copies, 2, 8);
+        let parsed = parse(&to_text(&built)).expect("program parses");
+        for (how, mut g) in [("built", built), ("parsed", parsed)] {
+            let (split, n) = allocations(|| g.split_critical_edges());
+            println!("split of {how} nest_grid({copies},2,8): {split} edges, {n} allocations");
+            assert_eq!(split, 2 * copies, "{how}: edges split");
+            assert!(
+                n <= 8,
+                "{how} nest_grid({copies},2,8): split made {n} allocations"
+            );
+        }
+    }
+    // The motion rounds' first insertions into the split blocks move
+    // rows within the slab: no round allocates per block, so each round
+    // costs about the same at four times the size.
+    let small = phase_allocations(nest_grid(20, 2, 8));
+    let large = phase_allocations(nest_grid(80, 2, 8));
+    assert_eq!(small.len(), large.len(), "the same phases");
+    for (&(phase, s), &(_, l)) in small.iter().zip(&large) {
+        println!("{phase}: nest_grid(20,2,8) {s}, nest_grid(80,2,8) {l} allocations");
+        assert!(
+            l.abs_diff(s) <= 16,
+            "{phase} allocations grow with the program: {s} -> {l}"
+        );
     }
 }
