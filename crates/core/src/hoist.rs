@@ -42,7 +42,7 @@
 use std::rc::Rc;
 
 use am_bitset::BitSet;
-use am_dfa::{compose_row, solve_seeded, Confluence, Direction, PatternMasks, Problem, Solution};
+use am_dfa::{compose_row, Confluence, Direction, PatternMasks, Problem, Solution};
 use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, Loc, NodeId, PatternUniverse};
 use am_trace::{ProvKind, ProvRecord, Tracer};
@@ -98,9 +98,9 @@ impl MotionContext {
     /// When the refilled rows changed only monotonically downward
     /// (candidates lost, blockades gained) on unchanged edges, the system
     /// is re-solved from the previous greatest solution with only the
-    /// changed nodes seeded ([`am_dfa::solve_seeded`]): the old solution is
-    /// a post-fixed point of the lowered system, so the descent reaches the
-    /// new greatest fixed point. Otherwise the solve is cold.
+    /// changed nodes seeded ([`am_dfa::BlockGraph::solve_seeded`]): the old
+    /// solution is a post-fixed point of the lowered system, so the descent
+    /// reaches the new greatest fixed point. Otherwise the solve is cold.
     pub(crate) fn hoisting(&mut self, g: &FlowGraph) -> HoistAnalysis {
         self.sync(g);
         let (nodes, ap) = (g.node_count(), self.universe.assign_count());
@@ -194,9 +194,7 @@ impl MotionContext {
         let previous = std::mem::take(&mut a.hoistable);
         a.hoistable = if lowered && solved_on == Some(self.edge_hash) {
             self.hoist_warm += 1;
-            let ns = self.node_system(g);
-            let (succs, preds, schedule) = (&ns.succs, &ns.preds, &ns.schedule);
-            solve_seeded(succs, preds, &problem, schedule, previous, &dirty)
+            self.node_system(g).solve_seeded(&problem, previous, &dirty)
         } else {
             self.solve_cold(g, &problem, Some(previous))
         };

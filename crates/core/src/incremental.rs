@@ -74,12 +74,13 @@
 //! * **Previous hoist system** — when a round's Table 1 rows changed only
 //!   monotonically downward (candidates lost, blockades gained), the
 //!   backward must system is re-solved from the previous greatest solution
-//!   with only the dirty nodes seeded ([`am_dfa::solve_seeded`]); the old
-//!   solution is a post-fixed point of the lowered system, so the descent
-//!   reaches the new greatest fixed point. Non-monotone changes fall back
-//!   to a cold scheduled solve. A round whose hoist input has the same
-//!   fingerprint as the previous round's (last elimination found nothing
-//!   and the last hoist was a no-op) skips the solve outright. The warm
+//!   with only the dirty nodes seeded
+//!   ([`am_dfa::BlockGraph::solve_seeded`]); the old solution is a
+//!   post-fixed point of the lowered system, so the descent reaches the new
+//!   greatest fixed point. Non-monotone changes fall back to a cold solve.
+//!   A round whose hoist input has the same fingerprint as the previous
+//!   round's (last elimination found nothing and the last hoist was a
+//!   no-op) skips the solve outright. The warm
 //!   solve continues the previous solution in place.
 //! * **Round scratch** — occurrence ranks, dirty lists, elimination
 //!   locations, block locals, the candidate buffers and the insertion
@@ -501,7 +502,7 @@ impl MotionContext {
     /// changed.
     pub(crate) fn node_system(&mut self, g: &FlowGraph) -> &BlockGraph {
         let valid = matches!(&self.node_system,
-            Some((edges, ns)) if *edges == self.edge_hash && ns.succs.len() == g.node_count());
+            Some((edges, ns)) if *edges == self.edge_hash && ns.node_count() == g.node_count());
         if !valid {
             self.node_system = Some((self.edge_hash, BlockGraph::build(g)));
         }

@@ -6,7 +6,8 @@
 //! warm-started hoistability solve and a fixed entry universe. This oracle
 //! writes the loop out literally — Table 2 per instruction over a
 //! `PointGraph`, Table 1 per block, local predicates read straight off the
-//! pattern definitions, every system solved by the generic solver over a
+//! pattern definitions, every system solved by the naive round-robin
+//! solver of `am-dfa`'s test support (no worklist, no schedule) over a
 //! universe collected afresh each round — and requires every round's
 //! program to equal the motion loop's hook snapshot of that round, and the
 //! streamed Table 2 facts to equal the point-level ones.
@@ -15,7 +16,7 @@ use am_bitset::BitSet;
 use am_core::global::GlobalConfig;
 use am_core::motion::{assignment_motion_with, MotionOrder};
 use am_core::{hoist, init, rae};
-use am_dfa::{solve, BlockGraph, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{Confluence, Direction, Problem};
 use am_ir::random::{structured, unstructured, SplitMix64, StructuredConfig, UnstructuredConfig};
 use am_ir::text::{parse_with_mode, to_text, Mode};
 use am_ir::{FlowGraph, Instr, Loc, PatternUniverse};
@@ -23,6 +24,12 @@ use am_ir::{FlowGraph, Instr, Loc, PatternUniverse};
 #[allow(dead_code)]
 #[path = "../../bench/src/programs.rs"]
 mod figures;
+
+#[allow(dead_code)]
+#[path = "../../dfa/tests/support/points.rs"]
+mod points;
+
+use points::{reference_solve, PointGraph};
 
 /// Table 2 per instruction point: `N-REDUNDANT*` at every point of `pg`.
 fn point_redundancy(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Vec<BitSet> {
@@ -42,7 +49,7 @@ fn point_redundancy(pg: &PointGraph<'_>, universe: &PatternUniverse) -> Vec<BitS
             }
         }
     }
-    solve(pg.succs(), pg.preds(), &p).before
+    pg.solve(&p).0
 }
 
 /// One literal elimination step; checks the streamed facts on the way.
@@ -116,22 +123,22 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
         }
         candidates[n.index()].sort_by_key(|&(_, idx)| idx);
     }
-    let BlockGraph { succs, preds, .. } = BlockGraph::build(g);
+    let (succs, preds) = g.edge_rows();
     let mut p = Problem::new(Direction::Backward, Confluence::Must, nodes, ap);
     p.gen = loc_hoistable.clone();
     p.kill = loc_blocked.clone();
-    let sol = solve(&succs, &preds, &p);
+    let (before, after) = reference_solve(&succs, &preds, &p);
     let mut n_insert = vec![BitSet::new(ap); nodes];
     let mut x_insert = vec![BitSet::new(ap); nodes];
     for n in g.nodes() {
         let ni = n.index();
         for i in 0..ap {
             let frontier =
-                n == g.start() || g.preds(n).iter().any(|m| !sol.after[m.index()].contains(i));
-            if sol.before[ni].contains(i) && frontier {
+                n == g.start() || g.preds(n).iter().any(|m| !after[m.index()].contains(i));
+            if before[ni].contains(i) && frontier {
                 n_insert[ni].insert(i);
             }
-            if sol.after[ni].contains(i) && loc_blocked[ni].contains(i) {
+            if after[ni].contains(i) && loc_blocked[ni].contains(i) {
                 x_insert[ni].insert(i);
             }
         }
@@ -150,11 +157,8 @@ fn naive_aht(g: &mut FlowGraph, what: &str) {
             "{what}: candidates"
         );
     }
-    assert_eq!(
-        analysis.hoistable.before, sol.before,
-        "{what}: N-HOISTABLE*"
-    );
-    assert_eq!(analysis.hoistable.after, sol.after, "{what}: X-HOISTABLE*");
+    assert_eq!(analysis.hoistable.before, before, "{what}: N-HOISTABLE*");
+    assert_eq!(analysis.hoistable.after, after, "{what}: X-HOISTABLE*");
     assert_eq!(analysis.n_insert, n_insert, "{what}: N-INSERT");
     assert_eq!(analysis.x_insert, x_insert, "{what}: X-INSERT");
 

@@ -4,16 +4,23 @@
 //! streams the per-instruction facts from the solved block boundaries.
 //! This oracle states Table 3 literally — one point per instruction (one
 //! pass-through point per empty block), local predicates read straight
-//! off the definitions, both systems solved by the generic point-level
-//! solver — and requires every streamed fact to agree with it.
+//! off the definitions, both systems solved by the naive round-robin
+//! solver of `am-dfa`'s test support — and requires every streamed fact to
+//! agree with it.
 
 use am_bitset::BitSet;
 use am_core::flush::{analyze_flush, InstrFacts};
 use am_core::{init, lcm, motion};
-use am_dfa::{solve, Confluence, Direction, PointGraph, Problem};
+use am_dfa::{Confluence, Direction, Problem};
 use am_ir::random::{structured, unstructured, SplitMix64, StructuredConfig, UnstructuredConfig};
 use am_ir::text::parse;
 use am_ir::{FlowGraph, Instr};
+
+#[allow(dead_code)]
+#[path = "../../dfa/tests/support/points.rs"]
+mod points;
+
+use points::PointGraph;
 
 /// Checks every instruction's streamed facts of `g` against the
 /// instruction-level solve.
@@ -60,11 +67,11 @@ fn check_against_points(g: &mut FlowGraph, what: &str) {
         delay.kill[p].union_with(&used[p]);
         delay.kill[p].union_with(&blocked[p]);
     }
-    let delay = solve(pg.succs(), pg.preds(), &delay);
+    let (n_delay, x_delay) = pg.solve(&delay);
     let mut usable = Problem::new(Direction::Backward, Confluence::May, points, ep);
     usable.gen = used.clone();
     usable.kill = is_inst.clone();
-    let usable = solve(pg.succs(), pg.preds(), &usable);
+    let (n_usable, x_usable) = pg.solve(&usable);
 
     for n in g.nodes() {
         let facts = analysis.block_facts(g, n);
@@ -76,10 +83,10 @@ fn check_against_points(g: &mut FlowGraph, what: &str) {
                 is_inst: is_inst[p].clone(),
                 used: used[p].clone(),
                 blocked: blocked[p].clone(),
-                n_delay: delay.before[p].clone(),
-                x_delay: delay.after[p].clone(),
-                n_usable: usable.before[p].clone(),
-                x_usable: usable.after[p].clone(),
+                n_delay: n_delay[p].clone(),
+                x_delay: x_delay[p].clone(),
+                n_usable: n_usable[p].clone(),
+                x_usable: x_usable[p].clone(),
             };
             assert_eq!(
                 *f,
@@ -91,17 +98,9 @@ fn check_against_points(g: &mut FlowGraph, what: &str) {
         // The block-level solutions are the facts at the block boundary.
         let (ni, last) = (n.index(), pg.last_of(n).index());
         let block_level = (&analysis.delay.before[ni], &analysis.delay.after[ni]);
-        assert_eq!(
-            block_level,
-            (&delay.before[first], &delay.after[last]),
-            "{what}"
-        );
+        assert_eq!(block_level, (&n_delay[first], &x_delay[last]), "{what}");
         let block_level = (&analysis.usable.before[ni], &analysis.usable.after[ni]);
-        assert_eq!(
-            block_level,
-            (&usable.before[first], &usable.after[last]),
-            "{what}"
-        );
+        assert_eq!(block_level, (&n_usable[first], &x_usable[last]), "{what}");
     }
 }
 

@@ -16,15 +16,15 @@
 //!   [`compose_row`] sees which gen bits reach the block's entry: Table 1's
 //!   hoisting candidates are the occurrences whose bit does.
 //! * **Solve** over the [`BlockGraph`] (a copy of the flow graph's edge
-//!   rows and their schedule, [`crate::solve`]). [`BlockSolution::solve`] is the one-shot
-//!   form, with one row per distinct interned instruction; the motion
-//!   rounds and the flush cache their rows per interned id.
+//!   rows and their schedule, [`BlockGraph::solve`]).
+//!   [`BlockSolution::solve`] is the one-shot form, with one row per
+//!   distinct interned instruction; the motion rounds and the flush cache
+//!   their rows per interned id.
 //! * **Stream** ([`stream`]). Each instruction's facts follow from its
 //!   block's solved boundary fact, stepping the rows forward from the entry
 //!   or backward from the exit; [`PointFacts`] lays them out per program
 //!   point — an instruction, or the pass-through point of an empty block,
-//!   as in the literal statement [`PointGraph`](crate::PointGraph) the
-//!   oracles solve.
+//!   as in the literal per-instruction statement the test oracles solve.
 //!
 //! Rows are `(gen, kill)` pairs of [`Bits`]: a [`BitSet`], or a single
 //! index (`Option<usize>`) where an instruction generates or kills at most
@@ -34,8 +34,7 @@ use am_bitset::BitSet;
 use am_ir::intern::InstrId;
 use am_ir::{FlowGraph, Instr, NodeId};
 
-use crate::adjacency::Adjacency;
-use crate::solve::{solve_scheduled, Confluence, Direction, Problem, Schedule, Solution};
+use crate::solve::{BlockGraph, Confluence, Direction, Problem, Solution};
 
 /// One side of a gen/kill row: a set of bits, or at most one bit.
 pub trait Bits {
@@ -177,38 +176,6 @@ pub fn stream<G: Bits, K: Bits>(
     }
 }
 
-/// A program's block graph: the block adjacency and its solver schedule,
-/// shared by every system solved over the same edges.
-pub struct BlockGraph {
-    /// Successors of each block.
-    pub succs: Adjacency,
-    /// Predecessors of each block.
-    pub preds: Adjacency,
-    /// The priority schedule of the blocks.
-    pub schedule: Schedule,
-}
-
-impl BlockGraph {
-    /// The block graph of `g`: its adjacency copies the graph's two edge
-    /// slabs ([`FlowGraph::edge_rows`]).
-    pub fn build(g: &FlowGraph) -> Self {
-        let (succs, preds) = g.edge_rows();
-        let (succs, preds) = (Adjacency::from(succs), Adjacency::from(preds));
-        let schedule = Schedule::build(&succs, &preds);
-        BlockGraph {
-            succs,
-            preds,
-            schedule,
-        }
-    }
-
-    /// Solves a block-level `problem` cold, reusing the buffers of a
-    /// `recycled` solution ([`solve_scheduled`]).
-    pub fn solve(&self, problem: &Problem, recycled: Option<Solution>) -> Solution {
-        solve_scheduled(&self.succs, &self.preds, problem, &self.schedule, recycled)
-    }
-}
-
 /// A gen/kill system over a program, solved once per block, with the rows
 /// its per-instruction facts stream from.
 pub struct BlockSolution<G, K> {
@@ -344,11 +311,11 @@ mod tests {
         let blocks = BlockGraph::build(&g);
         assert_eq!(blocks.succs.len(), g.node_count());
         let s = g.start().index();
-        assert_eq!(blocks.succs[s].len(), 2);
-        assert!(blocks.preds[s].is_empty());
+        assert_eq!(blocks.succs.row(s).len(), 2);
+        assert!(blocks.preds.row(s).is_empty());
         let e = g.end().index();
-        assert_eq!(blocks.preds[e].len(), 2);
-        assert!(blocks.succs[e].is_empty());
+        assert_eq!(blocks.preds.row(e).len(), 2);
+        assert!(blocks.succs.row(e).is_empty());
         // Rows that outgrew their room and moved within the edge slabs
         // copy the same: the adjacency is row for row the graph's.
         let [a, b] = ["a", "b"].map(|l| g.nodes().find(|&n| g.label(n) == l).unwrap());
@@ -362,8 +329,8 @@ mod tests {
         assert_eq!(blocks.succs.len(), g.node_count());
         for n in g.nodes() {
             let index = |list: &[NodeId]| list.iter().map(|m| m.index() as u32).collect::<Vec<_>>();
-            assert_eq!(blocks.succs[n.index()], index(g.succs(n)), "{n:?}");
-            assert_eq!(blocks.preds[n.index()], index(g.preds(n)), "{n:?}");
+            assert_eq!(blocks.succs.row(n.index()), index(g.succs(n)), "{n:?}");
+            assert_eq!(blocks.preds.row(n.index()), index(g.preds(n)), "{n:?}");
         }
     }
 }

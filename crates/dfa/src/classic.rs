@@ -6,18 +6,19 @@
 //! propagation uses reaching copies; assignment sinking uses liveness) and
 //! the lints. The gen/kill ones are stated per instruction and solved per
 //! block ([`crate::blocks`]), over the program's [`BlockGraph`], which a
-//! caller solving several of them builds once; strong liveness is not
-//! gen/kill and runs on the instruction-level [`PointGraph`].
+//! caller solving several of them builds once. Strong liveness is not
+//! gen/kill: it is solved over the same blocks with its own transfer,
+//! [`strong_liveness_step`], which also walks a block's instructions back
+//! from its solved exit fact.
 
 use am_bitset::BitSet;
-use am_ir::{AssignPattern, FlowGraph, Instr, PatternUniverse, Term, Var};
+use am_ir::{AssignPattern, FlowGraph, Instr, NodeId, PatternUniverse, Term, Var};
 
-use crate::blocks::{BlockGraph, BlockSolution};
+use crate::blocks::BlockSolution;
 use crate::masks::PatternMasks;
-use crate::points::{PointGraph, PointId};
 use crate::solve::Confluence::{self, May, Must};
 use crate::solve::Direction::{self, Backward, Forward};
-use crate::solve::Solution;
+use crate::solve::{BlockGraph, RankQueue, Solution};
 
 /// Shared expression-pattern system: gen = computed occurrences, kill =
 /// patterns mentioning the defined variable ([`PatternMasks`] makes both a
@@ -104,74 +105,53 @@ pub fn partially_available_expressions(
 /// ending unread keeps `a` classically live (the `b := a` read) but not
 /// strongly live — the whole chain is faint. The conditional transfer
 /// (uses count only under a strongly live target) is not a gen/kill system,
-/// so this runs its own worklist fixpoint; backward, may, least solution,
-/// reported in the same [`Solution`] shape as the framework instances.
-pub fn strongly_live_variables(pg: &PointGraph<'_>) -> Solution {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let g = pg.graph();
-    let n = pg.len();
+/// so this runs its own worklist over the blocks of `g` (`blocks`), in the
+/// solver's priority order; backward, may, least solution. `before[n]` is
+/// the fact at the entry of block `n`, `after[n]` at its exit; a block's
+/// transfer steps its instructions back from the exit
+/// ([`strong_liveness_step`]), which is exact because an interior point
+/// has one successor. Walk a block the same way to get the fact after each
+/// instruction.
+pub fn strongly_live_variables(g: &FlowGraph, blocks: &BlockGraph) -> Solution {
     let vars = g.pool().len();
-    let succs = pg.succs();
-    let preds = pg.preds();
-    let schedule = pg.schedule();
+    let n = blocks.node_count();
+    let nodes: Vec<NodeId> = g.nodes().collect();
     let mut before = vec![BitSet::new(vars); n];
     let mut after = vec![BitSet::new(vars); n];
-    let mut iterations: u64 = 0;
-    let mut on_list = vec![true; n];
+    let order = blocks.order(Backward);
     // Same priority discipline as the gen/kill solver: post-order ranks
-    // for a backward propagation, each point queued at most once.
-    let mut worklist: BinaryHeap<Reverse<u32>> = (0..n)
-        .map(|p| Reverse(schedule.rank(Direction::Backward, p)))
-        .collect();
-    let mut worklist_pushes = n as u64;
-    let mut max_worklist_len = n;
-    let mut scratch = BitSet::new(vars);
-    while let Some(Reverse(rank)) = worklist.pop() {
-        let p = schedule.point_at(Direction::Backward, rank);
-        on_list[p] = false;
+    // for a backward propagation, each block queued at most once.
+    let mut queue = RankQueue::default();
+    queue.reset(n);
+    for rank in 0..n as u32 {
+        queue.push(rank);
+    }
+    let mut on_list = vec![true; n];
+    let (mut iterations, mut worklist_pushes, mut max_worklist_len) = (0, n as u64, n);
+    let mut x = BitSet::new(vars);
+    while let Some(rank) = queue.pop() {
+        let b = order.seq[rank as usize] as usize;
+        on_list[b] = false;
         iterations += 1;
         // Merge: strongly-live-after = Σ over successors (exit stays ⊥).
-        scratch.clear();
-        for &q in &succs[p] {
-            scratch.union_with(&before[q as usize]);
+        x.clear();
+        for &s in blocks.succs.row(b) {
+            x.union_with(&before[s as usize]);
         }
-        after[p].copy_from(&scratch);
-        match pg.instr(PointId(p as u32)) {
-            Some(Instr::Assign { lhs, rhs }) => {
-                let target_live = scratch.contains(lhs.index());
-                scratch.remove(lhs.index());
-                if target_live {
-                    rhs.for_each_var(|v| {
-                        scratch.insert(v.index());
-                    });
-                }
-            }
-            Some(Instr::Out(ops)) => {
-                for op in ops {
-                    if let Some(v) = op.as_var() {
-                        scratch.insert(v.index());
-                    }
-                }
-            }
-            Some(Instr::Branch(c)) => {
-                c.for_each_var(|v| {
-                    scratch.insert(v.index());
-                });
-            }
-            Some(Instr::Skip) | None => {}
+        after[b].copy_from(&x);
+        for instr in g.instrs(nodes[b]).rev() {
+            strong_liveness_step(instr, &mut x);
         }
-        if before[p].copy_from(&scratch) {
-            for &q in &preds[p] {
-                let q = q as usize;
-                if !on_list[q] {
-                    on_list[q] = true;
-                    worklist.push(Reverse(schedule.rank(Direction::Backward, q)));
+        if before[b].copy_from(&x) {
+            for &p in blocks.preds.row(b) {
+                let p = p as usize;
+                if !on_list[p] {
+                    on_list[p] = true;
+                    queue.push(order.rank[p]);
                     worklist_pushes += 1;
                 }
             }
-            max_worklist_len = max_worklist_len.max(worklist.len());
+            max_worklist_len = max_worklist_len.max(queue.len());
         }
     }
     Solution {
@@ -181,6 +161,31 @@ pub fn strongly_live_variables(pg: &PointGraph<'_>) -> Solution {
         worklist_pushes,
         max_worklist_len,
         ..Solution::default()
+    }
+}
+
+/// Steps strong liveness back over `instr`: turns `live`, the strongly
+/// live variables after it, into those before it. An assignment kills its
+/// target and reads its operands only when the target was live; an `out`
+/// and a branch read theirs unconditionally.
+pub fn strong_liveness_step(instr: &Instr, live: &mut BitSet) {
+    match instr {
+        Instr::Assign { lhs, rhs } => {
+            if live.remove(lhs.index()) {
+                rhs.for_each_var(|v| {
+                    live.insert(v.index());
+                });
+            }
+        }
+        Instr::Out(ops) => {
+            for v in ops.iter().filter_map(|op| op.as_var()) {
+                live.insert(v.index());
+            }
+        }
+        Instr::Branch(c) => c.for_each_var(|v| {
+            live.insert(v.index());
+        }),
+        Instr::Skip => {}
     }
 }
 
@@ -412,6 +417,28 @@ mod tests {
         assert!(!sol.after[n2].contains(ab));
     }
 
+    /// Strong liveness before and after each instruction of block `n`,
+    /// walked back from the block's solved exit fact.
+    fn strong_points(g: &FlowGraph, n: NodeId) -> Vec<(BitSet, BitSet)> {
+        let strong = strongly_live_variables(g, &BlockGraph::build(g));
+        let mut live = strong.after[n.index()].clone();
+        let mut points: Vec<_> = g
+            .instrs(n)
+            .rev()
+            .map(|instr| {
+                let after = live.clone();
+                strong_liveness_step(instr, &mut live);
+                (live.clone(), after)
+            })
+            .collect();
+        points.reverse();
+        assert_eq!(
+            points.first().map(|p| &p.0),
+            Some(&strong.before[n.index()])
+        );
+        points
+    }
+
     #[test]
     fn faint_chains_are_not_strongly_live() {
         // b := a is a classic live-variable use of a, but the chain ends
@@ -423,18 +450,17 @@ mod tests {
              edge 1 -> 2",
         )
         .unwrap();
-        let pg = PointGraph::build(&g);
         let a = g.pool().lookup("a").unwrap();
         let b = g.pool().lookup("b").unwrap();
         let mut weak = PointFacts::default();
         live_variables(&g, &BlockGraph::build(&g)).facts(&g, g.start(), &mut weak);
-        let strong = strongly_live_variables(&pg);
-        let mid = pg.last_of(g.start()).index();
+        let strong = strong_points(&g, g.start());
+        let (before_mid, after_mid) = &strong[1];
         // Classic liveness sees the read of a in `b := a`...
         assert!(weak.before(1).contains(a.index()));
         // ...strong liveness does not: b is never observed.
-        assert!(!strong.before[mid].contains(a.index()));
-        assert!(!strong.after[mid].contains(b.index()));
+        assert!(!before_mid.contains(a.index()));
+        assert!(!after_mid.contains(b.index()));
     }
 
     #[test]
@@ -446,12 +472,10 @@ mod tests {
              edge 1 -> 2",
         )
         .unwrap();
-        let pg = PointGraph::build(&g);
         let a = g.pool().lookup("a").unwrap();
         let b = g.pool().lookup("b").unwrap();
-        let strong = strongly_live_variables(&pg);
-        assert!(strong.after[pg.first_of(g.start()).index()].contains(a.index()));
-        assert!(strong.before[pg.first_of(g.end()).index()].contains(b.index()));
+        assert!(strong_points(&g, g.start())[0].1.contains(a.index()));
+        assert!(strong_points(&g, g.end())[0].0.contains(b.index()));
     }
 
     #[test]
@@ -465,14 +489,12 @@ mod tests {
              edge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 4",
         )
         .unwrap();
-        let pg = PointGraph::build(&g);
         let p = g.pool().lookup("p").unwrap();
-        let strong = strongly_live_variables(&pg);
         let n2 = g.nodes().find(|&n| g.label(n) == "2").unwrap();
-        assert!(strong.before[pg.first_of(n2).index()].contains(p.index()));
+        assert!(strong_points(&g, n2)[0].0.contains(p.index()));
         // p is assigned at the entry instruction, so not strongly live
         // before it — but the definition itself is strongly live (kept).
-        assert!(strong.after[pg.first_of(g.start()).index()].contains(p.index()));
+        assert!(strong_points(&g, g.start())[0].1.contains(p.index()));
     }
 
     #[test]
@@ -488,19 +510,16 @@ mod tests {
              edge 1 -> 2\nedge 2 -> 3, 4\nedge 3 -> 2",
         )
         .unwrap();
-        let pg = PointGraph::build(&g);
         let i = g.pool().lookup("i").unwrap();
-        let strong = strongly_live_variables(&pg);
         let weak = live_variables(&g, &BlockGraph::build(&g)).solution;
         // Classic liveness keeps i alive around the loop (the i+1 read);
         // faintness kills it everywhere.
         let n3 = g.nodes().find(|&n| g.label(n) == "3").unwrap();
         assert!(weak.before[n3.index()].contains(i.index()));
-        for point in pg.points() {
-            assert!(
-                !strong.before[point.index()].contains(i.index()),
-                "i strongly live at {point:?}"
-            );
+        for n in g.nodes() {
+            for (j, (before, _)) in strong_points(&g, n).iter().enumerate() {
+                assert!(!before.contains(i.index()), "i strongly live at {n:?}/{j}");
+            }
         }
     }
 

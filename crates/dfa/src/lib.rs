@@ -6,16 +6,15 @@
 //! * [`blocks`] — the one engine every gen/kill system runs on: stated per
 //!   instruction, composed per block, solved over a copy of the flow
 //!   graph's edge rows ([`BlockGraph`]) and streamed back per instruction;
-//! * [`solve`] — the worklist fixed-point solver, parameterized over
-//!   [`Direction`], [`Confluence`] (∏/Σ) and per-point gen/kill sets;
-//!   must-systems are solved to greatest fixed points, may-systems to least;
+//! * [`BlockGraph`] — the solver's one way in: a worklist fixed-point
+//!   solver over the blocks, parameterized over [`Direction`],
+//!   [`Confluence`] (∏/Σ) and per-block gen/kill sets ([`Problem`]);
+//!   must-systems are solved to greatest fixed points, may-systems to
+//!   least;
 //! * [`classic`] — availability, anticipability, partial availability,
 //!   liveness and reaching copies, used by the baseline transformations,
 //!   the lints and as framework tests, and strong liveness, which is not
-//!   gen/kill;
-//! * [`PointGraph`] — the instruction-level program-point view: the point
-//!   set strong liveness runs on, and the literal per-instruction
-//!   statement the test oracles solve.
+//!   gen/kill but is solved over the same blocks.
 //!
 //! # Examples
 //!
@@ -35,17 +34,11 @@
 
 #![warn(missing_docs)]
 
-mod adjacency;
 pub mod blocks;
 pub mod classic;
 mod masks;
-mod points;
 mod solve;
 
-pub use adjacency::Adjacency;
-pub use blocks::{compose, compose_row, stream, Bits, BlockGraph, BlockSolution, PointFacts};
+pub use blocks::{compose, compose_row, stream, Bits, BlockSolution, PointFacts};
 pub use masks::PatternMasks;
-pub use points::{PointGraph, PointId};
-pub use solve::{
-    solve, solve_scheduled, solve_seeded, Confluence, Direction, Problem, Schedule, Solution,
-};
+pub use solve::{BlockGraph, Confluence, Direction, Problem, Solution};

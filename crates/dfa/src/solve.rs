@@ -8,28 +8,27 @@
 //! (initialize ⊥ and grow) — the directions in which those systems are
 //! meaningful.
 //!
-//! The solver is granularity-agnostic: callers hand it predecessor and
-//! successor adjacency over any point set — instruction-level points
-//! ([`PointGraph`](crate::PointGraph)) or whole blocks
-//! ([`BlockGraph`](crate::BlockGraph), which every gen/kill system of the
-//! workspace is solved over with composed block transfers,
-//! [`crate::blocks`]).
+//! [`BlockGraph`] is the one way in: it holds the successor and
+//! predecessor rows of a dense point set — a program's blocks, whose
+//! transfers [`crate::blocks`] composes — and their schedule, and
+//! [`BlockGraph::solve`] solves cold while [`BlockGraph::solve_seeded`]
+//! continues a warm solution.
 //!
 //! # Scheduling
 //!
-//! Points are processed in priority order, not stack order: a [`Schedule`]
+//! Points are processed in priority order, not stack order: the schedule
 //! ranks every point in reverse postorder of the propagation direction
 //! (RPO over successors for forward problems, RPO over predecessors —
-//! i.e. post-order — for backward ones), and the worklist is a min-heap on
-//! that rank with an "on worklist" bitmask so each point is queued at most
-//! once at a time. On a reducible graph one heap drain visits points in
-//! topological order modulo back edges, so the solver converges in a small
-//! number of passes (Kam–Ullman priority iteration) instead of chasing a
-//! LIFO stack around the graph.
+//! i.e. post-order — for backward ones), and the worklist is a bitmap over
+//! those ranks ([`RankQueue`]) with an "on worklist" mask so each point is
+//! queued at most once at a time. On a reducible graph one drain visits
+//! points in topological order modulo back edges, so the solver converges
+//! in a small number of passes (Kam–Ullman priority iteration) instead of
+//! chasing a LIFO stack around the graph.
 
 use am_bitset::{ActiveWords, BitSet};
-
-use crate::adjacency::Adjacency;
+use am_ir::rows::Rows;
+use am_ir::FlowGraph;
 
 /// Propagation direction of an analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -114,84 +113,176 @@ impl Problem {
 
 /// One direction's processing order: a permutation of the points and its
 /// inverse.
-#[derive(Clone, Debug)]
-struct Order {
+pub(crate) struct Order {
     /// `rank[p]` — position of point `p` in the traversal.
-    rank: Vec<u32>,
+    pub(crate) rank: Vec<u32>,
     /// `seq[r]` — the point at position `r` (inverse of `rank`).
-    seq: Vec<u32>,
+    pub(crate) seq: Vec<u32>,
 }
 
-/// Direction-aware priority schedule of a point set.
-///
-/// Computed once per graph (e.g. cached on
-/// [`PointGraph`](crate::PointGraph)) and shared by every solve over that
-/// graph: the forward order is reverse postorder over successors, the
-/// backward order reverse postorder over predecessors. Depth-first search
-/// starts from the boundary points of the respective direction (no
-/// upstream neighbour), then sweeps any remaining unvisited points in
-/// index order, so unreachable regions still get deterministic ranks.
-#[derive(Clone, Debug)]
-pub struct Schedule {
+/// Direction-aware priority schedule of a point set, computed once per
+/// [`BlockGraph`] and shared by every solve over it: the forward order is
+/// reverse postorder over successors, the backward order reverse
+/// postorder over predecessors. Depth-first search starts from the
+/// boundary points of the respective direction (no upstream neighbour),
+/// then sweeps any remaining unvisited points in index order, so
+/// unreachable regions still get deterministic ranks.
+struct Schedule {
     forward: Order,
     backward: Order,
 }
 
-impl Schedule {
-    /// Builds the schedule for the point set described by `succs`/`preds`.
+/// A dense point set's adjacency and its solver schedule — in the
+/// workspace, a program's block graph — shared by every system solved
+/// over the same edges, and the solver's one way in.
+pub struct BlockGraph {
+    /// Successors of each point.
+    pub(crate) succs: Rows<u32>,
+    /// Predecessors of each point.
+    pub(crate) preds: Rows<u32>,
+    schedule: Schedule,
+}
+
+impl BlockGraph {
+    /// The point set whose successor rows are `succs` and predecessor rows
+    /// `preds`, with its schedule.
     ///
     /// # Panics
     ///
     /// Panics if `succs` and `preds` disagree on the number of points.
-    pub fn build(succs: &Adjacency, preds: &Adjacency) -> Self {
+    pub fn new(succs: Rows<u32>, preds: Rows<u32>) -> Self {
         assert_eq!(preds.len(), succs.len(), "preds/succs length mismatch");
-        Schedule {
-            forward: reverse_postorder(succs, preds),
-            backward: reverse_postorder(preds, succs),
+        let schedule = Schedule {
+            forward: reverse_postorder(&succs, &preds),
+            backward: reverse_postorder(&preds, &succs),
+        };
+        BlockGraph {
+            succs,
+            preds,
+            schedule,
         }
     }
 
-    /// The number of points the schedule covers.
-    pub fn len(&self) -> usize {
-        self.forward.rank.len()
+    /// The block graph of `g`: its rows copy the graph's two edge slabs
+    /// ([`FlowGraph::edge_rows`]).
+    pub fn build(g: &FlowGraph) -> Self {
+        let (succs, preds) = g.edge_rows();
+        BlockGraph::new(succs, preds)
     }
 
-    /// Whether the schedule covers no points.
-    pub fn is_empty(&self) -> bool {
-        self.forward.rank.is_empty()
+    /// The number of points (blocks).
+    pub fn node_count(&self) -> usize {
+        self.succs.len()
     }
 
-    /// Priority rank of point `p` for `direction` (lower runs earlier).
-    pub fn rank(&self, direction: Direction, p: usize) -> u32 {
-        self.order(direction).rank[p]
-    }
-
-    /// The point at position `rank` of `direction`'s traversal — the
-    /// inverse of [`rank`](Self::rank), for callers running their own
-    /// priority worklists over non-gen/kill transfer functions.
-    pub fn point_at(&self, direction: Direction, rank: u32) -> usize {
-        self.order(direction).seq[rank as usize] as usize
-    }
-
-    fn order(&self, direction: Direction) -> &Order {
+    /// The processing order of `direction`.
+    pub(crate) fn order(&self, direction: Direction) -> &Order {
         match direction {
-            Direction::Forward => &self.forward,
-            Direction::Backward => &self.backward,
+            Direction::Forward => &self.schedule.forward,
+            Direction::Backward => &self.schedule.backward,
         }
+    }
+
+    /// Solves `problem` cold, seeding every point.
+    ///
+    /// `recycled` hands in the fact buffers of a [`Solution`] from an
+    /// earlier solve to reuse instead of allocating fresh ones. Every fact
+    /// row is reinitialized to the problem's start value, so the result
+    /// does not depend on it — only the allocations are reused. Rows of
+    /// the wrong width (the universe changed) or count (the point set
+    /// changed) are rebuilt as needed. This matters to callers that solve
+    /// once per round: without recycling, each round allocates and frees
+    /// two full fact tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the gen and kill vectors do not have one row per point.
+    pub fn solve(&self, problem: &Problem, recycled: Option<Solution>) -> Solution {
+        let n = self.node_count();
+        let Solution {
+            before: mut input,
+            after: mut output,
+            mut work,
+            ..
+        } = recycled.unwrap_or_default();
+        let top = match &mut work.top {
+            Some(top) if top.len() == problem.universe => top,
+            slot => slot.insert(BitSet::new(problem.universe)),
+        };
+        match problem.confluence {
+            Confluence::Must => top.insert_all(),
+            Confluence::May => top.clear(),
+        }
+        reset_rows(&mut input, n, top);
+        reset_rows(&mut output, n, top);
+        run(self, problem, input, output, work, 0..n)
+    }
+
+    /// Continues a previous solve after a localized change to the problem.
+    ///
+    /// `warm` is the previous [`Solution`] of a problem over the same
+    /// points, taken by value: the solve continues in its buffers, with
+    /// nothing copied. `dirty` lists every point whose gen/kill row changed
+    /// since then. The solver restarts chaotic iteration from the warm
+    /// facts with only the dirty points seeded, and converges to the same
+    /// fixed point a cold [`solve`](Self::solve) of the new problem would,
+    /// **provided the change moved the transfer functions in the problem's
+    /// safe direction**:
+    ///
+    /// * **Must** (greatest fixed point): the warm facts must be ≥ the new
+    ///   fixed point, which holds when rows only *lowered* — gen bits
+    ///   removed and/or kill bits added. Any fixed point above the greatest
+    ///   one does not exist, so descending iteration from above lands
+    ///   exactly on it.
+    /// * **May** (least fixed point): dually, rows may only *raise* — gen
+    ///   bits added and/or kill bits removed — keeping the warm facts ≤ the
+    ///   new fixed point.
+    ///
+    /// Changes in the unsafe direction (e.g. a must-problem whose kill bits
+    /// disappeared) can converge to a stale inner fixed point; callers must
+    /// fall back to a cold solve in that case. The returned metrics count
+    /// only the incremental work: `worklist_pushes` starts at
+    /// `dirty.len()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`solve`](Self::solve), and if
+    /// `warm` covers a different number of points.
+    pub fn solve_seeded(&self, problem: &Problem, warm: Solution, dirty: &[usize]) -> Solution {
+        assert_eq!(
+            warm.before.len(),
+            self.node_count(),
+            "warm solution length mismatch"
+        );
+        // Undo the direction normalization: `input` is the merged incoming
+        // fact (entry for forward, exit for backward), `output` the
+        // transferred one.
+        let (input, output) = match problem.direction {
+            Direction::Forward => (warm.before, warm.after),
+            Direction::Backward => (warm.after, warm.before),
+        };
+        run(
+            self,
+            problem,
+            input,
+            output,
+            warm.work,
+            dirty.iter().copied(),
+        )
     }
 }
 
 /// Reverse postorder over `adj`, with DFS roots chosen boundary-first:
 /// points with no `adj_in` neighbour seed the search (in index order), any
 /// point left unvisited afterwards roots its own tree.
-fn reverse_postorder(adj: &Adjacency, adj_in: &Adjacency) -> Order {
+fn reverse_postorder(adj: &Rows<u32>, adj_in: &Rows<u32>) -> Order {
     let n = adj.len();
     let mut post: Vec<u32> = Vec::with_capacity(n);
     let mut visited = vec![false; n];
     // (point, next child index) — an explicit stack keeps deep chains
     // (straight-line code is one point per instruction) off the call stack.
     let mut stack: Vec<(usize, usize)> = Vec::new();
-    let roots = (0..n).filter(|&p| adj_in[p].is_empty()).chain(0..n);
+    let roots = (0..n).filter(|&p| adj_in.row(p).is_empty()).chain(0..n);
     for root in roots {
         if visited[root] {
             continue;
@@ -199,7 +290,7 @@ fn reverse_postorder(adj: &Adjacency, adj_in: &Adjacency) -> Order {
         visited[root] = true;
         stack.push((root, 0));
         while let Some(&mut (p, ref mut child)) = stack.last_mut() {
-            if let Some(&q) = adj[p].get(*child) {
+            if let Some(&q) = adj.row(p).get(*child) {
                 *child += 1;
                 let q = q as usize;
                 if !visited[q] {
@@ -236,7 +327,7 @@ pub struct Solution {
     pub worklist_pushes: u64,
     /// Peak worklist length observed. A cold solve seeds every point, so
     /// this is at least the point count; a warm-started solve
-    /// ([`solve_seeded`]) seeds only the dirty points.
+    /// ([`BlockGraph::solve_seeded`]) seeds only the dirty points.
     pub max_worklist_len: usize,
     /// The worklist buffers of the solve, recycled with the fact rows.
     pub(crate) work: Worklist,
@@ -270,74 +361,6 @@ impl std::fmt::Debug for Worklist {
     }
 }
 
-/// Solves `problem` over the point set described by `succs`/`preds`.
-///
-/// Must-problems are initialized to ⊤ and shrink to the greatest fixed
-/// point; may-problems start at ⊥ and grow to the least. Builds a
-/// [`Schedule`] for the graph and delegates to [`solve_scheduled`]; when
-/// the same graph is solved repeatedly, build the schedule once and call
-/// [`solve_scheduled`] directly.
-///
-/// # Panics
-///
-/// Panics if the adjacency, gen and kill vectors disagree on the number of
-/// points.
-pub fn solve(succs: &Adjacency, preds: &Adjacency, problem: &Problem) -> Solution {
-    check_lengths(succs, preds, problem);
-    let schedule = Schedule::build(succs, preds);
-    solve_scheduled(succs, preds, problem, &schedule, None)
-}
-
-fn check_lengths(succs: &Adjacency, preds: &Adjacency, problem: &Problem) {
-    let n = succs.len();
-    assert_eq!(preds.len(), n, "preds/succs length mismatch");
-    assert_eq!(problem.gen.len(), n, "gen length mismatch");
-    assert_eq!(problem.kill.len(), n, "kill length mismatch");
-}
-
-/// Solves `problem` using a precomputed [`Schedule`], seeding every point.
-///
-/// `recycled` hands in the fact buffers of a [`Solution`] from an earlier
-/// solve to reuse instead of allocating fresh ones. Every fact row is
-/// reinitialized to the problem's start value, so the result does not
-/// depend on it — only the allocations are reused. Rows of the wrong width
-/// (the universe changed) or count (the point set changed) are rebuilt as
-/// needed. This matters to callers that solve once per round over 10⁴–10⁵
-/// points: without recycling, each round allocates and frees two full fact
-/// tables.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`solve`], and if the schedule
-/// covers a different number of points.
-pub fn solve_scheduled(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    recycled: Option<Solution>,
-) -> Solution {
-    check_lengths(succs, preds, problem);
-    let n = succs.len();
-    let Solution {
-        before: mut input,
-        after: mut output,
-        mut work,
-        ..
-    } = recycled.unwrap_or_default();
-    let top = match &mut work.top {
-        Some(top) if top.len() == problem.universe => top,
-        slot => slot.insert(BitSet::new(problem.universe)),
-    };
-    match problem.confluence {
-        Confluence::Must => top.insert_all(),
-        Confluence::May => top.clear(),
-    }
-    reset_rows(&mut input, n, top);
-    reset_rows(&mut output, n, top);
-    run(succs, preds, problem, schedule, input, output, work, 0..n)
-}
-
 /// Reinitializes `rows` to `n` copies of `value`, reusing allocations
 /// where the width already matches.
 fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
@@ -353,66 +376,6 @@ fn reset_rows(rows: &mut Vec<BitSet>, n: usize, value: &BitSet) {
     }
 }
 
-/// Continues a previous solve after a localized change to the problem.
-///
-/// `warm` is the previous [`Solution`] of a problem over the same graph,
-/// taken by value: the solve continues in its buffers, with nothing
-/// copied. `dirty` lists every point whose gen/kill row changed since
-/// then. The solver restarts chaotic iteration from the warm facts with
-/// only the dirty points seeded, and converges to the same fixed point a
-/// cold [`solve`] of the new problem would, **provided the change moved
-/// the transfer functions in the problem's safe direction**:
-///
-/// * **Must** (greatest fixed point): the warm facts must be ≥ the new
-///   fixed point, which holds when rows only *lowered* — gen bits removed
-///   and/or kill bits added. Any fixed point above the greatest one does
-///   not exist, so descending iteration from above lands exactly on it.
-/// * **May** (least fixed point): dually, rows may only *raise* — gen bits
-///   added and/or kill bits removed — keeping the warm facts ≤ the new
-///   fixed point.
-///
-/// Changes in the unsafe direction (e.g. a must-problem whose kill bits
-/// disappeared) can converge to a stale inner fixed point; callers must
-/// fall back to a cold solve in that case. The returned metrics count only
-/// the incremental work: `worklist_pushes` starts at `dirty.len()`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`solve_scheduled`], and if `warm`
-/// covers a different number of points.
-pub fn solve_seeded(
-    succs: &Adjacency,
-    preds: &Adjacency,
-    problem: &Problem,
-    schedule: &Schedule,
-    warm: Solution,
-    dirty: &[usize],
-) -> Solution {
-    check_lengths(succs, preds, problem);
-    assert_eq!(
-        warm.before.len(),
-        succs.len(),
-        "warm solution length mismatch"
-    );
-    // Undo the direction normalization: `input` is the merged incoming
-    // fact (entry for forward, exit for backward), `output` the
-    // transferred one.
-    let (input, output) = match problem.direction {
-        Direction::Forward => (warm.before, warm.after),
-        Direction::Backward => (warm.after, warm.before),
-    };
-    run(
-        succs,
-        preds,
-        problem,
-        schedule,
-        input,
-        output,
-        warm.work,
-        dirty.iter().copied(),
-    )
-}
-
 /// Word-parallel priority worklist over schedule ranks.
 ///
 /// A schedule assigns every point a *unique* rank, so the pending set is a
@@ -424,7 +387,7 @@ pub fn solve_seeded(
 /// sift-up/down, no per-element branching — which matters when a cold
 /// solve seeds all 10⁵ points of an XL graph.
 #[derive(Default)]
-struct RankQueue {
+pub(crate) struct RankQueue {
     words: Vec<u64>,
     len: usize,
     /// No set bit lies below this rank.
@@ -433,7 +396,7 @@ struct RankQueue {
 
 impl RankQueue {
     /// Empties the queue for ranks `0..n`, keeping its allocation.
-    fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         self.words.clear();
         self.words.resize(n.div_ceil(64), 0);
         self.len = 0;
@@ -441,8 +404,8 @@ impl RankQueue {
     }
 
     /// Inserts `rank`. The caller guarantees it is not already pending
-    /// (the solver's `on_list` mask dedupes points).
-    fn push(&mut self, rank: u32) {
+    /// (an `on_list` mask dedupes points).
+    pub(crate) fn push(&mut self, rank: u32) {
         let r = rank as usize;
         self.words[r / 64] |= 1u64 << (r % 64);
         self.len += 1;
@@ -450,7 +413,7 @@ impl RankQueue {
     }
 
     /// Removes and returns the smallest pending rank.
-    fn pop(&mut self) -> Option<u32> {
+    pub(crate) fn pop(&mut self) -> Option<u32> {
         if self.len == 0 {
             return None;
         }
@@ -468,31 +431,29 @@ impl RankQueue {
         Some(r as u32)
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 }
 
-/// The priority worklist loop shared by cold and warm solves, on the
-/// recycled worklist buffers `work`.
-#[allow(clippy::too_many_arguments)]
+/// The priority worklist loop shared by cold and warm solves over
+/// `graph`, on the recycled worklist buffers `work`.
 fn run(
-    succs: &Adjacency,
-    preds: &Adjacency,
+    graph: &BlockGraph,
     problem: &Problem,
-    schedule: &Schedule,
     mut input: Vec<BitSet>,
     mut output: Vec<BitSet>,
     work: Worklist,
     seed: impl IntoIterator<Item = usize>,
 ) -> Solution {
-    let n = succs.len();
-    assert_eq!(schedule.len(), n, "schedule length mismatch");
+    let n = graph.node_count();
+    assert_eq!(problem.gen.len(), n, "gen length mismatch");
+    assert_eq!(problem.kill.len(), n, "kill length mismatch");
     let (upstream, downstream) = match problem.direction {
-        Direction::Forward => (preds, succs),
-        Direction::Backward => (succs, preds),
+        Direction::Forward => (&graph.preds, &graph.succs),
+        Direction::Backward => (&graph.succs, &graph.preds),
     };
-    let order = schedule.order(problem.direction);
+    let order = graph.order(problem.direction);
 
     let mut iterations: u64 = 0;
     let mut worklist_pushes: u64 = 0;
@@ -532,10 +493,10 @@ fn run(
         // the first upstream row, then fold the rest in place. This
         // replaces the old ⊤-reset + intersect-everything merge and the
         // scratch-to-input copy with a single write pass per upstream.
-        if upstream[p].is_empty() {
+        if upstream.row(p).is_empty() {
             input[p].copy_from(&problem.boundary);
         } else {
-            let (&first, rest) = upstream[p].split_first().expect("non-empty");
+            let (&first, rest) = upstream.row(p).split_first().expect("non-empty");
             input[p].copy_from(&output[first as usize]);
             match problem.confluence {
                 Confluence::Must => {
@@ -558,7 +519,7 @@ fn run(
             &dense
         };
         if output[p].transfer_from(&input[p], &problem.gen[p], &problem.kill[p], row) {
-            for &q in &downstream[p] {
+            for &q in downstream.row(p) {
                 let q = q as usize;
                 if !on_list[q] {
                     on_list[q] = true;
@@ -593,22 +554,42 @@ fn run(
 mod tests {
     use super::*;
 
+    /// The point set with successor lists `succs`; each point's
+    /// predecessors are listed in point order.
+    fn graph(succs: &[&[u32]]) -> BlockGraph {
+        let (mut out, mut preds) = (Rows::new(), Rows::new());
+        for _ in succs {
+            out.push_row();
+            preds.push_row();
+        }
+        for (p, list) in succs.iter().enumerate() {
+            for &q in *list {
+                out.push(p, q);
+                preds.push(q as usize, p as u32);
+            }
+        }
+        BlockGraph::new(out, preds)
+    }
+
     /// A 4-point diamond: 0 -> {1,2} -> 3.
-    fn diamond() -> (Adjacency, Adjacency) {
-        let succs = Adjacency::from_lists(&[vec![1, 2], vec![3], vec![3], vec![]]);
-        let preds = Adjacency::from_lists(&[vec![], vec![0], vec![0], vec![1, 2]]);
-        (succs, preds)
+    fn diamond() -> BlockGraph {
+        graph(&[&[1, 2], &[3], &[3], &[]])
+    }
+
+    /// 0 -> 1 <-> 2, 1 -> 3.
+    fn cycle() -> BlockGraph {
+        graph(&[&[1], &[2, 3], &[1], &[]])
     }
 
     #[test]
     fn forward_must_intersects_at_joins() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         // Bit 0 generated on both branches, bit 1 only on the left.
         p.gen[1].insert(0);
         p.gen[1].insert(1);
         p.gen[2].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert!(sol.before[3].contains(0));
         assert!(!sol.before[3].contains(1));
         assert!(!sol.before[1].contains(0), "boundary is false");
@@ -616,22 +597,22 @@ mod tests {
 
     #[test]
     fn forward_may_unions_at_joins() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::May, 4, 2);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert!(sol.before[3].contains(1));
         assert!(!sol.before[2].contains(1));
     }
 
     #[test]
     fn backward_must_with_kill() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Backward, Confluence::Must, 4, 1);
         // Fact generated at exit point 3, killed in branch 1.
         p.gen[3].insert(0);
         p.kill[1].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert!(sol.before[3].contains(0));
         // After point 1 the fact holds (incoming from 3), before it doesn't.
         assert!(sol.after[1].contains(0));
@@ -646,11 +627,10 @@ mod tests {
         // 0 -> 1 <-> 2, 1 -> 3. A must-fact that no point kills stays true
         // on the cycle only if it is true on every path into it; with a
         // false boundary it collapses to gen-reachability.
-        let succs = Adjacency::from_lists(&[vec![1], vec![2, 3], vec![1], vec![]]);
-        let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
+        let g = cycle();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 1);
         p.gen[0].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         // Generated at 0, never killed: holds everywhere downstream, even
         // around the cycle (greatest fixed point keeps it).
         assert!(sol.before[1].contains(0));
@@ -662,10 +642,9 @@ mod tests {
     fn least_solution_on_cycles_is_not_self_justifying() {
         // Backward may-analysis (like usability): a cycle with no uses must
         // not mark itself usable.
-        let succs = Adjacency::from_lists(&[vec![1], vec![2, 3], vec![1], vec![]]);
-        let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
+        let g = cycle();
         let p = Problem::new(Direction::Backward, Confluence::May, 4, 1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         for i in 0..4 {
             assert!(!sol.before[i].contains(0));
             assert!(!sol.after[i].contains(0));
@@ -674,19 +653,19 @@ mod tests {
 
     #[test]
     fn iteration_count_is_reported() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let p = Problem::new(Direction::Forward, Confluence::Must, 4, 1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert!(sol.iterations >= 4);
     }
 
     #[test]
     fn worklist_metrics_on_a_known_diamond() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         p.gen[0].insert(0);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         // Every pop was pushed and the solver runs until the list drains,
         // so pushes and iterations agree exactly.
         assert_eq!(sol.worklist_pushes, sol.iterations);
@@ -704,11 +683,11 @@ mod tests {
         // popped the join first and re-processed it after each branch,
         // spending 7 updates on this graph. Priority order does exactly
         // one update per point.
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         p.gen[0].insert(0);
         p.gen[1].insert(1);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert_eq!(sol.iterations, 4, "one update per point in RPO");
         assert_eq!(sol.worklist_pushes, 4, "no re-pushes on an acyclic graph");
 
@@ -716,39 +695,38 @@ mod tests {
         // side first.
         let mut p = Problem::new(Direction::Backward, Confluence::Must, 4, 2);
         p.gen[3].insert(0);
-        let sol = solve(&succs, &preds, &p);
+        let sol = g.solve(&p, None);
         assert_eq!(sol.iterations, 4);
     }
 
     #[test]
     fn schedule_ranks_are_direction_aware() {
-        let (succs, preds) = diamond();
-        let s = Schedule::build(&succs, &preds);
-        assert_eq!(s.len(), 4);
+        let g = diamond();
+        let (forward, backward) = (g.order(Direction::Forward), g.order(Direction::Backward));
+        assert_eq!(forward.rank.len(), 4);
         // Forward: entry first, join last.
-        assert_eq!(s.rank(Direction::Forward, 0), 0);
-        assert_eq!(s.rank(Direction::Forward, 3), 3);
+        assert_eq!(forward.rank[0], 0);
+        assert_eq!(forward.rank[3], 3);
         // Backward: exit first, entry last.
-        assert_eq!(s.rank(Direction::Backward, 3), 0);
-        assert_eq!(s.rank(Direction::Backward, 0), 3);
+        assert_eq!(backward.rank[3], 0);
+        assert_eq!(backward.rank[0], 3);
     }
 
     #[test]
     fn seeded_resolve_from_converged_state_is_a_fixed_point() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 2);
         p.gen[0].insert(0);
         p.gen[1].insert(1);
-        let schedule = Schedule::build(&succs, &preds);
-        let cold = solve(&succs, &preds, &p);
+        let cold = g.solve(&p, None);
         // Re-seeding everything over an unchanged problem: one sweep, no
         // changes, identical facts.
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, cold.clone(), &[0, 1, 2, 3]);
+        let warm = g.solve_seeded(&p, cold.clone(), &[0, 1, 2, 3]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert_eq!(warm.iterations, 4);
         // An empty dirty set does no work at all.
-        let idle = solve_seeded(&succs, &preds, &p, &schedule, cold.clone(), &[]);
+        let idle = g.solve_seeded(&p, cold.clone(), &[]);
         assert_eq!(idle.before, cold.before);
         assert_eq!(idle.iterations, 0);
         assert_eq!(idle.worklist_pushes, 0);
@@ -760,18 +738,16 @@ mod tests {
         // (remove a gen bit, add a kill bit) and re-solve warm from the old
         // facts: must-facts only shrink, so the warm run lands on the same
         // greatest fixed point as a cold solve of the new problem.
-        let succs = Adjacency::from_lists(&[vec![1], vec![2, 3], vec![1], vec![]]);
-        let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
-        let schedule = Schedule::build(&succs, &preds);
+        let g = cycle();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 4, 3);
         p.gen[0].insert(0);
         p.gen[0].insert(1);
         p.gen[1].insert(2);
-        let old = solve(&succs, &preds, &p);
+        let old = g.solve(&p, None);
         p.gen[1].remove(2);
         p.kill[1].insert(0);
-        let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, old, &[1]);
+        let cold = g.solve(&p, None);
+        let warm = g.solve_seeded(&p, old, &[1]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
         assert!(warm.iterations <= cold.iterations);
@@ -779,16 +755,14 @@ mod tests {
 
     #[test]
     fn seeded_resolve_tracks_a_raising_may_change() {
-        let succs = Adjacency::from_lists(&[vec![1], vec![2, 3], vec![1], vec![]]);
-        let preds = Adjacency::from_lists(&[vec![], vec![0, 2], vec![1], vec![1]]);
-        let schedule = Schedule::build(&succs, &preds);
+        let g = cycle();
         let mut p = Problem::new(Direction::Backward, Confluence::May, 4, 2);
         p.gen[3].insert(0);
-        let old = solve(&succs, &preds, &p);
+        let old = g.solve(&p, None);
         // Raise point 2's row: new gen bit, kill bit dropped.
         p.gen[2].insert(1);
-        let cold = solve(&succs, &preds, &p);
-        let warm = solve_seeded(&succs, &preds, &p, &schedule, old, &[2]);
+        let cold = g.solve(&p, None);
+        let warm = g.solve_seeded(&p, old, &[2]);
         assert_eq!(warm.before, cold.before);
         assert_eq!(warm.after, cold.after);
     }
@@ -796,9 +770,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "gen length mismatch")]
     fn length_mismatch_panics() {
-        let (succs, preds) = diamond();
+        let g = diamond();
         let mut p = Problem::new(Direction::Forward, Confluence::Must, 3, 1);
         p.boundary = BitSet::new(1);
-        solve(&succs, &preds, &p);
+        g.solve(&p, None);
     }
 }

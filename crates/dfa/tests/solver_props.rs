@@ -11,31 +11,55 @@
 //!   solves over blocks and streams the facts back, lands on the same
 //!   facts at every program point as the point-level statement below,
 //!   over the same programs, the two XL shapes, and the corpus with its
-//!   critical edges split (whose empty blocks have pass-through points).
+//!   critical edges split (whose empty blocks have pass-through points);
+//! * strong liveness, solved per block and walked back through each
+//!   block, equals its literal point-level statement before and after
+//!   every program point, over the same kinds of programs.
 //!
-//! Randomized via `am_ir::rng::SplitMix64`; every case is reproducible
-//! from its printed case number or seed.
+//! The reference solvers and the point graph are in `support/points.rs`,
+//! which the core crate's table oracles share. Randomized via
+//! `am_ir::rng::SplitMix64`; every case is reproducible from its printed
+//! case number or seed.
 
 use am_bitset::BitSet;
 use am_dfa::classic::{
     anticipated_expressions, available_expressions, live_variables,
-    partially_available_expressions, reaching_copies,
+    partially_available_expressions, reaching_copies, strong_liveness_step,
+    strongly_live_variables,
 };
 use am_dfa::{
-    solve, solve_scheduled, solve_seeded, Adjacency, Bits, BlockGraph, BlockSolution, Confluence,
-    Direction, PatternMasks, PointFacts, PointGraph, Problem,
+    Bits, BlockGraph, BlockSolution, Confluence, Direction, PatternMasks, PointFacts, Problem,
 };
 use am_ir::random::{
     corpus80, nest_grid, structured, unstructured, wide_fan, StructuredConfig, UnstructuredConfig,
 };
 use am_ir::rng::SplitMix64;
+use am_ir::rows::Rows;
+use am_ir::text::parse;
 use am_ir::{reference_universe, AssignPattern, FlowGraph, Instr, PatternUniverse, Term};
 
+#[allow(dead_code)]
+#[path = "support/points.rs"]
+mod points;
+
+use points::{reference_solve, reference_strong_liveness, rows, PointGraph, PointId};
+
 /// A random DAG plus optional back edges over `n` points.
-#[derive(Clone, Debug)]
 struct RandomFlow {
-    succs: Adjacency,
-    preds: Adjacency,
+    succs: Rows<u32>,
+    preds: Rows<u32>,
+}
+
+impl RandomFlow {
+    /// The flow's points as the solver's graph.
+    fn graph(&self) -> BlockGraph {
+        BlockGraph::new(self.succs.clone(), self.preds.clone())
+    }
+
+    /// The naive reference solution of `p` over the flow.
+    fn reference(&self, p: &Problem) -> (Vec<BitSet>, Vec<BitSet>) {
+        reference_solve(&self.succs, &self.preds, p)
+    }
 }
 
 fn random_flow(n: usize, edges: &[(usize, usize)], back_edges: bool) -> RandomFlow {
@@ -58,8 +82,8 @@ fn random_flow(n: usize, edges: &[(usize, usize)], back_edges: bool) -> RandomFl
         }
     }
     RandomFlow {
-        succs: Adjacency::from_lists(&succs),
-        preds: Adjacency::from_lists(&preds),
+        succs: rows(&succs),
+        preds: rows(&preds),
     }
 }
 
@@ -89,57 +113,6 @@ fn pairs(rng: &mut SplitMix64, max_len: usize, a: usize, b: usize) -> Vec<(usize
         .collect()
 }
 
-/// Naive reference: iterate all points round-robin until nothing changes.
-fn reference_solve(flow: &RandomFlow, p: &Problem) -> (Vec<BitSet>, Vec<BitSet>) {
-    let n = flow.succs.len();
-    let top = match p.confluence {
-        Confluence::Must => BitSet::full(p.universe),
-        Confluence::May => BitSet::new(p.universe),
-    };
-    let mut input = vec![top.clone(); n];
-    let mut output = vec![top; n];
-    let (upstream, _) = match p.direction {
-        Direction::Forward => (&flow.preds, &flow.succs),
-        Direction::Backward => (&flow.succs, &flow.preds),
-    };
-    loop {
-        let mut changed = false;
-        for point in 0..n {
-            let mut merged = if upstream[point].is_empty() {
-                p.boundary.clone()
-            } else {
-                match p.confluence {
-                    Confluence::Must => {
-                        let mut acc = BitSet::full(p.universe);
-                        for &q in &upstream[point] {
-                            acc.intersect_with(&output[q as usize]);
-                        }
-                        acc
-                    }
-                    Confluence::May => {
-                        let mut acc = BitSet::new(p.universe);
-                        for &q in &upstream[point] {
-                            acc.union_with(&output[q as usize]);
-                        }
-                        acc
-                    }
-                }
-            };
-            changed |= input[point].copy_from(&merged);
-            merged.difference_with(&p.kill[point]);
-            merged.union_with(&p.gen[point]);
-            changed |= output[point].copy_from(&merged);
-        }
-        if !changed {
-            break;
-        }
-    }
-    match p.direction {
-        Direction::Forward => (input, output),
-        Direction::Backward => (output, input),
-    }
-}
-
 #[test]
 fn worklist_matches_round_robin_reference() {
     let mut rng = SplitMix64::new(0xDFA_001);
@@ -164,8 +137,8 @@ fn worklist_matches_round_robin_reference() {
         let p = random_problem(
             &flow, universe, direction, confluence, &gen_bits, &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
-        let (ref_before, ref_after) = reference_solve(&flow, &p);
+        let sol = flow.graph().solve(&p, None);
+        let (ref_before, ref_after) = flow.reference(&p);
         for point in 0..n {
             assert_eq!(
                 &sol.before[point], &ref_before[point],
@@ -202,23 +175,23 @@ fn solution_is_a_fixed_point() {
             &gen_bits,
             &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = flow.graph().solve(&p, None);
         for point in 0..n {
             // before = merge over preds (or boundary).
-            let expected_before = if flow.preds[point].is_empty() {
+            let expected_before = if flow.preds.row(point).is_empty() {
                 p.boundary.clone()
             } else {
                 match confluence {
                     Confluence::Must => {
                         let mut acc = BitSet::full(universe);
-                        for &q in &flow.preds[point] {
+                        for &q in flow.preds.row(point) {
                             acc.intersect_with(&sol.after[q as usize]);
                         }
                         acc
                     }
                     Confluence::May => {
                         let mut acc = BitSet::new(universe);
-                        for &q in &flow.preds[point] {
+                        for &q in flow.preds.row(point) {
                             acc.union_with(&sol.after[q as usize]);
                         }
                         acc
@@ -265,14 +238,18 @@ fn acyclic_forward_may_equals_reachability() {
             &gen_bits,
             &[],
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = flow.graph().solve(&p, None);
         // Reachability closure per bit.
         for bit in 0..universe {
             let mut holds_after = vec![false; n];
             for point in 0..n {
                 // Topological order: skeleton guarantees index order works
                 // for the forward direction (all extra edges go forward).
-                let incoming = flow.preds[point].iter().any(|&q| holds_after[q as usize]);
+                let incoming = flow
+                    .preds
+                    .row(point)
+                    .iter()
+                    .any(|&q| holds_after[q as usize]);
                 holds_after[point] = p.gen[point].contains(bit) || incoming;
                 assert_eq!(
                     sol.after[point].contains(bit),
@@ -470,20 +447,17 @@ fn computed_forward(
 
 /// Scheduling and warm seeding are pure performance devices: the fixed
 /// point of a gen/kill system is unique per extremum, so every strategy
-/// must land on identical facts. Checks the scheduled solver and a
-/// full-seed warm restart of `solve_seeded` against the naive reference on
-/// every classic analysis over `g`, and the block engine's facts at every
-/// point.
+/// must land on identical facts. Checks the scheduled solver, handed the
+/// point graph as its graph, and a full-seed warm restart of
+/// `BlockGraph::solve_seeded` against the naive reference on every classic
+/// analysis over `g`, and the block engine's facts at every point.
 fn check_classic_equivalence(name: &str, g: &FlowGraph) {
     let pg = PointGraph::build(g);
     let universe = PatternUniverse::collect(g);
-    let flow = RandomFlow {
-        succs: pg.succs().clone(),
-        preds: pg.preds().clone(),
-    };
+    let points = BlockGraph::new(pg.succs().clone(), pg.preds().clone());
     let every_point: Vec<usize> = (0..pg.len()).collect();
     for (analysis, problem, (blocks_before, blocks_after)) in classic_problems(g, &pg, &universe) {
-        let (ref_before, ref_after) = reference_solve(&flow, &problem);
+        let (ref_before, ref_after) = pg.solve(&problem);
         assert_eq!(
             blocks_before, ref_before,
             "{name}/{analysis}: block-engine before-facts diverge from naive"
@@ -492,7 +466,7 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
             blocks_after, ref_after,
             "{name}/{analysis}: block-engine after-facts diverge from naive"
         );
-        let scheduled = solve_scheduled(pg.succs(), pg.preds(), &problem, pg.schedule(), None);
+        let scheduled = points.solve(&problem, None);
         assert_eq!(
             scheduled.before, ref_before,
             "{name}/{analysis}: scheduled before-facts diverge from naive"
@@ -503,13 +477,7 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
         );
         // Recycled buffers are reinitialized: a cold solve into the
         // converged facts of the same problem lands on them again.
-        let recycled = solve_scheduled(
-            pg.succs(),
-            pg.preds(),
-            &problem,
-            pg.schedule(),
-            Some(scheduled.clone()),
-        );
+        let recycled = points.solve(&problem, Some(scheduled.clone()));
         assert_eq!(
             (&recycled.before, &recycled.after, recycled.iterations),
             (&scheduled.before, &scheduled.after, scheduled.iterations),
@@ -517,14 +485,7 @@ fn check_classic_equivalence(name: &str, g: &FlowGraph) {
         );
         // Warm restart from the converged facts with every point dirty:
         // one no-op sweep over a solved system, identical fixed point.
-        let warm = solve_seeded(
-            pg.succs(),
-            pg.preds(),
-            &problem,
-            pg.schedule(),
-            scheduled.clone(),
-            &every_point,
-        );
+        let warm = points.solve_seeded(&problem, scheduled.clone(), &every_point);
         assert_eq!(
             warm.before, ref_before,
             "{name}/{analysis}: seeded before-facts diverge from naive"
@@ -594,39 +555,100 @@ fn block_engine_matches_the_point_level_statement_on_split_and_xl_programs() {
     assert!(empty_blocks > 0, "some pass-through point was compared");
 }
 
+/// Random program `seed` of the structured generator (reducible, nested
+/// loops).
+fn structured_program(seed: u64) -> FlowGraph {
+    let mut rng = SplitMix64::new(seed);
+    structured(
+        &mut rng,
+        &StructuredConfig {
+            allow_div: seed.is_multiple_of(2),
+            max_depth: 2 + (seed as usize % 3),
+            ..Default::default()
+        },
+    )
+}
+
+/// Random program `seed` of the unstructured generator (random extra
+/// edges, often irreducible).
+fn unstructured_program(seed: u64) -> FlowGraph {
+    let mut rng = SplitMix64::new(seed);
+    unstructured(
+        &mut rng,
+        &UnstructuredConfig {
+            nodes: 4 + (seed as usize % 16),
+            extra_edges: 1 + (seed as usize % 10),
+            max_instrs: 4,
+            num_vars: 6,
+            allow_div: seed.is_multiple_of(3),
+        },
+    )
+}
+
 #[test]
 fn classic_analyses_match_naive_reference_on_random_graphs() {
-    // 200 programs beyond the corpus: 100 structured (reducible, nested
-    // loops) and 100 unstructured (random extra edges, often irreducible),
+    // 200 programs beyond the corpus: 100 structured and 100 unstructured,
     // seeded apart from the corpus seed ranges.
     for seed in 1000..1100u64 {
-        let mut rng = SplitMix64::new(seed);
-        let g = structured(
-            &mut rng,
-            &StructuredConfig {
-                allow_div: seed % 2 == 0,
-                max_depth: 2 + (seed as usize % 3),
-                ..Default::default()
-            },
-        );
+        let g = structured_program(seed);
         check_classic_equivalence(&format!("structured/{seed}"), &g);
         check_universe_equivalence(&format!("structured/{seed}"), &g);
     }
     for seed in 2000..2100u64 {
-        let mut rng = SplitMix64::new(seed);
-        let g = unstructured(
-            &mut rng,
-            &UnstructuredConfig {
-                nodes: 4 + (seed as usize % 16),
-                extra_edges: 1 + (seed as usize % 10),
-                max_instrs: 4,
-                num_vars: 6,
-                allow_div: seed % 3 == 0,
-            },
-        );
+        let g = unstructured_program(seed);
         check_classic_equivalence(&format!("unstructured/{seed}"), &g);
         check_universe_equivalence(&format!("unstructured/{seed}"), &g);
     }
+}
+
+/// Checks strong liveness, solved per block and walked back through each
+/// block from its exit fact with the solve's own step, against the
+/// point-level statement before and after every program point of `g`.
+fn check_strong_liveness(name: &str, g: &FlowGraph) {
+    let pg = PointGraph::build(g);
+    let (ref_before, ref_after) = reference_strong_liveness(&pg);
+    let strong = strongly_live_variables(g, &BlockGraph::build(g));
+    let mut live = BitSet::new(g.pool().len());
+    for n in g.nodes() {
+        let (first, last, ni) = (pg.first_of(n).index(), pg.last_of(n).index(), n.index());
+        let at = |j: usize| format!("{name}: strong liveness at {n:?}/{j}");
+        assert_eq!(strong.before[ni], ref_before[first], "{} (entry)", at(0));
+        assert_eq!(
+            strong.after[ni],
+            ref_after[last],
+            "{} (exit)",
+            at(last - first)
+        );
+        live.copy_from(&strong.after[ni]);
+        for (j, instr) in g.instrs(n).enumerate().rev() {
+            assert_eq!(live, ref_after[first + j], "{} (after)", at(j));
+            strong_liveness_step(instr, &mut live);
+            assert_eq!(live, ref_before[first + j], "{} (before)", at(j));
+        }
+    }
+}
+
+#[test]
+fn strong_liveness_matches_the_point_level_statement() {
+    let mut programs: Vec<(String, FlowGraph)> = vec![
+        ("nest_grid(20,2,8)".into(), nest_grid(20, 2, 8)),
+        ("wide_fan(100,4)".into(), wide_fan(100, 4)),
+    ];
+    for (name, g) in corpus80() {
+        let mut split = g.clone();
+        split.split_critical_edges();
+        programs.push((format!("{name}/split"), split));
+        programs.push((name, g));
+    }
+    programs.extend((1000..1200u64).map(|s| (format!("structured/{s}"), structured_program(s))));
+    programs
+        .extend((2000..2200u64).map(|s| (format!("unstructured/{s}"), unstructured_program(s))));
+    let mut empty_blocks = 0;
+    for (name, g) in &programs {
+        check_strong_liveness(name, g);
+        empty_blocks += g.nodes().filter(|&n| g.ids(n).is_empty()).count();
+    }
+    assert!(empty_blocks > 0, "some pass-through point was compared");
 }
 
 #[test]
@@ -657,9 +679,9 @@ fn worklist_iteration_count_is_bounded() {
         let p = random_problem(
             &flow, universe, direction, confluence, &gen_bits, &kill_bits,
         );
-        let sol = solve(&flow.succs, &flow.preds, &p);
+        let sol = flow.graph().solve(&p, None);
         let max_degree = (0..n)
-            .map(|p| flow.succs.degree(p).max(flow.preds.degree(p)))
+            .map(|p| flow.succs.row(p).len().max(flow.preds.row(p).len()))
             .max()
             .unwrap_or(0)
             .max(1);
@@ -671,4 +693,77 @@ fn worklist_iteration_count_is_bounded() {
             bound
         );
     }
+}
+
+/// Two blocks around an empty one, for the point graph tests.
+fn three_blocks() -> FlowGraph {
+    parse(
+        "start s\nend e\n\
+         node s { a := 1; b := 2 }\n\
+         node m { }\n\
+         node e { out(a,b) }\n\
+         edge s -> m\nedge m -> e",
+    )
+    .unwrap()
+}
+
+#[test]
+fn empty_blocks_get_virtual_points() {
+    let g = three_blocks();
+    let pg = PointGraph::build(&g);
+    // 2 instrs in s, 1 virtual in m, 1 in e.
+    assert_eq!(pg.len(), 4);
+    let m = g.nodes().find(|&n| g.label(n) == "m").unwrap();
+    let vp = pg.first_of(m);
+    assert_eq!(vp, pg.last_of(m));
+    assert!(pg.instr(vp).is_none());
+    assert!(pg.loc(vp).is_none());
+}
+
+#[test]
+fn adjacency_chains_through_blocks() {
+    let g = three_blocks();
+    let pg = PointGraph::build(&g);
+    let entry = pg.first_of(g.start());
+    assert_eq!(entry.index(), 0);
+    assert!(pg.preds().row(entry.index()).is_empty());
+    // s0 -> s1 -> m -> e0 (point ids follow node creation order).
+    let m = g.nodes().find(|&n| g.label(n) == "m").unwrap();
+    let m_pt = pg.first_of(m).index();
+    let e_pt = pg.first_of(g.end()).index();
+    assert_eq!(pg.succs().row(0), [1]);
+    assert_eq!(pg.succs().row(1), [m_pt as u32]);
+    assert_eq!(pg.succs().row(m_pt), [e_pt as u32]);
+    assert!(pg.succs().row(e_pt).is_empty());
+    assert_eq!(pg.last_of(g.end()).index(), e_pt);
+    assert_eq!(pg.preds().row(e_pt), [m_pt as u32]);
+}
+
+#[test]
+fn branch_fanout_in_points() {
+    let g = parse(
+        "start s\nend e\n\
+         node s { branch x > 0 }\n\
+         node a { x := 1 }\n\
+         node b { x := 2 }\n\
+         node e { out(x) }\n\
+         edge s -> a, b\nedge a -> e\nedge b -> e",
+    )
+    .unwrap();
+    let pg = PointGraph::build(&g);
+    let s_last = pg.last_of(g.start());
+    assert_eq!(pg.succs().row(s_last.index()).len(), 2);
+    let e_first = pg.first_of(g.end());
+    assert_eq!(pg.preds().row(e_first.index()).len(), 2);
+}
+
+#[test]
+fn instr_lookup_matches_blocks() {
+    let g = three_blocks();
+    let pg = PointGraph::build(&g);
+    let p1 = PointId(1);
+    let loc = pg.loc(p1).unwrap();
+    assert_eq!(loc.index, 1);
+    let instr = pg.instr(p1).unwrap();
+    assert_eq!(instr.display(g.pool()), "b := 2");
 }

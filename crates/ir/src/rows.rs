@@ -20,8 +20,10 @@
 //!   growth.
 //! * Two `Rows` are equal when their rows are, whatever holes either has.
 //!
-//! The same type is the solvers' adjacency (`am_dfa::Adjacency`): built
-//! by appending rows in order, it has no holes and no spare room.
+//! The same type is the solver's adjacency: `am_dfa::BlockGraph` holds
+//! a copy of a graph's two edge slabs ([`FlowGraph::edge_rows`]).
+//!
+//! [`FlowGraph::edge_rows`]: crate::FlowGraph::edge_rows
 
 use std::fmt;
 

@@ -5,9 +5,8 @@
 //! strongly live.
 
 use am_bitset::BitSet;
-use am_dfa::classic::strongly_live_variables;
-use am_dfa::PointGraph;
-use am_ir::Instr;
+use am_dfa::classic::{strong_liveness_step, strongly_live_variables};
+use am_ir::{Instr, Loc};
 
 use crate::diag::{Diagnostic, Severity};
 use crate::Ctx;
@@ -24,51 +23,63 @@ use crate::Ctx;
 pub(crate) fn check(ctx: &Ctx<'_>, out: &mut Vec<Diagnostic>) {
     let g = ctx.g;
     let pool = g.pool();
-    // Strong liveness is not a gen/kill system, so it runs per instruction.
-    let pg = PointGraph::build(g);
-    let strong = strongly_live_variables(&pg);
+    let strong = strongly_live_variables(g, &ctx.blocks);
 
     // Which variables are read by any instruction at all.
     let mut read = BitSet::new(pool.len());
-    for point in pg.points() {
-        if let Some(instr) = pg.instr(point) {
+    for n in g.nodes() {
+        for instr in g.instrs(n) {
             instr.for_each_use(|v| {
                 read.insert(v.index());
             });
         }
     }
 
-    for point in pg.points() {
-        let Some(Instr::Assign { lhs, rhs }) = pg.instr(point) else {
-            continue;
-        };
-        if strong.after[point.index()].contains(lhs.index()) {
-            continue;
+    // Each block is walked back from its solved exit fact: an assignment
+    // is faint when its target is not strongly live after it. The findings
+    // are reported in program order.
+    let mut live = BitSet::new(pool.len());
+    let mut faint = Vec::new();
+    for n in g.nodes() {
+        live.copy_from(&strong.after[n.index()]);
+        faint.clear();
+        for instr in g.instrs(n).rev() {
+            faint.push(matches!(instr, Instr::Assign { lhs, .. } if !live.contains(lhs.index())));
+            strong_liveness_step(instr, &mut live);
         }
-        let loc = pg.loc(point).expect("instruction points carry locations");
-        if pool.is_temp(*lhs) && !read.contains(lhs.index()) {
-            out.push(ctx.at(
-                "L201",
-                Severity::Error,
-                loc,
-                format!(
-                    "temporary '{}' is initialized but never read \
+        faint.reverse();
+        for (index, instr) in g.instrs(n).enumerate() {
+            let Instr::Assign { lhs, rhs } = instr else {
+                continue;
+            };
+            if !faint[index] {
+                continue;
+            }
+            let loc = Loc { node: n, index };
+            if pool.is_temp(*lhs) && !read.contains(lhs.index()) {
+                out.push(ctx.at(
+                    "L201",
+                    Severity::Error,
+                    loc,
+                    format!(
+                        "temporary '{}' is initialized but never read \
                      (flush keeps only usable temporaries, Table 3)",
-                    pool.name(*lhs)
-                ),
-            ));
-        } else {
-            out.push(ctx.at(
-                "L202",
-                Severity::Warning,
-                loc,
-                format!(
-                    "assignment '{} := {}' is faint: its value never \
+                        pool.name(*lhs)
+                    ),
+                ));
+            } else {
+                out.push(ctx.at(
+                    "L202",
+                    Severity::Warning,
+                    loc,
+                    format!(
+                        "assignment '{} := {}' is faint: its value never \
                      reaches an out or branch on any path",
-                    pool.name(*lhs),
-                    rhs.display(pool)
-                ),
-            ));
+                        pool.name(*lhs),
+                        rhs.display(pool)
+                    ),
+                ));
+            }
         }
     }
 }

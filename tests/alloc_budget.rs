@@ -29,6 +29,7 @@ use am_ir::rng::SplitMix64;
 use am_ir::text::{parse, to_text};
 use am_ir::FlowGraph;
 use am_lang::SourceKind;
+use am_lint::{lint_graph, LintConfig};
 use am_pipeline::{Job, Pipeline, PipelineConfig};
 
 thread_local! {
@@ -141,6 +142,28 @@ fn nest_grid_allocations_are_budgeted() {
 fn corpus80_allocations_are_budgeted() {
     let sources: Vec<String> = corpus80().iter().map(|(_, g)| to_text(g)).collect();
     check("corpus80", &sources, [4_035, 10_700, 782]);
+}
+
+#[test]
+fn lint_graph_allocations_are_budgeted() {
+    // The lint suite on an optimized program, as `amlint --optimize` runs
+    // it. The faint lint solves strong liveness per block, so it keeps two
+    // fact rows per block, not per instruction.
+    for (case, g, ceiling) in [
+        ("wide_fan(300,4)", wide_fan(300, 4), 152),
+        ("nest_grid(40,2,8)", nest_grid(40, 2, 8), 205),
+    ] {
+        let optimized = optimize_owned(g, &batch_config(), &mut |_, _| {}).program;
+        let (report, n) = allocations(|| lint_graph(&optimized, &LintConfig::default()));
+        println!(
+            "lint_graph of optimized {case}: {n} allocations, {} findings",
+            report.diags.len()
+        );
+        assert!(
+            n <= ceiling,
+            "{case}: lint_graph made {n} allocations, over its budget of {ceiling}"
+        );
+    }
 }
 
 /// A while-language program of the `corpus` benchmark's shape: two to

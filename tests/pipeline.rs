@@ -153,20 +153,24 @@ fn deterministic_interpretation_matches_oracle_mode() {
 #[test]
 fn dataflow_framework_is_reusable_downstream() {
     // A downstream user building their own analysis with the framework.
-    use assignment_motion::dfa::{solve, Confluence, Direction, PointGraph, Problem};
+    use assignment_motion::dfa::{BlockGraph, BlockSolution, Confluence, Direction, PointFacts};
     let g = parse(RUNNING_EXAMPLE).unwrap();
-    let pg = PointGraph::build(&g);
-    // "Reaches a write statement": backward may.
-    let mut p = Problem::new(Direction::Backward, Confluence::May, pg.len(), 1);
-    for point in pg.points() {
-        if let Some(am_ir::Instr::Out(_)) = pg.instr(point) {
-            p.gen[point.index()].insert(0);
-        }
-    }
-    let sol = solve(pg.succs(), pg.preds(), &p);
+    // "Reaches a write statement": backward may; an out() generates it.
+    let reaches = BlockSolution::solve(
+        &g,
+        &BlockGraph::build(&g),
+        Direction::Backward,
+        Confluence::May,
+        1,
+        |instr| (matches!(instr, am_ir::Instr::Out(_)).then_some(0), None),
+    );
     // Every point of this program reaches the out() in node 4.
-    for point in pg.points() {
-        assert!(sol.before[point.index()].contains(0));
+    let mut facts = PointFacts::default();
+    for n in g.nodes() {
+        reaches.facts(&g, n, &mut facts);
+        for point in 0..facts.points() {
+            assert!(facts.before(point).contains(0));
+        }
     }
 }
 
